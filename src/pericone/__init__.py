@@ -11,7 +11,6 @@ from .coefficients import (
     FourierSeries,
     Samples,
     coefficient_extrema,
-    coefficient_values,
     constant_k2,
 )
 from .cone import ConeConstants, ConeMembership, compute_constants, cone_membership
@@ -53,10 +52,8 @@ from .greens import (
     build_green_table,
     green_bounds_constant,
     green_constant,
-    green_interpolate,
     kernel_quadrature,
     solve_linear_periodic,
-    verify_positivity,
 )
 from .operator import GridFunction, apply_T, fixed_point_residual, ode_residual
 from .problem import (
@@ -76,7 +73,6 @@ from .solver import (
     NewtonResult,
     PicardResult,
     Solution,
-    SolveOptions,
     SolveReport,
     continue_lambda,
     find_solutions,

@@ -23,7 +23,7 @@ allowed region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,20 +47,30 @@ __all__ = [
 ]
 
 
-def default_r_grid() -> np.ndarray:
-    """61 logarithmically spaced radii per decade over [1e-3, 1e3]."""
-    return np.geomspace(1e-3, 1e3, 361)
+def default_r_grid(rmin: float = 1e-3, rmax: float = 1e3, per_decade: int = 61) -> np.ndarray:
+    """Logarithmic radius grid over [rmin, rmax], per_decade radii per decade
+    counting both ends (61 gives the 361 radii of the default [1e-3, 1e3])."""
+    count = max(2, int(round(math.log10(rmax / rmin) * (per_decade - 1))) + 1)
+    return np.geomspace(rmin, rmax, count)
 
 
 @dataclass
 class Certificate:
+    """Every route's margin and domain gate at radius r; ``route`` is the one used."""
+
     r: float
     kind: str  # "expansion" | "compression"
     route: str
-    margin: float
-    domain_ok: bool
-    margins: dict = field(default_factory=dict)
-    route_domain_ok: dict = field(default_factory=dict)
+    margins: dict
+    route_domain_ok: dict
+
+    @property
+    def margin(self) -> float:
+        return self.margins[self.route]
+
+    @property
+    def domain_ok(self) -> bool:
+        return self.route_domain_ok[self.route]
 
     @property
     def holds(self) -> bool:
@@ -92,8 +102,6 @@ def certify_expansion(problem: Problem, constants: ConeConstants, r: float) -> C
         r=r,
         kind="expansion",
         route="radial-ratio",
-        margin=float(margin),
-        domain_ok=domain_ok,
         margins={"radial-ratio": float(margin)},
         route_domain_ok={"radial-ratio": domain_ok},
     )
@@ -133,8 +141,6 @@ def certify_compression(problem: Problem, constants: ConeConstants, r: float) ->
         r=r,
         kind="compression",
         route=route,
-        margin=margins[route],
-        domain_ok=domains[route],
         margins=margins,
         route_domain_ok=domains,
     )

@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +24,15 @@ from .benchmarks import PRESETS
 from .certify import (
     annuli_from_scan,
     classify_regime,
+    default_r_grid,
     large_lambda_threshold,
     scan_radii,
 )
 from .cone import compute_constants
 from .config import load_config_file, parse_config
 from .errors import ConfigError, HypothesisError, PericoneError
-from .greens import build_green_table, verify_positivity
-from .solver import SolveOptions, continue_lambda, find_solutions
+from .greens import build_green_table
+from .solver import ODE_TOL, continue_lambda, find_solutions
 
 __all__ = ["main"]
 
@@ -84,13 +83,15 @@ def _build_tables(problem, n_grid):
     return [build_green_table(problem.a[i], n_grid) for i in range(problem.n)]
 
 
-def _radius_grid(rmin: float, rmax: float, per_decade: int) -> np.ndarray:
-    if rmin <= 0.0 or rmax <= rmin:
-        raise ConfigError("--rmin/--rmax", "need 0 < rmin < rmax")
-    if per_decade < 2:
-        raise ConfigError("--per-decade", "need at least 2 radii per decade")
-    count = max(2, int(round(math.log10(rmax / rmin) * (per_decade - 1))) + 1)
-    return np.geomspace(rmin, rmax, count)
+def _require(ok: bool, flag: str, message: str):
+    """Reject a bad flag value; conditions are written so that NaN fails them."""
+    if not ok:
+        raise ConfigError(flag, message)
+
+
+def _ode_tol(args) -> float:
+    _require(0.0 < args.ode_tol < math.inf, "--ode-tol", "must be positive and finite")
+    return args.ode_tol
 
 
 def cmd_green(args) -> int:
@@ -100,7 +101,7 @@ def cmd_green(args) -> int:
     reports = []
     for i in range(problem.n):
         table = build_green_table(problem.a[i], n_grid)
-        pos = verify_positivity(table)
+        pos = table.positivity
         t = table.grid_t
         lines = ["t,s,G"]
         for p in range(n_grid):
@@ -113,7 +114,6 @@ def cmd_green(args) -> int:
             "m": table.m,
             "M": table.M,
             "positive": table.positive,
-            "resonant": table.resonant,
             "min_value": pos.min_value,
             "argmin_t": pos.argmin[0],
             "argmin_s": pos.argmin[1],
@@ -141,10 +141,13 @@ def _constants_block(constants):
 
 
 def cmd_certify(args) -> int:
+    _require(0.0 < args.rmin < args.rmax < math.inf, "--rmin/--rmax",
+             "need 0 < rmin < rmax < inf")
+    _require(args.per_decade >= 2, "--per-decade", "need at least 2 radii per decade")
     parsed = _load(args)
     problem, n_grid = parsed.problem, parsed.n_grid
     out = Path(args.out)
-    r_grid = _radius_grid(args.rmin, args.rmax, args.per_decade)
+    r_grid = default_r_grid(args.rmin, args.rmax, args.per_decade)
 
     tables = _build_tables(problem, n_grid)
     constants = compute_constants(tables, problem)
@@ -198,13 +201,13 @@ def cmd_certify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    ode_tol = _ode_tol(args)
     parsed = _load(args)
     problem, n_grid = parsed.problem, parsed.n_grid
     out = Path(args.out)
     tables = _build_tables(problem, n_grid)
     constants = compute_constants(tables, problem)
-    opts = SolveOptions(ode_tol=args.ode_tol)
-    report = find_solutions(problem, tables, constants, opts)
+    report = find_solutions(problem, tables, constants, ode_tol)
 
     header = "t," + ",".join(f"x_{i + 1}" for i in range(problem.n))
     t = tables[0].grid_t
@@ -232,19 +235,14 @@ def cmd_solve(args) -> int:
     return EXIT_FOUND if report.solutions else EXIT_NOTHING
 
 
-_BRANCH_RE = re.compile(r"^b(\d+)$")
-
-
 def cmd_sweep(args) -> int:
+    _require(0.0 < args.lmin <= args.lmax < math.inf, "--lmin/--lmax",
+             "need 0 < lmin <= lmax < inf")
+    _require(args.steps >= 0, "--steps", "must be nonnegative")
+    ode_tol = _ode_tol(args)
     parsed = _load(args)
     problem, n_grid = parsed.problem, parsed.n_grid
     out = Path(args.out)
-    if args.lmin <= 0.0 or args.lmax < args.lmin:
-        raise ConfigError("--lmin/--lmax", "need 0 < lmin <= lmax")
-    if args.steps < 0:
-        raise ConfigError("--steps", "must be nonnegative")
-    if args.jobs < 1:
-        raise ConfigError("--jobs", "must be at least 1")
 
     header = "lambda,branch_id,norm,ode_residual"
     if args.steps == 0:
@@ -253,54 +251,21 @@ def cmd_sweep(args) -> int:
 
     tables = _build_tables(problem, n_grid)
     constants = compute_constants(tables, problem)
-    opts = SolveOptions(ode_tol=args.ode_tol)
-
-    lams = np.geomspace(args.lmin, args.lmax, args.steps)
-    jobs = min(args.jobs, args.steps)
-    bounds = [(k * args.steps) // jobs for k in range(jobs + 1)]
-    chunks = [(lams[lo], lams[hi - 1], hi - lo) for lo, hi in zip(bounds, bounds[1:])]
-
-    def run_chunk(chunk):
-        lo, hi, steps = chunk
-        return continue_lambda(problem, tables, float(lo), float(hi), steps,
-                               opts=opts, constants=constants)
-
-    if jobs == 1:
-        results = [run_chunk(chunks[0])]
-    else:
-        # branch continuity is chunk-local; merged rows stay deterministic
-        # because each chunk is itself deterministic and the merge sorts
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_chunk, chunks))
-
-    rows = []
-    notes = []
-    offset = 0
-    for res in results:
-        local_max = 0
-        for row in res.rows:
-            match = _BRANCH_RE.match(row.branch_id)
-            num = int(match.group(1)) if match else 0
-            local_max = max(local_max, num)
-            bid = f"b{num + offset}" if match else row.branch_id
-            rows.append((row.lam, row.norm, bid, row.ode_residual))
-        notes.extend(res.notes)
-        offset += local_max
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    res = continue_lambda(problem, tables, args.lmin, args.lmax, args.steps,
+                          constants, ode_tol)
 
     lines = [header]
-    lines.extend(f"{_fmt(lam)},{bid},{_fmt(norm)},{_fmt(ode)}"
-                 for lam, norm, bid, ode in rows)
+    lines.extend(f"{_fmt(row.lam)},{row.branch_id},{_fmt(row.norm)},{_fmt(row.ode_residual)}"
+                 for row in res.rows)
     _write_text(out / "branches.csv", "\n".join(lines) + "\n")
-    for note in notes:
+    for note in res.notes:
         print(f"note: {note}")
-    return EXIT_FOUND if rows else EXIT_NOTHING
+    return EXIT_FOUND if res.rows else EXIT_NOTHING
 
 
 def cmd_reproduce(args) -> int:
     preset = PRESETS[args.name]
     out = Path(args.out) if args.out else None
-    opts = SolveOptions(ode_tol=preset.ode_tol)
     print(f"{preset.name}: {preset.description}")
     print(f"clause: {preset.clause}")
     for note in preset.notes:
@@ -313,7 +278,7 @@ def cmd_reproduce(args) -> int:
         problem, n_grid = parsed.problem, parsed.n_grid
         tables = _build_tables(problem, n_grid)
         constants = compute_constants(tables, problem)
-        report = find_solutions(problem, tables, constants, opts)
+        report = find_solutions(problem, tables, constants, preset.ode_tol)
         count = len(report.solutions)
         ok = count >= preset.expected_count
         all_pass = all_pass and ok
@@ -367,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="find positive periodic solutions")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", default=".")
-    p_solve.add_argument("--ode-tol", type=float, default=1e-6, dest="ode_tol")
+    p_solve.add_argument("--ode-tol", type=float, default=ODE_TOL, dest="ode_tol")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="lambda continuation, branch CSV")
@@ -376,10 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lmin", type=float, required=True)
     p_sweep.add_argument("--lmax", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="upper bound on concurrent chunks; results are "
-                              "merged by (lambda, norm) regardless of timing")
-    p_sweep.add_argument("--ode-tol", type=float, default=1e-6, dest="ode_tol")
+    p_sweep.add_argument("--ode-tol", type=float, default=ODE_TOL, dest="ode_tol")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rep = sub.add_parser("reproduce", help="run a built-in benchmark scenario")

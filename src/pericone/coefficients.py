@@ -26,7 +26,6 @@ __all__ = [
     "Samples",
     "PeriodicCoefficient",
     "constant_k2",
-    "coefficient_values",
 ]
 
 
@@ -105,11 +104,6 @@ def constant_k2(k: float, period: float) -> Constant:
     if not (0.0 < k < math.pi / period):
         raise DomainError(f"need 0 < k < pi/T, got k={k}, T={period}")
     return Constant(value=k * k, period=period)
-
-
-def coefficient_values(coef: PeriodicCoefficient, t) -> np.ndarray:
-    """Evaluate a coefficient at (an array of) times."""
-    return coef.eval(t)
 
 
 def coefficient_extrema(coef: PeriodicCoefficient, n_audit: int = 4096):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import Constant, PeriodicCoefficient, coefficient_values
+from .coefficients import Constant, PeriodicCoefficient
 from .errors import DomainError, ResonanceError
 
 __all__ = [
@@ -35,10 +35,8 @@ __all__ = [
     "green_constant",
     "green_bounds_constant",
     "build_green_table",
-    "verify_positivity",
     "kernel_quadrature",
     "solve_linear_periodic",
-    "green_interpolate",
 ]
 
 RESONANCE_RTOL = 1e-10
@@ -71,6 +69,15 @@ def green_bounds_constant(k: float, period: float):
 
 
 @dataclass
+class PositivityReport:
+    """Strict positivity of a kernel: grid scan plus the refined patch."""
+
+    holds: bool
+    min_value: float
+    argmin: tuple
+
+
+@dataclass
 class GreensTable:
     """Kernel samples values[p, q] = G(t_p, t_q) on the uniform grid t_p = p*T/N."""
 
@@ -79,31 +86,18 @@ class GreensTable:
     values: np.ndarray
     m: float
     M: float
-    positive: bool
-    resonant: bool = False
-    # refined minimum from the 4x-finer spot check near the grid argmin
-    fine_min: float = math.nan
-    fine_argmin: tuple = (math.nan, math.nan)
-    # positivity threshold used for this table: roundoff-level for the closed
-    # form, inflated to the integrator error level for the RK4 branch
-    positivity_tol: float = 0.0
+    positivity: PositivityReport
     # closed-form k when the constant-coefficient branch was used, else None
     k: float | None = field(default=None, repr=False)
-    # fine-grid basis data (t, Y[j] = 2x2 fundamental matrix) for the RK4 branch
-    fine_t: np.ndarray | None = field(default=None, repr=False)
-    fine_basis: np.ndarray | None = field(default=None, repr=False)
     monodromy: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def positive(self) -> bool:
+        return self.positivity.holds
 
     @property
     def grid_t(self) -> np.ndarray:
         return np.arange(self.n_grid) * (self.period / self.n_grid)
-
-
-@dataclass
-class PositivityReport:
-    holds: bool
-    min_value: float
-    argmin: tuple
 
 
 def _check_grid(n_grid: int):
@@ -122,7 +116,7 @@ def _rk4_basis(coef: PeriodicCoefficient, n_grid: int):
     nf = FINE_FACTOR * n_grid
     h = period / nf
     t_half = np.arange(2 * nf + 1) * (h / 2.0)
-    a_half = coefficient_values(coef, t_half)
+    a_half = coef.eval(t_half)
 
     Y = np.empty((nf + 1, 2, 2))
     Y[0] = np.eye(2)
@@ -197,20 +191,16 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
             ss = idx_s * h_fine
             return _ghat(np.abs(tt[:, None] - ss[None, :]), k, period)
 
-        fine_t = None
-        Y = None
         Phi = None
         k_used = k
     else:
         Y = _rk4_basis(coef, n_grid)
-        fine_idx = np.arange(FINE_FACTOR * n_grid + 1)
-        coarse = fine_idx[: FINE_FACTOR * n_grid : FINE_FACTOR]
+        coarse = np.arange(0, FINE_FACTOR * n_grid, FINE_FACTOR)
         values = _kernel_from_basis(Y, coarse, coarse)
 
         def eval_patch(idx_t, idx_s):
             return _kernel_from_basis(Y, idx_t, idx_s)
 
-        fine_t = fine_idx * h_fine
         Phi = Y[-1]
         k_used = None
 
@@ -218,13 +208,16 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
     big = float(values.max())
     p_star, q_star = np.unravel_index(int(np.argmin(values)), values.shape)
     fine_min, fine_arg = _refine_min(eval_patch, int(p_star), int(q_star), n_grid)
-    min_all = min(m, fine_min)
+    if fine_min < m:
+        min_value, argmin = fine_min, (fine_arg[0] * h_fine, fine_arg[1] * h_fine)
+    else:
+        h = period / n_grid
+        min_value, argmin = m, (p_star * h, q_star * h)
     tol = POSITIVITY_RTOL * (1.0 + abs(big))
     if k_used is None:
         # tabulated values carry the RK4 global error, O(h_fine^4); a minimum
         # inside that noise floor cannot be certified positive
         tol = max(tol, 1e3 * (1.0 + abs(big)) * h_fine ** 4)
-    positive = bool(min_all > tol)
 
     return GreensTable(
         n_grid=n_grid,
@@ -232,30 +225,11 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         values=values,
         m=m,
         M=big,
-        positive=positive,
-        resonant=False,
-        fine_min=fine_min,
-        fine_argmin=(fine_arg[0] * h_fine, fine_arg[1] * h_fine),
-        positivity_tol=tol,
+        positivity=PositivityReport(holds=bool(min_value > tol), min_value=min_value,
+                                    argmin=argmin),
         k=k_used,
-        fine_t=fine_t,
-        fine_basis=Y,
         monodromy=Phi,
     )
-
-
-def verify_positivity(table: GreensTable) -> PositivityReport:
-    """Strict positivity of the tabulated kernel, including the fine spot check."""
-    grid_min = float(table.values.min())
-    p, q = np.unravel_index(int(np.argmin(table.values)), table.values.shape)
-    h = table.period / table.n_grid
-    arg = (p * h, q * h)
-    min_value = grid_min
-    if not math.isnan(table.fine_min) and table.fine_min < min_value:
-        min_value = table.fine_min
-        arg = table.fine_argmin
-    tol = max(table.positivity_tol, POSITIVITY_RTOL * (1.0 + abs(table.M)))
-    return PositivityReport(holds=bool(min_value > tol), min_value=min_value, argmin=arg)
 
 
 def kernel_quadrature(table: GreensTable) -> np.ndarray:
@@ -276,7 +250,7 @@ def solve_linear_periodic(table: GreensTable, e):
     from .operator import GridFunction
 
     if hasattr(e, "eval"):
-        e_vals = coefficient_values(e, table.grid_t)
+        e_vals = e.eval(table.grid_t)
     else:
         e_vals = np.asarray(e, dtype=float)
     if e_vals.shape != (table.n_grid,):
@@ -285,19 +259,3 @@ def solve_linear_periodic(table: GreensTable, e):
     return GridFunction(n=1, n_grid=table.n_grid, period=table.period,
                         values=x[None, :])
 
-
-def green_interpolate(table: GreensTable, t: float, s: float) -> float:
-    """Off-grid kernel value by periodic bilinear interpolation of the table."""
-    h = table.period / table.n_grid
-    ti = (t / h) % table.n_grid
-    si = (s / h) % table.n_grid
-    p0, q0 = int(math.floor(ti)), int(math.floor(si))
-    ft, fs = ti - p0, si - q0
-    p1, q1 = (p0 + 1) % table.n_grid, (q0 + 1) % table.n_grid
-    v = table.values
-    return float(
-        v[p0, q0] * (1 - ft) * (1 - fs)
-        + v[p1, q0] * ft * (1 - fs)
-        + v[p0, q1] * (1 - ft) * fs
-        + v[p1, q1] * ft * fs
-    )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .greens import GreensTable, kernel_quadrature
-from .problem import SINGULARITY_GUARD, Problem
+from .problem import SINGULARITY_GUARD, SPLIT_FACTOR, Problem
 
 __all__ = [
     "GridFunction",
@@ -69,7 +69,7 @@ def apply_T(problem: Problem, tables, x: GridFunction) -> GridFunction:
     """One application of the discrete operator.
 
     For a sign-changing e the pointwise split inequality
-    split_factor * g_i f_i(x) + e_i >= 0 must already hold on the grid; it is
+    SPLIT_FACTOR * g_i f_i(x) + e_i >= 0 must already hold on the grid; it is
     checked, not clipped, because the fixed-point arguments only control
     iterates on the restricted radial ranges.
     """
@@ -84,7 +84,7 @@ def apply_T(problem: Problem, tables, x: GridFunction) -> GridFunction:
     e = problem.e_on_grid(x.n_grid)
 
     if problem.sign_profile == "MixedE":
-        half = problem.split_factor * g * fx + e
+        half = SPLIT_FACTOR * g * fx + e
         worst = float(half.min())
         if worst < -1e-12:
             raise DomainError(

@@ -7,9 +7,10 @@ the argument of the radial profiles.  On the orthant the two norms bracket
 each other (u <= |x|_1 <= sqrt(n) u), which is what lets every annulus
 quantity reduce to a one-dimensional search over u = ||x||_2.
 
-All 1-D extrema are computed from the exact critical points of the power sums
-(sign changes of u * phi'(u), refined by bisection), so quantities like
-fhat are monotone by construction rather than up to sampling error.
+All 1-D extrema, eta_r included, are computed from the exact critical points
+of the power sums (sign changes of u * phi'(u), refined by bisection), so
+quantities like fhat are monotone and eta_r is a true minimum by construction
+rather than up to sampling error.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import PeriodicCoefficient, coefficient_extrema, coefficient_values
+from .coefficients import coefficient_extrema
 from .errors import DomainError, HypothesisError, SingularityError
 
 __all__ = [
@@ -36,7 +37,10 @@ __all__ = [
 
 SINGULARITY_GUARD = 1e-10
 AUDIT_GRID = 4096
-ETA_SAMPLES = 1024
+# share of g_i f_i that must dominate a sign-changing e_i: the split
+# SPLIT_FACTOR * g_i f_i(x) + e_i >= 0 checked by apply_T, guaranteed by
+# the thresholds delta/Delta through phi_i >= B_i
+SPLIT_FACTOR = 0.5
 # search window for radial critical points and threshold bisections
 U_LO, U_HI = 1e-20, 1e20
 
@@ -70,11 +74,7 @@ class PowerLawRadial:
 
     def phi(self, i: int, u):
         """Radial profile phi_i(u) = sum_j c_ij u^p_ij, vectorized over u."""
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        for c, p in self.terms[i]:
-            out = out + c * np.power(u, p)
-        return out
+        return _power_sum(self.terms[i], u)
 
     def singular_at_zero(self, i: int) -> bool:
         return bool(self.powers(i).min() < 0.0)
@@ -82,8 +82,14 @@ class PowerLawRadial:
     def unbounded_at_infinity(self, i: int) -> bool:
         return bool(self.powers(i).max() > 0.0)
 
-    def critical_points(self, i: int) -> tuple:
-        return _critical_points(self.terms[i])
+
+def _power_sum(comp_terms: tuple, u):
+    """sum c u^p over one component's (c, p) terms, vectorized over u."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    for c, p in comp_terms:
+        out = out + c * np.power(u, p)
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -124,26 +130,26 @@ def _critical_points(comp_terms: tuple) -> tuple:
     return tuple(math.exp(w) for w in roots)
 
 
-def _interval_extrema(f: PowerLawRadial, i: int, lo: float, hi: float):
-    """(min, max) of phi_i over [lo, hi] from endpoints and interior critical points."""
+def _interval_extrema(comp_terms: tuple, lo: float, hi: float):
+    """(min, max) of a power sum over [lo, hi] from endpoints and interior critical points."""
     pts = [lo, hi]
-    pts.extend(u for u in f.critical_points(i) if lo < u < hi)
-    vals = f.phi(i, np.array(pts))
+    pts.extend(u for u in _critical_points(comp_terms) if lo < u < hi)
+    vals = _power_sum(comp_terms, np.array(pts))
     return float(vals.min()), float(vals.max())
 
 
-def _tail_inf(f: PowerLawRadial, i: int, lo: float) -> float:
-    """inf of phi_i over [lo, inf); requires the profile to blow up at infinity."""
+def _tail_inf(comp_terms: tuple, lo: float) -> float:
+    """inf of a power sum over [lo, inf); requires it to blow up at infinity."""
     pts = [lo]
-    pts.extend(u for u in f.critical_points(i) if u > lo)
-    return float(f.phi(i, np.array(pts)).min())
+    pts.extend(u for u in _critical_points(comp_terms) if u > lo)
+    return float(_power_sum(comp_terms, np.array(pts)).min())
 
 
-def _head_inf(f: PowerLawRadial, i: int, hi: float) -> float:
-    """inf of phi_i over (0, hi]; requires the profile to blow up at zero."""
+def _head_inf(comp_terms: tuple, hi: float) -> float:
+    """inf of a power sum over (0, hi]; requires it to blow up at zero."""
     pts = [hi]
-    pts.extend(u for u in f.critical_points(i) if u < hi)
-    return float(f.phi(i, np.array(pts)).min())
+    pts.extend(u for u in _critical_points(comp_terms) if u < hi)
+    return float(_power_sum(comp_terms, np.array(pts)).min())
 
 
 def eval_f(f: PowerLawRadial, x) -> np.ndarray:
@@ -155,39 +161,25 @@ def eval_f(f: PowerLawRadial, x) -> np.ndarray:
     return np.array([f.phi(i, u) for i in range(f.n_components)])
 
 
-def annulus_extrema(f: PowerLawRadial, r: float, sigma: float, n: int):
-    """(m_hat, M_hat): extrema of all component profiles on the orthant annulus
-    sigma*r <= |x|_1 <= r, i.e. u in [sigma*r/sqrt(n), r]."""
+def _annulus_lower_u(r: float, sigma: float, n: int) -> float:
+    """Smallest ||x||_2 on the orthant annulus sigma*r <= |x|_1 <= r."""
     if r <= 0.0:
         raise DomainError("r must be positive")
     if not (0.0 < sigma <= 1.0):
         raise DomainError("sigma must lie in (0, 1]")
-    lo = sigma * r / math.sqrt(n)
+    return sigma * r / math.sqrt(n)
+
+
+def annulus_extrema(f: PowerLawRadial, r: float, sigma: float, n: int):
+    """(m_hat, M_hat): extrema of all component profiles on the orthant annulus
+    sigma*r <= |x|_1 <= r, i.e. u in [sigma*r/sqrt(n), r]."""
+    lo = _annulus_lower_u(r, sigma, n)
     mins, maxs = [], []
-    for i in range(f.n_components):
-        a, b = _interval_extrema(f, i, lo, r)
+    for comp in f.terms:
+        a, b = _interval_extrema(comp, lo, r)
         mins.append(a)
         maxs.append(b)
     return min(mins), max(maxs)
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(fn, a: float, b: float, iters: int = 90):
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return min(fc, fd)
 
 
 def eta_lower(f: PowerLawRadial, r: float, sigma: float, n: int) -> float:
@@ -196,29 +188,20 @@ def eta_lower(f: PowerLawRadial, r: float, sigma: float, n: int) -> float:
 
     For ||x||_2 = u the summation norm is at most min(sqrt(n)*u, r) on the
     annulus, so the worst ratio at fixed u is phi_j(u)/min(sqrt(n)*u, r).
-    Dense sampling plus golden-section refinement around the sampled minimum.
+    The knee u = r/sqrt(n) splits u in [sigma*r/sqrt(n), r] into two pieces,
+    each with an exact minimum: below it the ratio is the shifted power sum
+    sum (c/sqrt(n)) u^(p-1), above it phi_j(u)/r.  Either piece may be the
+    single point r/sqrt(n) (sigma = 1, or n = 1).
     """
-    if r <= 0.0:
-        raise DomainError("r must be positive")
-    lo = sigma * r / math.sqrt(n)
+    lo = _annulus_lower_u(r, sigma, n)
+    root_n = math.sqrt(n)
+    knee = r / root_n
     best = 0.0
-    for j in range(f.n_components):
-
-        def ratio(u, jj=j):
-            return float(f.phi(jj, u) / min(math.sqrt(n) * u, r))
-
-        if lo >= r:
-            comp_min = ratio(r)
-        else:
-            us = np.geomspace(lo, r, ETA_SAMPLES)
-            vals = f.phi(j, us) / np.minimum(math.sqrt(n) * us, r)
-            idx = int(np.argmin(vals))
-            comp_min = float(vals[idx])
-            a = us[max(idx - 1, 0)]
-            b = us[min(idx + 1, ETA_SAMPLES - 1)]
-            if a < b:
-                comp_min = min(comp_min, _golden_min(ratio, float(a), float(b)))
-        best = max(best, comp_min)
+    for comp in f.terms:
+        shifted = tuple((c / root_n, p - 1.0) for c, p in comp)
+        below, _ = _interval_extrema(shifted, lo, knee)
+        above, _ = _interval_extrema(comp, knee, r)
+        best = max(best, min(below, above / r))
     return best
 
 
@@ -227,11 +210,7 @@ def fhat(f: PowerLawRadial, theta: float, n: int) -> np.ndarray:
     if theta < 1.0:
         raise DomainError("theta must be at least 1")
     lo = 1.0 / math.sqrt(n)
-    out = []
-    for i in range(f.n_components):
-        _, hi = _interval_extrema(f, i, lo, max(theta, lo))
-        out.append(hi)
-    return np.array(out)
+    return np.array([_interval_extrema(comp, lo, max(theta, lo))[1] for comp in f.terms])
 
 
 @dataclass
@@ -255,7 +234,8 @@ class Problem:
     period; f is the radial nonlinearity; lam >= 0 (lam = 0 degenerates to
     the zero forcing, kept valid for linearity checks).  sign_profile is
     derived from e: "MixedE" as soon as some e_i dips negative, which then
-    requires min g_i > 0 everywhere.
+    requires min g_i > 0 everywhere.  sign_profile, g_min and e_abs_max are
+    derived from the coefficients, never set by the caller.
     """
 
     n: int
@@ -266,7 +246,9 @@ class Problem:
     f: PowerLawRadial
     lam: float
     sign_profile: str = field(init=False)
-    split_factor: float = 0.5
+    # audit-grid min g_i and max |e_i|, computed once per problem
+    g_min: tuple = field(init=False, repr=False)
+    e_abs_max: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -287,21 +269,22 @@ class Problem:
                 raise DomainError("coefficient period differs from problem period")
 
         t = np.arange(AUDIT_GRID) * (self.period / AUDIT_GRID)
-        mixed = False
+        g_min, e_abs_max, mixed = [], [], False
         for i in range(self.n):
             g_lo, _ = coefficient_extrema(self.g[i], AUDIT_GRID)
-            g_vals = coefficient_values(self.g[i], t)
             if g_lo < -1e-12:
                 raise HypothesisError(f"g[{i}] takes negative values")
-            if g_vals.mean() * self.period <= 0.0:
+            if self.g[i].eval(t).mean() * self.period <= 0.0:
                 raise HypothesisError(f"g[{i}] must have positive integral")
-            e_lo, _ = coefficient_extrema(self.e[i], AUDIT_GRID)
-            if e_lo < 0.0:
-                mixed = True
+            e_lo, e_hi = coefficient_extrema(self.e[i], AUDIT_GRID)
+            mixed = mixed or e_lo < 0.0
+            g_min.append(g_lo)
+            e_abs_max.append(max(abs(e_lo), abs(e_hi)))
+        self.g_min = tuple(g_min)
+        self.e_abs_max = tuple(e_abs_max)
         self.sign_profile = "MixedE" if mixed else "NonnegativeE"
-        if self.sign_profile == "MixedE":
-            for i in range(self.n):
-                g_lo, _ = coefficient_extrema(self.g[i], AUDIT_GRID)
+        if mixed:
+            for i, g_lo in enumerate(self.g_min):
                 if g_lo <= 0.0:
                     raise HypothesisError(
                         f"sign-changing e requires strictly positive g, g[{i}] is not"
@@ -312,27 +295,27 @@ class Problem:
 
     def g_on_grid(self, n_grid: int) -> np.ndarray:
         t = self.grid(n_grid)
-        return np.vstack([coefficient_values(self.g[i], t) for i in range(self.n)])
+        return np.vstack([coef.eval(t) for coef in self.g])
 
     def e_on_grid(self, n_grid: int) -> np.ndarray:
         t = self.grid(n_grid)
-        return np.vstack([coefficient_values(self.e[i], t) for i in range(self.n)])
+        return np.vstack([coef.eval(t) for coef in self.e])
 
     def a_on_grid(self, n_grid: int) -> np.ndarray:
         t = self.grid(n_grid)
-        return np.vstack([coefficient_values(self.a[i], t) for i in range(self.n)])
+        return np.vstack([coef.eval(t) for coef in self.a])
 
 
 def _forcing_bounds(problem: Problem):
-    """Per-component B_i = 2 (max|e_i| + 1) / min g_i from the audit grid."""
+    """Per-component B_i = (max|e_i| + 1) / (SPLIT_FACTOR * min g_i).
+
+    phi_i >= B_i makes SPLIT_FACTOR * g_i f_i + e_i >= 1 > 0 pointwise.
+    """
     bounds = []
-    for i in range(problem.n):
-        g_lo, _ = coefficient_extrema(problem.g[i], AUDIT_GRID)
-        e_lo, e_hi = coefficient_extrema(problem.e[i], AUDIT_GRID)
-        e_abs = max(abs(e_lo), abs(e_hi))
+    for i, (g_lo, e_abs) in enumerate(zip(problem.g_min, problem.e_abs_max)):
         if g_lo <= 0.0:
             raise HypothesisError(f"threshold bound needs min g[{i}] > 0")
-        bounds.append(2.0 * (e_abs + 1.0) / g_lo)
+        bounds.append((e_abs + 1.0) / (SPLIT_FACTOR * g_lo))
     return bounds
 
 
@@ -387,7 +370,7 @@ def thresholds_delta(problem: Problem, sigma: float):
     if all(f.singular_at_zero(i) for i in range(n)):
 
         def small_ok(d):
-            return all(_head_inf(f, i, d) >= bounds[i] for i in range(n))
+            return all(_head_inf(f.terms[i], d) >= bounds[i] for i in range(n))
 
         delta = _largest_radius(small_ok)
     else:
@@ -396,7 +379,8 @@ def thresholds_delta(problem: Problem, sigma: float):
     if all(f.unbounded_at_infinity(i) for i in range(n)):
 
         def large_ok(rr):
-            return all(_tail_inf(f, i, rr / math.sqrt(n)) >= bounds[i] for i in range(n))
+            return all(_tail_inf(f.terms[i], rr / math.sqrt(n)) >= bounds[i]
+                       for i in range(n))
 
         r_dd = _smallest_radius(large_ok)
         delta_big = None if r_dd is None else r_dd / sigma

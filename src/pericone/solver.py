@@ -31,7 +31,6 @@ from .operator import GridFunction, apply_T, fixed_point_residual, ode_residual
 from .problem import Problem
 
 __all__ = [
-    "SolveOptions",
     "PicardResult",
     "NewtonResult",
     "Solution",
@@ -46,30 +45,17 @@ __all__ = [
 ]
 
 PICARD_TARGET = 1e-6
+PICARD_DAMPING = 0.5
+MAX_PICARD = 200
+NEWTON_TOL = 1e-10
+MAX_NEWTON = 30
+# default gate on the independent second-difference residual of accepted
+# solutions; loosen for problems whose solutions have large fourth derivatives
+ODE_TOL = 1e-6
 NORM_BLOWUP = 1e12
 CLAMP_TOL = 1e-12
 DEDUPE_RTOL = 1e-6
 FD_STEP = 1e-6
-
-
-@dataclass
-class SolveOptions:
-    damping: float = 0.5
-    max_picard: int = 200
-    newton_tol: float = 1e-10
-    max_newton: int = 30
-    seed_norm: float | None = None
-    # gate on the independent second-difference residual of accepted solutions;
-    # loosen for problems whose solutions have large fourth derivatives
-    ode_tol: float = 1e-6
-
-    def __post_init__(self):
-        if not (0.0 < self.damping <= 1.0):
-            raise DomainError("damping must lie in (0, 1]")
-        if self.newton_tol < 1e-12:
-            raise DomainError("newton_tol must be at least 1e-12")
-        if self.max_picard < 0 or self.max_newton < 1:
-            raise DomainError("iteration limits out of range")
 
 
 @dataclass
@@ -129,15 +115,14 @@ def _prod_norm(values: np.ndarray) -> float:
 
 
 def seed_from_annulus(annulus, constants: ConeConstants, problem: Problem,
-                      n_grid: int = 256, seed_norm: float | None = None) -> GridFunction:
+                      n_grid: int = 256) -> GridFunction:
     """Constant cone-interior seed with norm at the geometric mean of the annulus."""
-    target = seed_norm if seed_norm is not None else math.sqrt(annulus.r_in * annulus.r_out)
-    c = target / problem.n
+    c = math.sqrt(annulus.r_in * annulus.r_out) / problem.n
     values = np.full((problem.n, n_grid), c)
     return GridFunction(n=problem.n, n_grid=n_grid, period=problem.period, values=values)
 
 
-def picard_solve(problem: Problem, tables, x0: GridFunction, opts: SolveOptions) -> PicardResult:
+def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
     """Damped fixed-point iteration x <- (1-w) x + w T x.
 
     Stops as soon as the residual reaches the hand-off target (Newton takes
@@ -148,10 +133,10 @@ def picard_solve(problem: Problem, tables, x0: GridFunction, opts: SolveOptions)
     inequality fails raises DomainError from apply_T; it is not caught here.
     """
     x = x0
-    omega = opts.damping
+    omega = PICARD_DAMPING
     halvings = 0
     res = math.inf
-    for it in range(opts.max_picard + 1):
+    for it in range(MAX_PICARD + 1):
         try:
             tx = apply_T(problem, tables, x)
         except SingularityError as exc:
@@ -161,7 +146,7 @@ def picard_solve(problem: Problem, tables, x0: GridFunction, opts: SolveOptions)
         res = _prod_norm(x.values - tx.values)
         if res <= PICARD_TARGET:
             return PicardResult(x=x, iterations=it, residual=res, converged=True)
-        if it == opts.max_picard:
+        if it == MAX_PICARD:
             break
         cand = (1.0 - omega) * x.values + omega * tx.values
         while _prod_norm(cand) > 2.0 * x.norm and halvings < 4:
@@ -178,7 +163,7 @@ def picard_solve(problem: Problem, tables, x0: GridFunction, opts: SolveOptions)
         if _prod_norm(cand) > NORM_BLOWUP:
             raise DivergenceError(f"iterate norm exceeded {NORM_BLOWUP:.1e}")
         x = GridFunction(n=x.n, n_grid=x.n_grid, period=x.period, values=cand)
-    return PicardResult(x=x, iterations=opts.max_picard, residual=res, converged=False)
+    return PicardResult(x=x, iterations=MAX_PICARD, residual=res, converged=False)
 
 
 def _assemble_jacobian(problem: Problem, tables, x: GridFunction) -> np.ndarray:
@@ -204,19 +189,19 @@ def _assemble_jacobian(problem: Problem, tables, x: GridFunction) -> np.ndarray:
     return jac
 
 
-def newton_refine(problem: Problem, tables, x0: GridFunction, opts: SolveOptions) -> NewtonResult:
-    """Newton iteration on F(x) = x - T x down to opts.newton_tol."""
+def newton_refine(problem: Problem, tables, x0: GridFunction) -> NewtonResult:
+    """Newton iteration on F(x) = x - T x down to NEWTON_TOL."""
     x = x0
     history = []
-    for _ in range(opts.max_newton + 1):
+    for _ in range(MAX_NEWTON + 1):
         tx = apply_T(problem, tables, x)
         fvals = x.values - tx.values
         res = _prod_norm(fvals)
         history.append(res)
-        if res <= opts.newton_tol:
+        if res <= NEWTON_TOL:
             return NewtonResult(x=x, residual=res, iterations=len(history) - 1,
                                 history=tuple(history))
-        if len(history) > opts.max_newton:
+        if len(history) > MAX_NEWTON:
             break
         jac = _assemble_jacobian(problem, tables, x)
         try:
@@ -228,20 +213,20 @@ def newton_refine(problem: Problem, tables, x0: GridFunction, opts: SolveOptions
         x = GridFunction(n=x.n, n_grid=x.n_grid, period=x.period,
                          values=x.values - step.reshape(x.n, x.n_grid))
     raise NoConvergenceError(
-        f"newton stalled at residual {history[-1]:.3e} after {opts.max_newton} steps"
+        f"newton stalled at residual {history[-1]:.3e} after {MAX_NEWTON} steps"
     )
 
 
 def _verify_candidate(problem: Problem, tables, constants: ConeConstants,
-                      x: GridFunction, annulus_id: str, opts: SolveOptions, notes: list):
+                      x: GridFunction, annulus_id: str, ode_tol: float, notes: list):
     """Gate a Newton output through the solution invariants; None if any fails."""
     fp = fixed_point_residual(problem, tables, x)
-    if fp > opts.newton_tol * 100.0:
+    if fp > NEWTON_TOL * 100.0:
         notes.append(f"{annulus_id}: fixed-point residual {fp:.3e} too large, dropped")
         return None
     ode = ode_residual(problem, x)
-    if ode > opts.ode_tol:
-        notes.append(f"{annulus_id}: ode residual {ode:.3e} above {opts.ode_tol:.1e}, dropped")
+    if ode > ode_tol:
+        notes.append(f"{annulus_id}: ode residual {ode:.3e} above {ode_tol:.1e}, dropped")
         return None
     mem = cone_membership(x, constants.sigma)
     if not mem.member:
@@ -276,10 +261,10 @@ def _dedupe(solutions: list) -> list:
 
 
 def _solve_from_seed(problem: Problem, tables, constants: ConeConstants,
-                     seed: GridFunction, annulus_id: str, opts: SolveOptions, notes: list):
+                     seed: GridFunction, annulus_id: str, ode_tol: float, notes: list):
     start = seed
     try:
-        pic = picard_solve(problem, tables, seed, opts)
+        pic = picard_solve(problem, tables, seed)
         if pic.converged:
             start = pic.x
         else:
@@ -293,32 +278,29 @@ def _solve_from_seed(problem: Problem, tables, constants: ConeConstants,
         notes.append(f"{annulus_id}: picard left the admissible region ({exc}); "
                      "newton from the raw seed")
     try:
-        refined = newton_refine(problem, tables, start, opts)
+        refined = newton_refine(problem, tables, start)
     except (SingularJacobianError, NoConvergenceError, DomainError,
             SingularityError, DivergenceError) as exc:
         notes.append(f"{annulus_id}: newton failed ({exc})")
         return None
-    return _verify_candidate(problem, tables, constants, refined.x, annulus_id, opts, notes)
+    return _verify_candidate(problem, tables, constants, refined.x, annulus_id, ode_tol, notes)
 
 
 def find_solutions(problem: Problem, tables, constants: ConeConstants,
-                   opts: SolveOptions | None = None, r_grid=None) -> SolveReport:
-    """Seed every certified annulus, solve, verify, deduplicate.
+                   ode_tol: float = ODE_TOL) -> SolveReport:
+    """Seed every certified annulus of the default radius grid, solve, verify,
+    deduplicate.
 
     Returns whatever survives (possibly nothing) plus per-annulus notes for
     everything that was attempted and dropped.
     """
-    if opts is None:
-        opts = SolveOptions()
-    if r_grid is None:
-        r_grid = default_r_grid()
-    annuli = existence_report(problem, constants, r_grid)
+    annuli = existence_report(problem, constants, default_r_grid())
     n_grid = tables[0].n_grid
     notes: list = []
     found = []
     for ann in annuli:
-        seed = seed_from_annulus(ann, constants, problem, n_grid, opts.seed_norm)
-        sol = _solve_from_seed(problem, tables, constants, seed, ann.annulus_id, opts, notes)
+        seed = seed_from_annulus(ann, constants, problem, n_grid)
+        sol = _solve_from_seed(problem, tables, constants, seed, ann.annulus_id, ode_tol, notes)
         if sol is None:
             continue
         lo, hi = ann.r_in, ann.r_out
@@ -336,8 +318,7 @@ def _close_norms(a: float, b: float) -> bool:
 
 
 def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, steps: int,
-                    opts: SolveOptions | None = None,
-                    constants: ConeConstants | None = None) -> BranchTable:
+                    constants: ConeConstants, ode_tol: float = ODE_TOL) -> BranchTable:
     """Geometric lambda sweep with warm starts and fresh annulus seeds per step.
 
     Warm starts (previous solutions refined at the new lambda) and fresh
@@ -354,12 +335,6 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
     table = BranchTable()
     if steps == 0:
         return table
-    if opts is None:
-        opts = SolveOptions()
-    if constants is None:
-        from .cone import compute_constants
-
-        constants = compute_constants(tables, problem)
 
     lams = np.geomspace(lam_lo, lam_hi, steps)
     prev: list = []
@@ -371,7 +346,7 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
         assigned = []  # (branch_id, solution), warm lineage first
         for bid, psol in prev:
             warm_id = f"warm:{bid}"
-            sol = _solve_from_seed(prob_l, tables, constants, psol.x, warm_id, opts, notes)
+            sol = _solve_from_seed(prob_l, tables, constants, psol.x, warm_id, ode_tol, notes)
             if sol is None:
                 continue
             sol = replace(sol, annulus_id=psol.annulus_id)
@@ -380,7 +355,7 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
                 assigned.append((bid, sol))
             else:
                 notes.append(f"branches {dup} and {bid} merged")
-        rep = find_solutions(prob_l, tables, constants, opts)
+        rep = find_solutions(prob_l, tables, constants, ode_tol)
         notes.extend(rep.notes)
         for sol in sorted(rep.solutions, key=lambda s: s.norm):
             if any(_close_norms(s.norm, sol.norm) for _, s in assigned):

@@ -14,10 +14,8 @@ from pericone import (
     build_green_table,
     green_bounds_constant,
     green_constant,
-    green_interpolate,
     kernel_quadrature,
     solve_linear_periodic,
-    verify_positivity,
 )
 
 import oracles
@@ -46,7 +44,7 @@ def test_table_sandwich(unit_table):
 
 
 def test_positivity_report(unit_table):
-    rep = verify_positivity(unit_table)
+    rep = unit_table.positivity
     assert rep.holds
     assert rep.min_value > 0.9
 
@@ -98,7 +96,7 @@ def test_window_boundary_not_positive():
     except ResonanceError:
         return
     assert not table.positive
-    assert not verify_positivity(table).holds
+    assert not table.positivity.holds
 
 
 def test_resonance_at_full_period():
@@ -109,7 +107,7 @@ def test_resonance_at_full_period():
 def test_kernel_goes_negative_past_window():
     table = build_green_table(Constant((math.pi + 0.1) ** 2), 64)
     assert not table.positive
-    assert verify_positivity(table).min_value < 0.0
+    assert table.positivity.min_value < 0.0
 
 
 def test_samples_path_matches_closed_form():
@@ -187,20 +185,6 @@ def test_second_difference_recovers_forcing():
     a = 1.0 + 0.5 * np.cos(2.0 * math.pi * t)
     forcing = np.cos(2.0 * math.pi * t)
     assert np.max(np.abs(d2 + a * vals - forcing)) <= 1e-3
-
-
-def test_interpolation_agrees_on_nodes(unit_table):
-    t = unit_table.grid_t
-    for (i, j) in [(0, 0), (3, 100), (200, 17)]:
-        assert abs(green_interpolate(unit_table, t[i], t[j])
-                   - unit_table.values[i, j]) <= 1e-14
-
-
-def test_interpolation_midpoint_close_to_closed_form(unit_table):
-    h = unit_table.period / unit_table.n_grid
-    t, s = 10.5 * h, 40.25 * h
-    exact = green_constant(1.0, 1.0, t, s)
-    assert abs(green_interpolate(unit_table, t, s) - exact) <= 1e-4
 
 
 def test_grid_validation():

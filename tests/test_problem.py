@@ -103,13 +103,17 @@ def test_eta_singular_small_radius():
 
 
 def test_eta_matches_brute_force():
-    for r in (0.01, 0.5, 2.0, 40.0):
-        val = eta_lower(BENCH_F, r, 0.87, 2)
-        ref = oracles.brute_eta(BENCH_F.terms, r, 0.87, 2)
-        # implementation takes a true min (golden refinement), sampling
-        # reference can only overshoot
-        assert val <= ref + 1e-9 * (1.0 + abs(ref))
-        assert val >= ref * (1.0 - 1e-4)
+    # n = 1 has no knee (the whole annulus is the phi/r piece), n = 3 puts
+    # most of it below the knee, sigma = 1 pinches the lower piece to a point
+    for n, sigma in ((2, 0.87), (1, 0.87), (3, 0.87), (2, 1.0), (1, 1.0)):
+        f = PowerLawRadial(BENCH_F.terms[:1] * n)
+        for r in (0.01, 0.5, 2.0, 40.0):
+            val = eta_lower(f, r, sigma, n)
+            ref = oracles.brute_eta(f.terms, r, sigma, n)
+            # implementation takes the exact minimum (endpoints and critical
+            # points); the sampling reference can only overshoot
+            assert val <= ref + 1e-9 * (1.0 + abs(ref)), (n, sigma, r)
+            assert val >= ref * (1.0 - 1e-4), (n, sigma, r)
 
 
 def test_fhat_monotone_powers():

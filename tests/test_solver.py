@@ -8,7 +8,6 @@ from pericone import (
     Constant,
     DomainError,
     GridFunction,
-    SolveOptions,
     build_green_table,
     compute_constants,
     cone_membership,
@@ -44,7 +43,7 @@ def test_picard_accepts_fixed_seed(bench_tables, superlinear_small):
     prob, cc = superlinear_small
     lo, _ = oracles.constant_solution_norms(SUPERLINEAR_TERMS, prob.lam)
     seed = seed_from_annulus(FakeAnnulus(lo, lo), cc, prob, 256)
-    res = picard_solve(prob, bench_tables, seed, SolveOptions())
+    res = picard_solve(prob, bench_tables, seed)
     assert res.converged
     assert res.iterations == 0
 
@@ -52,7 +51,7 @@ def test_picard_accepts_fixed_seed(bench_tables, superlinear_small):
 def test_picard_converges_sublinear(bench_tables, sublinear_unit):
     prob, cc = sublinear_unit
     seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), cc, prob, 256)
-    res = picard_solve(prob, bench_tables, seed, SolveOptions())
+    res = picard_solve(prob, bench_tables, seed)
     assert res.converged
     assert res.residual <= 1e-6
     (norm,) = oracles.constant_solution_norms(SUBLINEAR_TERMS, prob.lam)
@@ -62,8 +61,8 @@ def test_picard_converges_sublinear(bench_tables, sublinear_unit):
 def test_newton_polishes_to_tolerance(bench_tables, sublinear_unit):
     prob, cc = sublinear_unit
     seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), cc, prob, 256)
-    pic = picard_solve(prob, bench_tables, seed, SolveOptions())
-    ref = newton_refine(prob, bench_tables, pic.x, SolveOptions())
+    pic = picard_solve(prob, bench_tables, seed)
+    ref = newton_refine(prob, bench_tables, pic.x)
     assert ref.residual <= 1e-10
     assert ref.iterations <= 6
     # once close, each step is at least superlinear
@@ -78,7 +77,7 @@ def test_newton_reconverges_after_perturbation(bench_tables, sublinear_unit):
     c = norm / 2.0
     vals = c * (1.0 + 1e-3 * rng.standard_normal((2, 256)))
     x0 = GridFunction(2, 256, 1.0, vals)
-    ref = newton_refine(prob, bench_tables, x0, SolveOptions())
+    ref = newton_refine(prob, bench_tables, x0)
     assert ref.iterations <= 5
     assert abs(ref.x.norm - norm) <= 1e-9
 
@@ -192,11 +191,3 @@ def test_sweep_argument_validation(bench_tables, sublinear_unit):
     with pytest.raises(DomainError):
         continue_lambda(prob, bench_tables, 0.0, 1.0, 3, constants=cc)
 
-
-def test_solve_options_validation():
-    with pytest.raises(DomainError):
-        SolveOptions(damping=0.0)
-    with pytest.raises(DomainError):
-        SolveOptions(max_newton=0)
-    with pytest.raises(DomainError):
-        SolveOptions(newton_tol=-1.0)
