@@ -18,6 +18,7 @@ omitted and defaults to zero per component; it is always written back.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .coefficients import Constant, FourierSeries, PeriodicCoefficient, Samples
@@ -36,26 +37,30 @@ class ParsedConfig:
     n_grid: int
 
 
+def _finite(val, where) -> float:
+    """val as a float; json also reads NaN, Infinity and huge integers, rejected here."""
+    if not isinstance(val, bool) and isinstance(val, (int, float)):
+        try:
+            out = float(val)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise ConfigError(where, f"expected a finite number, got {val!r}")
+
+
 def _num(doc, key, where, default=None, required=True):
     if key not in doc:
         if required:
             raise ConfigError(where + key, "missing required field")
         return default
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(where + key, f"expected a number, got {val!r}")
-    return float(val)
+    return _finite(doc[key], where + key)
 
 
 def _num_list(raw, where):
     if not isinstance(raw, list):
         raise ConfigError(where, f"expected a list of numbers, got {raw!r}")
-    out = []
-    for idx, val in enumerate(raw):
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{where}[{idx}]", f"expected a number, got {val!r}")
-        out.append(float(val))
-    return out
+    return [_finite(val, f"{where}[{idx}]") for idx, val in enumerate(raw)]
 
 
 def _parse_coefficient(spec, period: float, where: str) -> PeriodicCoefficient:
@@ -66,9 +71,7 @@ def _parse_coefficient(spec, period: float, where: str) -> PeriodicCoefficient:
     (form, body), = spec.items()
     try:
         if form == "constant":
-            if isinstance(body, bool) or not isinstance(body, (int, float)):
-                raise ConfigError(where + ".constant", f"expected a number, got {body!r}")
-            return Constant(value=float(body), period=period)
+            return Constant(value=_finite(body, where + ".constant"), period=period)
         if form == "fourier":
             if not isinstance(body, dict):
                 raise ConfigError(where + ".fourier", "expected an object")

@@ -17,7 +17,9 @@ across the diagonal (the defining delta normalization), so the plain periodic
 trapezoid rule stalls at O(N^-2).  ``kernel_quadrature`` therefore adds the
 next Euler-Maclaurin term, h^2/12 * w(t), as a diagonal bump h/12, which
 restores O(N^-4) accuracy on smooth data.  Tabulated values, m and M are the
-raw kernel samples, never corrected.
+raw kernel samples, never corrected.  The corrected matrix is built once per
+table; it and the samples are read-only, because every operator application
+and every Newton step shares them.
 """
 from __future__ import annotations
 
@@ -87,6 +89,8 @@ class GreensTable:
     m: float
     M: float
     positivity: PositivityReport
+    # h * (values + (h/12) I), the Nystrom matrix kernel_quadrature returns
+    quadrature: np.ndarray = field(repr=False)
     # closed-form k when the constant-coefficient branch was used, else None
     k: float | None = field(default=None, repr=False)
     monodromy: np.ndarray | None = field(default=None, repr=False)
@@ -179,7 +183,8 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
     """Tabulate the periodic kernel of x'' + a(t) x on an N x N uniform grid."""
     _check_grid(n_grid)
     period = coef.period
-    t = np.arange(n_grid) * (period / n_grid)
+    h = period / n_grid
+    t = np.arange(n_grid) * h
     h_fine = period / (FINE_FACTOR * n_grid)
 
     if isinstance(coef, Constant) and 0.0 < coef.value < (math.pi / period) ** 2:
@@ -211,7 +216,6 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
     if fine_min < m:
         min_value, argmin = fine_min, (fine_arg[0] * h_fine, fine_arg[1] * h_fine)
     else:
-        h = period / n_grid
         min_value, argmin = m, (p_star * h, q_star * h)
     tol = POSITIVITY_RTOL * (1.0 + abs(big))
     if k_used is None:
@@ -219,6 +223,9 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         # inside that noise floor cannot be certified positive
         tol = max(tol, 1e3 * (1.0 + abs(big)) * h_fine ** 4)
 
+    quadrature = h * (values + (h / 12.0) * np.eye(n_grid))
+    values.flags.writeable = False
+    quadrature.flags.writeable = False
     return GreensTable(
         n_grid=n_grid,
         period=period,
@@ -227,6 +234,7 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         M=big,
         positivity=PositivityReport(holds=bool(min_value > tol), min_value=min_value,
                                     argmin=argmin),
+        quadrature=quadrature,
         k=k_used,
         monodromy=Phi,
     )
@@ -237,9 +245,9 @@ def kernel_quadrature(table: GreensTable) -> np.ndarray:
 
     Periodic trapezoid weights h = T/N plus the Euler-Maclaurin correction
     h^2/12 * w(t_p) for the unit derivative jump of G across the diagonal.
+    Built once by build_green_table; every call returns the same read-only array.
     """
-    h = table.period / table.n_grid
-    return h * (table.values + (h / 12.0) * np.eye(table.n_grid))
+    return table.quadrature
 
 
 def solve_linear_periodic(table: GreensTable, e):

@@ -76,6 +76,10 @@ class PowerLawRadial:
         """Radial profile phi_i(u) = sum_j c_ij u^p_ij, vectorized over u."""
         return _power_sum(self.terms[i], u)
 
+    def dphi(self, i: int, u):
+        """Derivative phi_i'(u) = sum_j c_ij p_ij u^(p_ij - 1), vectorized over u."""
+        return _power_sum(tuple((c * p, p - 1.0) for c, p in self.terms[i]), u)
+
     def singular_at_zero(self, i: int) -> bool:
         return bool(self.powers(i).min() < 0.0)
 

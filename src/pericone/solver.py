@@ -5,10 +5,13 @@ Multiplicity is captured by seeding every certified annulus separately and
 deduplicating afterwards, mirroring how the existence proofs localize each
 solution in its own annulus.  Picard is a heuristic warm-up (the singular
 term makes the raw iteration overshoot, hence the damping); Newton on
-F(x) = x - T x does the actual convergence.  Because T is linear in the
-nonlinearity values, the forward-difference Jacobian assembles in closed
-form from the quadrature matrices, which is identical to perturbing one
-unknown at a time but costs O(n^2 N) profile evaluations instead of O(n^2 N^3).
+F(x) = x - T x does the actual convergence.  Every f_i is radial,
+f_i(x) = phi_i(|x|_2), so its gradient phi_i'(u) x / u has rank one at each
+grid point and the exact Jacobian is I - U V with U_i = lam Q_i diag(g_i phi_i')
+and V = [diag(x_j / u)].  The Newton step therefore needs only the N x N
+system (I - V U) w = V F (Woodbury), not the dense (nN) x (nN) one; by
+Sylvester's identity det(I - U V) = det(I - V U), so the small system is
+singular exactly when the full one is.
 """
 from __future__ import annotations
 
@@ -55,7 +58,6 @@ ODE_TOL = 1e-6
 NORM_BLOWUP = 1e12
 CLAMP_TOL = 1e-12
 DEDUPE_RTOL = 1e-6
-FD_STEP = 1e-6
 
 
 @dataclass
@@ -114,8 +116,7 @@ def _prod_norm(values: np.ndarray) -> float:
     return float(np.abs(values).max(axis=1).sum())
 
 
-def seed_from_annulus(annulus, constants: ConeConstants, problem: Problem,
-                      n_grid: int = 256) -> GridFunction:
+def seed_from_annulus(annulus, problem: Problem, n_grid: int = 256) -> GridFunction:
     """Constant cone-interior seed with norm at the geometric mean of the annulus."""
     c = math.sqrt(annulus.r_in * annulus.r_out) / problem.n
     values = np.full((problem.n, n_grid), c)
@@ -166,27 +167,27 @@ def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
     return PicardResult(x=x, iterations=MAX_PICARD, residual=res, converged=False)
 
 
-def _assemble_jacobian(problem: Problem, tables, x: GridFunction) -> np.ndarray:
-    """Jacobian of F(x) = x - T x, exploiting that T is linear in the f-values.
+def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray) -> np.ndarray:
+    """Exact Newton step s with J s = F for J = I - U V, as an (n, N) array.
 
-    Perturbing the single unknown x_j(t_q) by h_q changes f_i(x(t_q)) by the
-    forward difference D_ij(q); every matrix entry is then
-    -lam * Q_i[p, q] * g_i(q) * D_ij(q) plus the identity.
+    Solves the N x N system (I - sum_i diag(x_i/u) lam Q_i diag(g_i phi_i'(u))) w
+    = sum_i (x_i/u) F_i, then s_i = F_i + lam Q_i (g_i phi_i'(u) w).
     """
-    n, n_grid = x.n, x.n_grid
     u = np.sqrt(np.sum(x.values * x.values, axis=0))
-    g = problem.g_on_grid(n_grid)
-    phi_u = [problem.f.phi(i, u) for i in range(n)]
+    g = problem.g_on_grid(x.n_grid)
     quad = [kernel_quadrature(tbl) for tbl in tables]
-    jac = np.eye(n * n_grid)
-    for j in range(n):
-        hq = FD_STEP * (1.0 + np.abs(x.values[j]))
-        u_pert = np.sqrt(u * u + 2.0 * hq * x.values[j] + hq * hq)
-        for i in range(n):
-            d = (problem.f.phi(i, u_pert) - phi_u[i]) / hq
-            block = problem.lam * (quad[i] * (g[i] * d)[None, :])
-            jac[i * n_grid:(i + 1) * n_grid, j * n_grid:(j + 1) * n_grid] -= block
-    return jac
+    cols = [problem.lam * g[i] * problem.f.dphi(i, u) for i in range(x.n)]
+    rows = x.values / u
+    small = np.eye(x.n_grid)
+    for i in range(x.n):
+        small -= rows[i][:, None] * quad[i] * cols[i][None, :]
+    try:
+        w = np.linalg.solve(small, np.sum(rows * fvals, axis=0))
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobianError(
+            f"linear solve failed at residual {_prod_norm(fvals):.3e}"
+        ) from exc
+    return fvals + np.vstack([quad[i] @ (cols[i] * w) for i in range(x.n)])
 
 
 def newton_refine(problem: Problem, tables, x0: GridFunction) -> NewtonResult:
@@ -203,15 +204,9 @@ def newton_refine(problem: Problem, tables, x0: GridFunction) -> NewtonResult:
                                 history=tuple(history))
         if len(history) > MAX_NEWTON:
             break
-        jac = _assemble_jacobian(problem, tables, x)
-        try:
-            step = np.linalg.solve(jac, fvals.reshape(-1))
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                f"linear solve failed at residual {res:.3e}"
-            ) from exc
+        step = _newton_step(problem, tables, x, fvals)
         x = GridFunction(n=x.n, n_grid=x.n_grid, period=x.period,
-                         values=x.values - step.reshape(x.n, x.n_grid))
+                         values=x.values - step)
     raise NoConvergenceError(
         f"newton stalled at residual {history[-1]:.3e} after {MAX_NEWTON} steps"
     )
@@ -299,7 +294,7 @@ def find_solutions(problem: Problem, tables, constants: ConeConstants,
     notes: list = []
     found = []
     for ann in annuli:
-        seed = seed_from_annulus(ann, constants, problem, n_grid)
+        seed = seed_from_annulus(ann, problem, n_grid)
         sol = _solve_from_seed(problem, tables, constants, seed, ann.annulus_id, ode_tol, notes)
         if sol is None:
             continue

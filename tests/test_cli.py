@@ -166,6 +166,15 @@ def test_bad_numeric_flag_exit(tmp_path, argv):
     assert not out.exists()
 
 
+def test_non_finite_config_exit(tmp_path):
+    cfg = symmetric_config(0.5, 0.5, 1.0)
+    cfg["e"] = [{"constant": math.nan}] * 2
+    out = tmp_path / "c"
+    rc = main(["certify", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert rc == EXIT_INPUT
+    assert not out.exists()
+
+
 def test_reproduce_superlinear_preset(tmp_path, capsys):
     rc = main(["reproduce", "cor1b", "--out", str(tmp_path)])
     assert rc == EXIT_FOUND

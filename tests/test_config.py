@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -109,3 +110,30 @@ def test_load_config_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config_file(str(bad))
+
+
+def _set_path(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("path,value", [
+    (("lambda",), math.nan),
+    (("T",), math.inf),
+    (("f", 0, 0, "c"), math.nan),
+    (("f", 0, 0, "p"), math.nan),
+    (("a", 0), {"constant": math.nan}),
+    (("e", 1), {"constant": math.nan}),
+    (("g", 0), {"fourier": {"c0": 1.0, "cos": [math.inf], "sin": []}}),
+    (("a", 1), {"samples": [1.0, -math.inf, 1.0, 1.0]}),
+    (("lambda",), 10 ** 400),
+])
+def test_non_finite_number_rejected(path, value):
+    # json.loads reads NaN and Infinity literals; they must not reach Problem
+    cfg = json.loads(json.dumps(symmetric_config(1.0, 2.0, 0.05)))
+    _set_path(cfg, path, value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.loads(json.dumps(cfg)))
+    assert "finite" in str(exc.value)

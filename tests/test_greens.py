@@ -43,6 +43,24 @@ def test_table_sandwich(unit_table):
     assert unit_table.values.max() <= unit_table.M + 1e-12
 
 
+@pytest.mark.parametrize("coef", [Constant(1.0), FourierSeries(1.0, (0.3,), ())])
+def test_kernel_quadrature_built_once(coef):
+    table = build_green_table(coef, 32)
+    h = table.period / table.n_grid
+    quad = kernel_quadrature(table)
+    assert np.array_equal(quad, h * (table.values + (h / 12.0) * np.eye(32)))
+    assert kernel_quadrature(table) is quad
+
+
+def test_table_arrays_read_only(unit_table):
+    # the quadrature is shared by every operator call; an in-place edit
+    # would silently desynchronise it from values, m and M
+    with pytest.raises(ValueError):
+        unit_table.values[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        kernel_quadrature(unit_table)[0, 0] = 0.0
+
+
 def test_positivity_report(unit_table):
     rep = unit_table.positivity
     assert rep.holds

@@ -47,6 +47,24 @@ def test_eval_f_scaling_single_term():
     assert abs(big - 4.0 ** 1.5 * eval_f(f, x)[0]) <= 1e-12 * big
 
 
+@pytest.mark.parametrize("terms", [
+    ((1.0, -1.0),),
+    ((0.5, -2.5), (2.0, -0.5)),
+    ((1.0, 2.0), (3.0, 0.5)),
+    SUPERLINEAR_TERMS,
+    SUBLINEAR_TERMS,
+    ((1.5, 0.0), (1.0, 1.0)),
+])
+def test_dphi_matches_central_difference(terms):
+    f = PowerLawRadial((terms,))
+    u = np.geomspace(1e-2, 1e2, 41)
+    h = 1e-5 * u
+    fd = (f.phi(0, u + h) - f.phi(0, u - h)) / (2.0 * h)
+    # scale of phi' without cancellation, so a zero of phi' is no special case
+    scale = sum(abs(c * p) * u ** (p - 1.0) for c, p in terms)
+    assert np.max(np.abs(f.dphi(0, u) - fd) / scale) <= 1e-7
+
+
 def test_powerlaw_validation():
     with pytest.raises(DomainError):
         PowerLawRadial((((0.0, 1.0),),))  # zero coefficient

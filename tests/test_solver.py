@@ -7,16 +7,22 @@ import pytest
 from pericone import (
     Constant,
     DomainError,
+    FourierSeries,
     GridFunction,
+    PowerLawRadial,
+    Problem,
+    apply_T,
     build_green_table,
     compute_constants,
     cone_membership,
     continue_lambda,
     find_solutions,
+    kernel_quadrature,
     newton_refine,
     picard_solve,
     seed_from_annulus,
 )
+from pericone.solver import _newton_step
 
 import oracles
 from conftest import SUBLINEAR_TERMS, SUPERLINEAR_TERMS, make_problem
@@ -32,7 +38,7 @@ class FakeAnnulus:
 
 def test_seed_geometry(superlinear_small):
     prob, cc = superlinear_small
-    seed = seed_from_annulus(FakeAnnulus(0.1, 1.0), cc, prob, 256)
+    seed = seed_from_annulus(FakeAnnulus(0.1, 1.0), prob, 256)
     target = math.sqrt(0.1 * 1.0)
     assert abs(seed.norm - target) <= 1e-12
     assert np.allclose(seed.values, target / 2.0)
@@ -42,7 +48,7 @@ def test_seed_geometry(superlinear_small):
 def test_picard_accepts_fixed_seed(bench_tables, superlinear_small):
     prob, cc = superlinear_small
     lo, _ = oracles.constant_solution_norms(SUPERLINEAR_TERMS, prob.lam)
-    seed = seed_from_annulus(FakeAnnulus(lo, lo), cc, prob, 256)
+    seed = seed_from_annulus(FakeAnnulus(lo, lo), prob, 256)
     res = picard_solve(prob, bench_tables, seed)
     assert res.converged
     assert res.iterations == 0
@@ -50,7 +56,7 @@ def test_picard_accepts_fixed_seed(bench_tables, superlinear_small):
 
 def test_picard_converges_sublinear(bench_tables, sublinear_unit):
     prob, cc = sublinear_unit
-    seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), cc, prob, 256)
+    seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), prob, 256)
     res = picard_solve(prob, bench_tables, seed)
     assert res.converged
     assert res.residual <= 1e-6
@@ -60,7 +66,7 @@ def test_picard_converges_sublinear(bench_tables, sublinear_unit):
 
 def test_newton_polishes_to_tolerance(bench_tables, sublinear_unit):
     prob, cc = sublinear_unit
-    seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), cc, prob, 256)
+    seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), prob, 256)
     pic = picard_solve(prob, bench_tables, seed)
     ref = newton_refine(prob, bench_tables, pic.x)
     assert ref.residual <= 1e-10
@@ -80,6 +86,61 @@ def test_newton_reconverges_after_perturbation(bench_tables, sublinear_unit):
     ref = newton_refine(prob, bench_tables, x0)
     assert ref.iterations <= 5
     assert abs(ref.x.norm - norm) <= 1e-9
+
+
+def _dense_newton_step(problem, tables, x, fvals):
+    """Reference step: the full (nN) x (nN) exact Jacobian of F = x - T x.
+
+    Block (i, j) is delta_ij I - lam Q_i diag(g_i phi_i'(u) x_j / u), with
+    phi_i' summed from the power-law terms here, independently of dphi.
+    """
+    n, n_grid = x.n, x.n_grid
+    u = np.sqrt(np.sum(x.values ** 2, axis=0))
+    g = problem.g_on_grid(n_grid)
+    jac = np.eye(n * n_grid)
+    for i in range(n):
+        quad = kernel_quadrature(tables[i])
+        dphi = sum(c * p * u ** (p - 1.0) for c, p in problem.f.terms[i])
+        for j in range(n):
+            col = g[i] * dphi * x.values[j] / u
+            jac[i * n_grid:(i + 1) * n_grid, j * n_grid:(j + 1) * n_grid] -= (
+                problem.lam * quad * col[None, :])
+    return np.linalg.solve(jac, fvals.reshape(-1)).reshape(n, n_grid)
+
+
+def _three_component_problem():
+    a = (Constant(1.0), Constant(2.0), FourierSeries(1.0, (0.3,), ()))
+    return Problem(
+        n=3, period=1.0, a=a,
+        g=(Constant(1.0), FourierSeries(1.0, (0.5,), ()), Constant(2.0)),
+        e=(Constant(0.1), Constant(0.0), FourierSeries(0.2, (), (0.1,))),
+        f=PowerLawRadial((((1.0, -1.0), (1.0, 2.0)),
+                          ((0.5, -0.5), (2.0, 0.5)),
+                          ((1.0, -2.0), (0.3, 3.0)))),
+        lam=0.2,
+    ), [build_green_table(coef, 64) for coef in a]
+
+
+@pytest.mark.parametrize("case", ["n2-unequal", "n3", "mixed-e"])
+def test_newton_step_matches_dense_solve(case):
+    n_grid = 64
+    t = np.arange(n_grid) / n_grid
+    wave = np.cos(2.0 * math.pi * t)
+    if case == "n3":
+        prob, tables = _three_component_problem()
+        vals = np.stack([0.4 + 0.1 * wave, 0.2 - 0.05 * np.sin(2.0 * math.pi * t),
+                         0.3 + 0.15 * wave ** 2])
+    else:
+        e_spec = {"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}} if case == "mixed-e" else None
+        prob = make_problem(1.0, 2.0, 0.05, e_spec=e_spec, n_grid=n_grid)
+        tables = [build_green_table(Constant(1.0), n_grid),
+                  build_green_table(Constant(2.0), n_grid)]
+        vals = np.stack([0.3 + 0.1 * wave, 0.1 + 0.02 * np.sin(4.0 * math.pi * t)])
+    x = GridFunction(prob.n, n_grid, 1.0, vals)
+    fvals = x.values - apply_T(prob, tables, x).values
+    ref = _dense_newton_step(prob, tables, x, fvals)
+    step = _newton_step(prob, tables, x, fvals)
+    assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_two_solutions_superlinear(bench_tables, superlinear_small):
