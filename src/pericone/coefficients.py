@@ -118,3 +118,20 @@ def coefficient_extrema(coef: PeriodicCoefficient, n_audit: int = 4096):
     if isinstance(coef, Samples):
         vals = np.concatenate([vals, coef.values])
     return float(vals.min()), float(vals.max())
+
+
+def extrema_slack(coef: PeriodicCoefficient, n_audit: int = 4096) -> float:
+    """How far the extrema of ``coefficient_extrema`` may sit inside the true ones.
+
+    A true extremum is a critical point within h/2 of an audit node, h = T/n_audit,
+    so it differs from the sampled one by at most K h^2/8 with K >= max |a''|.
+    For a Fourier series K = sum_m (m w)^2 (|cos_m| + |sin_m|); Constant and
+    Samples are exact on the audit grid and get 0.
+    """
+    if not isinstance(coef, FourierSeries):
+        return 0.0
+    w = 2.0 * math.pi / coef.period
+    curvature = sum((m * w) ** 2 * abs(c) for m, c in enumerate(coef.cos_coeffs, start=1))
+    curvature += sum((m * w) ** 2 * abs(c) for m, c in enumerate(coef.sin_coeffs, start=1))
+    h = coef.period / n_audit
+    return curvature * h * h / 8.0

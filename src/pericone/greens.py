@@ -6,11 +6,15 @@ closed form
     G(t,s) = Ghat(|t-s|),
     Ghat(d) = (sin(k d) + sin(k (T-d))) / (2 k (1 - cos(k T))),
 
-which is strictly positive with extrema m = Ghat(0) and M = Ghat(T/2).
+which is strictly positive with extrema m = Ghat(0) and M = Ghat(T/2).  On
+the grid t_p = p h the table is the symmetric circulant of the profile
+Ghat(h j), built from one N-point evaluation without N^2 transcendental calls.
 For a general T-periodic coefficient the kernel is assembled from the two
-basis solutions of x'' + a(t) x = 0 (integrated with classical RK4 at step
-T/(4*n_grid)) via the monodromy matrix and variation of parameters; existence
-requires I - Phi(T) to be invertible (non-resonance).
+basis solutions of x'' + a(t) x = 0 via the monodromy matrix and variation of
+parameters; existence requires I - Phi(T) to be invertible (non-resonance).
+The basis is classical RK4 at step T/(4*n_grid): the system is linear, so
+every step is a 2x2 matrix, all of them are built at once, and their prefix
+product is taken by log-depth doubling, with no Python loop over steps.
 
 Quadrature note: G is continuous but its s-derivative jumps by exactly 1
 across the diagonal (the defining delta normalization), so the plain periodic
@@ -27,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import Constant, PeriodicCoefficient
 from .errors import DomainError, ResonanceError
@@ -50,6 +55,20 @@ def _ghat(d, k: float, period: float):
     """One-variable profile of the constant-coefficient kernel, on [0, T]."""
     den = 2.0 * k * (1.0 - math.cos(k * period))
     return (np.sin(k * d) + np.sin(k * (period - d))) / den
+
+
+def _circulant_table(k: float, period: float, n_grid: int) -> np.ndarray:
+    """values[p, q] = Ghat(h |p - q|) from one N-point profile, N even.
+
+    Ghat(d) = Ghat(T - d), so the table is the circulant of the profile
+    mirrored about N/2, which makes it exactly symmetric.  Row p is a window
+    of the doubled profile; the windows are a zero-copy view, copied once.
+    """
+    h = period / n_grid
+    half = _ghat(np.arange(n_grid // 2 + 1) * h, k, period)
+    profile = np.concatenate([half, half[-2:0:-1]])
+    windows = sliding_window_view(np.concatenate([profile, profile]), n_grid)
+    return windows[n_grid:0:-1].copy()
 
 
 def green_constant(k: float, period: float, t: float, s: float) -> float:
@@ -113,8 +132,12 @@ def _rk4_basis(coef: PeriodicCoefficient, n_grid: int):
     """Fundamental matrix Y(t_j) of x'' + a(t)x = 0 on the fine grid T/(4N).
 
     Y columns are the basis solutions (phi1, phi2) with Y(0) = I; the state
-    rows are (x, x').  Classical RK4 with the coefficient evaluated on a
-    half-step grid.
+    rows are (x, x').  y' = A(t) y with A = [[0, 1], [-a, 0]] is linear, so a
+    classical RK4 step (coefficient on the half-step grid) is the 2x2 matrix
+    M_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A0, K2 = Am (I + h/2 K1),
+    K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).  All 4N step matrices are built
+    at once and Y[j+1] = M_j ... M_0 is their inclusive prefix product, taken
+    by log-depth doubling.
     """
     period = coef.period
     nf = FINE_FACTOR * n_grid
@@ -122,24 +145,26 @@ def _rk4_basis(coef: PeriodicCoefficient, n_grid: int):
     t_half = np.arange(2 * nf + 1) * (h / 2.0)
     a_half = coef.eval(t_half)
 
+    def system(a_vals):
+        out = np.zeros((a_vals.size, 2, 2))
+        out[:, 0, 1] = 1.0
+        out[:, 1, 0] = -a_vals
+        return out
+
+    eye = np.eye(2)
+    k1, am, a1 = system(a_half[0:-1:2]), system(a_half[1::2]), system(a_half[2::2])
+    k2 = am @ (eye + (0.5 * h) * k1)
+    k3 = am @ (eye + (0.5 * h) * k2)
+    k4 = a1 @ (eye + h * k3)
+
     Y = np.empty((nf + 1, 2, 2))
-    Y[0] = np.eye(2)
-    y = np.eye(2)
-
-    def rhs(a_val, yy):
-        # y' = [[0,1],[-a,0]] y
-        return np.vstack([yy[1], -a_val * yy[0]])
-
-    for j in range(nf):
-        a0 = a_half[2 * j]
-        am = a_half[2 * j + 1]
-        a1 = a_half[2 * j + 2]
-        k1 = rhs(a0, y)
-        k2 = rhs(am, y + 0.5 * h * k1)
-        k3 = rhs(am, y + 0.5 * h * k2)
-        k4 = rhs(a1, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        Y[j + 1] = y
+    Y[0] = eye
+    P = Y[1:]
+    P[:] = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    s = 1
+    while s < nf:
+        P[s:] = P[s:] @ P[:-s]
+        s *= 2
     return Y
 
 
@@ -171,8 +196,10 @@ def _refine_min(values_eval, p_star: int, q_star: int, n_grid: int):
     lo_t = FINE_FACTOR * (p_star - 2)
     lo_s = FINE_FACTOR * (q_star - 2)
     span = 4 * FINE_FACTOR + 1
-    idx_t = np.clip(np.arange(lo_t, lo_t + span), 0, FINE_FACTOR * n_grid)
-    idx_s = np.clip(np.arange(lo_s, lo_s + span), 0, FINE_FACTOR * n_grid)
+    # the kernel is periodic in both variables: wrap, so a patch at the grid
+    # edge also sees t, s just below T
+    idx_t = np.mod(np.arange(lo_t, lo_t + span), FINE_FACTOR * n_grid)
+    idx_s = np.mod(np.arange(lo_s, lo_s + span), FINE_FACTOR * n_grid)
     patch = values_eval(idx_t, idx_s)
     flat = int(np.argmin(patch))
     it, js = divmod(flat, patch.shape[1])
@@ -184,12 +211,11 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
     _check_grid(n_grid)
     period = coef.period
     h = period / n_grid
-    t = np.arange(n_grid) * h
     h_fine = period / (FINE_FACTOR * n_grid)
 
     if isinstance(coef, Constant) and 0.0 < coef.value < (math.pi / period) ** 2:
         k = math.sqrt(coef.value)
-        values = _ghat(np.abs(t[:, None] - t[None, :]), k, period)
+        values = _circulant_table(k, period, n_grid)
 
         def eval_patch(idx_t, idx_s):
             tt = idx_t * h_fine
@@ -223,7 +249,10 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         # inside that noise floor cannot be certified positive
         tol = max(tol, 1e3 * (1.0 + abs(big)) * h_fine ** 4)
 
-    quadrature = h * (values + (h / 12.0) * np.eye(n_grid))
+    # h * (values + (h/12) I), formed in place: one N x N array, no identity
+    quadrature = values.copy()
+    quadrature.flat[::n_grid + 1] += h / 12.0
+    quadrature *= h
     values.flags.writeable = False
     quadrature.flags.writeable = False
     return GreensTable(

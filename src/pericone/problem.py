@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import coefficient_extrema
+from .coefficients import coefficient_extrema, extrema_slack
 from .errors import DomainError, HypothesisError, SingularityError
 
 __all__ = [
@@ -250,7 +250,8 @@ class Problem:
     f: PowerLawRadial
     lam: float
     sign_profile: str = field(init=False)
-    # audit-grid min g_i and max |e_i|, computed once per problem
+    # lower bound on min g_i and upper bound on max |e_i|: the audit-grid
+    # extrema widened by extrema_slack, computed once per problem
     g_min: tuple = field(init=False, repr=False)
     e_abs_max: tuple = field(init=False, repr=False)
 
@@ -273,7 +274,7 @@ class Problem:
                 raise DomainError("coefficient period differs from problem period")
 
         t = np.arange(AUDIT_GRID) * (self.period / AUDIT_GRID)
-        g_min, e_abs_max, mixed = [], [], False
+        g_sampled, g_min, e_abs_max, mixed = [], [], [], False
         for i in range(self.n):
             g_lo, _ = coefficient_extrema(self.g[i], AUDIT_GRID)
             if g_lo < -1e-12:
@@ -282,13 +283,16 @@ class Problem:
                 raise HypothesisError(f"g[{i}] must have positive integral")
             e_lo, e_hi = coefficient_extrema(self.e[i], AUDIT_GRID)
             mixed = mixed or e_lo < 0.0
-            g_min.append(g_lo)
-            e_abs_max.append(max(abs(e_lo), abs(e_hi)))
+            g_sampled.append(g_lo)
+            # bounds err on the safe side: the true min g may dip below the
+            # sampled one, the true max |e| may rise above it
+            g_min.append(g_lo - extrema_slack(self.g[i], AUDIT_GRID))
+            e_abs_max.append(max(abs(e_lo), abs(e_hi)) + extrema_slack(self.e[i], AUDIT_GRID))
         self.g_min = tuple(g_min)
         self.e_abs_max = tuple(e_abs_max)
         self.sign_profile = "MixedE" if mixed else "NonnegativeE"
         if mixed:
-            for i, g_lo in enumerate(self.g_min):
+            for i, g_lo in enumerate(g_sampled):
                 if g_lo <= 0.0:
                     raise HypothesisError(
                         f"sign-changing e requires strictly positive g, g[{i}] is not"

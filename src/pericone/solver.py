@@ -179,8 +179,12 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray) -
     cols = [problem.lam * g[i] * problem.f.dphi(i, u) for i in range(x.n)]
     rows = x.values / u
     small = np.eye(x.n_grid)
+    buf = np.empty_like(small)
     for i in range(x.n):
-        small -= rows[i][:, None] * quad[i] * cols[i][None, :]
+        np.multiply(quad[i], rows[i][:, None], out=buf)
+        buf *= cols[i]
+        small -= buf
+    del buf  # free before the LU makes its own copy of small
     try:
         w = np.linalg.solve(small, np.sum(rows * fvals, axis=0))
     except np.linalg.LinAlgError as exc:

@@ -115,3 +115,28 @@ def brute_eta(terms_by_comp, r, sigma, n, samples=20000):
         ratio = vals / np.minimum(math.sqrt(n) * us, r)
         best = max(best, float(ratio.min()))
     return best
+
+
+def rk4_basis_stepwise(a_func, period, n_fine):
+    """Fundamental matrix of x'' + a(t) x = 0 at t_j = j*period/n_fine, j = 0..n_fine.
+
+    One classical RK4 step at a time on the 2x2 state (x, x') with Y(0) = I,
+    the coefficient read at the step ends and midpoint.
+    """
+    h = period / n_fine
+
+    def rhs(t, y):
+        return np.array([y[1], -a_func(t) * y[0]])
+
+    Y = np.empty((n_fine + 1, 2, 2))
+    y = np.eye(2)
+    Y[0] = y
+    for j in range(n_fine):
+        t = j * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        Y[j + 1] = y
+    return Y

@@ -18,6 +18,8 @@ from pericone import (
     solve_linear_periodic,
 )
 
+from pericone.greens import FINE_FACTOR, _ghat, _refine_min, _rk4_basis
+
 import oracles
 
 # closed-form kernel extrema for k = T = 1, frozen at mpmath precision
@@ -189,6 +191,58 @@ def test_fourier_table_monodromy_determinant():
     table = build_green_table(FourierSeries(1.0, (0.5,)), 128)
     assert table.monodromy is not None
     assert abs(np.linalg.det(table.monodromy) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n_grid", [16, 256])
+@pytest.mark.parametrize("coef", [
+    FourierSeries(1.0, (0.3,)),
+    FourierSeries(2.0, (0.5, 0.2), (0.1,), period=0.8),
+    Samples(np.array([1.0, 2.0, 0.5, 1.5, 1.0])),
+])
+def test_rk4_basis_matches_stepwise_loop(coef, n_grid):
+    # the prefix product of the step matrices is the loop of RK4 steps,
+    # reassociated: equal up to round-off at every fine node
+    ref = oracles.rk4_basis_stepwise(lambda t: float(coef.eval(t)), coef.period,
+                                     FINE_FACTOR * n_grid)
+    basis = _rk4_basis(coef, n_grid)
+    assert basis.shape == ref.shape
+    assert np.max(np.abs(basis - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_rk4_basis_wronskian_at_every_node():
+    # the companion system is trace-free, so det Y(t) = 1 along the whole
+    # period, not only at the monodromy Y(T)
+    basis = _rk4_basis(FourierSeries(1.0, (0.5,)), 128)
+    assert np.max(np.abs(np.linalg.det(basis) - 1.0)) <= 1e-10
+
+
+def test_closed_form_table_non_dyadic_period():
+    # h = T/N is not a power of two, so the circulant profile and the
+    # pairwise differences round differently; they must still agree
+    k, period, n_grid = 2.0, 0.7, 64
+    table = build_green_table(Constant(k * k, period=period), n_grid)
+    t = np.arange(n_grid) * (period / n_grid)
+    direct = _ghat(np.abs(t[:, None] - t[None, :]), k, period)
+    assert np.max(np.abs(table.values - direct) / direct) <= 1e-14
+    assert np.array_equal(table.values, table.values.T)
+
+
+def test_refined_patch_wraps_around_the_period():
+    # a patch centred on (0, 0) must look at t, s just below T as well
+    n_grid = 32
+    n_fine = FINE_FACTOR * n_grid
+    seen = []
+
+    def record(idx_t, idx_s):
+        seen.append((idx_t.copy(), idx_s.copy()))
+        return np.ones((idx_t.size, idx_s.size))
+
+    _refine_min(record, 0, 0, n_grid)
+    (idx_t, idx_s), = seen
+    for idx in (idx_t, idx_s):
+        assert {n_fine - 1, 0, 1} <= set(idx.tolist())
+        assert idx.min() >= 0 and idx.max() < n_fine
+        assert len(set(idx.tolist())) == idx.size
 
 
 def test_second_difference_recovers_forcing():

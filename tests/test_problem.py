@@ -12,6 +12,7 @@ from pericone import (
     HypothesisError,
     PowerLawRadial,
     Problem,
+    Samples,
     SingularityError,
     annulus_bounds,
     annulus_extrema,
@@ -20,6 +21,9 @@ from pericone import (
     fhat,
     thresholds_delta,
 )
+
+from pericone.coefficients import coefficient_extrema, extrema_slack
+from pericone.problem import AUDIT_GRID, SPLIT_FACTOR, _forcing_bounds
 
 import oracles
 from conftest import SUBLINEAR_TERMS, SUPERLINEAR_TERMS, make_problem
@@ -239,6 +243,48 @@ def test_sign_profile_detection():
     mixed = make_problem(1.0, 2.0, 0.05,
                          e_spec={"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}})
     assert mixed.sign_profile == "MixedE"
+
+
+def _shifted_cosine(c0, amp, m, shift, period=1.0):
+    """c0 + amp cos(2 pi m (t - shift)/T) as a FourierSeries."""
+    w = 2.0 * math.pi * m / period
+    cos = [0.0] * m
+    sin = [0.0] * m
+    cos[m - 1] = amp * math.cos(w * shift)
+    sin[m - 1] = amp * math.sin(w * shift)
+    return FourierSeries(c0, tuple(cos), tuple(sin), period=period)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_forcing_bounds_err_on_the_safe_side(m):
+    # shifted by half an audit step, every extremum of g and e (spaced
+    # T/(2m) apart) falls midway between audit nodes, where sampling
+    # misses it by the most
+    half_step = 0.5 / AUDIT_GRID
+    g = _shifted_cosine(2.0, 1.0, m, half_step)  # exact min 1
+    e = _shifted_cosine(0.0, 3.0, m, half_step)  # exact max |e| 3
+    prob = Problem(n=1, period=1.0, a=(Constant(1.0),), g=(g,), e=(e,),
+                   f=PowerLawRadial((((1.0, 2.0),),)), lam=1.0)
+    g_lo, _ = coefficient_extrema(g, AUDIT_GRID)
+    e_lo, e_hi = coefficient_extrema(e, AUDIT_GRID)
+    # the sampled extrema sit on the unsafe side ...
+    assert g_lo > 1.0 and max(-e_lo, e_hi) < 3.0
+    # ... the stored bounds on the safe side, by no more than the slack
+    assert prob.g_min[0] <= 1.0
+    assert prob.g_min[0] >= g_lo - extrema_slack(g, AUDIT_GRID)
+    assert prob.e_abs_max[0] >= 3.0
+    assert prob.e_abs_max[0] <= max(-e_lo, e_hi) + extrema_slack(e, AUDIT_GRID)
+    (bound,) = _forcing_bounds(prob)
+    assert bound >= (3.0 + 1.0) / (SPLIT_FACTOR * 1.0)
+
+
+def test_extrema_slack_zero_for_exact_forms():
+    assert extrema_slack(Constant(2.0)) == 0.0
+    assert extrema_slack(Samples(np.array([1.0, 2.0, 0.5, 1.5]))) == 0.0
+    # K = (2 pi)^2 (0.3 + 0.4) + (4 pi)^2 * 0.1 for h = 1/64
+    slack = extrema_slack(FourierSeries(1.0, (0.3, 0.1), (0.4,)), 64)
+    curvature = (2.0 * math.pi) ** 2 * 0.7 + (4.0 * math.pi) ** 2 * 0.1
+    assert abs(slack - curvature / 64 ** 2 / 8.0) <= 1e-15 * slack
 
 
 def test_mixed_profile_requires_strictly_positive_g():
