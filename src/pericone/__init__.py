@@ -15,12 +15,10 @@ from .coefficients import (
 )
 from .cone import ConeConstants, ConeMembership, compute_constants, cone_membership
 from .certify import (
-    Certificate,
     CertifiedAnnulus,
     RegimeReport,
+    Scan,
     annuli_from_scan,
-    certify_compression,
-    certify_expansion,
     classify_regime,
     default_r_grid,
     existence_report,
@@ -57,10 +55,8 @@ from .greens import (
 )
 from .operator import GridFunction, apply_T, fixed_point_residual, ode_residual
 from .problem import (
-    AnnulusBounds,
     PowerLawRadial,
     Problem,
-    annulus_bounds,
     annulus_extrema,
     eta_lower,
     eval_f,

@@ -14,6 +14,13 @@ Routes, named by what they measure:
     ||T x|| <= lam*C_hat*eps_r*||x|| + ||x||/2 with eps_r = max_i fhat_i(r)/r;
     holds iff lam*C_hat*eps_r < 1/2.
 
+The scan is one array computation over the whole radius grid: eta_r, M_hat_r
+and fhat come from problem.py as radius vectors, each an exact extremum over
+the interval ends and the critical points (those outside a radius's interval
+clipped onto its ends), and every route's margin and domain gate is one
+vector over r.  At each radius a kind (expansion, compression) uses its best
+usable route, otherwise its best margin; ties go to the route listed first.
+
 With a sign-changing e the estimates are only valid on radial ranges where
 the forcing split stays nonnegative: below delta or above Delta for
 "radial-ratio" and "annulus-max", strictly above Delta for "shell-ratio".
@@ -32,11 +39,9 @@ from .errors import DomainError
 from .problem import Problem, annulus_extrema, eta_lower, fhat
 
 __all__ = [
-    "Certificate",
     "CertifiedAnnulus",
     "RegimeReport",
-    "certify_expansion",
-    "certify_compression",
+    "Scan",
     "lambda0_bound",
     "scan_radii",
     "annuli_from_scan",
@@ -46,6 +51,9 @@ __all__ = [
     "default_r_grid",
 ]
 
+# routes per kind, in tie-breaking order
+ROUTES = {"expansion": ("radial-ratio",), "compression": ("annulus-max", "shell-ratio")}
+
 
 def default_r_grid(rmin: float = 1e-3, rmax: float = 1e3, per_decade: int = 61) -> np.ndarray:
     """Logarithmic radius grid over [rmin, rmax], per_decade radii per decade
@@ -54,105 +62,78 @@ def default_r_grid(rmin: float = 1e-3, rmax: float = 1e3, per_decade: int = 61) 
     return np.geomspace(rmin, rmax, count)
 
 
-@dataclass
-class Certificate:
-    """Every route's margin and domain gate at radius r; ``route`` is the one used."""
+@dataclass(frozen=True)
+class Scan:
+    """Every route's margin and domain gate at every radius of ``r`` (ascending)."""
 
-    r: float
-    kind: str  # "expansion" | "compression"
-    route: str
-    margins: dict
-    route_domain_ok: dict
+    r: np.ndarray
+    margins: dict  # route -> margin over r
+    domain_ok: dict  # route -> bool over r
 
-    @property
-    def margin(self) -> float:
-        return self.margins[self.route]
+    def holds(self, route: str) -> np.ndarray:
+        """Where the route certifies: a positive margin inside its domain."""
+        return (self.margins[route] > 0.0) & self.domain_ok[route]
 
-    @property
-    def domain_ok(self) -> bool:
-        return self.route_domain_ok[self.route]
-
-    @property
-    def holds(self) -> bool:
-        return self.margin > 0.0 and self.domain_ok
-
-
-def _region_ok(r: float, constants: ConeConstants, allow_small: bool) -> bool:
-    """Radial-range gate for sign-changing e: r < delta (if allowed) or r > Delta."""
-    small = (
-        allow_small
-        and constants.delta is not None
-        and r < constants.delta
-    )
-    large = constants.Delta is not None and r > constants.Delta
-    return small or large
+    def chosen(self, kind: str):
+        """(route, margin, holds) over r of the route a kind uses at each radius:
+        the best usable route, otherwise the best margin; ties go to the route
+        listed first in ROUTES."""
+        first, *rest = ROUTES[kind]
+        route = np.full(self.r.shape, first)
+        margin, ok = self.margins[first], self.holds(first)
+        for name in rest:
+            m, h = self.margins[name], self.holds(name)
+            better = np.where(ok == h, m > margin, h)
+            route = np.where(better, name, route)
+            margin = np.where(better, m, margin)
+            ok = ok | h
+        return route, margin, ok
 
 
-def certify_expansion(problem: Problem, constants: ConeConstants, r: float) -> Certificate:
-    """Expansion on the sphere of radius r via the radial-ratio estimate."""
-    if r <= 0.0:
-        raise DomainError("r must be positive")
-    eta = eta_lower(problem.f, r, constants.sigma, problem.n)
-    margin = problem.lam * constants.Gamma * eta - 1.0
+def _e_term(constants: ConeConstants) -> float:
+    """sum_i M_i int|e_i|, the forcing share of every compression bound."""
+    return float((constants.M * constants.int_abs_e).sum())
+
+
+def scan_radii(problem: Problem, constants: ConeConstants, r_grid) -> Scan:
+    """Every route's margin and domain gate over an ascending grid of positive radii."""
+    r = np.array(r_grid, dtype=float)
+    if r.ndim != 1 or not np.all(r > 0.0):
+        raise DomainError("r_grid must be a list of positive radii")
+    if not np.all(np.diff(r) > 0.0):
+        raise DomainError("r_grid must be sorted ascending without repeats")
+    lam, sigma, n, f = problem.lam, constants.sigma, problem.n, problem.f
+    e_term = _e_term(constants)
+
+    eta = eta_lower(f, r, sigma, n)
+    _, big_hat = annulus_extrema(f, r, sigma, n)
+    shell = r > max(1.0 / sigma, 2.0 * lam * e_term)
+    eps = (fhat(f, r[shell], n) / r[shell]).max(axis=0)
+    margin_sr = np.full(r.shape, -math.inf)
+    margin_sr[shell] = 0.5 - lam * constants.C_hat * eps
+
     if problem.sign_profile == "MixedE":
-        domain_ok = _region_ok(r, constants, allow_small=True)
+        below = r < (-math.inf if constants.delta is None else constants.delta)
+        above = r > (math.inf if constants.Delta is None else constants.Delta)
+        near, far = below | above, above
     else:
-        domain_ok = True
-    return Certificate(
+        near = far = np.ones(r.shape, dtype=bool)
+    return Scan(
         r=r,
-        kind="expansion",
-        route="radial-ratio",
-        margins={"radial-ratio": float(margin)},
-        route_domain_ok={"radial-ratio": domain_ok},
+        margins={
+            "radial-ratio": lam * constants.Gamma * eta - 1.0,
+            "annulus-max": (r - lam * (constants.C_hat * big_hat + e_term)) / r,
+            "shell-ratio": margin_sr,
+        },
+        domain_ok={"radial-ratio": near, "annulus-max": near, "shell-ratio": far},
     )
 
 
-def certify_compression(problem: Problem, constants: ConeConstants, r: float) -> Certificate:
-    """Compression on the sphere of radius r; two routes, best usable one wins."""
-    if r <= 0.0:
-        raise DomainError("r must be positive")
-    lam = problem.lam
-    e_term = float((constants.M * constants.int_abs_e).sum())
-
+def lambda0_bound(problem: Problem, constants: ConeConstants, r):
+    """Largest lambda below which annulus-max compression holds at radius r
+    (elementwise over r)."""
     _, big_hat = annulus_extrema(problem.f, r, constants.sigma, problem.n)
-    bound = lam * (constants.C_hat * big_hat + e_term)
-    margin_am = (r - bound) / r
-
-    req = max(1.0 / constants.sigma, 2.0 * lam * e_term)
-    if r > req:
-        eps = float((fhat(problem.f, r, problem.n) / r).max())
-        margin_sr = 0.5 - lam * constants.C_hat * eps
-    else:
-        margin_sr = -math.inf
-
-    mixed = problem.sign_profile == "MixedE"
-    dom_am = _region_ok(r, constants, allow_small=True) if mixed else True
-    dom_sr = _region_ok(r, constants, allow_small=False) if mixed else True
-
-    margins = {"annulus-max": float(margin_am), "shell-ratio": float(margin_sr)}
-    domains = {"annulus-max": dom_am, "shell-ratio": dom_sr}
-
-    usable = [name for name in margins if margins[name] > 0.0 and domains[name]]
-    if usable:
-        route = max(usable, key=lambda name: margins[name])
-    else:
-        route = max(margins, key=lambda name: margins[name])
-    return Certificate(
-        r=r,
-        kind="compression",
-        route=route,
-        margins=margins,
-        route_domain_ok=domains,
-    )
-
-
-def lambda0_bound(problem: Problem, constants: ConeConstants, r: float) -> float:
-    """Largest lambda below which annulus-max compression holds at radius r."""
-    if r <= 0.0:
-        raise DomainError("r must be positive")
-    _, big_hat = annulus_extrema(problem.f, r, constants.sigma, problem.n)
-    e_term = float((constants.M * constants.int_abs_e).sum())
-    return r / (constants.C_hat * big_hat + e_term)
+    return r / (constants.C_hat * big_hat + _e_term(constants))
 
 
 @dataclass
@@ -162,26 +143,14 @@ class CertifiedAnnulus:
     r_out: float
     orientation: str  # "expansion_inner" | "compression_inner"
     predicted: str
-    inner: Certificate
-    outer: Certificate
+    inner_route: str
+    inner_margin: float
+    outer_route: str
+    outer_margin: float
 
 
-def scan_radii(problem: Problem, constants: ConeConstants, r_grid):
-    """Both certificates at every radius, ascending; the raw material for reports."""
-    rows = []
-    last = -math.inf
-    for r in r_grid:
-        r = float(r)
-        if r <= last:
-            raise DomainError("r_grid must be sorted ascending without repeats")
-        last = r
-        rows.append((r, certify_expansion(problem, constants, r),
-                     certify_compression(problem, constants, r)))
-    return rows
-
-
-def _annulus_region_ok(problem: Problem, constants: ConeConstants,
-                       r_in: float, r_out: float) -> bool:
+def _annulus_in_one_region(problem: Problem, constants: ConeConstants,
+                           r_in: float, r_out: float) -> bool:
     """Whole closed annulus inside one allowed radial region (sign-changing e)."""
     if problem.sign_profile != "MixedE":
         return True
@@ -190,7 +159,7 @@ def _annulus_region_ok(problem: Problem, constants: ConeConstants,
     return below or above
 
 
-def annuli_from_scan(problem: Problem, constants: ConeConstants, rows):
+def annuli_from_scan(problem: Problem, constants: ConeConstants, scan: Scan):
     """Certified annuli from adjacent expansion/compression radii in a scan.
 
     Each radius gets a label E, C, or EC (both margins positive with their
@@ -199,35 +168,34 @@ def annuli_from_scan(problem: Problem, constants: ConeConstants, rows):
     annulus; a both-certified radius takes whichever role its neighbor does
     not, and an EC/EC pair defaults to expansion at the inner radius.
     """
-    labeled = []
-    for r, exp_cert, comp_cert in rows:
-        e_ok = exp_cert.holds
-        c_ok = comp_cert.holds
-        if e_ok or c_ok:
-            labeled.append((r, e_ok, c_ok, exp_cert, comp_cert))
+    exp = scan.chosen("expansion")
+    comp = scan.chosen("compression")
+    e_ok, c_ok = exp[2], comp[2]
+    labeled = np.flatnonzero(e_ok | c_ok)
 
     annuli = []
-    for (r1, e1, c1, exp1, comp1), (r2, e2, c2, exp2, comp2) in zip(labeled, labeled[1:]):
-        exp_inner = e1 and c2
-        comp_inner = c1 and e2
+    for i, j in zip(labeled, labeled[1:]):
+        exp_inner = e_ok[i] and c_ok[j]
+        comp_inner = c_ok[i] and e_ok[j]
         if exp_inner and comp_inner:
             # both-certified on both ends; default orientation
             comp_inner = False
         if not (exp_inner or comp_inner):
             continue
-        if not _annulus_region_ok(problem, constants, r1, r2):
+        r1, r2 = float(scan.r[i]), float(scan.r[j])
+        if not _annulus_in_one_region(problem, constants, r1, r2):
             continue
-        orientation = "expansion_inner" if exp_inner else "compression_inner"
-        inner = exp1 if exp_inner else comp1
-        outer = comp2 if exp_inner else exp2
+        inner, outer = (exp, comp) if exp_inner else (comp, exp)
         annuli.append(CertifiedAnnulus(
             annulus_id=f"A{len(annuli) + 1}",
             r_in=r1,
             r_out=r2,
-            orientation=orientation,
+            orientation="expansion_inner" if exp_inner else "compression_inner",
             predicted=f"solution norm in ({r1:.6g}, {r2:.6g})",
-            inner=inner,
-            outer=outer,
+            inner_route=str(inner[0][i]),
+            inner_margin=float(inner[1][i]),
+            outer_route=str(outer[0][j]),
+            outer_margin=float(outer[1][j]),
         ))
     return annuli
 
@@ -303,12 +271,9 @@ def large_lambda_threshold(problem: Problem, constants: ConeConstants, r_grid=No
     """
     if constants.Delta is None or not math.isfinite(constants.Delta):
         return None
-    if r_grid is None:
-        r_grid = default_r_grid()
-    best_eta = 0.0
-    for r in r_grid:
-        if float(r) > constants.Delta:
-            best_eta = max(best_eta, eta_lower(problem.f, float(r), constants.sigma, problem.n))
+    r = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
+    r = r[r > constants.Delta]
+    best_eta = float(eta_lower(problem.f, r, constants.sigma, problem.n).max(initial=0.0))
     if best_eta <= 0.0:
         return None
     return 1.0 / (constants.Gamma * best_eta)

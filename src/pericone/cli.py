@@ -151,15 +151,15 @@ def cmd_certify(args) -> int:
 
     tables = _build_tables(problem, n_grid)
     constants = compute_constants(tables, problem)
-    rows = scan_radii(problem, constants, r_grid)
-    annuli = annuli_from_scan(problem, constants, rows)
+    scan = scan_radii(problem, constants, r_grid)
+    annuli = annuli_from_scan(problem, constants, scan)
     regime = classify_regime(problem)
 
+    _, exp_margin, _ = scan.chosen("expansion")
+    _, comp_margin, _ = scan.chosen("compression")
     lines = ["r,expansion_margin,compression_margin,domain_ok"]
-    for r, exp_cert, comp_cert in rows:
-        region_ok = exp_cert.domain_ok
-        lines.append(f"{_fmt(r)},{_fmt(exp_cert.margin)},{_fmt(comp_cert.margin)},"
-                     f"{_bool(region_ok)}")
+    lines.extend(f"{_fmt(r)},{_fmt(em)},{_fmt(cm)},{_bool(ok)}" for r, em, cm, ok in
+                 zip(scan.r, exp_margin, comp_margin, scan.domain_ok["radial-ratio"]))
     _write_text(out / "certificates.csv", "\n".join(lines) + "\n")
 
     report = {
@@ -170,10 +170,10 @@ def cmd_certify(args) -> int:
             "r_out": a.r_out,
             "orientation": a.orientation,
             "predicted": a.predicted,
-            "inner_route": a.inner.route,
-            "inner_margin": a.inner.margin,
-            "outer_route": a.outer.route,
-            "outer_margin": a.outer.margin,
+            "inner_route": a.inner_route,
+            "inner_margin": a.inner_margin,
+            "outer_route": a.outer_route,
+            "outer_margin": a.outer_margin,
         } for a in annuli],
         "regime": {
             "regime": regime.regime,

@@ -185,9 +185,11 @@ def _kernel_from_basis(Y: np.ndarray, idx_t, idx_s):
     B = np.vstack([p1s * phi2T - phi1T * p2s, p1s * dphi2T - dphi1T * p2s])
     C = np.linalg.solve(A, B)
 
-    G = np.outer(p1t, C[0]) + np.outer(p2t, C[1])
-    tri = (idx_t[:, None] >= idx_s[None, :]).astype(float)
-    G += tri * (p1s[None, :] * p2t[:, None] - p1t[:, None] * p2s[None, :])
+    # homogeneous part, plus the causal part p1(s) p2(t) - p1(t) p2(s) on t >= s;
+    # both are rank-2 products
+    G = np.stack([p1t, p2t], 1) @ C
+    causal = np.stack([p2t, -p1t], 1) @ np.stack([p1s, p2s])
+    np.add(G, causal, out=G, where=idx_t[:, None] >= idx_s[None, :])
     return G
 
 

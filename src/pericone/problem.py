@@ -26,13 +26,11 @@ from .errors import DomainError, HypothesisError, SingularityError
 __all__ = [
     "PowerLawRadial",
     "Problem",
-    "AnnulusBounds",
     "eval_f",
     "annulus_extrema",
     "eta_lower",
     "fhat",
     "thresholds_delta",
-    "annulus_bounds",
 ]
 
 SINGULARITY_GUARD = 1e-10
@@ -110,7 +108,8 @@ def _critical_points(comp_terms: tuple) -> tuple:
             return np.sum(cs * np.exp(ps * w))
 
     w_grid = np.linspace(math.log(U_LO), math.log(U_HI), 2048)
-    vals = np.array([psi(w) for w in w_grid])
+    with np.errstate(over="ignore"):
+        vals = (cs[:, None] * np.exp(ps[:, None] * w_grid)).sum(axis=0)
     roots = []
     for j in range(len(w_grid) - 1):
         v0, v1 = vals[j], vals[j + 1]
@@ -134,26 +133,24 @@ def _critical_points(comp_terms: tuple) -> tuple:
     return tuple(math.exp(w) for w in roots)
 
 
-def _interval_extrema(comp_terms: tuple, lo: float, hi: float):
-    """(min, max) of a power sum over [lo, hi] from endpoints and interior critical points."""
-    pts = [lo, hi]
-    pts.extend(u for u in _critical_points(comp_terms) if lo < u < hi)
-    vals = _power_sum(comp_terms, np.array(pts))
-    return float(vals.min()), float(vals.max())
+def _interval_extrema(comp_terms: tuple, lo, hi):
+    """(min, max) of a power sum over [lo, hi], elementwise over arrays lo and hi.
 
-
-def _tail_inf(comp_terms: tuple, lo: float) -> float:
-    """inf of a power sum over [lo, inf); requires it to blow up at infinity."""
-    pts = [lo]
-    pts.extend(u for u in _critical_points(comp_terms) if u > lo)
-    return float(_power_sum(comp_terms, np.array(pts)).min())
-
-
-def _head_inf(comp_terms: tuple, hi: float) -> float:
-    """inf of a power sum over (0, hi]; requires it to blow up at zero."""
-    pts = [hi]
-    pts.extend(u for u in _critical_points(comp_terms) if u < hi)
-    return float(_power_sum(comp_terms, np.array(pts)).min())
+    The candidates are the two ends and the critical points; a critical point
+    outside [lo, hi] is clipped onto the nearer end, whose value is already a
+    candidate.  An end may be 0 or inf: where the sum blows up there it
+    contributes +inf, so the min is the infimum over the open end.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    crit = _critical_points(comp_terms)
+    pts = np.empty(np.broadcast(lo, hi).shape + (len(crit) + 2,))
+    pts[..., 0] = lo
+    pts[..., 1] = hi
+    pts[..., 2:] = np.minimum(np.maximum(crit, lo[..., None]), hi[..., None])
+    with np.errstate(divide="ignore"):
+        vals = _power_sum(comp_terms, pts)
+    return vals.min(axis=-1), vals.max(axis=-1)
 
 
 def eval_f(f: PowerLawRadial, x) -> np.ndarray:
@@ -165,30 +162,28 @@ def eval_f(f: PowerLawRadial, x) -> np.ndarray:
     return np.array([f.phi(i, u) for i in range(f.n_components)])
 
 
-def _annulus_lower_u(r: float, sigma: float, n: int) -> float:
-    """Smallest ||x||_2 on the orthant annulus sigma*r <= |x|_1 <= r."""
-    if r <= 0.0:
+def _annulus_lower_u(r, sigma: float, n: int):
+    """Smallest ||x||_2 on the orthant annulus sigma*r <= |x|_1 <= r, elementwise over r."""
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0.0):
         raise DomainError("r must be positive")
     if not (0.0 < sigma <= 1.0):
         raise DomainError("sigma must lie in (0, 1]")
     return sigma * r / math.sqrt(n)
 
 
-def annulus_extrema(f: PowerLawRadial, r: float, sigma: float, n: int):
+def annulus_extrema(f: PowerLawRadial, r, sigma: float, n: int):
     """(m_hat, M_hat): extrema of all component profiles on the orthant annulus
-    sigma*r <= |x|_1 <= r, i.e. u in [sigma*r/sqrt(n), r]."""
+    sigma*r <= |x|_1 <= r, i.e. u in [sigma*r/sqrt(n), r]; elementwise over r."""
     lo = _annulus_lower_u(r, sigma, n)
-    mins, maxs = [], []
-    for comp in f.terms:
-        a, b = _interval_extrema(comp, lo, r)
-        mins.append(a)
-        maxs.append(b)
-    return min(mins), max(maxs)
+    pairs = [_interval_extrema(comp, lo, r) for comp in f.terms]
+    return (np.minimum.reduce([m for m, _ in pairs]),
+            np.maximum.reduce([big for _, big in pairs]))
 
 
-def eta_lower(f: PowerLawRadial, r: float, sigma: float, n: int) -> float:
+def eta_lower(f: PowerLawRadial, r, sigma: float, n: int):
     """eta_r with f_j(x) >= eta_r * |x|_1 guaranteed on the orthant annulus
-    sigma*r <= |x|_1 <= r, maximized over the component j.
+    sigma*r <= |x|_1 <= r, maximized over the component j; elementwise over r.
 
     For ||x||_2 = u the summation norm is at most min(sqrt(n)*u, r) on the
     annulus, so the worst ratio at fixed u is phi_j(u)/min(sqrt(n)*u, r).
@@ -198,36 +193,26 @@ def eta_lower(f: PowerLawRadial, r: float, sigma: float, n: int) -> float:
     single point r/sqrt(n) (sigma = 1, or n = 1).
     """
     lo = _annulus_lower_u(r, sigma, n)
+    r = np.asarray(r, dtype=float)
     root_n = math.sqrt(n)
     knee = r / root_n
-    best = 0.0
+    best = np.zeros_like(r)
     for comp in f.terms:
         shifted = tuple((c / root_n, p - 1.0) for c, p in comp)
         below, _ = _interval_extrema(shifted, lo, knee)
         above, _ = _interval_extrema(comp, knee, r)
-        best = max(best, min(below, above / r))
+        best = np.maximum(best, np.minimum(below, above / r))
     return best
 
 
-def fhat(f: PowerLawRadial, theta: float, n: int) -> np.ndarray:
-    """Per-component max of f_i over the orthant shell 1 <= |x|_1 <= theta."""
-    if theta < 1.0:
+def fhat(f: PowerLawRadial, theta, n: int) -> np.ndarray:
+    """Per-component max of f_i over the orthant shell 1 <= |x|_1 <= theta;
+    shape (n_components, *theta.shape)."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(theta >= 1.0):
         raise DomainError("theta must be at least 1")
     lo = 1.0 / math.sqrt(n)
-    return np.array([_interval_extrema(comp, lo, max(theta, lo))[1] for comp in f.terms])
-
-
-@dataclass
-class AnnulusBounds:
-    r: float
-    m_hat: float
-    M_hat: float
-    eta: float
-
-
-def annulus_bounds(f: PowerLawRadial, r: float, sigma: float, n: int) -> AnnulusBounds:
-    m_hat, big_hat = annulus_extrema(f, r, sigma, n)
-    return AnnulusBounds(r=r, m_hat=m_hat, M_hat=big_hat, eta=eta_lower(f, r, sigma, n))
+    return np.array([_interval_extrema(comp, lo, theta)[1] for comp in f.terms])
 
 
 @dataclass
@@ -336,6 +321,8 @@ def _largest_radius(pred) -> float | None:
     lo, hi = U_LO, U_HI
     for _ in range(160):
         mid = math.sqrt(lo * hi)
+        if mid in (lo, hi):
+            break  # bracket down to adjacent floats: no later step moves it
         if pred(mid):
             lo = mid
         else:
@@ -352,6 +339,8 @@ def _smallest_radius(pred) -> float | None:
     lo, hi = U_LO, U_HI
     for _ in range(160):
         mid = math.sqrt(lo * hi)
+        if mid in (lo, hi):
+            break  # bracket down to adjacent floats: no later step moves it
         if pred(mid):
             hi = mid
         else:
@@ -378,7 +367,8 @@ def thresholds_delta(problem: Problem, sigma: float):
     if all(f.singular_at_zero(i) for i in range(n)):
 
         def small_ok(d):
-            return all(_head_inf(f.terms[i], d) >= bounds[i] for i in range(n))
+            return all(_interval_extrema(f.terms[i], 0.0, d)[0] >= bounds[i]
+                       for i in range(n))
 
         delta = _largest_radius(small_ok)
     else:
@@ -387,8 +377,8 @@ def thresholds_delta(problem: Problem, sigma: float):
     if all(f.unbounded_at_infinity(i) for i in range(n)):
 
         def large_ok(rr):
-            return all(_tail_inf(f.terms[i], rr / math.sqrt(n)) >= bounds[i]
-                       for i in range(n))
+            return all(_interval_extrema(f.terms[i], rr / math.sqrt(n), math.inf)[0]
+                       >= bounds[i] for i in range(n))
 
         r_dd = _smallest_radius(large_ok)
         delta_big = None if r_dd is None else r_dd / sigma

@@ -117,6 +117,18 @@ def brute_eta(terms_by_comp, r, sigma, n, samples=20000):
     return best
 
 
+def brute_power_sum_min(terms, lo, hi, samples=200001):
+    """Sampled min of sum(c * u**p) on a log grid over [lo, hi].
+
+    An end at 0 or inf is replaced by 1e-8 or 1e8, which suits sums that
+    blow up there.  Sampling can only overestimate the true minimum.
+    """
+    a = max(lo, 1e-8)
+    b = min(hi, 1e8)
+    us = np.geomspace(a, b, samples)
+    return float(sum(c * us ** p for c, p in terms).min())
+
+
 def rk4_basis_stepwise(a_func, period, n_fine):
     """Fundamental matrix of x'' + a(t) x = 0 at t_j = j*period/n_fine, j = 0..n_fine.
 
@@ -140,3 +152,22 @@ def rk4_basis_stepwise(a_func, period, n_fine):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         Y[j + 1] = y
     return Y
+
+
+def kernel_from_basis_outer(Y, idx_t, idx_s):
+    """Periodic kernel from a fundamental-matrix table Y (fine nodes x 2 x 2).
+
+    G(t, s) = p1(t) C1(s) + p2(t) C2(s), plus p1(s) p2(t) - p1(t) p2(s) where
+    the fine index of t is at least that of s; C solves (I - Y(T)) C = B with
+    B the response at T to a unit impulse at s.  Written with outer products
+    and a float triangle mask, one term at a time.
+    """
+    phi = Y[-1]
+    p1t, p2t = Y[idx_t, 0, 0], Y[idx_t, 0, 1]
+    p1s, p2s = Y[idx_s, 0, 0], Y[idx_s, 0, 1]
+    b = np.vstack([p1s * phi[0, 1] - phi[0, 0] * p2s,
+                   p1s * phi[1, 1] - phi[1, 0] * p2s])
+    c = np.linalg.solve(np.eye(2) - phi, b)
+    g = np.outer(p1t, c[0]) + np.outer(p2t, c[1])
+    tri = (idx_t[:, None] >= idx_s[None, :]).astype(float)
+    return g + tri * (np.outer(p2t, p1s) - np.outer(p1t, p2s))

@@ -17,18 +17,19 @@ from pericone import (
     Constant,
     FourierSeries,
     Samples,
-    annulus_bounds,
+    annulus_extrema,
     apply_T,
     build_green_table,
-    certify_compression,
     compute_constants,
     cone_membership,
     default_r_grid,
+    eta_lower,
     existence_report,
     fhat,
     find_solutions,
     lambda0_bound,
     parse_config,
+    scan_radii,
     solve_linear_periodic,
     symmetric_config,
 )
@@ -132,9 +133,10 @@ def test_criterion_06_operator_estimates():
         prob = _problem(alpha, beta, lam)
         cc = compute_constants(tables, prob)
         for r in (0.5, 2.0):
-            bounds = annulus_bounds(prob.f, r, cc.sigma, prob.n)
-            low = prob.lam * cc.Gamma * bounds.eta * r
-            high = prob.lam * (cc.C_hat * bounds.M_hat
+            eta = eta_lower(prob.f, r, cc.sigma, prob.n)
+            _, big_hat = annulus_extrema(prob.f, r, cc.sigma, prob.n)
+            low = prob.lam * cc.Gamma * eta * r
+            high = prob.lam * (cc.C_hat * big_hat
                                + float((cc.M * cc.int_abs_e).sum()))
             pts = smooth_cone_points(prob, 256, cc.sigma, 15, rng, norm=r)
             pts += kernel_cone_points(prob, tables, 10, rng, norm=r)
@@ -195,9 +197,9 @@ def test_criterion_09_lambda0_pivot():
     cc = compute_constants(_tables(), prob)
     r = 1.0
     bound = lambda0_bound(prob, cc, r)
-    below = certify_compression(replace(prob, lam=0.99 * bound), cc, r)
-    above = certify_compression(replace(prob, lam=1.01 * bound), cc, r)
-    ok = below.holds and above.margins["annulus-max"] < 0.0
+    below = scan_radii(replace(prob, lam=0.99 * bound), cc, [r])
+    above = scan_radii(replace(prob, lam=1.01 * bound), cc, [r])
+    ok = bool(below.chosen("compression")[2][0]) and above.margins["annulus-max"][0] < 0.0
     _report(9, ok, f"lambda0_bound(r=1)={bound:.6f}: compression holds at "
                    "0.99x, annulus-max margin negative at 1.01x")
 

@@ -2,16 +2,16 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from pericone import (
     Constant,
+    DomainError,
     GridFunction,
     PowerLawRadial,
     Problem,
     SOUNDNESS_SUITE,
     apply_T,
-    certify_compression,
-    certify_expansion,
     classify_regime,
     compute_constants,
     default_r_grid,
@@ -20,7 +20,9 @@ from pericone import (
     lambda0_bound,
     large_lambda_threshold,
     parse_config,
+    scan_radii,
 )
+from pericone.benchmarks import MIXED_E
 
 import oracles
 from conftest import (
@@ -36,20 +38,25 @@ def one_component_problem(terms, lam):
                    e=(Constant(0.0),), f=PowerLawRadial((terms,)), lam=lam)
 
 
+def at(prob, cc, r, kind):
+    """(route, margin, holds) of the route a kind uses at the single radius r."""
+    route, margin, holds = scan_radii(prob, cc, [r]).chosen(kind)
+    return str(route[0]), float(margin[0]), bool(holds[0])
+
+
 def test_expansion_small_radius_superlinear(superlinear_small):
     prob, cc = superlinear_small
     prob = replace(prob, lam=1.0)
-    cert = certify_expansion(prob, cc, 0.05)
-    assert cert.kind == "expansion"
-    assert cert.route == "radial-ratio"
-    assert cert.holds
+    route, _, holds = at(prob, cc, 0.05, "expansion")
+    assert route == "radial-ratio"
+    assert holds
 
 
 def test_expansion_margin_tends_to_minus_one(superlinear_small):
     prob, cc = superlinear_small
-    cert = certify_expansion(replace(prob, lam=1e-12), cc, 0.5)
-    assert not cert.holds
-    assert abs(cert.margin + 1.0) <= 1e-6
+    _, margin, holds = at(replace(prob, lam=1e-12), cc, 0.5, "expansion")
+    assert not holds
+    assert abs(margin + 1.0) <= 1e-6
 
 
 def test_expansion_linear_threshold(unit_table):
@@ -58,33 +65,33 @@ def test_expansion_linear_threshold(unit_table):
     prob = one_component_problem(((1.0, 1.0),), 1.0)
     cc = compute_constants([unit_table], prob)
     lam_star = 1.0 / cc.Gamma
-    assert certify_expansion(replace(prob, lam=1.05 * lam_star), cc, 1.0).holds
-    assert not certify_expansion(replace(prob, lam=0.95 * lam_star), cc, 1.0).holds
+    assert at(replace(prob, lam=1.05 * lam_star), cc, 1.0, "expansion")[2]
+    assert not at(replace(prob, lam=0.95 * lam_star), cc, 1.0, "expansion")[2]
 
 
 def test_compression_small_lambda(superlinear_small):
     prob, cc = superlinear_small
-    cert = certify_compression(replace(prob, lam=0.01), cc, 1.0)
-    assert cert.holds
-    assert cert.route == "annulus-max"
+    route, _, holds = at(replace(prob, lam=0.01), cc, 1.0, "compression")
+    assert holds
+    assert route == "annulus-max"
 
 
 def test_compression_fails_everywhere_at_huge_lambda(superlinear_small):
     prob, cc = superlinear_small
     big = replace(prob, lam=1e9)
     for r in (1e-3, 1.0, 1e3):
-        cert = certify_compression(big, cc, r)
-        assert not cert.holds
-        assert all(m <= 0.0 or not cert.route_domain_ok[k]
-                   for k, m in cert.margins.items())
+        scan = scan_radii(big, cc, [r])
+        assert not scan.chosen("compression")[2][0]
+        assert all(scan.margins[k][0] <= 0.0 or not scan.domain_ok[k][0]
+                   for k in ("annulus-max", "shell-ratio"))
     assert existence_report(big, cc, default_r_grid()) == []
 
 
 def test_margin_monotonicity_in_lambda(superlinear_small):
     prob, cc = superlinear_small
     lams = [0.01, 0.1, 1.0]
-    exp = [certify_expansion(replace(prob, lam=l), cc, 0.2).margin for l in lams]
-    comp = [certify_compression(replace(prob, lam=l), cc, 0.2).margin for l in lams]
+    exp = [at(replace(prob, lam=l), cc, 0.2, "expansion")[1] for l in lams]
+    comp = [at(replace(prob, lam=l), cc, 0.2, "compression")[1] for l in lams]
     assert exp[0] < exp[1] < exp[2]
     assert comp[0] > comp[1] > comp[2]
 
@@ -95,10 +102,10 @@ def test_lambda0_bound_pivot(superlinear_small):
     prob, cc = superlinear_small
     for r in (0.5, 1.0, 4.0):
         bound = lambda0_bound(prob, cc, r)
-        below = certify_compression(replace(prob, lam=0.99 * bound), cc, r)
-        above = certify_compression(replace(prob, lam=1.01 * bound), cc, r)
-        assert below.holds and below.margins["annulus-max"] > 0.0
-        assert above.margins["annulus-max"] < 0.0
+        below = scan_radii(replace(prob, lam=0.99 * bound), cc, [r])
+        above = scan_radii(replace(prob, lam=1.01 * bound), cc, [r])
+        assert below.chosen("compression")[2][0] and below.margins["annulus-max"][0] > 0.0
+        assert above.margins["annulus-max"][0] < 0.0
 
 
 def test_two_annuli_superlinear(superlinear_small):
@@ -173,8 +180,8 @@ def test_shell_ratio_route_is_sound(bench_tables):
     prob = make_problem(0.5, 0.5, 1.0)
     cc = compute_constants(bench_tables, prob)
     r = 100.0
-    cert = certify_compression(prob, cc, r)
-    assert cert.margins["shell-ratio"] > 0.0 and cert.route_domain_ok["shell-ratio"]
+    scan = scan_radii(prob, cc, [r])
+    assert scan.margins["shell-ratio"][0] > 0.0 and scan.domain_ok["shell-ratio"][0]
     rng = np.random.default_rng(3)
     for x in smooth_cone_points(prob, 256, cc.sigma, 50, rng, norm=r):
         out = apply_T(prob, bench_tables, x)
@@ -203,8 +210,42 @@ def test_large_lambda_threshold_pivots_expansion(bench_tables):
     grid = default_r_grid()
     outer = [r for r in grid if r > cc.Delta]
     holds_above = any(
-        certify_expansion(replace(prob, lam=1.2 * thr), cc, r).holds for r in outer)
+        at(replace(prob, lam=1.2 * thr), cc, r, "expansion")[2] for r in outer)
     holds_below = any(
-        certify_expansion(replace(prob, lam=0.8 * thr), cc, r).holds for r in outer)
+        at(replace(prob, lam=0.8 * thr), cc, r, "expansion")[2] for r in outer)
     assert holds_above
     assert not holds_below
+
+
+@pytest.mark.parametrize("alpha, beta, lam, e_spec", [
+    (1.0, 2.0, 0.05, None),  # cor1b
+    (0.5, 0.5, 1.0, None),  # cor1a
+    (1.0, 2.0, 0.01, MIXED_E),  # superlinear, sign-changing e
+])
+def test_scan_matches_per_radius_scans(bench_tables, alpha, beta, lam, e_spec):
+    # the masks of the array scan couple no radii: a full grid gives, bit for
+    # bit, what each radius gives on its own
+    prob = make_problem(alpha, beta, lam, e_spec=e_spec)
+    cc = compute_constants(bench_tables, prob)
+    grid = default_r_grid()
+    full = scan_radii(prob, cc, grid)
+    singles = [scan_radii(prob, cc, [r]) for r in grid]
+    assert np.array_equal(full.r, grid)
+    for route in full.margins:
+        assert np.array_equal(full.margins[route],
+                              [s.margins[route][0] for s in singles]), route
+        assert np.array_equal(full.domain_ok[route],
+                              [s.domain_ok[route][0] for s in singles]), route
+
+
+@pytest.mark.parametrize("grid", [
+    [1.0, 0.5],  # unsorted
+    [0.5, 1.0, 1.0],  # repeated
+    [0.0, 1.0],  # non-positive
+    [-1.0, 1.0],
+    [0.5, math.nan],
+])
+def test_scan_rejects_bad_grid(superlinear_small, grid):
+    prob, cc = superlinear_small
+    with pytest.raises(DomainError):
+        scan_radii(prob, cc, grid)

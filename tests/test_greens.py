@@ -18,7 +18,7 @@ from pericone import (
     solve_linear_periodic,
 )
 
-from pericone.greens import FINE_FACTOR, _ghat, _refine_min, _rk4_basis
+from pericone.greens import FINE_FACTOR, _ghat, _kernel_from_basis, _refine_min, _rk4_basis
 
 import oracles
 
@@ -207,6 +207,23 @@ def test_rk4_basis_matches_stepwise_loop(coef, n_grid):
     basis = _rk4_basis(coef, n_grid)
     assert basis.shape == ref.shape
     assert np.max(np.abs(basis - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("coef", [
+    FourierSeries(1.0, (0.3,)),
+    FourierSeries(2.0, (0.5, 0.2), (0.1,), period=0.8),
+])
+def test_kernel_from_basis_matches_outer_products(coef):
+    # rank-2 products and a masked add against the outer-product formula,
+    # on the coarse grid and on a refine patch that wraps around the period
+    n_grid = 64
+    basis = _rk4_basis(coef, n_grid)
+    coarse = np.arange(0, FINE_FACTOR * n_grid, FINE_FACTOR)
+    patch = np.mod(np.arange(-9, 8), FINE_FACTOR * n_grid)
+    for idx_t, idx_s in ((coarse, coarse), (patch, patch), (patch, coarse[:20])):
+        ref = oracles.kernel_from_basis_outer(basis, idx_t, idx_s)
+        got = _kernel_from_basis(basis, idx_t, idx_s)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_rk4_basis_wronskian_at_every_node():

@@ -12,9 +12,10 @@ from pericone import (
     PowerLawRadial,
     Problem,
     SingularityError,
-    annulus_bounds,
+    annulus_extrema,
     apply_T,
     cone_membership,
+    eta_lower,
     fixed_point_residual,
     ode_residual,
 )
@@ -69,9 +70,10 @@ def test_operator_estimates_on_annulus(bench_tables, superlinear_small):
     prob, cc = superlinear_small
     rng = np.random.default_rng(23)
     for r in (0.3, 1.0, 5.0):
-        bounds = annulus_bounds(prob.f, r, cc.sigma, prob.n)
-        low = prob.lam * cc.Gamma * bounds.eta * r
-        high = prob.lam * (cc.C_hat * bounds.M_hat
+        eta = eta_lower(prob.f, r, cc.sigma, prob.n)
+        _, big_hat = annulus_extrema(prob.f, r, cc.sigma, prob.n)
+        low = prob.lam * cc.Gamma * eta * r
+        high = prob.lam * (cc.C_hat * big_hat
                            + float((cc.M * cc.int_abs_e).sum()))
         pts = smooth_cone_points(prob, 256, cc.sigma, 20, rng, norm=r)
         pts += kernel_cone_points(prob, bench_tables, 15, rng, norm=r)

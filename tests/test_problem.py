@@ -14,7 +14,6 @@ from pericone import (
     Problem,
     Samples,
     SingularityError,
-    annulus_bounds,
     annulus_extrema,
     eta_lower,
     eval_f,
@@ -23,7 +22,13 @@ from pericone import (
 )
 
 from pericone.coefficients import coefficient_extrema, extrema_slack
-from pericone.problem import AUDIT_GRID, SPLIT_FACTOR, _forcing_bounds
+from pericone.problem import (
+    AUDIT_GRID,
+    SPLIT_FACTOR,
+    _critical_points,
+    _forcing_bounds,
+    _interval_extrema,
+)
 
 import oracles
 from conftest import SUBLINEAR_TERMS, SUPERLINEAR_TERMS, make_problem
@@ -83,6 +88,22 @@ def test_annulus_extrema_valley():
     assert abs(m_hat - 2.0) <= 1e-10
     # endpoints: phi(0.5) = 2.5, phi(2) = 2.5
     assert abs(big_hat - 2.5) <= 1e-10
+
+
+@pytest.mark.parametrize("terms", [
+    SUPERLINEAR_TERMS,
+    SUBLINEAR_TERMS,
+    ((2.0, -3.0), (0.5, 1.0)),
+    ((0.3, -0.2), (1.5, 1.7)),
+    ((1e-6, -1.0), (1e6, 0.5)),
+])
+def test_critical_points_two_term_closed_form(terms):
+    # c1 p1 u^p1 + c2 p2 u^p2 = 0 has the single root
+    # u = (-c1 p1 / (c2 p2))^(1 / (p2 - p1))
+    (c1, p1), (c2, p2) = terms
+    expect = (-c1 * p1 / (c2 * p2)) ** (1.0 / (p2 - p1))
+    (got,) = _critical_points(terms)
+    assert abs(got - expect) <= 1e-12 * expect
 
 
 def test_annulus_extrema_monotone():
@@ -165,12 +186,39 @@ def test_fhat_nondecreasing_in_theta():
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_annulus_bounds_bundle():
-    b = annulus_bounds(BENCH_F, 0.7, 0.85, 2)
-    m_hat, big_hat = annulus_extrema(BENCH_F, 0.7, 0.85, 2)
-    assert b.r == 0.7
-    assert b.m_hat == m_hat and b.M_hat == big_hat
-    assert b.eta == eta_lower(BENCH_F, 0.7, 0.85, 2)
+def test_extrema_broadcast_over_radii():
+    # an array of radii gives, elementwise, what each radius gives alone
+    r = np.array([0.05, 0.7, 3.0, 40.0])
+    m_hat, big_hat = annulus_extrema(BENCH_F, r, 0.85, 2)
+    eta = eta_lower(BENCH_F, r, 0.85, 2)
+    shell = fhat(BENCH_F, r[2:], 2)
+    assert m_hat.shape == big_hat.shape == eta.shape == r.shape
+    assert shell.shape == (2, 2)
+    for k, rk in enumerate(r):
+        assert (m_hat[k], big_hat[k]) == annulus_extrema(BENCH_F, rk, 0.85, 2)
+        assert eta[k] == eta_lower(BENCH_F, rk, 0.85, 2)
+    for k, th in enumerate(r[2:]):
+        assert np.array_equal(shell[:, k], fhat(BENCH_F, th, 2))
+
+
+@pytest.mark.parametrize("terms, lo, hi", [
+    (SUPERLINEAR_TERMS, 0.0, 0.3),  # min at the finite end
+    (SUPERLINEAR_TERMS, 0.0, 2.0),  # interior min
+    (SUBLINEAR_TERMS, 0.0, 50.0),
+    (((2.0, -3.0), (0.5, 1.0), (1.0, 0.3)), 0.0, 10.0),
+    (SUPERLINEAR_TERMS, 0.1, math.inf),
+    (SUPERLINEAR_TERMS, 5.0, math.inf),
+    (((1.0, 2.0),), 0.5, math.inf),
+    (((2.0, -3.0), (0.5, 1.0), (1.0, 0.3)), 0.2, math.inf),
+])
+def test_interval_extrema_open_end(terms, lo, hi):
+    # an end at 0 or inf where the sum blows up adds +inf, so the min is the
+    # infimum over the half-open interval
+    got_min, got_max = _interval_extrema(terms, lo, hi)
+    brute = oracles.brute_power_sum_min(terms, lo, hi)
+    assert got_max == math.inf
+    assert got_min <= brute * (1.0 + 1e-12)
+    assert brute - got_min <= 1e-6 * got_min
 
 
 def test_thresholds_small_radius():
