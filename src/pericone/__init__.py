@@ -48,6 +48,7 @@ from .greens import (
     GreensTable,
     PositivityReport,
     build_green_table,
+    coarsen,
     green_bounds_constant,
     green_constant,
     kernel_quadrature,
@@ -70,8 +71,10 @@ from .solver import (
     PicardResult,
     Solution,
     SolveReport,
+    coarse_stride,
     continue_lambda,
     find_solutions,
+    lift,
     newton_refine,
     picard_solve,
     seed_from_annulus,

@@ -29,7 +29,7 @@ from .certify import (
     scan_radii,
 )
 from .cone import compute_constants
-from .config import load_config_file, parse_config
+from .config import load_config_file, parse_config, serialize_problem
 from .errors import ConfigError, HypothesisError, PericoneError
 from .greens import build_green_table
 from .solver import ODE_TOL, continue_lambda, find_solutions
@@ -80,7 +80,19 @@ def _load(args):
 
 
 def _build_tables(problem, n_grid):
-    return [build_green_table(problem.a[i], n_grid) for i in range(problem.n)]
+    """One Green table per component; components with the same a share one table.
+
+    Coefficients are keyed by their config form, because dataclass equality
+    fails on the arrays of Samples.
+    """
+    built = {}
+    tables = []
+    for spec, coef in zip(serialize_problem(problem)["a"], problem.a):
+        key = json.dumps(spec, sort_keys=True)
+        if key not in built:
+            built[key] = build_green_table(coef, n_grid)
+        tables.append(built[key])
+    return tables
 
 
 def _require(ok: bool, flag: str, message: str):
@@ -99,8 +111,7 @@ def cmd_green(args) -> int:
     problem, n_grid = parsed.problem, parsed.n_grid
     out = Path(args.out)
     reports = []
-    for i in range(problem.n):
-        table = build_green_table(problem.a[i], n_grid)
+    for i, table in enumerate(_build_tables(problem, n_grid)):
         pos = table.positivity
         t = table.grid_t
         lines = ["t,s,G"]

@@ -23,12 +23,14 @@ next Euler-Maclaurin term, h^2/12 * w(t), as a diagonal bump h/12, which
 restores O(N^-4) accuracy on smooth data.  Tabulated values, m and M are the
 raw kernel samples, never corrected.  The corrected matrix is built once per
 table; it and the samples are read-only, because every operator application
-and every Newton step shares them.
+and every Newton step shares them.  The grids t_p = p T/N nest, so
+``coarsen`` takes every k-th node of a table as the N/k-point table with no
+new kernel evaluation; the two-grid solve runs on it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,6 +44,7 @@ __all__ = [
     "green_constant",
     "green_bounds_constant",
     "build_green_table",
+    "coarsen",
     "kernel_quadrature",
     "solve_linear_periodic",
 ]
@@ -251,12 +254,6 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         # inside that noise floor cannot be certified positive
         tol = max(tol, 1e3 * (1.0 + abs(big)) * h_fine ** 4)
 
-    # h * (values + (h/12) I), formed in place: one N x N array, no identity
-    quadrature = values.copy()
-    quadrature.flat[::n_grid + 1] += h / 12.0
-    quadrature *= h
-    values.flags.writeable = False
-    quadrature.flags.writeable = False
     return GreensTable(
         n_grid=n_grid,
         period=period,
@@ -265,10 +262,42 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         M=big,
         positivity=PositivityReport(holds=bool(min_value > tol), min_value=min_value,
                                     argmin=argmin),
-        quadrature=quadrature,
+        quadrature=_quadrature(values, h),
         k=k_used,
         monodromy=Phi,
     )
+
+
+def _quadrature(values: np.ndarray, h: float) -> np.ndarray:
+    """h * (values + (h/12) I), formed in place: one N x N array, no identity.
+
+    Freezes values too; both arrays are read-only from here on.
+    """
+    quadrature = values.copy()
+    quadrature.flat[::values.shape[0] + 1] += h / 12.0
+    quadrature *= h
+    values.flags.writeable = False
+    quadrature.flags.writeable = False
+    return quadrature
+
+
+def coarsen(table: GreensTable, stride: int) -> GreensTable:
+    """The table on every stride-th node, N/stride points, with no new kernel work.
+
+    The grids nest, so values[::stride, ::stride] are the kernel samples of
+    the coarse grid; the quadrature is rebuilt for the coarse spacing.  m, M
+    and the positivity report stay those of the fine table, which is the one
+    the cone constants come from.  Stride 1 returns the table itself.
+    """
+    if stride == 1:
+        return table
+    if stride < 1 or table.n_grid % stride != 0:
+        raise DomainError(f"stride {stride} does not divide n_grid {table.n_grid}")
+    n_grid = table.n_grid // stride
+    _check_grid(n_grid)
+    values = table.values[::stride, ::stride].copy()
+    return replace(table, n_grid=n_grid, values=values,
+                   quadrature=_quadrature(values, table.period / n_grid))
 
 
 def kernel_quadrature(table: GreensTable) -> np.ndarray:

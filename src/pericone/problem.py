@@ -116,7 +116,9 @@ def _critical_points(comp_terms: tuple) -> tuple:
         if v0 == 0.0:
             roots.append(w_grid[j])
             continue
-        if v0 * v1 < 0.0:
+        # compared, not multiplied: a product can overflow, or underflow to
+        # -0.0 and hide the change; an exact zero v1 is taken on the next step
+        if v1 != 0.0 and (v0 < 0.0) != (v1 < 0.0):
             lo, hi = w_grid[j], w_grid[j + 1]
             flo = v0
             for _ in range(100):
@@ -125,7 +127,7 @@ def _critical_points(comp_terms: tuple) -> tuple:
                 if fm == 0.0:
                     lo = mid
                     break
-                if flo * fm < 0.0:
+                if (flo < 0.0) != (fm < 0.0):
                     hi = mid
                 else:
                     lo, flo = mid, fm

@@ -12,6 +12,15 @@ and V = [diag(x_j / u)].  The Newton step therefore needs only the N x N
 system (I - V U) w = V F (Woodbury), not the dense (nN) x (nN) one; by
 Sylvester's identity det(I - U V) = det(I - V U), so the small system is
 singular exactly when the full one is.
+
+Two grids: for N > COARSE_GRID, Picard and Newton run on the kernel
+subsampled at stride k (``coarse_stride``), which is the exact N/k-point
+table, at a fraction of the N x N LU cost.  The discrete solution varies
+smoothly with the grid, so the coarse fixed point, lifted to N points by
+zero-padded FFT interpolation, already sits within Newton tolerance of the
+fine one (a two-grid Nystrom start).  One Newton polish on the fine tables
+follows, then the full fine-grid verification.  For N <= COARSE_GRID the
+stride is 1 and the polish takes no step.
 """
 from __future__ import annotations
 
@@ -29,7 +38,7 @@ from .errors import (
     SingularityError,
     SingularJacobianError,
 )
-from .greens import kernel_quadrature
+from .greens import coarsen, kernel_quadrature
 from .operator import GridFunction, apply_T, fixed_point_residual, ode_residual
 from .problem import Problem
 
@@ -41,6 +50,8 @@ __all__ = [
     "BranchRow",
     "BranchTable",
     "seed_from_annulus",
+    "coarse_stride",
+    "lift",
     "picard_solve",
     "newton_refine",
     "find_solutions",
@@ -58,6 +69,10 @@ ODE_TOL = 1e-6
 NORM_BLOWUP = 1e12
 CLAMP_TOL = 1e-12
 DEDUPE_RTOL = 1e-6
+# largest grid the Picard + Newton stage runs on; finer grids are only polished
+COARSE_GRID = 256
+NEWTON_FAILURES = (SingularJacobianError, NoConvergenceError, DomainError,
+                   SingularityError, DivergenceError)
 
 
 @dataclass
@@ -121,6 +136,39 @@ def seed_from_annulus(annulus, problem: Problem, n_grid: int = 256) -> GridFunct
     c = math.sqrt(annulus.r_in * annulus.r_out) / problem.n
     values = np.full((problem.n, n_grid), c)
     return GridFunction(n=problem.n, n_grid=n_grid, period=problem.period, values=values)
+
+
+def coarse_stride(n_grid: int) -> int:
+    """Largest k <= n_grid / COARSE_GRID that divides n_grid into an even count; 1 at least."""
+    for k in range(max(n_grid // COARSE_GRID, 1), 1, -1):
+        if n_grid % k == 0 and (n_grid // k) % 2 == 0:
+            return k
+    return 1
+
+
+def _coarse_tables(tables) -> list:
+    """The tables at the coarse stride, one coarsening per distinct table."""
+    k = coarse_stride(tables[0].n_grid)
+    distinct = {id(tbl): tbl for tbl in tables}
+    coarse = {key: coarsen(tbl, k) for key, tbl in distinct.items()}
+    return [coarse[id(tbl)] for tbl in tables]
+
+
+def lift(x: GridFunction, n_grid: int) -> GridFunction:
+    """Trigonometric interpolation of x onto n_grid points (a multiple of x.n_grid).
+
+    Zero-pads the real FFT; the coarse Nyquist bin is halved, because on the
+    finer grid it stands for the pair of frequencies +-N_c/2.  A grid function
+    already on n_grid points is returned as it is.
+    """
+    if n_grid == x.n_grid:
+        return x
+    spec = np.fft.rfft(x.values, axis=1, norm="forward")
+    spec[:, -1] *= 0.5
+    padded = np.zeros((x.n, n_grid // 2 + 1), dtype=complex)
+    padded[:, :spec.shape[1]] = spec
+    values = np.fft.irfft(padded, n=n_grid, axis=1, norm="forward")
+    return GridFunction(n=x.n, n_grid=n_grid, period=x.period, values=values)
 
 
 def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
@@ -259,11 +307,13 @@ def _dedupe(solutions: list) -> list:
     return out
 
 
-def _solve_from_seed(problem: Problem, tables, constants: ConeConstants,
+def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
                      seed: GridFunction, annulus_id: str, ode_tol: float, notes: list):
+    """Picard + Newton on the coarse tables from a coarse-grid seed, then the
+    lifted iterate is polished by Newton and verified on the fine tables."""
     start = seed
     try:
-        pic = picard_solve(problem, tables, seed)
+        pic = picard_solve(problem, coarse, seed)
         if pic.converged:
             start = pic.x
         else:
@@ -276,10 +326,18 @@ def _solve_from_seed(problem: Problem, tables, constants: ConeConstants,
     except DomainError as exc:
         notes.append(f"{annulus_id}: picard left the admissible region ({exc}); "
                      "newton from the raw seed")
+    n_fine = tables[0].n_grid
     try:
-        refined = newton_refine(problem, tables, start)
-    except (SingularJacobianError, NoConvergenceError, DomainError,
-            SingularityError, DivergenceError) as exc:
+        start = newton_refine(problem, coarse, start).x
+    except NEWTON_FAILURES as exc:
+        if coarse[0].n_grid == n_fine:  # no finer grid to retry on
+            notes.append(f"{annulus_id}: newton failed ({exc})")
+            return None
+        notes.append(f"{annulus_id}: coarse-grid newton failed ({exc}); "
+                     "polishing its start on the fine grid")
+    try:
+        refined = newton_refine(problem, tables, lift(start, n_fine))
+    except NEWTON_FAILURES as exc:
         notes.append(f"{annulus_id}: newton failed ({exc})")
         return None
     return _verify_candidate(problem, tables, constants, refined.x, annulus_id, ode_tol, notes)
@@ -294,12 +352,13 @@ def find_solutions(problem: Problem, tables, constants: ConeConstants,
     everything that was attempted and dropped.
     """
     annuli = existence_report(problem, constants, default_r_grid())
-    n_grid = tables[0].n_grid
+    coarse = _coarse_tables(tables)
     notes: list = []
     found = []
     for ann in annuli:
-        seed = seed_from_annulus(ann, problem, n_grid)
-        sol = _solve_from_seed(problem, tables, constants, seed, ann.annulus_id, ode_tol, notes)
+        seed = seed_from_annulus(ann, problem, coarse[0].n_grid)
+        sol = _solve_from_seed(problem, tables, coarse, constants, seed, ann.annulus_id,
+                               ode_tol, notes)
         if sol is None:
             continue
         lo, hi = ann.r_in, ann.r_out
@@ -336,6 +395,8 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
         return table
 
     lams = np.geomspace(lam_lo, lam_hi, steps)
+    coarse = _coarse_tables(tables)
+    stride = tables[0].n_grid // coarse[0].n_grid
     prev: list = []
     next_branch = 1
     for lam in lams:
@@ -345,7 +406,10 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
         assigned = []  # (branch_id, solution), warm lineage first
         for bid, psol in prev:
             warm_id = f"warm:{bid}"
-            sol = _solve_from_seed(prob_l, tables, constants, psol.x, warm_id, ode_tol, notes)
+            seed = GridFunction(n=psol.x.n, n_grid=coarse[0].n_grid, period=psol.x.period,
+                                values=psol.x.values[:, ::stride])
+            sol = _solve_from_seed(prob_l, tables, coarse, constants, seed, warm_id,
+                                   ode_tol, notes)
             if sol is None:
                 continue
             sol = replace(sol, annulus_id=psol.annulus_id)

@@ -171,3 +171,65 @@ def kernel_from_basis_outer(Y, idx_t, idx_s):
     g = np.outer(p1t, c[0]) + np.outer(p2t, c[1])
     tri = (idx_t[:, None] >= idx_s[None, :]).astype(float)
     return g + tri * (np.outer(p2t, p1s) - np.outer(p1t, p2s))
+
+
+def single_grid_solve(quads, g, e, terms_by_comp, lam, seed):
+    """Damped Picard, then Newton with the dense Jacobian, all on one grid.
+
+    Solves x_i = lam * Q_i (g_i phi_i(|x|_2) + e_i) for an (n, N) array of
+    values from the (n, N) seed.  Picard (damping 0.5, halved on a norm
+    overshoot, at most 200 steps) hands over at residual 1e-6; if it stalls
+    or leaves the positive orthant, Newton starts from the raw seed.  Newton
+    assembles the full (nN) x (nN) Jacobian,
+    d(T x)_i / dx_j = lam Q_i diag(g_i phi_i'(u) x_j / u), and stops at
+    residual 1e-10.  Returns the values, or None if Newton does not converge.
+    """
+    n, n_grid = seed.shape
+
+    def norm(v):
+        return float(np.abs(v).max(axis=1).sum())
+
+    def phi(terms, u):
+        return sum(c * u ** p for c, p in terms)
+
+    def dphi(terms, u):
+        return sum(c * p * u ** (p - 1.0) for c, p in terms)
+
+    def apply(x):
+        u = np.sqrt((x * x).sum(axis=0))
+        return np.stack([lam * (q @ (gi * phi(t, u) + ei))
+                         for q, gi, ei, t in zip(quads, g, e, terms_by_comp)])
+
+    start = seed
+    x, omega, halvings = seed, 0.5, 0
+    with np.errstate(all="ignore"):
+        for _ in range(201):
+            tx = apply(x)
+            if not np.all(np.isfinite(tx)):
+                break
+            if norm(x - tx) <= 1e-6:
+                start = x
+                break
+            cand = (1.0 - omega) * x + omega * tx
+            while norm(cand) > 2.0 * norm(x) and halvings < 4:
+                omega *= 0.5
+                halvings += 1
+                cand = (1.0 - omega) * x + omega * tx
+            if cand.min() < 0.0 or norm(cand) > 1e12:
+                break
+            x = cand
+
+    x = start
+    for _ in range(31):
+        fx = x - apply(x)
+        if norm(fx) <= 1e-10:
+            return x
+        u = np.sqrt((x * x).sum(axis=0))
+        jac = np.eye(n * n_grid)
+        for i in range(n):
+            col = lam * g[i] * dphi(terms_by_comp[i], u)
+            for j in range(n):
+                block = quads[i] * (col * x[j] / u)[None, :]
+                jac[i * n_grid:(i + 1) * n_grid, j * n_grid:(j + 1) * n_grid] -= block
+        x = x - np.linalg.solve(jac, fx.ravel()).reshape(n, n_grid)
+    return None

@@ -12,6 +12,7 @@ from pericone import (
     ResonanceError,
     Samples,
     build_green_table,
+    coarsen,
     green_bounds_constant,
     green_constant,
     kernel_quadrature,
@@ -308,3 +309,34 @@ def test_small_table_sandwich_property(k):
     assert np.max(np.abs(table.values - table.values.T)) <= 1e-10
     assert table.values.min() >= table.m - 1e-10
     assert table.values.max() <= table.M + 1e-10
+
+
+@pytest.mark.parametrize("period", [1.0, 0.7])
+def test_coarsened_closed_form_table_is_the_coarse_table(period):
+    # the grids nest, so every 4th node of the N=1024 circulant is the N=256 one
+    fine = build_green_table(Constant(1.0, period=period), 1024)
+    direct = build_green_table(Constant(1.0, period=period), 256)
+    coarse = coarsen(fine, 4)
+    assert coarse.n_grid == 256
+    assert np.array_equal(coarse.values, direct.values)
+    assert np.array_equal(coarse.quadrature, direct.quadrature)
+    assert not coarse.values.flags.writeable
+    assert not coarse.quadrature.flags.writeable
+
+
+def test_coarsened_rk4_table_subsamples_the_fine_one():
+    fine = build_green_table(FourierSeries(1.0, (0.3,)), 512)
+    coarse = coarsen(fine, 2)
+    h = fine.period / 256
+    assert np.array_equal(coarse.values, fine.values[::2, ::2])
+    assert np.array_equal(coarse.quadrature, h * (fine.values[::2, ::2] + (h / 12.0) * np.eye(256)))
+    # the cone constants keep reading the fine table's extrema
+    assert (coarse.m, coarse.M, coarse.positivity) == (fine.m, fine.M, fine.positivity)
+    assert coarse.monodromy is fine.monodromy
+
+
+def test_coarsen_stride(unit_table):
+    assert coarsen(unit_table, 1) is unit_table
+    for bad in (3, 0, 32):  # 256 % 3 != 0; 0 is no stride; 256/32 = 8 < 16 nodes
+        with pytest.raises(DomainError):
+            coarsen(unit_table, bad)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,27 @@ def test_critical_points_two_term_closed_form(terms):
     expect = (-c1 * p1 / (c2 * p2)) ** (1.0 / (p2 - p1))
     (got,) = _critical_points(terms)
     assert abs(got - expect) <= 1e-12 * expect
+
+
+@pytest.mark.parametrize("terms", [
+    SUPERLINEAR_TERMS,
+    SUBLINEAR_TERMS,
+    ((2.0, -3.0), (0.5, 1.0)),
+    ((0.3, -0.2), (1.5, 1.7)),
+    ((1e-6, -1.0), (1e6, 0.5)),
+    ((1e-8, -1.0), (1e8, 0.01)),
+    ((1.0, -8.0), (1.0, 8.0)),  # scan values reach 8e160 at both ends
+])
+def test_critical_points_sign_test_never_overflows(terms):
+    # bypass the cache, so the scan really runs under warnings-as-errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = _critical_points.__wrapped__(terms)
+    assert roots == _critical_points(terms)
+    (c1, p1), (c2, p2) = terms
+    expect = (-c1 * p1 / (c2 * p2)) ** (1.0 / (p2 - p1))
+    assert len(roots) == 1
+    assert abs(roots[0] - expect) <= 1e-12 * expect
 
 
 def test_annulus_extrema_monotone():

@@ -8,20 +8,26 @@ from pericone import (
     Constant,
     DomainError,
     FourierSeries,
+    NoConvergenceError,
     GridFunction,
     PowerLawRadial,
     Problem,
     apply_T,
     build_green_table,
+    coarse_stride,
     compute_constants,
     cone_membership,
     continue_lambda,
     find_solutions,
     kernel_quadrature,
+    lift,
     newton_refine,
+    parse_config,
     picard_solve,
     seed_from_annulus,
+    symmetric_config,
 )
+import pericone.solver as solver_mod
 from pericone.solver import _newton_step
 
 import oracles
@@ -252,3 +258,105 @@ def test_sweep_argument_validation(bench_tables, sublinear_unit):
     with pytest.raises(DomainError):
         continue_lambda(prob, bench_tables, 0.0, 1.0, 3, constants=cc)
 
+
+
+@pytest.mark.parametrize("n_grid, stride", [(128, 1), (256, 1), (512, 2), (600, 2),
+                                            (768, 3), (1024, 4)])
+def test_coarse_stride(n_grid, stride):
+    assert coarse_stride(n_grid) == stride
+
+
+def test_lift_is_exact_on_constants():
+    x = GridFunction(2, 64, 1.0, np.array([[0.37] * 64, [19.99] * 64]))
+    y = lift(x, 256)
+    assert np.array_equal(y.values, np.array([[0.37] * 256, [19.99] * 256]))
+    assert lift(x, 64) is x
+
+
+def test_lift_interpolates_trig_polynomials():
+    # frequencies up to the coarse Nyquist bin, whose cosine the halving keeps
+    def f(t):
+        return (1.0 + 0.3 * np.cos(2 * np.pi * t) + 0.2 * np.sin(10 * np.pi * t)
+                + 0.1 * np.cos(62 * np.pi * t + 0.4) + 0.05 * np.cos(64 * np.pi * t))
+
+    period = 0.7
+    coarse = GridFunction(1, 64, period, f(np.arange(64) / 64)[None, :])
+    fine = lift(coarse, 256)
+    assert fine.period == period
+    assert np.max(np.abs(fine.values[0] - f(np.arange(256) / 256))) <= 1e-13
+
+
+def _var_a_config(lam, n_grid):
+    cfg = symmetric_config(1.0, 2.0, lam, n_grid=n_grid)
+    cfg["a"] = [{"fourier": {"c0": 1.0, "cos": [0.3], "sin": []}}] * 2
+    return cfg
+
+
+@pytest.mark.parametrize("config", [
+    symmetric_config(1.0, 2.0, 0.05, n_grid=512),  # cor1b, closed-form table
+    _var_a_config(0.05, 512),                      # RK4 table
+], ids=["cor1b", "var-a"])
+def test_two_grid_matches_single_grid(config):
+    prob = parse_config(config).problem
+    table = build_green_table(prob.a[0], 512)
+    tables = [table, table]
+    cc = compute_constants(tables, prob)
+    # the ODE gate is not under test; at N=512 it would drop the var-a A2 solution
+    report = find_solutions(prob, tables, cc, ode_tol=1e-3)
+    g, e = prob.g_on_grid(512), prob.e_on_grid(512)
+    expect = []
+    for ann in report.annuli:
+        seed = seed_from_annulus(ann, prob, 512).values
+        x = oracles.single_grid_solve([table.quadrature] * 2, g, e, prob.f.terms,
+                                      prob.lam, seed)
+        if x is not None:
+            expect.append((ann.annulus_id, float(np.abs(x).max(axis=1).sum())))
+    got = [(s.annulus_id, s.norm) for s in report.solutions]
+    assert len(got) == len(expect) == 2
+    for (gid, gnorm), (eid, enorm) in zip(sorted(got), sorted(expect)):
+        assert gid == eid
+        assert abs(gnorm - enorm) <= 1e-12 * enorm
+
+
+def test_two_grid_sweep_warm_starts():
+    # warm starts enter the coarse stage subsampled; each step must land on
+    # the fine solutions a fresh solve at that lambda finds
+    table = build_green_table(Constant(1.0), 512)
+    prob = make_problem(1.0, 2.0, 0.04, n_grid=512)
+    cc = compute_constants([table, table], prob)
+    sweep = continue_lambda(prob, [table, table], 0.04, 0.05, 2, constants=cc)
+    assert {row.branch_id for row in sweep.rows} == {"b1", "b2"}
+    for lam in (0.04, 0.05):
+        rep = find_solutions(replace(prob, lam=lam), [table, table], cc)
+        rows = sorted(row.norm for row in sweep.rows if row.lam == lam)
+        fresh = sorted(s.norm for s in rep.solutions)
+        assert len(rows) == len(fresh) == 2
+        for a, b in zip(rows, fresh):
+            assert abs(a - b) <= 1e-10 * b
+
+
+@pytest.mark.parametrize("n_grid", [256, 512])
+def test_coarse_newton_failure(monkeypatch, n_grid):
+    # above 256 points the fine grid retries from the lifted Newton start;
+    # at 256 the coarse grid is the fine one and the failure is final
+    table = build_green_table(Constant(1.0), n_grid)
+    prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
+    cc = compute_constants([table, table], prob)
+    expect = sorted(s.norm for s in find_solutions(prob, [table, table], cc).solutions)
+    real = solver_mod.newton_refine
+
+    def coarse_fails(problem, tables, x0):
+        if x0.n_grid == 256:
+            raise NoConvergenceError("forced")
+        return real(problem, tables, x0)
+
+    monkeypatch.setattr(solver_mod, "newton_refine", coarse_fails)
+    report = find_solutions(prob, [table, table], cc)
+    if n_grid == 256:
+        assert report.solutions == []
+        assert sum("newton failed (forced)" in n for n in report.notes) == 2
+    else:
+        got = sorted(s.norm for s in report.solutions)
+        assert len(got) == len(expect) == 2
+        assert all(abs(a - b) <= 1e-12 * b for a, b in zip(got, expect))
+        assert sum("coarse-grid newton failed (forced)" in n for n in report.notes) == 2
