@@ -14,13 +14,13 @@ import argparse
 import sys
 
 from pericone import (
-    build_green_table,
     compute_constants,
     continue_lambda,
     parse_config,
     symmetric_config,
 )
 from pericone.benchmarks import MIXED_E
+from pericone.cli import build_tables
 
 
 def run():
@@ -40,7 +40,7 @@ def run():
     cfg = symmetric_config(args.alpha, args.beta, args.lmin,
                            e_spec=e_spec, n_grid=args.n_grid)
     parsed = parse_config(cfg)
-    tables = [build_green_table(a, parsed.n_grid) for a in parsed.problem.a]
+    tables = build_tables(parsed.problem, parsed.n_grid)
     constants = compute_constants(tables, parsed.problem)
 
     table = continue_lambda(parsed.problem, tables, args.lmin, args.lmax,

@@ -34,7 +34,7 @@ from .errors import ConfigError, HypothesisError, PericoneError
 from .greens import build_green_table
 from .solver import ODE_TOL, continue_lambda, find_solutions
 
-__all__ = ["main"]
+__all__ = ["build_tables", "main"]
 
 EXIT_FOUND = 0
 EXIT_NOTHING = 1
@@ -79,7 +79,7 @@ def _load(args):
     return parse_config(load_config_file(args.config))
 
 
-def _build_tables(problem, n_grid):
+def build_tables(problem, n_grid):
     """One Green table per component; components with the same a share one table.
 
     Coefficients are keyed by their config form, because dataclass equality
@@ -111,7 +111,7 @@ def cmd_green(args) -> int:
     problem, n_grid = parsed.problem, parsed.n_grid
     out = Path(args.out)
     reports = []
-    for i, table in enumerate(_build_tables(problem, n_grid)):
+    for i, table in enumerate(build_tables(problem, n_grid)):
         pos = table.positivity
         t = table.grid_t
         lines = ["t,s,G"]
@@ -160,7 +160,7 @@ def cmd_certify(args) -> int:
     out = Path(args.out)
     r_grid = default_r_grid(args.rmin, args.rmax, args.per_decade)
 
-    tables = _build_tables(problem, n_grid)
+    tables = build_tables(problem, n_grid)
     constants = compute_constants(tables, problem)
     scan = scan_radii(problem, constants, r_grid)
     annuli = annuli_from_scan(problem, constants, scan)
@@ -216,7 +216,7 @@ def cmd_solve(args) -> int:
     parsed = _load(args)
     problem, n_grid = parsed.problem, parsed.n_grid
     out = Path(args.out)
-    tables = _build_tables(problem, n_grid)
+    tables = build_tables(problem, n_grid)
     constants = compute_constants(tables, problem)
     report = find_solutions(problem, tables, constants, ode_tol)
 
@@ -260,7 +260,7 @@ def cmd_sweep(args) -> int:
         _write_text(out / "branches.csv", header + "\n")
         return EXIT_FOUND
 
-    tables = _build_tables(problem, n_grid)
+    tables = build_tables(problem, n_grid)
     constants = compute_constants(tables, problem)
     res = continue_lambda(problem, tables, args.lmin, args.lmax, args.steps,
                           constants, ode_tol)
@@ -287,7 +287,7 @@ def cmd_reproduce(args) -> int:
     for lam in preset.lambdas:
         parsed = parse_config(preset.config(lam))
         problem, n_grid = parsed.problem, parsed.n_grid
-        tables = _build_tables(problem, n_grid)
+        tables = build_tables(problem, n_grid)
         constants = compute_constants(tables, problem)
         report = find_solutions(problem, tables, constants, preset.ode_tol)
         count = len(report.solutions)

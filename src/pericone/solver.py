@@ -15,12 +15,19 @@ singular exactly when the full one is.
 
 Two grids: for N > COARSE_GRID, Picard and Newton run on the kernel
 subsampled at stride k (``coarse_stride``), which is the exact N/k-point
-table, at a fraction of the N x N LU cost.  The discrete solution varies
-smoothly with the grid, so the coarse fixed point, lifted to N points by
-zero-padded FFT interpolation, already sits within Newton tolerance of the
-fine one (a two-grid Nystrom start).  One Newton polish on the fine tables
-follows, then the full fine-grid verification.  For N <= COARSE_GRID the
-stride is 1 and the polish takes no step.
+table, so the only LU a solve factors is at most COARSE_GRID x COARSE_GRID.
+The discrete solution varies smoothly with the grid, so the coarse fixed
+point, lifted to N points by zero-padded FFT interpolation, is already close
+to the fine one (a two-grid Nystrom start).  The fine grid never forms an
+N x N matrix: each fine step is an Atkinson-Brakhage two-grid correction,
+the Newton step whose inner system is solved on the coarse grid from the
+restricted iterate and residual, lifted, and back-substituted through the
+fine quadrature.  Its error contracts by the coarse discretization error, so
+one correction takes a lifted start from about 1e-8 to round-off.  A lifted
+start always takes at least one correction: the interpolation error alone
+can already sit below NEWTON_TOL.  If the corrections fail, the exact fine
+Newton step takes over from the lifted start.  For N <= COARSE_GRID the
+stride is 1 and the coarse solve is the fine one.
 """
 from __future__ import annotations
 
@@ -69,8 +76,8 @@ ODE_TOL = 1e-6
 NORM_BLOWUP = 1e12
 CLAMP_TOL = 1e-12
 DEDUPE_RTOL = 1e-6
-# largest grid the Picard + Newton stage runs on; finer grids are only polished
-COARSE_GRID = 256
+# largest grid the Picard + Newton stage runs on; finer grids get two-grid corrections
+COARSE_GRID = 64
 NEWTON_FAILURES = (SingularJacobianError, NoConvergenceError, DomainError,
                    SingularityError, DivergenceError)
 
@@ -215,26 +222,42 @@ def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
     return PicardResult(x=x, iterations=MAX_PICARD, residual=res, converged=False)
 
 
-def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray) -> np.ndarray:
-    """Exact Newton step s with J s = F for J = I - U V, as an (n, N) array.
+def _coupling_solve(quad, rows: np.ndarray, cols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - sum_i diag(rows_i) Q_i diag(cols_i)) w = rhs, the N x N Newton system."""
+    small = np.eye(rhs.size)
+    buf = np.empty_like(small)
+    for q, r, c in zip(quad, rows, cols):
+        np.multiply(q, r[:, None], out=buf)
+        buf *= c
+        small -= buf
+    del buf  # free before the LU makes its own copy of small
+    return np.linalg.solve(small, rhs)
+
+
+def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
+                 coarse=None) -> np.ndarray:
+    """Newton step s with J s = F for J = I - U V, as an (n, N) array.
 
     Solves the N x N system (I - sum_i diag(x_i/u) lam Q_i diag(g_i phi_i'(u))) w
-    = sum_i (x_i/u) F_i, then s_i = F_i + lam Q_i (g_i phi_i'(u) w).
+    = sum_i (x_i/u) F_i, then s_i = F_i + lam Q_i (g_i phi_i'(u) w).  Given
+    coarse tables, the system is built and solved on the restriction to the
+    coarse grid instead, and w is its lift (the two-grid correction).
     """
     u = np.sqrt(np.sum(x.values * x.values, axis=0))
     g = problem.g_on_grid(x.n_grid)
     quad = [kernel_quadrature(tbl) for tbl in tables]
-    cols = [problem.lam * g[i] * problem.f.dphi(i, u) for i in range(x.n)]
+    cols = np.vstack([problem.lam * g[i] * problem.f.dphi(i, u) for i in range(x.n)])
     rows = x.values / u
-    small = np.eye(x.n_grid)
-    buf = np.empty_like(small)
-    for i in range(x.n):
-        np.multiply(quad[i], rows[i][:, None], out=buf)
-        buf *= cols[i]
-        small -= buf
-    del buf  # free before the LU makes its own copy of small
+    rhs = np.sum(rows * fvals, axis=0)
     try:
-        w = np.linalg.solve(small, np.sum(rows * fvals, axis=0))
+        if coarse is None:
+            w = _coupling_solve(quad, rows, cols, rhs)
+        else:
+            k = x.n_grid // coarse[0].n_grid
+            w_c = _coupling_solve([kernel_quadrature(tbl) for tbl in coarse],
+                                  rows[:, ::k], cols[:, ::k], rhs[::k])
+            w_c = GridFunction(n=1, n_grid=w_c.size, period=x.period, values=w_c[None, :])
+            w = lift(w_c, x.n_grid).values[0]
     except np.linalg.LinAlgError as exc:
         raise SingularJacobianError(
             f"linear solve failed at residual {_prod_norm(fvals):.3e}"
@@ -242,8 +265,12 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray) -
     return fvals + np.vstack([quad[i] @ (cols[i] * w) for i in range(x.n)])
 
 
-def newton_refine(problem: Problem, tables, x0: GridFunction) -> NewtonResult:
-    """Newton iteration on F(x) = x - T x down to NEWTON_TOL."""
+def newton_refine(problem: Problem, tables, x0: GridFunction, coarse=None) -> NewtonResult:
+    """Newton iteration on F(x) = x - T x down to NEWTON_TOL.
+
+    Given coarse tables (the fine ones subsampled at a stride), every step is
+    a two-grid correction and at least one is taken.
+    """
     x = x0
     history = []
     for _ in range(MAX_NEWTON + 1):
@@ -251,12 +278,12 @@ def newton_refine(problem: Problem, tables, x0: GridFunction) -> NewtonResult:
         fvals = x.values - tx.values
         res = _prod_norm(fvals)
         history.append(res)
-        if res <= NEWTON_TOL:
+        if res <= NEWTON_TOL and (coarse is None or len(history) > 1):
             return NewtonResult(x=x, residual=res, iterations=len(history) - 1,
                                 history=tuple(history))
         if len(history) > MAX_NEWTON:
             break
-        step = _newton_step(problem, tables, x, fvals)
+        step = _newton_step(problem, tables, x, fvals, coarse)
         x = GridFunction(n=x.n, n_grid=x.n_grid, period=x.period,
                          values=x.values - step)
     raise NoConvergenceError(
@@ -309,8 +336,8 @@ def _dedupe(solutions: list) -> list:
 
 def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
                      seed: GridFunction, annulus_id: str, ode_tol: float, notes: list):
-    """Picard + Newton on the coarse tables from a coarse-grid seed, then the
-    lifted iterate is polished by Newton and verified on the fine tables."""
+    """Picard + Newton on the coarse tables from a coarse-grid seed; the lifted
+    iterate gets two-grid corrections and is verified on the fine tables."""
     start = seed
     try:
         pic = picard_solve(problem, coarse, seed)
@@ -327,6 +354,7 @@ def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
         notes.append(f"{annulus_id}: picard left the admissible region ({exc}); "
                      "newton from the raw seed")
     n_fine = tables[0].n_grid
+    exact = False  # whether the fine grid needs the exact Newton step
     try:
         start = newton_refine(problem, coarse, start).x
     except NEWTON_FAILURES as exc:
@@ -335,12 +363,22 @@ def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
             return None
         notes.append(f"{annulus_id}: coarse-grid newton failed ({exc}); "
                      "polishing its start on the fine grid")
-    try:
-        refined = newton_refine(problem, tables, lift(start, n_fine))
-    except NEWTON_FAILURES as exc:
-        notes.append(f"{annulus_id}: newton failed ({exc})")
-        return None
-    return _verify_candidate(problem, tables, constants, refined.x, annulus_id, ode_tol, notes)
+        exact = True
+    x = lift(start, n_fine)
+    if not exact and coarse[0].n_grid < n_fine:
+        try:
+            x = newton_refine(problem, tables, x, coarse=coarse).x
+        except NEWTON_FAILURES as exc:
+            notes.append(f"{annulus_id}: two-grid correction failed ({exc}); "
+                         "exact newton on the fine grid")
+            exact = True
+    if exact:
+        try:
+            x = newton_refine(problem, tables, x).x
+        except NEWTON_FAILURES as exc:
+            notes.append(f"{annulus_id}: newton failed ({exc})")
+            return None
+    return _verify_candidate(problem, tables, constants, x, annulus_id, ode_tol, notes)
 
 
 def find_solutions(problem: Problem, tables, constants: ConeConstants,
@@ -386,8 +424,11 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
     claims open new ids.  A disappearing branch is recorded, with a fold
     indicator when the vanished pair had come within 5% in norm.
     """
-    if lam_lo <= 0.0:
-        raise DomainError("lam_lo must be positive")
+    # written so that NaN fails them
+    if not 0.0 < lam_lo < math.inf:
+        raise DomainError("lam_lo must be positive and finite")
+    if not 0.0 < lam_hi < math.inf:
+        raise DomainError("lam_hi must be positive and finite")
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     table = BranchTable()

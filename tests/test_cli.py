@@ -1,6 +1,9 @@
 import csv
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,3 +217,24 @@ def test_seventeen_digit_formatting(tmp_path):
     norm = float(rows[0]["norm"])
     # parsing the printed value back must be lossless
     assert rows[0]["norm"] == f"{norm:.17g}"
+
+
+def test_sweep_script_shares_one_table(monkeypatch, capsys):
+    # the symmetric system has one coefficient, so the script tabulates one kernel
+    path = Path(__file__).resolve().parents[1] / "scripts" / "sweep_branches.py"
+    spec = importlib.util.spec_from_file_location("sweep_branches", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real = script.continue_lambda
+    seen = []
+
+    def capture(problem, tables, *args, **kwargs):
+        seen.append(tables)
+        return real(problem, tables, *args, **kwargs)
+
+    monkeypatch.setattr(script, "continue_lambda", capture)
+    monkeypatch.setattr(sys, "argv", ["sweep_branches.py", "--steps", "2", "--n-grid", "64"])
+    assert script.run() == 0
+    (tables,) = seen
+    assert len(tables) == 2 and tables[0] is tables[1]
+    assert capsys.readouterr().out.startswith("lambda,branch_id,")

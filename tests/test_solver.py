@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pericone import (
+    PRESETS,
     Constant,
     DomainError,
     FourierSeries,
@@ -28,6 +29,7 @@ from pericone import (
     symmetric_config,
 )
 import pericone.solver as solver_mod
+from pericone.cli import build_tables
 from pericone.solver import _newton_step
 
 import oracles
@@ -259,9 +261,19 @@ def test_sweep_argument_validation(bench_tables, sublinear_unit):
         continue_lambda(prob, bench_tables, 0.0, 1.0, 3, constants=cc)
 
 
+@pytest.mark.parametrize("lam_lo, lam_hi", [
+    (math.nan, 1.0), (math.inf, 1.0), (-0.1, 1.0),
+    (0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -1.0),
+])
+@pytest.mark.parametrize("steps", [0, 3])
+def test_sweep_rejects_bad_lambda_ends(bench_tables, sublinear_unit, lam_lo, lam_hi, steps):
+    prob, cc = sublinear_unit
+    with pytest.raises(DomainError):
+        continue_lambda(prob, bench_tables, lam_lo, lam_hi, steps, constants=cc)
 
-@pytest.mark.parametrize("n_grid, stride", [(128, 1), (256, 1), (512, 2), (600, 2),
-                                            (768, 3), (1024, 4)])
+
+@pytest.mark.parametrize("n_grid, stride", [(16, 1), (64, 1), (96, 1), (128, 2), (256, 4),
+                                            (512, 8), (600, 6), (768, 12), (1024, 16)])
 def test_coarse_stride(n_grid, stride):
     assert coarse_stride(n_grid) == stride
 
@@ -286,27 +298,31 @@ def test_lift_interpolates_trig_polynomials():
     assert np.max(np.abs(fine.values[0] - f(np.arange(256) / 256))) <= 1e-13
 
 
-def _var_a_config(lam, n_grid):
-    cfg = symmetric_config(1.0, 2.0, lam, n_grid=n_grid)
+def _var_a_config(alpha, beta, lam, n_grid):
+    cfg = symmetric_config(alpha, beta, lam, n_grid=n_grid)
     cfg["a"] = [{"fourier": {"c0": 1.0, "cos": [0.3], "sin": []}}] * 2
     return cfg
 
 
-@pytest.mark.parametrize("config", [
-    symmetric_config(1.0, 2.0, 0.05, n_grid=512),  # cor1b, closed-form table
-    _var_a_config(0.05, 512),                      # RK4 table
-], ids=["cor1b", "var-a"])
-def test_two_grid_matches_single_grid(config):
-    prob = parse_config(config).problem
-    table = build_green_table(prob.a[0], 512)
+@pytest.mark.parametrize("config_of, n_grid", [
+    (symmetric_config, 512),  # cor1b, closed-form table
+    (_var_a_config, 512),     # RK4 table
+    (symmetric_config, 256),
+    (_var_a_config, 256),
+    (symmetric_config, 1024),
+    (_var_a_config, 1024),
+], ids=["cor1b", "var-a", "cor1b-256", "var-a-256", "cor1b-1024", "var-a-1024"])
+def test_two_grid_matches_single_grid(config_of, n_grid):
+    prob = parse_config(config_of(1.0, 2.0, 0.05, n_grid=n_grid)).problem
+    table = build_green_table(prob.a[0], n_grid)
     tables = [table, table]
     cc = compute_constants(tables, prob)
-    # the ODE gate is not under test; at N=512 it would drop the var-a A2 solution
+    # the ODE gate is not under test; at N >= 512 it would drop the var-a A2 solution
     report = find_solutions(prob, tables, cc, ode_tol=1e-3)
-    g, e = prob.g_on_grid(512), prob.e_on_grid(512)
+    g, e = prob.g_on_grid(n_grid), prob.e_on_grid(n_grid)
     expect = []
     for ann in report.annuli:
-        seed = seed_from_annulus(ann, prob, 512).values
+        seed = seed_from_annulus(ann, prob, n_grid).values
         x = oracles.single_grid_solve([table.quadrature] * 2, g, e, prob.f.terms,
                                       prob.lam, seed)
         if x is not None:
@@ -335,24 +351,24 @@ def test_two_grid_sweep_warm_starts():
             assert abs(a - b) <= 1e-10 * b
 
 
-@pytest.mark.parametrize("n_grid", [256, 512])
+@pytest.mark.parametrize("n_grid", [64, 256, 512])
 def test_coarse_newton_failure(monkeypatch, n_grid):
-    # above 256 points the fine grid retries from the lifted Newton start;
-    # at 256 the coarse grid is the fine one and the failure is final
+    # above 64 points the fine grid retries with exact Newton from the lifted
+    # start; at 64 the coarse grid is the fine one and the failure is final
     table = build_green_table(Constant(1.0), n_grid)
     prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
     cc = compute_constants([table, table], prob)
     expect = sorted(s.norm for s in find_solutions(prob, [table, table], cc).solutions)
     real = solver_mod.newton_refine
 
-    def coarse_fails(problem, tables, x0):
-        if x0.n_grid == 256:
+    def coarse_fails(problem, tables, x0, coarse=None):
+        if x0.n_grid == solver_mod.COARSE_GRID:
             raise NoConvergenceError("forced")
-        return real(problem, tables, x0)
+        return real(problem, tables, x0, coarse)
 
     monkeypatch.setattr(solver_mod, "newton_refine", coarse_fails)
     report = find_solutions(prob, [table, table], cc)
-    if n_grid == 256:
+    if n_grid == solver_mod.COARSE_GRID:
         assert report.solutions == []
         assert sum("newton failed (forced)" in n for n in report.notes) == 2
     else:
@@ -360,3 +376,59 @@ def test_coarse_newton_failure(monkeypatch, n_grid):
         assert len(got) == len(expect) == 2
         assert all(abs(a - b) <= 1e-12 * b for a, b in zip(got, expect))
         assert sum("coarse-grid newton failed (forced)" in n for n in report.notes) == 2
+
+
+@pytest.mark.parametrize("n_grid", [256, 1024])
+def test_two_grid_correction_failure_falls_back(monkeypatch, n_grid):
+    # when the two-grid corrections fail, exact Newton on the fine grid takes
+    # over from the lifted start and still lands on the solutions
+    table = build_green_table(Constant(1.0), n_grid)
+    prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
+    cc = compute_constants([table, table], prob)
+    expect = sorted(s.norm for s in find_solutions(prob, [table, table], cc).solutions)
+    real = solver_mod.newton_refine
+
+    def corrections_fail(problem, tables, x0, coarse=None):
+        if coarse is not None:
+            raise NoConvergenceError("forced")
+        return real(problem, tables, x0)
+
+    monkeypatch.setattr(solver_mod, "newton_refine", corrections_fail)
+    report = find_solutions(prob, [table, table], cc)
+    got = sorted(s.norm for s in report.solutions)
+    assert len(got) == len(expect) == 2
+    assert all(abs(a - b) <= 1e-10 * b for a, b in zip(got, expect))
+    assert all(s.fp_residual <= 1e-10 for s in report.solutions)
+    assert sum("two-grid correction failed (forced)" in n for n in report.notes) == 2
+
+
+def test_one_two_grid_correction_reaches_round_off(monkeypatch):
+    # one correction, the mandatory one, takes every lifted 64-point solution
+    # of the preset problems at N=256 to a residual of 1e-13, or to round-off
+    # (1e-15 relative) for the solutions with norm above 100
+    real = solver_mod.newton_refine
+    corrections = []
+
+    def record(problem, tables, x0, coarse=None):
+        res = real(problem, tables, x0, coarse)
+        if coarse is not None:
+            corrections.append(res)
+        return res
+
+    monkeypatch.setattr(solver_mod, "newton_refine", record)
+    problems = 0
+    for name in sorted(PRESETS):
+        preset = PRESETS[name]
+        for lam in preset.lambdas:
+            parsed = parse_config(preset.config(lam, 256))
+            tables = build_tables(parsed.problem, parsed.n_grid)
+            cc = compute_constants(tables, parsed.problem)
+            before = len(corrections)
+            report = find_solutions(parsed.problem, tables, cc, preset.ode_tol)
+            assert len(corrections) - before >= len(report.solutions) >= 1
+            problems += 1
+    assert problems == 8
+    for res in corrections:
+        assert res.iterations == 1
+        assert res.history[0] > res.residual
+        assert res.residual <= 1e-15 * max(res.x.norm, 100.0)
