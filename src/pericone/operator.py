@@ -62,7 +62,10 @@ def _radial_values(problem: Problem, x: GridFunction) -> np.ndarray:
         raise SingularityError(
             f"min_t ||x(t)||_2 = {u.min():.3e} below guard {SINGULARITY_GUARD}"
         )
-    return np.vstack([problem.f.phi(i, u) for i in range(problem.n)])
+    fx = np.empty_like(x.values)
+    for i in range(problem.n):
+        fx[i] = problem.f.phi(i, u)
+    return fx
 
 
 def apply_T(problem: Problem, tables, x: GridFunction) -> GridFunction:

@@ -39,8 +39,9 @@ AUDIT_GRID = 4096
 # SPLIT_FACTOR * g_i f_i(x) + e_i >= 0 checked by apply_T, guaranteed by
 # the thresholds delta/Delta through phi_i >= B_i
 SPLIT_FACTOR = 0.5
-# search window for radial critical points and threshold bisections
+# search window for radial critical points and the threshold roots
 U_LO, U_HI = 1e-20, 1e20
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -102,28 +103,23 @@ def _critical_points(comp_terms: tuple) -> tuple:
     if np.all(cs >= 0.0) or np.all(cs <= 0.0):
         return ()
 
-    def psi(w):
-        # w = ln u; exponential sum, evaluated overflow-tolerantly
-        with np.errstate(over="ignore"):
-            return np.sum(cs * np.exp(ps * w))
-
     w_grid = np.linspace(math.log(U_LO), math.log(U_HI), 2048)
+    roots = []
+    # w = ln u; exponential sums, evaluated overflow-tolerantly
     with np.errstate(over="ignore"):
         vals = (cs[:, None] * np.exp(ps[:, None] * w_grid)).sum(axis=0)
-    roots = []
-    for j in range(len(w_grid) - 1):
-        v0, v1 = vals[j], vals[j + 1]
-        if v0 == 0.0:
-            roots.append(w_grid[j])
-            continue
+        v0, v1 = vals[:-1], vals[1:]
         # compared, not multiplied: a product can overflow, or underflow to
         # -0.0 and hide the change; an exact zero v1 is taken on the next step
-        if v1 != 0.0 and (v0 < 0.0) != (v1 < 0.0):
+        for j in np.flatnonzero((v0 == 0.0) | ((v1 != 0.0) & ((v0 < 0.0) != (v1 < 0.0)))):
+            if vals[j] == 0.0:
+                roots.append(w_grid[j])
+                continue
             lo, hi = w_grid[j], w_grid[j + 1]
-            flo = v0
+            flo = vals[j]
             for _ in range(100):
                 mid = 0.5 * (lo + hi)
-                fm = psi(mid)
+                fm = (cs * np.exp(ps * mid)).sum()
                 if fm == 0.0:
                     lo = mid
                     break
@@ -226,7 +222,8 @@ class Problem:
     the zero forcing, kept valid for linearity checks).  sign_profile is
     derived from e: "MixedE" as soon as some e_i dips negative, which then
     requires min g_i > 0 everywhere.  sign_profile, g_min and e_abs_max are
-    derived from the coefficients, never set by the caller.
+    derived from the coefficients, never set by the caller; so are the grid
+    samples of a, g and e, once per grid size (``g_on_grid`` and the like).
     """
 
     n: int
@@ -241,14 +238,18 @@ class Problem:
     # extrema widened by extrema_slack, computed once per problem
     g_min: tuple = field(init=False, repr=False)
     e_abs_max: tuple = field(init=False, repr=False)
+    # read-only samples of a, g, e keyed by (name, grid size), each derived
+    # on first use; the operator reads them on every application
+    _samples: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be at least 1")
         if self.period <= 0.0:
             raise DomainError("period must be positive")
-        if self.lam < 0.0:
-            raise DomainError("lam must be nonnegative")
+        # written so that NaN fails it
+        if not 0.0 <= self.lam < math.inf:
+            raise DomainError("lam must be nonnegative and finite")
         self.a = tuple(self.a)
         self.g = tuple(self.g)
         self.e = tuple(self.e)
@@ -288,17 +289,25 @@ class Problem:
     def grid(self, n_grid: int) -> np.ndarray:
         return np.arange(n_grid) * (self.period / n_grid)
 
+    def _on_grid(self, name: str, n_grid: int) -> np.ndarray:
+        """(n, n_grid) read-only samples of the coefficients a, g or e."""
+        key = (name, n_grid)
+        vals = self._samples.get(key)
+        if vals is None:
+            t = self.grid(n_grid)
+            vals = np.vstack([coef.eval(t) for coef in getattr(self, name)])
+            vals.flags.writeable = False
+            self._samples[key] = vals
+        return vals
+
     def g_on_grid(self, n_grid: int) -> np.ndarray:
-        t = self.grid(n_grid)
-        return np.vstack([coef.eval(t) for coef in self.g])
+        return self._on_grid("g", n_grid)
 
     def e_on_grid(self, n_grid: int) -> np.ndarray:
-        t = self.grid(n_grid)
-        return np.vstack([coef.eval(t) for coef in self.e])
+        return self._on_grid("e", n_grid)
 
     def a_on_grid(self, n_grid: int) -> np.ndarray:
-        t = self.grid(n_grid)
-        return np.vstack([coef.eval(t) for coef in self.a])
+        return self._on_grid("a", n_grid)
 
 
 def _forcing_bounds(problem: Problem):
@@ -314,40 +323,120 @@ def _forcing_bounds(problem: Problem):
     return bounds
 
 
-def _largest_radius(pred) -> float | None:
-    """Largest d in [U_LO, U_HI] with pred true on it; pred is nonincreasing."""
-    if not pred(U_LO):
+@lru_cache(maxsize=256)
+def _critical_values(comp_terms: tuple) -> tuple:
+    """phi at each critical point, evaluated as _interval_extrema evaluates it."""
+    crit = np.array(_critical_points(comp_terms))
+    return tuple(float(v) for v in _power_sum(comp_terms, crit))
+
+
+def _phi_at_least(comp_terms: tuple, u: float, bound: float) -> bool:
+    """phi(u) >= bound for one scalar u > 0, decided as ``_power_sum`` decides it.
+
+    A plain float sum settles the comparison unless it lands within a few ulp
+    per term of bound, measured against the sum of |terms|: float ** and
+    np.power each sit within about an ulp of the exact power, but not always
+    on the same float, so there (and on an overflow) the sum is redone with
+    np.power, term by term in the order of ``_power_sum``.
+    """
+    val = mag = 0.0
+    try:
+        for c, p in comp_terms:
+            term = c * u ** p
+            val = val + term
+            mag = mag + abs(term)
+    except OverflowError:
+        mag = math.inf
+    if mag == math.inf:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return bool(_power_sum(comp_terms, u) >= bound)
+    if abs(val - bound) > 4.0 * (len(comp_terms) + 4) * _EPS * mag:
+        return val > bound
+    val = 0.0
+    for c, p in comp_terms:
+        val = val + c * float(np.power(u, p))
+    return val >= bound
+
+
+def _geometric_bisect(below) -> tuple:
+    """Final (lo, hi) of bisection by geometric means on [U_LO, U_HI].
+
+    below(d) says d lies below the threshold sought.  The bracket always
+    starts at [U_LO, U_HI] and halves in log u, so each threshold lands on
+    the same float whatever decides the steps; it stops at adjacent floats.
+    """
+    lo, hi = U_LO, U_HI
+    for _ in range(160):
+        mid = math.sqrt(lo * hi)
+        if mid in (lo, hi):
+            break  # bracket down to adjacent floats: no later step moves it
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@lru_cache(maxsize=256)
+def _head_root(comp_terms: tuple, bound: float) -> float | None:
+    """Largest d in [U_LO, U_HI] with phi >= bound on all of (0, d], for a
+    component singular at zero; inf if U_HI qualifies, None if U_LO does not.
+
+    The head infimum inf_(0,d] phi first drops below bound on the piece that
+    ends at the first critical point whose value is below bound (or on the
+    last, unbounded piece).  phi is monotone there, so the root is a scalar
+    bisection on phi inside that piece; left of it the infimum holds, right
+    of it it fails.
+    """
+    crit = _critical_points(comp_terms)
+    k = next((j for j, v in enumerate(_critical_values(comp_terms)) if v < bound),
+             len(crit))
+    left = crit[k - 1] if k > 0 else 0.0
+    right = crit[k] if k < len(crit) else math.inf
+
+    def holds(d):
+        if d <= left:
+            return True
+        if d >= right:
+            return False
+        return _phi_at_least(comp_terms, d, bound)
+
+    if not holds(U_LO):
         return None
-    if pred(U_HI):
+    if holds(U_HI):
         return math.inf
-    lo, hi = U_LO, U_HI
-    for _ in range(160):
-        mid = math.sqrt(lo * hi)
-        if mid in (lo, hi):
-            break  # bracket down to adjacent floats: no later step moves it
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _geometric_bisect(holds)[0]
 
 
-def _smallest_radius(pred) -> float | None:
-    """Smallest d in [U_LO, U_HI] with pred true on it; pred is nondecreasing."""
-    if not pred(U_HI):
+@lru_cache(maxsize=256)
+def _tail_root(comp_terms: tuple, bound: float, root_n: float) -> float | None:
+    """Smallest rr in [U_LO, U_HI] with phi >= bound on all of [rr/root_n, inf),
+    for a component unbounded at infinity; U_LO if U_LO qualifies, None if
+    U_HI does not.
+
+    The tail infimum inf_[u,inf) phi crosses bound on the piece that starts
+    at the last critical point whose value is below bound (or on the first
+    piece, from 0); phi is monotone there.
+    """
+    crit = _critical_points(comp_terms)
+    k = max((j for j, v in enumerate(_critical_values(comp_terms)) if v < bound),
+            default=-1)
+    left = crit[k] if k >= 0 else 0.0
+    right = crit[k + 1] if k + 1 < len(crit) else math.inf
+
+    def fails(rr):
+        u = rr / root_n
+        if u <= left:
+            return True
+        if u >= right:
+            return False
+        return not _phi_at_least(comp_terms, u, bound)
+
+    if fails(U_HI):
         return None
-    if pred(U_LO):
+    if not fails(U_LO):
         return U_LO
-    lo, hi = U_LO, U_HI
-    for _ in range(160):
-        mid = math.sqrt(lo * hi)
-        if mid in (lo, hi):
-            break  # bracket down to adjacent floats: no later step moves it
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _geometric_bisect(fails)[1]
 
 
 def thresholds_delta(problem: Problem, sigma: float):
@@ -357,8 +446,16 @@ def thresholds_delta(problem: Problem, sigma: float):
     (None unless every component is singular at zero, may be inf).  Delta is
     R''/sigma where R'' is the smallest radius with phi_i(u) >= B_i for all
     u >= R''/sqrt(n) (None unless every component blows up at infinity).
-    Both by bisection on the monotone envelopes; sigma comes from the cone
-    constants of the Green tables.
+
+    Each component contributes one root of phi_i(u) = B_i on the single
+    monotone piece between its critical points where its head (for delta) or
+    tail (for Delta) infimum first crosses B_i: delta = min_i delta_i and
+    Delta = max_i R''_i / sigma.  The roots follow the geometric bisection
+    on [U_LO, U_HI] of ``_geometric_bisect``, which lands each one on the
+    float a bisection of the all-component condition lands on; None and inf
+    (delta) or U_LO (R'') mark a condition that fails or holds on the whole
+    window.  The roots do not depend on lam and are cached per component
+    and bound.  sigma comes from the cone constants of the Green tables.
     """
     if not (0.0 < sigma <= 1.0):
         raise DomainError("sigma must lie in (0, 1]")
@@ -366,25 +463,16 @@ def thresholds_delta(problem: Problem, sigma: float):
     f = problem.f
     n = problem.n
 
+    delta = None
     if all(f.singular_at_zero(i) for i in range(n)):
+        roots = [_head_root(f.terms[i], bounds[i]) for i in range(n)]
+        if None not in roots:
+            delta = min(roots)
 
-        def small_ok(d):
-            return all(_interval_extrema(f.terms[i], 0.0, d)[0] >= bounds[i]
-                       for i in range(n))
-
-        delta = _largest_radius(small_ok)
-    else:
-        delta = None
-
+    delta_big = None
     if all(f.unbounded_at_infinity(i) for i in range(n)):
-
-        def large_ok(rr):
-            return all(_interval_extrema(f.terms[i], rr / math.sqrt(n), math.inf)[0]
-                       >= bounds[i] for i in range(n))
-
-        r_dd = _smallest_radius(large_ok)
-        delta_big = None if r_dd is None else r_dd / sigma
-    else:
-        delta_big = None
+        roots = [_tail_root(f.terms[i], bounds[i], math.sqrt(n)) for i in range(n)]
+        if None not in roots:
+            delta_big = max(roots) / sigma
 
     return delta, delta_big

@@ -233,3 +233,116 @@ def single_grid_solve(quads, g, e, terms_by_comp, lam, seed):
                 jac[i * n_grid:(i + 1) * n_grid, j * n_grid:(j + 1) * n_grid] -= block
         x = x - np.linalg.solve(jac, fx.ravel()).reshape(n, n_grid)
     return None
+
+
+def threshold_radii_bisect(terms_by_comp, bounds, sigma, interval_min,
+                           u_lo=1e-20, u_hi=1e20):
+    """(delta, Delta) by bisecting the all-component conditions, 60 predicate
+    calls or so per threshold.
+
+    delta: the largest d in [u_lo, u_hi] with inf over (0, d] of phi_i >= bounds[i]
+    for every i; inf if u_hi qualifies, None if u_lo does not, None unless every
+    component has a negative power.  Delta: R/sigma for the smallest R with
+    inf over [R/sqrt(n), inf) of phi_i >= bounds[i] for every i; u_lo/sigma if u_lo
+    qualifies, None if u_hi does not, None unless every component has a
+    positive power.  ``interval_min(terms, a, b)`` is the infimum of one
+    component's sum over [a, b] with an open end at 0 or inf.  Bisection by
+    geometric means from [u_lo, u_hi] down to adjacent floats.
+    """
+    n = len(terms_by_comp)
+    comps = list(zip(terms_by_comp, bounds))
+
+    def bisect(below):
+        lo, hi = u_lo, u_hi
+        for _ in range(160):
+            mid = math.sqrt(lo * hi)
+            if mid in (lo, hi):
+                break
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    delta = None
+    if all(min(p for _, p in terms) < 0.0 for terms in terms_by_comp):
+        def small_ok(d):
+            return all(interval_min(terms, 0.0, d) >= b for terms, b in comps)
+
+        if not small_ok(u_lo):
+            delta = None
+        elif small_ok(u_hi):
+            delta = math.inf
+        else:
+            delta = bisect(small_ok)[0]
+
+    delta_big = None
+    if all(max(p for _, p in terms) > 0.0 for terms in terms_by_comp):
+        def large_ok(rr):
+            return all(interval_min(terms, rr / math.sqrt(n), math.inf) >= b
+                       for terms, b in comps)
+
+        if not large_ok(u_hi):
+            r_dd = None
+        elif large_ok(u_lo):
+            r_dd = u_lo
+        else:
+            r_dd = bisect(lambda rr: not large_ok(rr))[1]
+        delta_big = None if r_dd is None else r_dd / sigma
+    return delta, delta_big
+
+
+def _power_sum_numpy(terms, u):
+    """sum c * u**p with np.power, accumulated from zero in term order."""
+    out = np.zeros_like(u)
+    for c, p in terms:
+        out = out + c * np.power(u, p)
+    return out
+
+
+def apply_T_resampled(quads, g_coefs, e_coefs, terms_by_comp, lam, period, values):
+    """lam * Q_i (g_i phi_i(|x|_2) + e_i) with g and e sampled afresh on every call.
+
+    ``g_coefs``/``e_coefs`` are coefficient objects with an ``eval(t)`` method,
+    sampled at t_p = p * period / N; the sums run in the operator's order, so
+    the result is bitwise comparable.
+    """
+    n, n_grid = values.shape
+    t = np.arange(n_grid) * (period / n_grid)
+    g = np.vstack([coef.eval(t) for coef in g_coefs])
+    e = np.vstack([coef.eval(t) for coef in e_coefs])
+    u = np.sqrt(np.sum(values * values, axis=0))
+    fx = np.vstack([_power_sum_numpy(terms, u) for terms in terms_by_comp])
+    w = g * fx + e
+    out = np.empty_like(values)
+    for i in range(n):
+        out[i] = lam * (quads[i] @ w[i])
+    return out
+
+
+def damped_picard_iterates(apply, x0, target=1e-6, max_steps=200):
+    """Every iterate of x <- (1 - w) x + w apply(x) until |x - apply(x)| <= target.
+
+    w starts at 0.5 and halves, at most four times in all, while the candidate's
+    product sup norm exceeds twice the current one.  Stops early, with the
+    iterates so far, when a candidate goes negative.
+    """
+    def norm(v):
+        return float(np.abs(v).max(axis=1).sum())
+
+    x, omega, halvings = x0, 0.5, 0
+    iterates = [x]
+    for _ in range(max_steps):
+        tx = apply(x)
+        if norm(x - tx) <= target:
+            break
+        cand = (1.0 - omega) * x + omega * tx
+        while norm(cand) > 2.0 * norm(x) and halvings < 4:
+            omega *= 0.5
+            halvings += 1
+            cand = (1.0 - omega) * x + omega * tx
+        if cand.min() < 0.0:
+            break
+        x = cand
+        iterates.append(x)
+    return iterates

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pericone.solver as solver
 from pericone import (
+    PRESETS,
     Constant,
     DomainError,
     FourierSeries,
@@ -14,11 +16,19 @@ from pericone import (
     SingularityError,
     annulus_extrema,
     apply_T,
+    compute_constants,
     cone_membership,
+    default_r_grid,
     eta_lower,
+    existence_report,
     fixed_point_residual,
+    kernel_quadrature,
     ode_residual,
+    parse_config,
+    picard_solve,
+    seed_from_annulus,
 )
+from pericone.cli import build_tables
 
 import oracles
 from conftest import (
@@ -139,3 +149,48 @@ def test_table_grid_mismatch_rejected(bench_tables):
     x = GridFunction(2, 128, 1.0, np.full((2, 128), 1.0))
     with pytest.raises(DomainError):
         apply_T(prob, bench_tables, x)
+
+
+def _resampled_apply(prob, tables):
+    quads = [kernel_quadrature(tbl) for tbl in tables]
+    return lambda values: oracles.apply_T_resampled(
+        quads, prob.g, prob.e, prob.f.terms, prob.lam, prob.period, values)
+
+
+@pytest.mark.parametrize("e", [Constant(0.0), FourierSeries(-0.1, (0.2,), (0.1,))])
+def test_apply_T_bitwise_equals_resampling(bench_tables, e):
+    # the stored grid samples change where g and e come from, not one bit of
+    # T x; g varies, so a reordered g * f + e would show
+    prob = Problem(n=2, period=1.0, a=(Constant(1.0),) * 2,
+                   g=(FourierSeries(1.5, (0.5,), (0.2,)), FourierSeries(1.0, (), (0.3,))),
+                   e=(e, e), f=PowerLawRadial((SUPERLINEAR_TERMS,) * 2), lam=0.05)
+    reference = _resampled_apply(prob, bench_tables)
+    rng = np.random.default_rng(11)
+    for x in smooth_cone_points(prob, 256, 0.8, 3, rng, norm=2.0):
+        assert apply_T(prob, bench_tables, x).values.tobytes() == reference(x.values).tobytes()
+
+
+@pytest.mark.parametrize("name, lam", [
+    ("cor1a", 1.0), ("cor1b", 0.05), ("cor2a", 8.0), ("cor2b", 0.01)])
+def test_picard_iterates_bitwise_equal_resampling(monkeypatch, name, lam):
+    # the coarse-grid Picard solve of each preset's first annulus, iterate by
+    # iterate, against a loop that samples g and e afresh on every step
+    prob = parse_config(PRESETS[name].config(lam)).problem
+    tables = build_tables(prob, 256)
+    coarse = solver._coarse_tables(tables)
+    ann = existence_report(prob, compute_constants(tables, prob), default_r_grid())[0]
+    seed = seed_from_annulus(ann, prob, coarse[0].n_grid)
+
+    seen = []
+
+    def recording_apply_T(problem, tabs, x):
+        seen.append(x.values.copy())
+        return apply_T(problem, tabs, x)
+
+    monkeypatch.setattr(solver, "apply_T", recording_apply_T)
+    result = picard_solve(prob, coarse, seed)
+    assert result.converged
+    iterates = oracles.damped_picard_iterates(_resampled_apply(prob, coarse), seed.values)
+    assert len(seen) == len(iterates) == result.iterations + 1
+    for k, (got, ref) in enumerate(zip(seen, iterates)):
+        assert got.tobytes() == ref.tobytes(), k

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pericone import (
+    PRESETS,
     Constant,
     DomainError,
     FourierSeries,
@@ -16,19 +18,26 @@ from pericone import (
     Samples,
     SingularityError,
     annulus_extrema,
+    compute_constants,
     eta_lower,
     eval_f,
     fhat,
+    parse_config,
     thresholds_delta,
 )
 
+from pericone.cli import build_tables
 from pericone.coefficients import coefficient_extrema, extrema_slack
 from pericone.problem import (
     AUDIT_GRID,
     SPLIT_FACTOR,
+    U_HI,
+    U_LO,
     _critical_points,
     _forcing_bounds,
+    _head_root,
     _interval_extrema,
+    _tail_root,
 )
 
 import oracles
@@ -284,6 +293,157 @@ def test_thresholds_mixed_benchmark_oracle():
         lambda u: (1.0 / u + u * u) - b_const, (0.5) ** (1.0 / 3.0), 10.0)
     assert abs(delta - low_root) <= 1e-6
     assert abs(delta_big - math.sqrt(2.0) * high_root / sigma) <= 1e-5
+
+
+def _interval_min(terms, lo, hi):
+    return _interval_extrema(terms, lo, hi)[0]
+
+
+def _bisect_reference(prob, sigma):
+    """thresholds_delta's answer by the all-component predicate bisection."""
+    return oracles.threshold_radii_bisect(prob.f.terms, _forcing_bounds(prob), sigma,
+                                          _interval_min, U_LO, U_HI)
+
+
+@pytest.mark.parametrize("name, lam", [
+    (name, lam) for name in sorted(PRESETS) for lam in PRESETS[name].lambdas])
+def test_thresholds_match_bisection_on_presets(name, lam):
+    prob = parse_config(PRESETS[name].config(lam)).problem
+    constants = compute_constants(build_tables(prob, 256), prob)
+    assert (constants.delta, constants.Delta) == _bisect_reference(prob, constants.sigma)
+
+
+THRESHOLD_FAMILIES = {
+    "superlinear": SUPERLINEAR_TERMS,
+    "sublinear": SUBLINEAR_TERMS,
+    "singular only": ((1.0, -1.0),),
+    "growth only": ((1.0, 2.0),),
+    "three terms": ((2.0, -3.0), (0.5, 1.0), (1.0, 0.3)),
+    "steep singular": ((0.5, -2.5), (2.0, 0.1)),
+    "with constant": ((1.5, 0.0), (1.0, 1.0), (0.2, -0.5)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(THRESHOLD_FAMILIES))
+def test_thresholds_match_bisection(family, n):
+    # components differ by a coefficient scale, so each one's root differs
+    # and the min / max over components matters
+    terms = THRESHOLD_FAMILIES[family]
+    f = PowerLawRadial(tuple(tuple((c * (1.0 + 0.7 * i), p) for c, p in terms)
+                             for i in range(n)))
+    for e in (Constant(0.0), FourierSeries(-0.1, (0.2,))):
+        prob = Problem(n=n, period=1.0, a=(Constant(1.0),) * n,
+                       g=(FourierSeries(1.0, (0.4,)),) * n, e=(e,) * n, f=f, lam=1.0)
+        for sigma in (0.3, 0.9, 1.0):
+            assert thresholds_delta(prob, sigma) == _bisect_reference(prob, sigma), \
+                (e, sigma)
+
+
+@pytest.mark.parametrize("terms", [
+    # 1/u + 4u - u^2: a local min near 0.6, a local max near 1.86, then down
+    ((1.0, -1.0), (4.0, 1.0), (-1.0, 2.0)),
+    # -u^-2 + 4/u + u: up from -inf, a local max near 0.54, a local min
+    # near 1.68, then up
+    ((-1.0, -2.0), (4.0, -1.0), (1.0, 1.0)),
+])
+def test_threshold_roots_with_two_critical_points(terms):
+    # positive coefficients give at most one critical point (one sign change
+    # in c*p ordered by p), so the piece selection is checked on the
+    # per-component roots with a negative coefficient; the bound runs below,
+    # between and above the two critical values so the root lands on each piece
+    crit = _critical_points(terms)
+    assert len(crit) == 2
+    vals = sorted(sum(c * u ** p for c, p in terms) for u in crit)
+    singular = terms[0][1] < 0.0 and terms[0][0] > 0.0
+    for bound in (vals[0] - 1.0, 0.5 * (vals[0] + vals[1]), vals[1] + 1.0):
+        # the reference also evaluates the other end, where the terms of
+        # opposite sign meet as inf - inf; only the matching root is compared
+        with np.errstate(invalid="ignore"):
+            ref_delta, ref_big = oracles.threshold_radii_bisect(
+                (terms,), (bound,), 1.0, _interval_min, U_LO, U_HI)
+        if singular:
+            assert _head_root(terms, bound) == ref_delta, bound
+        else:
+            assert _tail_root(terms, bound, 1.0) == ref_big, bound
+
+
+@pytest.mark.parametrize("terms, expect_delta, expect_big", [
+    # phi(U_LO) = 1e-5 < B = 2: no small-radius threshold, no growth term
+    (((1e-25, -1.0),), None, None),
+    # phi >= 20 > B everywhere: delta = inf and R'' at the bottom of the window
+    (((10.0, -1.0), (10.0, 1.0)), math.inf, U_LO),
+    # phi(U_HI) ~ 1e-20 < B: the growth term never catches up
+    (((1.0, -1.0), (1e-50, 1.0)), 0.5, None),
+])
+def test_threshold_edge_cases(terms, expect_delta, expect_big):
+    prob = Problem(n=1, period=1.0, a=(Constant(1.0),), g=(Constant(1.0),),
+                   e=(Constant(0.0),), f=PowerLawRadial((terms,)), lam=1.0)
+    sigma = 0.9
+    delta, delta_big = thresholds_delta(prob, sigma)
+    assert (delta, delta_big) == _bisect_reference(prob, sigma)
+    if expect_delta is None or math.isinf(expect_delta):
+        assert delta == expect_delta
+    else:
+        assert abs(delta - expect_delta) <= 1e-15
+    assert delta_big == (None if expect_big is None else expect_big / sigma)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+def test_problem_rejects_bad_lambda(lam):
+    # NaN compares false with everything, so it must fail the check, not pass it
+    with pytest.raises(DomainError):
+        Problem(n=1, period=1.0, a=(Constant(1.0),), g=(Constant(1.0),),
+                e=(Constant(0.0),), f=PowerLawRadial((SUPERLINEAR_TERMS,)), lam=lam)
+
+
+def _sampled_problem():
+    """n=2 with one coefficient of each form among a, g and e."""
+    e_samples = Samples(np.array([0.3, -0.2, 0.1, 0.5, 0.0, -0.1]))
+    return Problem(
+        n=2, period=1.0,
+        a=(Constant(1.0), FourierSeries(1.0, (0.3,))),
+        g=(Constant(1.0), FourierSeries(1.5, (0.5,), (0.2,))),
+        e=(e_samples, FourierSeries(0.1, (0.2,), (0.1,))),
+        f=BENCH_F, lam=0.05)
+
+
+@pytest.mark.parametrize("n_grid", [64, 256])
+def test_grid_samples_equal_eval(n_grid):
+    prob = _sampled_problem()
+    t = prob.grid(n_grid)
+    for name in ("a", "g", "e"):
+        vals = getattr(prob, f"{name}_on_grid")(n_grid)
+        assert vals.shape == (2, n_grid)
+        for i, coef in enumerate(getattr(prob, name)):
+            assert vals[i].tobytes() == coef.eval(t).tobytes(), (name, i)
+        # derived once per grid size, then handed out as it is
+        assert getattr(prob, f"{name}_on_grid")(n_grid) is vals
+
+
+def test_grid_samples_are_read_only():
+    prob = _sampled_problem()
+    for vals in (prob.a_on_grid(64), prob.g_on_grid(64), prob.e_on_grid(64)):
+        with pytest.raises(ValueError):
+            vals[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            vals *= 2.0
+
+
+def test_grid_samples_stay_out_of_eq_repr_and_replace():
+    # Samples coefficients hold arrays and do not compare; Fourier e here
+    e_spec = {"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}}
+    sampled, fresh = make_problem(1.0, 2.0, 0.05, e_spec), make_problem(1.0, 2.0, 0.05, e_spec)
+    g = sampled.g_on_grid(64)
+    sampled.e_on_grid(256)
+    assert sampled == fresh
+    assert repr(sampled) == repr(fresh)
+    moved = replace(sampled, lam=0.07)
+    assert moved.lam == 0.07 and moved != sampled
+    assert moved == replace(fresh, lam=0.07)
+    # a replaced problem derives its own samples
+    assert moved.g_on_grid(64) is not g
+    assert moved.g_on_grid(64).tobytes() == g.tobytes()
 
 
 def test_problem_validation():
