@@ -98,7 +98,7 @@ def _setup(preset, lam, n_grid=256):
 def _uncached_thresholds(problem, sigma):
     def run():
         for name in ("_head_root", "_tail_root"):
-            root = getattr(pericone.problem, name, None)  # absent before the root cache
+            root = getattr(pericone.problem, name, None)  # None in a tree without the cache
             if root is not None:
                 root.cache_clear()
         return thresholds_delta(problem, sigma)

@@ -269,12 +269,8 @@ def threshold_radii_bisect(terms_by_comp, bounds, sigma, interval_min,
         def small_ok(d):
             return all(interval_min(terms, 0.0, d) >= b for terms, b in comps)
 
-        if not small_ok(u_lo):
-            delta = None
-        elif small_ok(u_hi):
-            delta = math.inf
-        else:
-            delta = bisect(small_ok)[0]
+        if small_ok(u_lo):
+            delta = math.inf if small_ok(u_hi) else bisect(small_ok)[0]
 
     delta_big = None
     if all(max(p for _, p in terms) > 0.0 for terms in terms_by_comp):
@@ -282,13 +278,9 @@ def threshold_radii_bisect(terms_by_comp, bounds, sigma, interval_min,
             return all(interval_min(terms, rr / math.sqrt(n), math.inf) >= b
                        for terms, b in comps)
 
-        if not large_ok(u_hi):
-            r_dd = None
-        elif large_ok(u_lo):
-            r_dd = u_lo
-        else:
-            r_dd = bisect(lambda rr: not large_ok(rr))[1]
-        delta_big = None if r_dd is None else r_dd / sigma
+        if large_ok(u_hi):
+            r_dd = u_lo if large_ok(u_lo) else bisect(lambda rr: not large_ok(rr))[1]
+            delta_big = r_dd / sigma
     return delta, delta_big
 
 
