@@ -7,9 +7,9 @@ entries:
 
 * greens: Green tables, closed form (a = 1) and RK4 (a = 1 + 0.3 cos), at
   N = 256 and N = 1024
-* problem: thresholds_delta on each preset's first lambda, with the cache
-  of per-component roots emptied before each call, so the roots are
-  computed every time
+* problem: thresholds_delta on each preset's first lambda, with the caches
+  of critical points, critical values and per-component roots emptied
+  before each call, so all of them are computed every time
 * cone: compute_constants on cor1b lambda = 0.05 (tables built)
 * certify: scan_radii on cor1b lambda = 0.05 over the default 361 radii and
   over 961 radii on [1e-8, 1e8]
@@ -97,10 +97,10 @@ def _setup(preset, lam, n_grid=256):
 
 def _uncached_thresholds(problem, sigma):
     def run():
-        for name in ("_head_root", "_tail_root"):
-            root = getattr(pericone.problem, name, None)  # None in a tree without the cache
-            if root is not None:
-                root.cache_clear()
+        pericone.problem._critical_points.cache_clear()
+        pericone.problem._critical_values.cache_clear()
+        pericone.problem._head_root.cache_clear()
+        pericone.problem._tail_root.cache_clear()
         return thresholds_delta(problem, sigma)
     return run
 

@@ -41,9 +41,6 @@ AUDIT_GRID = 4096
 SPLIT_FACTOR = 0.5
 # search window for radial critical points and the threshold roots
 U_LO, U_HI = 1e-20, 1e20
-_EPS = float(np.finfo(float).eps)
-
-
 @dataclass(frozen=True)
 class PowerLawRadial:
     """Per-component radial power sums: terms[i] = ((c, p), ...)."""
@@ -331,31 +328,16 @@ def _critical_values(comp_terms: tuple) -> tuple:
 
 
 def _phi_at_least(comp_terms: tuple, u: float, bound: float) -> bool:
-    """phi(u) >= bound for one scalar u > 0, decided as ``_power_sum`` decides it.
+    """phi(u) >= bound for one scalar u > 0, decided as ``_interval_extrema`` decides it.
 
-    A plain float sum settles the comparison unless it lands within a few ulp
-    per term of bound, measured against the sum of |terms|: float ** and
-    np.power each sit within about an ulp of the exact power, but not always
-    on the same float, so there (and on an overflow) the sum is redone with
-    np.power, term by term in the order of ``_power_sum``.
+    The terms are summed as in ``_power_sum``: the same np.power on u, the
+    same products and sums in the same order, so the same float; only the
+    array set-up per call is left out.
     """
-    val = mag = 0.0
-    try:
-        for c, p in comp_terms:
-            term = c * u ** p
-            val = val + term
-            mag = mag + abs(term)
-    except OverflowError:
-        mag = math.inf
-    if mag == math.inf:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return bool(_power_sum(comp_terms, u) >= bound)
-    if abs(val - bound) > 4.0 * (len(comp_terms) + 4) * _EPS * mag:
-        return val > bound
     val = 0.0
     for c, p in comp_terms:
-        val = val + c * float(np.power(u, p))
-    return val >= bound
+        val = val + c * np.power(u, p)
+    return bool(val >= bound)
 
 
 def _geometric_bisect(below) -> tuple:
