@@ -29,6 +29,14 @@ __all__ = [
 ]
 
 
+def _check(period, values) -> None:
+    """A positive finite period and finite values; written so that NaN fails."""
+    if not 0.0 < period < math.inf:
+        raise DomainError("period must be positive and finite")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("coefficient values must be finite")
+
+
 @dataclass
 class Constant:
     """Coefficient identically equal to ``value``."""
@@ -37,8 +45,7 @@ class Constant:
     period: float = 1.0
 
     def __post_init__(self):
-        if not (self.period > 0):
-            raise DomainError("period must be positive")
+        _check(self.period, self.value)
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -55,10 +62,9 @@ class FourierSeries:
     period: float = 1.0
 
     def __post_init__(self):
-        if not (self.period > 0):
-            raise DomainError("period must be positive")
         self.cos_coeffs = tuple(float(c) for c in self.cos_coeffs)
         self.sin_coeffs = tuple(float(c) for c in self.sin_coeffs)
+        _check(self.period, (self.c0, *self.cos_coeffs, *self.sin_coeffs))
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -79,11 +85,10 @@ class Samples:
     period: float = 1.0
 
     def __post_init__(self):
-        if not (self.period > 0):
-            raise DomainError("period must be positive")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 4:
             raise DomainError("samples need at least 4 values")
+        _check(self.period, self.values)
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)

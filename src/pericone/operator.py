@@ -18,10 +18,16 @@ from .problem import SINGULARITY_GUARD, SPLIT_FACTOR, Problem
 
 __all__ = [
     "GridFunction",
+    "prod_norm",
     "apply_T",
     "fixed_point_residual",
     "ode_residual",
 ]
+
+
+def prod_norm(values: np.ndarray) -> float:
+    """Product sup norm of (n, N) samples: sum over components of max_t |x_i(t)|."""
+    return float(np.abs(values).max(axis=1).sum())
 
 
 @dataclass
@@ -47,7 +53,7 @@ class GridFunction:
     @property
     def norm(self) -> float:
         """Product sup norm: sum over components of max_t |x_i(t)|."""
-        return float(np.abs(self.values).max(axis=1).sum())
+        return prod_norm(self.values)
 
     @property
     def min_total(self) -> float:
@@ -104,9 +110,7 @@ def apply_T(problem: Problem, tables, x: GridFunction) -> GridFunction:
 
 def fixed_point_residual(problem: Problem, tables, x: GridFunction) -> float:
     """||x - T x|| in the product sup norm; zero exactly at a discrete fixed point."""
-    tx = apply_T(problem, tables, x)
-    diff = x.values - tx.values
-    return float(np.abs(diff).max(axis=1).sum())
+    return prod_norm(x.values - apply_T(problem, tables, x).values)
 
 
 def ode_residual(problem: Problem, x: GridFunction) -> float:

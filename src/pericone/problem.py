@@ -53,9 +53,10 @@ class PowerLawRadial:
             comp_terms = tuple((float(c), float(p)) for c, p in comp)
             if not comp_terms:
                 raise DomainError("each component needs at least one term")
-            for c, _ in comp_terms:
-                if c <= 0.0:
-                    raise DomainError(f"coefficients must be positive, got {c}")
+            for c, p in comp_terms:
+                # written so that NaN fails it
+                if not (0.0 < c < math.inf and -math.inf < p < math.inf):
+                    raise DomainError(f"need c > 0 and both finite, got c={c}, p={p}")
             clean.append(comp_terms)
         if not clean:
             raise DomainError("nonlinearity needs at least one component")
@@ -86,8 +87,9 @@ class PowerLawRadial:
 def _power_sum(comp_terms: tuple, u):
     """sum c u^p over one component's (c, p) terms, vectorized over u."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    for c, p in comp_terms:
+    (c, p), *rest = comp_terms
+    out = c * np.power(u, p)
+    for c, p in rest:
         out = out + c * np.power(u, p)
     return out
 
@@ -242,9 +244,9 @@ class Problem:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be at least 1")
-        if self.period <= 0.0:
-            raise DomainError("period must be positive")
-        # written so that NaN fails it
+        # written so that NaN fails them
+        if not 0.0 < self.period < math.inf:
+            raise DomainError("period must be positive and finite")
         if not 0.0 <= self.lam < math.inf:
             raise DomainError("lam must be nonnegative and finite")
         self.a = tuple(self.a)
@@ -327,19 +329,6 @@ def _critical_values(comp_terms: tuple) -> tuple:
     return tuple(float(v) for v in _power_sum(comp_terms, crit))
 
 
-def _phi_at_least(comp_terms: tuple, u: float, bound: float) -> bool:
-    """phi(u) >= bound for one scalar u > 0, decided as ``_interval_extrema`` decides it.
-
-    The terms are summed as in ``_power_sum``: the same np.power on u, the
-    same products and sums in the same order, so the same float; only the
-    array set-up per call is left out.
-    """
-    val = 0.0
-    for c, p in comp_terms:
-        val = val + c * np.power(u, p)
-    return bool(val >= bound)
-
-
 def _geometric_bisect(below) -> tuple:
     """Final (lo, hi) of bisection by geometric means on [U_LO, U_HI].
 
@@ -381,7 +370,7 @@ def _head_root(comp_terms: tuple, bound: float) -> float | None:
             return True
         if d >= right:
             return False
-        return _phi_at_least(comp_terms, d, bound)
+        return bool(_power_sum(comp_terms, d) >= bound)
 
     if not holds(U_LO):
         return None
@@ -412,7 +401,7 @@ def _tail_root(comp_terms: tuple, bound: float, root_n: float) -> float | None:
             return True
         if u >= right:
             return False
-        return not _phi_at_least(comp_terms, u, bound)
+        return not _power_sum(comp_terms, u) >= bound
 
     if fails(U_HI):
         return None

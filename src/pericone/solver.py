@@ -25,9 +25,9 @@ restricted iterate and residual, lifted, and back-substituted through the
 fine quadrature.  Its error contracts by the coarse discretization error, so
 one correction takes a lifted start from about 1e-8 to round-off.  A lifted
 start always takes at least one correction: the interpolation error alone
-can already sit below NEWTON_TOL.  If the corrections fail, the exact fine
-Newton step takes over from the lifted start.  For N <= COARSE_GRID the
-stride is 1 and the coarse solve is the fine one.
+can already sit below NEWTON_TOL.  An annulus whose coarse solve or
+corrections fail is dropped with a note saying which.  For N <= COARSE_GRID
+the stride is 1 and the coarse solve is the fine one.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .greens import coarsen, kernel_quadrature
-from .operator import GridFunction, apply_T, fixed_point_residual, ode_residual
+from .operator import GridFunction, apply_T, fixed_point_residual, ode_residual, prod_norm
 from .problem import Problem
 
 __all__ = [
@@ -134,10 +134,6 @@ class BranchTable:
     notes: list = field(default_factory=list)
 
 
-def _prod_norm(values: np.ndarray) -> float:
-    return float(np.abs(values).max(axis=1).sum())
-
-
 def seed_from_annulus(annulus, problem: Problem, n_grid: int = 256) -> GridFunction:
     """Constant cone-interior seed with norm at the geometric mean of the annulus."""
     c = math.sqrt(annulus.r_in * annulus.r_out) / problem.n
@@ -189,6 +185,7 @@ def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
     inequality fails raises DomainError from apply_T; it is not caught here.
     """
     x = x0
+    x_norm = x.norm
     omega = PICARD_DAMPING
     halvings = 0
     res = math.inf
@@ -199,16 +196,18 @@ def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
             raise DivergenceError(
                 f"iterate fell below the singularity guard after {it} picard steps"
             ) from exc
-        res = _prod_norm(x.values - tx.values)
+        res = prod_norm(x.values - tx.values)
         if res <= PICARD_TARGET:
             return PicardResult(x=x, iterations=it, residual=res, converged=True)
         if it == MAX_PICARD:
             break
         cand = (1.0 - omega) * x.values + omega * tx.values
-        while _prod_norm(cand) > 2.0 * x.norm and halvings < 4:
+        cand_norm = prod_norm(cand)
+        while cand_norm > 2.0 * x_norm and halvings < 4:
             omega *= 0.5
             halvings += 1
             cand = (1.0 - omega) * x.values + omega * tx.values
+            cand_norm = prod_norm(cand)
         low = float(cand.min())
         if low < -CLAMP_TOL:
             raise DivergenceError(
@@ -216,9 +215,11 @@ def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
             )
         if low < 0.0:
             cand = np.where(cand < 0.0, 0.0, cand)
-        if _prod_norm(cand) > NORM_BLOWUP:
+            cand_norm = prod_norm(cand)
+        if cand_norm > NORM_BLOWUP:
             raise DivergenceError(f"iterate norm exceeded {NORM_BLOWUP:.1e}")
         x = GridFunction(n=x.n, n_grid=x.n_grid, period=x.period, values=cand)
+        x_norm = cand_norm
     return PicardResult(x=x, iterations=MAX_PICARD, residual=res, converged=False)
 
 
@@ -260,7 +261,7 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
             w = lift(w_c, x.n_grid).values[0]
     except np.linalg.LinAlgError as exc:
         raise SingularJacobianError(
-            f"linear solve failed at residual {_prod_norm(fvals):.3e}"
+            f"linear solve failed at residual {prod_norm(fvals):.3e}"
         ) from exc
     return fvals + np.vstack([quad[i] @ (cols[i] * w) for i in range(x.n)])
 
@@ -268,15 +269,17 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
 def newton_refine(problem: Problem, tables, x0: GridFunction, coarse=None) -> NewtonResult:
     """Newton iteration on F(x) = x - T x down to NEWTON_TOL.
 
-    Given coarse tables (the fine ones subsampled at a stride), every step is
-    a two-grid correction and at least one is taken.
+    Without coarse tables every step is the exact N x N Newton step; the
+    solver takes it only on the base grid.  Given coarse tables (the fine
+    ones subsampled at a stride), every step is a two-grid correction and at
+    least one is taken.
     """
     x = x0
     history = []
     for _ in range(MAX_NEWTON + 1):
         tx = apply_T(problem, tables, x)
         fvals = x.values - tx.values
-        res = _prod_norm(fvals)
+        res = prod_norm(fvals)
         history.append(res)
         if res <= NEWTON_TOL and (coarse is None or len(history) > 1):
             return NewtonResult(x=x, residual=res, iterations=len(history) - 1,
@@ -322,11 +325,16 @@ def _verify_candidate(problem: Problem, tables, constants: ConeConstants,
     )
 
 
+def _close_norms(a: float, b: float) -> bool:
+    """Whether two norms belong to one solution: DEDUPE_RTOL relative, absolute below 1."""
+    return abs(a - b) <= DEDUPE_RTOL * max(abs(a), abs(b), 1.0)
+
+
 def _dedupe(solutions: list) -> list:
-    """Merge solutions whose norms agree to 1e-6 relative; keep the cleaner one."""
+    """Merge solutions whose norms are ``_close_norms``; keep the cleaner one."""
     out = []
     for sol in sorted(solutions, key=lambda s: (s.norm, s.fp_residual)):
-        if out and abs(sol.norm - out[-1].norm) < DEDUPE_RTOL * max(sol.norm, out[-1].norm):
+        if out and _close_norms(sol.norm, out[-1].norm):
             if sol.fp_residual < out[-1].fp_residual:
                 out[-1] = sol
             continue
@@ -337,7 +345,8 @@ def _dedupe(solutions: list) -> list:
 def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
                      seed: GridFunction, annulus_id: str, ode_tol: float, notes: list):
     """Picard + Newton on the coarse tables from a coarse-grid seed; the lifted
-    iterate gets two-grid corrections and is verified on the fine tables."""
+    iterate gets two-grid corrections and is verified on the fine tables.
+    None, with a note, if Newton or the corrections fail."""
     start = seed
     try:
         pic = picard_solve(problem, coarse, seed)
@@ -353,30 +362,17 @@ def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
     except DomainError as exc:
         notes.append(f"{annulus_id}: picard left the admissible region ({exc}); "
                      "newton from the raw seed")
-    n_fine = tables[0].n_grid
-    exact = False  # whether the fine grid needs the exact Newton step
     try:
-        start = newton_refine(problem, coarse, start).x
+        x = newton_refine(problem, coarse, start).x
     except NEWTON_FAILURES as exc:
-        if coarse[0].n_grid == n_fine:  # no finer grid to retry on
-            notes.append(f"{annulus_id}: newton failed ({exc})")
-            return None
-        notes.append(f"{annulus_id}: coarse-grid newton failed ({exc}); "
-                     "polishing its start on the fine grid")
-        exact = True
-    x = lift(start, n_fine)
-    if not exact and coarse[0].n_grid < n_fine:
+        notes.append(f"{annulus_id}: newton failed ({exc})")
+        return None
+    n_fine = tables[0].n_grid
+    if x.n_grid < n_fine:
         try:
-            x = newton_refine(problem, tables, x, coarse=coarse).x
+            x = newton_refine(problem, tables, lift(x, n_fine), coarse=coarse).x
         except NEWTON_FAILURES as exc:
-            notes.append(f"{annulus_id}: two-grid correction failed ({exc}); "
-                         "exact newton on the fine grid")
-            exact = True
-    if exact:
-        try:
-            x = newton_refine(problem, tables, x).x
-        except NEWTON_FAILURES as exc:
-            notes.append(f"{annulus_id}: newton failed ({exc})")
+            notes.append(f"{annulus_id}: two-grid correction failed ({exc})")
             return None
     return _verify_candidate(problem, tables, constants, x, annulus_id, ode_tol, notes)
 
@@ -407,10 +403,6 @@ def find_solutions(problem: Problem, tables, constants: ConeConstants,
             )
         found.append(sol)
     return SolveReport(solutions=_dedupe(found), annuli=annuli, notes=notes)
-
-
-def _close_norms(a: float, b: float) -> bool:
-    return abs(a - b) <= DEDUPE_RTOL * max(abs(a), abs(b), 1.0)
 
 
 def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, steps: int,

@@ -338,3 +338,61 @@ def damped_picard_iterates(apply, x0, target=1e-6, max_steps=200):
         x = cand
         iterates.append(x)
     return iterates
+
+
+class PicardAbort(Exception):
+    """A divergence exit of ``picard_reference``; ``iterates`` holds every
+    iterate the loop applied the map to, the last one included."""
+
+    def __init__(self, message, iterates):
+        super().__init__(message)
+        self.iterates = iterates
+
+
+def picard_reference(apply, x0, singular_error, target=1e-6, damping=0.5,
+                     max_steps=200, clamp_tol=1e-12, blowup=1e12):
+    """The damped Picard loop on raw (n, N) arrays, each product norm
+    recomputed wherever it is used.
+
+    x <- (1 - w) x + w apply(x) from w = damping, halved (at most four times
+    in all) while the candidate's product sup norm exceeds twice the
+    current one; a candidate below -clamp_tol aborts, one in [-clamp_tol, 0)
+    is clamped to zero, a norm above blowup aborts, and ``singular_error``
+    raised by apply aborts.  Returns (iterates, iterations, residual,
+    converged), where iterates are every array the map was applied to, or
+    raises PicardAbort with the solver's wording; any other exception from
+    apply propagates as it is.
+    """
+    def norm(v):
+        return float(np.abs(v).max(axis=1).sum())
+
+    x, omega, halvings, res = x0, damping, 0, math.inf
+    iterates = []
+    for it in range(max_steps + 1):
+        iterates.append(x)
+        try:
+            tx = apply(x)
+        except singular_error:
+            raise PicardAbort(
+                f"iterate fell below the singularity guard after {it} picard steps",
+                iterates) from None
+        res = norm(x - tx)
+        if res <= target:
+            return iterates, it, res, True
+        if it == max_steps:
+            break
+        cand = (1.0 - omega) * x + omega * tx
+        while norm(cand) > 2.0 * norm(x) and halvings < 4:
+            omega *= 0.5
+            halvings += 1
+            cand = (1.0 - omega) * x + omega * tx
+        low = float(cand.min())
+        if low < -clamp_tol:
+            raise PicardAbort(f"component went negative ({low:.3e}) at picard step {it + 1}",
+                              iterates)
+        if low < 0.0:
+            cand = np.where(cand < 0.0, 0.0, cand)
+        if norm(cand) > blowup:
+            raise PicardAbort(f"iterate norm exceeded {blowup:.1e}", iterates)
+        x = cand
+    return iterates, max_steps, res, False

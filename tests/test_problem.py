@@ -397,6 +397,31 @@ def test_problem_rejects_bad_lambda(lam):
                 e=(Constant(0.0),), f=PowerLawRadial((SUPERLINEAR_TERMS,)), lam=lam)
 
 
+_NON_FINITE_FIELDS = {
+    "Problem.period": lambda v: Problem(
+        n=1, period=v, a=(Constant(1.0),), g=(Constant(1.0),), e=(Constant(0.0),),
+        f=PowerLawRadial((SUPERLINEAR_TERMS,)), lam=1.0),
+    "Constant.value": lambda v: Constant(v),
+    "Constant.period": lambda v: Constant(1.0, period=v),
+    "FourierSeries.c0": lambda v: FourierSeries(v),
+    "FourierSeries.cos": lambda v: FourierSeries(1.0, (0.3, v)),
+    "FourierSeries.sin": lambda v: FourierSeries(1.0, (), (v,)),
+    "FourierSeries.period": lambda v: FourierSeries(1.0, period=v),
+    "Samples.values": lambda v: Samples(np.array([1.0, v, 1.0, 1.0])),
+    "Samples.period": lambda v: Samples(np.ones(4), period=v),
+    "PowerLawRadial.c": lambda v: PowerLawRadial((((1.0, -1.0), (v, 2.0)),)),
+    "PowerLawRadial.p": lambda v: PowerLawRadial((((1.0, -1.0), (1.0, v)),)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field_name", sorted(_NON_FINITE_FIELDS))
+def test_constructors_reject_non_finite(field_name, value):
+    # NaN compares false with everything, so each check must fail on it
+    with pytest.raises(DomainError):
+        _NON_FINITE_FIELDS[field_name](value)
+
+
 def _sampled_problem():
     """n=2 with one coefficient of each form among a, g and e."""
     e_samples = Samples(np.array([0.3, -0.2, 0.1, 0.5, 0.0, -0.1]))
