@@ -16,10 +16,11 @@ Routes, named by what they measure:
 
 The scan is one array computation over the whole radius grid: eta_r, M_hat_r
 and fhat come from problem.py as radius vectors, each an exact extremum over
-the interval ends and the critical points (those outside a radius's interval
-clipped onto its ends), and every route's margin and domain gate is one
-vector over r.  At each radius a kind (expansion, compression) uses its best
-usable route, otherwise its best margin; ties go to the route listed first.
+the interval ends and the profile's one critical point (clipped onto a
+radius's interval when outside it), and every route's margin and domain
+gate is one vector over r.  At each radius a kind (expansion, compression)
+uses its best usable route, otherwise its best margin; ties go to the route
+listed first.
 
 With a sign-changing e the estimates are only valid on radial ranges where
 the forcing split stays nonnegative: below delta or above Delta for

@@ -7,10 +7,11 @@ the argument of the radial profiles.  On the orthant the two norms bracket
 each other (u <= |x|_1 <= sqrt(n) u), which is what lets every annulus
 quantity reduce to a one-dimensional search over u = ||x||_2.
 
-All 1-D extrema, eta_r included, are computed from the exact critical points
-of the power sums (sign changes of u * phi'(u), refined by bisection), so
-quantities like fhat are monotone and eta_r is a true minimum by construction
-rather than up to sampling error.
+All 1-D extrema, eta_r included, are computed from the exact critical point
+of the power sums.  With positive coefficients u * phi'(u) is strictly
+increasing, so phi has at most one critical point, its minimum, and one
+bisection finds it.  Quantities like fhat are monotone and eta_r is a true
+minimum by construction rather than up to sampling error.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ AUDIT_GRID = 4096
 # SPLIT_FACTOR * g_i f_i(x) + e_i >= 0 checked by apply_T, guaranteed by
 # the thresholds delta/Delta through phi_i >= B_i
 SPLIT_FACTOR = 0.5
-# search window for radial critical points and the threshold roots
+# search window for the radial critical point and the threshold roots
 U_LO, U_HI = 1e-20, 1e20
 @dataclass(frozen=True)
 class PowerLawRadial:
@@ -95,56 +96,42 @@ def _power_sum(comp_terms: tuple, u):
 
 
 @lru_cache(maxsize=256)
-def _critical_points(comp_terms: tuple) -> tuple:
-    """Roots of u*phi'(u) = sum c p u^p in (0, inf), by log-grid sign scan."""
-    cs = np.array([c * p for c, p in comp_terms])
-    ps = np.array([p for _, p in comp_terms])
-    if np.all(cs >= 0.0) or np.all(cs <= 0.0):
-        return ()
+def _critical_point(comp_terms: tuple) -> float | None:
+    """Where phi is least in [U_LO, U_HI]: the root of u*phi'(u) = sum c p u^p.
 
-    w_grid = np.linspace(math.log(U_LO), math.log(U_HI), 2048)
-    roots = []
-    # w = ln u; exponential sums, evaluated overflow-tolerantly
+    With every c > 0 the sum has derivative sum c p^2 u^(p-1) > 0, so it is
+    strictly increasing and phi has at most one critical point, its minimum.
+    Returns the smallest float u with sum c p u^p >= 0, or None if the sum
+    keeps one sign on the window (no negative or no positive power, or a
+    root outside it).
+    """
+    slope = tuple((c * p, p) for c, p in comp_terms)
+
+    def below(u):
+        return bool(_power_sum(slope, u) < 0.0)
+
+    # the sum may overflow to -inf near U_LO; that is still below the root
     with np.errstate(over="ignore"):
-        vals = (cs[:, None] * np.exp(ps[:, None] * w_grid)).sum(axis=0)
-        v0, v1 = vals[:-1], vals[1:]
-        # compared, not multiplied: a product can overflow, or underflow to
-        # -0.0 and hide the change; an exact zero v1 is taken on the next step
-        for j in np.flatnonzero((v0 == 0.0) | ((v1 != 0.0) & ((v0 < 0.0) != (v1 < 0.0)))):
-            if vals[j] == 0.0:
-                roots.append(w_grid[j])
-                continue
-            lo, hi = w_grid[j], w_grid[j + 1]
-            flo = vals[j]
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                fm = (cs * np.exp(ps * mid)).sum()
-                if fm == 0.0:
-                    lo = mid
-                    break
-                if (flo < 0.0) != (fm < 0.0):
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-    return tuple(math.exp(w) for w in roots)
+        if not below(U_LO) or below(U_HI):
+            return None
+        return _geometric_bisect(below)[1]
 
 
 def _interval_extrema(comp_terms: tuple, lo, hi):
     """(min, max) of a power sum over [lo, hi], elementwise over arrays lo and hi.
 
-    The candidates are the two ends and the critical points; a critical point
-    outside [lo, hi] is clipped onto the nearer end, whose value is already a
-    candidate.  An end may be 0 or inf: where the sum blows up there it
-    contributes +inf, so the min is the infimum over the open end.
+    The candidates are the two ends and the critical point clipped onto
+    [lo, hi] (an end again when there is none).  An end may be 0 or inf:
+    where the sum blows up there it contributes +inf, so the min is the
+    infimum over the open end.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    crit = _critical_points(comp_terms)
-    pts = np.empty(np.broadcast(lo, hi).shape + (len(crit) + 2,))
+    crit = _critical_point(comp_terms)
+    pts = np.empty(np.broadcast(lo, hi).shape + (3,))
     pts[..., 0] = lo
     pts[..., 1] = hi
-    pts[..., 2:] = np.minimum(np.maximum(crit, lo[..., None]), hi[..., None])
+    pts[..., 2] = lo if crit is None else np.minimum(np.maximum(crit, lo), hi)
     with np.errstate(divide="ignore"):
         vals = _power_sum(comp_terms, pts)
     return vals.min(axis=-1), vals.max(axis=-1)
@@ -322,13 +309,6 @@ def _forcing_bounds(problem: Problem):
     return bounds
 
 
-@lru_cache(maxsize=256)
-def _critical_values(comp_terms: tuple) -> tuple:
-    """phi at each critical point, evaluated as _interval_extrema evaluates it."""
-    crit = np.array(_critical_points(comp_terms))
-    return tuple(float(v) for v in _power_sum(comp_terms, crit))
-
-
 def _geometric_bisect(below) -> tuple:
     """Final (lo, hi) of bisection by geometric means on [U_LO, U_HI].
 
@@ -353,24 +333,18 @@ def _head_root(comp_terms: tuple, bound: float) -> float | None:
     """Largest d in [U_LO, U_HI] with phi >= bound on all of (0, d], for a
     component singular at zero; inf if U_HI qualifies, None if U_LO does not.
 
-    The head infimum inf_(0,d] phi first drops below bound on the piece that
-    ends at the first critical point whose value is below bound (or on the
-    last, unbounded piece).  phi is monotone there, so the root is a scalar
-    bisection on phi inside that piece; left of it the infimum holds, right
-    of it it fails.
+    phi falls down to its minimum u* and rises after it.  If phi(u*) >= bound
+    the condition holds everywhere; otherwise it fails from u* on, and the
+    root is a scalar bisection on phi below u* (the whole window if there is
+    no u* in it).
     """
-    crit = _critical_points(comp_terms)
-    k = next((j for j, v in enumerate(_critical_values(comp_terms)) if v < bound),
-             len(crit))
-    left = crit[k - 1] if k > 0 else 0.0
-    right = crit[k] if k < len(crit) else math.inf
+    crit = _critical_point(comp_terms)
+    if crit is not None and _power_sum(comp_terms, crit) >= bound:
+        return math.inf
+    right = math.inf if crit is None else crit
 
     def holds(d):
-        if d <= left:
-            return True
-        if d >= right:
-            return False
-        return bool(_power_sum(comp_terms, d) >= bound)
+        return d < right and bool(_power_sum(comp_terms, d) >= bound)
 
     if not holds(U_LO):
         return None
@@ -385,23 +359,18 @@ def _tail_root(comp_terms: tuple, bound: float, root_n: float) -> float | None:
     for a component unbounded at infinity; U_LO if U_LO qualifies, None if
     U_HI does not.
 
-    The tail infimum inf_[u,inf) phi crosses bound on the piece that starts
-    at the last critical point whose value is below bound (or on the first
-    piece, from 0); phi is monotone there.
+    The mirror of ``_head_root``: if phi(u*) >= bound the condition holds
+    everywhere; otherwise it fails up to u*, and the root is a scalar
+    bisection on phi above u*.
     """
-    crit = _critical_points(comp_terms)
-    k = max((j for j, v in enumerate(_critical_values(comp_terms)) if v < bound),
-            default=-1)
-    left = crit[k] if k >= 0 else 0.0
-    right = crit[k + 1] if k + 1 < len(crit) else math.inf
+    crit = _critical_point(comp_terms)
+    if crit is not None and _power_sum(comp_terms, crit) >= bound:
+        return U_LO
+    left = 0.0 if crit is None else crit
 
     def fails(rr):
         u = rr / root_n
-        if u <= left:
-            return True
-        if u >= right:
-            return False
-        return not _power_sum(comp_terms, u) >= bound
+        return u <= left or not _power_sum(comp_terms, u) >= bound
 
     if fails(U_HI):
         return None
@@ -418,14 +387,13 @@ def thresholds_delta(problem: Problem, sigma: float):
     R''/sigma where R'' is the smallest radius with phi_i(u) >= B_i for all
     u >= R''/sqrt(n) (None unless every component blows up at infinity).
 
-    Each component contributes one root of phi_i(u) = B_i on the single
-    monotone piece between its critical points where its head (for delta) or
-    tail (for Delta) infimum first crosses B_i: delta = min_i delta_i and
-    Delta = max_i R''_i / sigma.  The roots follow the geometric bisection
-    on [U_LO, U_HI] of ``_geometric_bisect``, which lands each one on the
-    float a bisection of the all-component condition lands on; None and inf
-    (delta) or U_LO (R'') mark a condition that fails or holds on the whole
-    window.  The roots do not depend on lam and are cached per component
+    Each component contributes one root of phi_i(u) = B_i, below its
+    minimum (for delta) or above it (for Delta), where phi_i is monotone:
+    delta = min_i delta_i and Delta = max_i R''_i / sigma.  The roots follow
+    the geometric bisection on [U_LO, U_HI] of ``_geometric_bisect``, which
+    lands each one on the float a bisection of the all-component condition
+    lands on; None and inf (delta) or U_LO (R'') mark a condition that fails
+    or holds on the whole window.  The roots do not depend on lam and are cached per component
     and bound.  sigma comes from the cone constants of the Green tables.
     """
     if not (0.0 < sigma <= 1.0):

@@ -226,12 +226,8 @@ def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
 def _coupling_solve(quad, rows: np.ndarray, cols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - sum_i diag(rows_i) Q_i diag(cols_i)) w = rhs, the N x N Newton system."""
     small = np.eye(rhs.size)
-    buf = np.empty_like(small)
     for q, r, c in zip(quad, rows, cols):
-        np.multiply(q, r[:, None], out=buf)
-        buf *= c
-        small -= buf
-    del buf  # free before the LU makes its own copy of small
+        small -= q * r[:, None] * c
     return np.linalg.solve(small, rhs)
 
 
@@ -239,10 +235,12 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
                  coarse=None) -> np.ndarray:
     """Newton step s with J s = F for J = I - U V, as an (n, N) array.
 
-    Solves the N x N system (I - sum_i diag(x_i/u) lam Q_i diag(g_i phi_i'(u))) w
-    = sum_i (x_i/u) F_i, then s_i = F_i + lam Q_i (g_i phi_i'(u) w).  Given
-    coarse tables, the system is built and solved on the restriction to the
-    coarse grid instead, and w is its lift (the two-grid correction).
+    The system (I - sum_i diag(x_i/u) lam Q_i diag(g_i phi_i'(u))) w
+    = sum_i (x_i/u) F_i is built and solved on the restriction to the grid of
+    the coarse tables (the tables themselves if none are given), w is its
+    lift, and s_i = F_i + lam Q_i (g_i phi_i'(u) w).  With coarse tables this
+    is the two-grid correction; without, the lift is the identity and the
+    step is the exact N x N Newton step.
     """
     u = np.sqrt(np.sum(x.values * x.values, axis=0))
     g = problem.g_on_grid(x.n_grid)
@@ -250,19 +248,16 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
     cols = np.vstack([problem.lam * g[i] * problem.f.dphi(i, u) for i in range(x.n)])
     rows = x.values / u
     rhs = np.sum(rows * fvals, axis=0)
+    small = quad if coarse is None else [kernel_quadrature(tbl) for tbl in coarse]
+    k = x.n_grid // len(small[0])
     try:
-        if coarse is None:
-            w = _coupling_solve(quad, rows, cols, rhs)
-        else:
-            k = x.n_grid // coarse[0].n_grid
-            w_c = _coupling_solve([kernel_quadrature(tbl) for tbl in coarse],
-                                  rows[:, ::k], cols[:, ::k], rhs[::k])
-            w_c = GridFunction(n=1, n_grid=w_c.size, period=x.period, values=w_c[None, :])
-            w = lift(w_c, x.n_grid).values[0]
+        w = _coupling_solve(small, rows[:, ::k], cols[:, ::k], rhs[::k])
     except np.linalg.LinAlgError as exc:
         raise SingularJacobianError(
             f"linear solve failed at residual {prod_norm(fvals):.3e}"
         ) from exc
+    w = lift(GridFunction(n=1, n_grid=w.size, period=x.period, values=w[None, :]),
+             x.n_grid).values[0]
     return fvals + np.vstack([quad[i] @ (cols[i] * w) for i in range(x.n)])
 
 

@@ -33,11 +33,10 @@ from pericone.problem import (
     SPLIT_FACTOR,
     U_HI,
     U_LO,
-    _critical_points,
+    _critical_point,
     _forcing_bounds,
-    _head_root,
     _interval_extrema,
-    _tail_root,
+    _power_sum,
 )
 
 import oracles
@@ -112,8 +111,8 @@ def test_critical_points_two_term_closed_form(terms):
     # u = (-c1 p1 / (c2 p2))^(1 / (p2 - p1))
     (c1, p1), (c2, p2) = terms
     expect = (-c1 * p1 / (c2 * p2)) ** (1.0 / (p2 - p1))
-    (got,) = _critical_points(terms)
-    assert abs(got - expect) <= 1e-12 * expect
+    got = _critical_point(terms)
+    assert abs(got - expect) <= 1e-14 * expect
 
 
 @pytest.mark.parametrize("terms", [
@@ -123,18 +122,39 @@ def test_critical_points_two_term_closed_form(terms):
     ((0.3, -0.2), (1.5, 1.7)),
     ((1e-6, -1.0), (1e6, 0.5)),
     ((1e-8, -1.0), (1e8, 0.01)),
-    ((1.0, -8.0), (1.0, 8.0)),  # scan values reach 8e160 at both ends
+    ((1.0, -8.0), (1.0, 8.0)),  # sign test values reach 8e160 at both ends
 ])
 def test_critical_points_sign_test_never_overflows(terms):
-    # bypass the cache, so the scan really runs under warnings-as-errors
+    # bypass the cache, so the bisection really runs under warnings-as-errors
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots = _critical_points.__wrapped__(terms)
-    assert roots == _critical_points(terms)
+        got = _critical_point.__wrapped__(terms)
+    assert got == _critical_point(terms)
     (c1, p1), (c2, p2) = terms
     expect = (-c1 * p1 / (c2 * p2)) ** (1.0 / (p2 - p1))
-    assert len(roots) == 1
-    assert abs(roots[0] - expect) <= 1e-12 * expect
+    assert abs(got - expect) <= 1e-14 * expect
+
+
+@st.composite
+def positive_terms(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    return tuple((10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0)),
+                  draw(st.floats(min_value=-4.0, max_value=4.0)))
+                 for _ in range(k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=positive_terms())
+def test_critical_point_is_the_sign_change(terms):
+    # F(u) = u phi'(u) is strictly increasing for positive c: the returned
+    # point is the first float where F is nonnegative, and None means F
+    # keeps one sign on the whole window
+    slope = tuple((c * p, p) for c, p in terms)
+    crit = _critical_point(terms)
+    if crit is None:
+        assert _power_sum(slope, U_LO) >= 0.0 or _power_sum(slope, U_HI) < 0.0
+    else:
+        assert _power_sum(slope, math.nextafter(crit, 0.0)) < 0.0 <= _power_sum(slope, crit)
 
 
 def test_annulus_extrema_monotone():
@@ -338,34 +358,6 @@ def test_thresholds_match_bisection(family, n):
         for sigma in (0.3, 0.9, 1.0):
             assert thresholds_delta(prob, sigma) == _bisect_reference(prob, sigma), \
                 (e, sigma)
-
-
-@pytest.mark.parametrize("terms", [
-    # 1/u + 4u - u^2: a local min near 0.6, a local max near 1.86, then down
-    ((1.0, -1.0), (4.0, 1.0), (-1.0, 2.0)),
-    # -u^-2 + 4/u + u: up from -inf, a local max near 0.54, a local min
-    # near 1.68, then up
-    ((-1.0, -2.0), (4.0, -1.0), (1.0, 1.0)),
-])
-def test_threshold_roots_with_two_critical_points(terms):
-    # positive coefficients give at most one critical point (one sign change
-    # in c*p ordered by p), so the piece selection is checked on the
-    # per-component roots with a negative coefficient; the bound runs below,
-    # between and above the two critical values so the root lands on each piece
-    crit = _critical_points(terms)
-    assert len(crit) == 2
-    vals = sorted(sum(c * u ** p for c, p in terms) for u in crit)
-    singular = terms[0][1] < 0.0 and terms[0][0] > 0.0
-    for bound in (vals[0] - 1.0, 0.5 * (vals[0] + vals[1]), vals[1] + 1.0):
-        # the reference also evaluates the other end, where the terms of
-        # opposite sign meet as inf - inf; only the matching root is compared
-        with np.errstate(invalid="ignore"):
-            ref_delta, ref_big = oracles.threshold_radii_bisect(
-                (terms,), (bound,), 1.0, _interval_min, U_LO, U_HI)
-        if singular:
-            assert _head_root(terms, bound) == ref_delta, bound
-        else:
-            assert _tail_root(terms, bound, 1.0) == ref_big, bound
 
 
 @pytest.mark.parametrize("terms, expect_delta, expect_big", [
