@@ -14,9 +14,10 @@ entries:
 * certify: scan_radii on cor1b lambda = 0.05 over the default 361 radii and
   over 961 radii on [1e-8, 1e8]
 * solver: per certified annulus of cor1b lambda = 0.05 at N = 256, the
-  64-point Picard solve from the annulus seed, the 64-point Newton solve
-  from its result (or the seed), and the two-grid corrections of the lifted
-  iterate on the 256-point grid
+  64-point Newton solve from the annulus seed and the two-grid corrections
+  of the lifted iterate on the 256-point grid, as ``find_solutions`` runs
+  them; and the 64-point Picard solve from the same seed, a standalone
+  function that no solve path calls, timed for as long as it exists
 * run: every (preset, lambda) problem at N = 256 (tables, constants,
   find_solutions), ``pericone sweep`` on the superlinear family for lambda
   0.01 -> 0.3 in 6 steps through the CLI, and cor1b lambda = 0.05 at N = 1024
@@ -112,7 +113,7 @@ def _quietly(fn):
 
 
 def _solver_entries(repeats):
-    """Picard, Newton and two-grid corrections per annulus of cor1b lambda=0.05."""
+    """Newton from the seed, two-grid corrections and Picard per annulus of cor1b lambda=0.05."""
     problem, tables, constants = _setup("cor1b", 0.05)
     k = coarse_stride(tables[0].n_grid)
     coarse = [coarsen(tbl, k) for tbl in tables]
@@ -128,14 +129,13 @@ def _solver_entries(repeats):
                 return None
 
         pic = picard()
-        start = pic.x if pic is not None and pic.converged else seed
         out[f"solver.picard[{tag}]"] = dict(
             _time(picard, repeats),
             outcome="diverged" if pic is None else
             ("converged" if pic.converged else "stalled"))
         out[f"solver.newton[{tag}]"] = _time(
-            lambda: newton_refine(problem, coarse, start), repeats)
-        lifted = lift(newton_refine(problem, coarse, start).x, tables[0].n_grid)
+            lambda: newton_refine(problem, coarse, seed), repeats)
+        lifted = lift(newton_refine(problem, coarse, seed).x, tables[0].n_grid)
         out[f"solver.two_grid[{tag}]"] = _time(
             lambda: newton_refine(problem, tables, lifted, coarse=coarse), repeats)
     return out

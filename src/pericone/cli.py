@@ -221,12 +221,11 @@ def cmd_solve(args) -> int:
     report = find_solutions(problem, tables, constants, ode_tol)
 
     header = "t," + ",".join(f"x_{i + 1}" for i in range(problem.n))
-    t = tables[0].grid_t
+    t = tables[0].grid_t.tolist()
+    # one %-format per row; "%.17g" % v is format(v, ".17g"), as _fmt writes it
+    row = ",".join(["%.17g"] * (problem.n + 1))
     for j, sol in enumerate(report.solutions, start=1):
-        lines = [header]
-        for p in range(n_grid):
-            vals = ",".join(_fmt(sol.x.values[i, p]) for i in range(problem.n))
-            lines.append(f"{_fmt(t[p])},{vals}")
+        lines = [header, *(row % vals for vals in zip(t, *sol.x.values.tolist()))]
         _write_text(out / f"solution_{j}.csv", "\n".join(lines) + "\n")
 
     summary = ["norm,fp_residual,ode_residual,cone_margin"]

@@ -15,6 +15,7 @@ minimum by construction rather than up to sampling error.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -199,6 +200,12 @@ def fhat(f: PowerLawRadial, theta, n: int) -> np.ndarray:
     return np.array([_interval_extrema(comp, lo, theta)[1] for comp in f.terms])
 
 
+def _check_lam(lam: float) -> None:
+    # written so that NaN fails it
+    if not 0.0 <= lam < math.inf:
+        raise DomainError("lam must be nonnegative and finite")
+
+
 @dataclass
 class Problem:
     """The full parametrized system on one period.
@@ -234,8 +241,7 @@ class Problem:
         # written so that NaN fails them
         if not 0.0 < self.period < math.inf:
             raise DomainError("period must be positive and finite")
-        if not 0.0 <= self.lam < math.inf:
-            raise DomainError("lam must be nonnegative and finite")
+        _check_lam(self.lam)
         self.a = tuple(self.a)
         self.g = tuple(self.g)
         self.e = tuple(self.e)
@@ -271,6 +277,17 @@ class Problem:
                     raise HypothesisError(
                         f"sign-changing e requires strictly positive g, g[{i}] is not"
                     )
+
+    def with_lam(self, lam: float) -> Problem:
+        """This problem at another lam, without a new coefficient audit.
+
+        sign_profile, g_min, e_abs_max and the grid samples do not depend on
+        lam, so they carry over; the copy shares the samples dict.
+        """
+        _check_lam(lam)
+        out = copy.copy(self)
+        out.lam = lam
+        return out
 
     def grid(self, n_grid: int) -> np.ndarray:
         return np.arange(n_grid) * (self.period / n_grid)

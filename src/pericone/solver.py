@@ -1,33 +1,36 @@
-"""Fixed-point solvers: damped Picard, Newton refinement, multi-solution search,
-and a lambda continuation sweep.
+"""Fixed-point solvers: Newton refinement, multi-solution search, a lambda
+continuation sweep, and a standalone damped Picard iteration.
 
 Multiplicity is captured by seeding every certified annulus separately and
 deduplicating afterwards, mirroring how the existence proofs localize each
-solution in its own annulus.  Picard is a heuristic warm-up (the singular
-term makes the raw iteration overshoot, hence the damping); Newton on
-F(x) = x - T x does the actual convergence.  Every f_i is radial,
-f_i(x) = phi_i(|x|_2), so its gradient phi_i'(u) x / u has rank one at each
-grid point and the exact Jacobian is I - U V with U_i = lam Q_i diag(g_i phi_i')
-and V = [diag(x_j / u)].  The Newton step therefore needs only the N x N
-system (I - V U) w = V F (Woodbury), not the dense (nN) x (nN) one; by
-Sylvester's identity det(I - U V) = det(I - V U), so the small system is
-singular exactly when the full one is.
+solution in its own annulus.  Newton on F(x) = x - T x starts straight from
+the constant annulus seed.  Every f_i is radial, f_i(x) = phi_i(|x|_2), so
+its gradient phi_i'(u) x / u has rank one at each grid point and the exact
+Jacobian is I - U V with U_i = lam Q_i diag(g_i phi_i') and
+V = [diag(x_j / u)].  The Newton step therefore needs only the N x N system
+(I - V U) w = V F (Woodbury), not the dense (nN) x (nN) one; by Sylvester's
+identity det(I - U V) = det(I - V U), so the small system is singular
+exactly when the full one is.
 
-Two grids: for N > COARSE_GRID, Picard and Newton run on the kernel
-subsampled at stride k (``coarse_stride``), which is the exact N/k-point
-table, so the only LU a solve factors is at most COARSE_GRID x COARSE_GRID.
-The discrete solution varies smoothly with the grid, so the coarse fixed
-point, lifted to N points by zero-padded FFT interpolation, is already close
-to the fine one (a two-grid Nystrom start).  The fine grid never forms an
-N x N matrix: each fine step is an Atkinson-Brakhage two-grid correction,
-the Newton step whose inner system is solved on the coarse grid from the
-restricted iterate and residual, lifted, and back-substituted through the
-fine quadrature.  Its error contracts by the coarse discretization error, so
-one correction takes a lifted start from about 1e-8 to round-off.  A lifted
-start always takes at least one correction: the interpolation error alone
-can already sit below NEWTON_TOL.  An annulus whose coarse solve or
-corrections fail is dropped with a note saying which.  For N <= COARSE_GRID
-the stride is 1 and the coarse solve is the fine one.
+``picard_solve`` (damped fixed-point iteration) is no part of any solve
+path; it stays a standalone function until the benchmark's tracer no longer
+wraps it.
+
+Two grids: for N > COARSE_GRID, Newton runs on the kernel subsampled at
+stride k (``coarse_stride``), which is the exact N/k-point table, so the only
+LU a solve factors is at most COARSE_GRID x COARSE_GRID.  The discrete
+solution varies smoothly with the grid, so the coarse fixed point, lifted to
+N points by zero-padded FFT interpolation, is already close to the fine one
+(a two-grid Nystrom start).  The fine grid never forms an N x N matrix:
+each fine step is an Atkinson-Brakhage two-grid correction, the Newton step
+whose inner system is solved on the coarse grid from the restricted iterate
+and residual, lifted, and back-substituted through the fine quadrature.
+Its error contracts by the coarse discretization error, so one correction
+takes a lifted start from about 1e-8 to round-off.  A lifted start always
+takes at least one correction: the interpolation error alone can already
+sit below NEWTON_TOL.  An annulus whose coarse solve or corrections fail is
+dropped with a note saying which.  For N <= COARSE_GRID the stride is 1 and
+the coarse solve is the fine one.
 """
 from __future__ import annotations
 
@@ -70,13 +73,17 @@ PICARD_DAMPING = 0.5
 MAX_PICARD = 200
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 30
+# Newton gives up after this many steps in a row without a new best residual,
+# as a warm start past a fold does; a far warm start (a 4.6x lambda step on
+# the sublinear branch) went 7 such steps and then converged
+NEWTON_STALL = 10
 # default gate on the independent second-difference residual of accepted
 # solutions; loosen for problems whose solutions have large fourth derivatives
 ODE_TOL = 1e-6
 NORM_BLOWUP = 1e12
 CLAMP_TOL = 1e-12
 DEDUPE_RTOL = 1e-6
-# largest grid the Picard + Newton stage runs on; finer grids get two-grid corrections
+# largest grid the Newton stage runs on; finer grids get two-grid corrections
 COARSE_GRID = 64
 NEWTON_FAILURES = (SingularJacobianError, NoConvergenceError, DomainError,
                    SingularityError, DivergenceError)
@@ -177,12 +184,12 @@ def lift(x: GridFunction, n_grid: int) -> GridFunction:
 def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
     """Damped fixed-point iteration x <- (1-w) x + w T x.
 
-    Stops as soon as the residual reaches the hand-off target (Newton takes
-    over from there) or the iteration budget runs out.  The damping halves on
-    norm overshoot, at most four times.  Micro-negative components (roundoff)
-    are clamped to zero; anything worse aborts, as does a norm blow-up or a
-    fall below the singularity guard.  A sign-changing e whose split
-    inequality fails raises DomainError from apply_T; it is not caught here.
+    Stops as soon as the residual reaches PICARD_TARGET or the iteration
+    budget runs out.  The damping halves on norm overshoot, at most four
+    times.  Micro-negative components (roundoff) are clamped to zero;
+    anything worse aborts, as does a norm blow-up or a fall below the
+    singularity guard.  A sign-changing e whose split inequality fails
+    raises DomainError from apply_T; it is not caught here.
     """
     x = x0
     x_norm = x.norm
@@ -267,10 +274,12 @@ def newton_refine(problem: Problem, tables, x0: GridFunction, coarse=None) -> Ne
     Without coarse tables every step is the exact N x N Newton step; the
     solver takes it only on the base grid.  Given coarse tables (the fine
     ones subsampled at a stride), every step is a two-grid correction and at
-    least one is taken.
+    least one is taken.  Raises NoConvergenceError after MAX_NEWTON steps, or
+    sooner once NEWTON_STALL steps in a row have not beaten the best residual.
     """
     x = x0
     history = []
+    best, since_best = math.inf, 0
     for _ in range(MAX_NEWTON + 1):
         tx = apply_T(problem, tables, x)
         fvals = x.values - tx.values
@@ -279,13 +288,17 @@ def newton_refine(problem: Problem, tables, x0: GridFunction, coarse=None) -> Ne
         if res <= NEWTON_TOL and (coarse is None or len(history) > 1):
             return NewtonResult(x=x, residual=res, iterations=len(history) - 1,
                                 history=tuple(history))
-        if len(history) > MAX_NEWTON:
+        if res < best:
+            best, since_best = res, 0
+        else:
+            since_best += 1
+        if since_best == NEWTON_STALL or len(history) > MAX_NEWTON:
             break
         step = _newton_step(problem, tables, x, fvals, coarse)
         x = GridFunction(n=x.n, n_grid=x.n_grid, period=x.period,
                          values=x.values - step)
     raise NoConvergenceError(
-        f"newton stalled at residual {history[-1]:.3e} after {MAX_NEWTON} steps"
+        f"newton stalled at residual {history[-1]:.3e} after {len(history) - 1} steps"
     )
 
 
@@ -339,26 +352,12 @@ def _dedupe(solutions: list) -> list:
 
 def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
                      seed: GridFunction, annulus_id: str, ode_tol: float, notes: list):
-    """Picard + Newton on the coarse tables from a coarse-grid seed; the lifted
-    iterate gets two-grid corrections and is verified on the fine tables.
-    None, with a note, if Newton or the corrections fail."""
-    start = seed
+    """Newton on the coarse tables straight from a coarse-grid seed (an annulus
+    seed or a warm start); the lifted iterate gets two-grid corrections and is
+    verified on the fine tables.  None, with a note, if Newton or the
+    corrections fail."""
     try:
-        pic = picard_solve(problem, coarse, seed)
-        if pic.converged:
-            start = pic.x
-        else:
-            notes.append(
-                f"{annulus_id}: picard stalled at residual {pic.residual:.3e}, "
-                "handing the raw seed to newton"
-            )
-    except DivergenceError as exc:
-        notes.append(f"{annulus_id}: picard diverged ({exc}); newton from the raw seed")
-    except DomainError as exc:
-        notes.append(f"{annulus_id}: picard left the admissible region ({exc}); "
-                     "newton from the raw seed")
-    try:
-        x = newton_refine(problem, coarse, start).x
+        x = newton_refine(problem, coarse, seed).x
     except NEWTON_FAILURES as exc:
         notes.append(f"{annulus_id}: newton failed ({exc})")
         return None
@@ -429,7 +428,7 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
     next_branch = 1
     for lam in lams:
         lam = float(lam)
-        prob_l = replace(problem, lam=lam)
+        prob_l = problem.with_lam(lam)
         notes: list = []
         assigned = []  # (branch_id, solution), warm lineage first
         for bid, psol in prev:

@@ -8,7 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pericone import green_constant, symmetric_config
+import pericone.cli as cli_mod
+from pericone import (
+    Constant,
+    GridFunction,
+    Solution,
+    SolveReport,
+    build_green_table,
+    green_constant,
+    symmetric_config,
+)
 from pericone.cli import EXIT_FOUND, EXIT_INPUT, EXIT_NOTHING, EXIT_NUMERIC, main
 
 import oracles
@@ -217,6 +226,31 @@ def test_seventeen_digit_formatting(tmp_path):
     norm = float(rows[0]["norm"])
     # parsing the printed value back must be lossless
     assert rows[0]["norm"] == f"{norm:.17g}"
+
+
+def test_solution_csv_matches_per_value_formatting(tmp_path, monkeypatch):
+    # the row-at-a-time writer must give the bytes format(v, ".17g") gives per value
+    n_grid = 64
+    rng = np.random.default_rng(3)
+    values = np.stack([10.0 ** rng.uniform(-300.0, 300.0, n_grid),
+                       rng.integers(-2 ** 53, 2 ** 53, n_grid).astype(float)])
+    values[0, :5] = [5e-324, 2.2250738585072014e-308 / 3.0, 1.7976931348623157e308,
+                     0.0, 1.0 / 3.0]
+    values[1, :4] = [1.0, -0.0, 2.0 ** 60, -7.0]
+    sol = Solution(x=GridFunction(2, n_grid, 1.0, values), lam=1.0, norm=1.0,
+                   fp_residual=0.0, ode_residual=0.0, cone_margin=0.0,
+                   positive_min=0.0, annulus_id="A1")
+    monkeypatch.setattr(cli_mod, "find_solutions",
+                        lambda *args: SolveReport(solutions=[sol], annuli=[], notes=[]))
+    cfg = write_cfg(tmp_path, symmetric_config(0.5, 0.5, 1.0, n_grid=n_grid))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_FOUND
+    t = build_green_table(Constant(1.0), n_grid).grid_t
+    expect = ["t,x_1,x_2"] + [
+        ",".join(format(float(v), ".17g") for v in (t[p], values[0, p], values[1, p]))
+        for p in range(n_grid)
+    ]
+    written = (tmp_path / "s" / "solution_1.csv").read_bytes()
+    assert written == ("\n".join(expect) + "\n").encode()
 
 
 def test_sweep_script_shares_one_table(monkeypatch, capsys):

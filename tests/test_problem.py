@@ -387,6 +387,11 @@ def test_problem_rejects_bad_lambda(lam):
     with pytest.raises(DomainError):
         Problem(n=1, period=1.0, a=(Constant(1.0),), g=(Constant(1.0),),
                 e=(Constant(0.0),), f=PowerLawRadial((SUPERLINEAR_TERMS,)), lam=lam)
+    # the sweep's step problems skip the audit but not this check
+    prob = Problem(n=1, period=1.0, a=(Constant(1.0),), g=(Constant(1.0),),
+                   e=(Constant(0.0),), f=PowerLawRadial((SUPERLINEAR_TERMS,)), lam=0.1)
+    with pytest.raises(DomainError):
+        prob.with_lam(lam)
 
 
 _NON_FINITE_FIELDS = {

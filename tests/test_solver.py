@@ -30,9 +30,11 @@ from pericone import (
     seed_from_annulus,
     symmetric_config,
 )
+import pericone.problem as problem_mod
 import pericone.solver as solver_mod
 from pericone.certify import default_r_grid, existence_report
 from pericone.cli import build_tables
+from pericone.operator import prod_norm
 from pericone.solver import _newton_step
 
 import oracles
@@ -496,3 +498,108 @@ def test_one_two_grid_correction_reaches_round_off(monkeypatch):
         assert res.iterations == 1
         assert res.history[0] > res.residual
         assert res.residual <= 1e-15 * max(res.x.norm, 100.0)
+
+
+def test_newton_stall_ends_warm_starts_past_the_fold(monkeypatch):
+    # scripts/sweep_branches.py --steps 3: at lambda=0.5, past the fold, both
+    # warm starts stall; each ends NEWTON_STALL steps after its best residual
+    # instead of running all MAX_NEWTON steps
+    real_apply = solver_mod.apply_T
+    real_newton = solver_mod.newton_refine
+    history, stalls = [], []
+
+    def record(problem, tables, x):
+        tx = real_apply(problem, tables, x)
+        history.append(prod_norm(x.values - tx.values))
+        return tx
+
+    def watch(problem, tables, x0, coarse=None):
+        history.clear()
+        try:
+            return real_newton(problem, tables, x0, coarse)
+        except NoConvergenceError as exc:
+            stalls.append((problem.lam, str(exc), list(history)))
+            raise
+
+    monkeypatch.setattr(solver_mod, "apply_T", record)
+    monkeypatch.setattr(solver_mod, "newton_refine", watch)
+    prob = make_problem(1.0, 2.0, 0.01)
+    tables = build_tables(prob, 256)
+    table = continue_lambda(prob, tables, 0.01, 0.5, 3,
+                            constants=compute_constants(tables, prob))
+    assert len(stalls) == 2
+    assert len(table.rows) == 4 and all(row.lam < FOLD_LAMBDA for row in table.rows)
+    stall = solver_mod.NEWTON_STALL
+    for lam, message, hist in stalls:
+        steps = len(hist) - 1
+        assert lam == 0.5
+        assert steps < solver_mod.MAX_NEWTON
+        assert message == f"newton stalled at residual {hist[-1]:.3e} after {steps} steps"
+        running = np.minimum.accumulate(hist)
+        new_best = [0] + [k for k in range(1, len(hist)) if hist[k] < running[k - 1]]
+        assert steps - new_best[-1] == stall
+        assert all(gap <= stall for gap in np.diff(new_best))
+
+
+# annulus ids of the solutions found for each preset problem at N=256, as the
+# solver with a Picard warm-up before Newton gave them
+PRESET_ANNULUS_IDS = {
+    ("cor1a", 0.1): ["A1"], ("cor1a", 1.0): ["A1"], ("cor1a", 10.0): ["A1"],
+    ("cor1b", 0.05): ["A1", "A2"], ("cor1b", 0.02): ["A1", "A2"],
+    ("cor2a", 8.0): ["A1"], ("cor2a", 10.0): ["A1"],
+    ("cor2b", 0.01): ["A1", "A2"],
+}
+
+
+def test_pipeline_never_calls_picard(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("picard_solve called")
+
+    monkeypatch.setattr(solver_mod, "picard_solve", forbidden)
+    got = {}
+    for name in sorted(PRESETS):
+        preset = PRESETS[name]
+        for lam in preset.lambdas:
+            parsed = parse_config(preset.config(lam, 256))
+            tables = build_tables(parsed.problem, parsed.n_grid)
+            cc = compute_constants(tables, parsed.problem)
+            report = find_solutions(parsed.problem, tables, cc, preset.ode_tol)
+            got[name, lam] = [s.annulus_id for s in report.solutions]
+    assert got == PRESET_ANNULUS_IDS
+    prob = make_problem(1.0, 2.0, 0.01)
+    tables = build_tables(prob, 256)
+    sweep = continue_lambda(prob, tables, 0.01, 0.3, 6,
+                            constants=compute_constants(tables, prob))
+    # both branches at every step, under the ids the Picard warm-up gave them
+    rows = [(row.branch_id, row.annulus_id) for row in sweep.rows]
+    assert rows == [("b1", "A1"), ("b2", "A2")] * 6
+    assert [row.lam for row in sweep.rows[::2]] == [float(v) for v in np.geomspace(0.01, 0.3, 6)]
+
+
+def test_sweep_steps_skip_the_coefficient_audit(monkeypatch):
+    # each step's problem is the swept one at the step's lambda, with the
+    # audited g_min, e_abs_max and sign_profile carried over, not recomputed
+    prob = make_problem(1.0, 2.0, 0.01, e_spec={"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}})
+    tables = build_tables(prob, 256)
+    cc = compute_constants(tables, prob)
+    real_extrema = problem_mod.coefficient_extrema
+    real_find = solver_mod.find_solutions
+    audits, steps = [], []
+
+    def count(*args):
+        audits.append(args)
+        return real_extrema(*args)
+
+    def record(problem, *args):
+        steps.append(problem)
+        return real_find(problem, *args)
+
+    monkeypatch.setattr(problem_mod, "coefficient_extrema", count)
+    monkeypatch.setattr(solver_mod, "find_solutions", record)
+    table = continue_lambda(prob, tables, 0.01, 0.3, 6, constants=cc)
+    assert audits == []
+    assert table.rows
+    monkeypatch.setattr(problem_mod, "coefficient_extrema", real_extrema)
+    assert [step.lam for step in steps] == [float(v) for v in np.geomspace(0.01, 0.3, 6)]
+    for step in steps:
+        assert step == replace(prob, lam=step.lam)
