@@ -73,10 +73,6 @@ PICARD_DAMPING = 0.5
 MAX_PICARD = 200
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 30
-# Newton gives up after this many steps in a row without a new best residual,
-# as a warm start past a fold does; a far warm start (a 4.6x lambda step on
-# the sublinear branch) went 7 such steps and then converged
-NEWTON_STALL = 10
 # default gate on the independent second-difference residual of accepted
 # solutions; loosen for problems whose solutions have large fourth derivatives
 ODE_TOL = 1e-6
@@ -274,12 +270,10 @@ def newton_refine(problem: Problem, tables, x0: GridFunction, coarse=None) -> Ne
     Without coarse tables every step is the exact N x N Newton step; the
     solver takes it only on the base grid.  Given coarse tables (the fine
     ones subsampled at a stride), every step is a two-grid correction and at
-    least one is taken.  Raises NoConvergenceError after MAX_NEWTON steps, or
-    sooner once NEWTON_STALL steps in a row have not beaten the best residual.
+    least one is taken.
     """
     x = x0
     history = []
-    best, since_best = math.inf, 0
     for _ in range(MAX_NEWTON + 1):
         tx = apply_T(problem, tables, x)
         fvals = x.values - tx.values
@@ -288,17 +282,13 @@ def newton_refine(problem: Problem, tables, x0: GridFunction, coarse=None) -> Ne
         if res <= NEWTON_TOL and (coarse is None or len(history) > 1):
             return NewtonResult(x=x, residual=res, iterations=len(history) - 1,
                                 history=tuple(history))
-        if res < best:
-            best, since_best = res, 0
-        else:
-            since_best += 1
-        if since_best == NEWTON_STALL or len(history) > MAX_NEWTON:
+        if len(history) > MAX_NEWTON:
             break
         step = _newton_step(problem, tables, x, fvals, coarse)
         x = GridFunction(n=x.n, n_grid=x.n_grid, period=x.period,
                          values=x.values - step)
     raise NoConvergenceError(
-        f"newton stalled at residual {history[-1]:.3e} after {len(history) - 1} steps"
+        f"newton stalled at residual {history[-1]:.3e} after {MAX_NEWTON} steps"
     )
 
 
