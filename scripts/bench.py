@@ -6,7 +6,8 @@ median and the minimum, because a small shared machine is noisy.  The
 entries:
 
 * greens: Green tables, closed form (a = 1) and RK4 (a = 1 + 0.3 cos), at
-  N = 256 and N = 1024
+  N = 256, 1024 and 4096; the N = 4096 entries also record the peak of
+  the memory Python allocates during one build (tracemalloc), in MiB
 * problem: thresholds_delta on each preset's first lambda, with the caches
   of the critical point and the per-component roots emptied before each
   call, so all of them are computed every time
@@ -20,7 +21,8 @@ entries:
   function that no solve path calls, timed for as long as it exists
 * run: every (preset, lambda) problem at N = 256 (tables, constants,
   find_solutions), ``pericone sweep`` on the superlinear family for lambda
-  0.01 -> 0.3 in 6 steps through the CLI, and cor1b lambda = 0.05 at N = 1024
+  0.01 -> 0.3 in 6 steps through the CLI, and cor1b lambda = 0.05 at
+  N = 1024 and N = 4096
 
 The file also records the commit of the tree the package was imported from
 (null outside a git checkout), the Python and numpy versions, the CPU count
@@ -44,6 +46,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -88,6 +91,16 @@ def _time(fn, repeats):
         samples.append(time.perf_counter() - start)
     return {"median_s": statistics.median(samples), "min_s": min(samples),
             "repeats": repeats}
+
+
+def _peak_mib(fn):
+    """Peak of the memory Python allocates during one call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def _setup(preset, lam, n_grid=256):
@@ -152,11 +165,13 @@ def _run_entries(repeats):
             tables = build_tables(problem, 256)
             find_solutions(problem, tables, compute_constants(tables, problem), ode_tol)
 
-    fine = parse_config(PRESETS["cor1b"].config(0.05, 1024)).problem
+    def fine_grid(n_grid):
+        fine = parse_config(PRESETS["cor1b"].config(0.05, n_grid)).problem
 
-    def fine_grid():
-        tables = build_tables(fine, 1024)
-        find_solutions(fine, tables, compute_constants(tables, fine))
+        def run():
+            tables = build_tables(fine, n_grid)
+            find_solutions(fine, tables, compute_constants(tables, fine))
+        return run
 
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "superlinear.json"
@@ -167,17 +182,20 @@ def _run_entries(repeats):
             "run.presets[8 problems]": _time(presets, repeats),
             "run.cli_sweep[superlinear 0.01->0.3, 6 steps]":
                 _time(_quietly(lambda: cli_main(sweep_args)), repeats),
-            "run.fine_grid[cor1b@0.05/N1024]": _time(fine_grid, repeats),
+            "run.fine_grid[cor1b@0.05/N1024]": _time(fine_grid(1024), repeats),
+            "run.fine_grid[cor1b@0.05/N4096]": _time(fine_grid(4096), repeats),
         }
 
 
 def measure(repeats):
     timings = {}
-    for n_grid in (256, 1024):
-        timings[f"greens.closed_form[N{n_grid}]"] = _time(
-            lambda: build_green_table(Constant(1.0), n_grid), repeats)
-        timings[f"greens.rk4[N{n_grid}]"] = _time(
-            lambda: build_green_table(FourierSeries(1.0, (0.3,)), n_grid), repeats)
+    for n_grid in (256, 1024, 4096):
+        for name, coef in (("closed_form", Constant(1.0)), ("rk4", FourierSeries(1.0, (0.3,)))):
+            def build():
+                return build_green_table(coef, n_grid)
+            entry = timings[f"greens.{name}[N{n_grid}]"] = _time(build, repeats)
+            if n_grid == 4096:
+                entry["peak_mib"] = _peak_mib(build)
     for name in sorted(PRESETS):
         lam = PRESETS[name].lambdas[0]
         problem, _, constants = _setup(name, lam)
@@ -235,8 +253,9 @@ def main():
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     width = max(len(name) for name in timings)
     for name, t in timings.items():
+        peak = f"  peak {t['peak_mib']:7.1f} MiB" if "peak_mib" in t else ""
         print(f"{name:<{width}}  median {1e3 * t['median_s']:9.3f} ms  "
-              f"min {1e3 * t['min_s']:9.3f} ms")
+              f"min {1e3 * t['min_s']:9.3f} ms{peak}")
     print(f"wrote {path}")
     return 0
 

@@ -52,7 +52,9 @@ from .greens import (
     green_bounds_constant,
     green_constant,
     kernel_quadrature,
+    kernel_values,
     solve_linear_periodic,
+    torres_positive,
 )
 from .operator import GridFunction, apply_T, fixed_point_residual, ode_residual
 from .problem import (

@@ -1,9 +1,9 @@
 """Command line front end.
 
-Subcommands: green (kernel tables + positivity), certify (certificate scan
-and existence report), solve (find the positive periodic solutions), sweep
-(lambda continuation to CSV), reproduce (built-in benchmark scenarios with
-pass/fail clauses).
+Subcommands: green (kernel tables, positivity scan and Torres' analytic
+criterion), certify (certificate scan and existence report), solve (find the
+positive periodic solutions), sweep (lambda continuation to CSV), reproduce
+(built-in benchmark scenarios with pass/fail clauses).
 
 All numeric output is printed with 17 significant digits and no environment
 state is consulted, so identical invocations produce byte-identical files.
@@ -31,7 +31,7 @@ from .certify import (
 from .cone import compute_constants
 from .config import load_config_file, parse_config, serialize_problem
 from .errors import ConfigError, HypothesisError, PericoneError
-from .greens import build_green_table
+from .greens import ROW_BLOCK, build_green_table, kernel_values, torres_positive
 from .solver import ODE_TOL, continue_lambda, find_solutions
 
 __all__ = ["build_tables", "main"]
@@ -65,10 +65,16 @@ def _jsonable(obj):
     return obj
 
 
-def _write_text(path: Path, text: str):
+def _write_chunks(path: Path, chunks):
+    """Write the strings of an iterable one after another, as they come."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
     print(f"wrote {path}")
+
+
+def _write_text(path: Path, text: str):
+    _write_chunks(path, (text,))
 
 
 def _write_json(path: Path, doc):
@@ -106,20 +112,25 @@ def _ode_tol(args) -> float:
     return args.ode_tol
 
 
+def _green_rows(table):
+    """green_i.csv as one chunk per kernel row, sampled ROW_BLOCK rows at a time."""
+    t = [_fmt(v) for v in table.grid_t]
+    nodes = np.arange(table.n_grid)
+    yield "t,s,G\n"
+    for start in range(0, table.n_grid, ROW_BLOCK):
+        rows = nodes[start:start + ROW_BLOCK]
+        for p, row in zip(rows, kernel_values(table, rows, nodes).tolist()):
+            yield "".join(f"{t[p]},{tq},{_fmt(g)}\n" for tq, g in zip(t, row))
+
+
 def cmd_green(args) -> int:
     parsed = _load(args)
     problem, n_grid = parsed.problem, parsed.n_grid
     out = Path(args.out)
     reports = []
-    for i, table in enumerate(build_tables(problem, n_grid)):
+    for i, (table, coef) in enumerate(zip(build_tables(problem, n_grid), problem.a)):
         pos = table.positivity
-        t = table.grid_t
-        lines = ["t,s,G"]
-        for p in range(n_grid):
-            row = table.values[p]
-            tp = _fmt(t[p])
-            lines.extend(f"{tp},{_fmt(t[q])},{_fmt(row[q])}" for q in range(n_grid))
-        _write_text(out / f"green_{i}.csv", "\n".join(lines) + "\n")
+        _write_chunks(out / f"green_{i}.csv", _green_rows(table))
         reports.append({
             "component": i,
             "m": table.m,
@@ -129,6 +140,7 @@ def cmd_green(args) -> int:
             "argmin_t": pos.argmin[0],
             "argmin_s": pos.argmin[1],
             "holds": pos.holds,
+            "torres_criterion": torres_positive(coef),
         })
         print(f"component {i}: m={_fmt(table.m)} M={_fmt(table.M)} "
               f"positive={_bool(table.positive)}")

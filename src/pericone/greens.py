@@ -8,24 +8,35 @@ closed form
 
 which is strictly positive with extrema m = Ghat(0) and M = Ghat(T/2).  On
 the grid t_p = p h the table is the symmetric circulant of the profile
-Ghat(h j), built from one N-point evaluation without N^2 transcendental calls.
+Ghat(h j), generated by one N-point evaluation.
 For a general T-periodic coefficient the kernel is assembled from the two
 basis solutions of x'' + a(t) x = 0 via the monodromy matrix and variation of
 parameters; existence requires I - Phi(T) to be invertible (non-resonance).
 The basis is classical RK4 at step T/(4*n_grid): the system is linear, so
 every step is a 2x2 matrix, all of them are built at once, and their prefix
-product is taken by log-depth doubling, with no Python loop over steps.
+product is taken by log-depth doubling, with no Python loop over steps.  On
+the grid that kernel is a rank-2 product plus a causal rank-2 term, so the
+table is semiseparable: the basis at the nodes and a 2 x N coefficient
+generate it.
 
 Quadrature note: G is continuous but its s-derivative jumps by exactly 1
 across the diagonal (the defining delta normalization), so the plain periodic
-trapezoid rule stalls at O(N^-2).  ``kernel_quadrature`` therefore adds the
-next Euler-Maclaurin term, h^2/12 * w(t), as a diagonal bump h/12, which
-restores O(N^-4) accuracy on smooth data.  Tabulated values, m and M are the
-raw kernel samples, never corrected.  The corrected matrix is built once per
-table; it and the samples are read-only, because every operator application
-and every Newton step shares them.  The grids t_p = p T/N nest, so
-``coarsen`` takes every k-th node of a table as the N/k-point table with no
-new kernel evaluation; the two-grid solve runs on it.
+trapezoid rule stalls at O(N^-2).  ``kernel_quadrature`` therefore applies
+Q = h (G + h/12 I): the next Euler-Maclaurin term, h^2/12 * w(t), as a
+diagonal bump, which restores O(N^-4) accuracy on smooth data.  No table
+holds G or Q as an N x N array: Q is applied from the generators, the
+circulant by real FFTs in O(N log N) and the semiseparable kernel by a
+rank-2 product and two prefix sums in O(N) (Greengard and Rokhlin, CPAM 44,
+1991).  ``kernel_values`` samples G at node indices from the generators;
+m and M are raw kernel samples, never corrected.  The grids t_p = p T/N
+nest, so ``coarsen`` subsamples the generators at every k-th node and
+samples the N/k-point quadrature matrix from them with no new kernel
+evaluation: the dense table the two-grid solve's Newton LU factors.
+Generators and matrices are read-only, because every operator application
+and every Newton step shares them.
+
+``torres_positive`` is an analytic cross-check of the positivity scan, from
+the coefficient alone.
 """
 from __future__ import annotations
 
@@ -33,25 +44,37 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .coefficients import Constant, PeriodicCoefficient
+from .coefficients import (
+    Constant,
+    FourierSeries,
+    PeriodicCoefficient,
+    coefficient_extrema,
+    extrema_slack,
+)
 from .errors import DomainError, ResonanceError
 
 __all__ = [
     "GreensTable",
     "PositivityReport",
+    "CirculantKernel",
+    "SemiseparableKernel",
+    "DenseQuadrature",
     "green_constant",
     "green_bounds_constant",
     "build_green_table",
     "coarsen",
+    "kernel_values",
     "kernel_quadrature",
+    "torres_positive",
     "solve_linear_periodic",
 ]
 
 RESONANCE_RTOL = 1e-10
 POSITIVITY_RTOL = 1e-12
 FINE_FACTOR = 4
+# rows per block of the RK4 extrema scan: O(ROW_BLOCK * N) memory, never N^2
+ROW_BLOCK = 64
 
 
 def _ghat(d, k: float, period: float):
@@ -60,18 +83,97 @@ def _ghat(d, k: float, period: float):
     return (np.sin(k * d) + np.sin(k * (period - d))) / den
 
 
-def _circulant_table(k: float, period: float, n_grid: int) -> np.ndarray:
-    """values[p, q] = Ghat(h |p - q|) from one N-point profile, N even.
+def _circulant_profile(k: float, period: float, n_grid: int) -> np.ndarray:
+    """Ghat(h j) for j = 0..N-1, N even: G(t_p, t_q) = profile[(q - p) mod N].
 
-    Ghat(d) = Ghat(T - d), so the table is the circulant of the profile
-    mirrored about N/2, which makes it exactly symmetric.  Row p is a window
-    of the doubled profile; the windows are a zero-copy view, copied once.
+    Ghat(d) = Ghat(T - d), so the profile is evaluated at N/2 + 1 points and
+    mirrored about N/2; profile[j] = profile[N - j] exactly, which makes the
+    circulant exactly symmetric.
     """
     h = period / n_grid
     half = _ghat(np.arange(n_grid // 2 + 1) * h, k, period)
-    profile = np.concatenate([half, half[-2:0:-1]])
-    windows = sliding_window_view(np.concatenate([profile, profile]), n_grid)
-    return windows[n_grid:0:-1].copy()
+    return np.concatenate([half, half[-2:0:-1]])
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class CirculantKernel:
+    """Constant-a kernel on N nodes: G(t_p, t_q) = profile[(q - p) mod N].
+
+    The profile is even, so Q = h (G + h/12 I) is diagonal in Fourier space
+    with the real eigenvalues h rfft(profile) + h^2/12.
+    """
+
+    def __init__(self, profile: np.ndarray, h: float):
+        self.profile = _frozen(profile)
+        # an even profile has a real spectrum; the imaginary parts are round-off
+        self.eigenvalues = _frozen(h * np.fft.rfft(profile).real + h * h / 12.0)
+
+    def sample(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.profile[(cols[None, :] - rows[:, None]) % self.profile.size]
+
+    def subsample(self, stride: int, h: float) -> CirculantKernel:
+        return CirculantKernel(self.profile[::stride], h)
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        """Q w along the last axis of w."""
+        return np.fft.irfft(self.eigenvalues * np.fft.rfft(w), n=self.profile.size)
+
+
+class SemiseparableKernel:
+    """RK4 kernel on N nodes from the basis at the nodes and the coefficient C.
+
+    basis = (phi1, phi2) at the nodes and C are 2 x N arrays, and
+    G(t_p, t_q) = phi1(t_p) C[0, q] + phi2(t_p) C[1, q]
+                  + [p >= q] (phi2(t_p) phi1(t_q) - phi1(t_p) phi2(t_q)).
+    So (G w)_p = phi(t_p) . (C w) + phi2(t_p) S1_p - phi1(t_p) S2_p with the
+    prefix sums S_k = cumsum(phi_k w), and Q w = h G w + (h^2/12) w is O(N).
+    The two causal terms cancel where the dense row sum would not, so the
+    error grows with the size of the basis; for the bounded bases of the
+    positive kernels in the test suite Q w stays within 1e-13 relative of
+    the dense product.
+    """
+
+    def __init__(self, basis: np.ndarray, coef: np.ndarray, h: float):
+        self.basis = _frozen(basis)
+        self.coef = _frozen(coef)
+        self.h = h
+
+    def sample(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        p1, p2 = self.basis
+        return _assemble(p1[rows], p2[rows], p1[cols], p2[cols], self.coef[:, cols],
+                         rows[:, None] >= cols[None, :])
+
+    def subsample(self, stride: int, h: float) -> SemiseparableKernel:
+        return SemiseparableKernel(self.basis[:, ::stride], self.coef[:, ::stride], h)
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        """Q w along the last axis of w."""
+        p1, p2 = self.basis
+        proj = w @ self.coef.T
+        gw = (proj[..., :1] * p1 + proj[..., 1:] * p2
+              + p2 * np.cumsum(p1 * w, axis=-1) - p1 * np.cumsum(p2 * w, axis=-1))
+        return self.h * gw + (self.h * self.h / 12.0) * w
+
+
+class DenseQuadrature:
+    """Q = h (G + h/12 I) as a matrix: the coarse form the Newton LU factors."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = _frozen(matrix)
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        """Q w along the last axis of w, one row at a time: a row gets the
+        same bits inside a block as on its own."""
+        if w.ndim == 1:
+            return self.matrix @ w
+        out = np.empty(w.shape)
+        for i, row in enumerate(w):
+            out[i] = self.matrix @ row
+        return out
 
 
 def green_constant(k: float, period: float, t: float, s: float) -> float:
@@ -103,16 +205,21 @@ class PositivityReport:
 
 @dataclass
 class GreensTable:
-    """Kernel samples values[p, q] = G(t_p, t_q) on the uniform grid t_p = p*T/N."""
+    """The kernel G(t_p, t_q) on the uniform grid t_p = p*T/N, held by its generators.
+
+    ``kernel`` is a CirculantKernel (closed form) or a SemiseparableKernel
+    (RK4): O(N) numbers, sampled by ``kernel_values``.  ``quadrature`` is the
+    Nystrom operator ``kernel_quadrature`` returns: the kernel itself on a
+    table from build_green_table, a DenseQuadrature on one from ``coarsen``.
+    """
 
     n_grid: int
     period: float
-    values: np.ndarray
+    kernel: CirculantKernel | SemiseparableKernel = field(repr=False)
     m: float
     M: float
     positivity: PositivityReport
-    # h * (values + (h/12) I), the Nystrom matrix kernel_quadrature returns
-    quadrature: np.ndarray = field(repr=False)
+    quadrature: CirculantKernel | SemiseparableKernel | DenseQuadrature = field(repr=False)
     # closed-form k when the constant-coefficient branch was used, else None
     k: float | None = field(default=None, repr=False)
     monodromy: np.ndarray | None = field(default=None, repr=False)
@@ -171,29 +278,52 @@ def _rk4_basis(coef: PeriodicCoefficient, n_grid: int):
     return Y
 
 
-def _kernel_from_basis(Y: np.ndarray, idx_t, idx_s):
-    """G on the grid points given by fine indices idx_t (rows) x idx_s (cols)."""
+def _kernel_coefficients(Y: np.ndarray, idx_s) -> np.ndarray:
+    """C (2 x len(idx_s)): G(t, s) = [phi1 phi2](t) C[:, s] plus the causal term."""
     Phi = Y[-1]
     A = np.eye(2) - Phi
     det = np.linalg.det(A)
     if abs(det) < RESONANCE_RTOL * (1.0 + np.linalg.norm(Phi)):
         raise ResonanceError(f"|det(I - Phi(T))| = {abs(det):.3e} too small")
 
-    p1t, p2t = Y[idx_t, 0, 0], Y[idx_t, 0, 1]
     p1s, p2s = Y[idx_s, 0, 0], Y[idx_s, 0, 1]
     phi1T, phi2T = Phi[0, 0], Phi[0, 1]
     dphi1T, dphi2T = Phi[1, 0], Phi[1, 1]
 
     # particular solution response at T for a unit impulse at s
     B = np.vstack([p1s * phi2T - phi1T * p2s, p1s * dphi2T - dphi1T * p2s])
-    C = np.linalg.solve(A, B)
+    return np.linalg.solve(A, B)
 
+
+def _assemble(p1t, p2t, p1s, p2s, C: np.ndarray, causal: np.ndarray) -> np.ndarray:
+    """G from the basis at the rows (t) and columns (s), C at the columns, and
+    the mask of the entries with t >= s."""
     # homogeneous part, plus the causal part p1(s) p2(t) - p1(t) p2(s) on t >= s;
     # both are rank-2 products
     G = np.stack([p1t, p2t], 1) @ C
-    causal = np.stack([p2t, -p1t], 1) @ np.stack([p1s, p2s])
-    np.add(G, causal, out=G, where=idx_t[:, None] >= idx_s[None, :])
+    np.add(G, np.stack([p2t, -p1t], 1) @ np.stack([p1s, p2s]), out=G, where=causal)
     return G
+
+
+def _kernel_from_basis(Y: np.ndarray, idx_t, idx_s):
+    """G on the grid points given by fine indices idx_t (rows) x idx_s (cols)."""
+    return _assemble(Y[idx_t, 0, 0], Y[idx_t, 0, 1], Y[idx_s, 0, 0], Y[idx_s, 0, 1],
+                     _kernel_coefficients(Y, idx_s), idx_t[:, None] >= idx_s[None, :])
+
+
+def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
+    """(min, max, first argmin) of the N x N table, ROW_BLOCK rows at a time."""
+    nodes = np.arange(n_grid)
+    m, big, arg = math.inf, -math.inf, (0, 0)
+    for start in range(0, n_grid, ROW_BLOCK):
+        block = kernel.sample(nodes[start:start + ROW_BLOCK], nodes)
+        flat = int(np.argmin(block))
+        if block.flat[flat] < m:
+            m = float(block.flat[flat])
+            row, col = divmod(flat, n_grid)
+            arg = (start + row, col)
+        big = max(big, float(block.max()))
+    return m, big, arg
 
 
 def _refine_min(values_eval, p_star: int, q_star: int, n_grid: int):
@@ -212,7 +342,12 @@ def _refine_min(values_eval, p_star: int, q_star: int, n_grid: int):
 
 
 def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
-    """Tabulate the periodic kernel of x'' + a(t) x on an N x N uniform grid."""
+    """The periodic kernel of x'' + a(t) x on the N-point grid, from its generators.
+
+    m, M and the grid argmin are those of the full N x N table: the profile's
+    for the circulant, whose every row is a rotation of row 0, and a scan over
+    row blocks for RK4.
+    """
     _check_grid(n_grid)
     period = coef.period
     h = period / n_grid
@@ -220,7 +355,9 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
 
     if isinstance(coef, Constant) and 0.0 < coef.value < (math.pi / period) ** 2:
         k = math.sqrt(coef.value)
-        values = _circulant_table(k, period, n_grid)
+        kernel = CirculantKernel(_circulant_profile(k, period, n_grid), h)
+        m, big = float(kernel.profile.min()), float(kernel.profile.max())
+        p_star, q_star = 0, int(np.argmin(kernel.profile))
 
         def eval_patch(idx_t, idx_s):
             tt = idx_t * h_fine
@@ -231,8 +368,10 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         k_used = k
     else:
         Y = _rk4_basis(coef, n_grid)
-        coarse = np.arange(0, FINE_FACTOR * n_grid, FINE_FACTOR)
-        values = _kernel_from_basis(Y, coarse, coarse)
+        nodes = np.arange(0, FINE_FACTOR * n_grid, FINE_FACTOR)
+        kernel = SemiseparableKernel(np.ascontiguousarray(Y[nodes, 0].T),
+                                     _kernel_coefficients(Y, nodes), h)
+        m, big, (p_star, q_star) = _scan_extrema(kernel, n_grid)
 
         def eval_patch(idx_t, idx_s):
             return _kernel_from_basis(Y, idx_t, idx_s)
@@ -240,10 +379,7 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         Phi = Y[-1]
         k_used = None
 
-    m = float(values.min())
-    big = float(values.max())
-    p_star, q_star = np.unravel_index(int(np.argmin(values)), values.shape)
-    fine_min, fine_arg = _refine_min(eval_patch, int(p_star), int(q_star), n_grid)
+    fine_min, fine_arg = _refine_min(eval_patch, p_star, q_star, n_grid)
     if fine_min < m:
         min_value, argmin = fine_min, (fine_arg[0] * h_fine, fine_arg[1] * h_fine)
     else:
@@ -257,57 +393,90 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
     return GreensTable(
         n_grid=n_grid,
         period=period,
-        values=values,
+        kernel=kernel,
         m=m,
         M=big,
         positivity=PositivityReport(holds=bool(min_value > tol), min_value=min_value,
                                     argmin=argmin),
-        quadrature=_quadrature(values, h),
+        quadrature=kernel,
         k=k_used,
         monodromy=Phi,
     )
 
 
-def _quadrature(values: np.ndarray, h: float) -> np.ndarray:
-    """h * (values + (h/12) I), formed in place: one N x N array, no identity.
+def kernel_values(table: GreensTable, rows, cols) -> np.ndarray:
+    """G(t_p, t_q) for node indices p in rows, q in cols, from the generators.
 
-    Freezes values too; both arrays are read-only from here on.
+    Equal, bit for bit, to those entries of the full N x N product when rows
+    and cols each hold at least two indices: numpy takes a one-row or
+    one-column RK4 product through its matrix-vector path, which rounds
+    differently.
     """
-    quadrature = values.copy()
-    quadrature.flat[::values.shape[0] + 1] += h / 12.0
-    quadrature *= h
-    values.flags.writeable = False
-    quadrature.flags.writeable = False
-    return quadrature
+    return table.kernel.sample(np.asarray(rows), np.asarray(cols))
 
 
 def coarsen(table: GreensTable, stride: int) -> GreensTable:
-    """The table on every stride-th node, N/stride points, with no new kernel work.
+    """The table on every stride-th node, N/stride points, as a dense table.
 
-    The grids nest, so values[::stride, ::stride] are the kernel samples of
-    the coarse grid; the quadrature is rebuilt for the coarse spacing.  m, M
-    and the positivity report stay those of the fine table, which is the one
-    the cone constants come from.  Stride 1 returns the table itself.
+    The grids nest, so the coarse generators are the fine ones subsampled,
+    and the quadrature matrix h (G + h/12 I) is sampled from them with
+    ``kernel_values``: no new kernel evaluation.  Stride 1 gives the dense
+    form of the table itself.  m, M and the positivity report stay those of
+    the fine table, which is the one the cone constants come from.
     """
-    if stride == 1:
-        return table
     if stride < 1 or table.n_grid % stride != 0:
         raise DomainError(f"stride {stride} does not divide n_grid {table.n_grid}")
     n_grid = table.n_grid // stride
     _check_grid(n_grid)
-    values = table.values[::stride, ::stride].copy()
-    return replace(table, n_grid=n_grid, values=values,
-                   quadrature=_quadrature(values, table.period / n_grid))
+    h = table.period / n_grid
+    nodes = np.arange(0, table.n_grid, stride)
+    matrix = kernel_values(table, nodes, nodes)
+    matrix.flat[::n_grid + 1] += h / 12.0
+    matrix *= h
+    return replace(table, n_grid=n_grid, kernel=table.kernel.subsample(stride, h),
+                   quadrature=DenseQuadrature(matrix))
 
 
-def kernel_quadrature(table: GreensTable) -> np.ndarray:
-    """Matrix Q with (Q @ w)[p] ~ integral of G(t_p, s) w(s) ds over one period.
+def kernel_quadrature(table: GreensTable):
+    """The Nystrom operator Q: (Q @ w)[..., p] ~ integral of G(t_p, s) w(..., s) ds.
 
     Periodic trapezoid weights h = T/N plus the Euler-Maclaurin correction
-    h^2/12 * w(t_p) for the unit derivative jump of G across the diagonal.
-    Built once by build_green_table; every call returns the same read-only array.
+    h^2/12 * w(t_p) for the unit derivative jump of G across the diagonal,
+    Q = h (G + h/12 I), applied along the last axis of w: one call handles
+    every component that shares the table.  Built once per table, from the
+    generators (FFT or prefix sums) or, on a coarsened table, as the matrix
+    ``.matrix``; every call returns the same object.
     """
     return table.quadrature
+
+
+def _mean(coef: PeriodicCoefficient) -> float:
+    """Exact mean of a coefficient over one period."""
+    if isinstance(coef, Constant):
+        return float(coef.value)
+    if isinstance(coef, FourierSeries):
+        return coef.c0
+    # the trapezoid rule is exact for the periodic linear interpolant
+    return float(coef.values.mean())
+
+
+def torres_positive(coef: PeriodicCoefficient) -> bool:
+    """Torres' L^p criterion for G > 0 (J. Differential Equations 190, 2003).
+
+    At p = inf and p = 1: true when a >= 0 with a positive mean, and either
+    max a < pi^2/T^2 or int a < 4/T.  The sign and the max are the audit-grid
+    extrema widened by ``extrema_slack``, so they err on the safe side; the
+    mean is exact.  Both inequalities are strict: at a = (pi/T)^2 the kernel
+    has G(0) = 0.  Not part of build_green_table, so solves do not pay for
+    the 4096-point audit.
+    """
+    lo, hi = coefficient_extrema(coef)
+    slack = extrema_slack(coef)
+    mean = _mean(coef)
+    if not (lo - slack >= 0.0 and mean > 0.0):
+        return False
+    period = coef.period
+    return hi + slack < (math.pi / period) ** 2 or mean * period < 4.0 / period
 
 
 def solve_linear_periodic(table: GreensTable, e):

@@ -2,6 +2,9 @@
 
 (T x)_i(t_p) = lam * integral of G_i(t_p, s) (g_i(s) f_i(x(s)) + e_i(s)) ds,
 evaluated with the diagonal-corrected trapezoid rule from greens.kernel_quadrature.
+The quadrature is an operator applied from the kernel's generators, not a
+matrix; each distinct table's operator is applied once, to the block of
+components that share it (``apply_quadrature``).
 A grid function is a fixed point of the discrete map iff it solves the
 Nystrom system; the ODE residual below is the independent cross-check that a
 discrete fixed point actually tracks the differential equation.
@@ -19,6 +22,7 @@ from .problem import SINGULARITY_GUARD, SPLIT_FACTOR, Problem
 __all__ = [
     "GridFunction",
     "prod_norm",
+    "apply_quadrature",
     "apply_T",
     "fixed_point_residual",
     "ode_residual",
@@ -74,6 +78,23 @@ def _radial_values(problem: Problem, x: GridFunction) -> np.ndarray:
     return fx
 
 
+def apply_quadrature(tables, w: np.ndarray) -> np.ndarray:
+    """Q_i w_i for every component row i of the (n, N) array w.
+
+    Each distinct table's operator is applied once, to the block of rows of
+    the components that share it.
+    """
+    if all(tbl is tables[0] for tbl in tables):
+        return kernel_quadrature(tables[0]) @ w
+    shared: dict = {}
+    for i, tbl in enumerate(tables):
+        shared.setdefault(id(tbl), (tbl, []))[1].append(i)
+    out = np.empty_like(w)
+    for tbl, rows in shared.values():
+        out[rows] = kernel_quadrature(tbl) @ w[rows]
+    return out
+
+
 def apply_T(problem: Problem, tables, x: GridFunction) -> GridFunction:
     """One application of the discrete operator.
 
@@ -101,10 +122,7 @@ def apply_T(problem: Problem, tables, x: GridFunction) -> GridFunction:
                 "iterate left the admissible radial range"
             )
 
-    w = g * fx + e
-    out = np.empty_like(x.values)
-    for i, tbl in enumerate(tables):
-        out[i] = problem.lam * (kernel_quadrature(tbl) @ w[i])
+    out = problem.lam * apply_quadrature(tables, g * fx + e)
     return GridFunction(n=x.n, n_grid=x.n_grid, period=x.period, values=out)
 
 

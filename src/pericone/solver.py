@@ -17,20 +17,22 @@ path; it stays a standalone function until the benchmark's tracer no longer
 wraps it.
 
 Two grids: for N > COARSE_GRID, Newton runs on the kernel subsampled at
-stride k (``coarse_stride``), which is the exact N/k-point table, so the only
-LU a solve factors is at most COARSE_GRID x COARSE_GRID.  The discrete
-solution varies smoothly with the grid, so the coarse fixed point, lifted to
-N points by zero-padded FFT interpolation, is already close to the fine one
-(a two-grid Nystrom start).  The fine grid never forms an N x N matrix:
+stride k (``coarse_stride``), which is the exact N/k-point table.  Its
+quadrature is the only matrix a solve forms (``coarsen`` samples it from the
+kernel's generators) and the only LU it factors, at most COARSE_GRID x
+COARSE_GRID.  The discrete solution varies smoothly with the grid, so the
+coarse fixed point, lifted to N points by zero-padded FFT interpolation, is
+already close to the fine one (a two-grid Nystrom start).  The fine grid never forms an N x N matrix:
 each fine step is an Atkinson-Brakhage two-grid correction, the Newton step
 whose inner system is solved on the coarse grid from the restricted iterate
-and residual, lifted, and back-substituted through the fine quadrature.
+and residual, lifted, and back-substituted through the fine quadrature
+operator (an FFT or a semiseparable product, applied from the generators).
 Its error contracts by the coarse discretization error, so one correction
 takes a lifted start from about 1e-8 to round-off.  A lifted start always
 takes at least one correction: the interpolation error alone can already
 sit below NEWTON_TOL.  An annulus whose coarse solve or corrections fail is
 dropped with a note saying which.  For N <= COARSE_GRID the stride is 1 and
-the coarse solve is the fine one.
+the coarse table is the dense form of the fine one.
 """
 from __future__ import annotations
 
@@ -49,7 +51,14 @@ from .errors import (
     SingularJacobianError,
 )
 from .greens import coarsen, kernel_quadrature
-from .operator import GridFunction, apply_T, fixed_point_residual, ode_residual, prod_norm
+from .operator import (
+    GridFunction,
+    apply_quadrature,
+    apply_T,
+    fixed_point_residual,
+    ode_residual,
+    prod_norm,
+)
 from .problem import Problem
 
 __all__ = [
@@ -153,7 +162,8 @@ def coarse_stride(n_grid: int) -> int:
 
 
 def _coarse_tables(tables) -> list:
-    """The tables at the coarse stride, one coarsening per distinct table."""
+    """The dense tables at the coarse stride (at most COARSE_GRID points, stride 1
+    included), one coarsening per distinct table."""
     k = coarse_stride(tables[0].n_grid)
     distinct = {id(tbl): tbl for tbl in tables}
     coarse = {key: coarsen(tbl, k) for key, tbl in distinct.items()}
@@ -239,19 +249,20 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
     """Newton step s with J s = F for J = I - U V, as an (n, N) array.
 
     The system (I - sum_i diag(x_i/u) lam Q_i diag(g_i phi_i'(u))) w
-    = sum_i (x_i/u) F_i is built and solved on the restriction to the grid of
-    the coarse tables (the tables themselves if none are given), w is its
-    lift, and s_i = F_i + lam Q_i (g_i phi_i'(u) w).  With coarse tables this
-    is the two-grid correction; without, the lift is the identity and the
-    step is the exact N x N Newton step.
+    = sum_i (x_i/u) F_i is built from the quadrature matrices of the coarse
+    tables and solved on the restriction to their grid; without coarse
+    tables, the tables themselves must be dense (``coarsen`` output).  w is
+    its lift, and s_i = F_i + lam Q_i (g_i phi_i'(u) w), with one operator
+    application per distinct table.  With coarse tables this is the two-grid
+    correction; without, the lift is the identity and the step is the exact
+    N x N Newton step.
     """
     u = np.sqrt(np.sum(x.values * x.values, axis=0))
     g = problem.g_on_grid(x.n_grid)
-    quad = [kernel_quadrature(tbl) for tbl in tables]
     cols = np.vstack([problem.lam * g[i] * problem.f.dphi(i, u) for i in range(x.n)])
     rows = x.values / u
     rhs = np.sum(rows * fvals, axis=0)
-    small = quad if coarse is None else [kernel_quadrature(tbl) for tbl in coarse]
+    small = [kernel_quadrature(tbl).matrix for tbl in (tables if coarse is None else coarse)]
     k = x.n_grid // len(small[0])
     try:
         w = _coupling_solve(small, rows[:, ::k], cols[:, ::k], rhs[::k])
@@ -261,14 +272,14 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
         ) from exc
     w = lift(GridFunction(n=1, n_grid=w.size, period=x.period, values=w[None, :]),
              x.n_grid).values[0]
-    return fvals + np.vstack([quad[i] @ (cols[i] * w) for i in range(x.n)])
+    return fvals + apply_quadrature(tables, cols * w)
 
 
 def newton_refine(problem: Problem, tables, x0: GridFunction, coarse=None) -> NewtonResult:
     """Newton iteration on F(x) = x - T x down to NEWTON_TOL.
 
-    Without coarse tables every step is the exact N x N Newton step; the
-    solver takes it only on the base grid.  Given coarse tables (the fine
+    Without coarse tables every step is the exact N x N Newton step, on
+    dense tables; the solver takes it only on the base grid.  Given coarse tables (the fine
     ones subsampled at a stride), every step is a two-grid correction and at
     least one is taken.
     """

@@ -7,6 +7,7 @@ from pericone import (
     Constant,
     GridFunction,
     build_green_table,
+    coarsen,
     compute_constants,
     kernel_quadrature,
     parse_config,
@@ -27,6 +28,13 @@ def unit_table():
 @pytest.fixture(scope="session")
 def bench_tables(unit_table):
     return [unit_table, unit_table]
+
+
+@pytest.fixture(scope="session")
+def dense_bench_tables(unit_table):
+    """The unit table in dense form, which exact N x N Newton steps factor."""
+    dense = coarsen(unit_table, 1)
+    return [dense, dense]
 
 
 def make_problem(alpha, beta, lam, e_spec=None, n_grid=256):

@@ -173,6 +173,64 @@ def kernel_from_basis_outer(Y, idx_t, idx_s):
     return g + tri * (np.outer(p2t, p1s) - np.outer(p1t, p2s))
 
 
+def dense_circulant_table(k, period, n_grid):
+    """The constant-coefficient table as one dense N x N array, as the package
+    once stored it: the profile at N/2 + 1 points, mirrored, and row p the
+    window of the doubled profile that starts at N - p."""
+    h = period / n_grid
+    d = np.arange(n_grid // 2 + 1) * h
+    half = (np.sin(k * d) + np.sin(k * (period - d))) / (2.0 * k * (1.0 - math.cos(k * period)))
+    profile = np.concatenate([half, half[-2:0:-1]])
+    doubled = np.concatenate([profile, profile])
+    return np.stack([doubled[n_grid - p:2 * n_grid - p] for p in range(n_grid)])
+
+
+def kernel_from_basis_products(Y, idx_t, idx_s):
+    """The kernel on fine indices idx_t x idx_s as two rank-2 matrix products
+    and a masked add, the arithmetic of the package's dense build (unlike
+    ``kernel_from_basis_outer``, so the results compare bit for bit)."""
+    phi = Y[-1]
+    p1t, p2t = Y[idx_t, 0, 0], Y[idx_t, 0, 1]
+    p1s, p2s = Y[idx_s, 0, 0], Y[idx_s, 0, 1]
+    b = np.vstack([p1s * phi[0, 1] - phi[0, 0] * p2s,
+                   p1s * phi[1, 1] - phi[1, 0] * p2s])
+    c = np.linalg.solve(np.eye(2) - phi, b)
+    g = np.stack([p1t, p2t], 1) @ c
+    np.add(g, np.stack([p2t, -p1t], 1) @ np.stack([p1s, p2s]), out=g,
+           where=idx_t[:, None] >= idx_s[None, :])
+    return g
+
+
+def dense_positivity(values, patch, period, fine_factor, rk4):
+    """(m, M, holds, min_value, argmin) of the dense build from its N x N table.
+
+    m and M are the table's extrema.  ``patch(idx_t, idx_s)`` evaluates the
+    kernel on fine indices (fine_factor per node); it is read on the
+    (4 fine_factor + 1)^2 patch around the first grid argmin, wrapped around
+    the period, and a lower patch value replaces the grid minimum.  The
+    kernel holds positive above 1e-12 (1 + M), raised for RK4 tables to
+    1e3 (1 + M) h_fine^4.
+    """
+    n_grid = values.shape[0]
+    m, big = float(values.min()), float(values.max())
+    p_star, q_star = np.unravel_index(int(np.argmin(values)), values.shape)
+    span = 4 * fine_factor + 1
+    n_fine = fine_factor * n_grid
+    idx_t = np.mod(np.arange(fine_factor * (p_star - 2), fine_factor * (p_star - 2) + span), n_fine)
+    idx_s = np.mod(np.arange(fine_factor * (q_star - 2), fine_factor * (q_star - 2) + span), n_fine)
+    vals = patch(idx_t, idx_s)
+    it, js = divmod(int(np.argmin(vals)), vals.shape[1])
+    h, h_fine = period / n_grid, period / n_fine
+    if vals[it, js] < m:
+        min_value, argmin = float(vals[it, js]), (idx_t[it] * h_fine, idx_s[js] * h_fine)
+    else:
+        min_value, argmin = m, (p_star * h, q_star * h)
+    tol = 1e-12 * (1.0 + abs(big))
+    if rk4:
+        tol = max(tol, 1e3 * (1.0 + abs(big)) * h_fine ** 4)
+    return m, big, bool(min_value > tol), min_value, argmin
+
+
 def single_grid_solve(quads, g, e, terms_by_comp, lam, seed):
     """Damped Picard, then Newton with the dense Jacobian, all on one grid.
 

@@ -49,6 +49,8 @@ def test_green_outputs(tmp_path, capsys):
     assert abs(float(hit[0]["G"]) - green_constant(1.0, 1.0, 0.3, 0.3)) <= 1e-12
     pos = json.loads((tmp_path / "g" / "positivity.json").read_text())
     assert all(entry["positive"] for entry in pos["components"])
+    # a = 1 < pi^2: the analytic criterion agrees with the scan
+    assert all(entry["torres_criterion"] is True for entry in pos["components"])
     out = capsys.readouterr().out
     assert "positive=true" in out
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pericone.operator as operator_mod
 import pericone.solver as solver
 from pericone import (
     PRESETS,
@@ -16,6 +17,8 @@ from pericone import (
     SingularityError,
     annulus_extrema,
     apply_T,
+    build_green_table,
+    coarsen,
     compute_constants,
     cone_membership,
     default_r_grid,
@@ -194,3 +197,34 @@ def test_picard_iterates_bitwise_equal_resampling(monkeypatch, name, lam):
     assert len(seen) == len(iterates) == result.iterations + 1
     for k, (got, ref) in enumerate(zip(seen, iterates)):
         assert got.tobytes() == ref.tobytes(), k
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["generators", "coarsened"])
+def test_apply_T_applies_each_shared_table_once(monkeypatch, dense):
+    # components 0 and 2 share one table: apply_T applies its operator once,
+    # to both rows, and each row comes out as the operator applied to it alone
+    shared = build_green_table(Constant(1.0), 64)
+    other = build_green_table(FourierSeries(1.0, (0.3,)), 64)
+    if dense:
+        shared, other = coarsen(shared, 1), coarsen(other, 1)
+    tables = [shared, other, shared]
+    terms = (SUPERLINEAR_TERMS,) * 3
+    prob = Problem(n=3, period=1.0, a=(Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0)),
+                   g=(Constant(1.0),) * 3, e=(Constant(0.0),) * 3,
+                   f=PowerLawRadial(terms), lam=0.05)
+    x = GridFunction(3, 64, 1.0, 0.4 + 0.1 * np.cos(2.0 * math.pi * np.arange(64) / 64)
+                     * np.array([[1.0], [0.5], [-1.0]]))
+    calls = []
+
+    def counting(tbl):
+        calls.append(tbl)
+        return kernel_quadrature(tbl)
+
+    monkeypatch.setattr(operator_mod, "kernel_quadrature", counting)
+    out = apply_T(prob, tables, x).values
+    assert len(calls) == 2 and calls[0] is shared and calls[1] is other
+    w = out / prob.lam
+    rows = [kernel_quadrature(tbl) @ (prob.f.phi(i, np.sqrt((x.values ** 2).sum(axis=0))))
+            for i, tbl in enumerate(tables)]
+    for i in range(3):
+        assert np.max(np.abs(w[i] - rows[i])) <= 1e-14 * np.max(np.abs(rows[i]))

@@ -18,6 +18,7 @@ from pericone import (
     apply_T,
     build_green_table,
     coarse_stride,
+    coarsen,
     compute_constants,
     cone_membership,
     continue_lambda,
@@ -139,11 +140,11 @@ def test_picard_matches_reference_loop(monkeypatch):
     assert outcomes["converged"] >= 1 and outcomes["raised"] >= 1
 
 
-def test_newton_polishes_to_tolerance(bench_tables, sublinear_unit):
+def test_newton_polishes_to_tolerance(bench_tables, dense_bench_tables, sublinear_unit):
     prob, cc = sublinear_unit
     seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), prob, 256)
     pic = picard_solve(prob, bench_tables, seed)
-    ref = newton_refine(prob, bench_tables, pic.x)
+    ref = newton_refine(prob, dense_bench_tables, pic.x)
     assert ref.residual <= 1e-10
     assert ref.iterations <= 6
     # once close, each step is at least superlinear
@@ -151,14 +152,14 @@ def test_newton_polishes_to_tolerance(bench_tables, sublinear_unit):
     assert all(b <= max(a ** 1.5, 1e-14) for a, b in zip(small, small[1:]))
 
 
-def test_newton_reconverges_after_perturbation(bench_tables, sublinear_unit):
+def test_newton_reconverges_after_perturbation(dense_bench_tables, sublinear_unit):
     prob, cc = sublinear_unit
     (norm,) = oracles.constant_solution_norms(SUBLINEAR_TERMS, prob.lam)
     rng = np.random.default_rng(5)
     c = norm / 2.0
     vals = c * (1.0 + 1e-3 * rng.standard_normal((2, 256)))
     x0 = GridFunction(2, 256, 1.0, vals)
-    ref = newton_refine(prob, bench_tables, x0)
+    ref = newton_refine(prob, dense_bench_tables, x0)
     assert ref.iterations <= 5
     assert abs(ref.x.norm - norm) <= 1e-9
 
@@ -174,7 +175,7 @@ def _dense_newton_step(problem, tables, x, fvals):
     g = problem.g_on_grid(n_grid)
     jac = np.eye(n * n_grid)
     for i in range(n):
-        quad = kernel_quadrature(tables[i])
+        quad = kernel_quadrature(tables[i]).matrix
         dphi = sum(c * p * u ** (p - 1.0) for c, p in problem.f.terms[i])
         for j in range(n):
             col = g[i] * dphi * x.values[j] / u
@@ -211,6 +212,8 @@ def test_newton_step_matches_dense_solve(case):
         tables = [build_green_table(Constant(1.0), n_grid),
                   build_green_table(Constant(2.0), n_grid)]
         vals = np.stack([0.3 + 0.1 * wave, 0.1 + 0.02 * np.sin(4.0 * math.pi * t)])
+    # the exact N x N step factors dense tables
+    tables = [coarsen(tbl, 1) for tbl in tables]
     x = GridFunction(prob.n, n_grid, 1.0, vals)
     fvals = x.values - apply_T(prob, tables, x).values
     ref = _dense_newton_step(prob, tables, x, fvals)
@@ -387,10 +390,11 @@ def test_two_grid_matches_single_grid(config_of, n_grid):
     # the ODE gate is not under test; at N >= 512 it would drop the var-a A2 solution
     report = find_solutions(prob, tables, cc, ode_tol=1e-3)
     g, e = prob.g_on_grid(n_grid), prob.e_on_grid(n_grid)
+    dense = kernel_quadrature(coarsen(table, 1)).matrix
     expect = []
     for ann in report.annuli:
         seed = seed_from_annulus(ann, prob, n_grid).values
-        x = oracles.single_grid_solve([table.quadrature] * 2, g, e, prob.f.terms,
+        x = oracles.single_grid_solve([dense] * 2, g, e, prob.f.terms,
                                       prob.lam, seed)
         if x is not None:
             expect.append((ann.annulus_id, float(np.abs(x).max(axis=1).sum())))
