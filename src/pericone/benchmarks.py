@@ -10,15 +10,10 @@ Expected solution counts come from the regime classification: sublinear
 singular problems carry one solution per lambda (every lambda when e >= 0,
 large lambda otherwise), superlinear singular ones carry two for small
 lambda.
-
-The cor2a preset overrides the ode residual gate: its solutions at lambda
-around 10 have fourth derivatives of order 10^2, so the second-difference
-check bottoms out near 1e-4 at N=256 even though the fixed point itself is
-converged to 1e-10.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["ReproducePreset", "PRESETS", "symmetric_config", "SOUNDNESS_SUITE"]
 
@@ -54,7 +49,6 @@ class ReproducePreset:
     expected_count: int
     clause: str
     ode_tol: float = 1e-6
-    notes: tuple = field(default_factory=tuple)
 
     def config(self, lam: float, n_grid: int = 256) -> dict:
         return symmetric_config(self.alpha, self.beta, lam, self.e_spec, n_grid)
@@ -90,11 +84,6 @@ PRESETS = {
         lambdas=(8.0, 10.0),
         expected_count=1,
         clause="one solution for every lambda above an implementation-derived threshold",
-        ode_tol=1e-3,
-        notes=(
-            "ode residual gate relaxed to 1e-3: the solution curvature makes the "
-            "second-difference check truncation-limited at this grid size",
-        ),
     ),
     "cor2b": ReproducePreset(
         name="cor2b",

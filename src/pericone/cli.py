@@ -290,8 +290,6 @@ def cmd_reproduce(args) -> int:
     out = Path(args.out) if args.out else None
     print(f"{preset.name}: {preset.description}")
     print(f"clause: {preset.clause}")
-    for note in preset.notes:
-        print(f"note: {note}")
 
     results = []
     all_pass = True

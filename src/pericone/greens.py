@@ -148,7 +148,9 @@ class SemiseparableKernel:
                          rows[:, None] >= cols[None, :])
 
     def subsample(self, stride: int, h: float) -> SemiseparableKernel:
-        return SemiseparableKernel(self.basis[:, ::stride], self.coef[:, ::stride], h)
+        # contiguous copies: the matvec runs on them
+        return SemiseparableKernel(np.ascontiguousarray(self.basis[:, ::stride]),
+                                   np.ascontiguousarray(self.coef[:, ::stride]), h)
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         """Q w along the last axis of w."""
@@ -196,7 +198,8 @@ def green_bounds_constant(k: float, period: float):
 
 @dataclass
 class PositivityReport:
-    """Strict positivity of a kernel: grid scan plus the refined patch."""
+    """Strict positivity of a kernel: the closed-form minimum, or for RK4 the
+    grid scan plus the refined patch."""
 
     holds: bool
     min_value: float
@@ -305,12 +308,6 @@ def _assemble(p1t, p2t, p1s, p2s, C: np.ndarray, causal: np.ndarray) -> np.ndarr
     return G
 
 
-def _kernel_from_basis(Y: np.ndarray, idx_t, idx_s):
-    """G on the grid points given by fine indices idx_t (rows) x idx_s (cols)."""
-    return _assemble(Y[idx_t, 0, 0], Y[idx_t, 0, 1], Y[idx_s, 0, 0], Y[idx_s, 0, 1],
-                     _kernel_coefficients(Y, idx_s), idx_t[:, None] >= idx_s[None, :])
-
-
 def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
     """(min, max, first argmin) of the N x N table, ROW_BLOCK rows at a time."""
     nodes = np.arange(n_grid)
@@ -326,8 +323,9 @@ def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
     return m, big, arg
 
 
-def _refine_min(values_eval, p_star: int, q_star: int, n_grid: int):
-    """Spot-check the kernel on a 4x finer patch around the coarse argmin."""
+def _refine_min(fine: SemiseparableKernel, p_star: int, q_star: int, n_grid: int):
+    """Spot-check the kernel on a 4x finer patch around the coarse argmin,
+    sampled from the kernel on the FINE_FACTOR * n_grid fine nodes."""
     lo_t = FINE_FACTOR * (p_star - 2)
     lo_s = FINE_FACTOR * (q_star - 2)
     span = 4 * FINE_FACTOR + 1
@@ -335,7 +333,7 @@ def _refine_min(values_eval, p_star: int, q_star: int, n_grid: int):
     # edge also sees t, s just below T
     idx_t = np.mod(np.arange(lo_t, lo_t + span), FINE_FACTOR * n_grid)
     idx_s = np.mod(np.arange(lo_s, lo_s + span), FINE_FACTOR * n_grid)
-    patch = values_eval(idx_t, idx_s)
+    patch = fine.sample(idx_t, idx_s)
     flat = int(np.argmin(patch))
     it, js = divmod(flat, patch.shape[1])
     return float(patch[it, js]), (int(idx_t[it]), int(idx_s[js]))
@@ -346,7 +344,9 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
 
     m, M and the grid argmin are those of the full N x N table: the profile's
     for the circulant, whose every row is a rotation of row 0, and a scan over
-    row blocks for RK4.
+    row blocks for RK4.  The RK4 kernel is built once on the fine grid the
+    basis lives on; the table is every FINE_FACTOR-th node of it, and the
+    refined positivity patch samples it directly.
     """
     _check_grid(n_grid)
     period = coef.period
@@ -357,33 +357,26 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         k = math.sqrt(coef.value)
         kernel = CirculantKernel(_circulant_profile(k, period, n_grid), h)
         m, big = float(kernel.profile.min()), float(kernel.profile.max())
-        p_star, q_star = 0, int(np.argmin(kernel.profile))
-
-        def eval_patch(idx_t, idx_s):
-            tt = idx_t * h_fine
-            ss = idx_s * h_fine
-            return _ghat(np.abs(tt[:, None] - ss[None, :]), k, period)
-
+        # Ghat'' = -k^2 Ghat < 0, so Ghat is concave on [0, T] and least at
+        # d = 0 and d = T: the diagonal, which is on the grid
+        min_value, argmin = m, (0.0, 0.0)
         Phi = None
         k_used = k
     else:
         Y = _rk4_basis(coef, n_grid)
-        nodes = np.arange(0, FINE_FACTOR * n_grid, FINE_FACTOR)
-        kernel = SemiseparableKernel(np.ascontiguousarray(Y[nodes, 0].T),
-                                     _kernel_coefficients(Y, nodes), h)
+        n_fine = FINE_FACTOR * n_grid
+        fine = SemiseparableKernel(Y[:-1, 0].T, _kernel_coefficients(Y, np.arange(n_fine)),
+                                   h_fine)
+        kernel = fine.subsample(FINE_FACTOR, h)
         m, big, (p_star, q_star) = _scan_extrema(kernel, n_grid)
-
-        def eval_patch(idx_t, idx_s):
-            return _kernel_from_basis(Y, idx_t, idx_s)
-
+        fine_min, fine_arg = _refine_min(fine, p_star, q_star, n_grid)
+        if fine_min < m:
+            min_value, argmin = fine_min, (fine_arg[0] * h_fine, fine_arg[1] * h_fine)
+        else:
+            min_value, argmin = m, (p_star * h, q_star * h)
         Phi = Y[-1]
         k_used = None
 
-    fine_min, fine_arg = _refine_min(eval_patch, p_star, q_star, n_grid)
-    if fine_min < m:
-        min_value, argmin = fine_min, (fine_arg[0] * h_fine, fine_arg[1] * h_fine)
-    else:
-        min_value, argmin = m, (p_star * h, q_star * h)
     tol = POSITIVITY_RTOL * (1.0 + abs(big))
     if k_used is None:
         # tabulated values carry the RK4 global error, O(h_fine^4); a minimum

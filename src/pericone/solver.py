@@ -82,8 +82,7 @@ PICARD_DAMPING = 0.5
 MAX_PICARD = 200
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 30
-# default gate on the independent second-difference residual of accepted
-# solutions; loosen for problems whose solutions have large fourth derivatives
+# gate on the independent fourth-order ODE residual of accepted solutions
 ODE_TOL = 1e-6
 NORM_BLOWUP = 1e12
 CLAMP_TOL = 1e-12

@@ -26,8 +26,9 @@ from pericone import (
 from pericone.greens import (
     FINE_FACTOR,
     ROW_BLOCK,
+    SemiseparableKernel,
     _ghat,
-    _kernel_from_basis,
+    _kernel_coefficients,
     _refine_min,
     _rk4_basis,
 )
@@ -329,12 +330,16 @@ def test_kernel_from_basis_matches_outer_products(coef):
     # rank-2 products and a masked add against the outer-product formula,
     # on the coarse grid and on a refine patch that wraps around the period
     n_grid = 64
+    n_fine = FINE_FACTOR * n_grid
     basis = _rk4_basis(coef, n_grid)
-    coarse = np.arange(0, FINE_FACTOR * n_grid, FINE_FACTOR)
-    patch = np.mod(np.arange(-9, 8), FINE_FACTOR * n_grid)
+    fine = SemiseparableKernel(basis[:-1, 0].T,
+                               _kernel_coefficients(basis, np.arange(n_fine)),
+                               coef.period / n_fine)
+    coarse = np.arange(0, n_fine, FINE_FACTOR)
+    patch = np.mod(np.arange(-9, 8), n_fine)
     for idx_t, idx_s in ((coarse, coarse), (patch, patch), (patch, coarse[:20])):
         ref = oracles.kernel_from_basis_outer(basis, idx_t, idx_s)
-        got = _kernel_from_basis(basis, idx_t, idx_s)
+        got = fine.sample(idx_t, idx_s)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -363,11 +368,12 @@ def test_refined_patch_wraps_around_the_period():
     n_fine = FINE_FACTOR * n_grid
     seen = []
 
-    def record(idx_t, idx_s):
-        seen.append((idx_t.copy(), idx_s.copy()))
-        return np.ones((idx_t.size, idx_s.size))
+    class Recorder:
+        def sample(self, idx_t, idx_s):
+            seen.append((idx_t.copy(), idx_s.copy()))
+            return np.ones((idx_t.size, idx_s.size))
 
-    _refine_min(record, 0, 0, n_grid)
+    _refine_min(Recorder(), 0, 0, n_grid)
     (idx_t, idx_s), = seen
     for idx in (idx_t, idx_s):
         assert {n_fine - 1, 0, 1} <= set(idx.tolist())

@@ -123,6 +123,23 @@ def test_ode_residual_flags_non_solution(bench_tables):
     assert ode_residual(prob, x) > 0.1
 
 
+def test_ode_residual_is_fourth_order():
+    # x = (cos 2 pi t, sin 2 pi t) solves x'' + 4 pi^2 x = 0 exactly and has
+    # |x(t)|_2 = 1, so at lam = 0 the residual is the stencil's truncation
+    # error alone: it falls 16x per grid doubling
+    prob = Problem(n=2, period=1.0, a=(Constant(4.0 * math.pi ** 2),) * 2,
+                   g=(Constant(1.0),) * 2, e=(Constant(0.0),) * 2,
+                   f=PowerLawRadial((((1.0, -1.0),), ((1.0, -1.0),))), lam=0.0)
+    res = []
+    for n_grid in (32, 64, 128, 256):
+        t = np.arange(n_grid) / n_grid
+        x = GridFunction(2, n_grid, 1.0, np.stack([np.cos(2.0 * math.pi * t),
+                                                   np.sin(2.0 * math.pi * t)]))
+        res.append(ode_residual(prob, x))
+    for coarse, fine in zip(res, res[1:]):
+        assert 15.5 <= coarse / fine <= 16.5
+
+
 def test_singularity_guard(bench_tables):
     prob = make_problem(1.0, 2.0, 0.05)
     x = GridFunction(2, 256, 1.0, np.zeros((2, 256)))

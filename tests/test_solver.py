@@ -374,21 +374,22 @@ def _var_a_config(alpha, beta, lam, n_grid):
     return cfg
 
 
-@pytest.mark.parametrize("config_of, n_grid", [
-    (symmetric_config, 512),  # cor1b, closed-form table
-    (_var_a_config, 512),     # RK4 table
-    (symmetric_config, 256),
-    (_var_a_config, 256),
-    (symmetric_config, 1024),
-    (_var_a_config, 1024),
-], ids=["cor1b", "var-a", "cor1b-256", "var-a-256", "cor1b-1024", "var-a-1024"])
-def test_two_grid_matches_single_grid(config_of, n_grid):
-    prob = parse_config(config_of(1.0, 2.0, 0.05, n_grid=n_grid)).problem
+@pytest.mark.parametrize("config_of, alpha, beta, lam, n_grid, count", [
+    (symmetric_config, 1.0, 2.0, 0.05, 512, 2),  # cor1b, closed-form table
+    (_var_a_config, 1.0, 2.0, 0.05, 512, 2),     # RK4 table
+    (symmetric_config, 1.0, 2.0, 0.05, 256, 2),
+    (_var_a_config, 1.0, 2.0, 0.05, 256, 2),
+    (symmetric_config, 1.0, 2.0, 0.05, 1024, 2),
+    (_var_a_config, 1.0, 2.0, 0.05, 1024, 2),
+    (_var_a_config, 0.5, 0.5, 1.0, 1024, 1),     # sublinear, curved solution
+], ids=["cor1b", "var-a", "cor1b-256", "var-a-256", "cor1b-1024", "var-a-1024",
+        "sublinear-var-a-1024"])
+def test_two_grid_matches_single_grid(config_of, alpha, beta, lam, n_grid, count):
+    prob = parse_config(config_of(alpha, beta, lam, n_grid=n_grid)).problem
     table = build_green_table(prob.a[0], n_grid)
     tables = [table, table]
     cc = compute_constants(tables, prob)
-    # the ODE gate is not under test; at N >= 512 it would drop the var-a A2 solution
-    report = find_solutions(prob, tables, cc, ode_tol=1e-3)
+    report = find_solutions(prob, tables, cc)
     g, e = prob.g_on_grid(n_grid), prob.e_on_grid(n_grid)
     dense = kernel_quadrature(coarsen(table, 1)).matrix
     expect = []
@@ -399,7 +400,7 @@ def test_two_grid_matches_single_grid(config_of, n_grid):
         if x is not None:
             expect.append((ann.annulus_id, float(np.abs(x).max(axis=1).sum())))
     got = [(s.annulus_id, s.norm) for s in report.solutions]
-    assert len(got) == len(expect) == 2
+    assert len(got) == len(expect) == count
     for (gid, gnorm), (eid, enorm) in zip(sorted(got), sorted(expect)):
         assert gid == eid
         assert abs(gnorm - enorm) <= 1e-12 * enorm
