@@ -20,9 +20,11 @@ entries:
   them; and the 64-point Picard solve from the same seed, a standalone
   function that no solve path calls, timed for as long as it exists
 * run: every (preset, lambda) problem at N = 256 (tables, constants,
-  find_solutions), ``pericone sweep`` on the superlinear family for lambda
-  0.01 -> 0.3 in 6 steps through the CLI, and cor1b lambda = 0.05 at
-  N = 1024 and N = 4096
+  find_solutions), cor1b lambda = 0.05 at N = 1024 and N = 4096, and the
+  CLI per subcommand, output files written to a temporary directory:
+  ``pericone sweep`` on the superlinear family for lambda 0.01 -> 0.3 in 6
+  steps, ``green``, ``certify`` and ``solve`` on cor1b lambda = 0.05, and
+  ``reproduce cor1b``
 
 The file also records the commit of the tree the package was imported from
 (null outside a git checkout), the Python and numpy versions, the CPU count
@@ -118,10 +120,14 @@ def _uncached_thresholds(problem, sigma):
     return run
 
 
-def _quietly(fn):
+def _cli(argv):
+    """One CLI run with stdout discarded; a nonzero exit code stops the bench,
+    because it would time an error path."""
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
-            return fn()
+            code = cli_main(argv)
+        if code != 0:
+            raise RuntimeError(f"pericone {' '.join(argv)} exited with {code}")
     return run
 
 
@@ -174,17 +180,25 @@ def _run_entries(repeats):
         return run
 
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "superlinear.json"
-        config.write_text(json.dumps(symmetric_config(1.0, 2.0, 0.01)))
-        sweep_args = ["sweep", "--config", str(config), "--lmin", "0.01", "--lmax", "0.3",
-                      "--steps", "6", "--out", str(Path(tmp) / "sweep")]
-        return {
+        tmp = Path(tmp)
+        superlinear = tmp / "superlinear.json"
+        superlinear.write_text(json.dumps(symmetric_config(1.0, 2.0, 0.01)))
+        cor1b = tmp / "cor1b.json"
+        cor1b.write_text(json.dumps(PRESETS["cor1b"].config(0.05)))
+        sweep_args = ["sweep", "--config", str(superlinear), "--lmin", "0.01", "--lmax", "0.3",
+                      "--steps", "6", "--out", str(tmp / "sweep")]
+        timings = {
             "run.presets[8 problems]": _time(presets, repeats),
-            "run.cli_sweep[superlinear 0.01->0.3, 6 steps]":
-                _time(_quietly(lambda: cli_main(sweep_args)), repeats),
-            "run.fine_grid[cor1b@0.05/N1024]": _time(fine_grid(1024), repeats),
-            "run.fine_grid[cor1b@0.05/N4096]": _time(fine_grid(4096), repeats),
+            "run.cli_sweep[superlinear 0.01->0.3, 6 steps]": _time(_cli(sweep_args), repeats),
         }
+        for cmd in ("green", "certify", "solve"):
+            timings[f"run.cli_{cmd}[cor1b@0.05]"] = _time(
+                _cli([cmd, "--config", str(cor1b), "--out", str(tmp / cmd)]), repeats)
+        timings["run.cli_reproduce[cor1b]"] = _time(
+            _cli(["reproduce", "cor1b", "--out", str(tmp / "reproduce")]), repeats)
+    timings["run.fine_grid[cor1b@0.05/N1024]"] = _time(fine_grid(1024), repeats)
+    timings["run.fine_grid[cor1b@0.05/N4096]"] = _time(fine_grid(4096), repeats)
+    return timings
 
 
 def measure(repeats):

@@ -11,7 +11,6 @@ from .coefficients import (
     FourierSeries,
     Samples,
     coefficient_extrema,
-    constant_k2,
 )
 from .cone import ConeConstants, ConeMembership, compute_constants, cone_membership
 from .certify import (
@@ -62,7 +61,6 @@ from .problem import (
     Problem,
     annulus_extrema,
     eta_lower,
-    eval_f,
     fhat,
     thresholds_delta,
 )

@@ -267,8 +267,8 @@ def large_lambda_threshold(problem: Problem, constants: ConeConstants, r_grid=No
 
     Smallest lambda making the radial-ratio margin positive at some grid
     radius above Delta: 1 / (Gamma * max eta_r over those radii).  None when
-    no grid radius lies above Delta.  This is a computed quantity, not a
-    closed-form constant.
+    Delta is None (always so for e >= 0) or no grid radius lies above Delta.
+    This is a computed quantity, not a closed-form constant.
     """
     if constants.Delta is None or not math.isfinite(constants.Delta):
         return None

@@ -13,6 +13,7 @@ reproduce clause, 2 numeric failure, 3 input/config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -58,6 +59,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -148,21 +151,6 @@ def cmd_green(args) -> int:
     return EXIT_FOUND
 
 
-def _constants_block(constants):
-    return {
-        "m": list(constants.m),
-        "M": list(constants.M),
-        "sigma_i": list(constants.sigma_i),
-        "sigma": constants.sigma,
-        "Gamma": constants.Gamma,
-        "C_hat": constants.C_hat,
-        "int_g": list(constants.int_g),
-        "int_abs_e": list(constants.int_abs_e),
-        "delta": constants.delta,
-        "Delta": constants.Delta,
-    }
-
-
 def cmd_certify(args) -> int:
     _require(0.0 < args.rmin < args.rmax < math.inf, "--rmin/--rmax",
              "need 0 < rmin < rmax < inf")
@@ -186,7 +174,7 @@ def cmd_certify(args) -> int:
     _write_text(out / "certificates.csv", "\n".join(lines) + "\n")
 
     report = {
-        "constants": _constants_block(constants),
+        "constants": dataclasses.asdict(constants),
         "annuli": [{
             "id": a.annulus_id,
             "r_in": a.r_in,
@@ -198,13 +186,7 @@ def cmd_certify(args) -> int:
             "outer_route": a.outer_route,
             "outer_margin": a.outer_margin,
         } for a in annuli],
-        "regime": {
-            "regime": regime.regime,
-            "singular_at_zero": regime.singular_at_zero,
-            "singular_all_components": regime.singular_all_components,
-            "clause": regime.clause,
-            "note": regime.note,
-        },
+        "regime": dataclasses.asdict(regime),
         "note": DISCLAIMER,
     }
     if problem.sign_profile == "MixedE" and regime.regime == "Sublinear":
@@ -376,16 +358,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, HypothesisError) as exc:
+    except (ConfigError, HypothesisError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except np.linalg.LinAlgError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except PericoneError as exc:
+    except (np.linalg.LinAlgError, PericoneError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -6,10 +6,6 @@ Three concrete forms cover every coefficient in the problem class:
 * ``FourierSeries`` -- truncated real Fourier series on [0, T],
 * ``Samples`` -- values on a uniform grid, linearly interpolated with
   periodic wrap-around.
-
-``constant_k2(k, T)`` is the named constructor for the constant coefficient
-k^2 restricted to the window 0 < k < pi/T in which the periodic kernel of
-x'' + k^2 x has one sign.
 """
 from __future__ import annotations
 
@@ -25,7 +21,6 @@ __all__ = [
     "FourierSeries",
     "Samples",
     "PeriodicCoefficient",
-    "constant_k2",
 ]
 
 
@@ -102,13 +97,6 @@ class Samples:
 
 
 PeriodicCoefficient = Constant | FourierSeries | Samples
-
-
-def constant_k2(k: float, period: float) -> Constant:
-    """Constant coefficient k^2 with the one-signed-kernel window enforced."""
-    if not (0.0 < k < math.pi / period):
-        raise DomainError(f"need 0 < k < pi/T, got k={k}, T={period}")
-    return Constant(value=k * k, period=period)
 
 
 def coefficient_extrema(coef: PeriodicCoefficient, n_audit: int = 4096):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionAError, HypothesisError
+from .errors import AssumptionAError
 from .operator import GridFunction
 from .problem import Problem, thresholds_delta
 
@@ -30,7 +30,7 @@ class ConeConstants:
     C_hat: float
     int_g: np.ndarray
     int_abs_e: np.ndarray
-    delta: float | None
+    delta: float | None  # None unless e changes sign
     Delta: float | None
 
 
@@ -68,14 +68,11 @@ def compute_constants(tables, problem: Problem) -> ConeConstants:
     if gamma <= 0.0 or c_hat <= 0.0:
         raise AssumptionAError("degenerate constants: Gamma and C_hat must be positive")
 
-    try:
+    # delta and Delta bound the radial ranges where g f / 2 + e >= 0, which
+    # holds everywhere when e >= 0
+    delta = delta_big = None
+    if problem.sign_profile == "MixedE":
         delta, delta_big = thresholds_delta(problem, sigma)
-    except HypothesisError:
-        # thresholds need min g > 0, which only the mixed-sign split relies
-        # on; a nonnegative-e problem with g vanishing on a set is still fine
-        if problem.sign_profile == "MixedE":
-            raise
-        delta, delta_big = None, None
     return ConeConstants(
         m=m,
         M=big,

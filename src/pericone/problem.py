@@ -23,12 +23,11 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import coefficient_extrema, extrema_slack
-from .errors import DomainError, HypothesisError, SingularityError
+from .errors import DomainError, HypothesisError
 
 __all__ = [
     "PowerLawRadial",
     "Problem",
-    "eval_f",
     "annulus_extrema",
     "eta_lower",
     "fhat",
@@ -136,15 +135,6 @@ def _interval_extrema(comp_terms: tuple, lo, hi):
     with np.errstate(divide="ignore"):
         vals = _power_sum(comp_terms, pts)
     return vals.min(axis=-1), vals.max(axis=-1)
-
-
-def eval_f(f: PowerLawRadial, x) -> np.ndarray:
-    """f(x) componentwise at one orthant point; guards the singularity at 0."""
-    x = np.asarray(x, dtype=float)
-    u = float(np.sqrt(np.sum(x * x)))
-    if u < SINGULARITY_GUARD:
-        raise SingularityError(f"||x||_2 = {u:.3e} below guard {SINGULARITY_GUARD}")
-    return np.array([f.phi(i, u) for i in range(f.n_components)])
 
 
 def _annulus_lower_u(r, sigma: float, n: int):

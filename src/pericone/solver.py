@@ -129,14 +129,8 @@ class SolveReport:
 
 
 @dataclass
-class BranchRow:
-    lam: float
+class BranchRow(Solution):
     branch_id: str
-    annulus_id: str
-    norm: float
-    fp_residual: float
-    ode_residual: float
-    cone_margin: float
 
 
 @dataclass
@@ -473,14 +467,6 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
             table.notes.append(f"lambda={lam:.6g}: {note}")
         assigned.sort(key=lambda pair: pair[1].norm)
         for bid, sol in assigned:
-            table.rows.append(BranchRow(
-                lam=lam,
-                branch_id=bid,
-                annulus_id=sol.annulus_id,
-                norm=sol.norm,
-                fp_residual=sol.fp_residual,
-                ode_residual=sol.ode_residual,
-                cone_margin=sol.cone_margin,
-            ))
+            table.rows.append(BranchRow(**vars(sol), branch_id=bid))
         prev = assigned
     return table

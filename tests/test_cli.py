@@ -85,6 +85,9 @@ def test_certify_two_annuli(tmp_path):
     report = json.loads((tmp_path / "c" / "report.json").read_text())
     assert [a["id"] for a in report["annuli"]] == ["A1", "A2"]
     assert report["regime"]["regime"] == "Superlinear"
+    # e = 0: g f / 2 + e >= 0 at every radius, so no thresholds are computed
+    assert report["constants"]["delta"] is None
+    assert report["constants"]["Delta"] is None
     assert "not evidence of non-existence" in report["note"]
     rows = read_csv(tmp_path / "c" / "certificates.csv")
     assert len(rows) == 361  # default radius grid, 61 per decade over 6 decades

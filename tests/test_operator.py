@@ -147,6 +147,21 @@ def test_singularity_guard(bench_tables):
         apply_T(prob, bench_tables, x)
 
 
+def _ones_with(bad):
+    values = np.ones((2, 8))
+    values[1, 3] = bad
+    return values
+
+
+@pytest.mark.parametrize("values", [
+    _ones_with(math.nan), _ones_with(math.inf), _ones_with(-math.inf),
+    np.ones((2, 7)), np.ones(16),
+], ids=["nan", "inf", "-inf", "short", "flat"])
+def test_grid_function_rejects_bad_values(values):
+    with pytest.raises(DomainError):
+        GridFunction(2, 8, 1.0, values)
+
+
 def test_mixed_split_violation_raises(bench_tables):
     # pure-growth f with a negative e: at small amplitude the pointwise
     # split g*f/2 + e dips below zero and the operator must refuse

@@ -16,11 +16,9 @@ from pericone import (
     PowerLawRadial,
     Problem,
     Samples,
-    SingularityError,
     annulus_extrema,
     compute_constants,
     eta_lower,
-    eval_f,
     fhat,
     parse_config,
     thresholds_delta,
@@ -46,23 +44,18 @@ BENCH_F = PowerLawRadial((SUPERLINEAR_TERMS, SUPERLINEAR_TERMS))
 SUB_F = PowerLawRadial((SUBLINEAR_TERMS, SUBLINEAR_TERMS))
 
 
-def test_eval_f_point():
-    # |(1,1)|_2 = sqrt(2); component value 1/sqrt(2) + 2
-    out = eval_f(BENCH_F, np.array([1.0, 1.0]))
+def test_phi_point():
+    # f(1, 1) = phi(|(1,1)|_2) = phi(sqrt(2)); component value 1/sqrt(2) + 2
+    out = np.array([BENCH_F.phi(i, math.sqrt(2.0)) for i in range(2)])
     expect = 1.0 / math.sqrt(2.0) + 2.0
     assert np.allclose(out, expect, rtol=0, atol=1e-14)
 
 
-def test_eval_f_guard():
-    with pytest.raises(SingularityError):
-        eval_f(BENCH_F, np.zeros(2))
-
-
-def test_eval_f_scaling_single_term():
+def test_phi_scaling_single_term():
     f = PowerLawRadial((((2.0, 1.5),),))
-    x = np.array([0.7])
-    big = eval_f(f, 4.0 * x)[0]
-    assert abs(big - 4.0 ** 1.5 * eval_f(f, x)[0]) <= 1e-12 * big
+    u = 0.7
+    big = f.phi(0, 4.0 * u)
+    assert abs(big - 4.0 ** 1.5 * f.phi(0, u)) <= 1e-12 * big
 
 
 @pytest.mark.parametrize("terms", [
@@ -330,7 +323,10 @@ def _bisect_reference(prob, sigma):
 def test_thresholds_match_bisection_on_presets(name, lam):
     prob = parse_config(PRESETS[name].config(lam)).problem
     constants = compute_constants(build_tables(prob, 256), prob)
-    assert (constants.delta, constants.Delta) == _bisect_reference(prob, constants.sigma)
+    assert thresholds_delta(prob, constants.sigma) == _bisect_reference(prob, constants.sigma)
+    if prob.sign_profile != "MixedE":
+        # e >= 0: g f / 2 + e >= 0 on every radius, so no split is computed
+        assert constants.delta is constants.Delta is None
 
 
 THRESHOLD_FAMILIES = {

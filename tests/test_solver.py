@@ -303,6 +303,8 @@ def test_branch_sweep_sublinear(bench_tables, sublinear_unit):
         assert row.fp_residual <= 1e-8
         (expect,) = oracles.constant_solution_norms(SUBLINEAR_TERMS, row.lam)
         assert abs(row.norm - expect) <= 1e-7
+        # a row is the solution at row.lam, kept whole
+        assert row.norm == row.x.norm
 
 
 def test_branch_sweep_superlinear_fold(bench_tables, superlinear_small):
