@@ -24,7 +24,9 @@ entries:
   CLI per subcommand, output files written to a temporary directory:
   ``pericone sweep`` on the superlinear family for lambda 0.01 -> 0.3 in 6
   steps, ``green``, ``certify`` and ``solve`` on cor1b lambda = 0.05, and
-  ``reproduce cor1b``
+  ``reproduce cor1b``; and the tier-1 test suite
+  (``python -m pytest -q --continue-on-collection-errors`` with
+  PYTHONPATH=src, from the repository root) in a subprocess
 
 The file also records the commit of the tree the package was imported from
 (null outside a git checkout), the Python and numpy versions, the CPU count
@@ -51,6 +53,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+REPO = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # before numpy loads BLAS, which reads these once
 for _var in BLAS_THREAD_VARS:
@@ -131,6 +134,18 @@ def _cli(argv):
     return run
 
 
+def _test_suite():
+    """The tier-1 test command in a fresh interpreter, output discarded; a
+    failing suite stops the bench, because it would time a failure."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    code = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=REPO, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    if code != 0:
+        raise RuntimeError(f"the tier-1 test suite exited with {code}")
+
+
 def _solver_entries(repeats):
     """Newton from the seed, two-grid corrections and Picard per annulus of cor1b lambda=0.05."""
     problem, tables, constants = _setup("cor1b", 0.05)
@@ -153,10 +168,10 @@ def _solver_entries(repeats):
             outcome="diverged" if pic is None else
             ("converged" if pic.converged else "stalled"))
         out[f"solver.newton[{tag}]"] = _time(
-            lambda: newton_refine(problem, coarse, seed), repeats)
-        lifted = lift(newton_refine(problem, coarse, seed).x, tables[0].n_grid)
+            lambda: newton_refine(problem, coarse, seed, coarse), repeats)
+        lifted = lift(newton_refine(problem, coarse, seed, coarse).x, tables[0].n_grid)
         out[f"solver.two_grid[{tag}]"] = _time(
-            lambda: newton_refine(problem, tables, lifted, coarse=coarse), repeats)
+            lambda: newton_refine(problem, tables, lifted, coarse), repeats)
     return out
 
 
@@ -198,6 +213,7 @@ def _run_entries(repeats):
             _cli(["reproduce", "cor1b", "--out", str(tmp / "reproduce")]), repeats)
     timings["run.fine_grid[cor1b@0.05/N1024]"] = _time(fine_grid(1024), repeats)
     timings["run.fine_grid[cor1b@0.05/N4096]"] = _time(fine_grid(4096), repeats)
+    timings["run.test_suite[tier-1]"] = _time(_test_suite, repeats)
     return timings
 
 

@@ -16,23 +16,23 @@ exactly when the full one is.
 path; it stays a standalone function until the benchmark's tracer no longer
 wraps it.
 
-Two grids: for N > COARSE_GRID, Newton runs on the kernel subsampled at
-stride k (``coarse_stride``), which is the exact N/k-point table.  Its
-quadrature is the only matrix a solve forms (``coarsen`` samples it from the
-kernel's generators) and the only LU it factors, at most COARSE_GRID x
-COARSE_GRID.  The discrete solution varies smoothly with the grid, so the
-coarse fixed point, lifted to N points by zero-padded FFT interpolation, is
-already close to the fine one (a two-grid Nystrom start).  The fine grid never forms an N x N matrix:
-each fine step is an Atkinson-Brakhage two-grid correction, the Newton step
-whose inner system is solved on the coarse grid from the restricted iterate
-and residual, lifted, and back-substituted through the fine quadrature
-operator (an FFT or a semiseparable product, applied from the generators).
-Its error contracts by the coarse discretization error, so one correction
-takes a lifted start from about 1e-8 to round-off.  A lifted start always
-takes at least one correction: the interpolation error alone can already
-sit below NEWTON_TOL.  An annulus whose coarse solve or corrections fail is
-dropped with a note saying which.  For N <= COARSE_GRID the stride is 1 and
-the coarse table is the dense form of the fine one.
+Two grids: Newton runs on the kernel subsampled at stride k
+(``coarse_stride``), the exact N/k-point table, with N/k >= min(N,
+COARSE_GRID): N/k = COARSE_GRID for N = COARSE_GRID 2^j, and N/k = N for
+N < 2 COARSE_GRID or N = 2p, p an odd prime.  Its quadrature is the only
+matrix a solve forms (``coarsen`` samples it from the kernel's generators)
+and the only LU it factors.  The discrete solution varies smoothly with the
+grid, so the base-grid fixed point, lifted to N points by zero-padded FFT
+interpolation, is already close to the fine one (a two-grid Nystrom start).
+The fine grid never forms an N x N matrix: each fine step is an
+Atkinson-Brakhage two-grid correction, the Newton step whose inner system
+is solved on the base grid from the restricted iterate and residual,
+lifted, and back-substituted through the fine quadrature operator (an FFT
+or a semiseparable product, applied from the generators); at stride 1 it is
+the exact Newton step.  Its error contracts by the coarse discretization
+error, so one correction takes a lifted start from about 1e-8 to round-off.
+Every solve, at every N, takes at least one correction.  An annulus whose
+base-grid solve or corrections fail is dropped with a note saying which.
 """
 from __future__ import annotations
 
@@ -87,10 +87,10 @@ ODE_TOL = 1e-6
 NORM_BLOWUP = 1e12
 CLAMP_TOL = 1e-12
 DEDUPE_RTOL = 1e-6
-# largest grid the Newton stage runs on; finer grids get two-grid corrections
+# the base grid has at least min(N, COARSE_GRID) points (see coarse_stride)
 COARSE_GRID = 64
 NEWTON_FAILURES = (SingularJacobianError, NoConvergenceError, DomainError,
-                   SingularityError, DivergenceError)
+                   SingularityError)
 
 
 @dataclass
@@ -139,7 +139,7 @@ class BranchTable:
     notes: list = field(default_factory=list)
 
 
-def seed_from_annulus(annulus, problem: Problem, n_grid: int = 256) -> GridFunction:
+def seed_from_annulus(annulus, problem: Problem, n_grid: int) -> GridFunction:
     """Constant cone-interior seed with norm at the geometric mean of the annulus."""
     c = math.sqrt(annulus.r_in * annulus.r_out) / problem.n
     values = np.full((problem.n, n_grid), c)
@@ -155,8 +155,8 @@ def coarse_stride(n_grid: int) -> int:
 
 
 def _coarse_tables(tables) -> list:
-    """The dense tables at the coarse stride (at most COARSE_GRID points, stride 1
-    included), one coarsening per distinct table."""
+    """The dense tables at the coarse stride (at least min(N, COARSE_GRID) points,
+    stride 1 included), one coarsening per distinct table."""
     k = coarse_stride(tables[0].n_grid)
     distinct = {id(tbl): tbl for tbl in tables}
     coarse = {key: coarsen(tbl, k) for key, tbl in distinct.items()}
@@ -238,24 +238,23 @@ def _coupling_solve(quad, rows: np.ndarray, cols: np.ndarray, rhs: np.ndarray) -
 
 
 def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
-                 coarse=None) -> np.ndarray:
-    """Newton step s with J s = F for J = I - U V, as an (n, N) array.
+                 coarse) -> np.ndarray:
+    """Two-grid Newton step s with J s = F for J = I - U V, as an (n, N) array.
 
     The system (I - sum_i diag(x_i/u) lam Q_i diag(g_i phi_i'(u))) w
     = sum_i (x_i/u) F_i is built from the quadrature matrices of the coarse
-    tables and solved on the restriction to their grid; without coarse
-    tables, the tables themselves must be dense (``coarsen`` output).  w is
-    its lift, and s_i = F_i + lam Q_i (g_i phi_i'(u) w), with one operator
-    application per distinct table.  With coarse tables this is the two-grid
-    correction; without, the lift is the identity and the step is the exact
-    N x N Newton step.
+    tables (the fine ones subsampled at stride k) and solved on the
+    restriction to their grid.  w is its lift, and
+    s_i = F_i + lam Q_i (g_i phi_i'(u) w), with one fine operator
+    application per distinct table.  At stride 1 the restriction and the
+    lift are the identity, and s is the exact Newton step.
     """
     u = np.sqrt(np.sum(x.values * x.values, axis=0))
     g = problem.g_on_grid(x.n_grid)
     cols = np.vstack([problem.lam * g[i] * problem.f.dphi(i, u) for i in range(x.n)])
     rows = x.values / u
     rhs = np.sum(rows * fvals, axis=0)
-    small = [kernel_quadrature(tbl).matrix for tbl in (tables if coarse is None else coarse)]
+    small = [kernel_quadrature(tbl).matrix for tbl in coarse]
     k = x.n_grid // len(small[0])
     try:
         w = _coupling_solve(small, rows[:, ::k], cols[:, ::k], rhs[::k])
@@ -268,13 +267,13 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
     return fvals + apply_quadrature(tables, cols * w)
 
 
-def newton_refine(problem: Problem, tables, x0: GridFunction, coarse=None) -> NewtonResult:
-    """Newton iteration on F(x) = x - T x down to NEWTON_TOL.
+def newton_refine(problem: Problem, tables, x0: GridFunction, coarse) -> NewtonResult:
+    """Two-grid Newton iteration on F(x) = x - T x down to NEWTON_TOL.
 
-    Without coarse tables every step is the exact N x N Newton step, on
-    dense tables; the solver takes it only on the base grid.  Given coarse tables (the fine
-    ones subsampled at a stride), every step is a two-grid correction and at
-    least one is taken.
+    ``coarse`` holds the tables subsampled at a stride (``coarsen``); every
+    step is ``_newton_step``.  On the base grid, pass the coarse tables as
+    both ``tables`` and ``coarse``: the stride is 1 and each step is exact.
+    At least one step is taken, even from a start already below NEWTON_TOL.
     """
     x = x0
     history = []
@@ -283,7 +282,7 @@ def newton_refine(problem: Problem, tables, x0: GridFunction, coarse=None) -> Ne
         fvals = x.values - tx.values
         res = prod_norm(fvals)
         history.append(res)
-        if res <= NEWTON_TOL and (coarse is None or len(history) > 1):
+        if res <= NEWTON_TOL and len(history) > 1:
             return NewtonResult(x=x, residual=res, iterations=len(history) - 1,
                                 history=tuple(history))
         if len(history) > MAX_NEWTON:
@@ -345,23 +344,24 @@ def _dedupe(solutions: list) -> list:
 
 
 def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
-                     seed: GridFunction, annulus_id: str, ode_tol: float, notes: list):
-    """Newton on the coarse tables straight from a coarse-grid seed (an annulus
-    seed or a warm start); the lifted iterate gets two-grid corrections and is
-    verified on the fine tables.  None, with a note, if Newton or the
-    corrections fail."""
+                     start: GridFunction, annulus_id: str, ode_tol: float, notes: list):
+    """Restrict the start (an annulus seed or a previous fine solution) to the
+    base grid, run Newton there, lift the result, correct it on the fine
+    tables (at least one two-grid step) and verify it there.  None, with a
+    note, if Newton or the corrections fail."""
+    n_base = coarse[0].n_grid
+    seed = GridFunction(n=start.n, n_grid=n_base, period=start.period,
+                        values=start.values[:, ::start.n_grid // n_base])
     try:
-        x = newton_refine(problem, coarse, seed).x
+        x = newton_refine(problem, coarse, seed, coarse).x
     except NEWTON_FAILURES as exc:
         notes.append(f"{annulus_id}: newton failed ({exc})")
         return None
-    n_fine = tables[0].n_grid
-    if x.n_grid < n_fine:
-        try:
-            x = newton_refine(problem, tables, lift(x, n_fine), coarse=coarse).x
-        except NEWTON_FAILURES as exc:
-            notes.append(f"{annulus_id}: two-grid correction failed ({exc})")
-            return None
+    try:
+        x = newton_refine(problem, tables, lift(x, tables[0].n_grid), coarse).x
+    except NEWTON_FAILURES as exc:
+        notes.append(f"{annulus_id}: two-grid correction failed ({exc})")
+        return None
     return _verify_candidate(problem, tables, constants, x, annulus_id, ode_tol, notes)
 
 
@@ -412,12 +412,8 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     table = BranchTable()
-    if steps == 0:
-        return table
-
     lams = np.geomspace(lam_lo, lam_hi, steps)
     coarse = _coarse_tables(tables)
-    stride = tables[0].n_grid // coarse[0].n_grid
     prev: list = []
     next_branch = 1
     for lam in lams:
@@ -426,11 +422,8 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
         notes: list = []
         assigned = []  # (branch_id, solution), warm lineage first
         for bid, psol in prev:
-            warm_id = f"warm:{bid}"
-            seed = GridFunction(n=psol.x.n, n_grid=coarse[0].n_grid, period=psol.x.period,
-                                values=psol.x.values[:, ::stride])
-            sol = _solve_from_seed(prob_l, tables, coarse, constants, seed, warm_id,
-                                   ode_tol, notes)
+            sol = _solve_from_seed(prob_l, tables, coarse, constants, psol.x,
+                                   f"warm:{bid}", ode_tol, notes)
             if sol is None:
                 continue
             sol = replace(sol, annulus_id=psol.annulus_id)

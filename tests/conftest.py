@@ -32,7 +32,7 @@ def bench_tables(unit_table):
 
 @pytest.fixture(scope="session")
 def dense_bench_tables(unit_table):
-    """The unit table in dense form, which exact N x N Newton steps factor."""
+    """The unit table in dense form: the coarse tables of a stride-1 Newton step."""
     dense = coarsen(unit_table, 1)
     return [dense, dense]
 

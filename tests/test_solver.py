@@ -141,10 +141,12 @@ def test_picard_matches_reference_loop(monkeypatch):
 
 
 def test_newton_polishes_to_tolerance(bench_tables, dense_bench_tables, sublinear_unit):
+    # stride-1 two-grid Newton on the generator tables: the exact step, its
+    # inner system factored from the dense coarse tables
     prob, cc = sublinear_unit
     seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), prob, 256)
     pic = picard_solve(prob, bench_tables, seed)
-    ref = newton_refine(prob, dense_bench_tables, pic.x)
+    ref = newton_refine(prob, bench_tables, pic.x, dense_bench_tables)
     assert ref.residual <= 1e-10
     assert ref.iterations <= 6
     # once close, each step is at least superlinear
@@ -152,14 +154,14 @@ def test_newton_polishes_to_tolerance(bench_tables, dense_bench_tables, sublinea
     assert all(b <= max(a ** 1.5, 1e-14) for a, b in zip(small, small[1:]))
 
 
-def test_newton_reconverges_after_perturbation(dense_bench_tables, sublinear_unit):
+def test_newton_reconverges_after_perturbation(bench_tables, dense_bench_tables, sublinear_unit):
     prob, cc = sublinear_unit
     (norm,) = oracles.constant_solution_norms(SUBLINEAR_TERMS, prob.lam)
     rng = np.random.default_rng(5)
     c = norm / 2.0
     vals = c * (1.0 + 1e-3 * rng.standard_normal((2, 256)))
     x0 = GridFunction(2, 256, 1.0, vals)
-    ref = newton_refine(prob, dense_bench_tables, x0)
+    ref = newton_refine(prob, bench_tables, x0, dense_bench_tables)
     assert ref.iterations <= 5
     assert abs(ref.x.norm - norm) <= 1e-9
 
@@ -212,12 +214,13 @@ def test_newton_step_matches_dense_solve(case):
         tables = [build_green_table(Constant(1.0), n_grid),
                   build_green_table(Constant(2.0), n_grid)]
         vals = np.stack([0.3 + 0.1 * wave, 0.1 + 0.02 * np.sin(4.0 * math.pi * t)])
-    # the exact N x N step factors dense tables
-    tables = [coarsen(tbl, 1) for tbl in tables]
+    # the stride-1 two-grid step: inner system from the dense tables,
+    # back-substitution through the FFT or semiseparable operators
+    dense = [coarsen(tbl, 1) for tbl in tables]
     x = GridFunction(prob.n, n_grid, 1.0, vals)
     fvals = x.values - apply_T(prob, tables, x).values
-    ref = _dense_newton_step(prob, tables, x, fvals)
-    step = _newton_step(prob, tables, x, fvals)
+    ref = _dense_newton_step(prob, dense, x, fvals)
+    step = _newton_step(prob, tables, x, fvals, dense)
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -344,10 +347,16 @@ def test_sweep_rejects_bad_lambda_ends(bench_tables, sublinear_unit, lam_lo, lam
         continue_lambda(prob, bench_tables, lam_lo, lam_hi, steps, constants=cc)
 
 
-@pytest.mark.parametrize("n_grid, stride", [(16, 1), (64, 1), (96, 1), (128, 2), (256, 4),
-                                            (512, 8), (600, 6), (768, 12), (1024, 16)])
+@pytest.mark.parametrize("n_grid, stride", [
+    (16, 1), (64, 1), (66, 1), (96, 1), (126, 1), (128, 2), (130, 1), (256, 4),
+    (512, 8), (600, 6), (768, 12), (1024, 16), (2062, 1), (4096, 64)])
 def test_coarse_stride(n_grid, stride):
+    # the base grid has at least min(N, COARSE_GRID) points, and all N when
+    # no stride up to N/COARSE_GRID leaves an even count (N = 2p, p an odd
+    # prime)
     assert coarse_stride(n_grid) == stride
+    assert n_grid % stride == 0 and (n_grid // stride) % 2 == 0
+    assert n_grid // stride >= min(n_grid, solver_mod.COARSE_GRID)
 
 
 def test_lift_is_exact_on_constants():
@@ -449,57 +458,55 @@ def test_coarse_newton_failure(monkeypatch, n_grid):
 
 @pytest.mark.parametrize("n_grid", [64, 256, 512, 1024])
 def test_two_grid_correction_failure_drops(monkeypatch, n_grid):
-    # a failed two-grid correction drops the annulus with its own note; at
-    # N=64 the stride is 1, no correction runs and both solutions stay
+    # a failed two-grid correction drops the annulus with its own note, at
+    # every N: at N=64 the stride is 1 and the correction still runs
     table = build_green_table(Constant(1.0), n_grid)
     prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
     cc = compute_constants([table, table], prob)
-    expect = sorted(s.norm for s in find_solutions(prob, [table, table], cc).solutions)
+    assert len(find_solutions(prob, [table, table], cc).solutions) == 2
     real = solver_mod.newton_refine
 
-    def corrections_fail(problem, tables, x0, coarse=None):
-        if coarse is not None:
+    def corrections_fail(problem, tables, x0, coarse):
+        if tables is not coarse:
             raise NoConvergenceError("forced")
-        return real(problem, tables, x0)
+        return real(problem, tables, x0, coarse)
 
     monkeypatch.setattr(solver_mod, "newton_refine", corrections_fail)
     report = find_solutions(prob, [table, table], cc)
-    failed = sum(": two-grid correction failed (forced)" in n for n in report.notes)
     assert not any("newton failed" in n for n in report.notes)
-    if n_grid == solver_mod.COARSE_GRID:
-        assert sorted(s.norm for s in report.solutions) == expect
-        assert len(expect) == 2 and failed == 0
-    else:
-        assert report.solutions == []
-        assert failed == 2
+    assert report.solutions == []
+    assert sum(": two-grid correction failed (forced)" in n for n in report.notes) == 2
 
 
 def test_one_two_grid_correction_reaches_round_off(monkeypatch):
-    # one correction, the mandatory one, takes every lifted 64-point solution
-    # of the preset problems at N=256 to a residual of 1e-13, or to round-off
-    # (1e-15 relative) for the solutions with norm above 100
+    # one correction, the mandatory one, takes every lifted base-grid solution
+    # of the preset problems at N=96 and N=256 to a residual of 1e-13, or to
+    # round-off (1e-15 relative) for the solutions with norm above 100.  At
+    # N=96 the stride is 1: the correction is the exact Newton step after the
+    # base-grid stop
     real = solver_mod.newton_refine
     corrections = []
 
-    def record(problem, tables, x0, coarse=None):
+    def record(problem, tables, x0, coarse):
         res = real(problem, tables, x0, coarse)
-        if coarse is not None:
+        if tables is not coarse:
             corrections.append(res)
         return res
 
     monkeypatch.setattr(solver_mod, "newton_refine", record)
     problems = 0
-    for name in sorted(PRESETS):
-        preset = PRESETS[name]
-        for lam in preset.lambdas:
-            parsed = parse_config(preset.config(lam, 256))
-            tables = build_tables(parsed.problem, parsed.n_grid)
-            cc = compute_constants(tables, parsed.problem)
-            before = len(corrections)
-            report = find_solutions(parsed.problem, tables, cc, preset.ode_tol)
-            assert len(corrections) - before >= len(report.solutions) >= 1
-            problems += 1
-    assert problems == 8
+    for n_grid in (96, 256):
+        for name in sorted(PRESETS):
+            preset = PRESETS[name]
+            for lam in preset.lambdas:
+                parsed = parse_config(preset.config(lam, n_grid))
+                tables = build_tables(parsed.problem, parsed.n_grid)
+                cc = compute_constants(tables, parsed.problem)
+                before = len(corrections)
+                report = find_solutions(parsed.problem, tables, cc, preset.ode_tol)
+                assert len(corrections) - before >= len(report.solutions) >= 1
+                problems += 1
+    assert problems == 16
     for res in corrections:
         assert res.iterations == 1
         assert res.history[0] > res.residual
