@@ -16,15 +16,16 @@ entries:
   over 961 radii on [1e-8, 1e8]
 * solver: per certified annulus of cor1b lambda = 0.05 at N = 256, the
   64-point Newton solve from the annulus seed and the two-grid corrections
-  of the lifted iterate on the 256-point grid, as ``find_solutions`` runs
+  of the resampled iterate on the 256-point grid, as ``find_solutions`` runs
   them; and the 64-point Picard solve from the same seed, a standalone
   function that no solve path calls, timed for as long as it exists
 * run: every (preset, lambda) problem at N = 256 (tables, constants,
-  find_solutions), cor1b lambda = 0.05 at N = 1024 and N = 4096, and the
-  CLI per subcommand, output files written to a temporary directory:
-  ``pericone sweep`` on the superlinear family for lambda 0.01 -> 0.3 in 6
-  steps, ``green``, ``certify`` and ``solve`` on cor1b lambda = 0.05, and
-  ``reproduce cor1b``; and the tier-1 test suite
+  find_solutions), cor1b lambda = 0.05 at N = 1024, 4096 and 2062 (twice
+  a prime: no coarser even grid nests in it), and the CLI per subcommand,
+  output files written to a temporary directory: ``pericone sweep`` on
+  the superlinear family for lambda 0.01 -> 0.3 in 6 steps, ``green``,
+  ``certify`` and ``solve`` on cor1b lambda = 0.05, and ``reproduce
+  cor1b``; and the tier-1 test suite
   (``python -m pytest -q --continue-on-collection-errors`` with
   PYTHONPATH=src, from the repository root) in a subprocess
 
@@ -67,17 +68,16 @@ from pericone import (  # noqa: E402
     PRESETS,
     Constant,
     FourierSeries,
+    GridFunction,
     build_green_table,
-    coarse_stride,
-    coarsen,
     compute_constants,
     default_r_grid,
     existence_report,
     find_solutions,
-    lift,
     newton_refine,
     parse_config,
     picard_solve,
+    resample,
     scan_radii,
     seed_from_annulus,
     symmetric_config,
@@ -85,6 +85,7 @@ from pericone import (  # noqa: E402
 )
 from pericone.cli import build_tables  # noqa: E402
 from pericone.cli import main as cli_main  # noqa: E402
+from pericone.solver import _coarse_tables  # noqa: E402
 
 
 def _time(fn, repeats):
@@ -149,8 +150,7 @@ def _test_suite():
 def _solver_entries(repeats):
     """Newton from the seed, two-grid corrections and Picard per annulus of cor1b lambda=0.05."""
     problem, tables, constants = _setup("cor1b", 0.05)
-    k = coarse_stride(tables[0].n_grid)
-    coarse = [coarsen(tbl, k) for tbl in tables]
+    coarse = _coarse_tables(problem, tables)
     out = {}
     for ann in existence_report(problem, constants, default_r_grid()):
         seed = seed_from_annulus(ann, problem, coarse[0].n_grid)
@@ -169,7 +169,9 @@ def _solver_entries(repeats):
             ("converged" if pic.converged else "stalled"))
         out[f"solver.newton[{tag}]"] = _time(
             lambda: newton_refine(problem, coarse, seed, coarse), repeats)
-        lifted = lift(newton_refine(problem, coarse, seed, coarse).x, tables[0].n_grid)
+        base = newton_refine(problem, coarse, seed, coarse).x
+        n_grid = tables[0].n_grid
+        lifted = GridFunction(base.n, n_grid, base.period, resample(base.values, n_grid))
         out[f"solver.two_grid[{tag}]"] = _time(
             lambda: newton_refine(problem, tables, lifted, coarse), repeats)
     return out
@@ -213,6 +215,7 @@ def _run_entries(repeats):
             _cli(["reproduce", "cor1b", "--out", str(tmp / "reproduce")]), repeats)
     timings["run.fine_grid[cor1b@0.05/N1024]"] = _time(fine_grid(1024), repeats)
     timings["run.fine_grid[cor1b@0.05/N4096]"] = _time(fine_grid(4096), repeats)
+    timings["run.fine_grid[cor1b@0.05/N2062]"] = _time(fine_grid(2062), repeats)
     timings["run.test_suite[tier-1]"] = _time(_test_suite, repeats)
     return timings
 

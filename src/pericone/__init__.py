@@ -47,7 +47,7 @@ from .greens import (
     GreensTable,
     PositivityReport,
     build_green_table,
-    coarsen,
+    dense_table,
     green_bounds_constant,
     green_constant,
     kernel_quadrature,
@@ -71,12 +71,11 @@ from .solver import (
     PicardResult,
     Solution,
     SolveReport,
-    coarse_stride,
     continue_lambda,
     find_solutions,
-    lift,
     newton_refine,
     picard_solve,
+    resample,
     seed_from_annulus,
 )
 

@@ -28,10 +28,9 @@ holds G or Q as an N x N array: Q is applied from the generators, the
 circulant by real FFTs in O(N log N) and the semiseparable kernel by a
 rank-2 product and two prefix sums in O(N) (Greengard and Rokhlin, CPAM 44,
 1991).  ``kernel_values`` samples G at node indices from the generators;
-m and M are raw kernel samples, never corrected.  The grids t_p = p T/N
-nest, so ``coarsen`` subsamples the generators at every k-th node and
-samples the N/k-point quadrature matrix from them with no new kernel
-evaluation: the dense table the two-grid solve's Newton LU factors.
+m and M are raw kernel samples, never corrected.  ``dense_table`` samples
+the quadrature matrix of a table from its generators: the dense form of the
+base-grid table whose LU the two-grid solve factors.
 Generators and matrices are read-only, because every operator application
 and every Newton step shares them.
 
@@ -63,7 +62,7 @@ __all__ = [
     "green_constant",
     "green_bounds_constant",
     "build_green_table",
-    "coarsen",
+    "dense_table",
     "kernel_values",
     "kernel_quadrature",
     "torres_positive",
@@ -115,9 +114,6 @@ class CirculantKernel:
     def sample(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.profile[(cols[None, :] - rows[:, None]) % self.profile.size]
 
-    def subsample(self, stride: int, h: float) -> CirculantKernel:
-        return CirculantKernel(self.profile[::stride], h)
-
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         """Q w along the last axis of w."""
         return np.fft.irfft(self.eigenvalues * np.fft.rfft(w), n=self.profile.size)
@@ -162,7 +158,7 @@ class SemiseparableKernel:
 
 
 class DenseQuadrature:
-    """Q = h (G + h/12 I) as a matrix: the coarse form the Newton LU factors."""
+    """Q = h (G + h/12 I) as a matrix: the base-grid form the Newton LU factors."""
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = _frozen(matrix)
@@ -213,7 +209,8 @@ class GreensTable:
     ``kernel`` is a CirculantKernel (closed form) or a SemiseparableKernel
     (RK4): O(N) numbers, sampled by ``kernel_values``.  ``quadrature`` is the
     Nystrom operator ``kernel_quadrature`` returns: the kernel itself on a
-    table from build_green_table, a DenseQuadrature on one from ``coarsen``.
+    table from build_green_table, a DenseQuadrature on one from
+    ``dense_table``.
     """
 
     n_grid: int
@@ -408,26 +405,19 @@ def kernel_values(table: GreensTable, rows, cols) -> np.ndarray:
     return table.kernel.sample(np.asarray(rows), np.asarray(cols))
 
 
-def coarsen(table: GreensTable, stride: int) -> GreensTable:
-    """The table on every stride-th node, N/stride points, as a dense table.
+def dense_table(table: GreensTable) -> GreensTable:
+    """The table with its quadrature as the matrix h (G + h/12 I).
 
-    The grids nest, so the coarse generators are the fine ones subsampled,
-    and the quadrature matrix h (G + h/12 I) is sampled from them with
-    ``kernel_values``: no new kernel evaluation.  Stride 1 gives the dense
-    form of the table itself.  m, M and the positivity report stay those of
-    the fine table, which is the one the cone constants come from.
+    The matrix is sampled from the generators with ``kernel_values``: no new
+    kernel evaluation.  Everything else stays the table's own.
     """
-    if stride < 1 or table.n_grid % stride != 0:
-        raise DomainError(f"stride {stride} does not divide n_grid {table.n_grid}")
-    n_grid = table.n_grid // stride
-    _check_grid(n_grid)
+    n_grid = table.n_grid
     h = table.period / n_grid
-    nodes = np.arange(0, table.n_grid, stride)
+    nodes = np.arange(n_grid)
     matrix = kernel_values(table, nodes, nodes)
     matrix.flat[::n_grid + 1] += h / 12.0
     matrix *= h
-    return replace(table, n_grid=n_grid, kernel=table.kernel.subsample(stride, h),
-                   quadrature=DenseQuadrature(matrix))
+    return replace(table, quadrature=DenseQuadrature(matrix))
 
 
 def kernel_quadrature(table: GreensTable):
@@ -437,8 +427,8 @@ def kernel_quadrature(table: GreensTable):
     h^2/12 * w(t_p) for the unit derivative jump of G across the diagonal,
     Q = h (G + h/12 I), applied along the last axis of w: one call handles
     every component that shares the table.  Built once per table, from the
-    generators (FFT or prefix sums) or, on a coarsened table, as the matrix
-    ``.matrix``; every call returns the same object.
+    generators (FFT or prefix sums) or, on a table from ``dense_table``, as
+    the matrix ``.matrix``; every call returns the same object.
     """
     return table.quadrature
 

@@ -16,23 +16,24 @@ exactly when the full one is.
 path; it stays a standalone function until the benchmark's tracer no longer
 wraps it.
 
-Two grids: Newton runs on the kernel subsampled at stride k
-(``coarse_stride``), the exact N/k-point table, with N/k >= min(N,
-COARSE_GRID): N/k = COARSE_GRID for N = COARSE_GRID 2^j, and N/k = N for
-N < 2 COARSE_GRID or N = 2p, p an odd prime.  Its quadrature is the only
-matrix a solve forms (``coarsen`` samples it from the kernel's generators)
-and the only LU it factors.  The discrete solution varies smoothly with the
-grid, so the base-grid fixed point, lifted to N points by zero-padded FFT
-interpolation, is already close to the fine one (a two-grid Nystrom start).
-The fine grid never forms an N x N matrix: each fine step is an
-Atkinson-Brakhage two-grid correction, the Newton step whose inner system
-is solved on the base grid from the restricted iterate and residual,
-lifted, and back-substituted through the fine quadrature operator (an FFT
-or a semiseparable product, applied from the generators); at stride 1 it is
-the exact Newton step.  Its error contracts by the coarse discretization
-error, so one correction takes a lifted start from about 1e-8 to round-off.
-Every solve, at every N, takes at least one correction.  An annulus whose
-base-grid solve or corrections fail is dropped with a note saying which.
+Two grids: Newton runs on a base grid of M = min(N, COARSE_GRID) points,
+with tables built from the coefficients a_i at M points and taken in dense
+form (``dense_table``).  Their quadrature is the only matrix a solve forms
+and the only LU it factors, so at every N >= COARSE_GRID that LU is 64 x 64.
+The grids need not nest: functions move between them only by Fourier
+resampling (``resample``), truncation going down and zero-padding going up.
+The discrete solution varies smoothly with the grid, so the base-grid fixed
+point, resampled to N points, is already close to the fine one (a two-grid
+Nystrom start).  The fine grid never forms an N x N matrix: each fine step
+is an Atkinson-Brakhage two-grid correction, the Newton step whose inner
+system is solved on the base grid from the restricted iterate and residual,
+resampled up, and back-substituted through the fine quadrature operator (an
+FFT or a semiseparable product, applied from the generators); at N = M it
+is the exact Newton step.  Its error contracts by the base-grid
+discretization error, so one correction takes a resampled start from about
+1e-8 to round-off.  Every solve, at every N, takes at least one correction.
+An annulus whose base-grid solve or corrections fail is dropped with a note
+saying which.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from .errors import (
     SingularityError,
     SingularJacobianError,
 )
-from .greens import coarsen, kernel_quadrature
+from .greens import build_green_table, dense_table, kernel_quadrature
 from .operator import (
     GridFunction,
     apply_quadrature,
@@ -69,8 +70,7 @@ __all__ = [
     "BranchRow",
     "BranchTable",
     "seed_from_annulus",
-    "coarse_stride",
-    "lift",
+    "resample",
     "picard_solve",
     "newton_refine",
     "find_solutions",
@@ -87,7 +87,7 @@ ODE_TOL = 1e-6
 NORM_BLOWUP = 1e12
 CLAMP_TOL = 1e-12
 DEDUPE_RTOL = 1e-6
-# the base grid has at least min(N, COARSE_GRID) points (see coarse_stride)
+# the base grid has min(N, COARSE_GRID) points at every N
 COARSE_GRID = 64
 NEWTON_FAILURES = (SingularJacobianError, NoConvergenceError, DomainError,
                    SingularityError)
@@ -146,38 +146,42 @@ def seed_from_annulus(annulus, problem: Problem, n_grid: int) -> GridFunction:
     return GridFunction(n=problem.n, n_grid=n_grid, period=problem.period, values=values)
 
 
-def coarse_stride(n_grid: int) -> int:
-    """Largest k <= n_grid / COARSE_GRID that divides n_grid into an even count; 1 at least."""
-    for k in range(max(n_grid // COARSE_GRID, 1), 1, -1):
-        if n_grid % k == 0 and (n_grid // k) % 2 == 0:
-            return k
-    return 1
+def _coarse_tables(problem: Problem, tables) -> list:
+    """The dense base-grid tables: one per distinct fine table, built at
+    min(N, COARSE_GRID) points from the coefficient of the first component
+    that shares it."""
+    n_base = min(tables[0].n_grid, COARSE_GRID)
+    base: dict = {}
+    for tbl, coef in zip(tables, problem.a):
+        if id(tbl) not in base:
+            base[id(tbl)] = dense_table(build_green_table(coef, n_base))
+    return [base[id(tbl)] for tbl in tables]
 
 
-def _coarse_tables(tables) -> list:
-    """The dense tables at the coarse stride (at least min(N, COARSE_GRID) points,
-    stride 1 included), one coarsening per distinct table."""
-    k = coarse_stride(tables[0].n_grid)
-    distinct = {id(tbl): tbl for tbl in tables}
-    coarse = {key: coarsen(tbl, k) for key, tbl in distinct.items()}
-    return [coarse[id(tbl)] for tbl in tables]
+def resample(values: np.ndarray, n_grid: int) -> np.ndarray:
+    """Trigonometric resampling of periodic samples to n_grid points, along
+    the last axis.
 
-
-def lift(x: GridFunction, n_grid: int) -> GridFunction:
-    """Trigonometric interpolation of x onto n_grid points (a multiple of x.n_grid).
-
-    Zero-pads the real FFT; the coarse Nyquist bin is halved, because on the
-    finer grid it stands for the pair of frequencies +-N_c/2.  A grid function
-    already on n_grid points is returned as it is.
+    Going up, the real FFT is zero-padded and the old Nyquist bin halved,
+    because on the finer grid it stands for the pair of frequencies at plus
+    and minus half the old count.
+    Going down, the bins below n_grid/2 are kept and the new Nyquist bin is
+    twice the real part of the old bin there, the cosine its pair aliases to.
+    Samples already on n_grid points are returned as they are.
     """
-    if n_grid == x.n_grid:
-        return x
-    spec = np.fft.rfft(x.values, axis=1, norm="forward")
-    spec[:, -1] *= 0.5
-    padded = np.zeros((x.n, n_grid // 2 + 1), dtype=complex)
-    padded[:, :spec.shape[1]] = spec
-    values = np.fft.irfft(padded, n=n_grid, axis=1, norm="forward")
-    return GridFunction(n=x.n, n_grid=n_grid, period=x.period, values=values)
+    size = values.shape[-1]
+    if n_grid == size:
+        return values
+    spec = np.fft.rfft(values, norm="forward")
+    if n_grid < size:
+        spec = spec[..., :n_grid // 2 + 1]
+        spec[..., -1] = 2.0 * spec[..., -1].real
+    else:
+        spec[..., -1] *= 0.5
+        padded = np.zeros(spec.shape[:-1] + (n_grid // 2 + 1,), dtype=complex)
+        padded[..., :spec.shape[-1]] = spec
+        spec = padded
+    return np.fft.irfft(spec, n=n_grid, norm="forward")
 
 
 def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
@@ -242,12 +246,12 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
     """Two-grid Newton step s with J s = F for J = I - U V, as an (n, N) array.
 
     The system (I - sum_i diag(x_i/u) lam Q_i diag(g_i phi_i'(u))) w
-    = sum_i (x_i/u) F_i is built from the quadrature matrices of the coarse
-    tables (the fine ones subsampled at stride k) and solved on the
-    restriction to their grid.  w is its lift, and
-    s_i = F_i + lam Q_i (g_i phi_i'(u) w), with one fine operator
-    application per distinct table.  At stride 1 the restriction and the
-    lift are the identity, and s is the exact Newton step.
+    = sum_i (x_i/u) F_i is built from the quadrature matrices of the base
+    tables ``coarse`` and solved on their grid, with its rows, columns and
+    right-hand side restricted there by ``resample``.  w is resampled back
+    to N points, and s_i = F_i + lam Q_i (g_i phi_i'(u) w), with one fine
+    operator application per distinct table.  When both grids have N points
+    the resampling is the identity, and s is the exact Newton step.
     """
     u = np.sqrt(np.sum(x.values * x.values, axis=0))
     g = problem.g_on_grid(x.n_grid)
@@ -255,24 +259,22 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
     rows = x.values / u
     rhs = np.sum(rows * fvals, axis=0)
     small = [kernel_quadrature(tbl).matrix for tbl in coarse]
-    k = x.n_grid // len(small[0])
+    base = resample(np.vstack([rows, cols, rhs]), len(small[0]))
     try:
-        w = _coupling_solve(small, rows[:, ::k], cols[:, ::k], rhs[::k])
+        w = _coupling_solve(small, base[:x.n], base[x.n:-1], base[-1])
     except np.linalg.LinAlgError as exc:
         raise SingularJacobianError(
             f"linear solve failed at residual {prod_norm(fvals):.3e}"
         ) from exc
-    w = lift(GridFunction(n=1, n_grid=w.size, period=x.period, values=w[None, :]),
-             x.n_grid).values[0]
-    return fvals + apply_quadrature(tables, cols * w)
+    return fvals + apply_quadrature(tables, cols * resample(w, x.n_grid))
 
 
 def newton_refine(problem: Problem, tables, x0: GridFunction, coarse) -> NewtonResult:
     """Two-grid Newton iteration on F(x) = x - T x down to NEWTON_TOL.
 
-    ``coarse`` holds the tables subsampled at a stride (``coarsen``); every
-    step is ``_newton_step``.  On the base grid, pass the coarse tables as
-    both ``tables`` and ``coarse``: the stride is 1 and each step is exact.
+    ``coarse`` holds the dense base-grid tables (``_coarse_tables``); every
+    step is ``_newton_step``.  On the base grid, pass the base tables as both
+    ``tables`` and ``coarse``: no resampling happens and each step is exact.
     At least one step is taken, even from a start already below NEWTON_TOL.
     """
     x = x0
@@ -346,19 +348,22 @@ def _dedupe(solutions: list) -> list:
 def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
                      start: GridFunction, annulus_id: str, ode_tol: float, notes: list):
     """Restrict the start (an annulus seed or a previous fine solution) to the
-    base grid, run Newton there, lift the result, correct it on the fine
-    tables (at least one two-grid step) and verify it there.  None, with a
-    note, if Newton or the corrections fail."""
+    base grid, run Newton there, resample the result up, correct it on the
+    fine tables (at least one two-grid step) and verify it there.  None, with
+    a note, if Newton or the corrections fail."""
     n_base = coarse[0].n_grid
     seed = GridFunction(n=start.n, n_grid=n_base, period=start.period,
-                        values=start.values[:, ::start.n_grid // n_base])
+                        values=resample(start.values, n_base))
     try:
         x = newton_refine(problem, coarse, seed, coarse).x
     except NEWTON_FAILURES as exc:
         notes.append(f"{annulus_id}: newton failed ({exc})")
         return None
     try:
-        x = newton_refine(problem, tables, lift(x, tables[0].n_grid), coarse).x
+        n_grid = tables[0].n_grid
+        x = GridFunction(n=x.n, n_grid=n_grid, period=x.period,
+                         values=resample(x.values, n_grid))
+        x = newton_refine(problem, tables, x, coarse).x
     except NEWTON_FAILURES as exc:
         notes.append(f"{annulus_id}: two-grid correction failed ({exc})")
         return None
@@ -371,10 +376,12 @@ def find_solutions(problem: Problem, tables, constants: ConeConstants,
     deduplicate.
 
     Returns whatever survives (possibly nothing) plus per-annulus notes for
-    everything that was attempted and dropped.
+    everything that was attempted and dropped.  The base-grid tables are
+    built from ``problem.a``, so ``tables`` must be built from it too, as
+    ``cli.build_tables`` does.
     """
     annuli = existence_report(problem, constants, default_r_grid())
-    coarse = _coarse_tables(tables)
+    coarse = _coarse_tables(problem, tables)
     notes: list = []
     found = []
     for ann in annuli:
@@ -413,7 +420,7 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
         raise DomainError("steps must be nonnegative")
     table = BranchTable()
     lams = np.geomspace(lam_lo, lam_hi, steps)
-    coarse = _coarse_tables(tables)
+    coarse = _coarse_tables(problem, tables)
     prev: list = []
     next_branch = 1
     for lam in lams:

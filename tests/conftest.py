@@ -7,8 +7,8 @@ from pericone import (
     Constant,
     GridFunction,
     build_green_table,
-    coarsen,
     compute_constants,
+    dense_table,
     kernel_quadrature,
     parse_config,
     symmetric_config,
@@ -32,8 +32,9 @@ def bench_tables(unit_table):
 
 @pytest.fixture(scope="session")
 def dense_bench_tables(unit_table):
-    """The unit table in dense form: the coarse tables of a stride-1 Newton step."""
-    dense = coarsen(unit_table, 1)
+    """The unit table in dense form: the base tables of a Newton step whose
+    two grids are one."""
+    dense = dense_table(unit_table)
     return [dense, dense]
 
 

@@ -14,7 +14,7 @@ from pericone import (
     ResonanceError,
     Samples,
     build_green_table,
-    coarsen,
+    dense_table,
     green_bounds_constant,
     green_constant,
     kernel_quadrature,
@@ -83,7 +83,7 @@ def test_kernel_quadrature_built_once(coef):
     quad = kernel_quadrature(table)
     assert kernel_quadrature(table) is quad
     # the dense form is h (G + h/12 I) of the sampled table, bit for bit
-    dense = coarsen(table, 1)
+    dense = dense_table(table)
     assert np.array_equal(kernel_quadrature(dense).matrix, dense_quadrature(table))
 
 
@@ -111,7 +111,7 @@ def test_table_arrays_read_only(unit_table):
     rk4 = build_green_table(FourierSeries(1.0, (0.3,)), 32)
     arrays = [unit_table.kernel.profile, unit_table.kernel.eigenvalues,
               rk4.kernel.basis, rk4.kernel.coef,
-              kernel_quadrature(coarsen(unit_table, 4)).matrix]
+              kernel_quadrature(dense_table(unit_table)).matrix]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -141,7 +141,7 @@ def test_no_table_array_grows_with_n_squared(coef):
                          ids=["a=1", "a=4,T=0.7", "a=1+0.3cos", "four-term"])
 def test_generators_bit_equal_dense_build(coef, n_grid):
     # against the dense N x N build the tables once stored: every sample,
-    # m, M, the positivity report, and every coarsening
+    # m, M, the positivity report, and the dense form
     table = build_green_table(coef, n_grid)
     period = coef.period
     if table.k is not None:
@@ -165,14 +165,11 @@ def test_generators_bit_equal_dense_build(coef, n_grid):
     assert (table.m, table.M) == (m, big)
     rep = table.positivity
     assert (rep.holds, rep.min_value, rep.argmin) == (holds, min_value, argmin)
-    for stride in (1, 2, 4):
-        coarse = coarsen(table, stride)
-        n_coarse = n_grid // stride
-        h = period / n_coarse
-        sub = values[::stride, ::stride]
-        assert np.array_equal(kernel_quadrature(coarse).matrix,
-                              h * (sub + (h / 12.0) * np.eye(n_coarse)))
-        assert np.array_equal(full_values(coarse), sub)
+    dense = dense_table(table)
+    h = period / n_grid
+    assert np.array_equal(kernel_quadrature(dense).matrix,
+                          h * (values + (h / 12.0) * np.eye(n_grid)))
+    assert np.array_equal(full_values(dense), values)
 
 
 def test_positivity_report(unit_table):
@@ -430,41 +427,13 @@ def test_small_table_sandwich_property(k):
     assert values.max() <= table.M + 1e-10
 
 
-@pytest.mark.parametrize("period", [1.0, 0.7])
-def test_coarsened_closed_form_table_is_the_coarse_table(period):
-    # the grids nest, so every 4th node of the N=1024 circulant is the N=256 one
-    fine = build_green_table(Constant(1.0, period=period), 1024)
-    direct = build_green_table(Constant(1.0, period=period), 256)
-    coarse = coarsen(fine, 4)
-    assert coarse.n_grid == 256
-    assert np.array_equal(full_values(coarse), full_values(direct))
-    assert np.array_equal(kernel_quadrature(coarse).matrix,
-                          kernel_quadrature(coarsen(direct, 1)).matrix)
-    assert not kernel_quadrature(coarse).matrix.flags.writeable
-
-
-def test_coarsened_rk4_table_subsamples_the_fine_one():
-    fine = build_green_table(FourierSeries(1.0, (0.3,)), 512)
-    coarse = coarsen(fine, 2)
-    h = fine.period / 256
-    sub = full_values(fine)[::2, ::2]
-    assert np.array_equal(full_values(coarse), sub)
-    assert np.array_equal(kernel_quadrature(coarse).matrix, h * (sub + (h / 12.0) * np.eye(256)))
-    # the cone constants keep reading the fine table's extrema
-    assert (coarse.m, coarse.M, coarse.positivity) == (fine.m, fine.M, fine.positivity)
-    assert coarse.monodromy is fine.monodromy
-
-
 def test_coarsen_stride(unit_table):
-    # stride 1 is the dense form of the table itself
-    dense = coarsen(unit_table, 1)
+    # the dense form of the table itself: same grid, extrema and positivity
+    dense = dense_table(unit_table)
     assert dense.n_grid == unit_table.n_grid
     assert np.array_equal(kernel_quadrature(dense).matrix, dense_quadrature(unit_table))
     assert (dense.m, dense.M, dense.positivity) == (unit_table.m, unit_table.M,
                                                    unit_table.positivity)
-    for bad in (3, 0, 32):  # 256 % 3 != 0; 0 is no stride; 256/32 = 8 < 16 nodes
-        with pytest.raises(DomainError):
-            coarsen(unit_table, bad)
 
 
 # every coefficient a the suite builds a table for

@@ -17,17 +17,16 @@ from pericone import (
     SingularityError,
     apply_T,
     build_green_table,
-    coarse_stride,
-    coarsen,
     compute_constants,
     cone_membership,
     continue_lambda,
+    dense_table,
     find_solutions,
     kernel_quadrature,
-    lift,
     newton_refine,
     parse_config,
     picard_solve,
+    resample,
     seed_from_annulus,
     symmetric_config,
 )
@@ -100,7 +99,7 @@ def test_picard_matches_reference_loop(monkeypatch):
     outcomes = {"converged": 0, "stalled": 0, "raised": 0}
     for prob in _picard_problems():
         tables = build_tables(prob, 256)
-        coarse = solver_mod._coarse_tables(tables)
+        coarse = solver_mod._coarse_tables(prob, tables)
         cc = compute_constants(tables, prob)
         for ann in existence_report(prob, cc, default_r_grid()):
             seed = seed_from_annulus(ann, prob, coarse[0].n_grid)
@@ -141,8 +140,8 @@ def test_picard_matches_reference_loop(monkeypatch):
 
 
 def test_newton_polishes_to_tolerance(bench_tables, dense_bench_tables, sublinear_unit):
-    # stride-1 two-grid Newton on the generator tables: the exact step, its
-    # inner system factored from the dense coarse tables
+    # two-grid Newton with both grids at N points, on the generator tables:
+    # the exact step, its inner system factored from the dense tables
     prob, cc = sublinear_unit
     seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), prob, 256)
     pic = picard_solve(prob, bench_tables, seed)
@@ -214,9 +213,9 @@ def test_newton_step_matches_dense_solve(case):
         tables = [build_green_table(Constant(1.0), n_grid),
                   build_green_table(Constant(2.0), n_grid)]
         vals = np.stack([0.3 + 0.1 * wave, 0.1 + 0.02 * np.sin(4.0 * math.pi * t)])
-    # the stride-1 two-grid step: inner system from the dense tables,
-    # back-substitution through the FFT or semiseparable operators
-    dense = [coarsen(tbl, 1) for tbl in tables]
+    # the two-grid step with both grids at N points: inner system from the
+    # dense tables, back-substitution through the FFT or semiseparable operators
+    dense = [dense_table(tbl) for tbl in tables]
     x = GridFunction(prob.n, n_grid, 1.0, vals)
     fvals = x.values - apply_T(prob, tables, x).values
     ref = _dense_newton_step(prob, dense, x, fvals)
@@ -347,36 +346,54 @@ def test_sweep_rejects_bad_lambda_ends(bench_tables, sublinear_unit, lam_lo, lam
         continue_lambda(prob, bench_tables, lam_lo, lam_hi, steps, constants=cc)
 
 
-@pytest.mark.parametrize("n_grid, stride", [
-    (16, 1), (64, 1), (66, 1), (96, 1), (126, 1), (128, 2), (130, 1), (256, 4),
-    (512, 8), (600, 6), (768, 12), (1024, 16), (2062, 1), (4096, 64)])
-def test_coarse_stride(n_grid, stride):
-    # the base grid has at least min(N, COARSE_GRID) points, and all N when
-    # no stride up to N/COARSE_GRID leaves an even count (N = 2p, p an odd
-    # prime)
-    assert coarse_stride(n_grid) == stride
-    assert n_grid % stride == 0 and (n_grid // stride) % 2 == 0
-    assert n_grid // stride >= min(n_grid, solver_mod.COARSE_GRID)
-
-
 def test_lift_is_exact_on_constants():
-    x = GridFunction(2, 64, 1.0, np.array([[0.37] * 64, [19.99] * 64]))
-    y = lift(x, 256)
-    assert np.array_equal(y.values, np.array([[0.37] * 256, [19.99] * 256]))
-    assert lift(x, 64) is x
+    x = np.array([[0.37] * 64, [19.99] * 64])
+    for n_grid in (256, 96):
+        assert np.array_equal(resample(x, n_grid), np.array([[0.37] * n_grid, [19.99] * n_grid]))
+    assert resample(x, 64) is x
+
+
+def _trig_polynomial(t):
+    # frequencies up to the 64-point Nyquist bin, whose cosine the halving keeps
+    return (1.0 + 0.3 * np.cos(2 * np.pi * t) + 0.2 * np.sin(10 * np.pi * t)
+            + 0.1 * np.cos(62 * np.pi * t + 0.4) + 0.05 * np.cos(64 * np.pi * t))
 
 
 def test_lift_interpolates_trig_polynomials():
-    # frequencies up to the coarse Nyquist bin, whose cosine the halving keeps
-    def f(t):
-        return (1.0 + 0.3 * np.cos(2 * np.pi * t) + 0.2 * np.sin(10 * np.pi * t)
-                + 0.1 * np.cos(62 * np.pi * t + 0.4) + 0.05 * np.cos(64 * np.pi * t))
+    # onto a multiple of 64 points and onto counts that are not one
+    coarse = _trig_polynomial(np.arange(64) / 64)
+    for n_grid in (256, 96, 2062):
+        fine = resample(coarse, n_grid)
+        assert fine.shape == (n_grid,)
+        assert np.max(np.abs(fine - _trig_polynomial(np.arange(n_grid) / n_grid))) <= 1e-13
 
-    period = 0.7
-    coarse = GridFunction(1, 64, period, f(np.arange(64) / 64)[None, :])
-    fine = lift(coarse, 256)
-    assert fine.period == period
-    assert np.max(np.abs(fine.values[0] - f(np.arange(256) / 256))) <= 1e-13
+
+@pytest.mark.parametrize("n_grid", [96, 130, 2062])
+def test_resample_down_inverts_up(n_grid):
+    # a 64-point function resampled up and back, and a band-limited N-point
+    # function resampled down and back, return to round-off
+    rng = np.random.default_rng(n_grid)
+    base = rng.uniform(0.5, 2.0, (2, 64))
+    fine = resample(base, n_grid)
+    back = resample(fine, 64)
+    assert np.max(np.abs(back - base)) <= 1e-15 * np.max(np.abs(base))
+    again = resample(back, n_grid)
+    assert np.max(np.abs(again - fine)) <= 1e-15 * np.max(np.abs(fine))
+
+
+@pytest.mark.parametrize("n_grid", [96, 130, 256, 2062])
+def test_resample_truncation_is_exact_below_half_the_base_grid(n_grid):
+    # restriction keeps every frequency below 32 (the 64-point Nyquist) and
+    # drops the ones above it; at 32 it keeps the cosine the pair aliases to
+    # on the base grid.  On the base-grid nodes the kept part is the
+    # function itself
+    def low(t):
+        return 1.0 + 0.3 * np.cos(2 * np.pi * t) + 0.2 * np.sin(14 * np.pi * t + 0.3) \
+            + 0.1 * np.cos(62 * np.pi * t + 0.4) + 0.25 * np.cos(64 * np.pi * t + 0.6)
+
+    t_fine = np.arange(n_grid) / n_grid
+    got = resample(low(t_fine) + 0.07 * np.cos(80 * np.pi * t_fine), 64)
+    assert np.max(np.abs(got - low(np.arange(64) / 64))) <= 1e-14
 
 
 def _var_a_config(alpha, beta, lam, n_grid):
@@ -393,8 +410,10 @@ def _var_a_config(alpha, beta, lam, n_grid):
     (symmetric_config, 1.0, 2.0, 0.05, 1024, 2),
     (_var_a_config, 1.0, 2.0, 0.05, 1024, 2),
     (_var_a_config, 0.5, 0.5, 1.0, 1024, 1),     # sublinear, curved solution
+    (symmetric_config, 1.0, 2.0, 0.05, 130, 2),  # 130 is no multiple of 64
+    (_var_a_config, 1.0, 2.0, 0.05, 130, 2),
 ], ids=["cor1b", "var-a", "cor1b-256", "var-a-256", "cor1b-1024", "var-a-1024",
-        "sublinear-var-a-1024"])
+        "sublinear-var-a-1024", "cor1b-130", "var-a-130"])
 def test_two_grid_matches_single_grid(config_of, alpha, beta, lam, n_grid, count):
     prob = parse_config(config_of(alpha, beta, lam, n_grid=n_grid)).problem
     table = build_green_table(prob.a[0], n_grid)
@@ -402,7 +421,7 @@ def test_two_grid_matches_single_grid(config_of, alpha, beta, lam, n_grid, count
     cc = compute_constants(tables, prob)
     report = find_solutions(prob, tables, cc)
     g, e = prob.g_on_grid(n_grid), prob.e_on_grid(n_grid)
-    dense = kernel_quadrature(coarsen(table, 1)).matrix
+    dense = kernel_quadrature(dense_table(table)).matrix
     expect = []
     for ann in report.annuli:
         seed = seed_from_annulus(ann, prob, n_grid).values
@@ -418,8 +437,8 @@ def test_two_grid_matches_single_grid(config_of, alpha, beta, lam, n_grid, count
 
 
 def test_two_grid_sweep_warm_starts():
-    # warm starts enter the coarse stage subsampled; each step must land on
-    # the fine solutions a fresh solve at that lambda finds
+    # warm starts enter the base grid by Fourier truncation; each step must
+    # land on the fine solutions a fresh solve at that lambda finds
     table = build_green_table(Constant(1.0), 512)
     prob = make_problem(1.0, 2.0, 0.04, n_grid=512)
     cc = compute_constants([table, table], prob)
@@ -456,10 +475,50 @@ def test_coarse_newton_failure(monkeypatch, n_grid):
     assert not any("two-grid correction failed" in n for n in report.notes)
 
 
+@pytest.mark.parametrize("n_grid", [66, 96, 130, 1030, 2062, 4094])
+def test_base_grid_has_64_points(monkeypatch, n_grid):
+    # at every N, whatever its factors, each base-grid Newton call sees 64
+    # points and every LU a solve factors is 64 x 64
+    table = build_green_table(Constant(1.0), n_grid)
+    prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
+    cc = compute_constants([table, table], prob)
+    real_newton, real_solve = solver_mod.newton_refine, solver_mod._coupling_solve
+    grids, systems = [], []
+
+    def record_newton(problem, tables, x0, coarse):
+        grids.append((tables is coarse, x0.n_grid))
+        return real_newton(problem, tables, x0, coarse)
+
+    def record_solve(quad, rows, cols, rhs):
+        systems.append(rhs.size)
+        return real_solve(quad, rows, cols, rhs)
+
+    monkeypatch.setattr(solver_mod, "newton_refine", record_newton)
+    monkeypatch.setattr(solver_mod, "_coupling_solve", record_solve)
+    report = find_solutions(prob, [table, table], cc)
+    assert [s.annulus_id for s in report.solutions] == ["A1", "A2"]
+    assert grids == [(True, 64), (False, n_grid)] * 2
+    assert systems and set(systems) == {64}
+
+
+def test_base_tables_follow_the_coefficients():
+    # one dense 64-point base table per distinct fine table, built from the
+    # coefficient of the components that share it (a_1 = a_3 here)
+    a = (Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0))
+    prob = Problem(n=3, period=1.0, a=a, g=(Constant(1.0),) * 3, e=(Constant(0.0),) * 3,
+                   f=PowerLawRadial((SUPERLINEAR_TERMS,) * 3), lam=0.05)
+    shared, other = build_green_table(a[0], 130), build_green_table(a[1], 130)
+    base = solver_mod._coarse_tables(prob, [shared, other, shared])
+    assert base[0] is base[2] and base[1] is not base[0]
+    for tbl, coef in zip(base, a):
+        want = kernel_quadrature(dense_table(build_green_table(coef, 64))).matrix
+        assert np.array_equal(kernel_quadrature(tbl).matrix, want)
+
+
 @pytest.mark.parametrize("n_grid", [64, 256, 512, 1024])
 def test_two_grid_correction_failure_drops(monkeypatch, n_grid):
     # a failed two-grid correction drops the annulus with its own note, at
-    # every N: at N=64 the stride is 1 and the correction still runs
+    # every N: at N=64 both grids are one and the correction still runs
     table = build_green_table(Constant(1.0), n_grid)
     prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
     cc = compute_constants([table, table], prob)
@@ -482,8 +541,7 @@ def test_one_two_grid_correction_reaches_round_off(monkeypatch):
     # one correction, the mandatory one, takes every lifted base-grid solution
     # of the preset problems at N=96 and N=256 to a residual of 1e-13, or to
     # round-off (1e-15 relative) for the solutions with norm above 100.  At
-    # N=96 the stride is 1: the correction is the exact Newton step after the
-    # base-grid stop
+    # N=96 the base grid has 64 points, and the grids do not nest
     real = solver_mod.newton_refine
     corrections = []
 
