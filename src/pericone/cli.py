@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -310,6 +311,10 @@ def cmd_reproduce(args) -> int:
     return EXIT_FOUND if all_pass else EXIT_NOTHING
 
 
+# built once per process: set_defaults(func=cmd_*) binds the commands as they
+# are when the parser is first built, so patching a cmd_* afterwards has no
+# effect (no test patches one)
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pericone",

@@ -306,15 +306,35 @@ def _assemble(p1t, p2t, p1s, p2s, C: np.ndarray, causal: np.ndarray) -> np.ndarr
 
 
 def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
-    """(min, max, first argmin) of the N x N table, ROW_BLOCK rows at a time."""
-    nodes = np.arange(n_grid)
+    """(min, max, first argmin) of the N x N table, ROW_BLOCK rows at a time.
+
+    The causal term of rows [start, stop) is zero right of column stop, all
+    added left of start, and masked only on the diagonal tile, so it is
+    formed on columns [0, stop) alone.  Both products stay (k, 2) x (2, m)
+    with k, m >= 2 (N is even), written into buffers allocated once: the
+    entries are bit-equal to ``kernel.sample`` of the whole block.
+    """
+    p1, p2 = kernel.basis
+    causal_rows = np.stack([p2, -p1], 1)
+    homogeneous_rows = np.stack([p1, p2], 1)
+    buf_g = np.empty(min(ROW_BLOCK, n_grid) * n_grid)
+    buf_c = np.empty_like(buf_g)
     m, big, arg = math.inf, -math.inf, (0, 0)
     for start in range(0, n_grid, ROW_BLOCK):
-        block = kernel.sample(nodes[start:start + ROW_BLOCK], nodes)
-        flat = int(np.argmin(block))
-        if block.flat[flat] < m:
-            m = float(block.flat[flat])
-            row, col = divmod(flat, n_grid)
+        stop = min(start + ROW_BLOCK, n_grid)
+        k = stop - start
+        block = np.matmul(homogeneous_rows[start:stop], kernel.coef,
+                          out=buf_g[:k * n_grid].reshape(k, n_grid))
+        causal = np.matmul(causal_rows[start:stop], kernel.basis[:, :stop],
+                           out=buf_c[:k * stop].reshape(k, stop))
+        block[:, :start] += causal[:, :start]
+        tile = np.arange(start, stop)
+        np.add(block[:, start:stop], causal[:, start:], out=block[:, start:stop],
+               where=tile[:, None] >= tile[None, :])
+        low = block.min()
+        if low < m:
+            m = float(low)
+            row, col = divmod(int(np.argmin(block)), n_grid)
             arg = (start + row, col)
         big = max(big, float(block.max()))
     return m, big, arg

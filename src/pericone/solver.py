@@ -370,19 +370,12 @@ def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
     return _verify_candidate(problem, tables, constants, x, annulus_id, ode_tol, notes)
 
 
-def find_solutions(problem: Problem, tables, constants: ConeConstants,
-                   ode_tol: float = ODE_TOL) -> SolveReport:
-    """Seed every certified annulus of the default radius grid, solve, verify,
-    deduplicate.
+def _solve_annuli(problem: Problem, tables, coarse, constants: ConeConstants, annuli,
+                  ode_tol: float, notes: list) -> list:
+    """Seed each annulus, solve from the seed and deduplicate what survives.
 
-    Returns whatever survives (possibly nothing) plus per-annulus notes for
-    everything that was attempted and dropped.  The base-grid tables are
-    built from ``problem.a``, so ``tables`` must be built from it too, as
-    ``cli.build_tables`` does.
+    A solution whose norm landed outside its annulus is kept, with a note.
     """
-    annuli = existence_report(problem, constants, default_r_grid())
-    coarse = _coarse_tables(problem, tables)
-    notes: list = []
     found = []
     for ann in annuli:
         seed = seed_from_annulus(ann, problem, coarse[0].n_grid)
@@ -397,19 +390,40 @@ def find_solutions(problem: Problem, tables, constants: ConeConstants,
                 f"({lo:.6g}, {hi:.6g}); kept, it still passed every invariant"
             )
         found.append(sol)
-    return SolveReport(solutions=_dedupe(found), annuli=annuli, notes=notes)
+    return _dedupe(found)
+
+
+def find_solutions(problem: Problem, tables, constants: ConeConstants,
+                   ode_tol: float = ODE_TOL) -> SolveReport:
+    """Seed every certified annulus of the default radius grid, solve, verify,
+    deduplicate.
+
+    Returns whatever survives (possibly nothing) plus per-annulus notes for
+    everything that was attempted and dropped.  The base-grid tables are
+    built from ``problem.a``, so ``tables`` must be built from it too, as
+    ``cli.build_tables`` does.
+    """
+    annuli = existence_report(problem, constants, default_r_grid())
+    notes: list = []
+    solutions = _solve_annuli(problem, tables, _coarse_tables(problem, tables), constants,
+                              annuli, ode_tol, notes)
+    return SolveReport(solutions=solutions, annuli=annuli, notes=notes)
 
 
 def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, steps: int,
                     constants: ConeConstants, ode_tol: float = ODE_TOL) -> BranchTable:
     """Geometric lambda sweep with warm starts and fresh annulus seeds per step.
 
-    Warm starts (previous solutions refined at the new lambda) and fresh
-    certificate-driven seeds are both attempted and deduplicated.  A branch id
-    follows its warm-start lineage: whatever the previous branch's solution
-    converges to at the next lambda keeps the id, fresh solutions that nobody
-    claims open new ids.  A disappearing branch is recorded, with a fold
-    indicator when the vanished pair had come within 5% in norm.
+    Each step first refines the previous solutions at the new lambda (warm
+    starts), then seeds only the certified annuli that no warm-start solution
+    lies strictly inside: Krasnoselskii's theorem promises one solution per
+    annulus, and a warm start has already found it there.  Fresh solutions
+    are deduplicated and dropped when their norm matches a warm one.  A
+    branch id follows its warm-start lineage: whatever the previous branch's
+    solution converges to at the next lambda keeps the id, fresh solutions
+    that nobody claims open new ids.  A disappearing branch is recorded, with
+    a fold indicator when the vanished pair had come within 5% in norm.
+    Every step shares one set of base tables.
     """
     # written so that NaN fails them
     if not 0.0 < lam_lo < math.inf:
@@ -439,9 +453,11 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
                 assigned.append((bid, sol))
             else:
                 notes.append(f"branches {dup} and {bid} merged")
-        rep = find_solutions(prob_l, tables, constants, ode_tol)
-        notes.extend(rep.notes)
-        for sol in sorted(rep.solutions, key=lambda s: s.norm):
+        uncovered = [
+            ann for ann in existence_report(prob_l, constants, default_r_grid())
+            if not any(ann.r_in < s.norm < ann.r_out for _, s in assigned)
+        ]
+        for sol in _solve_annuli(prob_l, tables, coarse, constants, uncovered, ode_tol, notes):
             if any(_close_norms(s.norm, sol.norm) for _, s in assigned):
                 continue  # a warm start already owns this solution
             assigned.append((f"b{next_branch}", sol))

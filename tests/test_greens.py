@@ -135,7 +135,8 @@ def test_no_table_array_grows_with_n_squared(coef):
     assert max(arr.size for arr in arrays) <= 64 * n_grid
 
 
-@pytest.mark.parametrize("n_grid", [64, 256, 1024])
+# N=130 leaves a last row block of 2 rows
+@pytest.mark.parametrize("n_grid", [64, 130, 256, 1024])
 @pytest.mark.parametrize("coef", [Constant(1.0), Constant(4.0, period=0.7),
                                   FourierSeries(1.0, (0.3,)), FOUR_TERM_A],
                          ids=["a=1", "a=4,T=0.7", "a=1+0.3cos", "four-term"])

@@ -631,7 +631,7 @@ def test_sweep_steps_skip_the_coefficient_audit(monkeypatch):
     tables = build_tables(prob, 256)
     cc = compute_constants(tables, prob)
     real_extrema = problem_mod.coefficient_extrema
-    real_find = solver_mod.find_solutions
+    real_report = solver_mod.existence_report
     audits, steps = [], []
 
     def count(*args):
@@ -640,10 +640,10 @@ def test_sweep_steps_skip_the_coefficient_audit(monkeypatch):
 
     def record(problem, *args):
         steps.append(problem)
-        return real_find(problem, *args)
+        return real_report(problem, *args)
 
     monkeypatch.setattr(problem_mod, "coefficient_extrema", count)
-    monkeypatch.setattr(solver_mod, "find_solutions", record)
+    monkeypatch.setattr(solver_mod, "existence_report", record)
     table = continue_lambda(prob, tables, 0.01, 0.3, 6, constants=cc)
     assert audits == []
     assert table.rows
@@ -651,3 +651,66 @@ def test_sweep_steps_skip_the_coefficient_audit(monkeypatch):
     assert [step.lam for step in steps] == [float(v) for v in np.geomspace(0.01, 0.3, 6)]
     for step in steps:
         assert step == replace(prob, lam=step.lam)
+
+
+def _record_solves(monkeypatch):
+    """Patch ``_solve_from_seed`` to record (lambda, annulus or warm id) per call."""
+    real = solver_mod._solve_from_seed
+    calls = []
+
+    def record(problem, tables, coarse, constants, start, annulus_id, *args):
+        calls.append((problem.lam, annulus_id))
+        return real(problem, tables, coarse, constants, start, annulus_id, *args)
+
+    monkeypatch.setattr(solver_mod, "_solve_from_seed", record)
+    return calls
+
+
+def test_sweep_seeds_no_annulus_a_warm_start_holds(monkeypatch):
+    # the bench sweep: after the first step both warm starts land inside
+    # the two certified annuli, so no step seeds either annulus again
+    calls = _record_solves(monkeypatch)
+    prob = make_problem(1.0, 2.0, 0.01)
+    tables = build_tables(prob, 256)
+    sweep = continue_lambda(prob, tables, 0.01, 0.3, 6,
+                            constants=compute_constants(tables, prob))
+    assert [(row.branch_id, row.annulus_id) for row in sweep.rows] == [("b1", "A1"), ("b2", "A2")] * 6
+    lams = [float(v) for v in np.geomspace(0.01, 0.3, 6)]
+    assert calls == [(lams[0], "A1"), (lams[0], "A2")] + [
+        (lam, bid) for lam in lams[1:] for bid in ("warm:b1", "warm:b2")]
+
+
+def test_sweep_seeds_the_annulus_of_a_new_branch(monkeypatch):
+    # at lambda=0.004 one annulus is certified; at 0.008 a second one is,
+    # and no warm start lies in it, so it is seeded and opens branch b2
+    calls = _record_solves(monkeypatch)
+    prob = make_problem(1.0, 2.0, 0.004)
+    tables = build_tables(prob, 256)
+    cc = compute_constants(tables, prob)
+    assert [len(existence_report(replace(prob, lam=lam), cc, default_r_grid()))
+            for lam in (0.004, 0.008)] == [1, 2]
+    sweep = continue_lambda(prob, tables, 0.004, 0.008, 2, constants=cc)
+    assert calls == [(0.004, "A1"), (0.008, "warm:b1"), (0.008, "A2")]
+    assert [(row.lam, row.branch_id, row.annulus_id) for row in sweep.rows] == [
+        (0.004, "b1", "A1"), (0.008, "b1", "A1"), (0.008, "b2", "A2")]
+    assert sweep.notes == []
+
+
+def test_sweep_builds_its_base_tables_once(monkeypatch):
+    # every step of a sweep solves on the same 64-point base tables
+    real = solver_mod.build_green_table
+    built = []
+
+    def count(coef, n_grid):
+        built.append((coef, n_grid))
+        return real(coef, n_grid)
+
+    cfg = symmetric_config(1.0, 2.0, 0.01)
+    cfg["a"] = [{"fourier": {"c0": 1.0, "cos": [0.3], "sin": []}}] * 2
+    prob = parse_config(cfg).problem
+    tables = build_tables(prob, 256)
+    cc = compute_constants(tables, prob)
+    monkeypatch.setattr(solver_mod, "build_green_table", count)
+    sweep = continue_lambda(prob, tables, 0.01, 0.3, 6, constants=cc)
+    assert len({row.lam for row in sweep.rows}) == 6
+    assert built == [(prob.a[0], 64)]
