@@ -15,17 +15,20 @@ entries:
 * certify: scan_radii on cor1b lambda = 0.05 over the default 361 radii and
   over 961 radii on [1e-8, 1e8]
 * solver: per certified annulus of cor1b lambda = 0.05 at N = 256, the
-  64-point Newton solve from the annulus seed and the two-grid corrections
-  of the resampled iterate on the 256-point grid, as ``find_solutions`` runs
-  them; and the 64-point Picard solve from the same seed, a standalone
-  function that no solve path calls, timed for as long as it exists
+  64-point Newton solve from the leveled annulus seed and the two-grid
+  corrections of the resampled iterate on the 256-point grid, as
+  ``find_solutions`` runs them, each with its Newton step count; and the
+  64-point Picard solve from the annulus seed itself, a standalone function
+  that no solve path calls, timed for as long as it exists
 * run: every (preset, lambda) problem at N = 256 (tables, constants,
   find_solutions), cor1b lambda = 0.05 at N = 1024, 4096 and 2062 (twice
   a prime: no coarser even grid nests in it), and the CLI per subcommand,
   output files written to a temporary directory: ``pericone sweep`` on
   the superlinear family for lambda 0.01 -> 0.3 in 6 steps, ``green``,
   ``certify`` and ``solve`` on cor1b lambda = 0.05, and ``reproduce
-  cor1b``; and the tier-1 test suite
+  cor1b``; the presets and the sweep also record the base-grid and fine
+  Newton steps of one run, so a change to the Newton start shows up as
+  step counts as well as time; and the tier-1 test suite
   (``python -m pytest -q --continue-on-collection-errors`` with
   PYTHONPATH=src, from the repository root) in a subprocess
 
@@ -64,6 +67,7 @@ import numpy as np  # noqa: E402
 
 import pericone  # noqa: E402
 import pericone.problem  # noqa: E402
+import pericone.solver  # noqa: E402
 from pericone import (  # noqa: E402
     PRESETS,
     Constant,
@@ -85,7 +89,7 @@ from pericone import (  # noqa: E402
 )
 from pericone.cli import build_tables  # noqa: E402
 from pericone.cli import main as cli_main  # noqa: E402
-from pericone.solver import _coarse_tables  # noqa: E402
+from pericone.solver import _coarse_tables, _level_start  # noqa: E402
 
 
 def _time(fn, repeats):
@@ -135,6 +139,25 @@ def _cli(argv):
     return run
 
 
+def _newton_steps(fn):
+    """Base-grid and fine Newton steps of one run of fn, counted by wrapping
+    ``pericone.solver.newton_refine`` for that run."""
+    real = pericone.solver.newton_refine
+    steps = {"base_newton_steps": 0, "fine_newton_steps": 0}
+
+    def count(problem, tables, x0, coarse):
+        res = real(problem, tables, x0, coarse)
+        steps["base_newton_steps" if tables is coarse else "fine_newton_steps"] += res.iterations
+        return res
+
+    pericone.solver.newton_refine = count
+    try:
+        fn()
+    finally:
+        pericone.solver.newton_refine = real
+    return steps
+
+
 def _test_suite():
     """The tier-1 test command in a fresh interpreter, output discarded; a
     failing suite stops the bench, because it would time a failure."""
@@ -148,12 +171,14 @@ def _test_suite():
 
 
 def _solver_entries(repeats):
-    """Newton from the seed, two-grid corrections and Picard per annulus of cor1b lambda=0.05."""
+    """Newton from the leveled seed, two-grid corrections and Picard per
+    annulus of cor1b lambda=0.05."""
     problem, tables, constants = _setup("cor1b", 0.05)
     coarse = _coarse_tables(problem, tables)
     out = {}
     for ann in existence_report(problem, constants, default_r_grid()):
         seed = seed_from_annulus(ann, problem, coarse[0].n_grid)
+        start = _level_start(problem, coarse, seed, (ann.r_in, ann.r_out))
         tag = f"cor1b@0.05/{ann.annulus_id}"
 
         def picard():
@@ -167,13 +192,15 @@ def _solver_entries(repeats):
             _time(picard, repeats),
             outcome="diverged" if pic is None else
             ("converged" if pic.converged else "stalled"))
-        out[f"solver.newton[{tag}]"] = _time(
-            lambda: newton_refine(problem, coarse, seed, coarse), repeats)
-        base = newton_refine(problem, coarse, seed, coarse).x
+        base = newton_refine(problem, coarse, start, coarse)
+        out[f"solver.newton[{tag}]"] = dict(
+            _time(lambda: newton_refine(problem, coarse, start, coarse), repeats),
+            base_newton_steps=base.iterations)
         n_grid = tables[0].n_grid
-        lifted = GridFunction(base.n, n_grid, base.period, resample(base.values, n_grid))
-        out[f"solver.two_grid[{tag}]"] = _time(
-            lambda: newton_refine(problem, tables, lifted, coarse), repeats)
+        lifted = GridFunction(base.x.n, n_grid, base.x.period, resample(base.x.values, n_grid))
+        out[f"solver.two_grid[{tag}]"] = dict(
+            _time(lambda: newton_refine(problem, tables, lifted, coarse), repeats),
+            fine_newton_steps=newton_refine(problem, tables, lifted, coarse).iterations)
     return out
 
 
@@ -204,9 +231,11 @@ def _run_entries(repeats):
         cor1b.write_text(json.dumps(PRESETS["cor1b"].config(0.05)))
         sweep_args = ["sweep", "--config", str(superlinear), "--lmin", "0.01", "--lmax", "0.3",
                       "--steps", "6", "--out", str(tmp / "sweep")]
+        sweep = _cli(sweep_args)
         timings = {
-            "run.presets[8 problems]": _time(presets, repeats),
-            "run.cli_sweep[superlinear 0.01->0.3, 6 steps]": _time(_cli(sweep_args), repeats),
+            "run.presets[8 problems]": dict(_time(presets, repeats), **_newton_steps(presets)),
+            "run.cli_sweep[superlinear 0.01->0.3, 6 steps]": dict(
+                _time(sweep, repeats), **_newton_steps(sweep)),
         }
         for cmd in ("green", "certify", "solve"):
             timings[f"run.cli_{cmd}[cor1b@0.05]"] = _time(
@@ -287,8 +316,10 @@ def main():
     width = max(len(name) for name in timings)
     for name, t in timings.items():
         peak = f"  peak {t['peak_mib']:7.1f} MiB" if "peak_mib" in t else ""
+        steps = "".join(f"  {kind} newton steps {t[f'{kind}_newton_steps']}"
+                        for kind in ("base", "fine") if f"{kind}_newton_steps" in t)
         print(f"{name:<{width}}  median {1e3 * t['median_s']:9.3f} ms  "
-              f"min {1e3 * t['min_s']:9.3f} ms{peak}")
+              f"min {1e3 * t['min_s']:9.3f} ms{peak}{steps}")
     print(f"wrote {path}")
     return 0
 

@@ -216,9 +216,10 @@ def cmd_solve(args) -> int:
     report = find_solutions(problem, tables, constants, ode_tol)
 
     header = "t," + ",".join(f"x_{i + 1}" for i in range(problem.n))
-    t = tables[0].grid_t.tolist()
-    # one %-format per row; "%.17g" % v is format(v, ".17g"), as _fmt writes it
-    row = ",".join(["%.17g"] * (problem.n + 1))
+    # one %-format per row, the t column formatted once for every file;
+    # "%.17g" % v is format(v, ".17g"), as _fmt writes it
+    t = ["%.17g" % v for v in tables[0].grid_t.tolist()]
+    row = ",".join(["%s"] + ["%.17g"] * problem.n)
     for j, sol in enumerate(report.solutions, start=1):
         lines = [header, *(row % vals for vals in zip(t, *sol.x.values.tolist()))]
         _write_text(out / f"solution_{j}.csv", "\n".join(lines) + "\n")

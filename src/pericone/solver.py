@@ -3,14 +3,23 @@ continuation sweep, and a standalone damped Picard iteration.
 
 Multiplicity is captured by seeding every certified annulus separately and
 deduplicating afterwards, mirroring how the existence proofs localize each
-solution in its own annulus.  Newton on F(x) = x - T x starts straight from
-the constant annulus seed.  Every f_i is radial, f_i(x) = phi_i(|x|_2), so
-its gradient phi_i'(u) x / u has rank one at each grid point and the exact
-Jacobian is I - U V with U_i = lam Q_i diag(g_i phi_i') and
-V = [diag(x_j / u)].  The Newton step therefore needs only the N x N system
-(I - V U) w = V F (Woodbury), not the dense (nN) x (nN) one; by Sylvester's
-identity det(I - U V) = det(I - V U), so the small system is singular
-exactly when the full one is.
+solution in its own annulus.  Newton on F(x) = x - T x starts from a leveled
+start (``_level_start``): the constant annulus seed, or a warm start, scaled
+by the root kappa of the one-mode form of x = lam T x along kappa x0, the
+grid mean summed over components.  That is a scalar power-sum equation in
+kappa, solved on plain floats; the root for a seed lies in its annulus, the
+root for a warm start is the one nearest kappa = 1, and without a root the
+start stays as it is.  For constant a, g, e the leveled start is the
+base-grid fixed point to round-off, and Newton takes only its one forced
+step.
+
+Every f_i is radial, f_i(x) = phi_i(|x|_2), so its gradient
+phi_i'(u) x / u has rank one at each grid point and the exact Jacobian is
+I - U V with U_i = lam Q_i diag(g_i phi_i') and V = [diag(x_j / u)].  The
+Newton step therefore needs only the N x N system (I - V U) w = V F
+(Woodbury), not the dense (nN) x (nN) one; by Sylvester's identity
+det(I - U V) = det(I - V U), so the small system is singular exactly when
+the full one is.
 
 ``picard_solve`` (damped fixed-point iteration) is no part of any solve
 path; it stays a standalone function until the benchmark's tracer no longer
@@ -56,7 +65,7 @@ from .operator import (
     GridFunction,
     apply_quadrature,
     apply_T,
-    fixed_point_residual,
+    fixed_point_residual,  # noqa: F401  the benchmark's tracer wraps it here
     ode_residual,
     prod_norm,
 )
@@ -89,6 +98,11 @@ CLAMP_TOL = 1e-12
 DEDUPE_RTOL = 1e-6
 # the base grid has min(N, COARSE_GRID) points at every N
 COARSE_GRID = 64
+# the one-mode level equation: root-finder steps, and the outward search of
+# a warm start's root in log kappa, from LEVEL_STEP doubling to LEVEL_REACH
+MAX_LEVEL = 100
+LEVEL_STEP = 0.125
+LEVEL_REACH = 16.0
 NEWTON_FAILURES = (SingularJacobianError, NoConvergenceError, DomainError,
                    SingularityError)
 
@@ -297,10 +311,11 @@ def newton_refine(problem: Problem, tables, x0: GridFunction, coarse) -> NewtonR
     )
 
 
-def _verify_candidate(problem: Problem, tables, constants: ConeConstants,
-                      x: GridFunction, annulus_id: str, ode_tol: float, notes: list):
-    """Gate a Newton output through the solution invariants; None if any fails."""
-    fp = fixed_point_residual(problem, tables, x)
+def _verify_candidate(problem: Problem, constants: ConeConstants, refined: NewtonResult,
+                      annulus_id: str, ode_tol: float, notes: list):
+    """Gate a fine-grid Newton output through the solution invariants; None if
+    any fails.  Its fixed-point residual is the one Newton stopped at."""
+    x, fp = refined.x, refined.residual
     if fp > NEWTON_TOL * 100.0:
         notes.append(f"{annulus_id}: fixed-point residual {fp:.3e} too large, dropped")
         return None
@@ -345,15 +360,137 @@ def _dedupe(solutions: list) -> list:
     return out
 
 
+def _level_root(level, a: float, fa: float, b: float, fb: float):
+    """The root of the level equation between a and b, where it takes the
+    values fa and fb.
+
+    Newton in s = log kappa from the midpoint, with a bisection wherever a
+    step would leave the bracket, until a step or the bracket is a few ulps
+    wide.  None when fa and fb are not finite or have one sign, or when a
+    value inside is not finite.
+    """
+    if not (math.isfinite(fa) and math.isfinite(fb)):
+        return None
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if (fa < 0.0) == (fb < 0.0):
+        return None
+    s = 0.5 * (a + b)
+    for _ in range(MAX_LEVEL):
+        f, slope = level(s)
+        if not math.isfinite(f):
+            return None
+        if f == 0.0:
+            return s
+        if (f < 0.0) == (fa < 0.0):
+            a = s
+        else:
+            b = s
+        tol = 4.0 * math.ulp(max(1.0, abs(s)))
+        t = s - f / slope if slope else math.nan
+        if abs(t - s) <= tol:
+            return t
+        if not min(a, b) < t < max(a, b):
+            if abs(b - a) <= tol:
+                return s
+            t = 0.5 * (a + b)
+        s = t
+    return s
+
+
+def _nearest_root(level):
+    """The root of the level equation nearest s = 0: brackets [r, 2r] and
+    [-2r, -r] tried outward from [0, LEVEL_STEP], the nearer root of the
+    first pair that holds one.  None if none does within LEVEL_REACH, if a
+    value is not finite, or if s = 0 is itself the root.
+    """
+    f0 = level(0.0)[0]
+    if not math.isfinite(f0) or f0 == 0.0:
+        return None
+    inner = [(0.0, f0), (0.0, f0)]
+    reach = LEVEL_STEP
+    while reach <= LEVEL_REACH:
+        roots = []
+        for k, side in enumerate((1.0, -1.0)):
+            a, fa = inner[k]
+            b = side * reach
+            fb = level(b)[0]
+            if not math.isfinite(fb):
+                return None
+            root = _level_root(level, a, fa, b, fb)
+            if root is not None:
+                roots.append(root)
+            inner[k] = (b, fb)
+        if roots:
+            return min(roots, key=abs)
+        reach *= 2.0
+    return None
+
+
+def _level_start(problem: Problem, coarse, x0: GridFunction, radii=None) -> GridFunction:
+    """The start kappa * x0 whose level solves the one-mode form of x = lam T x.
+
+    Along kappa * x0 every f_i(kappa x0) = sum_j c_ij kappa^p_ij u0^p_ij,
+    u0 = |x0(t)|_2, so the grid mean of x = lam T x summed over components is
+    a scalar equation in s = log kappa:
+
+        kappa sum_i mean(x0_i)
+            = lam sum_i [sum_j kappa^p_ij mean(Q_i(g_i c_ij u0^p_ij)) + mean(Q_i e_i)]
+
+    with Q_i the quadrature of the base tables ``coarse``, on whose grid x0
+    lies.  For an annulus seed, ``radii`` = (r_in, r_out) and the root is
+    the one with kappa |x0| in [r_in, r_out]; for a warm start (None) it is
+    the root nearest kappa = 1.  Without such a root, or with a non-finite
+    value of the equation, x0 is returned unchanged.  For constant a, g, e
+    and equal components, the leveled constant start is the base-grid fixed
+    point to round-off.
+    """
+    u0 = np.sqrt(np.sum(x0.values * x0.values, axis=0))
+    g = problem.g_on_grid(x0.n_grid)
+    e = problem.e_on_grid(x0.n_grid)
+    # (p, w): the equation is sum w exp(p s) = 0
+    terms = [(1.0, float(x0.values.mean(axis=1).sum()))]
+    with np.errstate(all="ignore"):
+        for i, comp in enumerate(problem.f.terms):
+            block = np.vstack([c * g[i] * np.power(u0, p) for c, p in comp] + [e[i]])
+            means = (kernel_quadrature(coarse[i]) @ block).mean(axis=1)
+            terms.extend((p, -problem.lam * float(m)) for (_, p), m in zip(comp, means))
+            terms.append((0.0, -problem.lam * float(means[-1])))
+    if not all(math.isfinite(w) for _, w in terms):
+        return x0
+
+    def level(s: float) -> tuple:
+        """The equation's value and its derivative in s."""
+        try:
+            vals = [w * math.exp(p * s) for p, w in terms]
+            return math.fsum(vals), math.fsum(p * v for (p, _), v in zip(terms, vals))
+        except (OverflowError, ValueError):
+            return math.nan, math.nan
+
+    if radii is None:
+        s = _nearest_root(level)
+    else:
+        norm = x0.norm
+        a, b = (math.log(r / norm) for r in radii)
+        s = _level_root(level, a, level(a)[0], b, level(b)[0])
+    if s is None:
+        return x0
+    return GridFunction(n=x0.n, n_grid=x0.n_grid, period=x0.period,
+                        values=math.exp(s) * x0.values)
+
+
 def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
-                     start: GridFunction, annulus_id: str, ode_tol: float, notes: list):
+                     start: GridFunction, annulus_id: str, ode_tol: float, notes: list,
+                     radii=None):
     """Restrict the start (an annulus seed or a previous fine solution) to the
-    base grid, run Newton there, resample the result up, correct it on the
-    fine tables (at least one two-grid step) and verify it there.  None, with
-    a note, if Newton or the corrections fail."""
+    base grid, level it (``_level_start``; ``radii`` is the annulus of a
+    seed, None for a warm start), run Newton there, resample the result up,
+    correct it on the fine tables (at least one two-grid step) and verify it
+    there.  None, with a note, if Newton or the corrections fail."""
     n_base = coarse[0].n_grid
     seed = GridFunction(n=start.n, n_grid=n_base, period=start.period,
                         values=resample(start.values, n_base))
+    seed = _level_start(problem, coarse, seed, radii)
     try:
         x = newton_refine(problem, coarse, seed, coarse).x
     except NEWTON_FAILURES as exc:
@@ -363,11 +500,11 @@ def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
         n_grid = tables[0].n_grid
         x = GridFunction(n=x.n, n_grid=n_grid, period=x.period,
                          values=resample(x.values, n_grid))
-        x = newton_refine(problem, tables, x, coarse).x
+        fine = newton_refine(problem, tables, x, coarse)
     except NEWTON_FAILURES as exc:
         notes.append(f"{annulus_id}: two-grid correction failed ({exc})")
         return None
-    return _verify_candidate(problem, tables, constants, x, annulus_id, ode_tol, notes)
+    return _verify_candidate(problem, constants, fine, annulus_id, ode_tol, notes)
 
 
 def _solve_annuli(problem: Problem, tables, coarse, constants: ConeConstants, annuli,
@@ -380,7 +517,7 @@ def _solve_annuli(problem: Problem, tables, coarse, constants: ConeConstants, an
     for ann in annuli:
         seed = seed_from_annulus(ann, problem, coarse[0].n_grid)
         sol = _solve_from_seed(problem, tables, coarse, constants, seed, ann.annulus_id,
-                               ode_tol, notes)
+                               ode_tol, notes, (ann.r_in, ann.r_out))
         if sol is None:
             continue
         lo, hi = ann.r_in, ann.r_out
@@ -415,9 +552,11 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
     """Geometric lambda sweep with warm starts and fresh annulus seeds per step.
 
     Each step first refines the previous solutions at the new lambda (warm
-    starts), then seeds only the certified annuli that no warm-start solution
-    lies strictly inside: Krasnoselskii's theorem promises one solution per
-    annulus, and a warm start has already found it there.  Fresh solutions
+    starts, each leveled by the one-mode equation onto its root nearest the
+    previous level, exact for constant coefficients), then seeds only the
+    certified annuli that no warm-start solution lies strictly inside:
+    Krasnoselskii's theorem promises one solution per annulus, and a warm
+    start has already found it there.  Fresh solutions
     are deduplicated and dropped when their norm matches a warm one.  A
     branch id follows its warm-start lineage: whatever the previous branch's
     solution converges to at the next lambda keeps the id, fresh solutions

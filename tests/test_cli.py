@@ -242,20 +242,24 @@ def test_solution_csv_matches_per_value_formatting(tmp_path, monkeypatch):
     values[0, :5] = [5e-324, 2.2250738585072014e-308 / 3.0, 1.7976931348623157e308,
                      0.0, 1.0 / 3.0]
     values[1, :4] = [1.0, -0.0, 2.0 ** 60, -7.0]
-    sol = Solution(x=GridFunction(2, n_grid, 1.0, values), lam=1.0, norm=1.0,
-                   fp_residual=0.0, ode_residual=0.0, cone_margin=0.0,
-                   positive_min=0.0, annulus_id="A1")
+    # a second solution: the t column, formatted once, goes into every file
+    sols = [Solution(x=GridFunction(2, n_grid, 1.0, vals), lam=1.0, norm=1.0,
+                     fp_residual=0.0, ode_residual=0.0, cone_margin=0.0,
+                     positive_min=0.0, annulus_id=f"A{k}")
+            for k, vals in enumerate((values, values[::-1] / 3.0), start=1)]
     monkeypatch.setattr(cli_mod, "find_solutions",
-                        lambda *args: SolveReport(solutions=[sol], annuli=[], notes=[]))
+                        lambda *args: SolveReport(solutions=sols, annuli=[], notes=[]))
     cfg = write_cfg(tmp_path, symmetric_config(0.5, 0.5, 1.0, n_grid=n_grid))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == EXIT_FOUND
     t = build_green_table(Constant(1.0), n_grid).grid_t
-    expect = ["t,x_1,x_2"] + [
-        ",".join(format(float(v), ".17g") for v in (t[p], values[0, p], values[1, p]))
-        for p in range(n_grid)
-    ]
-    written = (tmp_path / "s" / "solution_1.csv").read_bytes()
-    assert written == ("\n".join(expect) + "\n").encode()
+    for k, sol in enumerate(sols, start=1):
+        vals = sol.x.values
+        expect = ["t,x_1,x_2"] + [
+            ",".join(format(float(v), ".17g") for v in (t[p], vals[0, p], vals[1, p]))
+            for p in range(n_grid)
+        ]
+        written = (tmp_path / "s" / f"solution_{k}.csv").read_bytes()
+        assert written == ("\n".join(expect) + "\n").encode()
 
 
 def test_sweep_script_shares_one_table(monkeypatch, capsys):

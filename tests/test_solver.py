@@ -22,6 +22,7 @@ from pericone import (
     continue_lambda,
     dense_table,
     find_solutions,
+    fixed_point_residual,
     kernel_quadrature,
     newton_refine,
     parse_config,
@@ -714,3 +715,107 @@ def test_sweep_builds_its_base_tables_once(monkeypatch):
     sweep = continue_lambda(prob, tables, 0.01, 0.3, 6, constants=cc)
     assert len({row.lam for row in sweep.rows}) == 6
     assert built == [(prob.a[0], 64)]
+
+
+def _record_base_steps(monkeypatch):
+    """Patch ``newton_refine`` to record the steps of every base-grid call."""
+    real = solver_mod.newton_refine
+    steps = []
+
+    def record(problem, tables, x0, coarse):
+        res = real(problem, tables, x0, coarse)
+        if tables is coarse:
+            steps.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(solver_mod, "newton_refine", record)
+    return steps
+
+
+def test_leveled_cor1b_starts_are_base_grid_fixed_points():
+    # constant coefficients: the one-mode level of the constant annulus seed
+    # is the base-grid fixed point, so Newton takes only its forced step
+    prob = parse_config(PRESETS["cor1b"].config(0.05, 64)).problem
+    tables = build_tables(prob, 64)
+    coarse = solver_mod._coarse_tables(prob, tables)
+    annuli = existence_report(prob, compute_constants(tables, prob), default_r_grid())
+    assert [ann.annulus_id for ann in annuli] == ["A1", "A2"]
+    for ann in annuli:
+        seed = seed_from_annulus(ann, prob, 64)
+        start = solver_mod._level_start(prob, coarse, seed, (ann.r_in, ann.r_out))
+        assert fixed_point_residual(prob, coarse, seed) > 1e-3 * seed.norm
+        assert fixed_point_residual(prob, coarse, start) <= 1e-13 * start.norm
+        assert newton_refine(prob, coarse, start, coarse).iterations == 1
+
+
+def test_every_preset_annulus_levels_inside_it():
+    # the one-mode equation changes sign across every certified annulus of
+    # the presets, sign-changing e included, and its root lies inside
+    for name in sorted(PRESETS):
+        for lam in PRESETS[name].lambdas:
+            prob = parse_config(PRESETS[name].config(lam, 256)).problem
+            tables = build_tables(prob, 256)
+            coarse = solver_mod._coarse_tables(prob, tables)
+            for ann in existence_report(prob, compute_constants(tables, prob),
+                                        default_r_grid()):
+                seed = seed_from_annulus(ann, prob, 64)
+                start = solver_mod._level_start(prob, coarse, seed, (ann.r_in, ann.r_out))
+                assert start is not seed, (name, lam, ann.annulus_id)
+                assert ann.r_in * (1.0 - 1e-12) <= start.norm <= ann.r_out * (1.0 + 1e-12)
+
+
+def test_level_without_a_root_keeps_the_start():
+    # no sign change in the bracket, or past the fold no root at all: the
+    # start comes back as it went in
+    prob = make_problem(1.0, 2.0, 0.05, n_grid=64)
+    coarse = solver_mod._coarse_tables(prob, build_tables(prob, 64))
+    lo, hi = oracles.constant_solution_norms(SUPERLINEAR_TERMS, prob.lam)
+    assert lo < 1.0 < 2.0 < hi
+    seed = seed_from_annulus(FakeAnnulus(1.0, 2.0), prob, 64)
+    values = seed.values.copy()
+    assert solver_mod._level_start(prob, coarse, seed, (1.0, 2.0)) is seed
+    past = replace(prob, lam=0.5)
+    assert not oracles.constant_solution_norms(SUPERLINEAR_TERMS, past.lam)
+    assert solver_mod._level_start(past, coarse, seed) is seed
+    assert np.array_equal(seed.values, values)
+
+
+def test_bench_sweep_takes_one_base_grid_step_per_solve(monkeypatch):
+    # every annulus seed and every warm start of the bench sweep is leveled
+    # onto its base-grid fixed point
+    steps = _record_base_steps(monkeypatch)
+    prob = make_problem(1.0, 2.0, 0.01)
+    tables = build_tables(prob, 256)
+    sweep = continue_lambda(prob, tables, 0.01, 0.3, 6,
+                            constants=compute_constants(tables, prob))
+    assert [(row.branch_id, row.annulus_id) for row in sweep.rows] == [("b1", "A1"), ("b2", "A2")] * 6
+    assert steps == [1] * 12
+
+
+@pytest.mark.parametrize("alpha, beta, lam, count", [
+    (1.0, 2.0, 0.05, 2),
+    (0.5, 0.5, 1.0, 1),
+])
+def test_variable_a_keeps_its_solutions(monkeypatch, alpha, beta, lam, count):
+    # a = 1 + 0.3 cos: the solutions are not constant and the level fixes
+    # only their one-mode part; the counts stay and base Newton is shorter
+    steps = _record_base_steps(monkeypatch)
+    prob = parse_config(_var_a_config(alpha, beta, lam, n_grid=256)).problem
+    tables = build_tables(prob, 256)
+    report = find_solutions(prob, tables, compute_constants(tables, prob))
+    assert len(report.solutions) == count
+    assert len(steps) == count and max(steps) <= 3
+
+
+def test_verified_fp_residual_is_the_fixed_point_residual():
+    # the gate takes the residual the fine Newton stopped at: bit for bit the
+    # one T applied afresh at the accepted x gives
+    for name in sorted(PRESETS):
+        preset = PRESETS[name]
+        for lam in preset.lambdas:
+            prob = parse_config(preset.config(lam, 256)).problem
+            tables = build_tables(prob, 256)
+            report = find_solutions(prob, tables, compute_constants(tables, prob),
+                                    preset.ode_tol)
+            for sol in report.solutions:
+                assert sol.fp_residual == fixed_point_residual(prob, tables, sol.x)
