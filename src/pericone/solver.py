@@ -10,8 +10,7 @@ grid mean summed over components.  That is a scalar power-sum equation in
 kappa, solved on plain floats; the root for a seed lies in its annulus, the
 root for a warm start is the one nearest kappa = 1, and without a root the
 start stays as it is.  For constant a, g, e the leveled start is the
-base-grid fixed point to round-off, and Newton takes only its one forced
-step.
+fixed point to round-off, and Newton takes only its one forced step.
 
 Every f_i is radial, f_i(x) = phi_i(|x|_2), so its gradient
 phi_i'(u) x / u has rank one at each grid point and the exact Jacobian is
@@ -25,24 +24,23 @@ the full one is.
 path; it stays a standalone function until the benchmark's tracer no longer
 wraps it.
 
-Two grids: Newton runs on a base grid of M = min(N, COARSE_GRID) points,
-with tables built from the coefficients a_i at M points and taken in dense
-form (``dense_table``).  Their quadrature is the only matrix a solve forms
-and the only LU it factors, so at every N >= COARSE_GRID that LU is 64 x 64.
-The grids need not nest: functions move between them only by Fourier
-resampling (``resample``), truncation going down and zero-padding going up.
-The discrete solution varies smoothly with the grid, so the base-grid fixed
-point, resampled to N points, is already close to the fine one (a two-grid
-Nystrom start).  The fine grid never forms an N x N matrix: each fine step
-is an Atkinson-Brakhage two-grid correction, the Newton step whose inner
-system is solved on the base grid from the restricted iterate and residual,
-resampled up, and back-substituted through the fine quadrature operator (an
-FFT or a semiseparable product, applied from the generators); at N = M it
-is the exact Newton step.  Its error contracts by the base-grid
-discretization error, so one correction takes a resampled start from about
-1e-8 to round-off.  Every solve, at every N, takes at least one correction.
-An annulus whose base-grid solve or corrections fail is dropped with a note
-saying which.
+Two grids: each start runs one Newton loop on the fine grid of N points,
+and a base grid of M = min(N, COARSE_GRID) points serves only as the inner
+system of each step.  Its tables are built from the coefficients a_i at M
+points and taken in dense form (``dense_table``); their quadrature is the
+only matrix a solve forms and the only LU it factors, so at every
+N >= COARSE_GRID that LU is 64 x 64.  The grids need not nest: functions
+move between them only by Fourier resampling (``resample``), truncation
+going down and zero-padding going up.  The fine grid never forms an N x N
+matrix: each step is an Atkinson-Brakhage two-grid correction, the Newton
+step whose inner system is solved on the base grid from the restricted
+iterate and residual, resampled up, and back-substituted through the fine
+quadrature operator (an FFT or a semiseparable product, applied from the
+generators); at N = M it is the exact Newton step.  Its error contracts by
+the base-grid discretization error, so a leveled start, already near the
+fixed point, reaches round-off in a few steps.  Every solve takes at
+least one step, and its last one from a residual at or below NEWTON_TOL.
+An annulus whose Newton loop fails is dropped with a note.
 """
 from __future__ import annotations
 
@@ -284,12 +282,14 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
 
 
 def newton_refine(problem: Problem, tables, x0: GridFunction, coarse) -> NewtonResult:
-    """Two-grid Newton iteration on F(x) = x - T x down to NEWTON_TOL.
+    """Two-grid Newton iteration on F(x) = x - T x down to round-off.
 
     ``coarse`` holds the dense base-grid tables (``_coarse_tables``); every
-    step is ``_newton_step``.  On the base grid, pass the base tables as both
-    ``tables`` and ``coarse``: no resampling happens and each step is exact.
-    At least one step is taken, even from a start already below NEWTON_TOL.
+    step is ``_newton_step``, exact when ``tables`` has the base grid's
+    points.  The iteration returns once its last step both started and
+    ended at a residual at or below NEWTON_TOL: at least one step is taken,
+    and once the residual first falls to NEWTON_TOL one more step takes it
+    to round-off.
     """
     x = x0
     history = []
@@ -298,7 +298,7 @@ def newton_refine(problem: Problem, tables, x0: GridFunction, coarse) -> NewtonR
         fvals = x.values - tx.values
         res = prod_norm(fvals)
         history.append(res)
-        if res <= NEWTON_TOL and len(history) > 1:
+        if len(history) > 1 and max(history[-2:]) <= NEWTON_TOL:
             return NewtonResult(x=x, residual=res, iterations=len(history) - 1,
                                 history=tuple(history))
         if len(history) > MAX_NEWTON:
@@ -427,7 +427,7 @@ def _nearest_root(level):
     return None
 
 
-def _level_start(problem: Problem, coarse, x0: GridFunction, radii=None) -> GridFunction:
+def _level_start(problem: Problem, tables, x0: GridFunction, radii=None) -> GridFunction:
     """The start kappa * x0 whose level solves the one-mode form of x = lam T x.
 
     Along kappa * x0 every f_i(kappa x0) = sum_j c_ij kappa^p_ij u0^p_ij,
@@ -437,13 +437,13 @@ def _level_start(problem: Problem, coarse, x0: GridFunction, radii=None) -> Grid
         kappa sum_i mean(x0_i)
             = lam sum_i [sum_j kappa^p_ij mean(Q_i(g_i c_ij u0^p_ij)) + mean(Q_i e_i)]
 
-    with Q_i the quadrature of the base tables ``coarse``, on whose grid x0
-    lies.  For an annulus seed, ``radii`` = (r_in, r_out) and the root is
-    the one with kappa |x0| in [r_in, r_out]; for a warm start (None) it is
-    the root nearest kappa = 1.  Without such a root, or with a non-finite
-    value of the equation, x0 is returned unchanged.  For constant a, g, e
-    and equal components, the leveled constant start is the base-grid fixed
-    point to round-off.
+    with Q_i the quadrature of ``tables``, on whose grid x0 lies, applied to
+    one (terms + 1) x N block per component.  For an annulus seed,
+    ``radii`` = (r_in, r_out) and the root is the one with kappa |x0| in
+    [r_in, r_out]; for a warm start (None) it is the root nearest kappa = 1.
+    Without such a root, or with a non-finite value of the equation, x0 is
+    returned unchanged.  For constant a, g, e and equal components, the
+    leveled constant start is the fixed point to round-off.
     """
     u0 = np.sqrt(np.sum(x0.values * x0.values, axis=0))
     g = problem.g_on_grid(x0.n_grid)
@@ -453,7 +453,7 @@ def _level_start(problem: Problem, coarse, x0: GridFunction, radii=None) -> Grid
     with np.errstate(all="ignore"):
         for i, comp in enumerate(problem.f.terms):
             block = np.vstack([c * g[i] * np.power(u0, p) for c, p in comp] + [e[i]])
-            means = (kernel_quadrature(coarse[i]) @ block).mean(axis=1)
+            means = (kernel_quadrature(tables[i]) @ block).mean(axis=1)
             terms.extend((p, -problem.lam * float(m)) for (_, p), m in zip(comp, means))
             terms.append((0.0, -problem.lam * float(means[-1])))
     if not all(math.isfinite(w) for _, w in terms):
@@ -482,29 +482,18 @@ def _level_start(problem: Problem, coarse, x0: GridFunction, radii=None) -> Grid
 def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
                      start: GridFunction, annulus_id: str, ode_tol: float, notes: list,
                      radii=None):
-    """Restrict the start (an annulus seed or a previous fine solution) to the
-    base grid, level it (``_level_start``; ``radii`` is the annulus of a
-    seed, None for a warm start), run Newton there, resample the result up,
-    correct it on the fine tables (at least one two-grid step) and verify it
-    there.  None, with a note, if Newton or the corrections fail."""
-    n_base = coarse[0].n_grid
-    seed = GridFunction(n=start.n, n_grid=n_base, period=start.period,
-                        values=resample(start.values, n_base))
-    seed = _level_start(problem, coarse, seed, radii)
+    """Level the start (an annulus seed or a previous solution, on the fine
+    grid; ``_level_start``, with ``radii`` the annulus of a seed and None for
+    a warm start), run Newton from it on the fine tables with the base
+    tables ``coarse`` as each step's inner system, and verify the result.
+    None, with a note, if Newton fails."""
+    seed = _level_start(problem, tables, start, radii)
     try:
-        x = newton_refine(problem, coarse, seed, coarse).x
+        refined = newton_refine(problem, tables, seed, coarse)
     except NEWTON_FAILURES as exc:
         notes.append(f"{annulus_id}: newton failed ({exc})")
         return None
-    try:
-        n_grid = tables[0].n_grid
-        x = GridFunction(n=x.n, n_grid=n_grid, period=x.period,
-                         values=resample(x.values, n_grid))
-        fine = newton_refine(problem, tables, x, coarse)
-    except NEWTON_FAILURES as exc:
-        notes.append(f"{annulus_id}: two-grid correction failed ({exc})")
-        return None
-    return _verify_candidate(problem, constants, fine, annulus_id, ode_tol, notes)
+    return _verify_candidate(problem, constants, refined, annulus_id, ode_tol, notes)
 
 
 def _solve_annuli(problem: Problem, tables, coarse, constants: ConeConstants, annuli,
@@ -515,7 +504,7 @@ def _solve_annuli(problem: Problem, tables, coarse, constants: ConeConstants, an
     """
     found = []
     for ann in annuli:
-        seed = seed_from_annulus(ann, problem, coarse[0].n_grid)
+        seed = seed_from_annulus(ann, problem, tables[0].n_grid)
         sol = _solve_from_seed(problem, tables, coarse, constants, seed, ann.annulus_id,
                                ode_tol, notes, (ann.r_in, ann.r_out))
         if sol is None:

@@ -454,32 +454,10 @@ def test_two_grid_sweep_warm_starts():
             assert abs(a - b) <= 1e-10 * b
 
 
-@pytest.mark.parametrize("n_grid", [64, 256, 512, 1024])
-def test_coarse_newton_failure(monkeypatch, n_grid):
-    # a failed Newton on the 64-point base grid drops the annulus at every N:
-    # there is no second solve path to retry on
-    table = build_green_table(Constant(1.0), n_grid)
-    prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
-    cc = compute_constants([table, table], prob)
-    real = solver_mod.newton_refine
-
-    def coarse_fails(problem, tables, x0, coarse=None):
-        if x0.n_grid == solver_mod.COARSE_GRID:
-            raise NoConvergenceError("forced")
-        return real(problem, tables, x0, coarse)
-
-    monkeypatch.setattr(solver_mod, "newton_refine", coarse_fails)
-    report = find_solutions(prob, [table, table], cc)
-    assert len(report.annuli) == 2
-    assert report.solutions == []
-    assert sum(": newton failed (forced)" in n for n in report.notes) == 2
-    assert not any("two-grid correction failed" in n for n in report.notes)
-
-
 @pytest.mark.parametrize("n_grid", [66, 96, 130, 1030, 2062, 4094])
 def test_base_grid_has_64_points(monkeypatch, n_grid):
-    # at every N, whatever its factors, each base-grid Newton call sees 64
-    # points and every LU a solve factors is 64 x 64
+    # at every N, whatever its factors, each start runs one Newton loop on
+    # the N-point grid, and every LU a solve factors is 64 x 64
     table = build_green_table(Constant(1.0), n_grid)
     prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
     cc = compute_constants([table, table], prob)
@@ -487,7 +465,7 @@ def test_base_grid_has_64_points(monkeypatch, n_grid):
     grids, systems = [], []
 
     def record_newton(problem, tables, x0, coarse):
-        grids.append((tables is coarse, x0.n_grid))
+        grids.append(x0.n_grid)
         return real_newton(problem, tables, x0, coarse)
 
     def record_solve(quad, rows, cols, rhs):
@@ -498,7 +476,7 @@ def test_base_grid_has_64_points(monkeypatch, n_grid):
     monkeypatch.setattr(solver_mod, "_coupling_solve", record_solve)
     report = find_solutions(prob, [table, table], cc)
     assert [s.annulus_id for s in report.solutions] == ["A1", "A2"]
-    assert grids == [(True, 64), (False, n_grid)] * 2
+    assert grids == [n_grid] * 2
     assert systems and set(systems) == {64}
 
 
@@ -518,38 +496,36 @@ def test_base_tables_follow_the_coefficients():
 
 @pytest.mark.parametrize("n_grid", [64, 256, 512, 1024])
 def test_two_grid_correction_failure_drops(monkeypatch, n_grid):
-    # a failed two-grid correction drops the annulus with its own note, at
-    # every N: at N=64 both grids are one and the correction still runs
+    # a failed Newton loop drops the annulus with one note at every N: each
+    # start has one loop, and no second solve path to retry on
     table = build_green_table(Constant(1.0), n_grid)
     prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
     cc = compute_constants([table, table], prob)
     assert len(find_solutions(prob, [table, table], cc).solutions) == 2
-    real = solver_mod.newton_refine
 
-    def corrections_fail(problem, tables, x0, coarse):
-        if tables is not coarse:
-            raise NoConvergenceError("forced")
-        return real(problem, tables, x0, coarse)
+    def fails(problem, tables, x0, coarse):
+        raise NoConvergenceError("forced")
 
-    monkeypatch.setattr(solver_mod, "newton_refine", corrections_fail)
+    monkeypatch.setattr(solver_mod, "newton_refine", fails)
     report = find_solutions(prob, [table, table], cc)
-    assert not any("newton failed" in n for n in report.notes)
+    assert len(report.annuli) == 2
     assert report.solutions == []
-    assert sum(": two-grid correction failed (forced)" in n for n in report.notes) == 2
+    assert [n for n in report.notes if "newton failed" in n] == [
+        "A1: newton failed (forced)", "A2: newton failed (forced)"]
 
 
 def test_one_two_grid_correction_reaches_round_off(monkeypatch):
-    # one correction, the mandatory one, takes every lifted base-grid solution
-    # of the preset problems at N=96 and N=256 to a residual of 1e-13, or to
-    # round-off (1e-15 relative) for the solutions with norm above 100.  At
-    # N=96 the base grid has 64 points, and the grids do not nest
+    # the one Newton loop per start takes every solve of the preset problems
+    # at N=96 and N=256 to a residual of 1e-13, or to round-off (1e-15
+    # relative) for the solutions with norm above 100: its last step starts
+    # at or below NEWTON_TOL.  At N=96 the base grid has 64 points, and the
+    # grids do not nest
     real = solver_mod.newton_refine
-    corrections = []
+    solves = []
 
     def record(problem, tables, x0, coarse):
         res = real(problem, tables, x0, coarse)
-        if tables is not coarse:
-            corrections.append(res)
+        solves.append(res)
         return res
 
     monkeypatch.setattr(solver_mod, "newton_refine", record)
@@ -561,14 +537,14 @@ def test_one_two_grid_correction_reaches_round_off(monkeypatch):
                 parsed = parse_config(preset.config(lam, n_grid))
                 tables = build_tables(parsed.problem, parsed.n_grid)
                 cc = compute_constants(tables, parsed.problem)
-                before = len(corrections)
+                before = len(solves)
                 report = find_solutions(parsed.problem, tables, cc, preset.ode_tol)
-                assert len(corrections) - before >= len(report.solutions) >= 1
+                assert len(solves) - before >= len(report.solutions) >= 1
                 problems += 1
     assert problems == 16
-    for res in corrections:
-        assert res.iterations == 1
-        assert res.history[0] > res.residual
+    for res in solves:
+        assert res.iterations >= 1
+        assert max(res.history[-2:]) <= solver_mod.NEWTON_TOL
         assert res.residual <= 1e-15 * max(res.x.norm, 100.0)
 
 
@@ -717,35 +693,36 @@ def test_sweep_builds_its_base_tables_once(monkeypatch):
     assert built == [(prob.a[0], 64)]
 
 
-def _record_base_steps(monkeypatch):
-    """Patch ``newton_refine`` to record the steps of every base-grid call."""
+def _record_newton_steps(monkeypatch):
+    """Patch ``newton_refine`` to record the steps of every call."""
     real = solver_mod.newton_refine
     steps = []
 
     def record(problem, tables, x0, coarse):
         res = real(problem, tables, x0, coarse)
-        if tables is coarse:
-            steps.append(res.iterations)
+        steps.append(res.iterations)
         return res
 
     monkeypatch.setattr(solver_mod, "newton_refine", record)
     return steps
 
 
-def test_leveled_cor1b_starts_are_base_grid_fixed_points():
+def test_leveled_cor1b_starts_are_fixed_points():
     # constant coefficients: the one-mode level of the constant annulus seed
-    # is the base-grid fixed point, so Newton takes only its forced step
-    prob = parse_config(PRESETS["cor1b"].config(0.05, 64)).problem
-    tables = build_tables(prob, 64)
-    coarse = solver_mod._coarse_tables(prob, tables)
-    annuli = existence_report(prob, compute_constants(tables, prob), default_r_grid())
-    assert [ann.annulus_id for ann in annuli] == ["A1", "A2"]
-    for ann in annuli:
-        seed = seed_from_annulus(ann, prob, 64)
-        start = solver_mod._level_start(prob, coarse, seed, (ann.r_in, ann.r_out))
-        assert fixed_point_residual(prob, coarse, seed) > 1e-3 * seed.norm
-        assert fixed_point_residual(prob, coarse, start) <= 1e-13 * start.norm
-        assert newton_refine(prob, coarse, start, coarse).iterations == 1
+    # on the N-point tables is their fixed point, so Newton takes only its
+    # forced step
+    for n_grid in (64, 256):
+        prob = parse_config(PRESETS["cor1b"].config(0.05, n_grid)).problem
+        tables = build_tables(prob, n_grid)
+        coarse = solver_mod._coarse_tables(prob, tables)
+        annuli = existence_report(prob, compute_constants(tables, prob), default_r_grid())
+        assert [ann.annulus_id for ann in annuli] == ["A1", "A2"]
+        for ann in annuli:
+            seed = seed_from_annulus(ann, prob, n_grid)
+            start = solver_mod._level_start(prob, tables, seed, (ann.r_in, ann.r_out))
+            assert fixed_point_residual(prob, tables, seed) > 1e-3 * seed.norm
+            assert fixed_point_residual(prob, tables, start) <= 1e-13 * start.norm
+            assert newton_refine(prob, tables, start, coarse).iterations == 1
 
 
 def test_every_preset_annulus_levels_inside_it():
@@ -755,11 +732,10 @@ def test_every_preset_annulus_levels_inside_it():
         for lam in PRESETS[name].lambdas:
             prob = parse_config(PRESETS[name].config(lam, 256)).problem
             tables = build_tables(prob, 256)
-            coarse = solver_mod._coarse_tables(prob, tables)
             for ann in existence_report(prob, compute_constants(tables, prob),
                                         default_r_grid()):
-                seed = seed_from_annulus(ann, prob, 64)
-                start = solver_mod._level_start(prob, coarse, seed, (ann.r_in, ann.r_out))
+                seed = seed_from_annulus(ann, prob, 256)
+                start = solver_mod._level_start(prob, tables, seed, (ann.r_in, ann.r_out))
                 assert start is not seed, (name, lam, ann.annulus_id)
                 assert ann.r_in * (1.0 - 1e-12) <= start.norm <= ann.r_out * (1.0 + 1e-12)
 
@@ -782,8 +758,9 @@ def test_level_without_a_root_keeps_the_start():
 
 def test_bench_sweep_takes_one_base_grid_step_per_solve(monkeypatch):
     # every annulus seed and every warm start of the bench sweep is leveled
-    # onto its base-grid fixed point
-    steps = _record_base_steps(monkeypatch)
+    # onto its fixed point, so each solve takes one Newton step, its inner
+    # system on the base grid
+    steps = _record_newton_steps(monkeypatch)
     prob = make_problem(1.0, 2.0, 0.01)
     tables = build_tables(prob, 256)
     sweep = continue_lambda(prob, tables, 0.01, 0.3, 6,
@@ -798,13 +775,13 @@ def test_bench_sweep_takes_one_base_grid_step_per_solve(monkeypatch):
 ])
 def test_variable_a_keeps_its_solutions(monkeypatch, alpha, beta, lam, count):
     # a = 1 + 0.3 cos: the solutions are not constant and the level fixes
-    # only their one-mode part; the counts stay and base Newton is shorter
-    steps = _record_base_steps(monkeypatch)
+    # only their one-mode part; the counts stay and Newton is short
+    steps = _record_newton_steps(monkeypatch)
     prob = parse_config(_var_a_config(alpha, beta, lam, n_grid=256)).problem
     tables = build_tables(prob, 256)
     report = find_solutions(prob, tables, compute_constants(tables, prob))
     assert len(report.solutions) == count
-    assert len(steps) == count and max(steps) <= 3
+    assert len(steps) == count and max(steps) <= 4
 
 
 def test_verified_fp_residual_is_the_fixed_point_residual():
