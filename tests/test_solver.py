@@ -454,6 +454,37 @@ def test_two_grid_sweep_warm_starts():
             assert abs(a - b) <= 1e-10 * b
 
 
+@pytest.mark.parametrize("n_grid", [64, 256, 512, 1024])
+def test_coarse_newton_failure(monkeypatch, n_grid):
+    # a failed linear solve on the 64-point base grid fails that start's one
+    # Newton loop and drops the annulus at every N: there is no second solve
+    # path to retry on
+    table = build_green_table(Constant(1.0), n_grid)
+    prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
+    cc = compute_constants([table, table], prob)
+    real = solver_mod.newton_refine
+    calls, systems = [], []
+
+    def record(problem, tables, x0, coarse):
+        calls.append(x0.n_grid)
+        return real(problem, tables, x0, coarse)
+
+    def coarse_fails(quad, rows, cols, rhs):
+        systems.append(rhs.size)
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(solver_mod, "newton_refine", record)
+    monkeypatch.setattr(solver_mod, "_coupling_solve", coarse_fails)
+    report = find_solutions(prob, [table, table], cc)
+    assert len(report.annuli) == 2
+    assert report.solutions == []
+    assert calls == [n_grid] * 2
+    assert systems == [64] * 2
+    failed = [n for n in report.notes if "newton failed" in n]
+    assert [n.split(":")[0] for n in failed] == ["A1", "A2"]
+    assert all("(linear solve failed at residual" in n for n in failed)
+
+
 @pytest.mark.parametrize("n_grid", [66, 96, 130, 1030, 2062, 4094])
 def test_base_grid_has_64_points(monkeypatch, n_grid):
     # at every N, whatever its factors, each start runs one Newton loop on
