@@ -16,10 +16,10 @@ entries:
   over 961 radii on [1e-8, 1e8]
 * solver: per certified annulus of cor1b lambda = 0.05 at N = 256, the
   Newton solve from the leveled annulus seed on the 256-point tables, its
-  inner systems on the 64-point base grid, as ``find_solutions`` runs it,
-  with its Newton step count; and the 64-point Picard solve from the
-  annulus seed itself, a standalone function that no solve path calls,
-  timed for as long as it exists
+  inner systems on the 64-point base matrices, as ``find_solutions`` runs
+  it, with its Newton step count; and the Picard solve from the annulus
+  seed itself on the 64-point tables, a standalone function that no solve
+  path calls, timed for as long as it exists
 * run: every (preset, lambda) problem at N = 256 (tables, constants,
   find_solutions), cor1b lambda = 0.05 at N = 1024, 4096 and 2062 (twice
   a prime: no coarser even grid nests in it), and the CLI per subcommand,
@@ -87,7 +87,7 @@ from pericone import (  # noqa: E402
 )
 from pericone.cli import build_tables  # noqa: E402
 from pericone.cli import main as cli_main  # noqa: E402
-from pericone.solver import _coarse_tables, _level_start  # noqa: E402
+from pericone.solver import _base_matrices, _level_start  # noqa: E402
 
 
 def _time(fn, repeats):
@@ -172,17 +172,18 @@ def _solver_entries(repeats):
     """Newton from the leveled seed and Picard per annulus of cor1b
     lambda=0.05."""
     problem, tables, constants = _setup("cor1b", 0.05)
-    coarse = _coarse_tables(problem, tables)
+    coarse = _base_matrices(problem, tables)
+    base_tables = build_tables(problem, 64)
     out = {}
     for ann in existence_report(problem, constants, default_r_grid()):
-        base_seed = seed_from_annulus(ann, problem, coarse[0].n_grid)
+        base_seed = seed_from_annulus(ann, problem, 64)
         seed = seed_from_annulus(ann, problem, tables[0].n_grid)
         start = _level_start(problem, tables, seed, (ann.r_in, ann.r_out))
         tag = f"cor1b@0.05/{ann.annulus_id}"
 
         def picard():
             try:
-                return picard_solve(problem, coarse, base_seed)
+                return picard_solve(problem, base_tables, base_seed)
             except pericone.DivergenceError:
                 return None
 

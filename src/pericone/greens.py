@@ -28,11 +28,10 @@ holds G or Q as an N x N array: Q is applied from the generators, the
 circulant by real FFTs in O(N log N) and the semiseparable kernel by a
 rank-2 product and two prefix sums in O(N) (Greengard and Rokhlin, CPAM 44,
 1991).  ``kernel_values`` samples G at node indices from the generators;
-m and M are raw kernel samples, never corrected.  ``dense_table`` samples
-the quadrature matrix of a table from its generators: the dense form of the
-base-grid table whose LU the two-grid solve factors.
-Generators and matrices are read-only, because every operator application
-and every Newton step shares them.
+m and M are raw kernel samples, never corrected.  ``quadrature_matrix``
+samples Q of a table from its generators: the base-grid matrix whose LU
+the two-grid Newton step factors.  Generators and matrices are read-only,
+because every operator application and every Newton step shares them.
 
 ``torres_positive`` is an analytic cross-check of the positivity scan, from
 the coefficient alone.
@@ -40,7 +39,7 @@ the coefficient alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,11 +57,10 @@ __all__ = [
     "PositivityReport",
     "CirculantKernel",
     "SemiseparableKernel",
-    "DenseQuadrature",
     "green_constant",
     "green_bounds_constant",
     "build_green_table",
-    "dense_table",
+    "quadrature_matrix",
     "kernel_values",
     "kernel_quadrature",
     "torres_positive",
@@ -157,23 +155,6 @@ class SemiseparableKernel:
         return self.h * gw + (self.h * self.h / 12.0) * w
 
 
-class DenseQuadrature:
-    """Q = h (G + h/12 I) as a matrix: the base-grid form the Newton LU factors."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = _frozen(matrix)
-
-    def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        """Q w along the last axis of w, one row at a time: a row gets the
-        same bits inside a block as on its own."""
-        if w.ndim == 1:
-            return self.matrix @ w
-        out = np.empty(w.shape)
-        for i, row in enumerate(w):
-            out[i] = self.matrix @ row
-        return out
-
-
 def green_constant(k: float, period: float, t: float, s: float) -> float:
     """Closed-form G(t,s) for a = k^2, valid for 0 < k < pi/T and t,s in [0,T]."""
     if not (0.0 < k * period < math.pi):
@@ -207,10 +188,8 @@ class GreensTable:
     """The kernel G(t_p, t_q) on the uniform grid t_p = p*T/N, held by its generators.
 
     ``kernel`` is a CirculantKernel (closed form) or a SemiseparableKernel
-    (RK4): O(N) numbers, sampled by ``kernel_values``.  ``quadrature`` is the
-    Nystrom operator ``kernel_quadrature`` returns: the kernel itself on a
-    table from build_green_table, a DenseQuadrature on one from
-    ``dense_table``.
+    (RK4): O(N) numbers, sampled by ``kernel_values`` and applied as the
+    Nystrom operator ``kernel_quadrature`` returns.
     """
 
     n_grid: int
@@ -219,10 +198,8 @@ class GreensTable:
     m: float
     M: float
     positivity: PositivityReport
-    quadrature: CirculantKernel | SemiseparableKernel | DenseQuadrature = field(repr=False)
     # closed-form k when the constant-coefficient branch was used, else None
     k: float | None = field(default=None, repr=False)
-    monodromy: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def positive(self) -> bool:
@@ -377,7 +354,6 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         # Ghat'' = -k^2 Ghat < 0, so Ghat is concave on [0, T] and least at
         # d = 0 and d = T: the diagonal, which is on the grid
         min_value, argmin = m, (0.0, 0.0)
-        Phi = None
         k_used = k
     else:
         Y = _rk4_basis(coef, n_grid)
@@ -391,7 +367,6 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
             min_value, argmin = fine_min, (fine_arg[0] * h_fine, fine_arg[1] * h_fine)
         else:
             min_value, argmin = m, (p_star * h, q_star * h)
-        Phi = Y[-1]
         k_used = None
 
     tol = POSITIVITY_RTOL * (1.0 + abs(big))
@@ -408,9 +383,7 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         M=big,
         positivity=PositivityReport(holds=bool(min_value > tol), min_value=min_value,
                                     argmin=argmin),
-        quadrature=kernel,
         k=k_used,
-        monodromy=Phi,
     )
 
 
@@ -425,11 +398,11 @@ def kernel_values(table: GreensTable, rows, cols) -> np.ndarray:
     return table.kernel.sample(np.asarray(rows), np.asarray(cols))
 
 
-def dense_table(table: GreensTable) -> GreensTable:
-    """The table with its quadrature as the matrix h (G + h/12 I).
+def quadrature_matrix(table: GreensTable) -> np.ndarray:
+    """The quadrature of the table as the read-only matrix h (G + h/12 I).
 
-    The matrix is sampled from the generators with ``kernel_values``: no new
-    kernel evaluation.  Everything else stays the table's own.
+    Sampled from the generators with ``kernel_values``: no new kernel
+    evaluation.
     """
     n_grid = table.n_grid
     h = table.period / n_grid
@@ -437,7 +410,7 @@ def dense_table(table: GreensTable) -> GreensTable:
     matrix = kernel_values(table, nodes, nodes)
     matrix.flat[::n_grid + 1] += h / 12.0
     matrix *= h
-    return replace(table, quadrature=DenseQuadrature(matrix))
+    return _frozen(matrix)
 
 
 def kernel_quadrature(table: GreensTable):
@@ -446,11 +419,11 @@ def kernel_quadrature(table: GreensTable):
     Periodic trapezoid weights h = T/N plus the Euler-Maclaurin correction
     h^2/12 * w(t_p) for the unit derivative jump of G across the diagonal,
     Q = h (G + h/12 I), applied along the last axis of w: one call handles
-    every component that shares the table.  Built once per table, from the
-    generators (FFT or prefix sums) or, on a table from ``dense_table``, as
-    the matrix ``.matrix``; every call returns the same object.
+    every component that shares the table.  It is the table's kernel,
+    applied from the generators (FFT or prefix sums), so every call returns
+    the same object.
     """
-    return table.quadrature
+    return table.kernel
 
 
 def _mean(coef: PeriodicCoefficient) -> float:

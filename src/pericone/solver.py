@@ -26,21 +26,22 @@ wraps it.
 
 Two grids: each start runs one Newton loop on the fine grid of N points,
 and a base grid of M = min(N, COARSE_GRID) points serves only as the inner
-system of each step.  Its tables are built from the coefficients a_i at M
-points and taken in dense form (``dense_table``); their quadrature is the
-only matrix a solve forms and the only LU it factors, so at every
-N >= COARSE_GRID that LU is 64 x 64.  The grids need not nest: functions
-move between them only by Fourier resampling (``resample``), truncation
-going down and zero-padding going up.  The fine grid never forms an N x N
-matrix: each step is an Atkinson-Brakhage two-grid correction, the Newton
-step whose inner system is solved on the base grid from the restricted
-iterate and residual, resampled up, and back-substituted through the fine
-quadrature operator (an FFT or a semiseparable product, applied from the
-generators); at N = M it is the exact Newton step.  Its error contracts by
-the base-grid discretization error, so a leveled start, already near the
-fixed point, reaches round-off in a few steps.  Every solve takes at
-least one step, and its last one from a residual at or below NEWTON_TOL.
-An annulus whose Newton loop fails is dropped with a note.
+system of each step.  It is one quadrature matrix per distinct
+coefficient a_i, sampled from a table built at M points
+(``_base_matrices``): the only matrix a solve forms and the only LU it
+factors, so at every N >= COARSE_GRID that LU is 64 x 64.  The grids need
+not nest: functions move between them only by Fourier resampling
+(``resample``), truncation going down and zero-padding going up.  The
+fine grid never forms an N x N matrix: each step is an Atkinson-Brakhage
+two-grid correction, the Newton step whose inner system is solved on the
+base grid from the restricted iterate and residual, resampled up, and
+back-substituted through the fine quadrature operator (an FFT or a
+semiseparable product, applied from the generators); at N = M it is the
+exact Newton step.  Its error contracts by the base-grid discretization
+error, so a leveled start, already near the fixed point, reaches
+round-off in a few steps.  Every solve takes at least one step, and its
+last one from a residual at or below NEWTON_TOL.  An annulus whose Newton
+loop fails is dropped with a note.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ from .errors import (
     SingularityError,
     SingularJacobianError,
 )
-from .greens import build_green_table, dense_table, kernel_quadrature
+from .greens import build_green_table, kernel_quadrature, quadrature_matrix
 from .operator import (
     GridFunction,
     apply_quadrature,
@@ -158,15 +159,15 @@ def seed_from_annulus(annulus, problem: Problem, n_grid: int) -> GridFunction:
     return GridFunction(n=problem.n, n_grid=n_grid, period=problem.period, values=values)
 
 
-def _coarse_tables(problem: Problem, tables) -> list:
-    """The dense base-grid tables: one per distinct fine table, built at
-    min(N, COARSE_GRID) points from the coefficient of the first component
-    that shares it."""
+def _base_matrices(problem: Problem, tables) -> list:
+    """The base-grid quadrature matrices, one per component: one per distinct
+    fine table, sampled from a table built at min(N, COARSE_GRID) points from
+    the coefficient of the first component that shares it."""
     n_base = min(tables[0].n_grid, COARSE_GRID)
     base: dict = {}
     for tbl, coef in zip(tables, problem.a):
         if id(tbl) not in base:
-            base[id(tbl)] = dense_table(build_green_table(coef, n_base))
+            base[id(tbl)] = quadrature_matrix(build_green_table(coef, n_base))
     return [base[id(tbl)] for tbl in tables]
 
 
@@ -258,8 +259,8 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
     """Two-grid Newton step s with J s = F for J = I - U V, as an (n, N) array.
 
     The system (I - sum_i diag(x_i/u) lam Q_i diag(g_i phi_i'(u))) w
-    = sum_i (x_i/u) F_i is built from the quadrature matrices of the base
-    tables ``coarse`` and solved on their grid, with its rows, columns and
+    = sum_i (x_i/u) F_i is built from the base-grid quadrature matrices
+    ``coarse`` and solved on their grid, with its rows, columns and
     right-hand side restricted there by ``resample``.  w is resampled back
     to N points, and s_i = F_i + lam Q_i (g_i phi_i'(u) w), with one fine
     operator application per distinct table.  When both grids have N points
@@ -270,10 +271,9 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
     cols = np.vstack([problem.lam * g[i] * problem.f.dphi(i, u) for i in range(x.n)])
     rows = x.values / u
     rhs = np.sum(rows * fvals, axis=0)
-    small = [kernel_quadrature(tbl).matrix for tbl in coarse]
-    base = resample(np.vstack([rows, cols, rhs]), len(small[0]))
+    base = resample(np.vstack([rows, cols, rhs]), len(coarse[0]))
     try:
-        w = _coupling_solve(small, base[:x.n], base[x.n:-1], base[-1])
+        w = _coupling_solve(coarse, base[:x.n], base[x.n:-1], base[-1])
     except np.linalg.LinAlgError as exc:
         raise SingularJacobianError(
             f"linear solve failed at residual {prod_norm(fvals):.3e}"
@@ -284,8 +284,8 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
 def newton_refine(problem: Problem, tables, x0: GridFunction, coarse) -> NewtonResult:
     """Two-grid Newton iteration on F(x) = x - T x down to round-off.
 
-    ``coarse`` holds the dense base-grid tables (``_coarse_tables``); every
-    step is ``_newton_step``, exact when ``tables`` has the base grid's
+    ``coarse`` holds the base-grid quadrature matrices (``_base_matrices``);
+    every step is ``_newton_step``, exact when ``tables`` has the base grid's
     points.  The iteration returns once its last step both started and
     ended at a residual at or below NEWTON_TOL: at least one step is taken,
     and once the residual first falls to NEWTON_TOL one more step takes it
@@ -485,7 +485,7 @@ def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
     """Level the start (an annulus seed or a previous solution, on the fine
     grid; ``_level_start``, with ``radii`` the annulus of a seed and None for
     a warm start), run Newton from it on the fine tables with the base
-    tables ``coarse`` as each step's inner system, and verify the result.
+    matrices ``coarse`` as each step's inner system, and verify the result.
     None, with a note, if Newton fails."""
     seed = _level_start(problem, tables, start, radii)
     try:
@@ -525,13 +525,13 @@ def find_solutions(problem: Problem, tables, constants: ConeConstants,
     deduplicate.
 
     Returns whatever survives (possibly nothing) plus per-annulus notes for
-    everything that was attempted and dropped.  The base-grid tables are
+    everything that was attempted and dropped.  The base-grid matrices are
     built from ``problem.a``, so ``tables`` must be built from it too, as
     ``cli.build_tables`` does.
     """
     annuli = existence_report(problem, constants, default_r_grid())
     notes: list = []
-    solutions = _solve_annuli(problem, tables, _coarse_tables(problem, tables), constants,
+    solutions = _solve_annuli(problem, tables, _base_matrices(problem, tables), constants,
                               annuli, ode_tol, notes)
     return SolveReport(solutions=solutions, annuli=annuli, notes=notes)
 
@@ -551,7 +551,7 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
     solution converges to at the next lambda keeps the id, fresh solutions
     that nobody claims open new ids.  A disappearing branch is recorded, with
     a fold indicator when the vanished pair had come within 5% in norm.
-    Every step shares one set of base tables.
+    Every step shares one set of base matrices.
     """
     # written so that NaN fails them
     if not 0.0 < lam_lo < math.inf:
@@ -562,7 +562,7 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
         raise DomainError("steps must be nonnegative")
     table = BranchTable()
     lams = np.geomspace(lam_lo, lam_hi, steps)
-    coarse = _coarse_tables(problem, tables)
+    coarse = _base_matrices(problem, tables)
     prev: list = []
     next_branch = 1
     for lam in lams:

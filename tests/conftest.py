@@ -8,9 +8,9 @@ from pericone import (
     GridFunction,
     build_green_table,
     compute_constants,
-    dense_table,
     kernel_quadrature,
     parse_config,
+    quadrature_matrix,
     symmetric_config,
 )
 
@@ -32,9 +32,9 @@ def bench_tables(unit_table):
 
 @pytest.fixture(scope="session")
 def dense_bench_tables(unit_table):
-    """The unit table in dense form: the base tables of a Newton step whose
-    two grids are one."""
-    dense = dense_table(unit_table)
+    """The unit table's quadrature matrix: the base matrices of a Newton
+    step whose two grids are one."""
+    dense = quadrature_matrix(unit_table)
     return [dense, dense]
 
 

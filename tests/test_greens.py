@@ -14,11 +14,11 @@ from pericone import (
     ResonanceError,
     Samples,
     build_green_table,
-    dense_table,
     green_bounds_constant,
     green_constant,
     kernel_quadrature,
     kernel_values,
+    quadrature_matrix,
     solve_linear_periodic,
     torres_positive,
 )
@@ -82,9 +82,8 @@ def test_kernel_quadrature_built_once(coef):
     table = build_green_table(coef, 32)
     quad = kernel_quadrature(table)
     assert kernel_quadrature(table) is quad
-    # the dense form is h (G + h/12 I) of the sampled table, bit for bit
-    dense = dense_table(table)
-    assert np.array_equal(kernel_quadrature(dense).matrix, dense_quadrature(table))
+    # the matrix is h (G + h/12 I) of the sampled table, bit for bit
+    assert np.array_equal(quadrature_matrix(table), dense_quadrature(table))
 
 
 @pytest.mark.parametrize("n_grid", [256, 1024])
@@ -111,7 +110,7 @@ def test_table_arrays_read_only(unit_table):
     rk4 = build_green_table(FourierSeries(1.0, (0.3,)), 32)
     arrays = [unit_table.kernel.profile, unit_table.kernel.eigenvalues,
               rk4.kernel.basis, rk4.kernel.coef,
-              kernel_quadrature(dense_table(unit_table)).matrix]
+              quadrature_matrix(unit_table)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -129,7 +128,7 @@ def test_no_table_array_grows_with_n_squared(coef):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
-    holders = (table, table.kernel, table.quadrature)
+    holders = (table, table.kernel)
     arrays = [v for obj in holders for v in vars(obj).values() if isinstance(v, np.ndarray)]
     assert arrays
     assert max(arr.size for arr in arrays) <= 64 * n_grid
@@ -142,7 +141,7 @@ def test_no_table_array_grows_with_n_squared(coef):
                          ids=["a=1", "a=4,T=0.7", "a=1+0.3cos", "four-term"])
 def test_generators_bit_equal_dense_build(coef, n_grid):
     # against the dense N x N build the tables once stored: every sample,
-    # m, M, the positivity report, and the dense form
+    # m, M, the positivity report, and the quadrature matrix
     table = build_green_table(coef, n_grid)
     period = coef.period
     if table.k is not None:
@@ -166,11 +165,9 @@ def test_generators_bit_equal_dense_build(coef, n_grid):
     assert (table.m, table.M) == (m, big)
     rep = table.positivity
     assert (rep.holds, rep.min_value, rep.argmin) == (holds, min_value, argmin)
-    dense = dense_table(table)
     h = period / n_grid
-    assert np.array_equal(kernel_quadrature(dense).matrix,
+    assert np.array_equal(quadrature_matrix(table),
                           h * (values + (h / 12.0) * np.eye(n_grid)))
-    assert np.array_equal(full_values(dense), values)
 
 
 def test_positivity_report(unit_table):
@@ -297,13 +294,6 @@ def test_fourier_coefficient_table():
     assert abs(t128.M - t256.M) <= 1e-4
 
 
-def test_fourier_table_monodromy_determinant():
-    # trace of the companion system is zero, so det of the period map is 1
-    table = build_green_table(FourierSeries(1.0, (0.5,)), 128)
-    assert table.monodromy is not None
-    assert abs(np.linalg.det(table.monodromy) - 1.0) <= 1e-10
-
-
 @pytest.mark.parametrize("n_grid", [16, 256])
 @pytest.mark.parametrize("coef", [
     FourierSeries(1.0, (0.3,)),
@@ -426,15 +416,6 @@ def test_small_table_sandwich_property(k):
     assert np.max(np.abs(values - values.T)) <= 1e-10
     assert values.min() >= table.m - 1e-10
     assert values.max() <= table.M + 1e-10
-
-
-def test_coarsen_stride(unit_table):
-    # the dense form of the table itself: same grid, extrema and positivity
-    dense = dense_table(unit_table)
-    assert dense.n_grid == unit_table.n_grid
-    assert np.array_equal(kernel_quadrature(dense).matrix, dense_quadrature(unit_table))
-    assert (dense.m, dense.M, dense.positivity) == (unit_table.m, unit_table.M,
-                                                   unit_table.positivity)
 
 
 # every coefficient a the suite builds a table for

@@ -21,7 +21,6 @@ from pericone import (
     compute_constants,
     cone_membership,
     default_r_grid,
-    dense_table,
     eta_lower,
     existence_report,
     fixed_point_residual,
@@ -212,7 +211,7 @@ def test_picard_iterates_bitwise_equal_resampling(monkeypatch, name, lam):
     # iterate, against a loop that samples g and e afresh on every step
     prob = parse_config(PRESETS[name].config(lam)).problem
     tables = build_tables(prob, 256)
-    coarse = solver._coarse_tables(prob, tables)
+    coarse = build_tables(prob, 64)
     ann = existence_report(prob, compute_constants(tables, prob), default_r_grid())[0]
     seed = seed_from_annulus(ann, prob, coarse[0].n_grid)
 
@@ -231,14 +230,11 @@ def test_picard_iterates_bitwise_equal_resampling(monkeypatch, name, lam):
         assert got.tobytes() == ref.tobytes(), k
 
 
-@pytest.mark.parametrize("dense", [False, True], ids=["generators", "coarsened"])
-def test_apply_T_applies_each_shared_table_once(monkeypatch, dense):
+def test_apply_T_applies_each_shared_table_once(monkeypatch):
     # components 0 and 2 share one table: apply_T applies its operator once,
     # to both rows, and each row comes out as the operator applied to it alone
     shared = build_green_table(Constant(1.0), 64)
     other = build_green_table(FourierSeries(1.0, (0.3,)), 64)
-    if dense:
-        shared, other = dense_table(shared), dense_table(other)
     tables = [shared, other, shared]
     terms = (SUPERLINEAR_TERMS,) * 3
     prob = Problem(n=3, period=1.0, a=(Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0)),

@@ -20,13 +20,12 @@ from pericone import (
     compute_constants,
     cone_membership,
     continue_lambda,
-    dense_table,
     find_solutions,
     fixed_point_residual,
-    kernel_quadrature,
     newton_refine,
     parse_config,
     picard_solve,
+    quadrature_matrix,
     resample,
     seed_from_annulus,
     symmetric_config,
@@ -100,7 +99,7 @@ def test_picard_matches_reference_loop(monkeypatch):
     outcomes = {"converged": 0, "stalled": 0, "raised": 0}
     for prob in _picard_problems():
         tables = build_tables(prob, 256)
-        coarse = solver_mod._coarse_tables(prob, tables)
+        coarse = build_tables(prob, 64)
         cc = compute_constants(tables, prob)
         for ann in existence_report(prob, cc, default_r_grid()):
             seed = seed_from_annulus(ann, prob, coarse[0].n_grid)
@@ -166,7 +165,7 @@ def test_newton_reconverges_after_perturbation(bench_tables, dense_bench_tables,
     assert abs(ref.x.norm - norm) <= 1e-9
 
 
-def _dense_newton_step(problem, tables, x, fvals):
+def _dense_newton_step(problem, quads, x, fvals):
     """Reference step: the full (nN) x (nN) exact Jacobian of F = x - T x.
 
     Block (i, j) is delta_ij I - lam Q_i diag(g_i phi_i'(u) x_j / u), with
@@ -176,8 +175,7 @@ def _dense_newton_step(problem, tables, x, fvals):
     u = np.sqrt(np.sum(x.values ** 2, axis=0))
     g = problem.g_on_grid(n_grid)
     jac = np.eye(n * n_grid)
-    for i in range(n):
-        quad = kernel_quadrature(tables[i]).matrix
+    for i, quad in enumerate(quads):
         dphi = sum(c * p * u ** (p - 1.0) for c, p in problem.f.terms[i])
         for j in range(n):
             col = g[i] * dphi * x.values[j] / u
@@ -215,8 +213,9 @@ def test_newton_step_matches_dense_solve(case):
                   build_green_table(Constant(2.0), n_grid)]
         vals = np.stack([0.3 + 0.1 * wave, 0.1 + 0.02 * np.sin(4.0 * math.pi * t)])
     # the two-grid step with both grids at N points: inner system from the
-    # dense tables, back-substitution through the FFT or semiseparable operators
-    dense = [dense_table(tbl) for tbl in tables]
+    # quadrature matrices, back-substitution through the FFT or semiseparable
+    # operators
+    dense = [quadrature_matrix(tbl) for tbl in tables]
     x = GridFunction(prob.n, n_grid, 1.0, vals)
     fvals = x.values - apply_T(prob, tables, x).values
     ref = _dense_newton_step(prob, dense, x, fvals)
@@ -347,7 +346,7 @@ def test_sweep_rejects_bad_lambda_ends(bench_tables, sublinear_unit, lam_lo, lam
         continue_lambda(prob, bench_tables, lam_lo, lam_hi, steps, constants=cc)
 
 
-def test_lift_is_exact_on_constants():
+def test_resample_is_exact_on_constants():
     x = np.array([[0.37] * 64, [19.99] * 64])
     for n_grid in (256, 96):
         assert np.array_equal(resample(x, n_grid), np.array([[0.37] * n_grid, [19.99] * n_grid]))
@@ -360,7 +359,7 @@ def _trig_polynomial(t):
             + 0.1 * np.cos(62 * np.pi * t + 0.4) + 0.05 * np.cos(64 * np.pi * t))
 
 
-def test_lift_interpolates_trig_polynomials():
+def test_resample_interpolates_trig_polynomials():
     # onto a multiple of 64 points and onto counts that are not one
     coarse = _trig_polynomial(np.arange(64) / 64)
     for n_grid in (256, 96, 2062):
@@ -422,7 +421,7 @@ def test_two_grid_matches_single_grid(config_of, alpha, beta, lam, n_grid, count
     cc = compute_constants(tables, prob)
     report = find_solutions(prob, tables, cc)
     g, e = prob.g_on_grid(n_grid), prob.e_on_grid(n_grid)
-    dense = kernel_quadrature(dense_table(table)).matrix
+    dense = quadrature_matrix(table)
     expect = []
     for ann in report.annuli:
         seed = seed_from_annulus(ann, prob, n_grid).values
@@ -512,17 +511,17 @@ def test_base_grid_has_64_points(monkeypatch, n_grid):
 
 
 def test_base_tables_follow_the_coefficients():
-    # one dense 64-point base table per distinct fine table, built from the
-    # coefficient of the components that share it (a_1 = a_3 here)
+    # one 64-point base matrix per distinct fine table, sampled from a table
+    # built from the coefficient of the components that share it (a_1 = a_3
+    # here)
     a = (Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0))
     prob = Problem(n=3, period=1.0, a=a, g=(Constant(1.0),) * 3, e=(Constant(0.0),) * 3,
                    f=PowerLawRadial((SUPERLINEAR_TERMS,) * 3), lam=0.05)
     shared, other = build_green_table(a[0], 130), build_green_table(a[1], 130)
-    base = solver_mod._coarse_tables(prob, [shared, other, shared])
+    base = solver_mod._base_matrices(prob, [shared, other, shared])
     assert base[0] is base[2] and base[1] is not base[0]
-    for tbl, coef in zip(base, a):
-        want = kernel_quadrature(dense_table(build_green_table(coef, 64))).matrix
-        assert np.array_equal(kernel_quadrature(tbl).matrix, want)
+    for matrix, coef in zip(base, a):
+        assert np.array_equal(matrix, quadrature_matrix(build_green_table(coef, 64)))
 
 
 @pytest.mark.parametrize("n_grid", [64, 256, 512, 1024])
@@ -745,7 +744,7 @@ def test_leveled_cor1b_starts_are_fixed_points():
     for n_grid in (64, 256):
         prob = parse_config(PRESETS["cor1b"].config(0.05, n_grid)).problem
         tables = build_tables(prob, n_grid)
-        coarse = solver_mod._coarse_tables(prob, tables)
+        coarse = solver_mod._base_matrices(prob, tables)
         annuli = existence_report(prob, compute_constants(tables, prob), default_r_grid())
         assert [ann.annulus_id for ann in annuli] == ["A1", "A2"]
         for ann in annuli:
@@ -775,19 +774,19 @@ def test_level_without_a_root_keeps_the_start():
     # no sign change in the bracket, or past the fold no root at all: the
     # start comes back as it went in
     prob = make_problem(1.0, 2.0, 0.05, n_grid=64)
-    coarse = solver_mod._coarse_tables(prob, build_tables(prob, 64))
+    tables = build_tables(prob, 64)
     lo, hi = oracles.constant_solution_norms(SUPERLINEAR_TERMS, prob.lam)
     assert lo < 1.0 < 2.0 < hi
     seed = seed_from_annulus(FakeAnnulus(1.0, 2.0), prob, 64)
     values = seed.values.copy()
-    assert solver_mod._level_start(prob, coarse, seed, (1.0, 2.0)) is seed
+    assert solver_mod._level_start(prob, tables, seed, (1.0, 2.0)) is seed
     past = replace(prob, lam=0.5)
     assert not oracles.constant_solution_norms(SUPERLINEAR_TERMS, past.lam)
-    assert solver_mod._level_start(past, coarse, seed) is seed
+    assert solver_mod._level_start(past, tables, seed) is seed
     assert np.array_equal(seed.values, values)
 
 
-def test_bench_sweep_takes_one_base_grid_step_per_solve(monkeypatch):
+def test_bench_sweep_takes_one_newton_step_per_solve(monkeypatch):
     # every annulus seed and every warm start of the bench sweep is leveled
     # onto its fixed point, so each solve takes one Newton step, its inner
     # system on the base grid
