@@ -3,12 +3,12 @@
 Subcommands: green (kernel tables, positivity scan and Torres' analytic
 criterion), certify (certificate scan and existence report), solve (find the
 positive periodic solutions), sweep (lambda continuation to CSV), reproduce
-(built-in benchmark scenarios with pass/fail clauses).
+(built-in benchmark scenarios, all by default, with pass/fail clauses).
 
 All numeric output is printed with 17 significant digits and no environment
 state is consulted, so identical invocations produce byte-identical files.
 Exit codes: 0 found/success, 1 clean "nothing certified/found" or a failed
-reproduce clause, 2 numeric failure, 3 input/config error.
+reproduce clause, 2 numeric failure, 3 input/config or usage error.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -89,6 +90,11 @@ def _load(args):
     return parse_config(load_config_file(args.config))
 
 
+def _setup(parsed):
+    """The problem of a parsed config and its Green tables."""
+    return parsed.problem, build_tables(parsed.problem, parsed.n_grid)
+
+
 def build_tables(problem, n_grid):
     """One Green table per component; components with the same a share one table.
 
@@ -129,12 +135,19 @@ def _green_rows(table):
 
 def cmd_green(args) -> int:
     parsed = _load(args)
-    problem, n_grid = parsed.problem, parsed.n_grid
+    problem, tables = _setup(parsed)
     out = Path(args.out)
     reports = []
-    for i, (table, coef) in enumerate(zip(build_tables(problem, n_grid), problem.a)):
+    first_file = {}  # id(table) -> the file its rows were formatted into
+    for i, (table, coef) in enumerate(zip(tables, problem.a)):
         pos = table.positivity
-        _write_chunks(out / f"green_{i}.csv", _green_rows(table))
+        path = out / f"green_{i}.csv"
+        first = first_file.setdefault(id(table), path)
+        if first is path:
+            _write_chunks(path, _green_rows(table))
+        else:  # a table shared with an earlier component: copy that file's bytes
+            shutil.copyfile(first, path)
+            print(f"wrote {path}")
         reports.append({
             "component": i,
             "m": table.m,
@@ -148,7 +161,7 @@ def cmd_green(args) -> int:
         })
         print(f"component {i}: m={_fmt(table.m)} M={_fmt(table.M)} "
               f"positive={_bool(table.positive)}")
-    _write_json(out / "positivity.json", {"n_grid": n_grid, "components": reports})
+    _write_json(out / "positivity.json", {"n_grid": parsed.n_grid, "components": reports})
     return EXIT_FOUND
 
 
@@ -156,12 +169,10 @@ def cmd_certify(args) -> int:
     _require(0.0 < args.rmin < args.rmax < math.inf, "--rmin/--rmax",
              "need 0 < rmin < rmax < inf")
     _require(args.per_decade >= 2, "--per-decade", "need at least 2 radii per decade")
-    parsed = _load(args)
-    problem, n_grid = parsed.problem, parsed.n_grid
+    problem, tables = _setup(_load(args))
     out = Path(args.out)
     r_grid = default_r_grid(args.rmin, args.rmax, args.per_decade)
 
-    tables = build_tables(problem, n_grid)
     constants = compute_constants(tables, problem)
     scan = scan_radii(problem, constants, r_grid)
     annuli = annuli_from_scan(problem, constants, scan)
@@ -176,17 +187,8 @@ def cmd_certify(args) -> int:
 
     report = {
         "constants": dataclasses.asdict(constants),
-        "annuli": [{
-            "id": a.annulus_id,
-            "r_in": a.r_in,
-            "r_out": a.r_out,
-            "orientation": a.orientation,
-            "predicted": a.predicted,
-            "inner_route": a.inner_route,
-            "inner_margin": a.inner_margin,
-            "outer_route": a.outer_route,
-            "outer_margin": a.outer_margin,
-        } for a in annuli],
+        "annuli": [{("id" if k == "annulus_id" else k): v
+                    for k, v in dataclasses.asdict(a).items()} for a in annuli],
         "regime": dataclasses.asdict(regime),
         "note": DISCLAIMER,
     }
@@ -208,10 +210,8 @@ def cmd_certify(args) -> int:
 
 def cmd_solve(args) -> int:
     ode_tol = _ode_tol(args)
-    parsed = _load(args)
-    problem, n_grid = parsed.problem, parsed.n_grid
+    problem, tables = _setup(_load(args))
     out = Path(args.out)
-    tables = build_tables(problem, n_grid)
     constants = compute_constants(tables, problem)
     report = find_solutions(problem, tables, constants, ode_tol)
 
@@ -247,7 +247,6 @@ def cmd_sweep(args) -> int:
     _require(args.steps >= 0, "--steps", "must be nonnegative")
     ode_tol = _ode_tol(args)
     parsed = _load(args)
-    problem, n_grid = parsed.problem, parsed.n_grid
     out = Path(args.out)
 
     header = "lambda,branch_id,norm,ode_residual"
@@ -255,7 +254,7 @@ def cmd_sweep(args) -> int:
         _write_text(out / "branches.csv", header + "\n")
         return EXIT_FOUND
 
-    tables = build_tables(problem, n_grid)
+    problem, tables = _setup(parsed)
     constants = compute_constants(tables, problem)
     res = continue_lambda(problem, tables, args.lmin, args.lmax, args.steps,
                           constants, ode_tol)
@@ -270,46 +269,52 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    preset = PRESETS[args.name]
+    # names are checked here: Python 3.11 rejects an empty nargs="*" list against choices
+    unknown = [name for name in args.names if name not in PRESETS]
+    _require(not unknown, "name", f"unknown preset(s) {', '.join(unknown)}; "
+             f"choose from {', '.join(sorted(PRESETS))}")
     out = Path(args.out) if args.out else None
-    print(f"{preset.name}: {preset.description}")
-    print(f"clause: {preset.clause}")
-
-    results = []
+    verdicts = ["", "scenario,lambda,found,expected,verdict"]
     all_pass = True
-    for lam in preset.lambdas:
-        parsed = parse_config(preset.config(lam))
-        problem, n_grid = parsed.problem, parsed.n_grid
-        tables = build_tables(problem, n_grid)
-        constants = compute_constants(tables, problem)
-        report = find_solutions(problem, tables, constants, preset.ode_tol)
-        count = len(report.solutions)
-        ok = count >= preset.expected_count
-        all_pass = all_pass and ok
-        norms = "/".join(_fmt(s.norm) for s in report.solutions) or "-"
-        print(f"{preset.name} lambda={lam:g}: found {count} solution(s), "
-              f"expected >= {preset.expected_count}, norms {norms}: "
-              f"{'PASS' if ok else 'FAIL'}")
-        if len(report.annuli) < preset.expected_count:
-            print(f"certificate gap at lambda={lam:g}: only {len(report.annuli)} "
-                  f"annuli certified; {DISCLAIMER}")
-        for note in report.notes:
-            print(f"note: {note}")
-        results.append({
-            "lambda": lam,
-            "found": count,
-            "expected": preset.expected_count,
-            "norms": [s.norm for s in report.solutions],
-            "annuli": len(report.annuli),
-            "pass": ok,
-        })
-    if out is not None:
-        _write_json(out / f"reproduce_{preset.name}.json", {
-            "preset": preset.name,
-            "clause": preset.clause,
-            "results": results,
-        })
+    for preset in (PRESETS[name] for name in args.names or sorted(PRESETS)):
+        print(f"{preset.name}: {preset.description}")
+        print(f"clause: {preset.clause}")
+        results = []
+        for lam in preset.lambdas:
+            problem, tables = _setup(parse_config(preset.config(lam)))
+            constants = compute_constants(tables, problem)
+            report = find_solutions(problem, tables, constants, preset.ode_tol)
+            count = len(report.solutions)
+            ok = count >= preset.expected_count
+            all_pass = all_pass and ok
+            norms = "/".join(_fmt(s.norm) for s in report.solutions) or "-"
+            print(f"{preset.name} lambda={lam:g}: found {count} solution(s), "
+                  f"expected >= {preset.expected_count}, norms {norms}: "
+                  f"{'PASS' if ok else 'FAIL'}")
+            if len(report.annuli) < preset.expected_count:
+                print(f"certificate gap at lambda={lam:g}: only {len(report.annuli)} "
+                      f"annuli certified; {DISCLAIMER}")
+            for note in report.notes:
+                print(f"note: {note}")
+            results.append({"lambda": lam, "found": count, "expected": preset.expected_count,
+                            "norms": [s.norm for s in report.solutions],
+                            "annuli": len(report.annuli), "pass": ok})
+            verdicts.append(f"{preset.name},{_fmt(lam)},{count},{preset.expected_count},"
+                            f"{'pass' if ok else 'fail'}")
+        if out is not None:
+            _write_json(out / f"reproduce_{preset.name}.json", {
+                "preset": preset.name,
+                "clause": preset.clause,
+                "results": results,
+            })
+    print("\n".join(verdicts))
     return EXIT_FOUND if all_pass else EXIT_NOTHING
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input: exit code 3, not 2
+        self.print_usage(sys.stderr)
+        raise ConfigError(self.prog, message)
 
 
 # built once per process: set_defaults(func=cmd_*) binds the commands as they
@@ -317,52 +322,51 @@ def cmd_reproduce(args) -> int:
 # effect (no test patches one)
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pericone",
         description="periodic Green tables, cone certificates, and positive "
                     "periodic solutions of singular second-order systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="problem config (JSON)")
+    common.add_argument("--out", default=".", help="output directory")
+    ode = argparse.ArgumentParser(add_help=False)
+    ode.add_argument("--ode-tol", type=float, default=ODE_TOL, dest="ode_tol")
 
-    p_green = sub.add_parser("green", help="tabulate kernels and check positivity")
-    p_green.add_argument("--config", required=True, help="problem config (JSON)")
-    p_green.add_argument("--out", default=".", help="output directory")
+    p_green = sub.add_parser("green", parents=[common],
+                             help="tabulate kernels and check positivity")
     p_green.set_defaults(func=cmd_green)
 
-    p_cert = sub.add_parser("certify", help="scan radii and report certified annuli")
-    p_cert.add_argument("--config", required=True)
-    p_cert.add_argument("--out", default=".")
+    p_cert = sub.add_parser("certify", parents=[common],
+                            help="scan radii and report certified annuli")
     p_cert.add_argument("--rmin", type=float, default=1e-3)
     p_cert.add_argument("--rmax", type=float, default=1e3)
     p_cert.add_argument("--per-decade", type=int, default=61, dest="per_decade")
     p_cert.set_defaults(func=cmd_certify)
 
-    p_solve = sub.add_parser("solve", help="find positive periodic solutions")
-    p_solve.add_argument("--config", required=True)
-    p_solve.add_argument("--out", default=".")
-    p_solve.add_argument("--ode-tol", type=float, default=ODE_TOL, dest="ode_tol")
+    p_solve = sub.add_parser("solve", parents=[common, ode],
+                             help="find positive periodic solutions")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_sweep = sub.add_parser("sweep", help="lambda continuation, branch CSV")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=".")
+    p_sweep = sub.add_parser("sweep", parents=[common, ode],
+                             help="lambda continuation, branch CSV")
     p_sweep.add_argument("--lmin", type=float, required=True)
     p_sweep.add_argument("--lmax", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--ode-tol", type=float, default=ODE_TOL, dest="ode_tol")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_rep = sub.add_parser("reproduce", help="run a built-in benchmark scenario")
-    p_rep.add_argument("name", choices=sorted(PRESETS))
-    p_rep.add_argument("--out", default=None)
+    p_rep = sub.add_parser("reproduce", help="run built-in benchmark scenarios")
+    p_rep.add_argument("names", nargs="*", metavar="name",
+                       help=f"scenarios to run (default: all of {', '.join(sorted(PRESETS))})")
+    p_rep.add_argument("--out", default=None, help="write reproduce_<name>.json here")
     p_rep.set_defaults(func=cmd_reproduce)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, HypothesisError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 
 import pericone.cli as cli_mod
 from pericone import (
+    PRESETS,
     Constant,
     GridFunction,
     Solution,
@@ -208,6 +210,103 @@ def test_reproduce_mixed_preset(capsys):
     assert rc == EXIT_FOUND
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def _verdict_rows(out):
+    """The scenario,lambda,found,expected,verdict rows that reproduce prints last."""
+    lines = out.splitlines()
+    header = lines.index("scenario,lambda,found,expected,verdict")
+    return [line.split(",") for line in lines[header + 1:]]
+
+
+def test_reproduce_runs_every_preset_by_default(tmp_path, capsys):
+    rc = main(["reproduce", "--out", str(tmp_path / "all")])
+    assert rc == EXIT_FOUND
+    rows = _verdict_rows(capsys.readouterr().out)
+    expect = [(name, lam) for name in sorted(PRESETS) for lam in PRESETS[name].lambdas]
+    assert len(rows) == len(expect) == 8
+    assert [(r[0], float(r[1])) for r in rows] == expect
+    assert all(r[4] == "pass" for r in rows)
+    # each file is the one a single-name run writes
+    for name in sorted(PRESETS):
+        assert main(["reproduce", name, "--out", str(tmp_path / name)]) == EXIT_FOUND
+        single = (tmp_path / name / f"reproduce_{name}.json").read_bytes()
+        assert (tmp_path / "all" / f"reproduce_{name}.json").read_bytes() == single
+
+
+def test_reproduce_named_presets_in_order(capsys):
+    assert main(["reproduce", "cor2b", "cor1b"]) == EXIT_FOUND
+    rows = _verdict_rows(capsys.readouterr().out)
+    assert [(r[0], float(r[1])) for r in rows] == [("cor2b", 0.01), ("cor1b", 0.05),
+                                                  ("cor1b", 0.02)]
+
+
+def test_reproduce_failed_preset_exit(monkeypatch, capsys):
+    # cor1a has one solution per lambda; asking for two makes every lambda fail
+    monkeypatch.setitem(PRESETS, "cor1a",
+                        dataclasses.replace(PRESETS["cor1a"], expected_count=2))
+    assert main(["reproduce", "cor1a", "cor2b"]) == EXIT_NOTHING
+    verdicts = {(r[0], r[4]) for r in _verdict_rows(capsys.readouterr().out)}
+    assert verdicts == {("cor1a", "fail"), ("cor2b", "pass")}
+
+
+def test_reproduce_unknown_preset_exit(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["reproduce", "cor1b", "nope", "--out", str(out)]) == EXIT_INPUT
+    assert "nope" in capsys.readouterr().err
+    assert not out.exists()  # names are checked before any preset runs
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["sweep", "--config", "prob.json", "--lmin", "a", "--lmax", "1", "--steps", "1"],
+    ["reproduce", "nope"],
+    ["nope"],
+])
+def test_usage_error_exit(argv, capsys):
+    assert main(argv) == EXIT_INPUT
+    assert "input error: " in capsys.readouterr().err
+
+
+def test_help_exit():
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--help"])
+    assert exc.value.code == 0
+
+
+def test_sweep_zero_steps_builds_no_table(tmp_path):
+    # a resonant a makes every Green table fail, so --steps 0 must write the
+    # header before any table is built
+    cfg = symmetric_config(1.0, 2.0, 0.05, n_grid=64)
+    cfg["a"] = [{"constant": (2.0 * math.pi) ** 2}] * 2
+    rc = main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "w"),
+               "--lmin", "0.1", "--lmax", "1", "--steps", "0"])
+    assert rc == EXIT_FOUND
+    text = (tmp_path / "w" / "branches.csv").read_text()
+    assert text == "lambda,branch_id,norm,ode_residual\n"
+
+
+@pytest.mark.parametrize("a_specs, distinct", [
+    ([{"constant": 1.0}] * 2, 1),
+    ([{"constant": 1.0}, {"fourier": {"c0": 1.0, "cos": [0.3], "sin": []}}], 2),
+])
+def test_green_formats_each_table_once(tmp_path, monkeypatch, a_specs, distinct):
+    real = cli_mod._green_rows
+    formatted = []
+
+    def count(table):
+        formatted.append(table)
+        return real(table)
+
+    monkeypatch.setattr(cli_mod, "_green_rows", count)
+    cfg = symmetric_config(1.0, 2.0, 0.05, n_grid=32)
+    cfg["a"] = a_specs
+    out = tmp_path / "g"
+    assert main(["green", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_FOUND
+    assert len(formatted) == distinct
+    first, second = ((out / f"green_{i}.csv").read_bytes() for i in range(2))
+    assert (first == second) == (distinct == 1)
+    assert len(second.splitlines()) == 1 + 32 * 32
 
 
 def test_mixed_config_end_to_end(tmp_path):
