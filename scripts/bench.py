@@ -12,8 +12,11 @@ entries:
   of the critical point and the per-component roots emptied before each
   call, so all of them are computed every time
 * cone: compute_constants on cor1b lambda = 0.05 (tables built)
-* certify: scan_radii on cor1b lambda = 0.05 over the default 361 radii and
-  over 961 radii on [1e-8, 1e8]
+* certify: on cor1b lambda = 0.05 over the default 361 radii and over 961
+  radii on [1e-8, 1e8], the whole scan (scan_radii from the grid), its
+  lambda-free radius bounds alone (radius_bounds) and the per-lambda rest
+  alone (existence_report from the prebuilt bounds: margins, gates and the
+  pairing), the two parts a sweep separates
 * solver: per certified annulus of cor1b lambda = 0.05 at N = 256, the
   Newton solve from the leveled annulus seed on the 256-point tables, its
   inner systems on the 64-point base matrices, as ``find_solutions`` runs
@@ -26,9 +29,10 @@ entries:
   output files written to a temporary directory: ``pericone sweep`` on
   the superlinear family for lambda 0.01 -> 0.3 in 6 steps, ``green``,
   ``certify`` and ``solve`` on cor1b lambda = 0.05, and ``reproduce
-  cor1b``; the presets and the sweep also record the Newton steps of one
-  run, so a change to the Newton start shows up as step counts as well as
-  time; and the tier-1 test suite
+  cor1b``; the same sweep in-process (continue_lambda from built tables
+  and constants, no files); the presets and the sweeps also record the
+  Newton steps of one run, so a change to the Newton start shows up as
+  step counts as well as time; and the tier-1 test suite
   (``python -m pytest -q --continue-on-collection-errors`` with
   PYTHONPATH=src, from the repository root) in a subprocess
 
@@ -78,8 +82,10 @@ from pericone import (  # noqa: E402
     existence_report,
     find_solutions,
     newton_refine,
+    continue_lambda,
     parse_config,
     picard_solve,
+    radius_bounds,
     scan_radii,
     seed_from_annulus,
     symmetric_config,
@@ -217,6 +223,13 @@ def _run_entries(repeats):
             find_solutions(fine, tables, compute_constants(tables, fine))
         return run
 
+    swept = parse_config(symmetric_config(1.0, 2.0, 0.01)).problem
+    swept_tables = build_tables(swept, 256)
+    swept_constants = compute_constants(swept_tables, swept)
+
+    def sweep_in_process():
+        continue_lambda(swept, swept_tables, 0.01, 0.3, 6, swept_constants)
+
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         superlinear = tmp / "superlinear.json"
@@ -230,6 +243,8 @@ def _run_entries(repeats):
             "run.presets[8 problems]": dict(_time(presets, repeats), **_newton_steps(presets)),
             "run.cli_sweep[superlinear 0.01->0.3, 6 steps]": dict(
                 _time(sweep, repeats), **_newton_steps(sweep)),
+            "run.continue_lambda[superlinear 0.01->0.3, 6 steps]": dict(
+                _time(sweep_in_process, repeats), **_newton_steps(sweep_in_process)),
         }
         for cmd in ("green", "certify", "solve"):
             timings[f"run.cli_{cmd}[cor1b@0.05]"] = _time(
@@ -261,8 +276,14 @@ def measure(repeats):
     timings["cone.compute_constants[cor1b@0.05]"] = _time(
         lambda: compute_constants(tables, problem), repeats)
     for r_grid in (default_r_grid(), default_r_grid(1e-8, 1e8)):
-        timings[f"certify.scan_radii[cor1b@0.05/{r_grid.size} radii]"] = _time(
+        tag = f"cor1b@0.05/{r_grid.size} radii"
+        bounds = radius_bounds(problem, constants, r_grid)
+        timings[f"certify.scan_radii[{tag}]"] = _time(
             lambda: scan_radii(problem, constants, r_grid), repeats)
+        timings[f"certify.radius_bounds[{tag}]"] = _time(
+            lambda: radius_bounds(problem, constants, r_grid), repeats)
+        timings[f"certify.per_lambda[{tag}]"] = _time(
+            lambda: existence_report(problem, constants, bounds), repeats)
     timings.update(_solver_entries(repeats))
     timings.update(_run_entries(repeats))
     return timings

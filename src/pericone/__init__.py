@@ -15,6 +15,7 @@ from .coefficients import (
 from .cone import ConeConstants, ConeMembership, compute_constants, cone_membership
 from .certify import (
     CertifiedAnnulus,
+    RadiusBounds,
     RegimeReport,
     Scan,
     annuli_from_scan,
@@ -23,6 +24,7 @@ from .certify import (
     existence_report,
     lambda0_bound,
     large_lambda_threshold,
+    radius_bounds,
     scan_radii,
 )
 from .config import (

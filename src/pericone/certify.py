@@ -14,13 +14,18 @@ Routes, named by what they measure:
     ||T x|| <= lam*C_hat*eps_r*||x|| + ||x||/2 with eps_r = max_i fhat_i(r)/r;
     holds iff lam*C_hat*eps_r < 1/2.
 
-The scan is one array computation over the whole radius grid: eta_r, M_hat_r
-and fhat come from problem.py as radius vectors, each an exact extremum over
-the interval ends and the profile's one critical point (clipped onto a
-radius's interval when outside it), and every route's margin and domain
-gate is one vector over r.  At each radius a kind (expansion, compression)
-uses its best usable route, otherwise its best margin; ties go to the route
-listed first.
+The scan is array work over the whole radius grid, in two parts.  The
+lambda-free part (``radius_bounds``) holds the grid, eta_r, M_hat_r, and
+eps_r on r > 1/sigma: radius vectors from problem.py, each an exact
+extremum over the interval ends and the profile's one critical point
+(clipped onto a radius's interval when outside it), evaluated once per
+distinct component profile.  The per-lambda part (``scan_radii``) makes
+every route's margin and domain gate one vector over r; the shell-ratio
+domain r > max(1/sigma, 2*lam*sum M_i int|e_i|) is the part of r > 1/sigma
+beyond the lambda term.  A lambda sweep builds the first part once and
+evaluates only the second at each step.  At each radius a kind (expansion,
+compression) uses its best usable route, otherwise its best margin; ties go
+to the route listed first.
 
 With a sign-changing e the estimates are only valid on radial ranges where
 the forcing split stays nonnegative: below delta or above Delta for
@@ -41,9 +46,11 @@ from .problem import Problem, annulus_extrema, eta_lower, fhat
 
 __all__ = [
     "CertifiedAnnulus",
+    "RadiusBounds",
     "RegimeReport",
     "Scan",
     "lambda0_bound",
+    "radius_bounds",
     "scan_radii",
     "annuli_from_scan",
     "existence_report",
@@ -96,34 +103,69 @@ def _e_term(constants: ConeConstants) -> float:
     return float((constants.M * constants.int_abs_e).sum())
 
 
-def scan_radii(problem: Problem, constants: ConeConstants, r_grid) -> Scan:
-    """Every route's margin and domain gate over an ascending grid of positive radii."""
+def _forcing_window(constants: ConeConstants) -> tuple:
+    """(delta, Delta), a missing one read as a bound no radius passes: the
+    allowed regions of a sign-changing e are r < delta and r > Delta."""
+    return (-math.inf if constants.delta is None else constants.delta,
+            math.inf if constants.Delta is None else constants.Delta)
+
+
+@dataclass(frozen=True)
+class RadiusBounds:
+    """The lambda-free part of a scan over the ascending radius grid ``r``:
+    eta_r, M_hat_r, and eps_r = max_i fhat_i(r)/r on the radii beyond 1/sigma
+    (NaN elsewhere).  len() is the number of radii."""
+
+    r: np.ndarray
+    eta: np.ndarray
+    big_hat: np.ndarray
+    beyond: np.ndarray  # r > 1/sigma
+    eps: np.ndarray
+
+    def __len__(self) -> int:
+        return self.r.size
+
+
+def radius_bounds(problem: Problem, constants: ConeConstants, r_grid) -> RadiusBounds:
+    """The radius bounds of a scan over an ascending grid of positive radii.
+
+    They depend on the nonlinearity, n and sigma but not on lam, so a lambda
+    sweep builds them once; each bound is evaluated once per profile.
+    """
     r = np.array(r_grid, dtype=float)
     if r.ndim != 1 or not np.all(r > 0.0):
         raise DomainError("r_grid must be a list of positive radii")
     if not np.all(np.diff(r) > 0.0):
         raise DomainError("r_grid must be sorted ascending without repeats")
-    lam, sigma, n, f = problem.lam, constants.sigma, problem.n, problem.f
-    e_term = _e_term(constants)
+    sigma, n, f = constants.sigma, problem.n, problem.f
+    beyond = r > 1.0 / sigma
+    eps = np.full(r.shape, math.nan)
+    eps[beyond] = (fhat(f, r[beyond], n) / r[beyond]).max(axis=0)
+    return RadiusBounds(r=r, eta=eta_lower(f, r, sigma, n),
+                        big_hat=annulus_extrema(f, r, sigma, n)[1], beyond=beyond, eps=eps)
 
-    eta = eta_lower(f, r, sigma, n)
-    _, big_hat = annulus_extrema(f, r, sigma, n)
-    shell = r > max(1.0 / sigma, 2.0 * lam * e_term)
-    eps = (fhat(f, r[shell], n) / r[shell]).max(axis=0)
+
+def scan_radii(problem: Problem, constants: ConeConstants, radii) -> Scan:
+    """Every route's margin and domain gate over ``radii``: an ascending grid
+    of positive radii, or the ``RadiusBounds`` already built from one."""
+    bounds = radii if isinstance(radii, RadiusBounds) else radius_bounds(problem, constants, radii)
+    r, lam = bounds.r, problem.lam
+    e_term = _e_term(constants)
+    shell = bounds.beyond & (r > 2.0 * lam * e_term)
     margin_sr = np.full(r.shape, -math.inf)
-    margin_sr[shell] = 0.5 - lam * constants.C_hat * eps
+    margin_sr[shell] = 0.5 - lam * constants.C_hat * bounds.eps[shell]
 
     if problem.sign_profile == "MixedE":
-        below = r < (-math.inf if constants.delta is None else constants.delta)
-        above = r > (math.inf if constants.Delta is None else constants.Delta)
-        near, far = below | above, above
+        delta, delta_big = _forcing_window(constants)
+        above = r > delta_big
+        near, far = (r < delta) | above, above
     else:
         near = far = np.ones(r.shape, dtype=bool)
     return Scan(
         r=r,
         margins={
-            "radial-ratio": lam * constants.Gamma * eta - 1.0,
-            "annulus-max": (r - lam * (constants.C_hat * big_hat + e_term)) / r,
+            "radial-ratio": lam * constants.Gamma * bounds.eta - 1.0,
+            "annulus-max": (r - lam * (constants.C_hat * bounds.big_hat + e_term)) / r,
             "shell-ratio": margin_sr,
         },
         domain_ok={"radial-ratio": near, "annulus-max": near, "shell-ratio": far},
@@ -150,16 +192,6 @@ class CertifiedAnnulus:
     outer_margin: float
 
 
-def _annulus_in_one_region(problem: Problem, constants: ConeConstants,
-                           r_in: float, r_out: float) -> bool:
-    """Whole closed annulus inside one allowed radial region (sign-changing e)."""
-    if problem.sign_profile != "MixedE":
-        return True
-    below = constants.delta is not None and r_out < constants.delta
-    above = constants.Delta is not None and r_in > constants.Delta
-    return below or above
-
-
 def annuli_from_scan(problem: Problem, constants: ConeConstants, scan: Scan):
     """Certified annuli from adjacent expansion/compression radii in a scan.
 
@@ -167,43 +199,45 @@ def annuli_from_scan(problem: Problem, constants: ConeConstants, scan: Scan):
     domain gates).  Every adjacent pair of labeled radii that can be read as
     expansion-then-compression or compression-then-expansion yields one
     annulus; a both-certified radius takes whichever role its neighbor does
-    not, and an EC/EC pair defaults to expansion at the inner radius.
+    not, and an EC/EC pair defaults to expansion at the inner radius.  With
+    a sign-changing e the whole closed annulus must lie in one allowed
+    region.  The pairing is array work over all adjacent pairs; only the
+    emitted annuli are visited one by one.
     """
     exp = scan.chosen("expansion")
     comp = scan.chosen("compression")
     e_ok, c_ok = exp[2], comp[2]
     labeled = np.flatnonzero(e_ok | c_ok)
+    inner, outer = labeled[:-1], labeled[1:]
+    exp_inner = e_ok[inner] & c_ok[outer]
+    keep = exp_inner | (c_ok[inner] & e_ok[outer])
+    if problem.sign_profile == "MixedE":
+        delta, delta_big = _forcing_window(constants)
+        keep &= (scan.r[outer] < delta) | (scan.r[inner] > delta_big)
 
     annuli = []
-    for i, j in zip(labeled, labeled[1:]):
-        exp_inner = e_ok[i] and c_ok[j]
-        comp_inner = c_ok[i] and e_ok[j]
-        if exp_inner and comp_inner:
-            # both-certified on both ends; default orientation
-            comp_inner = False
-        if not (exp_inner or comp_inner):
-            continue
+    for k in np.flatnonzero(keep):
+        i, j = inner[k], outer[k]
         r1, r2 = float(scan.r[i]), float(scan.r[j])
-        if not _annulus_in_one_region(problem, constants, r1, r2):
-            continue
-        inner, outer = (exp, comp) if exp_inner else (comp, exp)
+        first, second = (exp, comp) if exp_inner[k] else (comp, exp)
         annuli.append(CertifiedAnnulus(
             annulus_id=f"A{len(annuli) + 1}",
             r_in=r1,
             r_out=r2,
-            orientation="expansion_inner" if exp_inner else "compression_inner",
+            orientation="expansion_inner" if exp_inner[k] else "compression_inner",
             predicted=f"solution norm in ({r1:.6g}, {r2:.6g})",
-            inner_route=str(inner[0][i]),
-            inner_margin=float(inner[1][i]),
-            outer_route=str(outer[0][j]),
-            outer_margin=float(outer[1][j]),
+            inner_route=str(first[0][i]),
+            inner_margin=float(first[1][i]),
+            outer_route=str(second[0][j]),
+            outer_margin=float(second[1][j]),
         ))
     return annuli
 
 
-def existence_report(problem: Problem, constants: ConeConstants, r_grid):
-    """Scan the radius grid and return the certified annuli (see annuli_from_scan)."""
-    return annuli_from_scan(problem, constants, scan_radii(problem, constants, r_grid))
+def existence_report(problem: Problem, constants: ConeConstants, radii):
+    """Scan ``radii`` (a radius grid or its ``RadiusBounds``) and return the
+    certified annuli (see annuli_from_scan)."""
+    return annuli_from_scan(problem, constants, scan_radii(problem, constants, radii))
 
 
 @dataclass

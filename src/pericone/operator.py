@@ -66,16 +66,14 @@ class GridFunction:
 
 
 def _radial_values(problem: Problem, x: GridFunction) -> np.ndarray:
-    """f_i(x(t_q)) as an n x N matrix, with the singularity guard."""
+    """f_i(x(t_q)) as an n x N matrix, with the singularity guard; one
+    profile evaluation per distinct term tuple."""
     u = np.sqrt(np.sum(x.values * x.values, axis=0))
     if u.min() < SINGULARITY_GUARD:
         raise SingularityError(
             f"min_t ||x(t)||_2 = {u.min():.3e} below guard {SINGULARITY_GUARD}"
         )
-    fx = np.empty_like(x.values)
-    for i in range(problem.n):
-        fx[i] = problem.f.phi(i, u)
-    return fx
+    return problem.f.phi_rows(u)
 
 
 def apply_quadrature(tables, w: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -70,19 +70,47 @@ class PowerLawRadial:
     def powers(self, i: int) -> np.ndarray:
         return np.array([p for _, p in self.terms[i]])
 
+    @cached_property
+    def profiles(self) -> tuple:
+        """The distinct term tuples, in component order: each radial bound
+        and grid evaluation is made once per profile, whatever the number
+        of components that share it."""
+        return tuple(dict.fromkeys(self.terms))
+
     def phi(self, i: int, u):
         """Radial profile phi_i(u) = sum_j c_ij u^p_ij, vectorized over u."""
         return _power_sum(self.terms[i], u)
 
     def dphi(self, i: int, u):
         """Derivative phi_i'(u) = sum_j c_ij p_ij u^(p_ij - 1), vectorized over u."""
-        return _power_sum(tuple((c * p, p - 1.0) for c, p in self.terms[i]), u)
+        return _power_sum(_derivative(self.terms[i]), u)
+
+    def phi_rows(self, u) -> np.ndarray:
+        """phi_i(u) for every component i, shape (n, *u.shape); one
+        evaluation per profile."""
+        return _component_rows(self, lambda comp: _power_sum(comp, u))
+
+    def dphi_rows(self, u) -> np.ndarray:
+        """phi_i'(u) for every component i, shape (n, *u.shape); one
+        evaluation per profile."""
+        return _component_rows(self, lambda comp: _power_sum(_derivative(comp), u))
 
     def singular_at_zero(self, i: int) -> bool:
         return bool(self.powers(i).min() < 0.0)
 
     def unbounded_at_infinity(self, i: int) -> bool:
         return bool(self.powers(i).max() > 0.0)
+
+
+def _component_rows(f: PowerLawRadial, per_profile) -> np.ndarray:
+    """per_profile(terms) for every component, stacked; called once per profile."""
+    vals = {comp: per_profile(comp) for comp in f.profiles}
+    return np.array([vals[comp] for comp in f.terms])
+
+
+def _derivative(comp_terms: tuple) -> tuple:
+    """The (c, p) terms of phi' for the (c, p) terms of phi."""
+    return tuple((c * p, p - 1.0) for c, p in comp_terms)
 
 
 def _power_sum(comp_terms: tuple, u):
@@ -151,7 +179,7 @@ def annulus_extrema(f: PowerLawRadial, r, sigma: float, n: int):
     """(m_hat, M_hat): extrema of all component profiles on the orthant annulus
     sigma*r <= |x|_1 <= r, i.e. u in [sigma*r/sqrt(n), r]; elementwise over r."""
     lo = _annulus_lower_u(r, sigma, n)
-    pairs = [_interval_extrema(comp, lo, r) for comp in f.terms]
+    pairs = [_interval_extrema(comp, lo, r) for comp in f.profiles]
     return (np.minimum.reduce([m for m, _ in pairs]),
             np.maximum.reduce([big for _, big in pairs]))
 
@@ -172,7 +200,7 @@ def eta_lower(f: PowerLawRadial, r, sigma: float, n: int):
     root_n = math.sqrt(n)
     knee = r / root_n
     best = np.zeros_like(r)
-    for comp in f.terms:
+    for comp in f.profiles:
         shifted = tuple((c / root_n, p - 1.0) for c, p in comp)
         below, _ = _interval_extrema(shifted, lo, knee)
         above, _ = _interval_extrema(comp, knee, r)
@@ -187,7 +215,7 @@ def fhat(f: PowerLawRadial, theta, n: int) -> np.ndarray:
     if not np.all(theta >= 1.0):
         raise DomainError("theta must be at least 1")
     lo = 1.0 / math.sqrt(n)
-    return np.array([_interval_extrema(comp, lo, theta)[1] for comp in f.terms])
+    return _component_rows(f, lambda comp: _interval_extrema(comp, lo, theta)[1])
 
 
 def _check_lam(lam: float) -> None:

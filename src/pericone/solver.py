@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .certify import default_r_grid, existence_report
+from .certify import default_r_grid, existence_report, radius_bounds
 from .cone import ConeConstants, cone_membership
 from .errors import (
     DivergenceError,
@@ -268,7 +268,7 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
     """
     u = np.sqrt(np.sum(x.values * x.values, axis=0))
     g = problem.g_on_grid(x.n_grid)
-    cols = np.vstack([problem.lam * g[i] * problem.f.dphi(i, u) for i in range(x.n)])
+    cols = problem.lam * g * problem.f.dphi_rows(u)
     rows = x.values / u
     rhs = np.sum(rows * fvals, axis=0)
     base = resample(np.vstack([rows, cols, rhs]), len(coarse[0]))
@@ -437,8 +437,10 @@ def _level_start(problem: Problem, tables, x0: GridFunction, radii=None) -> Grid
         kappa sum_i mean(x0_i)
             = lam sum_i [sum_j kappa^p_ij mean(Q_i(g_i c_ij u0^p_ij)) + mean(Q_i e_i)]
 
-    with Q_i the quadrature of ``tables``, on whose grid x0 lies, applied to
-    one (terms + 1) x N block per component.  For an annulus seed,
+    with Q_i the quadrature of ``tables``, on whose grid x0 lies.  Each
+    component makes one (terms + 1) x N block, and each distinct table is
+    applied once, to the 3-D stack of the blocks of the components that
+    share it (blocks of unequal height stack apart).  For an annulus seed,
     ``radii`` = (r_in, r_out) and the root is the one with kappa |x0| in
     [r_in, r_out]; for a warm start (None) it is the root nearest kappa = 1.
     Without such a root, or with a non-finite value of the equation, x0 is
@@ -450,12 +452,24 @@ def _level_start(problem: Problem, tables, x0: GridFunction, radii=None) -> Grid
     e = problem.e_on_grid(x0.n_grid)
     # (p, w): the equation is sum w exp(p s) = 0
     terms = [(1.0, float(x0.values.mean(axis=1).sum()))]
+    comps = problem.f.terms
+    stacks: dict = {}
+    for i, tbl in enumerate(tables):
+        stacks.setdefault((id(tbl), len(comps[i])), (tbl, []))[1].append(i)
+    means = [None] * problem.n
     with np.errstate(all="ignore"):
-        for i, comp in enumerate(problem.f.terms):
-            block = np.vstack([c * g[i] * np.power(u0, p) for c, p in comp] + [e[i]])
-            means = (kernel_quadrature(tables[i]) @ block).mean(axis=1)
-            terms.extend((p, -problem.lam * float(m)) for (_, p), m in zip(comp, means))
-            terms.append((0.0, -problem.lam * float(means[-1])))
+        for tbl, rows in stacks.values():
+            block = np.stack([
+                np.vstack([c * g[i] * np.power(u0, p) for c, p in comps[i]] + [e[i]])
+                for i in rows])
+            # one application to the 3-D stack: a BLAS-backed kernel still
+            # multiplies each component's block on its own, so the products
+            # are, to the bit, those of one application per component
+            for i, out in zip(rows, kernel_quadrature(tbl) @ block):
+                means[i] = out.mean(axis=1)
+    for comp, m in zip(comps, means):
+        terms.extend((p, -problem.lam * float(v)) for (_, p), v in zip(comp, m))
+        terms.append((0.0, -problem.lam * float(m[-1])))
     if not all(math.isfinite(w) for _, w in terms):
         return x0
 
@@ -551,7 +565,9 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
     solution converges to at the next lambda keeps the id, fresh solutions
     that nobody claims open new ids.  A disappearing branch is recorded, with
     a fold indicator when the vanished pair had come within 5% in norm.
-    Every step shares one set of base matrices.
+    Every step shares one set of base matrices and one set of radius bounds
+    (``radius_bounds``: eta_r, M_hat_r and fhat do not depend on lambda),
+    so a step's certification is only its margins and the pairing.
     """
     # written so that NaN fails them
     if not 0.0 < lam_lo < math.inf:
@@ -563,6 +579,7 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
     table = BranchTable()
     lams = np.geomspace(lam_lo, lam_hi, steps)
     coarse = _base_matrices(problem, tables)
+    bounds = radius_bounds(problem, constants, default_r_grid())
     prev: list = []
     next_branch = 1
     for lam in lams:
@@ -582,7 +599,7 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
             else:
                 notes.append(f"branches {dup} and {bid} merged")
         uncovered = [
-            ann for ann in existence_report(prob_l, constants, default_r_grid())
+            ann for ann in existence_report(prob_l, constants, bounds)
             if not any(ann.r_in < s.norm < ann.r_out for _, s in assigned)
         ]
         for sol in _solve_annuli(prob_l, tables, coarse, constants, uncovered, ode_tol, notes):

@@ -454,3 +454,48 @@ def picard_reference(apply, x0, singular_error, target=1e-6, damping=0.5,
             raise PicardAbort(f"iterate norm exceeded {blowup:.1e}", iterates)
         x = cand
     return iterates, max_steps, res, False
+
+
+def _annulus_in_one_region(problem, constants, r_in, r_out):
+    """Whole closed annulus inside one allowed radial region (sign-changing e)."""
+    if problem.sign_profile != "MixedE":
+        return True
+    below = constants.delta is not None and r_out < constants.delta
+    above = constants.Delta is not None and r_in > constants.Delta
+    return below or above
+
+
+def annuli_from_scan_loop(problem, constants, scan):
+    """The certified annuli of a scan, one adjacent pair of labeled radii at
+    a time: the pairing loop the package ran before it became array work.
+    Each annulus is a dict of the ``CertifiedAnnulus`` fields."""
+    exp = scan.chosen("expansion")
+    comp = scan.chosen("compression")
+    e_ok, c_ok = exp[2], comp[2]
+    labeled = np.flatnonzero(e_ok | c_ok)
+
+    annuli = []
+    for i, j in zip(labeled, labeled[1:]):
+        exp_inner = e_ok[i] and c_ok[j]
+        comp_inner = c_ok[i] and e_ok[j]
+        if exp_inner and comp_inner:
+            # both-certified on both ends; default orientation
+            comp_inner = False
+        if not (exp_inner or comp_inner):
+            continue
+        r1, r2 = float(scan.r[i]), float(scan.r[j])
+        if not _annulus_in_one_region(problem, constants, r1, r2):
+            continue
+        inner, outer = (exp, comp) if exp_inner else (comp, exp)
+        annuli.append(dict(
+            annulus_id=f"A{len(annuli) + 1}",
+            r_in=r1,
+            r_out=r2,
+            orientation="expansion_inner" if exp_inner else "compression_inner",
+            predicted=f"solution norm in ({r1:.6g}, {r2:.6g})",
+            inner_route=str(inner[0][i]),
+            inner_margin=float(inner[1][i]),
+            outer_route=str(outer[0][j]),
+            outer_margin=float(outer[1][j]),
+        ))
+    return annuli

@@ -11,6 +11,8 @@ from pericone import (
     PowerLawRadial,
     Problem,
     SOUNDNESS_SUITE,
+    Scan,
+    annuli_from_scan,
     apply_T,
     classify_regime,
     compute_constants,
@@ -20,6 +22,7 @@ from pericone import (
     lambda0_bound,
     large_lambda_threshold,
     parse_config,
+    radius_bounds,
     scan_radii,
 )
 from pericone.benchmarks import MIXED_E
@@ -249,3 +252,88 @@ def test_scan_rejects_bad_grid(superlinear_small, grid):
     prob, cc = superlinear_small
     with pytest.raises(DomainError):
         scan_radii(prob, cc, grid)
+
+
+def test_scan_from_radius_bounds_matches_the_grid_scan(bench_tables):
+    # sign-changing e: the bounds built once serve every lambda, bit for bit,
+    # on both sides of the lambda where 2 lam sum M_i int|e_i| passes 1/sigma
+    # and the shell-ratio gate starts to move
+    prob = make_problem(0.5, 0.5, 1.0, e_spec=MIXED_E)
+    cc = compute_constants(bench_tables, prob)
+    grid = default_r_grid()
+    bounds = radius_bounds(prob, cc, grid)
+    assert len(bounds) == grid.size
+    e_term = float((cc.M * cc.int_abs_e).sum())
+    lams = (0.5, 1.0, 4.0, 10.0)
+    assert [2.0 * lam * e_term > 1.0 / cc.sigma for lam in lams] == [False, False, True, True]
+    for lam in lams:
+        step = replace(prob, lam=lam)
+        once, fresh = scan_radii(step, cc, bounds), scan_radii(step, cc, grid)
+        assert np.array_equal(once.r, fresh.r)
+        for route in fresh.margins:
+            assert np.array_equal(once.margins[route], fresh.margins[route]), (lam, route)
+            assert np.array_equal(once.domain_ok[route], fresh.domain_ok[route]), (lam, route)
+
+
+ROUTE_NAMES = ("radial-ratio", "annulus-max", "shell-ratio")
+
+
+def random_scan(rng, r, shift):
+    """Random margins and gates for every route: labels E, C and EC at random."""
+    return Scan(r=r,
+                margins={route: rng.normal(shift, 1.0, r.size) for route in ROUTE_NAMES},
+                domain_ok={route: rng.random(r.size) < 0.8 for route in ROUTE_NAMES})
+
+
+def labels(scan):
+    """The labeled radii's (E, C) flags, in radius order."""
+    e_ok, c_ok = scan.chosen("expansion")[2], scan.chosen("compression")[2]
+    return [(bool(e), bool(c)) for e, c in zip(e_ok, c_ok) if e or c]
+
+
+def test_pairing_matches_the_loop_on_random_labels(superlinear_small):
+    prob, cc = superlinear_small
+    rng = np.random.default_rng(20)
+    r = default_r_grid(1e-2, 1e2, 11)
+    ec_pairs = 0
+    for _ in range(300):
+        scan = random_scan(rng, r, rng.uniform(-2.5, 0.5))
+        got = annuli_from_scan(prob, cc, scan)
+        assert [vars(a) for a in got] == oracles.annuli_from_scan_loop(prob, cc, scan)
+        flags = labels(scan)
+        ec_pairs += sum(a == b == (True, True) for a, b in zip(flags, flags[1:]))
+    assert ec_pairs > 0
+
+
+@pytest.mark.parametrize("labeled", [[], [7]])
+def test_pairing_without_a_pair(superlinear_small, labeled):
+    # no labeled radius, or a single one: no annulus either way
+    prob, cc = superlinear_small
+    r = default_r_grid(1e-2, 1e2, 11)
+    margins = {route: np.full(r.size, -1.0) for route in ROUTE_NAMES}
+    for k in labeled:
+        margins["radial-ratio"][k] = margins["annulus-max"][k] = 1.0
+    scan = Scan(r=r, margins=margins,
+                domain_ok={route: np.ones(r.size, dtype=bool) for route in ROUTE_NAMES})
+    assert len(labels(scan)) == len(labeled)
+    assert annuli_from_scan(prob, cc, scan) == []
+    assert oracles.annuli_from_scan_loop(prob, cc, scan) == []
+
+
+def test_pairing_matches_the_loop_with_forcing_regions(bench_tables, superlinear_small):
+    # sign-changing e: pairs that straddle delta or Delta are rejected; the
+    # e = 0 problem with the same constants counts them all
+    prob = make_problem(1.0, 2.0, 0.01, e_spec=MIXED_E)
+    cc = compute_constants(bench_tables, prob)
+    free = superlinear_small[0]
+    r = default_r_grid(1e-2, 1e2, 11)
+    assert r[0] < cc.delta < cc.Delta < r[-1]
+    rng = np.random.default_rng(21)
+    kept = counted = 0
+    for _ in range(300):
+        scan = random_scan(rng, r, rng.uniform(-2.5, 0.5))
+        got = [vars(a) for a in annuli_from_scan(prob, cc, scan)]
+        assert got == oracles.annuli_from_scan_loop(prob, cc, scan)
+        kept += len(got)
+        counted += len(oracles.annuli_from_scan_loop(free, cc, scan))
+    assert 0 < kept < counted

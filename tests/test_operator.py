@@ -256,3 +256,24 @@ def test_apply_T_applies_each_shared_table_once(monkeypatch):
             for i, tbl in enumerate(tables)]
     for i in range(3):
         assert np.max(np.abs(w[i] - rows[i])) <= 1e-14 * np.max(np.abs(rows[i]))
+
+
+def test_radial_values_evaluate_every_profile():
+    # components 0 and 2 share a profile, component 1 has its own: both
+    # profiles are evaluated, and each row is its component's phi
+    terms = (SUPERLINEAR_TERMS, ((1.0, -0.5), (1.0, 0.5)), SUPERLINEAR_TERMS)
+    f = PowerLawRadial(terms)
+    assert f.profiles == terms[:2]
+    prob = Problem(n=3, period=1.0, a=(Constant(1.0),) * 3, g=(Constant(1.0),) * 3,
+                   e=(Constant(0.0),) * 3, f=f, lam=0.05)
+    t = np.arange(64) / 64
+    x = GridFunction(3, 64, 1.0, 0.4 + 0.1 * np.cos(2.0 * math.pi * t)
+                     * np.array([[1.0], [0.5], [-1.0]]))
+    u = np.sqrt((x.values ** 2).sum(axis=0))
+    fx = operator_mod._radial_values(prob, x)
+    dfx = f.dphi_rows(u)
+    assert fx.shape == dfx.shape == (3, 64)
+    for i in range(3):
+        assert np.array_equal(fx[i], f.phi(i, u))
+        assert np.array_equal(dfx[i], f.dphi(i, u))
+    assert not np.array_equal(fx[0], fx[1])

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -30,8 +31,10 @@ from pericone import (
     seed_from_annulus,
     symmetric_config,
 )
+import pericone.certify as certify_mod
 import pericone.problem as problem_mod
 import pericone.solver as solver_mod
+from pericone.benchmarks import MIXED_E
 from pericone.certify import default_r_grid, existence_report
 from pericone.cli import build_tables
 from pericone.solver import _newton_step
@@ -826,3 +829,103 @@ def test_verified_fp_residual_is_the_fixed_point_residual():
                                     preset.ode_tol)
             for sol in report.solutions:
                 assert sol.fp_residual == fixed_point_residual(prob, tables, sol.x)
+
+
+def test_sweep_builds_its_radius_bounds_once(monkeypatch):
+    # eta_r, M_hat_r and fhat do not depend on lambda: the bench sweep
+    # evaluates each once, not once per step
+    prob = make_problem(1.0, 2.0, 0.01)
+    tables = build_tables(prob, 256)
+    cc = compute_constants(tables, prob)
+    calls = []
+    for name in ("eta_lower", "annulus_extrema", "fhat"):
+        def count(*args, _name=name, _real=getattr(certify_mod, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(certify_mod, name, count)
+    sweep = continue_lambda(prob, tables, 0.01, 0.3, 6, constants=cc)
+    assert len({row.lam for row in sweep.rows}) == 6
+    assert sorted(calls) == ["annulus_extrema", "eta_lower", "fhat"]
+
+
+@pytest.mark.parametrize("alpha, beta, e_spec, lam_lo, lam_hi, steps", [
+    (1.0, 2.0, None, 0.01, 0.3, 6),  # the bench sweep
+    (0.5, 0.5, MIXED_E, 1.0, 10.0, 4),  # sign-changing e, the shell gate moves
+])
+def test_sweep_step_annuli_match_fresh_reports(monkeypatch, alpha, beta, e_spec,
+                                               lam_lo, lam_hi, steps):
+    # the annuli a step certifies from the shared radius bounds are, field for
+    # field, those of a fresh report at the step's lambda
+    prob = make_problem(alpha, beta, lam_lo, e_spec=e_spec)
+    tables = build_tables(prob, 256)
+    cc = compute_constants(tables, prob)
+    real = solver_mod.existence_report
+    reports = []
+
+    def record(problem, *args):
+        annuli = real(problem, *args)
+        reports.append((problem.lam, annuli))
+        return annuli
+
+    monkeypatch.setattr(solver_mod, "existence_report", record)
+    continue_lambda(prob, tables, lam_lo, lam_hi, steps, constants=cc)
+    lams = [float(v) for v in np.geomspace(lam_lo, lam_hi, steps)]
+    assert [lam for lam, _ in reports] == lams
+    assert any(annuli for _, annuli in reports)
+    for lam, annuli in reports:
+        assert annuli == existence_report(replace(prob, lam=lam), cc, default_r_grid())
+    if e_spec is not None:
+        e_term = float((cc.M * cc.int_abs_e).sum())
+        assert any(2.0 * lam * e_term > 1.0 / cc.sigma for lam in lams)
+
+
+@pytest.mark.parametrize("a_specs, applications", [
+    ([{"constant": 1.0}] * 2, 1),
+    ([{"constant": 1.0}, {"fourier": {"c0": 1.0, "cos": [0.3], "sin": []}}], 2),
+])
+def test_level_start_applies_each_table_once(monkeypatch, a_specs, applications):
+    cfg = symmetric_config(1.0, 2.0, 0.05)
+    cfg["a"] = a_specs
+    prob = parse_config(cfg).problem
+    tables = build_tables(prob, 256)
+    ann = existence_report(prob, compute_constants(tables, prob), default_r_grid())[0]
+    seed = seed_from_annulus(ann, prob, 256)
+    real = solver_mod.kernel_quadrature
+    applied = []
+
+    def count(tbl):
+        applied.append(tbl)
+        return real(tbl)
+
+    monkeypatch.setattr(solver_mod, "kernel_quadrature", count)
+    assert solver_mod._level_start(prob, tables, seed, (ann.r_in, ann.r_out)) is not seed
+    assert len(applied) == applications
+    assert len({id(tbl) for tbl in applied}) == applications
+
+
+@pytest.mark.parametrize("config_of", [symmetric_config, _var_a_config])
+@pytest.mark.parametrize("n_grid", [128, 256])
+def test_shared_table_levels_like_a_table_per_component(config_of, n_grid):
+    # the shared table applied once to the stacked blocks levels every start,
+    # bit for bit, as one application per component does (a copy of the
+    # table per component), closed-form and RK4 kernels alike
+    prob = parse_config(config_of(1.0, 2.0, 0.05, n_grid=n_grid)).problem
+    tables = build_tables(prob, n_grid)
+    assert tables[0] is tables[1]
+    own = [copy.copy(tbl) for tbl in tables]
+    t = prob.grid(n_grid)
+    starts = [(seed_from_annulus(ann, prob, n_grid), (ann.r_in, ann.r_out))
+              for ann in existence_report(prob, compute_constants(tables, prob),
+                                          default_r_grid())]
+    # and warm-start-like profiles: a last-bit change of a block product
+    # shows in the leveled start of only some of them
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        base = rng.uniform(0.1, 3.0, (2, 1))
+        wave = np.cos(2.0 * math.pi * (t - rng.uniform(0.0, 1.0, (2, 1))))
+        values = base * (1.0 + rng.uniform(0.05, 0.5, (2, 1)) * wave)
+        starts.append((GridFunction(2, n_grid, prob.period, values), None))
+    for start, radii in starts:
+        shared = solver_mod._level_start(prob, tables, start, radii)
+        alone = solver_mod._level_start(prob, own, start, radii)
+        assert shared.values.tobytes() == alone.values.tobytes()
