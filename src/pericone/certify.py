@@ -23,9 +23,10 @@ distinct component profile.  The per-lambda part (``scan_radii``) makes
 every route's margin and domain gate one vector over r; the shell-ratio
 domain r > max(1/sigma, 2*lam*sum M_i int|e_i|) is the part of r > 1/sigma
 beyond the lambda term.  A lambda sweep builds the first part once and
-evaluates only the second at each step.  At each radius a kind (expansion,
-compression) uses its best usable route, otherwise its best margin; ties go
-to the route listed first.
+evaluates only the second at each step; ``large_lambda_threshold`` reads
+eta_r from the first part.  At each radius a kind (expansion, compression)
+uses its best usable route, otherwise its best margin; ties go to the
+route listed first.
 
 With a sign-changing e the estimates are only valid on radial ranges where
 the forcing split stays nonnegative: below delta or above Delta for
@@ -296,19 +297,17 @@ def classify_regime(problem: Problem) -> RegimeReport:
     )
 
 
-def large_lambda_threshold(problem: Problem, constants: ConeConstants, r_grid=None):
+def large_lambda_threshold(constants: ConeConstants, bounds: RadiusBounds):
     """Implementation-derived lambda threshold for expansion beyond Delta.
 
-    Smallest lambda making the radial-ratio margin positive at some grid
-    radius above Delta: 1 / (Gamma * max eta_r over those radii).  None when
-    Delta is None (always so for e >= 0) or no grid radius lies above Delta.
+    Smallest lambda making the radial-ratio margin positive at some radius
+    of ``bounds`` above Delta: 1 / (Gamma * max eta_r over those radii).  None
+    when Delta is None (always so for e >= 0) or no radius lies above Delta.
     This is a computed quantity, not a closed-form constant.
     """
     if constants.Delta is None or not math.isfinite(constants.Delta):
         return None
-    r = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    r = r[r > constants.Delta]
-    best_eta = float(eta_lower(problem.f, r, constants.sigma, problem.n).max(initial=0.0))
+    best_eta = float(bounds.eta[bounds.r > constants.Delta].max(initial=0.0))
     if best_eta <= 0.0:
         return None
     return 1.0 / (constants.Gamma * best_eta)

@@ -29,6 +29,7 @@ from .certify import (
     classify_regime,
     default_r_grid,
     large_lambda_threshold,
+    radius_bounds,
     scan_radii,
 )
 from .cone import compute_constants
@@ -174,7 +175,8 @@ def cmd_certify(args) -> int:
     r_grid = default_r_grid(args.rmin, args.rmax, args.per_decade)
 
     constants = compute_constants(tables, problem)
-    scan = scan_radii(problem, constants, r_grid)
+    bounds = radius_bounds(problem, constants, r_grid)
+    scan = scan_radii(problem, constants, bounds)
     annuli = annuli_from_scan(problem, constants, scan)
     regime = classify_regime(problem)
 
@@ -193,7 +195,7 @@ def cmd_certify(args) -> int:
         "note": DISCLAIMER,
     }
     if problem.sign_profile == "MixedE" and regime.regime == "Sublinear":
-        thr = large_lambda_threshold(problem, constants, r_grid)
+        thr = large_lambda_threshold(constants, bounds)
         report["large_lambda_threshold"] = {
             "value": thr,
             "label": "implementation-derived, not a closed-form constant",
@@ -249,7 +251,7 @@ def cmd_sweep(args) -> int:
     parsed = _load(args)
     out = Path(args.out)
 
-    header = "lambda,branch_id,norm,ode_residual"
+    header = "lambda,branch_id,annulus_id,norm,fp_residual,ode_residual"
     if args.steps == 0:
         _write_text(out / "branches.csv", header + "\n")
         return EXIT_FOUND
@@ -260,8 +262,8 @@ def cmd_sweep(args) -> int:
                           constants, ode_tol)
 
     lines = [header]
-    lines.extend(f"{_fmt(row.lam)},{row.branch_id},{_fmt(row.norm)},{_fmt(row.ode_residual)}"
-                 for row in res.rows)
+    lines.extend(f"{_fmt(row.lam)},{row.branch_id},{row.annulus_id},{_fmt(row.norm)},"
+                 f"{_fmt(row.fp_residual)},{_fmt(row.ode_residual)}" for row in res.rows)
     _write_text(out / "branches.csv", "\n".join(lines) + "\n")
     for note in res.notes:
         print(f"note: {note}")

@@ -176,7 +176,7 @@ def green_bounds_constant(k: float, period: float):
 @dataclass
 class PositivityReport:
     """Strict positivity of a kernel: the closed-form minimum, or for RK4 the
-    grid scan plus the refined patch."""
+    grid scan plus the refined patch.  ``min_value`` is the table's m."""
 
     holds: bool
     min_value: float
@@ -336,11 +336,12 @@ def _refine_min(fine: SemiseparableKernel, p_star: int, q_star: int, n_grid: int
 def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
     """The periodic kernel of x'' + a(t) x on the N-point grid, from its generators.
 
-    m, M and the grid argmin are those of the full N x N table: the profile's
-    for the circulant, whose every row is a rotation of row 0, and a scan over
-    row blocks for RK4.  The RK4 kernel is built once on the fine grid the
-    basis lives on; the table is every FINE_FACTOR-th node of it, and the
-    refined positivity patch samples it directly.
+    M is the max of the full N x N table: the profile's for the circulant,
+    whose every row is a rotation of row 0, a scan over row blocks for RK4.
+    m is the exact diagonal minimum of the circulant; for RK4, the lower of
+    the grid scan and a refined patch around its argmin, sampled from the
+    kernel built once on the fine grid the basis lives on (the table is its
+    every FINE_FACTOR-th node).
     """
     _check_grid(n_grid)
     period = coef.period
@@ -353,7 +354,7 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         m, big = float(kernel.profile.min()), float(kernel.profile.max())
         # Ghat'' = -k^2 Ghat < 0, so Ghat is concave on [0, T] and least at
         # d = 0 and d = T: the diagonal, which is on the grid
-        min_value, argmin = m, (0.0, 0.0)
+        argmin = (0.0, 0.0)
         k_used = k
     else:
         Y = _rk4_basis(coef, n_grid)
@@ -364,9 +365,9 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         m, big, (p_star, q_star) = _scan_extrema(kernel, n_grid)
         fine_min, fine_arg = _refine_min(fine, p_star, q_star, n_grid)
         if fine_min < m:
-            min_value, argmin = fine_min, (fine_arg[0] * h_fine, fine_arg[1] * h_fine)
+            m, argmin = fine_min, (fine_arg[0] * h_fine, fine_arg[1] * h_fine)
         else:
-            min_value, argmin = m, (p_star * h, q_star * h)
+            argmin = (p_star * h, q_star * h)
         k_used = None
 
     tol = POSITIVITY_RTOL * (1.0 + abs(big))
@@ -381,8 +382,7 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         kernel=kernel,
         m=m,
         M=big,
-        positivity=PositivityReport(holds=bool(min_value > tol), min_value=min_value,
-                                    argmin=argmin),
+        positivity=PositivityReport(holds=bool(m > tol), min_value=m, argmin=argmin),
         k=k_used,
     )
 

@@ -10,13 +10,6 @@ import math
 import numpy as np
 
 
-def ghat(d, k, period):
-    """Periodic kernel profile for constant coefficient k**2, 0 <= d <= period."""
-    return (math.sin(k * d) + math.sin(k * (period - d))) / (
-        2.0 * k * (1.0 - math.cos(k * period))
-    )
-
-
 def kernel_min_max(k, period):
     m = math.sin(k * period) / (2.0 * k * (1.0 - math.cos(k * period)))
     big = 1.0 / (2.0 * k * math.sin(k * period / 2.0))

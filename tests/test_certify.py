@@ -1,10 +1,13 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pericone.certify as certify_mod
 from pericone import (
+    PRESETS,
     Constant,
     DomainError,
     GridFunction,
@@ -26,6 +29,7 @@ from pericone import (
     scan_radii,
 )
 from pericone.benchmarks import MIXED_E
+from pericone.cli import main
 
 import oracles
 from conftest import (
@@ -208,9 +212,9 @@ def test_large_lambda_threshold_pivots_expansion(bench_tables):
     prob = make_problem(0.5, 0.5, 1.0,
                         e_spec={"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}})
     cc = compute_constants(bench_tables, prob)
-    thr = large_lambda_threshold(prob, cc)
-    assert thr is not None and thr > 0.0
     grid = default_r_grid()
+    thr = large_lambda_threshold(cc, radius_bounds(prob, cc, grid))
+    assert thr is not None and thr > 0.0
     outer = [r for r in grid if r > cc.Delta]
     holds_above = any(
         at(replace(prob, lam=1.2 * thr), cc, r, "expansion")[2] for r in outer)
@@ -218,6 +222,32 @@ def test_large_lambda_threshold_pivots_expansion(bench_tables):
         at(replace(prob, lam=0.8 * thr), cc, r, "expansion")[2] for r in outer)
     assert holds_above
     assert not holds_below
+
+
+def test_certify_reads_the_threshold_from_its_radius_bounds(tmp_path, monkeypatch):
+    # cor2a at lambda = 8: report.json's threshold is 1/(Gamma max eta_r over
+    # the default radii above Delta), bit for bit, and certify evaluates
+    # eta_r once, for the radius bounds its scan and threshold share
+    calls = []
+    real = certify_mod.eta_lower
+
+    def count(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(certify_mod, "eta_lower", count)
+    cfg = PRESETS["cor2a"].config(8.0)
+    path = tmp_path / "cor2a.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["certify", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    consts = report["constants"]
+    prob = parse_config(cfg).problem
+    r = default_r_grid()
+    outer = r[r > consts["Delta"]]
+    eta = real(prob.f, outer, consts["sigma"], prob.n)
+    assert report["large_lambda_threshold"]["value"] == 1.0 / (consts["Gamma"] * eta.max())
 
 
 @pytest.mark.parametrize("alpha, beta, lam, e_spec", [

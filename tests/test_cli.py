@@ -1,10 +1,7 @@
 import csv
 import dataclasses
-import importlib.util
 import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +22,7 @@ from pericone.cli import EXIT_FOUND, EXIT_INPUT, EXIT_NOTHING, EXIT_NUMERIC, mai
 import oracles
 from conftest import SUBLINEAR_TERMS, SUPERLINEAR_TERMS
 
+SWEEP_HEADER = "lambda,branch_id,annulus_id,norm,fp_residual,ode_residual"
 MIXED_E_SPEC = {"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}}
 
 
@@ -154,7 +152,7 @@ def test_sweep_zero_steps(tmp_path):
                "--lmin", "0.1", "--lmax", "10", "--steps", "0"])
     assert rc == EXIT_FOUND
     text = (tmp_path / "w" / "branches.csv").read_text()
-    assert text == "lambda,branch_id,norm,ode_residual\n"
+    assert text == SWEEP_HEADER + "\n"
 
 
 def test_sweep_deterministic(tmp_path):
@@ -283,7 +281,7 @@ def test_sweep_zero_steps_builds_no_table(tmp_path):
                "--lmin", "0.1", "--lmax", "1", "--steps", "0"])
     assert rc == EXIT_FOUND
     text = (tmp_path / "w" / "branches.csv").read_text()
-    assert text == "lambda,branch_id,norm,ode_residual\n"
+    assert text == SWEEP_HEADER + "\n"
 
 
 @pytest.mark.parametrize("a_specs, distinct", [
@@ -361,22 +359,35 @@ def test_solution_csv_matches_per_value_formatting(tmp_path, monkeypatch):
         assert written == ("\n".join(expect) + "\n").encode()
 
 
-def test_sweep_script_shares_one_table(monkeypatch, capsys):
-    # the symmetric system has one coefficient, so the script tabulates one kernel
-    path = Path(__file__).resolve().parents[1] / "scripts" / "sweep_branches.py"
-    spec = importlib.util.spec_from_file_location("sweep_branches", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    real = script.continue_lambda
+def test_sweep_writes_the_continuation_rows(tmp_path, monkeypatch):
+    # the symmetric system has one coefficient, so the sweep tabulates one
+    # kernel, and branches.csv holds the rows continue_lambda returns, every
+    # float at 17 digits
+    real = cli_mod.continue_lambda
     seen = []
 
     def capture(problem, tables, *args, **kwargs):
-        seen.append(tables)
-        return real(problem, tables, *args, **kwargs)
+        res = real(problem, tables, *args, **kwargs)
+        seen.append((tables, res))
+        return res
 
-    monkeypatch.setattr(script, "continue_lambda", capture)
-    monkeypatch.setattr(sys, "argv", ["sweep_branches.py", "--steps", "2", "--n-grid", "64"])
-    assert script.run() == 0
-    (tables,) = seen
+    monkeypatch.setattr(cli_mod, "continue_lambda", capture)
+    cfg = write_cfg(tmp_path, symmetric_config(1.0, 2.0, 0.01))
+    rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "w"),
+               "--lmin", "0.01", "--lmax", "0.3", "--steps", "6"])
+    assert rc == EXIT_FOUND
+    ((tables, res),) = seen
     assert len(tables) == 2 and tables[0] is tables[1]
-    assert capsys.readouterr().out.startswith("lambda,branch_id,")
+    text = (tmp_path / "w" / "branches.csv").read_text()
+    assert text.splitlines()[0] == SWEEP_HEADER
+    rows = read_csv(tmp_path / "w" / "branches.csv")
+    assert len(rows) == len(res.rows) > 6
+    for written, row in zip(rows, res.rows):
+        assert written == {
+            "lambda": format(row.lam, ".17g"),
+            "branch_id": row.branch_id,
+            "annulus_id": row.annulus_id,
+            "norm": format(row.norm, ".17g"),
+            "fp_residual": format(row.fp_residual, ".17g"),
+            "ode_residual": format(row.ode_residual, ".17g"),
+        }

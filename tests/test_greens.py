@@ -141,7 +141,8 @@ def test_no_table_array_grows_with_n_squared(coef):
                          ids=["a=1", "a=4,T=0.7", "a=1+0.3cos", "four-term"])
 def test_generators_bit_equal_dense_build(coef, n_grid):
     # against the dense N x N build the tables once stored: every sample,
-    # m, M, the positivity report, and the quadrature matrix
+    # M, the positivity report, m as its refined minimum, and the quadrature
+    # matrix
     table = build_green_table(coef, n_grid)
     period = coef.period
     if table.k is not None:
@@ -160,14 +161,24 @@ def test_generators_bit_equal_dense_build(coef, n_grid):
             return oracles.kernel_from_basis_products(basis, idx_t, idx_s)
 
     assert np.array_equal(full_values(table), values)
-    m, big, holds, min_value, argmin = oracles.dense_positivity(
+    _, big, holds, min_value, argmin = oracles.dense_positivity(
         values, patch, period, FINE_FACTOR, rk4=table.k is None)
-    assert (table.m, table.M) == (m, big)
+    assert (table.m, table.M) == (min_value, big)
     rep = table.positivity
     assert (rep.holds, rep.min_value, rep.argmin) == (holds, min_value, argmin)
     h = period / n_grid
     assert np.array_equal(quadrature_matrix(table),
                           h * (values + (h / 12.0) * np.eye(n_grid)))
+
+
+def test_m_is_the_refined_kernel_minimum():
+    # on this rough coefficient the refined patch finds a lower kernel value
+    # than any grid node; m is that value, the one the positivity report holds
+    rough = FourierSeries(6.0, (2.5, 0.0, 0.8), (0.0, 1.0))
+    table = build_green_table(rough, 64)
+    grid_min = float(full_values(table).min())
+    assert table.m == table.positivity.min_value
+    assert table.m < grid_min
 
 
 def test_positivity_report(unit_table):
