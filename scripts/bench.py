@@ -6,8 +6,9 @@ median and the minimum, because a small shared machine is noisy.  The
 entries:
 
 * greens: Green tables, closed form (a = 1) and RK4 (a = 1 + 0.3 cos), at
-  N = 256, 1024 and 4096; the N = 4096 entries also record the peak of
-  the memory Python allocates during one build (tracemalloc), in MiB
+  N = 64 (the base grid every solve builds for its inner systems), 256,
+  1024 and 4096; the N = 4096 entries also record the peak of the memory
+  Python allocates during one build (tracemalloc), in MiB
 * problem: thresholds_delta on each preset's first lambda, with the caches
   of the critical point and the per-component roots emptied before each
   call, so all of them are computed every time
@@ -260,7 +261,7 @@ def _run_entries(repeats):
 
 def measure(repeats):
     timings = {}
-    for n_grid in (256, 1024, 4096):
+    for n_grid in (64, 256, 1024, 4096):
         for name, coef in (("closed_form", Constant(1.0)), ("rk4", FourierSeries(1.0, (0.3,)))):
             def build():
                 return build_green_table(coef, n_grid)

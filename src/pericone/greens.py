@@ -13,11 +13,13 @@ For a general T-periodic coefficient the kernel is assembled from the two
 basis solutions of x'' + a(t) x = 0 via the monodromy matrix and variation of
 parameters; existence requires I - Phi(T) to be invertible (non-resonance).
 The basis is classical RK4 at step T/(4*n_grid): the system is linear, so
-every step is a 2x2 matrix, all of them are built at once, and their prefix
-product is taken by log-depth doubling, with no Python loop over steps.  On
-the grid that kernel is a rank-2 product plus a causal rank-2 term, so the
-table is semiseparable: the basis at the nodes and a 2 x N coefficient
-generate it.
+every step is a 2x2 matrix, all of them are built at once as four arrays of
+entries, and their prefix product is taken by log-depth doubling, with no
+Python loop over steps.  On the grid that kernel is one rank-2 product per
+entry, [phi1 phi2](t) times the upper generator C(s) for t < s and the lower
+generator D(s) = C(s) + (-phi2(s), phi1(s)) for t >= s, so the table is
+semiseparable: the basis and C at the N nodes generate it, and C is solved
+for on those N columns only.
 
 Quadrature note: G is continuous but its s-derivative jumps by exactly 1
 across the diagonal (the defining delta normalization), so the plain periodic
@@ -118,12 +120,14 @@ class CirculantKernel:
 
 
 class SemiseparableKernel:
-    """RK4 kernel on N nodes from the basis at the nodes and the coefficient C.
+    """RK4 kernel on N nodes from the basis at the nodes and its two generators.
 
-    basis = (phi1, phi2) at the nodes and C are 2 x N arrays, and
-    G(t_p, t_q) = phi1(t_p) C[0, q] + phi2(t_p) C[1, q]
-                  + [p >= q] (phi2(t_p) phi1(t_q) - phi1(t_p) phi2(t_q)).
-    So (G w)_p = phi(t_p) . (C w) + phi2(t_p) S1_p - phi1(t_p) S2_p with the
+    basis = (phi1, phi2) at the nodes, the upper generator C and the lower
+    generator D = C + (-phi2, phi1) are 2 x N arrays, and
+    G(t_p, t_q) = phi1(t_p) C[0, q] + phi2(t_p) C[1, q]    for p < q,
+                  phi1(t_p) D[0, q] + phi2(t_p) D[1, q]    for p >= q,
+    one rank-2 product per entry.  Applied to w, the difference D - C makes
+    (G w)_p = phi(t_p) . (C w) + phi2(t_p) S1_p - phi1(t_p) S2_p with the
     prefix sums S_k = cumsum(phi_k w), and Q w = h G w + (h^2/12) w is O(N).
     The two causal terms cancel where the dense row sum would not, so the
     error grows with the size of the basis; for the bounded bases of the
@@ -134,22 +138,18 @@ class SemiseparableKernel:
     def __init__(self, basis: np.ndarray, coef: np.ndarray, h: float):
         self.basis = _frozen(basis)
         self.coef = _frozen(coef)
+        self.lower = _frozen(_lower_generator(basis, coef))
         self.h = h
 
     def sample(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        p1, p2 = self.basis
-        return _assemble(p1[rows], p2[rows], p1[cols], p2[cols], self.coef[:, cols],
+        return _assemble(self.basis[:, rows], self.coef[:, cols], self.lower[:, cols],
                          rows[:, None] >= cols[None, :])
 
-    def subsample(self, stride: int, h: float) -> SemiseparableKernel:
-        # contiguous copies: the matvec runs on them
-        return SemiseparableKernel(np.ascontiguousarray(self.basis[:, ::stride]),
-                                   np.ascontiguousarray(self.coef[:, ::stride]), h)
-
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        """Q w along the last axis of w."""
+        """Q w along the last axis of w; each row of w is projected on its
+        own, so its bits do not depend on the rows stacked with it."""
         p1, p2 = self.basis
-        proj = w @ self.coef.T
+        proj = (w[..., None, :] * self.coef).sum(axis=-1)
         gw = (proj[..., :1] * p1 + proj[..., 1:] * p2
               + p2 * np.cumsum(p1 * w, axis=-1) - p1 * np.cumsum(p2 * w, axis=-1))
         return self.h * gw + (self.h * self.h / 12.0) * w
@@ -222,9 +222,11 @@ def _rk4_basis(coef: PeriodicCoefficient, n_grid: int):
     rows are (x, x').  y' = A(t) y with A = [[0, 1], [-a, 0]] is linear, so a
     classical RK4 step (coefficient on the half-step grid) is the 2x2 matrix
     M_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A0, K2 = Am (I + h/2 K1),
-    K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).  All 4N step matrices are built
-    at once and Y[j+1] = M_j ... M_0 is their inclusive prefix product, taken
-    by log-depth doubling.
+    K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).  Every matrix is held as its
+    four entries, each an array over the 4N steps, so a product of two is
+    eight elementwise products and four adds.  Y[j+1] = M_j ... M_0 is the
+    inclusive prefix product of the steps, taken by log-depth doubling
+    (Blelloch, CMU-CS-90-190).  Returned as a (4N+1, 2, 2) view.
     """
     period = coef.period
     nf = FINE_FACTOR * n_grid
@@ -232,31 +234,40 @@ def _rk4_basis(coef: PeriodicCoefficient, n_grid: int):
     t_half = np.arange(2 * nf + 1) * (h / 2.0)
     a_half = coef.eval(t_half)
 
-    def system(a_vals):
-        out = np.zeros((a_vals.size, 2, 2))
-        out[:, 0, 1] = 1.0
-        out[:, 1, 0] = -a_vals
-        return out
+    def times_a(a_vals, x):
+        """A X from the entries (00, 01, 10, 11) of X."""
+        return x[2], x[3], -a_vals * x[0], -a_vals * x[1]
 
-    eye = np.eye(2)
-    k1, am, a1 = system(a_half[0:-1:2]), system(a_half[1::2]), system(a_half[2::2])
-    k2 = am @ (eye + (0.5 * h) * k1)
-    k3 = am @ (eye + (0.5 * h) * k2)
-    k4 = a1 @ (eye + h * k3)
+    def eye_plus(c, x):
+        """I + c X from the entries of X."""
+        return 1.0 + c * x[0], c * x[1], c * x[2], 1.0 + c * x[3]
 
-    Y = np.empty((nf + 1, 2, 2))
-    Y[0] = eye
-    P = Y[1:]
-    P[:] = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 = times_a(a_half[0:-1:2], (1.0, 0.0, 0.0, 1.0))
+    k2 = times_a(a_half[1::2], eye_plus(0.5 * h, k1))
+    k3 = times_a(a_half[1::2], eye_plus(0.5 * h, k2))
+    k4 = times_a(a_half[2::2], eye_plus(h, k3))
+
+    # Y[j] is Y[..., j]: entry (r, c) of every node is one contiguous row
+    Y = np.empty((2, 2, nf + 1))
+    Y[..., 0] = np.eye(2)
+    P = Y[..., 1:]
+    for (r, c), e1, e2, e3, e4 in zip(np.ndindex(2, 2), k1, k2, k3, k4):
+        P[r, c] = float(r == c) + (h / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+    # the two halves of each product, in buffers allocated once
+    first, second = np.empty((2, 2, 2, nf))
     s = 1
     while s < nf:
-        P[s:] = P[s:] @ P[:-s]
+        # (L R)[r, c] = L[r, 0] R[0, c] + L[r, 1] R[1, c]
+        left, right = P[..., s:], P[..., :-s]
+        np.multiply(left[:, :1], right[:1], out=first[..., s:])
+        np.multiply(left[:, 1:], right[1:], out=second[..., s:])
+        np.add(first[..., s:], second[..., s:], out=left)
         s *= 2
-    return Y
+    return Y.transpose(2, 0, 1)
 
 
 def _kernel_coefficients(Y: np.ndarray, idx_s) -> np.ndarray:
-    """C (2 x len(idx_s)): G(t, s) = [phi1 phi2](t) C[:, s] plus the causal term."""
+    """C (2 x len(idx_s)): G(t, s) = [phi1 phi2](t) C[:, s] for t < s."""
     Phi = Y[-1]
     A = np.eye(2) - Phi
     det = np.linalg.det(A)
@@ -272,42 +283,47 @@ def _kernel_coefficients(Y: np.ndarray, idx_s) -> np.ndarray:
     return np.linalg.solve(A, B)
 
 
-def _assemble(p1t, p2t, p1s, p2s, C: np.ndarray, causal: np.ndarray) -> np.ndarray:
-    """G from the basis at the rows (t) and columns (s), C at the columns, and
-    the mask of the entries with t >= s."""
-    # homogeneous part, plus the causal part p1(s) p2(t) - p1(t) p2(s) on t >= s;
-    # both are rank-2 products
-    G = np.stack([p1t, p2t], 1) @ C
-    np.add(G, np.stack([p2t, -p1t], 1) @ np.stack([p1s, p2s]), out=G, where=causal)
+def _lower_generator(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """D = C + (-phi2, phi1) at the same columns: the causal term
+    phi2(t) phi1(s) - phi1(t) phi2(s) folded into the rank-2 product."""
+    p1, p2 = basis
+    return coef + np.stack([-p2, p1])
+
+
+def _assemble(basis_t: np.ndarray, coef: np.ndarray, lower: np.ndarray,
+              causal: np.ndarray) -> np.ndarray:
+    """G from the basis at the rows (t, 2 x k), the generators C and D at the
+    columns (s, 2 x m), and the mask of the entries with t >= s."""
+    rows = np.stack(basis_t, 1)
+    G = rows @ coef
+    np.copyto(G, rows @ lower, where=causal)
     return G
 
 
 def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
     """(min, max, first argmin) of the N x N table, ROW_BLOCK rows at a time.
 
-    The causal term of rows [start, stop) is zero right of column stop, all
-    added left of start, and masked only on the diagonal tile, so it is
-    formed on columns [0, stop) alone.  Both products stay (k, 2) x (2, m)
-    with k, m >= 2 (N is even), written into buffers allocated once: the
-    entries are bit-equal to ``kernel.sample`` of the whole block.
+    Rows [start, stop) take D on columns [0, start), C on [stop, N) and
+    either on the diagonal tile, each a (k, 2) x (2, m) product with
+    k, m >= 2 (N is even); the block is written into one buffer allocated
+    once, and its entries are bit-equal to ``kernel.sample`` of it.
     """
-    p1, p2 = kernel.basis
-    causal_rows = np.stack([p2, -p1], 1)
-    homogeneous_rows = np.stack([p1, p2], 1)
-    buf_g = np.empty(min(ROW_BLOCK, n_grid) * n_grid)
-    buf_c = np.empty_like(buf_g)
+    rows = np.stack(kernel.basis, 1)
+    coef, lower = kernel.coef, kernel.lower
+    buf = np.empty(min(ROW_BLOCK, n_grid) * n_grid)
+    causal = np.tri(ROW_BLOCK, dtype=bool)
     m, big, arg = math.inf, -math.inf, (0, 0)
     for start in range(0, n_grid, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, n_grid)
         k = stop - start
-        block = np.matmul(homogeneous_rows[start:stop], kernel.coef,
-                          out=buf_g[:k * n_grid].reshape(k, n_grid))
-        causal = np.matmul(causal_rows[start:stop], kernel.basis[:, :stop],
-                           out=buf_c[:k * stop].reshape(k, stop))
-        block[:, :start] += causal[:, :start]
-        tile = np.arange(start, stop)
-        np.add(block[:, start:stop], causal[:, start:], out=block[:, start:stop],
-               where=tile[:, None] >= tile[None, :])
+        block = buf[:k * n_grid].reshape(k, n_grid)
+        row_block = rows[start:stop]
+        if start:
+            np.matmul(row_block, lower[:, :start], out=block[:, :start])
+        if stop < n_grid:
+            np.matmul(row_block, coef[:, stop:], out=block[:, stop:])
+        tile = np.matmul(row_block, coef[:, start:stop], out=block[:, start:stop])
+        np.copyto(tile, row_block @ lower[:, start:stop], where=causal[:k, :k])
         low = block.min()
         if low < m:
             m = float(low)
@@ -317,9 +333,10 @@ def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
     return m, big, arg
 
 
-def _refine_min(fine: SemiseparableKernel, p_star: int, q_star: int, n_grid: int):
+def _refine_min(Y: np.ndarray, p_star: int, q_star: int, n_grid: int):
     """Spot-check the kernel on a 4x finer patch around the coarse argmin,
-    sampled from the kernel on the FINE_FACTOR * n_grid fine nodes."""
+    from the basis Y on the FINE_FACTOR * n_grid fine nodes and C solved for
+    on the patch columns alone."""
     lo_t = FINE_FACTOR * (p_star - 2)
     lo_s = FINE_FACTOR * (q_star - 2)
     span = 4 * FINE_FACTOR + 1
@@ -327,7 +344,10 @@ def _refine_min(fine: SemiseparableKernel, p_star: int, q_star: int, n_grid: int
     # edge also sees t, s just below T
     idx_t = np.mod(np.arange(lo_t, lo_t + span), FINE_FACTOR * n_grid)
     idx_s = np.mod(np.arange(lo_s, lo_s + span), FINE_FACTOR * n_grid)
-    patch = fine.sample(idx_t, idx_s)
+    basis_s = Y[idx_s, 0].T
+    coef = _kernel_coefficients(Y, idx_s)
+    patch = _assemble(Y[idx_t, 0].T, coef, _lower_generator(basis_s, coef),
+                      idx_t[:, None] >= idx_s[None, :])
     flat = int(np.argmin(patch))
     it, js = divmod(flat, patch.shape[1])
     return float(patch[it, js]), (int(idx_t[it]), int(idx_s[js]))
@@ -339,9 +359,10 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
     M is the max of the full N x N table: the profile's for the circulant,
     whose every row is a rotation of row 0, a scan over row blocks for RK4.
     m is the exact diagonal minimum of the circulant; for RK4, the lower of
-    the grid scan and a refined patch around its argmin, sampled from the
-    kernel built once on the fine grid the basis lives on (the table is its
-    every FINE_FACTOR-th node).
+    the grid scan and a refined patch around its argmin.  The basis lives on
+    the fine grid, the table being its every FINE_FACTOR-th node; C is
+    solved for on the N table columns and, for the patch, on its own
+    columns, never on all the fine nodes.
     """
     _check_grid(n_grid)
     period = coef.period
@@ -358,12 +379,10 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         k_used = k
     else:
         Y = _rk4_basis(coef, n_grid)
-        n_fine = FINE_FACTOR * n_grid
-        fine = SemiseparableKernel(Y[:-1, 0].T, _kernel_coefficients(Y, np.arange(n_fine)),
-                                   h_fine)
-        kernel = fine.subsample(FINE_FACTOR, h)
+        nodes = np.arange(0, FINE_FACTOR * n_grid, FINE_FACTOR)
+        kernel = SemiseparableKernel(Y[nodes, 0].T.copy(), _kernel_coefficients(Y, nodes), h)
         m, big, (p_star, q_star) = _scan_extrema(kernel, n_grid)
-        fine_min, fine_arg = _refine_min(fine, p_star, q_star, n_grid)
+        fine_min, fine_arg = _refine_min(Y, p_star, q_star, n_grid)
         if fine_min < m:
             m, argmin = fine_min, (fine_arg[0] * h_fine, fine_arg[1] * h_fine)
         else:
@@ -390,10 +409,11 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
 def kernel_values(table: GreensTable, rows, cols) -> np.ndarray:
     """G(t_p, t_q) for node indices p in rows, q in cols, from the generators.
 
-    Equal, bit for bit, to those entries of the full N x N product when rows
-    and cols each hold at least two indices: numpy takes a one-row or
-    one-column RK4 product through its matrix-vector path, which rounds
-    differently.
+    An RK4 entry is one rank-2 product, with C above the diagonal and D on
+    and below it, as in the extrema scan, so the samples are bit-equal to
+    the scanned table when rows and cols each hold at least two indices:
+    numpy takes a one-row or one-column product through its matrix-vector
+    path, which rounds differently.
     """
     return table.kernel.sample(np.asarray(rows), np.asarray(cols))
 

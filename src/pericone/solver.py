@@ -459,9 +459,9 @@ def _level_start(problem: Problem, tables, x0: GridFunction, radii=None) -> Grid
             block = np.stack([
                 np.vstack([c * g[i] * np.power(u0, p) for c, p in comps[i]] + [e[i]])
                 for i in rows])
-            # one application to the 3-D stack: a BLAS-backed kernel still
-            # multiplies each component's block on its own, so the products
-            # are, to the bit, those of one application per component
+            # one application to the 3-D stack: both kernels transform or
+            # project each row on its own, so the products are, to the bit,
+            # those of one application per component
             for i, out in zip(rows, kernel_quadrature(tbl) @ block):
                 means[i] = out.mean(axis=1)
     for comp, m in zip(comps, means):

@@ -179,18 +179,21 @@ def dense_circulant_table(k, period, n_grid):
 
 
 def kernel_from_basis_products(Y, idx_t, idx_s):
-    """The kernel on fine indices idx_t x idx_s as two rank-2 matrix products
-    and a masked add, the arithmetic of the package's dense build (unlike
-    ``kernel_from_basis_outer``, so the results compare bit for bit)."""
+    """The kernel on fine indices idx_t x idx_s as one rank-2 matrix product
+    per entry, [p1 p2](t) times c(s) for t < s and times
+    d(s) = c(s) + (-p2(s), p1(s)) for t >= s: the arithmetic of the
+    package's dense build (unlike ``kernel_from_basis_outer``, so the
+    results compare bit for bit)."""
     phi = Y[-1]
     p1t, p2t = Y[idx_t, 0, 0], Y[idx_t, 0, 1]
     p1s, p2s = Y[idx_s, 0, 0], Y[idx_s, 0, 1]
     b = np.vstack([p1s * phi[0, 1] - phi[0, 0] * p2s,
                    p1s * phi[1, 1] - phi[1, 0] * p2s])
     c = np.linalg.solve(np.eye(2) - phi, b)
-    g = np.stack([p1t, p2t], 1) @ c
-    np.add(g, np.stack([p2t, -p1t], 1) @ np.stack([p1s, p2s]), out=g,
-           where=idx_t[:, None] >= idx_s[None, :])
+    d = c + np.stack([-p2s, p1s])
+    rows = np.stack([p1t, p2t], 1)
+    g = rows @ c
+    np.copyto(g, rows @ d, where=idx_t[:, None] >= idx_s[None, :])
     return g
 
 

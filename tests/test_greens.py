@@ -23,6 +23,7 @@ from pericone import (
     torres_positive,
 )
 
+from pericone import greens
 from pericone.greens import (
     FINE_FACTOR,
     ROW_BLOCK,
@@ -305,7 +306,7 @@ def test_fourier_coefficient_table():
     assert abs(t128.M - t256.M) <= 1e-4
 
 
-@pytest.mark.parametrize("n_grid", [16, 256])
+@pytest.mark.parametrize("n_grid", [16, 256, 1024])
 @pytest.mark.parametrize("coef", [
     FourierSeries(1.0, (0.3,)),
     FourierSeries(2.0, (0.5, 0.2), (0.1,), period=0.8),
@@ -345,8 +346,36 @@ def test_kernel_from_basis_matches_outer_products(coef):
 def test_rk4_basis_wronskian_at_every_node():
     # the companion system is trace-free, so det Y(t) = 1 along the whole
     # period, not only at the monodromy Y(T)
-    basis = _rk4_basis(FourierSeries(1.0, (0.5,)), 128)
-    assert np.max(np.abs(np.linalg.det(basis) - 1.0)) <= 1e-10
+    for n_grid in (128, 1024):
+        basis = _rk4_basis(FourierSeries(1.0, (0.5,)), n_grid)
+        assert np.max(np.abs(np.linalg.det(basis) - 1.0)) <= 1e-10
+
+
+def test_rk4_build_solves_for_c_on_the_table_and_patch_columns(monkeypatch):
+    # C is read on the N table columns and on the refine patch, so those
+    # are all the columns it is solved for, not the 4N fine nodes
+    n_grid = 1024
+    real = greens._kernel_coefficients
+    widths = []
+
+    def record(Y, idx_s):
+        widths.append(len(idx_s))
+        return real(Y, idx_s)
+
+    monkeypatch.setattr(greens, "_kernel_coefficients", record)
+    build_green_table(FourierSeries(1.0, (0.3,)), n_grid)
+    assert sum(widths) == n_grid + 4 * FINE_FACTOR + 1
+
+
+@pytest.mark.parametrize("n_grid", [128, 256, 1024])
+def test_rk4_operator_rows_do_not_depend_on_their_neighbours(n_grid):
+    # a component's Q w must not change with the components stacked with it
+    quad = kernel_quadrature(build_green_table(FourierSeries(1.0, (0.3,)), n_grid))
+    block = np.random.default_rng(n_grid).standard_normal((6, n_grid))
+    six = quad @ block
+    assert np.array_equal(six[:3], quad @ block[:3])
+    for i in range(3):
+        assert np.array_equal(six[i], quad @ block[i])
 
 
 def test_closed_form_table_non_dyadic_period():
@@ -365,16 +394,20 @@ def test_refined_patch_wraps_around_the_period():
     # a patch centred on (0, 0) must look at t, s just below T as well
     n_grid = 32
     n_fine = FINE_FACTOR * n_grid
+    basis = _rk4_basis(FourierSeries(1.0, (0.3,)), n_grid)
     seen = []
 
     class Recorder:
-        def sample(self, idx_t, idx_s):
-            seen.append((idx_t.copy(), idx_s.copy()))
-            return np.ones((idx_t.size, idx_s.size))
+        """The basis, recording the arrays of fine nodes it is read at."""
+
+        def __getitem__(self, key):
+            if isinstance(key, tuple) and isinstance(key[0], np.ndarray):
+                seen.append(key[0].copy())
+            return basis[key]
 
     _refine_min(Recorder(), 0, 0, n_grid)
-    (idx_t, idx_s), = seen
-    for idx in (idx_t, idx_s):
+    assert seen
+    for idx in seen:
         assert {n_fine - 1, 0, 1} <= set(idx.tolist())
         assert idx.min() >= 0 and idx.max() < n_fine
         assert len(set(idx.tolist())) == idx.size
