@@ -24,14 +24,14 @@ entries:
   it, with its Newton step count; and the Picard solve from the annulus
   seed itself on the 64-point tables, a standalone function that no solve
   path calls, timed for as long as it exists
-* run: every (preset, lambda) problem at N = 256 (tables, constants,
+* run: every (preset, lambda) problem at N = 256 (discretize, constants,
   find_solutions), cor1b lambda = 0.05 at N = 1024, 4096 and 2062 (twice
   a prime: no coarser even grid nests in it), and the CLI per subcommand,
   output files written to a temporary directory: ``pericone sweep`` on
   the superlinear family for lambda 0.01 -> 0.3 in 6 steps, ``green``,
   ``certify`` and ``solve`` on cor1b lambda = 0.05, and ``reproduce
-  cor1b``; the same sweep in-process (continue_lambda from built tables
-  and constants, no files); the presets and the sweeps also record the
+  cor1b``; the same sweep in-process (continue_lambda from a built
+  discretization and constants, no files); the presets and the sweeps also record the
   Newton steps of one run, so a change to the Newton start shows up as
   step counts as well as time; and the tier-1 test suite
   (``python -m pytest -q --continue-on-collection-errors`` with
@@ -80,6 +80,7 @@ from pericone import (  # noqa: E402
     build_green_table,
     compute_constants,
     default_r_grid,
+    discretize,
     existence_report,
     find_solutions,
     newton_refine,
@@ -92,9 +93,8 @@ from pericone import (  # noqa: E402
     symmetric_config,
     thresholds_delta,
 )
-from pericone.cli import build_tables  # noqa: E402
 from pericone.cli import main as cli_main  # noqa: E402
-from pericone.solver import _base_matrices, _level_start  # noqa: E402
+from pericone.solver import _level_start  # noqa: E402
 
 
 def _time(fn, repeats):
@@ -120,8 +120,8 @@ def _peak_mib(fn):
 
 def _setup(preset, lam, n_grid=256):
     problem = parse_config(PRESETS[preset].config(lam, n_grid)).problem
-    tables = build_tables(problem, n_grid)
-    return problem, tables, compute_constants(tables, problem)
+    disc = discretize(problem, n_grid)
+    return problem, disc, compute_constants(disc, problem)
 
 
 def _uncached_thresholds(problem, sigma):
@@ -150,8 +150,8 @@ def _newton_steps(fn):
     real = pericone.solver.newton_refine
     steps = {"newton_steps": 0}
 
-    def count(problem, tables, x0, coarse):
-        res = real(problem, tables, x0, coarse)
+    def count(problem, disc, x0):
+        res = real(problem, disc, x0)
         steps["newton_steps"] += res.iterations
         return res
 
@@ -178,19 +178,18 @@ def _test_suite():
 def _solver_entries(repeats):
     """Newton from the leveled seed and Picard per annulus of cor1b
     lambda=0.05."""
-    problem, tables, constants = _setup("cor1b", 0.05)
-    coarse = _base_matrices(problem, tables)
-    base_tables = build_tables(problem, 64)
+    problem, disc, constants = _setup("cor1b", 0.05)
+    base_disc = discretize(problem, 64)
     out = {}
     for ann in existence_report(problem, constants, default_r_grid()):
         base_seed = seed_from_annulus(ann, problem, 64)
-        seed = seed_from_annulus(ann, problem, tables[0].n_grid)
-        start = _level_start(problem, tables, seed, (ann.r_in, ann.r_out))
+        seed = seed_from_annulus(ann, problem, disc.n_grid)
+        start = _level_start(problem, disc, seed, (ann.r_in, ann.r_out))
         tag = f"cor1b@0.05/{ann.annulus_id}"
 
         def picard():
             try:
-                return picard_solve(problem, base_tables, base_seed)
+                return picard_solve(problem, base_disc, base_seed)
             except pericone.DivergenceError:
                 return None
 
@@ -200,8 +199,8 @@ def _solver_entries(repeats):
             outcome="diverged" if pic is None else
             ("converged" if pic.converged else "stalled"))
         out[f"solver.newton[{tag}]"] = dict(
-            _time(lambda: newton_refine(problem, tables, start, coarse), repeats),
-            newton_steps=newton_refine(problem, tables, start, coarse).iterations)
+            _time(lambda: newton_refine(problem, disc, start), repeats),
+            newton_steps=newton_refine(problem, disc, start).iterations)
     return out
 
 
@@ -213,23 +212,23 @@ def _run_entries(repeats):
 
     def presets():
         for problem, ode_tol in zip(problems, ode_tols):
-            tables = build_tables(problem, 256)
-            find_solutions(problem, tables, compute_constants(tables, problem), ode_tol)
+            disc = discretize(problem, 256)
+            find_solutions(problem, disc, compute_constants(disc, problem), ode_tol)
 
     def fine_grid(n_grid):
         fine = parse_config(PRESETS["cor1b"].config(0.05, n_grid)).problem
 
         def run():
-            tables = build_tables(fine, n_grid)
-            find_solutions(fine, tables, compute_constants(tables, fine))
+            disc = discretize(fine, n_grid)
+            find_solutions(fine, disc, compute_constants(disc, fine))
         return run
 
     swept = parse_config(symmetric_config(1.0, 2.0, 0.01)).problem
-    swept_tables = build_tables(swept, 256)
-    swept_constants = compute_constants(swept_tables, swept)
+    swept_disc = discretize(swept, 256)
+    swept_constants = compute_constants(swept_disc, swept)
 
     def sweep_in_process():
-        continue_lambda(swept, swept_tables, 0.01, 0.3, 6, swept_constants)
+        continue_lambda(swept, swept_disc, 0.01, 0.3, 6, swept_constants)
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -273,9 +272,9 @@ def measure(repeats):
         problem, _, constants = _setup(name, lam)
         timings[f"problem.thresholds_delta[{name}@{lam:g}]"] = _time(
             _uncached_thresholds(problem, constants.sigma), repeats)
-    problem, tables, constants = _setup("cor1b", 0.05)
+    problem, disc, constants = _setup("cor1b", 0.05)
     timings["cone.compute_constants[cor1b@0.05]"] = _time(
-        lambda: compute_constants(tables, problem), repeats)
+        lambda: compute_constants(disc, problem), repeats)
     for r_grid in (default_r_grid(), default_r_grid(1e-8, 1e8)):
         tag = f"cor1b@0.05/{r_grid.size} radii"
         bounds = radius_bounds(problem, constants, r_grid)

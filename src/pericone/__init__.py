@@ -57,7 +57,8 @@ from .greens import (
     solve_linear_periodic,
     torres_positive,
 )
-from .operator import GridFunction, apply_T, fixed_point_residual, ode_residual
+from .operator import Discretization, GridFunction, apply_T, discretize
+from .operator import fixed_point_residual, ode_residual
 from .problem import (
     PowerLawRadial,
     Problem,

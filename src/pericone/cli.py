@@ -33,12 +33,14 @@ from .certify import (
     scan_radii,
 )
 from .cone import compute_constants
-from .config import load_config_file, parse_config, serialize_problem
+from .config import load_config_file, parse_config
 from .errors import ConfigError, HypothesisError, PericoneError
-from .greens import ROW_BLOCK, build_green_table, kernel_values, torres_positive
+from .greens import build_green_table  # noqa: F401  the benchmark's tracer wraps it here
+from .greens import ROW_BLOCK, kernel_values, torres_positive
+from .operator import discretize
 from .solver import ODE_TOL, continue_lambda, find_solutions
 
-__all__ = ["build_tables", "main"]
+__all__ = ["main"]
 
 EXIT_FOUND = 0
 EXIT_NOTHING = 1
@@ -92,24 +94,8 @@ def _load(args):
 
 
 def _setup(parsed):
-    """The problem of a parsed config and its Green tables."""
-    return parsed.problem, build_tables(parsed.problem, parsed.n_grid)
-
-
-def build_tables(problem, n_grid):
-    """One Green table per component; components with the same a share one table.
-
-    Coefficients are keyed by their config form, because dataclass equality
-    fails on the arrays of Samples.
-    """
-    built = {}
-    tables = []
-    for spec, coef in zip(serialize_problem(problem)["a"], problem.a):
-        key = json.dumps(spec, sort_keys=True)
-        if key not in built:
-            built[key] = build_green_table(coef, n_grid)
-        tables.append(built[key])
-    return tables
+    """The problem of a parsed config and its discretization."""
+    return parsed.problem, discretize(parsed.problem, parsed.n_grid)
 
 
 def _require(ok: bool, flag: str, message: str):
@@ -136,18 +122,17 @@ def _green_rows(table):
 
 def cmd_green(args) -> int:
     parsed = _load(args)
-    problem, tables = _setup(parsed)
+    problem, disc = _setup(parsed)
     out = Path(args.out)
     reports = []
-    first_file = {}  # id(table) -> the file its rows were formatted into
-    for i, (table, coef) in enumerate(zip(tables, problem.a)):
+    for i, (k, coef) in enumerate(zip(disc.index, problem.a)):
+        table = disc.tables[k]
         pos = table.positivity
         path = out / f"green_{i}.csv"
-        first = first_file.setdefault(id(table), path)
-        if first is path:
+        if (first := disc.index.index(k)) == i:
             _write_chunks(path, _green_rows(table))
         else:  # a table shared with an earlier component: copy that file's bytes
-            shutil.copyfile(first, path)
+            shutil.copyfile(out / f"green_{first}.csv", path)
             print(f"wrote {path}")
         reports.append({
             "component": i,
@@ -170,11 +155,11 @@ def cmd_certify(args) -> int:
     _require(0.0 < args.rmin < args.rmax < math.inf, "--rmin/--rmax",
              "need 0 < rmin < rmax < inf")
     _require(args.per_decade >= 2, "--per-decade", "need at least 2 radii per decade")
-    problem, tables = _setup(_load(args))
+    problem, disc = _setup(_load(args))
     out = Path(args.out)
     r_grid = default_r_grid(args.rmin, args.rmax, args.per_decade)
 
-    constants = compute_constants(tables, problem)
+    constants = compute_constants(disc, problem)
     bounds = radius_bounds(problem, constants, r_grid)
     scan = scan_radii(problem, constants, bounds)
     annuli = annuli_from_scan(problem, constants, scan)
@@ -212,15 +197,15 @@ def cmd_certify(args) -> int:
 
 def cmd_solve(args) -> int:
     ode_tol = _ode_tol(args)
-    problem, tables = _setup(_load(args))
+    problem, disc = _setup(_load(args))
     out = Path(args.out)
-    constants = compute_constants(tables, problem)
-    report = find_solutions(problem, tables, constants, ode_tol)
+    constants = compute_constants(disc, problem)
+    report = find_solutions(problem, disc, constants, ode_tol)
 
     header = "t," + ",".join(f"x_{i + 1}" for i in range(problem.n))
     # one %-format per row, the t column formatted once for every file;
     # "%.17g" % v is format(v, ".17g"), as _fmt writes it
-    t = ["%.17g" % v for v in tables[0].grid_t.tolist()]
+    t = ["%.17g" % v for v in disc.tables[0].grid_t.tolist()]
     row = ",".join(["%s"] + ["%.17g"] * problem.n)
     for j, sol in enumerate(report.solutions, start=1):
         lines = [header, *(row % vals for vals in zip(t, *sol.x.values.tolist()))]
@@ -256,9 +241,9 @@ def cmd_sweep(args) -> int:
         _write_text(out / "branches.csv", header + "\n")
         return EXIT_FOUND
 
-    problem, tables = _setup(parsed)
-    constants = compute_constants(tables, problem)
-    res = continue_lambda(problem, tables, args.lmin, args.lmax, args.steps,
+    problem, disc = _setup(parsed)
+    constants = compute_constants(disc, problem)
+    res = continue_lambda(problem, disc, args.lmin, args.lmax, args.steps,
                           constants, ode_tol)
 
     lines = [header]
@@ -283,9 +268,9 @@ def cmd_reproduce(args) -> int:
         print(f"clause: {preset.clause}")
         results = []
         for lam in preset.lambdas:
-            problem, tables = _setup(parse_config(preset.config(lam)))
-            constants = compute_constants(tables, problem)
-            report = find_solutions(problem, tables, constants, preset.ode_tol)
+            problem, disc = _setup(parse_config(preset.config(lam)))
+            constants = compute_constants(disc, problem)
+            report = find_solutions(problem, disc, constants, preset.ode_tol)
             count = len(report.solutions)
             ok = count >= preset.expected_count
             all_pass = all_pass and ok

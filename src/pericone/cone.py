@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionAError
-from .operator import GridFunction
+from .operator import Discretization, GridFunction
 from .problem import Problem, thresholds_delta
 
 __all__ = ["ConeConstants", "ConeMembership", "compute_constants", "cone_membership"]
@@ -40,15 +40,15 @@ class ConeMembership:
     margin: float
 
 
-def compute_constants(tables, problem: Problem) -> ConeConstants:
+def compute_constants(disc: Discretization, problem: Problem) -> ConeConstants:
     """Aggregate the kernel extrema and coefficient integrals for one problem.
 
     Integrals use the periodic trapezoid rule on the table grid, the same
     quadrature scale the operator uses, so the certificate arithmetic and the
     discrete operator see identical constants.
     """
-    if len(tables) != problem.n:
-        raise AssumptionAError("need one Green table per component")
+    disc.check(problem, disc.n_grid)
+    tables = [disc.tables[k] for k in disc.index]
     for i, tbl in enumerate(tables):
         if not tbl.positive:
             raise AssumptionAError(f"Green table {i} is not strictly positive")
@@ -58,7 +58,7 @@ def compute_constants(tables, problem: Problem) -> ConeConstants:
     sigma_i = m / big
     sigma = float(sigma_i.min())
 
-    n_grid = tables[0].n_grid
+    n_grid = disc.n_grid
     h = problem.period / n_grid
     int_g = problem.g_on_grid(n_grid).sum(axis=1) * h
     int_abs_e = np.abs(problem.e_on_grid(n_grid)).sum(axis=1) * h

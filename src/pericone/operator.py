@@ -3,30 +3,37 @@
 (T x)_i(t_p) = lam * integral of G_i(t_p, s) (g_i(s) f_i(x(s)) + e_i(s)) ds,
 evaluated with the diagonal-corrected trapezoid rule from greens.kernel_quadrature.
 The quadrature is an operator applied from the kernel's generators, not a
-matrix; each distinct table's operator is applied once, to the block of
-components that share it (``apply_quadrature``).
+matrix; a problem's ``Discretization`` applies each distinct table's
+operator once, to the block of components that share it.
 A grid function is a fixed point of the discrete map iff it solves the
 Nystrom system; the ODE residual below is the independent cross-check that a
 discrete fixed point actually tracks the differential equation.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .config import _serialize_coefficient
 from .errors import DomainError, SingularityError
-from .greens import GreensTable, kernel_quadrature
+from .greens import build_green_table, kernel_quadrature, quadrature_matrix
 from .problem import SINGULARITY_GUARD, SPLIT_FACTOR, Problem
 
 __all__ = [
     "GridFunction",
+    "Discretization",
+    "discretize",
     "prod_norm",
-    "apply_quadrature",
     "apply_T",
     "fixed_point_residual",
     "ode_residual",
 ]
+
+# the base grid has min(N, COARSE_GRID) points at every N
+COARSE_GRID = 64
 
 
 def prod_norm(values: np.ndarray) -> float:
@@ -76,24 +83,62 @@ def _radial_values(problem: Problem, x: GridFunction) -> np.ndarray:
     return problem.f.phi_rows(u)
 
 
-def apply_quadrature(tables, w: np.ndarray) -> np.ndarray:
-    """Q_i w_i for every component row i of the (n, N) array w.
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """A problem's Green tables on one grid: each distinct table once, in the
+    order the components first use them; component i uses tables[index[i]],
+    and table k was built from coefficients[k].  ``discretize`` derives all
+    three from the problem; this constructor takes them as given."""
 
-    Each distinct table's operator is applied once, to the block of rows of
-    the components that share it.
-    """
-    if all(tbl is tables[0] for tbl in tables):
-        return kernel_quadrature(tables[0]) @ w
-    shared: dict = {}
-    for i, tbl in enumerate(tables):
-        shared.setdefault(id(tbl), (tbl, []))[1].append(i)
-    out = np.empty_like(w)
-    for tbl, rows in shared.values():
-        out[rows] = kernel_quadrature(tbl) @ w[rows]
-    return out
+    tables: tuple
+    index: tuple
+    coefficients: tuple
+
+    @property
+    def n_grid(self) -> int:
+        return self.tables[0].n_grid
+
+    def check(self, problem: Problem, n_grid: int):
+        """Reject a problem without one table per component, or another grid."""
+        if len(self.index) != problem.n:
+            raise DomainError("need one Green table per component")
+        if any(tbl.n_grid != n_grid for tbl in self.tables):
+            raise DomainError("table grid does not match the grid function")
+
+    @cached_property
+    def base_matrices(self) -> list:
+        """The Newton step's base-grid quadrature matrices, one per component:
+        one per distinct table, sampled from a table of its coefficient at
+        min(N, COARSE_GRID) points, built on first use."""
+        base = [quadrature_matrix(build_green_table(coef, min(self.n_grid, COARSE_GRID)))
+                for coef in self.coefficients]
+        return [base[k] for k in self.index]
+
+    def quadrature(self, w: np.ndarray) -> np.ndarray:
+        """Q_i along the last axis of w[i] for every component i: each distinct
+        table once, to the stack of the components that share it.  Both
+        kernels treat each row on its own, so its bits do not depend on the
+        stack."""
+        if len(self.tables) == 1:
+            return kernel_quadrature(self.tables[0]) @ w
+        out = np.empty_like(w)
+        for k, tbl in enumerate(self.tables):
+            rows = [i for i, j in enumerate(self.index) if j == k]
+            out[rows] = kernel_quadrature(tbl) @ w[rows]
+        return out
 
 
-def apply_T(problem: Problem, tables, x: GridFunction) -> GridFunction:
+def discretize(problem: Problem, n_grid: int) -> Discretization:
+    """The Green tables of ``problem.a`` on n_grid points, one per config form
+    of a coefficient (dataclass equality fails on the arrays of Samples)."""
+    keys = [json.dumps(_serialize_coefficient(coef), sort_keys=True) for coef in problem.a]
+    distinct = list(dict.fromkeys(keys))
+    coefficients = tuple(problem.a[keys.index(key)] for key in distinct)
+    return Discretization(tuple(build_green_table(coef, n_grid) for coef in coefficients),
+                          tuple(map(distinct.index, keys)), coefficients)
+
+
+def apply_T(problem: Problem, disc: Discretization, x: GridFunction) -> GridFunction:
     """One application of the discrete operator.
 
     For a sign-changing e the pointwise split inequality
@@ -101,12 +146,7 @@ def apply_T(problem: Problem, tables, x: GridFunction) -> GridFunction:
     checked, not clipped, because the fixed-point arguments only control
     iterates on the restricted radial ranges.
     """
-    if len(tables) != problem.n:
-        raise DomainError("need one Green table per component")
-    for tbl in tables:
-        if tbl.n_grid != x.n_grid:
-            raise DomainError("table grid does not match the grid function")
-
+    disc.check(problem, x.n_grid)
     fx = _radial_values(problem, x)
     g = problem.g_on_grid(x.n_grid)
     e = problem.e_on_grid(x.n_grid)
@@ -120,13 +160,13 @@ def apply_T(problem: Problem, tables, x: GridFunction) -> GridFunction:
                 "iterate left the admissible radial range"
             )
 
-    out = problem.lam * apply_quadrature(tables, g * fx + e)
+    out = problem.lam * disc.quadrature(g * fx + e)
     return GridFunction(n=x.n, n_grid=x.n_grid, period=x.period, values=out)
 
 
-def fixed_point_residual(problem: Problem, tables, x: GridFunction) -> float:
+def fixed_point_residual(problem: Problem, disc: Discretization, x: GridFunction) -> float:
     """||x - T x|| in the product sup norm; zero exactly at a discrete fixed point."""
-    return prod_norm(x.values - apply_T(problem, tables, x).values)
+    return prod_norm(x.values - apply_T(problem, disc, x).values)
 
 
 def ode_residual(problem: Problem, x: GridFunction) -> float:

@@ -28,20 +28,18 @@ Two grids: each start runs one Newton loop on the fine grid of N points,
 and a base grid of M = min(N, COARSE_GRID) points serves only as the inner
 system of each step.  It is one quadrature matrix per distinct
 coefficient a_i, sampled from a table built at M points
-(``_base_matrices``): the only matrix a solve forms and the only LU it
-factors, so at every N >= COARSE_GRID that LU is 64 x 64.  The grids need
-not nest: functions move between them only by Fourier resampling
-(``resample``), truncation going down and zero-padding going up.  The
-fine grid never forms an N x N matrix: each step is an Atkinson-Brakhage
+(``Discretization.base_matrices``): the only matrix a solve forms and
+the only LU it factors, so at every N >= COARSE_GRID that LU is 64 x 64.
+The grids need not nest: functions move between them only by Fourier
+resampling (``resample``), truncation going down and zero-padding going
+up.  The fine grid never forms an N x N matrix: each step is an Atkinson-Brakhage
 two-grid correction, the Newton step whose inner system is solved on the
 base grid from the restricted iterate and residual, resampled up, and
 back-substituted through the fine quadrature operator (an FFT or a
 semiseparable product, applied from the generators); at N = M it is the
 exact Newton step.  Its error contracts by the base-grid discretization
 error, so a leveled start, already near the fixed point, reaches
-round-off in a few steps.  Every solve takes at least one step, and its
-last one from a residual at or below NEWTON_TOL.  An annulus whose Newton
-loop fails is dropped with a note.
+round-off in a few steps (``newton_refine``).
 """
 from __future__ import annotations
 
@@ -59,10 +57,10 @@ from .errors import (
     SingularityError,
     SingularJacobianError,
 )
-from .greens import build_green_table, kernel_quadrature, quadrature_matrix
+from .greens import kernel_quadrature  # noqa: F401  the benchmark's tracer wraps it here
 from .operator import (
+    Discretization,
     GridFunction,
-    apply_quadrature,
     apply_T,
     fixed_point_residual,  # noqa: F401  the benchmark's tracer wraps it here
     ode_residual,
@@ -95,8 +93,6 @@ ODE_TOL = 1e-6
 NORM_BLOWUP = 1e12
 CLAMP_TOL = 1e-12
 DEDUPE_RTOL = 1e-6
-# the base grid has min(N, COARSE_GRID) points at every N
-COARSE_GRID = 64
 # the one-mode level equation: root-finder steps, and the outward search of
 # a warm start's root in log kappa, from LEVEL_STEP doubling to LEVEL_REACH
 MAX_LEVEL = 100
@@ -159,18 +155,6 @@ def seed_from_annulus(annulus, problem: Problem, n_grid: int) -> GridFunction:
     return GridFunction(n=problem.n, n_grid=n_grid, period=problem.period, values=values)
 
 
-def _base_matrices(problem: Problem, tables) -> list:
-    """The base-grid quadrature matrices, one per component: one per distinct
-    fine table, sampled from a table built at min(N, COARSE_GRID) points from
-    the coefficient of the first component that shares it."""
-    n_base = min(tables[0].n_grid, COARSE_GRID)
-    base: dict = {}
-    for tbl, coef in zip(tables, problem.a):
-        if id(tbl) not in base:
-            base[id(tbl)] = quadrature_matrix(build_green_table(coef, n_base))
-    return [base[id(tbl)] for tbl in tables]
-
-
 def resample(values: np.ndarray, n_grid: int) -> np.ndarray:
     """Trigonometric resampling of periodic samples to n_grid points, along
     the last axis.
@@ -197,7 +181,7 @@ def resample(values: np.ndarray, n_grid: int) -> np.ndarray:
     return np.fft.irfft(spec, n=n_grid, norm="forward")
 
 
-def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
+def picard_solve(problem: Problem, disc: Discretization, x0: GridFunction) -> PicardResult:
     """Damped fixed-point iteration x <- (1-w) x + w T x.
 
     Stops as soon as the residual reaches PICARD_TARGET or the iteration
@@ -214,7 +198,7 @@ def picard_solve(problem: Problem, tables, x0: GridFunction) -> PicardResult:
     res = math.inf
     for it in range(MAX_PICARD + 1):
         try:
-            tx = apply_T(problem, tables, x)
+            tx = apply_T(problem, disc, x)
         except SingularityError as exc:
             raise DivergenceError(
                 f"iterate fell below the singularity guard after {it} picard steps"
@@ -254,13 +238,13 @@ def _coupling_solve(quad, rows: np.ndarray, cols: np.ndarray, rhs: np.ndarray) -
     return np.linalg.solve(small, rhs)
 
 
-def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
-                 coarse) -> np.ndarray:
+def _newton_step(problem: Problem, disc: Discretization, x: GridFunction,
+                 fvals: np.ndarray) -> np.ndarray:
     """Two-grid Newton step s with J s = F for J = I - U V, as an (n, N) array.
 
     The system (I - sum_i diag(x_i/u) lam Q_i diag(g_i phi_i'(u))) w
-    = sum_i (x_i/u) F_i is built from the base-grid quadrature matrices
-    ``coarse`` and solved on their grid, with its rows, columns and
+    = sum_i (x_i/u) F_i is built from the base-grid quadrature matrices of
+    ``disc`` and solved on their grid, with its rows, columns and
     right-hand side restricted there by ``resample``.  w is resampled back
     to N points, and s_i = F_i + lam Q_i (g_i phi_i'(u) w), with one fine
     operator application per distinct table.  When both grids have N points
@@ -271,6 +255,7 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
     cols = problem.lam * g * problem.f.dphi_rows(u)
     rows = x.values / u
     rhs = np.sum(rows * fvals, axis=0)
+    coarse = disc.base_matrices
     base = resample(np.vstack([rows, cols, rhs]), len(coarse[0]))
     try:
         w = _coupling_solve(coarse, base[:x.n], base[x.n:-1], base[-1])
@@ -278,23 +263,22 @@ def _newton_step(problem: Problem, tables, x: GridFunction, fvals: np.ndarray,
         raise SingularJacobianError(
             f"linear solve failed at residual {prod_norm(fvals):.3e}"
         ) from exc
-    return fvals + apply_quadrature(tables, cols * resample(w, x.n_grid))
+    return fvals + disc.quadrature(cols * resample(w, x.n_grid))
 
 
-def newton_refine(problem: Problem, tables, x0: GridFunction, coarse) -> NewtonResult:
+def newton_refine(problem: Problem, disc: Discretization, x0: GridFunction) -> NewtonResult:
     """Two-grid Newton iteration on F(x) = x - T x down to round-off.
 
-    ``coarse`` holds the base-grid quadrature matrices (``_base_matrices``);
-    every step is ``_newton_step``, exact when ``tables`` has the base grid's
-    points.  The iteration returns once its last step both started and
-    ended at a residual at or below NEWTON_TOL: at least one step is taken,
-    and once the residual first falls to NEWTON_TOL one more step takes it
-    to round-off.
+    Every step is ``_newton_step``, exact when ``disc`` has at most
+    COARSE_GRID points, so that its base grid is its own.  The iteration
+    returns once its last step both started and ended at a residual at or
+    below NEWTON_TOL: at least one step is taken, and once the residual
+    first falls to NEWTON_TOL one more step takes it to round-off.
     """
     x = x0
     history = []
     for _ in range(MAX_NEWTON + 1):
-        tx = apply_T(problem, tables, x)
+        tx = apply_T(problem, disc, x)
         fvals = x.values - tx.values
         res = prod_norm(fvals)
         history.append(res)
@@ -303,7 +287,7 @@ def newton_refine(problem: Problem, tables, x0: GridFunction, coarse) -> NewtonR
                                 history=tuple(history))
         if len(history) > MAX_NEWTON:
             break
-        step = _newton_step(problem, tables, x, fvals, coarse)
+        step = _newton_step(problem, disc, x, fvals)
         x = GridFunction(n=x.n, n_grid=x.n_grid, period=x.period,
                          values=x.values - step)
     raise NoConvergenceError(
@@ -424,7 +408,8 @@ def _nearest_root(level):
     return None
 
 
-def _level_start(problem: Problem, tables, x0: GridFunction, radii=None) -> GridFunction:
+def _level_start(problem: Problem, disc: Discretization, x0: GridFunction,
+                 radii=None) -> GridFunction:
     """The start kappa * x0 whose level solves the one-mode form of x = lam T x.
 
     Along kappa * x0 every f_i(kappa x0) = sum_j c_ij kappa^p_ij u0^p_ij,
@@ -434,10 +419,10 @@ def _level_start(problem: Problem, tables, x0: GridFunction, radii=None) -> Grid
         kappa sum_i mean(x0_i)
             = lam sum_i [sum_j kappa^p_ij mean(Q_i(g_i c_ij u0^p_ij)) + mean(Q_i e_i)]
 
-    with Q_i the quadrature of ``tables``, on whose grid x0 lies.  Each
-    component makes one (terms + 1) x N block, and each distinct table is
-    applied once, to the 3-D stack of the blocks of the components that
-    share it (blocks of unequal height stack apart).  For an annulus seed,
+    with Q_i the quadrature of ``disc``, on whose grid x0 lies.  Each
+    component makes one (terms + 1) x N block, zero rows padding the
+    shorter ones, and ``Discretization.quadrature`` applies each distinct
+    table once, to the 3-D stack of the blocks that share it.  For an annulus seed,
     ``radii`` = (r_in, r_out) and the root is the one with kappa |x0| in
     [r_in, r_out]; for a warm start (None) it is the root nearest kappa = 1.
     Without such a root, or with a non-finite value of the equation, x0 is
@@ -450,23 +435,15 @@ def _level_start(problem: Problem, tables, x0: GridFunction, radii=None) -> Grid
     # (p, w): the equation is sum w exp(p s) = 0
     terms = [(1.0, float(x0.values.mean(axis=1).sum()))]
     comps = problem.f.terms
-    stacks: dict = {}
-    for i, tbl in enumerate(tables):
-        stacks.setdefault((id(tbl), len(comps[i])), (tbl, []))[1].append(i)
-    means = [None] * problem.n
+    block = np.zeros((problem.n, 1 + max(map(len, comps)), x0.n_grid))
     with np.errstate(all="ignore"):
-        for tbl, rows in stacks.values():
-            block = np.stack([
-                np.vstack([c * g[i] * np.power(u0, p) for c, p in comps[i]] + [e[i]])
-                for i in rows])
-            # one application to the 3-D stack: both kernels transform or
-            # project each row on its own, so the products are, to the bit,
-            # those of one application per component
-            for i, out in zip(rows, kernel_quadrature(tbl) @ block):
-                means[i] = out.mean(axis=1)
+        for i, comp in enumerate(comps):
+            block[i, 0] = e[i]
+            block[i, 1:1 + len(comp)] = [c * g[i] * np.power(u0, p) for c, p in comp]
+        means = disc.quadrature(block).mean(axis=-1)
     for comp, m in zip(comps, means):
-        terms.extend((p, -problem.lam * float(v)) for (_, p), v in zip(comp, m))
-        terms.append((0.0, -problem.lam * float(m[-1])))
+        terms.extend((p, -problem.lam * float(v)) for (_, p), v in zip(comp, m[1:]))
+        terms.append((0.0, -problem.lam * float(m[0])))
     if not all(math.isfinite(w) for _, w in terms):
         return x0
 
@@ -490,33 +467,32 @@ def _level_start(problem: Problem, tables, x0: GridFunction, radii=None) -> Grid
                         values=math.exp(s) * x0.values)
 
 
-def _solve_from_seed(problem: Problem, tables, coarse, constants: ConeConstants,
+def _solve_from_seed(problem: Problem, disc: Discretization, constants: ConeConstants,
                      start: GridFunction, annulus_id: str, ode_tol: float, notes: list,
                      radii=None):
     """Level the start (an annulus seed or a previous solution, on the fine
     grid; ``_level_start``, with ``radii`` the annulus of a seed and None for
-    a warm start), run Newton from it on the fine tables with the base
-    matrices ``coarse`` as each step's inner system, and verify the result.
+    a warm start), run Newton from it on ``disc`` and verify the result.
     None, with a note, if Newton fails."""
-    seed = _level_start(problem, tables, start, radii)
+    seed = _level_start(problem, disc, start, radii)
     try:
-        refined = newton_refine(problem, tables, seed, coarse)
+        refined = newton_refine(problem, disc, seed)
     except NEWTON_FAILURES as exc:
         notes.append(f"{annulus_id}: newton failed ({exc})")
         return None
     return _verify_candidate(problem, constants, refined, annulus_id, ode_tol, notes)
 
 
-def _solve_annuli(problem: Problem, tables, coarse, constants: ConeConstants, annuli,
-                  ode_tol: float, notes: list) -> list:
+def _solve_annuli(problem: Problem, disc: Discretization, constants: ConeConstants,
+                  annuli, ode_tol: float, notes: list) -> list:
     """Seed each annulus, solve from the seed and deduplicate what survives.
 
     A solution whose norm landed outside its annulus is kept, with a note.
     """
     found = []
     for ann in annuli:
-        seed = seed_from_annulus(ann, problem, tables[0].n_grid)
-        sol = _solve_from_seed(problem, tables, coarse, constants, seed, ann.annulus_id,
+        seed = seed_from_annulus(ann, problem, disc.n_grid)
+        sol = _solve_from_seed(problem, disc, constants, seed, ann.annulus_id,
                                ode_tol, notes, (ann.r_in, ann.r_out))
         if sol is None:
             continue
@@ -530,25 +506,23 @@ def _solve_annuli(problem: Problem, tables, coarse, constants: ConeConstants, an
     return _dedupe(found)
 
 
-def find_solutions(problem: Problem, tables, constants: ConeConstants,
+def find_solutions(problem: Problem, disc: Discretization, constants: ConeConstants,
                    ode_tol: float = ODE_TOL) -> SolveReport:
     """Seed every certified annulus of the default radius grid, solve, verify,
     deduplicate.
 
     Returns whatever survives (possibly nothing) plus per-annulus notes for
-    everything that was attempted and dropped.  The base-grid matrices are
-    built from ``problem.a``, so ``tables`` must be built from it too, as
-    ``cli.build_tables`` does.
+    everything that was attempted and dropped.
     """
     annuli = existence_report(problem, constants, default_r_grid())
     notes: list = []
-    solutions = _solve_annuli(problem, tables, _base_matrices(problem, tables), constants,
-                              annuli, ode_tol, notes)
+    solutions = _solve_annuli(problem, disc, constants, annuli, ode_tol, notes)
     return SolveReport(solutions=solutions, annuli=annuli, notes=notes)
 
 
-def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, steps: int,
-                    constants: ConeConstants, ode_tol: float = ODE_TOL) -> BranchTable:
+def continue_lambda(problem: Problem, disc: Discretization, lam_lo: float, lam_hi: float,
+                    steps: int, constants: ConeConstants,
+                    ode_tol: float = ODE_TOL) -> BranchTable:
     """Geometric lambda sweep with warm starts and fresh annulus seeds per step.
 
     Each step first refines the previous solutions at the new lambda (warm
@@ -556,15 +530,15 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
     previous level, exact for constant coefficients), then seeds only the
     certified annuli that no warm-start solution lies strictly inside:
     Krasnoselskii's theorem promises one solution per annulus, and a warm
-    start has already found it there.  Fresh solutions
-    are deduplicated and dropped when their norm matches a warm one.  A
-    branch id follows its warm-start lineage: whatever the previous branch's
-    solution converges to at the next lambda keeps the id, fresh solutions
-    that nobody claims open new ids.  A disappearing branch is recorded, with
-    a fold indicator when the vanished pair had come within 5% in norm.
-    Every step shares one set of base matrices and one set of radius bounds
-    (``radius_bounds``: eta_r, M_hat_r and fhat do not depend on lambda),
-    so a step's certification is only its margins and the pairing.
+    start has already found it there.  Fresh solutions are deduplicated and
+    dropped when their norm matches a warm one.  A branch id follows its
+    warm-start lineage: whatever the previous branch's solution converges to
+    at the next lambda keeps the id, fresh solutions that nobody claims open
+    new ids.  A disappearing branch is recorded, with a fold indicator when
+    the vanished pair had come within 5% in norm.  Every step shares the base
+    matrices of ``disc`` and one set of radius bounds (``radius_bounds``:
+    eta_r, M_hat_r and fhat do not depend on lambda), so a step's
+    certification is only its margins and the pairing.
     """
     # written so that NaN fails them
     if not 0.0 < lam_lo < math.inf:
@@ -575,7 +549,6 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
         raise DomainError("steps must be nonnegative")
     table = BranchTable()
     lams = np.geomspace(lam_lo, lam_hi, steps)
-    coarse = _base_matrices(problem, tables)
     bounds = radius_bounds(problem, constants, default_r_grid())
     prev: list = []
     next_branch = 1
@@ -585,7 +558,7 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
         notes: list = []
         assigned = []  # (branch_id, solution), warm lineage first
         for bid, psol in prev:
-            sol = _solve_from_seed(prob_l, tables, coarse, constants, psol.x,
+            sol = _solve_from_seed(prob_l, disc, constants, psol.x,
                                    f"warm:{bid}", ode_tol, notes)
             if sol is None:
                 continue
@@ -599,7 +572,7 @@ def continue_lambda(problem: Problem, tables, lam_lo: float, lam_hi: float, step
             ann for ann in existence_report(prob_l, constants, bounds)
             if not any(ann.r_in < s.norm < ann.r_out for _, s in assigned)
         ]
-        for sol in _solve_annuli(prob_l, tables, coarse, constants, uncovered, ode_tol, notes):
+        for sol in _solve_annuli(prob_l, disc, constants, uncovered, ode_tol, notes):
             if any(_close_norms(s.norm, sol.norm) for _, s in assigned):
                 continue  # a warm start already owns this solution
             assigned.append((f"b{next_branch}", sol))

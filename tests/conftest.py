@@ -8,9 +8,9 @@ from pericone import (
     GridFunction,
     build_green_table,
     compute_constants,
+    discretize,
     kernel_quadrature,
     parse_config,
-    quadrature_matrix,
     symmetric_config,
 )
 
@@ -26,16 +26,10 @@ def unit_table():
 
 
 @pytest.fixture(scope="session")
-def bench_tables(unit_table):
-    return [unit_table, unit_table]
-
-
-@pytest.fixture(scope="session")
-def dense_bench_tables(unit_table):
-    """The unit table's quadrature matrix: the base matrices of a Newton
-    step whose two grids are one."""
-    dense = quadrature_matrix(unit_table)
-    return [dense, dense]
+def bench_disc():
+    """The a = 1 discretization of the symmetric n=2 problems at the
+    default grid: one table, shared by both components."""
+    return discretize(make_problem(1.0, 2.0, 0.05), 256)
 
 
 def make_problem(alpha, beta, lam, e_spec=None, n_grid=256):
@@ -44,16 +38,16 @@ def make_problem(alpha, beta, lam, e_spec=None, n_grid=256):
 
 
 @pytest.fixture(scope="session")
-def superlinear_small(bench_tables):
+def superlinear_small(bench_disc):
     """alpha=1, beta=2, lam=0.05: the two-solution workhorse."""
     prob = make_problem(1.0, 2.0, 0.05)
-    return prob, compute_constants(bench_tables, prob)
+    return prob, compute_constants(bench_disc, prob)
 
 
 @pytest.fixture(scope="session")
-def sublinear_unit(bench_tables):
+def sublinear_unit(bench_disc):
     prob = make_problem(0.5, 0.5, 1.0)
-    return prob, compute_constants(bench_tables, prob)
+    return prob, compute_constants(bench_disc, prob)
 
 
 def smooth_cone_points(problem, n_grid, sigma, count, rng, norm=None):
@@ -84,11 +78,11 @@ def smooth_cone_points(problem, n_grid, sigma, count, rng, norm=None):
     return pts
 
 
-def kernel_cone_points(problem, tables, count, rng, norm=None):
+def kernel_cone_points(problem, disc, count, rng, norm=None):
     """Cone points produced the physical way: push nonnegative densities
     through the kernel quadrature.  Rougher profiles than the cosine family."""
-    quads = [kernel_quadrature(tb) for tb in tables]
-    n_grid = tables[0].n_grid
+    quads = [kernel_quadrature(disc.tables[k]) for k in disc.index]
+    n_grid = disc.n_grid
     pts = []
     for _ in range(count):
         w = rng.uniform(0.0, 1.0, size=(problem.n, n_grid)) ** 2 + 1e-3

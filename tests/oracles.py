@@ -59,6 +59,35 @@ def constant_solution_norms(terms, lam, n=2, lo=1e-12, hi=1e12, samples=8192):
     return [n * c for c in out]
 
 
+def constant_solutions(a, g, e, terms_by_comp, lam, lo=1e-8, hi=1e8, samples=8192):
+    """Every constant solution of x_i'' + a_i x_i = lam (g_i phi_i(|x|_2) + e_i)
+    with constant a_i > 0, g_i, e_i, as the rows of a (roots, n) array.
+
+    A constant x = c solves the system exactly when c = c(u) with
+    c_i(u) = lam (g_i phi_i(u) + e_i) / a_i and u = |c(u)|_2.  The roots of
+    |c(u)|_2 - u are bracketed by its sign changes on a geometric u-grid and
+    bisected in log u, every bracket at once, as numpy arrays.
+    """
+    a, g, e = (np.asarray(v, dtype=float)[:, None] for v in (a, g, e))
+
+    def c_of(u):
+        phi = np.array([sum(cf * u ** p for cf, p in terms) for terms in terms_by_comp])
+        return lam * (g * phi + e) / a
+
+    def gap(u):
+        return np.sqrt((c_of(u) ** 2).sum(axis=0)) - u
+
+    u = np.geomspace(lo, hi, samples)
+    side = gap(u) > 0.0
+    k = np.flatnonzero(side[:-1] != side[1:])
+    left, right, left_side = u[k], u[k + 1], side[k]
+    for _ in range(100):
+        mid = np.sqrt(left * right)
+        same = (gap(mid) > 0.0) == left_side
+        left, right = np.where(same, mid, left), np.where(same, right, mid)
+    return c_of(np.sqrt(left * right)).T
+
+
 def has_constant_solution(terms, lam, n=2):
     return bool(constant_solution_norms(terms, lam, n=n))
 

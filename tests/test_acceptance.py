@@ -23,6 +23,7 @@ from pericone import (
     compute_constants,
     cone_membership,
     default_r_grid,
+    discretize,
     eta_lower,
     existence_report,
     fhat,
@@ -49,11 +50,11 @@ MIXED_E_SPEC = {"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}}
 _CACHE = {}
 
 
-def _tables():
-    if "tables" not in _CACHE:
-        table = build_green_table(Constant(1.0), 256)
-        _CACHE["tables"] = [table, table]
-    return _CACHE["tables"]
+def _disc():
+    """The a = 1 discretization of the symmetric n=2 problems at N=256."""
+    if "disc" not in _CACHE:
+        _CACHE["disc"] = discretize(_problem(1.0, 2.0, 0.05), 256)
+    return _CACHE["disc"]
 
 
 def _full_values(table):
@@ -73,7 +74,7 @@ def _report(num, ok, detail):
 
 
 def test_criterion_01_closed_form_table():
-    table = _tables()[0]
+    table = _disc().tables[0]
     m_exact = math.sin(1.0) / (2.0 * (1.0 - math.cos(1.0)))
     big_exact = 1.0 / (2.0 * math.sin(0.5))
     values = _full_values(table)
@@ -102,7 +103,7 @@ def test_criterion_02_linear_oracle():
 
 
 def test_criterion_03_two_path_agreement():
-    ref = _tables()[0]
+    ref = _disc().tables[0]
     smp = build_green_table(Samples(np.full(64, 1.0)), 256)
     dev = float(np.max(np.abs(_full_values(ref) - _full_values(smp))))
     ok = dev <= 1e-6
@@ -111,21 +112,21 @@ def test_criterion_03_two_path_agreement():
 
 def test_criterion_04_cone_invariance():
     prob = _problem(1.0, 2.0, 0.05)
-    tables = _tables()
-    cc = compute_constants(tables, prob)
+    disc = _disc()
+    cc = compute_constants(disc, prob)
     rng = np.random.default_rng(404)
     pts = smooth_cone_points(prob, 256, cc.sigma, 50, rng)
-    pts += kernel_cone_points(prob, tables, 50, rng)
+    pts += kernel_cone_points(prob, disc, 50, rng)
     worst = math.inf
     for x in pts:
-        out = apply_T(prob, tables, x)
+        out = apply_T(prob, disc, x)
         worst = min(worst, cone_membership(out, cc.sigma).margin)
     ok = worst >= -1e-10
     _report(4, ok, f"100 cone points: worst output margin {worst:.2e} (>=-1e-10)")
 
 
 def test_criterion_05_constants():
-    cc = compute_constants(_tables(), _problem(1.0, 2.0, 0.05))
+    cc = compute_constants(_disc(), _problem(1.0, 2.0, 0.05))
     ok = (abs(cc.sigma - 0.8775825619) <= 1e-4
           and abs(cc.Gamma - 0.40159) <= 1e-4
           and abs(cc.C_hat - 2.08583) <= 1e-4)
@@ -134,12 +135,12 @@ def test_criterion_05_constants():
 
 
 def test_criterion_06_operator_estimates():
-    tables = _tables()
+    disc = _disc()
     rng = np.random.default_rng(606)
     worst_low, worst_high = math.inf, math.inf
     for alpha, beta, lam in ((1.0, 2.0, 0.05), (0.5, 0.5, 1.0)):
         prob = _problem(alpha, beta, lam)
-        cc = compute_constants(tables, prob)
+        cc = compute_constants(disc, prob)
         for r in (0.5, 2.0):
             eta = eta_lower(prob.f, r, cc.sigma, prob.n)
             _, big_hat = annulus_extrema(prob.f, r, cc.sigma, prob.n)
@@ -147,9 +148,9 @@ def test_criterion_06_operator_estimates():
             high = prob.lam * (cc.C_hat * big_hat
                                + float((cc.M * cc.int_abs_e).sum()))
             pts = smooth_cone_points(prob, 256, cc.sigma, 15, rng, norm=r)
-            pts += kernel_cone_points(prob, tables, 10, rng, norm=r)
+            pts += kernel_cone_points(prob, disc, 10, rng, norm=r)
             for x in pts:
-                out = apply_T(prob, tables, x)
+                out = apply_T(prob, disc, x)
                 slack = 1e-8 * (1.0 + x.norm)
                 worst_low = min(worst_low, out.norm - (low - slack))
                 worst_high = min(worst_high, (high + slack) - out.norm)
@@ -160,9 +161,9 @@ def test_criterion_06_operator_estimates():
 
 def test_criterion_07_two_solutions_superlinear():
     prob = _problem(1.0, 2.0, 0.05)
-    tables = _tables()
-    cc = compute_constants(tables, prob)
-    report = find_solutions(prob, tables, cc)
+    disc = _disc()
+    cc = compute_constants(disc, prob)
+    report = find_solutions(prob, disc, cc)
     lo, hi = oracles.constant_solution_norms(SUPERLINEAR_TERMS, 0.05)
     got = sorted(s.norm for s in report.solutions)
     annuli = report.annuli
@@ -179,13 +180,13 @@ def test_criterion_07_two_solutions_superlinear():
 
 
 def test_criterion_08_sublinear_existence():
-    tables = _tables()
+    disc = _disc()
     ok = True
     details = []
     for lam in (0.1, 1.0, 10.0):
         prob = _problem(0.5, 0.5, lam)
-        cc = compute_constants(tables, prob)
-        report = find_solutions(prob, tables, cc)
+        cc = compute_constants(disc, prob)
+        report = find_solutions(prob, disc, cc)
         (expect,) = oracles.constant_solution_norms(SUBLINEAR_TERMS, lam)
         good = (len(report.solutions) == 1
                 and abs(report.solutions[0].norm - expect) <= 1e-8
@@ -202,7 +203,7 @@ def test_criterion_09_lambda0_pivot():
     from dataclasses import replace
 
     prob = _problem(1.0, 2.0, 0.05)
-    cc = compute_constants(_tables(), prob)
+    cc = compute_constants(_disc(), prob)
     r = 1.0
     bound = lambda0_bound(prob, cc, r)
     below = scan_radii(replace(prob, lam=0.99 * bound), cc, [r])
@@ -213,10 +214,10 @@ def test_criterion_09_lambda0_pivot():
 
 
 def test_criterion_10_mixed_sign_run():
-    tables = _tables()
+    disc = _disc()
     prob = _problem(1.0, 2.0, 0.01, e_spec=MIXED_E_SPEC)
-    cc = compute_constants(tables, prob)
-    report = find_solutions(prob, tables, cc)
+    cc = compute_constants(disc, prob)
+    report = find_solutions(prob, disc, cc)
     invariants = all(
         s.fp_residual <= 1e-8 and s.ode_residual <= 1e-6
         and s.positive_min > 0.0 and cone_membership(s.x, cc.sigma).member

@@ -20,6 +20,7 @@ from pericone import (
     classify_regime,
     compute_constants,
     default_r_grid,
+    discretize,
     existence_report,
     find_solutions,
     lambda0_bound,
@@ -66,11 +67,11 @@ def test_expansion_margin_tends_to_minus_one(superlinear_small):
     assert abs(margin + 1.0) <= 1e-6
 
 
-def test_expansion_linear_threshold(unit_table):
+def test_expansion_linear_threshold():
     # f = u with n = 1 has eta = 1, so expansion holds exactly when
     # lam * Gamma > 1
     prob = one_component_problem(((1.0, 1.0),), 1.0)
-    cc = compute_constants([unit_table], prob)
+    cc = compute_constants(discretize(prob, 256), prob)
     lam_star = 1.0 / cc.Gamma
     assert at(replace(prob, lam=1.05 * lam_star), cc, 1.0, "expansion")[2]
     assert not at(replace(prob, lam=0.95 * lam_star), cc, 1.0, "expansion")[2]
@@ -129,10 +130,10 @@ def test_two_annuli_superlinear(superlinear_small):
         assert "solution norm in" in a.predicted
 
 
-def test_single_annulus_sublinear(bench_tables):
+def test_single_annulus_sublinear(bench_disc):
     for lam in (0.1, 1.0, 10.0):
         prob = make_problem(0.5, 0.5, lam)
-        cc = compute_constants(bench_tables, prob)
+        cc = compute_constants(bench_disc, prob)
         annuli = existence_report(prob, cc, default_r_grid())
         assert len(annuli) == 1
         (norm,) = oracles.constant_solution_norms(SUBLINEAR_TERMS, lam)
@@ -181,37 +182,37 @@ def test_classify_partial_singularity_notes():
     assert rep.note != ""
 
 
-def test_shell_ratio_route_is_sound(bench_tables):
+def test_shell_ratio_route_is_sound(bench_disc):
     # wherever the shell-ratio route certifies, the operator really does
     # contract the boundary sphere
     prob = make_problem(0.5, 0.5, 1.0)
-    cc = compute_constants(bench_tables, prob)
+    cc = compute_constants(bench_disc, prob)
     r = 100.0
     scan = scan_radii(prob, cc, [r])
     assert scan.margins["shell-ratio"][0] > 0.0 and scan.domain_ok["shell-ratio"][0]
     rng = np.random.default_rng(3)
     for x in smooth_cone_points(prob, 256, cc.sigma, 50, rng, norm=r):
-        out = apply_T(prob, bench_tables, x)
+        out = apply_T(prob, bench_disc, x)
         assert out.norm < r
 
 
-def test_certified_annuli_contain_solver_fixed_points(bench_tables):
+def test_certified_annuli_contain_solver_fixed_points(bench_disc):
     # the whole point of the certificates: every annulus they emit must
     # hold an actual fixed point of the discrete operator
     for name, cfg in SOUNDNESS_SUITE:
         prob = parse_config(cfg).problem
-        cc = compute_constants(bench_tables, prob)
-        report = find_solutions(prob, bench_tables, cc)
+        cc = compute_constants(bench_disc, prob)
+        report = find_solutions(prob, bench_disc, cc)
         assert report.annuli, name
         norms = [s.norm for s in report.solutions]
         for ann in report.annuli:
             assert any(ann.r_in < nm < ann.r_out for nm in norms), (name, ann)
 
 
-def test_large_lambda_threshold_pivots_expansion(bench_tables):
+def test_large_lambda_threshold_pivots_expansion(bench_disc):
     prob = make_problem(0.5, 0.5, 1.0,
                         e_spec={"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}})
-    cc = compute_constants(bench_tables, prob)
+    cc = compute_constants(bench_disc, prob)
     grid = default_r_grid()
     thr = large_lambda_threshold(cc, radius_bounds(prob, cc, grid))
     assert thr is not None and thr > 0.0
@@ -255,11 +256,11 @@ def test_certify_reads_the_threshold_from_its_radius_bounds(tmp_path, monkeypatc
     (0.5, 0.5, 1.0, None),  # cor1a
     (1.0, 2.0, 0.01, MIXED_E),  # superlinear, sign-changing e
 ])
-def test_scan_matches_per_radius_scans(bench_tables, alpha, beta, lam, e_spec):
+def test_scan_matches_per_radius_scans(bench_disc, alpha, beta, lam, e_spec):
     # the masks of the array scan couple no radii: a full grid gives, bit for
     # bit, what each radius gives on its own
     prob = make_problem(alpha, beta, lam, e_spec=e_spec)
-    cc = compute_constants(bench_tables, prob)
+    cc = compute_constants(bench_disc, prob)
     grid = default_r_grid()
     full = scan_radii(prob, cc, grid)
     singles = [scan_radii(prob, cc, [r]) for r in grid]
@@ -284,12 +285,12 @@ def test_scan_rejects_bad_grid(superlinear_small, grid):
         scan_radii(prob, cc, grid)
 
 
-def test_scan_from_radius_bounds_matches_the_grid_scan(bench_tables):
+def test_scan_from_radius_bounds_matches_the_grid_scan(bench_disc):
     # sign-changing e: the bounds built once serve every lambda, bit for bit,
     # on both sides of the lambda where 2 lam sum M_i int|e_i| passes 1/sigma
     # and the shell-ratio gate starts to move
     prob = make_problem(0.5, 0.5, 1.0, e_spec=MIXED_E)
-    cc = compute_constants(bench_tables, prob)
+    cc = compute_constants(bench_disc, prob)
     grid = default_r_grid()
     bounds = radius_bounds(prob, cc, grid)
     assert len(bounds) == grid.size
@@ -350,11 +351,11 @@ def test_pairing_without_a_pair(superlinear_small, labeled):
     assert oracles.annuli_from_scan_loop(prob, cc, scan) == []
 
 
-def test_pairing_matches_the_loop_with_forcing_regions(bench_tables, superlinear_small):
+def test_pairing_matches_the_loop_with_forcing_regions(bench_disc, superlinear_small):
     # sign-changing e: pairs that straddle delta or Delta are rejected; the
     # e = 0 problem with the same constants counts them all
     prob = make_problem(1.0, 2.0, 0.01, e_spec=MIXED_E)
-    cc = compute_constants(bench_tables, prob)
+    cc = compute_constants(bench_disc, prob)
     free = superlinear_small[0]
     r = default_r_grid(1e-2, 1e2, 11)
     assert r[0] < cc.delta < cc.Delta < r[-1]

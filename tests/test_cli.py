@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pericone.cli as cli_mod
+import pericone.operator as operator_mod
 from pericone import (
     PRESETS,
     Constant,
@@ -307,6 +308,17 @@ def test_green_formats_each_table_once(tmp_path, monkeypatch, a_specs, distinct)
     assert len(second.splitlines()) == 1 + 32 * 32
 
 
+@pytest.mark.parametrize("command", ["green", "certify"])
+def test_green_and_certify_build_no_base_matrix(tmp_path, monkeypatch, command):
+    # only a Newton step needs the base-grid matrices, and it builds them
+    def forbidden(table):
+        raise AssertionError("quadrature_matrix called")
+
+    monkeypatch.setattr(operator_mod, "quadrature_matrix", forbidden)
+    cfg = write_cfg(tmp_path, symmetric_config(1.0, 2.0, 0.05, n_grid=32))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_FOUND
+
+
 def test_mixed_config_end_to_end(tmp_path):
     cfg = symmetric_config(1.0, 2.0, 0.01, e_spec=MIXED_E_SPEC)
     path = write_cfg(tmp_path, cfg)
@@ -366,9 +378,9 @@ def test_sweep_writes_the_continuation_rows(tmp_path, monkeypatch):
     real = cli_mod.continue_lambda
     seen = []
 
-    def capture(problem, tables, *args, **kwargs):
-        res = real(problem, tables, *args, **kwargs)
-        seen.append((tables, res))
+    def capture(problem, disc, *args, **kwargs):
+        res = real(problem, disc, *args, **kwargs)
+        seen.append((disc, res))
         return res
 
     monkeypatch.setattr(cli_mod, "continue_lambda", capture)
@@ -376,8 +388,8 @@ def test_sweep_writes_the_continuation_rows(tmp_path, monkeypatch):
     rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "w"),
                "--lmin", "0.01", "--lmax", "0.3", "--steps", "6"])
     assert rc == EXIT_FOUND
-    ((tables, res),) = seen
-    assert len(tables) == 2 and tables[0] is tables[1]
+    ((disc, res),) = seen
+    assert len(disc.tables) == 1 and disc.index == (0, 0)
     text = (tmp_path / "w" / "branches.csv").read_text()
     assert text.splitlines()[0] == SWEEP_HEADER
     rows = read_csv(tmp_path / "w" / "branches.csv")

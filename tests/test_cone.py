@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,16 +9,16 @@ from pericone import (
     Constant,
     GridFunction,
     Samples,
-    build_green_table,
     compute_constants,
     cone_membership,
+    discretize,
 )
 
 import oracles
 from conftest import make_problem, smooth_cone_points
 
 
-def test_benchmark_constants(bench_tables, superlinear_small):
+def test_benchmark_constants(bench_disc, superlinear_small):
     prob, cc = superlinear_small
     m, big = oracles.kernel_min_max(1.0, 1.0)
     sigma = math.cos(0.5)
@@ -31,38 +32,36 @@ def test_benchmark_constants(bench_tables, superlinear_small):
     assert abs(cc.C_hat - 2.08583) <= 1e-4
 
 
-def test_per_component_arrays(bench_tables, superlinear_small):
+def test_per_component_arrays(bench_disc, superlinear_small):
     prob, cc = superlinear_small
     assert len(cc.m) == len(cc.M) == len(cc.sigma_i) == 2
     assert np.all(cc.int_g > 0)
     assert np.all(cc.int_abs_e == 0.0)
 
 
-def test_g_zero_on_a_set_is_fine(bench_tables):
+def test_g_zero_on_a_set_is_fine(bench_disc):
     # g vanishes on half the period but integrates to 1/pi > 0
     vals = np.maximum(np.sin(2.0 * math.pi * np.arange(64) / 64.0), 0.0)
     prob = make_problem(1.0, 2.0, 0.05)
-    from dataclasses import replace
     prob = replace(prob, g=(Samples(vals), Samples(vals)))
-    cc = compute_constants(bench_tables, prob)
+    cc = compute_constants(bench_disc, prob)
     assert cc.Gamma > 0.0
     assert np.all(cc.int_g > 0.05)
 
 
-def test_scaling_g_scales_gamma(bench_tables):
-    from dataclasses import replace
+def test_scaling_g_scales_gamma(bench_disc):
     base = make_problem(1.0, 2.0, 0.05)
-    cc1 = compute_constants(bench_tables, base)
+    cc1 = compute_constants(bench_disc, base)
     doubled = replace(base, g=(Constant(2.0), Constant(2.0)))
-    cc2 = compute_constants(bench_tables, doubled)
+    cc2 = compute_constants(bench_disc, doubled)
     assert abs(cc2.Gamma - 2.0 * cc1.Gamma) <= 1e-12 * cc2.Gamma
     assert abs(cc2.C_hat - 2.0 * cc1.C_hat) <= 1e-12 * cc2.C_hat
 
 
-def test_mixed_e_integral(bench_tables):
+def test_mixed_e_integral(bench_disc):
     prob = make_problem(1.0, 2.0, 0.01,
                         e_spec={"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}})
-    cc = compute_constants(bench_tables, prob)
+    cc = compute_constants(bench_disc, prob)
     # exact integral of |-0.1 + 0.2 cos(2 pi t)|: 0.2 sqrt(3)/pi - 1/15 + 0.1
     exact = 0.2 * math.sqrt(3.0) / math.pi - 1.0 / 15.0 + 0.1
     # trapezoid across the kinks of |e| is only second order
@@ -72,10 +71,10 @@ def test_mixed_e_integral(bench_tables):
 
 
 def test_rejects_non_positive_table():
-    table = build_green_table(Constant((math.pi + 0.1) ** 2), 64)
-    prob = make_problem(1.0, 2.0, 0.05, n_grid=64)
+    coef = Constant((math.pi + 0.1) ** 2)
+    prob = replace(make_problem(1.0, 2.0, 0.05, n_grid=64), a=(coef, coef))
     with pytest.raises(AssumptionAError):
-        compute_constants([table, table], prob)
+        compute_constants(discretize(prob, 64), prob)
 
 
 def test_membership_constant_vector():

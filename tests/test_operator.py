@@ -9,18 +9,20 @@ import pericone.solver as solver
 from pericone import (
     PRESETS,
     Constant,
+    Discretization,
     DomainError,
     FourierSeries,
     GridFunction,
     PowerLawRadial,
     Problem,
+    Samples,
     SingularityError,
     annulus_extrema,
     apply_T,
-    build_green_table,
     compute_constants,
     cone_membership,
     default_r_grid,
+    discretize,
     eta_lower,
     existence_report,
     fixed_point_residual,
@@ -30,7 +32,6 @@ from pericone import (
     picard_solve,
     seed_from_annulus,
 )
-from pericone.cli import build_tables
 
 import oracles
 from conftest import (
@@ -41,44 +42,44 @@ from conftest import (
 )
 
 
-def test_constant_nonlinearity_inverts_kernel(bench_tables):
+def test_constant_nonlinearity_inverts_kernel(bench_disc):
     # f identically 4: T x = lam * 4 * integral of G = lam * 4 / k^2
     prob = make_problem(1.0, 2.0, 0.3)
     prob = replace(prob, f=PowerLawRadial((((4.0, 0.0),), ((4.0, 0.0),))))
     x = GridFunction(2, 256, 1.0, np.full((2, 256), 0.7))
-    out = apply_T(prob, bench_tables, x)
+    out = apply_T(prob, bench_disc, x)
     assert np.max(np.abs(out.values - 0.3 * 4.0)) <= 1e-8
 
 
-def test_lambda_zero_annihilates(bench_tables):
+def test_lambda_zero_annihilates(bench_disc):
     prob = make_problem(1.0, 2.0, 0.0)
     x = GridFunction(2, 256, 1.0, np.full((2, 256), 0.7))
-    out = apply_T(prob, bench_tables, x)
+    out = apply_T(prob, bench_disc, x)
     assert np.max(np.abs(out.values)) == 0.0
 
 
-def test_linearity_in_lambda(bench_tables):
+def test_linearity_in_lambda(bench_disc):
     prob1 = make_problem(1.0, 2.0, 0.2)
     prob2 = make_problem(1.0, 2.0, 0.4)
     x = GridFunction(2, 256, 1.0, np.full((2, 256), 1.3))
-    y1 = apply_T(prob1, bench_tables, x)
-    y2 = apply_T(prob2, bench_tables, x)
+    y1 = apply_T(prob1, bench_disc, x)
+    y2 = apply_T(prob2, bench_disc, x)
     assert np.max(np.abs(y2.values - 2.0 * y1.values)) <= 1e-12
 
 
-def test_cone_invariance(bench_tables, superlinear_small):
+def test_cone_invariance(bench_disc, superlinear_small):
     prob, cc = superlinear_small
     rng = np.random.default_rng(11)
     pts = smooth_cone_points(prob, 256, cc.sigma, 50, rng)
-    pts += kernel_cone_points(prob, bench_tables, 50, rng)
+    pts += kernel_cone_points(prob, bench_disc, 50, rng)
     for x in pts:
-        out = apply_T(prob, bench_tables, x)
+        out = apply_T(prob, bench_disc, x)
         rep = cone_membership(out, cc.sigma)
         assert rep.margin >= -1e-10
         assert rep.member
 
 
-def test_operator_estimates_on_annulus(bench_tables, superlinear_small):
+def test_operator_estimates_on_annulus(bench_disc, superlinear_small):
     prob, cc = superlinear_small
     rng = np.random.default_rng(23)
     for r in (0.3, 1.0, 5.0):
@@ -88,15 +89,15 @@ def test_operator_estimates_on_annulus(bench_tables, superlinear_small):
         high = prob.lam * (cc.C_hat * big_hat
                            + float((cc.M * cc.int_abs_e).sum()))
         pts = smooth_cone_points(prob, 256, cc.sigma, 20, rng, norm=r)
-        pts += kernel_cone_points(prob, bench_tables, 15, rng, norm=r)
+        pts += kernel_cone_points(prob, bench_disc, 15, rng, norm=r)
         for x in pts:
-            out = apply_T(prob, bench_tables, x)
+            out = apply_T(prob, bench_disc, x)
             slack = 1e-8 * (1.0 + x.norm)
             assert out.norm >= low - slack
             assert out.norm <= high + slack
 
 
-def test_fixed_point_residual_at_oracle_root(bench_tables):
+def test_fixed_point_residual_at_oracle_root(bench_disc):
     lam = 0.05
     norms = oracles.constant_solution_norms(SUPERLINEAR_TERMS, lam)
     assert len(norms) == 2
@@ -104,10 +105,10 @@ def test_fixed_point_residual_at_oracle_root(bench_tables):
     for norm in norms:
         c = norm / 2.0
         x = GridFunction(2, 256, 1.0, np.full((2, 256), c))
-        assert fixed_point_residual(prob, bench_tables, x) <= 1e-8
+        assert fixed_point_residual(prob, bench_disc, x) <= 1e-8
 
 
-def test_ode_residual_constant_solution(bench_tables):
+def test_ode_residual_constant_solution(bench_disc):
     lam = 0.05
     norms = oracles.constant_solution_norms(SUPERLINEAR_TERMS, lam)
     prob = make_problem(1.0, 2.0, lam)
@@ -116,7 +117,7 @@ def test_ode_residual_constant_solution(bench_tables):
     assert ode_residual(prob, x) <= 1e-8
 
 
-def test_ode_residual_flags_non_solution(bench_tables):
+def test_ode_residual_flags_non_solution(bench_disc):
     prob = make_problem(1.0, 2.0, 0.05)
     x = GridFunction(2, 256, 1.0, np.full((2, 256), 5.0))
     assert ode_residual(prob, x) > 0.1
@@ -139,11 +140,11 @@ def test_ode_residual_is_fourth_order():
         assert 15.5 <= coarse / fine <= 16.5
 
 
-def test_singularity_guard(bench_tables):
+def test_singularity_guard(bench_disc):
     prob = make_problem(1.0, 2.0, 0.05)
     x = GridFunction(2, 256, 1.0, np.zeros((2, 256)))
     with pytest.raises(SingularityError):
-        apply_T(prob, bench_tables, x)
+        apply_T(prob, bench_disc, x)
 
 
 def _ones_with(bad):
@@ -161,7 +162,7 @@ def test_grid_function_rejects_bad_values(values):
         GridFunction(2, 8, 1.0, values)
 
 
-def test_mixed_split_violation_raises(bench_tables):
+def test_mixed_split_violation_raises(bench_disc):
     # pure-growth f with a negative e: at small amplitude the pointwise
     # split g*f/2 + e dips below zero and the operator must refuse
     prob = Problem(
@@ -171,37 +172,37 @@ def test_mixed_split_violation_raises(bench_tables):
         f=PowerLawRadial((((1.0, 2.0),),)), lam=1.0)
     x = GridFunction(1, 256, 1.0, np.full((1, 256), 0.1))
     with pytest.raises(DomainError):
-        apply_T(prob, [bench_tables[0]], x)
+        apply_T(prob, discretize(prob, 256), x)
     # at large amplitude the same profile is admissible
     x_big = GridFunction(1, 256, 1.0, np.full((1, 256), 3.0))
-    out = apply_T(prob, [bench_tables[0]], x_big)
+    out = apply_T(prob, discretize(prob, 256), x_big)
     assert out.values.min() > 0.0
 
 
-def test_table_grid_mismatch_rejected(bench_tables):
+def test_table_grid_mismatch_rejected(bench_disc):
     prob = make_problem(1.0, 2.0, 0.05)
     x = GridFunction(2, 128, 1.0, np.full((2, 128), 1.0))
     with pytest.raises(DomainError):
-        apply_T(prob, bench_tables, x)
+        apply_T(prob, bench_disc, x)
 
 
-def _resampled_apply(prob, tables):
-    quads = [kernel_quadrature(tbl) for tbl in tables]
+def _resampled_apply(prob, disc):
+    quads = [kernel_quadrature(disc.tables[k]) for k in disc.index]
     return lambda values: oracles.apply_T_resampled(
         quads, prob.g, prob.e, prob.f.terms, prob.lam, prob.period, values)
 
 
 @pytest.mark.parametrize("e", [Constant(0.0), FourierSeries(-0.1, (0.2,), (0.1,))])
-def test_apply_T_bitwise_equals_resampling(bench_tables, e):
+def test_apply_T_bitwise_equals_resampling(bench_disc, e):
     # the stored grid samples change where g and e come from, not one bit of
     # T x; g varies, so a reordered g * f + e would show
     prob = Problem(n=2, period=1.0, a=(Constant(1.0),) * 2,
                    g=(FourierSeries(1.5, (0.5,), (0.2,)), FourierSeries(1.0, (), (0.3,))),
                    e=(e, e), f=PowerLawRadial((SUPERLINEAR_TERMS,) * 2), lam=0.05)
-    reference = _resampled_apply(prob, bench_tables)
+    reference = _resampled_apply(prob, bench_disc)
     rng = np.random.default_rng(11)
     for x in smooth_cone_points(prob, 256, 0.8, 3, rng, norm=2.0):
-        assert apply_T(prob, bench_tables, x).values.tobytes() == reference(x.values).tobytes()
+        assert apply_T(prob, bench_disc, x).values.tobytes() == reference(x.values).tobytes()
 
 
 @pytest.mark.parametrize("name, lam", [
@@ -210,16 +211,16 @@ def test_picard_iterates_bitwise_equal_resampling(monkeypatch, name, lam):
     # the coarse-grid Picard solve of each preset's first annulus, iterate by
     # iterate, against a loop that samples g and e afresh on every step
     prob = parse_config(PRESETS[name].config(lam)).problem
-    tables = build_tables(prob, 256)
-    coarse = build_tables(prob, 64)
-    ann = existence_report(prob, compute_constants(tables, prob), default_r_grid())[0]
-    seed = seed_from_annulus(ann, prob, coarse[0].n_grid)
+    disc = discretize(prob, 256)
+    coarse = discretize(prob, 64)
+    ann = existence_report(prob, compute_constants(disc, prob), default_r_grid())[0]
+    seed = seed_from_annulus(ann, prob, coarse.n_grid)
 
     seen = []
 
-    def recording_apply_T(problem, tabs, x):
+    def recording_apply_T(problem, disc, x):
         seen.append(x.values.copy())
-        return apply_T(problem, tabs, x)
+        return apply_T(problem, disc, x)
 
     monkeypatch.setattr(solver, "apply_T", recording_apply_T)
     result = picard_solve(prob, coarse, seed)
@@ -233,13 +234,13 @@ def test_picard_iterates_bitwise_equal_resampling(monkeypatch, name, lam):
 def test_apply_T_applies_each_shared_table_once(monkeypatch):
     # components 0 and 2 share one table: apply_T applies its operator once,
     # to both rows, and each row comes out as the operator applied to it alone
-    shared = build_green_table(Constant(1.0), 64)
-    other = build_green_table(FourierSeries(1.0, (0.3,)), 64)
-    tables = [shared, other, shared]
     terms = (SUPERLINEAR_TERMS,) * 3
     prob = Problem(n=3, period=1.0, a=(Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0)),
                    g=(Constant(1.0),) * 3, e=(Constant(0.0),) * 3,
                    f=PowerLawRadial(terms), lam=0.05)
+    disc = discretize(prob, 64)
+    shared, other = disc.tables
+    assert disc.index == (0, 1, 0)
     x = GridFunction(3, 64, 1.0, 0.4 + 0.1 * np.cos(2.0 * math.pi * np.arange(64) / 64)
                      * np.array([[1.0], [0.5], [-1.0]]))
     calls = []
@@ -249,11 +250,11 @@ def test_apply_T_applies_each_shared_table_once(monkeypatch):
         return kernel_quadrature(tbl)
 
     monkeypatch.setattr(operator_mod, "kernel_quadrature", counting)
-    out = apply_T(prob, tables, x).values
+    out = apply_T(prob, disc, x).values
     assert len(calls) == 2 and calls[0] is shared and calls[1] is other
     w = out / prob.lam
     rows = [kernel_quadrature(tbl) @ (prob.f.phi(i, np.sqrt((x.values ** 2).sum(axis=0))))
-            for i, tbl in enumerate(tables)]
+            for i, tbl in enumerate((shared, other, shared))]
     for i in range(3):
         assert np.max(np.abs(w[i] - rows[i])) <= 1e-14 * np.max(np.abs(rows[i]))
 
@@ -277,3 +278,40 @@ def test_radial_values_evaluate_every_profile():
         assert np.array_equal(fx[i], f.phi(i, u))
         assert np.array_equal(dfx[i], f.dphi(i, u))
     assert not np.array_equal(fx[0], fx[1])
+
+
+def _three_component(a):
+    return Problem(n=3, period=1.0, a=a, g=(Constant(1.0),) * 3, e=(Constant(0.0),) * 3,
+                   f=PowerLawRadial((SUPERLINEAR_TERMS,) * 3), lam=0.05)
+
+
+def test_discretize_builds_one_table_per_coefficient():
+    # a = [A, B, A]: two tables, in the order the components first use them
+    a = (Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0))
+    disc = discretize(_three_component(a), 64)
+    assert len(disc.tables) == 2 and disc.index == (0, 1, 0)
+    assert disc.coefficients == a[:2]
+    assert [tbl.k for tbl in disc.tables] == [1.0, None]
+
+
+def test_equal_samples_share_one_table():
+    # two Samples holding equal arrays have one config form, so one table;
+    # a third with other values gets its own
+    vals = 1.0 + 0.3 * np.cos(2.0 * math.pi * np.arange(64) / 64)
+    disc = discretize(_three_component((Samples(vals), Samples(vals.copy()),
+                                        Samples(vals + 0.1))), 64)
+    assert len(disc.tables) == 2 and disc.index == (0, 0, 1)
+
+
+def test_discretization_checks_components_and_grid(bench_disc):
+    # one check, in the object: a table per component, all on the grid
+    one = Problem(n=1, period=1.0, a=(Constant(1.0),), g=(Constant(1.0),), e=(Constant(0.0),),
+                  f=PowerLawRadial((SUPERLINEAR_TERMS,)), lam=0.05)
+    with pytest.raises(DomainError, match="one Green table per component"):
+        apply_T(one, bench_disc, GridFunction(1, 256, 1.0, np.ones((1, 256))))
+    with pytest.raises(DomainError, match="one Green table per component"):
+        compute_constants(bench_disc, one)
+    two_grids = Discretization(bench_disc.tables + discretize(one, 128).tables, (0, 1),
+                               bench_disc.coefficients * 2)
+    with pytest.raises(DomainError, match="table grid"):
+        compute_constants(two_grids, make_problem(1.0, 2.0, 0.05))

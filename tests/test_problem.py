@@ -18,13 +18,13 @@ from pericone import (
     Samples,
     annulus_extrema,
     compute_constants,
+    discretize,
     eta_lower,
     fhat,
     parse_config,
     thresholds_delta,
 )
 
-from pericone.cli import build_tables
 from pericone.coefficients import coefficient_extrema, extrema_slack
 from pericone.problem import (
     AUDIT_GRID,
@@ -322,7 +322,7 @@ def _bisect_reference(prob, sigma):
     (name, lam) for name in sorted(PRESETS) for lam in PRESETS[name].lambdas])
 def test_thresholds_match_bisection_on_presets(name, lam):
     prob = parse_config(PRESETS[name].config(lam)).problem
-    constants = compute_constants(build_tables(prob, 256), prob)
+    constants = compute_constants(discretize(prob, 256), prob)
     assert thresholds_delta(prob, constants.sigma) == _bisect_reference(prob, constants.sigma)
     if prob.sign_profile != "MixedE":
         # e >= 0: g f / 2 + e >= 0 on every radius, so no split is computed

@@ -13,6 +13,7 @@ from pericone import (
     FourierSeries,
     NoConvergenceError,
     GridFunction,
+    Discretization,
     PowerLawRadial,
     Problem,
     SingularityError,
@@ -21,6 +22,7 @@ from pericone import (
     compute_constants,
     cone_membership,
     continue_lambda,
+    discretize,
     find_solutions,
     fixed_point_residual,
     newton_refine,
@@ -32,11 +34,11 @@ from pericone import (
     symmetric_config,
 )
 import pericone.certify as certify_mod
+import pericone.operator as operator_mod
 import pericone.problem as problem_mod
 import pericone.solver as solver_mod
 from pericone.benchmarks import MIXED_E
 from pericone.certify import default_r_grid, existence_report
-from pericone.cli import build_tables
 from pericone.solver import _newton_step
 
 import oracles
@@ -60,19 +62,19 @@ def test_seed_geometry(superlinear_small):
     assert cone_membership(seed, cc.sigma).member
 
 
-def test_picard_accepts_fixed_seed(bench_tables, superlinear_small):
+def test_picard_accepts_fixed_seed(bench_disc, superlinear_small):
     prob, cc = superlinear_small
     lo, _ = oracles.constant_solution_norms(SUPERLINEAR_TERMS, prob.lam)
     seed = seed_from_annulus(FakeAnnulus(lo, lo), prob, 256)
-    res = picard_solve(prob, bench_tables, seed)
+    res = picard_solve(prob, bench_disc, seed)
     assert res.converged
     assert res.iterations == 0
 
 
-def test_picard_converges_sublinear(bench_tables, sublinear_unit):
+def test_picard_converges_sublinear(bench_disc, sublinear_unit):
     prob, cc = sublinear_unit
     seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), prob, 256)
-    res = picard_solve(prob, bench_tables, seed)
+    res = picard_solve(prob, bench_disc, seed)
     assert res.converged
     assert res.residual <= 1e-6
     (norm,) = oracles.constant_solution_norms(SUBLINEAR_TERMS, prob.lam)
@@ -94,18 +96,18 @@ def test_picard_matches_reference_loop(monkeypatch):
     real_apply = solver_mod.apply_T
     applied = []
 
-    def record(problem, tables, x):
+    def record(problem, disc, x):
         applied.append(x.values)
-        return real_apply(problem, tables, x)
+        return real_apply(problem, disc, x)
 
     monkeypatch.setattr(solver_mod, "apply_T", record)
     outcomes = {"converged": 0, "stalled": 0, "raised": 0}
     for prob in _picard_problems():
-        tables = build_tables(prob, 256)
-        coarse = build_tables(prob, 64)
-        cc = compute_constants(tables, prob)
+        disc = discretize(prob, 256)
+        coarse = discretize(prob, 64)
+        cc = compute_constants(disc, prob)
         for ann in existence_report(prob, cc, default_r_grid()):
-            seed = seed_from_annulus(ann, prob, coarse[0].n_grid)
+            seed = seed_from_annulus(ann, prob, coarse.n_grid)
 
             def apply(values):
                 x = GridFunction(prob.n, seed.n_grid, prob.period, values)
@@ -142,13 +144,22 @@ def test_picard_matches_reference_loop(monkeypatch):
     assert outcomes["converged"] >= 1 and outcomes["raised"] >= 1
 
 
-def test_newton_polishes_to_tolerance(bench_tables, dense_bench_tables, sublinear_unit):
+@pytest.fixture
+def exact_newton_disc(monkeypatch):
+    """The bench discretization with a base grid of all N = 256 points, so
+    that each two-grid Newton step is the exact one, its inner system
+    factored from the dense quadrature of the tables."""
+    monkeypatch.setattr(operator_mod, "COARSE_GRID", 256)
+    return discretize(make_problem(1.0, 2.0, 0.05), 256)
+
+
+def test_newton_polishes_to_tolerance(exact_newton_disc, sublinear_unit):
     # two-grid Newton with both grids at N points, on the generator tables:
     # the exact step, its inner system factored from the dense tables
     prob, cc = sublinear_unit
     seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), prob, 256)
-    pic = picard_solve(prob, bench_tables, seed)
-    ref = newton_refine(prob, bench_tables, pic.x, dense_bench_tables)
+    pic = picard_solve(prob, exact_newton_disc, seed)
+    ref = newton_refine(prob, exact_newton_disc, pic.x)
     assert ref.residual <= 1e-10
     assert ref.iterations <= 6
     # once close, each step is at least superlinear
@@ -156,14 +167,14 @@ def test_newton_polishes_to_tolerance(bench_tables, dense_bench_tables, sublinea
     assert all(b <= max(a ** 1.5, 1e-14) for a, b in zip(small, small[1:]))
 
 
-def test_newton_reconverges_after_perturbation(bench_tables, dense_bench_tables, sublinear_unit):
+def test_newton_reconverges_after_perturbation(exact_newton_disc, sublinear_unit):
     prob, cc = sublinear_unit
     (norm,) = oracles.constant_solution_norms(SUBLINEAR_TERMS, prob.lam)
     rng = np.random.default_rng(5)
     c = norm / 2.0
     vals = c * (1.0 + 1e-3 * rng.standard_normal((2, 256)))
     x0 = GridFunction(2, 256, 1.0, vals)
-    ref = newton_refine(prob, bench_tables, x0, dense_bench_tables)
+    ref = newton_refine(prob, exact_newton_disc, x0)
     assert ref.iterations <= 5
     assert abs(ref.x.norm - norm) <= 1e-9
 
@@ -197,7 +208,7 @@ def _three_component_problem():
                           ((0.5, -0.5), (2.0, 0.5)),
                           ((1.0, -2.0), (0.3, 3.0)))),
         lam=0.2,
-    ), [build_green_table(coef, 64) for coef in a]
+    )
 
 
 @pytest.mark.parametrize("case", ["n2-unequal", "n3", "mixed-e"])
@@ -206,29 +217,29 @@ def test_newton_step_matches_dense_solve(case):
     t = np.arange(n_grid) / n_grid
     wave = np.cos(2.0 * math.pi * t)
     if case == "n3":
-        prob, tables = _three_component_problem()
+        prob = _three_component_problem()
         vals = np.stack([0.4 + 0.1 * wave, 0.2 - 0.05 * np.sin(2.0 * math.pi * t),
                          0.3 + 0.15 * wave ** 2])
     else:
         e_spec = {"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}} if case == "mixed-e" else None
         prob = make_problem(1.0, 2.0, 0.05, e_spec=e_spec, n_grid=n_grid)
-        tables = [build_green_table(Constant(1.0), n_grid),
-                  build_green_table(Constant(2.0), n_grid)]
+        prob = replace(prob, a=(Constant(1.0), Constant(2.0)))
         vals = np.stack([0.3 + 0.1 * wave, 0.1 + 0.02 * np.sin(4.0 * math.pi * t)])
     # the two-grid step with both grids at N points: inner system from the
     # quadrature matrices, back-substitution through the FFT or semiseparable
     # operators
-    dense = [quadrature_matrix(tbl) for tbl in tables]
+    disc = discretize(prob, n_grid)
+    dense = [quadrature_matrix(disc.tables[k]) for k in disc.index]
     x = GridFunction(prob.n, n_grid, 1.0, vals)
-    fvals = x.values - apply_T(prob, tables, x).values
+    fvals = x.values - apply_T(prob, disc, x).values
     ref = _dense_newton_step(prob, dense, x, fvals)
-    step = _newton_step(prob, tables, x, fvals, dense)
+    step = _newton_step(prob, disc, x, fvals)
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def test_two_solutions_superlinear(bench_tables, superlinear_small):
+def test_two_solutions_superlinear(bench_disc, superlinear_small):
     prob, cc = superlinear_small
-    report = find_solutions(prob, bench_tables, cc)
+    report = find_solutions(prob, bench_disc, cc)
     assert len(report.solutions) == 2
     lo, hi = oracles.constant_solution_norms(SUPERLINEAR_TERMS, prob.lam)
     got = sorted(s.norm for s in report.solutions)
@@ -245,20 +256,20 @@ def test_two_solutions_superlinear(bench_tables, superlinear_small):
     assert {s.annulus_id for s in report.solutions} == {"A1", "A2"}
 
 
-def test_no_solution_superlinear_lambda_one(bench_tables):
+def test_no_solution_superlinear_lambda_one(bench_disc):
     prob = make_problem(1.0, 2.0, 1.0)
-    cc = compute_constants(bench_tables, prob)
+    cc = compute_constants(bench_disc, prob)
     assert not oracles.has_constant_solution(SUPERLINEAR_TERMS, 1.0)
-    report = find_solutions(prob, bench_tables, cc)
+    report = find_solutions(prob, bench_disc, cc)
     assert report.annuli == []
     assert report.solutions == []
 
 
-def test_sublinear_matches_oracle(bench_tables):
+def test_sublinear_matches_oracle(bench_disc):
     for lam in (0.1, 1.0, 10.0):
         prob = make_problem(0.5, 0.5, lam)
-        cc = compute_constants(bench_tables, prob)
-        report = find_solutions(prob, bench_tables, cc)
+        cc = compute_constants(bench_disc, prob)
+        report = find_solutions(prob, bench_disc, cc)
         assert len(report.solutions) == 1
         (norm,) = oracles.constant_solution_norms(SUBLINEAR_TERMS, lam)
         sol = report.solutions[0]
@@ -267,11 +278,11 @@ def test_sublinear_matches_oracle(bench_tables):
         assert ann.r_in < sol.norm < ann.r_out
 
 
-def test_mixed_two_solutions(bench_tables):
+def test_mixed_two_solutions(bench_disc):
     prob = make_problem(1.0, 2.0, 0.01,
                         e_spec={"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}})
-    cc = compute_constants(bench_tables, prob)
-    report = find_solutions(prob, bench_tables, cc)
+    cc = compute_constants(bench_disc, prob)
+    report = find_solutions(prob, bench_disc, cc)
     assert len(report.solutions) == 2
     for sol in report.solutions:
         assert sol.fp_residual <= 1e-8
@@ -281,22 +292,21 @@ def test_mixed_two_solutions(bench_tables):
 
 
 def test_grid_robustness():
-    t128 = build_green_table(Constant(1.0), 128)
-    t256 = build_green_table(Constant(1.0), 256)
     norms = {}
-    for n_grid, table in ((128, t128), (256, t256)):
+    for n_grid in (128, 256):
         prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
-        cc = compute_constants([table, table], prob)
-        report = find_solutions(prob, [table, table], cc)
+        disc = discretize(prob, n_grid)
+        cc = compute_constants(disc, prob)
+        report = find_solutions(prob, disc, cc)
         norms[n_grid] = sorted(s.norm for s in report.solutions)
     assert len(norms[128]) == len(norms[256]) == 2
     for a, b in zip(norms[128], norms[256]):
         assert abs(a - b) <= 1e-5
 
 
-def test_branch_sweep_sublinear(bench_tables, sublinear_unit):
+def test_branch_sweep_sublinear(bench_disc, sublinear_unit):
     prob, cc = sublinear_unit
-    table = continue_lambda(prob, bench_tables, 0.1, 10.0, 5, constants=cc)
+    table = continue_lambda(prob, bench_disc, 0.1, 10.0, 5, constants=cc)
     ids = {row.branch_id for row in table.rows}
     assert ids == {"b1"}
     lams = [row.lam for row in table.rows]
@@ -312,9 +322,9 @@ def test_branch_sweep_sublinear(bench_tables, sublinear_unit):
         assert row.norm == row.x.norm
 
 
-def test_branch_sweep_superlinear_fold(bench_tables, superlinear_small):
+def test_branch_sweep_superlinear_fold(bench_disc, superlinear_small):
     prob, cc = superlinear_small
-    table = continue_lambda(prob, bench_tables, 0.05, 0.5, 6, constants=cc)
+    table = continue_lambda(prob, bench_disc, 0.05, 0.5, 6, constants=cc)
     by_lam = {}
     for row in table.rows:
         by_lam.setdefault(row.lam, []).append(row)
@@ -330,12 +340,12 @@ def test_branch_sweep_superlinear_fold(bench_tables, superlinear_small):
     assert any(("lost" in n) or ("fold" in n) for n in table.notes)
 
 
-def test_sweep_argument_validation(bench_tables, sublinear_unit):
+def test_sweep_argument_validation(bench_disc, sublinear_unit):
     prob, cc = sublinear_unit
-    empty = continue_lambda(prob, bench_tables, 0.1, 1.0, 0, constants=cc)
+    empty = continue_lambda(prob, bench_disc, 0.1, 1.0, 0, constants=cc)
     assert empty.rows == []
     with pytest.raises(DomainError):
-        continue_lambda(prob, bench_tables, 0.0, 1.0, 3, constants=cc)
+        continue_lambda(prob, bench_disc, 0.0, 1.0, 3, constants=cc)
 
 
 @pytest.mark.parametrize("lam_lo, lam_hi", [
@@ -343,10 +353,10 @@ def test_sweep_argument_validation(bench_tables, sublinear_unit):
     (0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -1.0),
 ])
 @pytest.mark.parametrize("steps", [0, 3])
-def test_sweep_rejects_bad_lambda_ends(bench_tables, sublinear_unit, lam_lo, lam_hi, steps):
+def test_sweep_rejects_bad_lambda_ends(bench_disc, sublinear_unit, lam_lo, lam_hi, steps):
     prob, cc = sublinear_unit
     with pytest.raises(DomainError):
-        continue_lambda(prob, bench_tables, lam_lo, lam_hi, steps, constants=cc)
+        continue_lambda(prob, bench_disc, lam_lo, lam_hi, steps, constants=cc)
 
 
 def test_resample_is_exact_on_constants():
@@ -419,12 +429,11 @@ def _var_a_config(alpha, beta, lam, n_grid):
         "sublinear-var-a-1024", "cor1b-130", "var-a-130"])
 def test_two_grid_matches_single_grid(config_of, alpha, beta, lam, n_grid, count):
     prob = parse_config(config_of(alpha, beta, lam, n_grid=n_grid)).problem
-    table = build_green_table(prob.a[0], n_grid)
-    tables = [table, table]
-    cc = compute_constants(tables, prob)
-    report = find_solutions(prob, tables, cc)
+    disc = discretize(prob, n_grid)
+    cc = compute_constants(disc, prob)
+    report = find_solutions(prob, disc, cc)
     g, e = prob.g_on_grid(n_grid), prob.e_on_grid(n_grid)
-    dense = quadrature_matrix(table)
+    dense = quadrature_matrix(disc.tables[0])
     expect = []
     for ann in report.annuli:
         seed = seed_from_annulus(ann, prob, n_grid).values
@@ -442,13 +451,13 @@ def test_two_grid_matches_single_grid(config_of, alpha, beta, lam, n_grid, count
 def test_two_grid_sweep_warm_starts():
     # warm starts enter the base grid by Fourier truncation; each step must
     # land on the fine solutions a fresh solve at that lambda finds
-    table = build_green_table(Constant(1.0), 512)
     prob = make_problem(1.0, 2.0, 0.04, n_grid=512)
-    cc = compute_constants([table, table], prob)
-    sweep = continue_lambda(prob, [table, table], 0.04, 0.05, 2, constants=cc)
+    disc = discretize(prob, 512)
+    cc = compute_constants(disc, prob)
+    sweep = continue_lambda(prob, disc, 0.04, 0.05, 2, constants=cc)
     assert {row.branch_id for row in sweep.rows} == {"b1", "b2"}
     for lam in (0.04, 0.05):
-        rep = find_solutions(replace(prob, lam=lam), [table, table], cc)
+        rep = find_solutions(replace(prob, lam=lam), disc, cc)
         rows = sorted(row.norm for row in sweep.rows if row.lam == lam)
         fresh = sorted(s.norm for s in rep.solutions)
         assert len(rows) == len(fresh) == 2
@@ -461,15 +470,15 @@ def test_coarse_newton_failure(monkeypatch, n_grid):
     # a failed linear solve on the 64-point base grid fails that start's one
     # Newton loop and drops the annulus at every N: there is no second solve
     # path to retry on
-    table = build_green_table(Constant(1.0), n_grid)
     prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
-    cc = compute_constants([table, table], prob)
+    disc = discretize(prob, n_grid)
+    cc = compute_constants(disc, prob)
     real = solver_mod.newton_refine
     calls, systems = [], []
 
-    def record(problem, tables, x0, coarse):
+    def record(problem, disc, x0):
         calls.append(x0.n_grid)
-        return real(problem, tables, x0, coarse)
+        return real(problem, disc, x0)
 
     def coarse_fails(quad, rows, cols, rhs):
         systems.append(rhs.size)
@@ -477,7 +486,7 @@ def test_coarse_newton_failure(monkeypatch, n_grid):
 
     monkeypatch.setattr(solver_mod, "newton_refine", record)
     monkeypatch.setattr(solver_mod, "_coupling_solve", coarse_fails)
-    report = find_solutions(prob, [table, table], cc)
+    report = find_solutions(prob, disc, cc)
     assert len(report.annuli) == 2
     assert report.solutions == []
     assert calls == [n_grid] * 2
@@ -491,15 +500,15 @@ def test_coarse_newton_failure(monkeypatch, n_grid):
 def test_base_grid_has_64_points(monkeypatch, n_grid):
     # at every N, whatever its factors, each start runs one Newton loop on
     # the N-point grid, and every LU a solve factors is 64 x 64
-    table = build_green_table(Constant(1.0), n_grid)
     prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
-    cc = compute_constants([table, table], prob)
+    disc = discretize(prob, n_grid)
+    cc = compute_constants(disc, prob)
     real_newton, real_solve = solver_mod.newton_refine, solver_mod._coupling_solve
     grids, systems = [], []
 
-    def record_newton(problem, tables, x0, coarse):
+    def record_newton(problem, disc, x0):
         grids.append(x0.n_grid)
-        return real_newton(problem, tables, x0, coarse)
+        return real_newton(problem, disc, x0)
 
     def record_solve(quad, rows, cols, rhs):
         systems.append(rhs.size)
@@ -507,7 +516,7 @@ def test_base_grid_has_64_points(monkeypatch, n_grid):
 
     monkeypatch.setattr(solver_mod, "newton_refine", record_newton)
     monkeypatch.setattr(solver_mod, "_coupling_solve", record_solve)
-    report = find_solutions(prob, [table, table], cc)
+    report = find_solutions(prob, disc, cc)
     assert [s.annulus_id for s in report.solutions] == ["A1", "A2"]
     assert grids == [n_grid] * 2
     assert systems and set(systems) == {64}
@@ -520,27 +529,65 @@ def test_base_tables_follow_the_coefficients():
     a = (Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0))
     prob = Problem(n=3, period=1.0, a=a, g=(Constant(1.0),) * 3, e=(Constant(0.0),) * 3,
                    f=PowerLawRadial((SUPERLINEAR_TERMS,) * 3), lam=0.05)
-    shared, other = build_green_table(a[0], 130), build_green_table(a[1], 130)
-    base = solver_mod._base_matrices(prob, [shared, other, shared])
+    base = discretize(prob, 130).base_matrices
     assert base[0] is base[2] and base[1] is not base[0]
     for matrix, coef in zip(base, a):
         assert np.array_equal(matrix, quadrature_matrix(build_green_table(coef, 64)))
+
+
+def test_base_matrices_are_built_once_per_discretization(monkeypatch):
+    # compute_constants builds none; the first Newton step builds one per
+    # distinct table, and later solves on the same object reuse it
+    real = operator_mod.quadrature_matrix
+    built = []
+
+    def count(table):
+        built.append(table.n_grid)
+        return real(table)
+
+    monkeypatch.setattr(operator_mod, "quadrature_matrix", count)
+    prob = make_problem(1.0, 2.0, 0.05)
+    disc = discretize(prob, 256)
+    cc = compute_constants(disc, prob)
+    assert built == []
+    for lam in (0.05, 0.04):
+        assert len(find_solutions(replace(prob, lam=lam), disc, cc).solutions) == 2
+    assert built == [64]
+
+
+def test_tables_of_another_coefficient_need_the_explicit_constructor():
+    # discretize derives its tables from problem.a, so tables built for
+    # a = 1 + 1e-7 reach a cor1b solve (a = 1) only through the explicit
+    # constructor.  There both solutions still come back, with no note and
+    # norms moved by up to 1e-7 relative: the gates cannot tell
+    prob = parse_config(PRESETS["cor1b"].config(0.05)).problem
+    near = Constant(1.0 + 1e-7)
+    disc = discretize(prob, 256)
+    assert disc.coefficients == (Constant(1.0),) and disc.tables[0].k == 1.0
+    wrong = Discretization((build_green_table(near, 256),), (0, 0), (near,))
+    assert wrong.tables[0].m != disc.tables[0].m
+    right = find_solutions(prob, disc, compute_constants(disc, prob))
+    moved = find_solutions(prob, wrong, compute_constants(wrong, prob))
+    assert right.notes == moved.notes == []
+    assert [s.annulus_id for s in moved.solutions] == ["A1", "A2"]
+    for a, b in zip(right.solutions, moved.solutions):
+        assert 0.0 < abs(a.norm - b.norm) <= 2e-7 * a.norm
 
 
 @pytest.mark.parametrize("n_grid", [64, 256, 512, 1024])
 def test_two_grid_correction_failure_drops(monkeypatch, n_grid):
     # a failed Newton loop drops the annulus with one note at every N: each
     # start has one loop, and no second solve path to retry on
-    table = build_green_table(Constant(1.0), n_grid)
     prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
-    cc = compute_constants([table, table], prob)
-    assert len(find_solutions(prob, [table, table], cc).solutions) == 2
+    disc = discretize(prob, n_grid)
+    cc = compute_constants(disc, prob)
+    assert len(find_solutions(prob, disc, cc).solutions) == 2
 
-    def fails(problem, tables, x0, coarse):
+    def fails(problem, disc, x0):
         raise NoConvergenceError("forced")
 
     monkeypatch.setattr(solver_mod, "newton_refine", fails)
-    report = find_solutions(prob, [table, table], cc)
+    report = find_solutions(prob, disc, cc)
     assert len(report.annuli) == 2
     assert report.solutions == []
     assert [n for n in report.notes if "newton failed" in n] == [
@@ -556,8 +603,8 @@ def test_one_two_grid_correction_reaches_round_off(monkeypatch):
     real = solver_mod.newton_refine
     solves = []
 
-    def record(problem, tables, x0, coarse):
-        res = real(problem, tables, x0, coarse)
+    def record(problem, disc, x0):
+        res = real(problem, disc, x0)
         solves.append(res)
         return res
 
@@ -568,10 +615,10 @@ def test_one_two_grid_correction_reaches_round_off(monkeypatch):
             preset = PRESETS[name]
             for lam in preset.lambdas:
                 parsed = parse_config(preset.config(lam, n_grid))
-                tables = build_tables(parsed.problem, parsed.n_grid)
-                cc = compute_constants(tables, parsed.problem)
+                disc = discretize(parsed.problem, parsed.n_grid)
+                cc = compute_constants(disc, parsed.problem)
                 before = len(solves)
-                report = find_solutions(parsed.problem, tables, cc, preset.ode_tol)
+                report = find_solutions(parsed.problem, disc, cc, preset.ode_tol)
                 assert len(solves) - before >= len(report.solutions) >= 1
                 problems += 1
     assert problems == 16
@@ -592,9 +639,9 @@ def test_coarse_sublinear_sweep_keeps_its_warm_start_rows(alpha, beta, lam_lo, l
     # annulus is certified, so only the warm start finds that row; at 10 a
     # fresh annulus solve would find it under a new branch id
     prob = make_problem(alpha, beta, lam_lo)
-    tables = build_tables(prob, 256)
-    table = continue_lambda(prob, tables, lam_lo, lam_hi, steps,
-                            constants=compute_constants(tables, prob))
+    disc = discretize(prob, 256)
+    table = continue_lambda(prob, disc, lam_lo, lam_hi, steps,
+                            constants=compute_constants(disc, prob))
     assert [row.lam for row in table.rows] == [float(v) for v in np.geomspace(lam_lo, lam_hi, steps)]
     assert [(row.branch_id, row.annulus_id) for row in table.rows] == [("b1", "A1")] * steps
 
@@ -619,15 +666,15 @@ def test_pipeline_never_calls_picard(monkeypatch):
         preset = PRESETS[name]
         for lam in preset.lambdas:
             parsed = parse_config(preset.config(lam, 256))
-            tables = build_tables(parsed.problem, parsed.n_grid)
-            cc = compute_constants(tables, parsed.problem)
-            report = find_solutions(parsed.problem, tables, cc, preset.ode_tol)
+            disc = discretize(parsed.problem, parsed.n_grid)
+            cc = compute_constants(disc, parsed.problem)
+            report = find_solutions(parsed.problem, disc, cc, preset.ode_tol)
             got[name, lam] = [s.annulus_id for s in report.solutions]
     assert got == PRESET_ANNULUS_IDS
     prob = make_problem(1.0, 2.0, 0.01)
-    tables = build_tables(prob, 256)
-    sweep = continue_lambda(prob, tables, 0.01, 0.3, 6,
-                            constants=compute_constants(tables, prob))
+    disc = discretize(prob, 256)
+    sweep = continue_lambda(prob, disc, 0.01, 0.3, 6,
+                            constants=compute_constants(disc, prob))
     # both branches at every step, under the ids the Picard warm-up gave them
     rows = [(row.branch_id, row.annulus_id) for row in sweep.rows]
     assert rows == [("b1", "A1"), ("b2", "A2")] * 6
@@ -638,8 +685,8 @@ def test_sweep_steps_skip_the_coefficient_audit(monkeypatch):
     # each step's problem is the swept one at the step's lambda, with the
     # audited g_min, e_abs_max and sign_profile carried over, not recomputed
     prob = make_problem(1.0, 2.0, 0.01, e_spec={"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}})
-    tables = build_tables(prob, 256)
-    cc = compute_constants(tables, prob)
+    disc = discretize(prob, 256)
+    cc = compute_constants(disc, prob)
     real_extrema = problem_mod.coefficient_extrema
     real_report = solver_mod.existence_report
     audits, steps = [], []
@@ -654,7 +701,7 @@ def test_sweep_steps_skip_the_coefficient_audit(monkeypatch):
 
     monkeypatch.setattr(problem_mod, "coefficient_extrema", count)
     monkeypatch.setattr(solver_mod, "existence_report", record)
-    table = continue_lambda(prob, tables, 0.01, 0.3, 6, constants=cc)
+    table = continue_lambda(prob, disc, 0.01, 0.3, 6, constants=cc)
     assert audits == []
     assert table.rows
     monkeypatch.setattr(problem_mod, "coefficient_extrema", real_extrema)
@@ -668,9 +715,9 @@ def _record_solves(monkeypatch):
     real = solver_mod._solve_from_seed
     calls = []
 
-    def record(problem, tables, coarse, constants, start, annulus_id, *args):
+    def record(problem, disc, constants, start, annulus_id, *args):
         calls.append((problem.lam, annulus_id))
-        return real(problem, tables, coarse, constants, start, annulus_id, *args)
+        return real(problem, disc, constants, start, annulus_id, *args)
 
     monkeypatch.setattr(solver_mod, "_solve_from_seed", record)
     return calls
@@ -681,9 +728,9 @@ def test_sweep_seeds_no_annulus_a_warm_start_holds(monkeypatch):
     # the two certified annuli, so no step seeds either annulus again
     calls = _record_solves(monkeypatch)
     prob = make_problem(1.0, 2.0, 0.01)
-    tables = build_tables(prob, 256)
-    sweep = continue_lambda(prob, tables, 0.01, 0.3, 6,
-                            constants=compute_constants(tables, prob))
+    disc = discretize(prob, 256)
+    sweep = continue_lambda(prob, disc, 0.01, 0.3, 6,
+                            constants=compute_constants(disc, prob))
     assert [(row.branch_id, row.annulus_id) for row in sweep.rows] == [("b1", "A1"), ("b2", "A2")] * 6
     lams = [float(v) for v in np.geomspace(0.01, 0.3, 6)]
     assert calls == [(lams[0], "A1"), (lams[0], "A2")] + [
@@ -695,11 +742,11 @@ def test_sweep_seeds_the_annulus_of_a_new_branch(monkeypatch):
     # and no warm start lies in it, so it is seeded and opens branch b2
     calls = _record_solves(monkeypatch)
     prob = make_problem(1.0, 2.0, 0.004)
-    tables = build_tables(prob, 256)
-    cc = compute_constants(tables, prob)
+    disc = discretize(prob, 256)
+    cc = compute_constants(disc, prob)
     assert [len(existence_report(replace(prob, lam=lam), cc, default_r_grid()))
             for lam in (0.004, 0.008)] == [1, 2]
-    sweep = continue_lambda(prob, tables, 0.004, 0.008, 2, constants=cc)
+    sweep = continue_lambda(prob, disc, 0.004, 0.008, 2, constants=cc)
     assert calls == [(0.004, "A1"), (0.008, "warm:b1"), (0.008, "A2")]
     assert [(row.lam, row.branch_id, row.annulus_id) for row in sweep.rows] == [
         (0.004, "b1", "A1"), (0.008, "b1", "A1"), (0.008, "b2", "A2")]
@@ -708,7 +755,7 @@ def test_sweep_seeds_the_annulus_of_a_new_branch(monkeypatch):
 
 def test_sweep_builds_its_base_tables_once(monkeypatch):
     # every step of a sweep solves on the same 64-point base tables
-    real = solver_mod.build_green_table
+    real = operator_mod.build_green_table
     built = []
 
     def count(coef, n_grid):
@@ -718,10 +765,10 @@ def test_sweep_builds_its_base_tables_once(monkeypatch):
     cfg = symmetric_config(1.0, 2.0, 0.01)
     cfg["a"] = [{"fourier": {"c0": 1.0, "cos": [0.3], "sin": []}}] * 2
     prob = parse_config(cfg).problem
-    tables = build_tables(prob, 256)
-    cc = compute_constants(tables, prob)
-    monkeypatch.setattr(solver_mod, "build_green_table", count)
-    sweep = continue_lambda(prob, tables, 0.01, 0.3, 6, constants=cc)
+    disc = discretize(prob, 256)
+    cc = compute_constants(disc, prob)
+    monkeypatch.setattr(operator_mod, "build_green_table", count)
+    sweep = continue_lambda(prob, disc, 0.01, 0.3, 6, constants=cc)
     assert len({row.lam for row in sweep.rows}) == 6
     assert built == [(prob.a[0], 64)]
 
@@ -731,8 +778,8 @@ def _record_newton_steps(monkeypatch):
     real = solver_mod.newton_refine
     steps = []
 
-    def record(problem, tables, x0, coarse):
-        res = real(problem, tables, x0, coarse)
+    def record(problem, disc, x0):
+        res = real(problem, disc, x0)
         steps.append(res.iterations)
         return res
 
@@ -746,16 +793,15 @@ def test_leveled_cor1b_starts_are_fixed_points():
     # forced step
     for n_grid in (64, 256):
         prob = parse_config(PRESETS["cor1b"].config(0.05, n_grid)).problem
-        tables = build_tables(prob, n_grid)
-        coarse = solver_mod._base_matrices(prob, tables)
-        annuli = existence_report(prob, compute_constants(tables, prob), default_r_grid())
+        disc = discretize(prob, n_grid)
+        annuli = existence_report(prob, compute_constants(disc, prob), default_r_grid())
         assert [ann.annulus_id for ann in annuli] == ["A1", "A2"]
         for ann in annuli:
             seed = seed_from_annulus(ann, prob, n_grid)
-            start = solver_mod._level_start(prob, tables, seed, (ann.r_in, ann.r_out))
-            assert fixed_point_residual(prob, tables, seed) > 1e-3 * seed.norm
-            assert fixed_point_residual(prob, tables, start) <= 1e-13 * start.norm
-            assert newton_refine(prob, tables, start, coarse).iterations == 1
+            start = solver_mod._level_start(prob, disc, seed, (ann.r_in, ann.r_out))
+            assert fixed_point_residual(prob, disc, seed) > 1e-3 * seed.norm
+            assert fixed_point_residual(prob, disc, start) <= 1e-13 * start.norm
+            assert newton_refine(prob, disc, start).iterations == 1
 
 
 def test_every_preset_annulus_levels_inside_it():
@@ -764,11 +810,11 @@ def test_every_preset_annulus_levels_inside_it():
     for name in sorted(PRESETS):
         for lam in PRESETS[name].lambdas:
             prob = parse_config(PRESETS[name].config(lam, 256)).problem
-            tables = build_tables(prob, 256)
-            for ann in existence_report(prob, compute_constants(tables, prob),
+            disc = discretize(prob, 256)
+            for ann in existence_report(prob, compute_constants(disc, prob),
                                         default_r_grid()):
                 seed = seed_from_annulus(ann, prob, 256)
-                start = solver_mod._level_start(prob, tables, seed, (ann.r_in, ann.r_out))
+                start = solver_mod._level_start(prob, disc, seed, (ann.r_in, ann.r_out))
                 assert start is not seed, (name, lam, ann.annulus_id)
                 assert ann.r_in * (1.0 - 1e-12) <= start.norm <= ann.r_out * (1.0 + 1e-12)
 
@@ -777,15 +823,15 @@ def test_level_without_a_root_keeps_the_start():
     # no sign change in the bracket, or past the fold no root at all: the
     # start comes back as it went in
     prob = make_problem(1.0, 2.0, 0.05, n_grid=64)
-    tables = build_tables(prob, 64)
+    disc = discretize(prob, 64)
     lo, hi = oracles.constant_solution_norms(SUPERLINEAR_TERMS, prob.lam)
     assert lo < 1.0 < 2.0 < hi
     seed = seed_from_annulus(FakeAnnulus(1.0, 2.0), prob, 64)
     values = seed.values.copy()
-    assert solver_mod._level_start(prob, tables, seed, (1.0, 2.0)) is seed
+    assert solver_mod._level_start(prob, disc, seed, (1.0, 2.0)) is seed
     past = replace(prob, lam=0.5)
     assert not oracles.constant_solution_norms(SUPERLINEAR_TERMS, past.lam)
-    assert solver_mod._level_start(past, tables, seed) is seed
+    assert solver_mod._level_start(past, disc, seed) is seed
     assert np.array_equal(seed.values, values)
 
 
@@ -795,9 +841,9 @@ def test_bench_sweep_takes_one_newton_step_per_solve(monkeypatch):
     # system on the base grid
     steps = _record_newton_steps(monkeypatch)
     prob = make_problem(1.0, 2.0, 0.01)
-    tables = build_tables(prob, 256)
-    sweep = continue_lambda(prob, tables, 0.01, 0.3, 6,
-                            constants=compute_constants(tables, prob))
+    disc = discretize(prob, 256)
+    sweep = continue_lambda(prob, disc, 0.01, 0.3, 6,
+                            constants=compute_constants(disc, prob))
     assert [(row.branch_id, row.annulus_id) for row in sweep.rows] == [("b1", "A1"), ("b2", "A2")] * 6
     assert steps == [1] * 12
 
@@ -811,8 +857,8 @@ def test_variable_a_keeps_its_solutions(monkeypatch, alpha, beta, lam, count):
     # only their one-mode part; the counts stay and Newton is short
     steps = _record_newton_steps(monkeypatch)
     prob = parse_config(_var_a_config(alpha, beta, lam, n_grid=256)).problem
-    tables = build_tables(prob, 256)
-    report = find_solutions(prob, tables, compute_constants(tables, prob))
+    disc = discretize(prob, 256)
+    report = find_solutions(prob, disc, compute_constants(disc, prob))
     assert len(report.solutions) == count
     assert len(steps) == count and max(steps) <= 4
 
@@ -824,26 +870,26 @@ def test_verified_fp_residual_is_the_fixed_point_residual():
         preset = PRESETS[name]
         for lam in preset.lambdas:
             prob = parse_config(preset.config(lam, 256)).problem
-            tables = build_tables(prob, 256)
-            report = find_solutions(prob, tables, compute_constants(tables, prob),
+            disc = discretize(prob, 256)
+            report = find_solutions(prob, disc, compute_constants(disc, prob),
                                     preset.ode_tol)
             for sol in report.solutions:
-                assert sol.fp_residual == fixed_point_residual(prob, tables, sol.x)
+                assert sol.fp_residual == fixed_point_residual(prob, disc, sol.x)
 
 
 def test_sweep_builds_its_radius_bounds_once(monkeypatch):
     # eta_r, M_hat_r and fhat do not depend on lambda: the bench sweep
     # evaluates each once, not once per step
     prob = make_problem(1.0, 2.0, 0.01)
-    tables = build_tables(prob, 256)
-    cc = compute_constants(tables, prob)
+    disc = discretize(prob, 256)
+    cc = compute_constants(disc, prob)
     calls = []
     for name in ("eta_lower", "annulus_extrema", "fhat"):
         def count(*args, _name=name, _real=getattr(certify_mod, name)):
             calls.append(_name)
             return _real(*args)
         monkeypatch.setattr(certify_mod, name, count)
-    sweep = continue_lambda(prob, tables, 0.01, 0.3, 6, constants=cc)
+    sweep = continue_lambda(prob, disc, 0.01, 0.3, 6, constants=cc)
     assert len({row.lam for row in sweep.rows}) == 6
     assert sorted(calls) == ["annulus_extrema", "eta_lower", "fhat"]
 
@@ -857,8 +903,8 @@ def test_sweep_step_annuli_match_fresh_reports(monkeypatch, alpha, beta, e_spec,
     # the annuli a step certifies from the shared radius bounds are, field for
     # field, those of a fresh report at the step's lambda
     prob = make_problem(alpha, beta, lam_lo, e_spec=e_spec)
-    tables = build_tables(prob, 256)
-    cc = compute_constants(tables, prob)
+    disc = discretize(prob, 256)
+    cc = compute_constants(disc, prob)
     real = solver_mod.existence_report
     reports = []
 
@@ -868,7 +914,7 @@ def test_sweep_step_annuli_match_fresh_reports(monkeypatch, alpha, beta, e_spec,
         return annuli
 
     monkeypatch.setattr(solver_mod, "existence_report", record)
-    continue_lambda(prob, tables, lam_lo, lam_hi, steps, constants=cc)
+    continue_lambda(prob, disc, lam_lo, lam_hi, steps, constants=cc)
     lams = [float(v) for v in np.geomspace(lam_lo, lam_hi, steps)]
     assert [lam for lam, _ in reports] == lams
     assert any(annuli for _, annuli in reports)
@@ -887,18 +933,18 @@ def test_level_start_applies_each_table_once(monkeypatch, a_specs, applications)
     cfg = symmetric_config(1.0, 2.0, 0.05)
     cfg["a"] = a_specs
     prob = parse_config(cfg).problem
-    tables = build_tables(prob, 256)
-    ann = existence_report(prob, compute_constants(tables, prob), default_r_grid())[0]
+    disc = discretize(prob, 256)
+    ann = existence_report(prob, compute_constants(disc, prob), default_r_grid())[0]
     seed = seed_from_annulus(ann, prob, 256)
-    real = solver_mod.kernel_quadrature
+    real = operator_mod.kernel_quadrature
     applied = []
 
     def count(tbl):
         applied.append(tbl)
         return real(tbl)
 
-    monkeypatch.setattr(solver_mod, "kernel_quadrature", count)
-    assert solver_mod._level_start(prob, tables, seed, (ann.r_in, ann.r_out)) is not seed
+    monkeypatch.setattr(operator_mod, "kernel_quadrature", count)
+    assert solver_mod._level_start(prob, disc, seed, (ann.r_in, ann.r_out)) is not seed
     assert len(applied) == applications
     assert len({id(tbl) for tbl in applied}) == applications
 
@@ -910,12 +956,13 @@ def test_shared_table_levels_like_a_table_per_component(config_of, n_grid):
     # bit for bit, as one application per component does (a copy of the
     # table per component), closed-form and RK4 kernels alike
     prob = parse_config(config_of(1.0, 2.0, 0.05, n_grid=n_grid)).problem
-    tables = build_tables(prob, n_grid)
-    assert tables[0] is tables[1]
-    own = [copy.copy(tbl) for tbl in tables]
+    disc = discretize(prob, n_grid)
+    assert disc.index == (0, 0)
+    own = Discretization((copy.copy(disc.tables[0]), copy.copy(disc.tables[0])), (0, 1),
+                         disc.coefficients * 2)
     t = prob.grid(n_grid)
     starts = [(seed_from_annulus(ann, prob, n_grid), (ann.r_in, ann.r_out))
-              for ann in existence_report(prob, compute_constants(tables, prob),
+              for ann in existence_report(prob, compute_constants(disc, prob),
                                           default_r_grid())]
     # and warm-start-like profiles: a last-bit change of a block product
     # shows in the leveled start of only some of them
@@ -926,6 +973,47 @@ def test_shared_table_levels_like_a_table_per_component(config_of, n_grid):
         values = base * (1.0 + rng.uniform(0.05, 0.5, (2, 1)) * wave)
         starts.append((GridFunction(2, n_grid, prob.period, values), None))
     for start, radii in starts:
-        shared = solver_mod._level_start(prob, tables, start, radii)
+        shared = solver_mod._level_start(prob, disc, start, radii)
         alone = solver_mod._level_start(prob, own, start, radii)
         assert shared.values.tobytes() == alone.values.tobytes()
+
+
+def _random_constant_system(rng):
+    """A constant-coefficient system: n in {1, 2, 3}, a_i in {0.5, 2, 6} (so
+    components often share a table), g_i in (0.5, 2), e_i zero or in (0, 1),
+    one singular power and 0-2 positive ones per component, lam log-uniform
+    in (1e-3, 10)."""
+    n = int(rng.integers(1, 4))
+    terms = tuple(
+        ((float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.5, -0.25))),)
+        + tuple((float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.25, 2.5)))
+                for _ in range(int(rng.integers(0, 3))))
+        for _ in range(n))
+    a = [float(rng.choice([0.5, 2.0, 6.0])) for _ in range(n)]
+    g = [float(rng.uniform(0.5, 2.0)) for _ in range(n)]
+    e = [float(rng.uniform(0.0, 1.0)) if rng.random() < 0.5 else 0.0 for _ in range(n)]
+    lam = float(10.0 ** rng.uniform(-3.0, 1.0))
+    prob = Problem(n=n, period=1.0, a=tuple(map(Constant, a)), g=tuple(map(Constant, g)),
+                   e=tuple(map(Constant, e)), f=PowerLawRadial(terms), lam=lam)
+    return prob, oracles.constant_solutions(a, g, e, terms, lam)
+
+
+def test_constant_systems_solve_to_their_constant_solutions():
+    # constant a, g, e: T maps constants to constants inside the cone, so
+    # every certified annulus holds an exact constant solution, and every
+    # solution found is one, to the N=64 discretization error
+    rng = np.random.default_rng(2027)
+    annuli = solutions = shared = 0
+    for _ in range(60):
+        prob, roots = _random_constant_system(rng)
+        disc = discretize(prob, 64)
+        shared += len(disc.tables) < prob.n
+        report = find_solutions(prob, disc, compute_constants(disc, prob))
+        norms = roots.sum(axis=1)
+        for ann in report.annuli:
+            assert np.any((ann.r_in < norms) & (norms < ann.r_out)), (prob, ann)
+        for sol in report.solutions:
+            assert np.min(np.abs(norms - sol.norm)) <= 1e-7 * sol.norm, (prob, sol.norm)
+        annuli += len(report.annuli)
+        solutions += len(report.solutions)
+    assert annuli >= 40 and solutions >= 40 and shared >= 10
