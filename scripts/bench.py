@@ -31,9 +31,13 @@ entries:
   the superlinear family for lambda 0.01 -> 0.3 in 6 steps, ``green``,
   ``certify`` and ``solve`` on cor1b lambda = 0.05, and ``reproduce
   cor1b``; the same sweep in-process (continue_lambda from a built
-  discretization and constants, no files); the presets and the sweeps also record the
-  Newton steps of one run, so a change to the Newton start shows up as
-  step counts as well as time; and the tier-1 test suite
+  discretization and constants, no files); the superlinear family at
+  lambda = 0.05 with sampled coefficients, config parsed (the coefficient
+  audit), discretized and solved: g = 64 samples of 1 + 0.5 cos at
+  N = 256 and a = 256 samples of 1 + 0.3 cos at N = 1024; the presets and
+  the sweeps also record the Newton steps of one run, so a change to the
+  Newton start shows up as step counts as well as time; and the tier-1
+  test suite
   (``python -m pytest -q --continue-on-collection-errors`` with
   PYTHONPATH=src, from the repository root) in a subprocess
 
@@ -223,6 +227,17 @@ def _run_entries(repeats):
             find_solutions(fine, disc, compute_constants(disc, fine))
         return run
 
+    def sampled(key, amplitude, count, n_grid):
+        cfg = symmetric_config(1.0, 2.0, 0.05, n_grid=n_grid)
+        cfg[key] = [{"samples": (1.0 + amplitude * np.cos(
+            2.0 * np.pi * np.arange(count) / count)).tolist()}] * 2
+
+        def run():
+            problem = parse_config(cfg).problem
+            disc = discretize(problem, n_grid)
+            find_solutions(problem, disc, compute_constants(disc, problem))
+        return run
+
     swept = parse_config(symmetric_config(1.0, 2.0, 0.01)).problem
     swept_disc = discretize(swept, 256)
     swept_constants = compute_constants(swept_disc, swept)
@@ -254,6 +269,9 @@ def _run_entries(repeats):
     timings["run.fine_grid[cor1b@0.05/N1024]"] = _time(fine_grid(1024), repeats)
     timings["run.fine_grid[cor1b@0.05/N4096]"] = _time(fine_grid(4096), repeats)
     timings["run.fine_grid[cor1b@0.05/N2062]"] = _time(fine_grid(2062), repeats)
+    timings["run.samples[g 64 samples@0.05/N256]"] = _time(sampled("g", 0.5, 64, 256), repeats)
+    timings["run.samples[a 256 samples@0.05/N1024]"] = _time(
+        sampled("a", 0.3, 256, 1024), repeats)
     timings["run.test_suite[tier-1]"] = _time(_test_suite, repeats)
     return timings
 

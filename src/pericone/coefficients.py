@@ -4,8 +4,11 @@ Three concrete forms cover every coefficient in the problem class:
 
 * ``Constant`` -- a(t) = v for all t,
 * ``FourierSeries`` -- truncated real Fourier series on [0, T],
-* ``Samples`` -- values on a uniform grid, linearly interpolated with
-  periodic wrap-around.
+* ``Samples`` -- values on a uniform grid, read as their trigonometric
+  interpolant: a ``FourierSeries`` that keeps the values for the config form.
+
+So every non-constant coefficient is a trigonometric polynomial, evaluated,
+bounded and averaged one way.
 """
 from __future__ import annotations
 
@@ -72,44 +75,40 @@ class FourierSeries:
         return out
 
 
-@dataclass
-class Samples:
-    """Values at t_j = j*T/len(values), linearly interpolated, periodic."""
+class Samples(FourierSeries):
+    """The trigonometric interpolant of values at t_j = j*T/M, M = len(values).
 
-    values: np.ndarray
-    period: float = 1.0
+    Its coefficients are rfft(values)/M, every bin doubled except the Nyquist
+    cosine of an even M; the Nyquist sine vanishes on the nodes and is
+    dropped.  Compares by those coefficients, like any FourierSeries;
+    ``values`` is kept, as a tuple, only for the config form.
+    """
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or self.values.size < 4:
+    def __init__(self, values, period: float = 1.0):
+        vals = np.asarray(values, dtype=float)
+        if vals.ndim != 1 or vals.size < 4:
             raise DomainError("samples need at least 4 values")
-        _check(self.period, self.values)
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        n = self.values.size
-        pos = (t / self.period) * n
-        j = np.floor(pos).astype(int)
-        frac = pos - j
-        j = np.mod(j, n)
-        jn = np.mod(j + 1, n)
-        return (1.0 - frac) * self.values[j] + frac * self.values[jn]
+        _check(period, vals)
+        spec = np.fft.rfft(vals) / vals.size
+        paired = (vals.size + 1) // 2
+        spec[1:paired] *= 2.0
+        super().__init__(float(spec[0].real), spec.real[1:], -spec.imag[1:paired], period)
+        self.values = tuple(vals.tolist())
 
 
-PeriodicCoefficient = Constant | FourierSeries | Samples
+PeriodicCoefficient = Constant | FourierSeries
+
+
+def coefficient_mean(coef: PeriodicCoefficient) -> float:
+    """Exact mean of a coefficient over one period."""
+    return float(coef.value) if isinstance(coef, Constant) else coef.c0
 
 
 def coefficient_extrema(coef: PeriodicCoefficient, n_audit: int = 4096):
-    """(min, max) of a coefficient over one period.
-
-    Sampled on a fine audit grid; for the Samples form the sample nodes
-    themselves are included, which makes the result exact for the piecewise
-    linear interpolant.
-    """
+    """(min, max) of a coefficient over one period, sampled on a fine audit grid;
+    ``extrema_slack`` bounds how far inside the true extrema they may sit."""
     t = np.linspace(0.0, coef.period, n_audit, endpoint=False)
     vals = coef.eval(t)
-    if isinstance(coef, Samples):
-        vals = np.concatenate([vals, coef.values])
     return float(vals.min()), float(vals.max())
 
 
@@ -118,8 +117,8 @@ def extrema_slack(coef: PeriodicCoefficient, n_audit: int = 4096) -> float:
 
     A true extremum is a critical point within h/2 of an audit node, h = T/n_audit,
     so it differs from the sampled one by at most K h^2/8 with K >= max |a''|.
-    For a Fourier series K = sum_m (m w)^2 (|cos_m| + |sin_m|); Constant and
-    Samples are exact on the audit grid and get 0.
+    For a Fourier series K = sum_m (m w)^2 (|cos_m| + |sin_m|); a Constant is
+    exact on the audit grid and gets 0.
     """
     if not isinstance(coef, FourierSeries):
         return 0.0

@@ -10,10 +10,12 @@ Shape:
     }
 
 Coefficient forms: {"constant": v}, {"fourier": {c0, cos, sin}},
-{"samples": [...]}.  Serialization is form-faithful (a constant stays a
-constant, a fourier stays a fourier even with empty coefficient lists), so
-parse -> serialize is the identity on normalized documents.  "e" may be
-omitted and defaults to zero per component; it is always written back.
+{"samples": [...]}, the last read as the trigonometric interpolant of values
+on a uniform grid over one period.  Serialization is form-faithful (a
+constant stays a constant, a fourier stays a fourier even with empty
+coefficient lists, samples stay samples), so parse -> serialize is the
+identity on normalized documents.  "e" may be omitted and defaults to zero
+per component; it is always written back.
 """
 from __future__ import annotations
 
@@ -163,11 +165,11 @@ def parse_config(doc) -> ParsedConfig:
 def _serialize_coefficient(coef: PeriodicCoefficient):
     if isinstance(coef, Constant):
         return {"constant": coef.value}
+    if isinstance(coef, Samples):
+        return {"samples": list(coef.values)}
     if isinstance(coef, FourierSeries):
         return {"fourier": {"c0": coef.c0, "cos": list(coef.cos_coeffs),
                             "sin": list(coef.sin_coeffs)}}
-    if isinstance(coef, Samples):
-        return {"samples": [float(v) for v in coef.values]}
     raise ConfigError("<serialize>", f"unknown coefficient type {type(coef).__name__}")
 
 

@@ -47,9 +47,9 @@ import numpy as np
 
 from .coefficients import (
     Constant,
-    FourierSeries,
     PeriodicCoefficient,
     coefficient_extrema,
+    coefficient_mean,
     extrema_slack,
 )
 from .errors import DomainError, ResonanceError
@@ -446,16 +446,6 @@ def kernel_quadrature(table: GreensTable):
     return table.kernel
 
 
-def _mean(coef: PeriodicCoefficient) -> float:
-    """Exact mean of a coefficient over one period."""
-    if isinstance(coef, Constant):
-        return float(coef.value)
-    if isinstance(coef, FourierSeries):
-        return coef.c0
-    # the trapezoid rule is exact for the periodic linear interpolant
-    return float(coef.values.mean())
-
-
 def torres_positive(coef: PeriodicCoefficient) -> bool:
     """Torres' L^p criterion for G > 0 (J. Differential Equations 190, 2003).
 
@@ -468,7 +458,7 @@ def torres_positive(coef: PeriodicCoefficient) -> bool:
     """
     lo, hi = coefficient_extrema(coef)
     slack = extrema_slack(coef)
-    mean = _mean(coef)
+    mean = coefficient_mean(coef)
     if not (lo - slack >= 0.0 and mean > 0.0):
         return False
     period = coef.period

@@ -11,13 +11,11 @@ discrete fixed point actually tracks the differential equation.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .config import _serialize_coefficient
 from .errors import DomainError, SingularityError
 from .greens import build_green_table, kernel_quadrature, quadrature_matrix
 from .problem import SINGULARITY_GUARD, SPLIT_FACTOR, Problem
@@ -129,13 +127,11 @@ class Discretization:
 
 
 def discretize(problem: Problem, n_grid: int) -> Discretization:
-    """The Green tables of ``problem.a`` on n_grid points, one per config form
-    of a coefficient (dataclass equality fails on the arrays of Samples)."""
-    keys = [json.dumps(_serialize_coefficient(coef), sort_keys=True) for coef in problem.a]
-    distinct = list(dict.fromkeys(keys))
-    coefficients = tuple(problem.a[keys.index(key)] for key in distinct)
+    """The Green tables of ``problem.a`` on n_grid points, one per distinct
+    coefficient (by ==), in the order the components first use them."""
+    coefficients = [coef for i, coef in enumerate(problem.a) if coef not in problem.a[:i]]
     return Discretization(tuple(build_green_table(coef, n_grid) for coef in coefficients),
-                          tuple(map(distinct.index, keys)), coefficients)
+                          tuple(map(coefficients.index, problem.a)), tuple(coefficients))
 
 
 def apply_T(problem: Problem, disc: Discretization, x: GridFunction) -> GridFunction:

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .coefficients import coefficient_extrema, extrema_slack
+from .coefficients import coefficient_extrema, coefficient_mean, extrema_slack
 from .errors import DomainError, HypothesisError
 
 __all__ = [
@@ -271,13 +271,12 @@ class Problem:
             if abs(coef.period - self.period) > 1e-12 * self.period:
                 raise DomainError("coefficient period differs from problem period")
 
-        t = np.arange(AUDIT_GRID) * (self.period / AUDIT_GRID)
         g_sampled, g_min, e_abs_max, mixed = [], [], [], False
         for i in range(self.n):
             g_lo, _ = coefficient_extrema(self.g[i], AUDIT_GRID)
             if g_lo < -1e-12:
                 raise HypothesisError(f"g[{i}] takes negative values")
-            if self.g[i].eval(t).mean() * self.period <= 0.0:
+            if coefficient_mean(self.g[i]) * self.period <= 0.0:
                 raise HypothesisError(f"g[{i}] must have positive integral")
             e_lo, e_hi = coefficient_extrema(self.e[i], AUDIT_GRID)
             mixed = mixed or e_lo < 0.0

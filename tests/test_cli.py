@@ -193,6 +193,18 @@ def test_non_finite_config_exit(tmp_path):
     assert not out.exists()
 
 
+def test_gibbs_negative_samples_g_exit(tmp_path, capsys):
+    # the trigonometric interpolant of a 0/1 square wave rings below zero
+    # between the nodes, so g fails the audit although its samples do not
+    cfg = symmetric_config(1.0, 2.0, 0.05)
+    cfg["g"] = [{"samples": [1.0] * 32 + [0.0] * 32}, {"constant": 1.0}]
+    out = tmp_path / "s"
+    rc = main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert rc == EXIT_INPUT
+    assert "g[0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_superlinear_preset(tmp_path, capsys):
     rc = main(["reproduce", "cor1b", "--out", str(tmp_path)])
     assert rc == EXIT_FOUND

@@ -40,8 +40,9 @@ def test_per_component_arrays(bench_disc, superlinear_small):
 
 
 def test_g_zero_on_a_set_is_fine(bench_disc):
-    # g vanishes on half the period but integrates to 1/pi > 0
-    vals = np.maximum(np.sin(2.0 * math.pi * np.arange(64) / 64.0), 0.0)
+    # g = 1 - cos 2 pi t vanishes at t = 0 but integrates to 1 > 0; its
+    # trigonometric interpolant is g itself, so its zero stays a zero
+    vals = 1.0 - np.cos(2.0 * math.pi * np.arange(64) / 64.0)
     prob = make_problem(1.0, 2.0, 0.05)
     prob = replace(prob, g=(Samples(vals), Samples(vals)))
     cc = compute_constants(bench_disc, prob)

@@ -496,10 +496,15 @@ def test_torres_criterion_is_strict_at_the_window_edge():
 
 
 def test_torres_criterion_mean_branch():
-    # max a far above pi^2 but int a < 4/T: the p = 1 branch certifies it
-    spike = Samples(np.concatenate([[60.0], np.zeros(63)]))
-    assert spike.values.max() > math.pi ** 2
-    assert spike.values.mean() < 4.0
+    # max a far above pi^2 but int a < 4/T: the p = 1 branch certifies it.
+    # The spike is the Fejer kernel of order 15 plus 0.01: nonnegative with
+    # room for the audit slack, and its 64 samples interpolate it exactly
+    t = np.arange(64) / 64.0
+    fejer = 1.0 + 2.0 * sum((1.0 - k / 16.0) * np.cos(2.0 * math.pi * k * t)
+                            for k in range(1, 16))
+    spike = Samples(fejer + 0.01)
+    assert max(spike.values) > math.pi ** 2
+    assert abs(spike.c0 - 1.01) <= 1e-12
     assert torres_positive(spike)
     assert build_green_table(spike, 256).positive
 

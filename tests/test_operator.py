@@ -295,8 +295,8 @@ def test_discretize_builds_one_table_per_coefficient():
 
 
 def test_equal_samples_share_one_table():
-    # two Samples holding equal arrays have one config form, so one table;
-    # a third with other values gets its own
+    # two Samples holding equal arrays have equal coefficients, so one
+    # table; a third with other values gets its own
     vals = 1.0 + 0.3 * np.cos(2.0 * math.pi * np.arange(64) / 64)
     disc = discretize(_three_component((Samples(vals), Samples(vals.copy()),
                                         Samples(vals + 0.1))), 64)

@@ -449,7 +449,8 @@ def test_grid_samples_are_read_only():
 
 
 def test_grid_samples_stay_out_of_eq_repr_and_replace():
-    # Samples coefficients hold arrays and do not compare; Fourier e here
+    # every coefficient form compares by value, so two problems built from
+    # one config are equal; Fourier e here
     e_spec = {"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}}
     sampled, fresh = make_problem(1.0, 2.0, 0.05, e_spec), make_problem(1.0, 2.0, 0.05, e_spec)
     g = sampled.g_on_grid(64)
@@ -528,11 +529,40 @@ def test_forcing_bounds_err_on_the_safe_side(m):
 
 def test_extrema_slack_zero_for_exact_forms():
     assert extrema_slack(Constant(2.0)) == 0.0
-    assert extrema_slack(Samples(np.array([1.0, 2.0, 0.5, 1.5]))) == 0.0
     # K = (2 pi)^2 (0.3 + 0.4) + (4 pi)^2 * 0.1 for h = 1/64
     slack = extrema_slack(FourierSeries(1.0, (0.3, 0.1), (0.4,)), 64)
     curvature = (2.0 * math.pi) ** 2 * 0.7 + (4.0 * math.pi) ** 2 * 0.1
     assert abs(slack - curvature / 64 ** 2 / 8.0) <= 1e-15 * slack
+    # samples are their interpolant and get its slack: the only mode of
+    # [1, 2, 1, 0] is sin 2 pi t, so K = (2 pi)^2
+    slack = extrema_slack(Samples(np.array([1.0, 2.0, 1.0, 0.0])), 64)
+    assert abs(slack - (2.0 * math.pi) ** 2 / 64 ** 2 / 8.0) <= 1e-15 * slack
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_samples_are_their_trigonometric_interpolant(m):
+    # odd and even counts: every rfft bin doubled except the Nyquist cosine of
+    # an even count, and no Nyquist sine
+    vals = np.random.default_rng(m).standard_normal(m)
+    coef = Samples(vals, period=0.8)
+    nodes = np.arange(m) * (0.8 / m)
+    assert np.max(np.abs(coef.eval(nodes) - vals)) <= 1e-14
+    j = np.arange(m)
+    modes = range(1, m // 2 + 1)
+    cos = [2.0 / m * float(vals @ np.cos(2.0 * math.pi * k * j / m)) for k in modes]
+    sin = [2.0 / m * float(vals @ np.sin(2.0 * math.pi * k * j / m)) for k in modes]
+    if m % 2 == 0:
+        cos[-1] /= 2.0
+        sin.pop()
+    ref = FourierSeries(float(vals.mean()), tuple(cos), tuple(sin), period=0.8)
+    assert len(coef.cos_coeffs) == len(cos) and len(coef.sin_coeffs) == len(sin)
+    assert abs(coef.c0 - ref.c0) <= 1e-14
+    assert np.max(np.abs(np.subtract(coef.cos_coeffs, cos))) <= 1e-14
+    assert np.max(np.abs(np.subtract(coef.sin_coeffs, sin))) <= 1e-14
+    t = np.linspace(0.0, 0.8, 101)
+    assert np.max(np.abs(coef.eval(t) - ref.eval(t))) <= 1e-14
+    # it compares by its coefficients, so equal values compare equal
+    assert coef == Samples(vals.copy(), period=0.8)
 
 
 def test_mixed_profile_requires_strictly_positive_g():

@@ -863,6 +863,26 @@ def test_variable_a_keeps_its_solutions(monkeypatch, alpha, beta, lam, count):
     assert len(steps) == count and max(steps) <= 4
 
 
+_NODES64 = np.arange(64) / 64.0
+
+
+@pytest.mark.parametrize("key, values", [
+    ("a", 1.0 + 0.3 * np.cos(2.0 * math.pi * np.arange(256) / 256.0)),
+    ("g", 1.0 + 0.5 * np.cos(2.0 * math.pi * _NODES64)),
+    ("a", 1.0 + 0.3 * (1.0 - 4.0 * np.minimum(_NODES64, 1.0 - _NODES64))),  # triangle
+], ids=["a-256-cos", "g-64-cos", "a-64-triangle"])
+def test_sampled_coefficients_keep_their_solutions(key, values):
+    # samples are read as their trigonometric interpolant, a smooth
+    # coefficient: the 5-point ODE check keeps both superlinear solutions at
+    # N = 1024, where the kinks of a linear interpolant dropped one or both
+    cfg = symmetric_config(1.0, 2.0, 0.05, n_grid=1024)
+    cfg[key] = [{"samples": values.tolist()}] * 2
+    prob = parse_config(cfg).problem
+    disc = discretize(prob, 1024)
+    report = find_solutions(prob, disc, compute_constants(disc, prob))
+    assert len(report.solutions) == 2, report.notes
+
+
 def test_verified_fp_residual_is_the_fixed_point_residual():
     # the gate takes the residual the fine Newton stopped at: bit for bit the
     # one T applied afresh at the accepted x gives
