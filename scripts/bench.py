@@ -19,9 +19,11 @@ entries:
   alone (existence_report from the prebuilt bounds: margins, gates and the
   pairing), the two parts a sweep separates
 * solver: per certified annulus of cor1b lambda = 0.05 at N = 256, the
-  Newton solve from the leveled annulus seed on the 256-point tables, its
-  inner systems on the 64-point base matrices, as ``find_solutions`` runs
-  it, with its Newton step count; and the Picard solve from the annulus
+  Newton solve from the leveled annulus seed on the 256-point tables, as
+  ``find_solutions`` runs it, with its Newton step count (0: the leveled
+  start is the fixed point to round-off); the same for the first annulus
+  of cor2b lambda = 0.01, whose start takes steps, their inner systems on
+  the 64-point base matrices; and the Picard solve from the cor1b annulus
   seed itself on the 64-point tables, a standalone function that no solve
   path calls, timed for as long as it exists
 * run: every (preset, lambda) problem at N = 256 (discretize, constants,
@@ -179,16 +181,30 @@ def _test_suite():
         raise RuntimeError(f"the tier-1 test suite exited with {code}")
 
 
+def _leveled_starts(preset, lam):
+    """A preset at N = 256, its discretization and (annulus, leveled seed)
+    per certified annulus: the starts of ``find_solutions``'s Newton loops."""
+    problem, disc, constants = _setup(preset, lam)
+    starts = []
+    for ann in existence_report(problem, constants, default_r_grid()):
+        seed = seed_from_annulus(ann, problem, disc.n_grid)
+        starts.append((ann, _level_start(problem, disc, seed, (ann.r_in, ann.r_out))))
+    return problem, disc, starts
+
+
+def _newton_entry(problem, disc, start, repeats):
+    return dict(_time(lambda: newton_refine(problem, disc, start), repeats),
+                newton_steps=newton_refine(problem, disc, start).iterations)
+
+
 def _solver_entries(repeats):
     """Newton from the leveled seed and Picard per annulus of cor1b
-    lambda=0.05."""
-    problem, disc, constants = _setup("cor1b", 0.05)
+    lambda=0.05, and Newton from the leveled seed of cor2b lambda=0.01 A1."""
+    problem, disc, starts = _leveled_starts("cor1b", 0.05)
     base_disc = discretize(problem, 64)
     out = {}
-    for ann in existence_report(problem, constants, default_r_grid()):
+    for ann, start in starts:
         base_seed = seed_from_annulus(ann, problem, 64)
-        seed = seed_from_annulus(ann, problem, disc.n_grid)
-        start = _level_start(problem, disc, seed, (ann.r_in, ann.r_out))
         tag = f"cor1b@0.05/{ann.annulus_id}"
 
         def picard():
@@ -202,9 +218,14 @@ def _solver_entries(repeats):
             _time(picard, repeats),
             outcome="diverged" if pic is None else
             ("converged" if pic.converged else "stalled"))
-        out[f"solver.newton[{tag}]"] = dict(
-            _time(lambda: newton_refine(problem, disc, start), repeats),
-            newton_steps=newton_refine(problem, disc, start).iterations)
+        out[f"solver.newton[{tag}]"] = _newton_entry(problem, disc, start, repeats)
+    # the cor1b starts are fixed points to round-off and take no Newton
+    # step; cor2b's sign-changing e makes its solutions non-constant, so
+    # this start times the two-grid steps themselves
+    problem, disc, starts = _leveled_starts("cor2b", 0.01)
+    ann, start = starts[0]
+    out[f"solver.newton[cor2b@0.01/{ann.annulus_id}]"] = _newton_entry(
+        problem, disc, start, repeats)
     return out
 
 

@@ -235,6 +235,7 @@ class Problem:
     requires min g_i > 0 everywhere.  sign_profile, g_min and e_abs_max are
     derived from the coefficients, never set by the caller; so are the grid
     samples of a, g and e, once per grid size (``g_on_grid`` and the like).
+    Equal components are audited and sampled once.
     """
 
     n: int
@@ -272,13 +273,15 @@ class Problem:
                 raise DomainError("coefficient period differs from problem period")
 
         g_sampled, g_min, e_abs_max, mixed = [], [], [], False
+        g_extrema = _per_distinct(self.g, lambda c: coefficient_extrema(c, AUDIT_GRID))
+        e_extrema = _per_distinct(self.e, lambda c: coefficient_extrema(c, AUDIT_GRID))
         for i in range(self.n):
-            g_lo, _ = coefficient_extrema(self.g[i], AUDIT_GRID)
+            g_lo, _ = g_extrema[i]
             if g_lo < -1e-12:
                 raise HypothesisError(f"g[{i}] takes negative values")
             if coefficient_mean(self.g[i]) * self.period <= 0.0:
                 raise HypothesisError(f"g[{i}] must have positive integral")
-            e_lo, e_hi = coefficient_extrema(self.e[i], AUDIT_GRID)
+            e_lo, e_hi = e_extrema[i]
             mixed = mixed or e_lo < 0.0
             g_sampled.append(g_lo)
             # bounds err on the safe side: the true min g may dip below the
@@ -315,7 +318,7 @@ class Problem:
         vals = self._samples.get(key)
         if vals is None:
             t = self.grid(n_grid)
-            vals = np.vstack([coef.eval(t) for coef in getattr(self, name)])
+            vals = np.vstack(_per_distinct(getattr(self, name), lambda c: c.eval(t)))
             vals.flags.writeable = False
             self._samples[key] = vals
         return vals
@@ -328,6 +331,16 @@ class Problem:
 
     def a_on_grid(self, n_grid: int) -> np.ndarray:
         return self._on_grid("a", n_grid)
+
+
+def _per_distinct(coefs: tuple, value) -> list:
+    """value(coef) for every coefficient, computed once per distinct one (by
+    ==): a coefficient equal to an earlier one reuses its value."""
+    out = []
+    for i, coef in enumerate(coefs):
+        first = coefs.index(coef)
+        out.append(out[first] if first < i else value(coef))
+    return out
 
 
 def _forcing_bounds(problem: Problem):

@@ -10,7 +10,7 @@ grid mean summed over components.  That is a scalar power-sum equation in
 kappa, solved on plain floats; the root for a seed lies in its annulus, the
 root for a warm start is the one nearest kappa = 1, and without a root the
 start stays as it is.  For constant a, g, e the leveled start is the
-fixed point to round-off, and Newton takes only its one forced step.
+fixed point to round-off, and Newton returns it without a step.
 
 Every f_i is radial, f_i(x) = phi_i(|x|_2), so its gradient
 phi_i'(u) x / u has rank one at each grid point and the exact Jacobian is
@@ -87,6 +87,9 @@ PICARD_TARGET = 1e-6
 PICARD_DAMPING = 0.5
 MAX_PICARD = 200
 NEWTON_TOL = 1e-10
+# a residual this small relative to the iterate's norm is round-off: Newton
+# returns there without a further step
+ROUNDOFF_RTOL = 16.0 * 2.0 ** -52
 MAX_NEWTON = 30
 # gate on the independent fourth-order ODE residual of accepted solutions
 ODE_TOL = 1e-6
@@ -271,9 +274,14 @@ def newton_refine(problem: Problem, disc: Discretization, x0: GridFunction) -> N
 
     Every step is ``_newton_step``, exact when ``disc`` has at most
     COARSE_GRID points, so that its base grid is its own.  The iteration
-    returns once its last step both started and ended at a residual at or
-    below NEWTON_TOL: at least one step is taken, and once the residual
-    first falls to NEWTON_TOL one more step takes it to round-off.
+    returns at the first iterate whose residual r is at most NEWTON_TOL and
+    either is round-off, r <= ROUNDOFF_RTOL * |x|, or follows a step that
+    started at or below NEWTON_TOL.  So a start already at round-off takes
+    no step (and builds no base matrix), and otherwise, once the residual
+    first falls to NEWTON_TOL, at most one more step takes it to round-off.
+    Where ROUNDOFF_RTOL * |x| exceeds NEWTON_TOL (norms above about 3e4),
+    the absolute NEWTON_TOL decides: the loop stops at the first residual
+    at or below it.
     """
     x = x0
     history = []
@@ -282,7 +290,8 @@ def newton_refine(problem: Problem, disc: Discretization, x0: GridFunction) -> N
         fvals = x.values - tx.values
         res = prod_norm(fvals)
         history.append(res)
-        if len(history) > 1 and max(history[-2:]) <= NEWTON_TOL:
+        if res <= NEWTON_TOL and (res <= ROUNDOFF_RTOL * x.norm
+                                  or len(history) > 1 and history[-2] <= NEWTON_TOL):
             return NewtonResult(x=x, residual=res, iterations=len(history) - 1,
                                 history=tuple(history))
         if len(history) > MAX_NEWTON:

@@ -140,6 +140,20 @@ def test_ode_residual_is_fourth_order():
         assert 15.5 <= coarse / fine <= 16.5
 
 
+@pytest.mark.parametrize("n_grid", [2, 3, 5, 16, 256, 1031])
+def test_second_difference_matches_the_rolled_stencil(n_grid):
+    # the padded slices add the same neighbours in the same order as the
+    # np.roll form, so every bit agrees
+    rng = np.random.default_rng(n_grid)
+    h = 1.0 / n_grid
+    for scale in (1e-6, 1.0, 1e6):
+        v = scale * rng.standard_normal((3, n_grid))
+        near = np.roll(v, -1, axis=1) + np.roll(v, 1, axis=1) - 2.0 * v
+        far = np.roll(v, -2, axis=1) + np.roll(v, 2, axis=1) - 2.0 * v
+        rolled = (16.0 * near - far) / (12.0 * h * h)
+        assert np.array_equal(operator_mod._second_difference(v, h), rolled)
+
+
 def test_singularity_guard(bench_disc):
     prob = make_problem(1.0, 2.0, 0.05)
     x = GridFunction(2, 256, 1.0, np.zeros((2, 256)))

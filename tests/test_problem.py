@@ -25,6 +25,7 @@ from pericone import (
     thresholds_delta,
 )
 
+import pericone.problem as problem_mod
 from pericone.coefficients import coefficient_extrema, extrema_slack
 from pericone.problem import (
     AUDIT_GRID,
@@ -437,6 +438,47 @@ def test_grid_samples_equal_eval(n_grid):
             assert vals[i].tobytes() == coef.eval(t).tobytes(), (name, i)
         # derived once per grid size, then handed out as it is
         assert getattr(prob, f"{name}_on_grid")(n_grid) is vals
+
+
+def test_equal_components_are_audited_and_sampled_once(monkeypatch):
+    # [spec] * 2: one audit of g and one of e, not one per component, and
+    # one evaluation per coefficient on a grid, shared by both rows
+    audits, evals = [], []
+    real_extrema, real_eval = problem_mod.coefficient_extrema, FourierSeries.eval
+
+    def count_extrema(coef, n_audit):
+        audits.append(coef)
+        return real_extrema(coef, n_audit)
+
+    def count_eval(coef, t):
+        evals.append(coef)
+        return real_eval(coef, t)
+
+    monkeypatch.setattr(problem_mod, "coefficient_extrema", count_extrema)
+    monkeypatch.setattr(FourierSeries, "eval", count_eval)
+    g = Samples(1.0 + 0.5 * np.cos(2.0 * math.pi * np.arange(64) / 64.0))
+    e = FourierSeries(-0.1, (0.2,))
+    prob = Problem(n=2, period=1.0, a=(Constant(1.0),) * 2, g=(g, Samples(g.values)),
+                   e=(e, FourierSeries(-0.1, (0.2,))), f=BENCH_F, lam=0.05)
+    assert audits == [g, e]
+    assert prob.sign_profile == "MixedE"
+    assert prob.g_min[0] == prob.g_min[1] and prob.e_abs_max[0] == prob.e_abs_max[1]
+    evals.clear()
+    vals = prob.g_on_grid(256)
+    assert evals == [g]
+    assert vals[0].tobytes() == vals[1].tobytes() == real_eval(g, prob.grid(256)).tobytes()
+
+
+@pytest.mark.parametrize("g, bad", [
+    ((FourierSeries(0.5, (1.0,)),) * 2, 0),
+    ((Constant(1.0), FourierSeries(0.5, (1.0,))), 1),
+    ((FourierSeries(0.5, (1.0,)), Constant(1.0), FourierSeries(0.5, (1.0,))), 0),
+])
+def test_the_audit_names_the_first_bad_component(g, bad):
+    n = len(g)
+    with pytest.raises(HypothesisError, match=rf"^g\[{bad}\] takes negative values$"):
+        Problem(n=n, period=1.0, a=(Constant(1.0),) * n, g=g, e=(Constant(0.0),) * n,
+                f=PowerLawRadial((SUPERLINEAR_TERMS,) * n), lam=0.05)
 
 
 def test_grid_samples_are_read_only():

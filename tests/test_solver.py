@@ -469,8 +469,9 @@ def test_two_grid_sweep_warm_starts():
 def test_coarse_newton_failure(monkeypatch, n_grid):
     # a failed linear solve on the 64-point base grid fails that start's one
     # Newton loop and drops the annulus at every N: there is no second solve
-    # path to retry on
-    prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
+    # path to retry on.  cor2b has a sign-changing e, so its leveled starts
+    # are not fixed points and each takes Newton steps
+    prob = parse_config(PRESETS["cor2b"].config(0.01, n_grid)).problem
     disc = discretize(prob, n_grid)
     cc = compute_constants(disc, prob)
     real = solver_mod.newton_refine
@@ -499,10 +500,13 @@ def test_coarse_newton_failure(monkeypatch, n_grid):
 @pytest.mark.parametrize("n_grid", [66, 96, 130, 1030, 2062, 4094])
 def test_base_grid_has_64_points(monkeypatch, n_grid):
     # at every N, whatever its factors, each start runs one Newton loop on
-    # the N-point grid, and every LU a solve factors is 64 x 64
+    # the N-point grid, and every LU a solve factors is 64 x 64.  The starts
+    # are the constant annulus seeds, not leveled: leveled, they are the
+    # fixed points and Newton takes no step
     prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
     disc = discretize(prob, n_grid)
     cc = compute_constants(disc, prob)
+    monkeypatch.setattr(solver_mod, "_level_start", lambda problem, disc, x0, radii=None: x0)
     real_newton, real_solve = solver_mod.newton_refine, solver_mod._coupling_solve
     grids, systems = [], []
 
@@ -537,16 +541,11 @@ def test_base_tables_follow_the_coefficients():
 
 def test_base_matrices_are_built_once_per_discretization(monkeypatch):
     # compute_constants builds none; the first Newton step builds one per
-    # distinct table, and later solves on the same object reuse it
-    real = operator_mod.quadrature_matrix
-    built = []
-
-    def count(table):
-        built.append(table.n_grid)
-        return real(table)
-
-    monkeypatch.setattr(operator_mod, "quadrature_matrix", count)
-    prob = make_problem(1.0, 2.0, 0.05)
+    # distinct table, and later solves on the same object reuse it.  With
+    # a = 1 + 0.3 cos the solutions are not constant, so every start takes
+    # steps
+    built = _record_base_matrices(monkeypatch)
+    prob = parse_config(_var_a_config(1.0, 2.0, 0.05, n_grid=256)).problem
     disc = discretize(prob, 256)
     cc = compute_constants(disc, prob)
     assert built == []
@@ -597,9 +596,10 @@ def test_two_grid_correction_failure_drops(monkeypatch, n_grid):
 def test_one_two_grid_correction_reaches_round_off(monkeypatch):
     # the one Newton loop per start takes every solve of the preset problems
     # at N=96 and N=256 to a residual of 1e-13, or to round-off (1e-15
-    # relative) for the solutions with norm above 100: its last step starts
-    # at or below NEWTON_TOL.  At N=96 the base grid has 64 points, and the
-    # grids do not nest
+    # relative) for the solutions with norm above 100: it stops at or below
+    # NEWTON_TOL, at round-off relative to the iterate or after a step that
+    # started at or below NEWTON_TOL.  At N=96 the base grid has 64 points,
+    # and the grids do not nest
     real = solver_mod.newton_refine
     solves = []
 
@@ -623,8 +623,9 @@ def test_one_two_grid_correction_reaches_round_off(monkeypatch):
                 problems += 1
     assert problems == 16
     for res in solves:
-        assert res.iterations >= 1
-        assert max(res.history[-2:]) <= solver_mod.NEWTON_TOL
+        assert res.residual <= solver_mod.NEWTON_TOL
+        assert (res.residual <= solver_mod.ROUNDOFF_RTOL * res.x.norm
+                or res.iterations >= 1 and res.history[-2] <= solver_mod.NEWTON_TOL)
         assert res.residual <= 1e-15 * max(res.x.norm, 100.0)
 
 
@@ -773,6 +774,20 @@ def test_sweep_builds_its_base_tables_once(monkeypatch):
     assert built == [(prob.a[0], 64)]
 
 
+def _record_base_matrices(monkeypatch):
+    """Patch ``quadrature_matrix`` in ``operator`` to record the grid of
+    every matrix it builds: the base matrices, and nothing else there."""
+    real = operator_mod.quadrature_matrix
+    built = []
+
+    def count(table):
+        built.append(table.n_grid)
+        return real(table)
+
+    monkeypatch.setattr(operator_mod, "quadrature_matrix", count)
+    return built
+
+
 def _record_newton_steps(monkeypatch):
     """Patch ``newton_refine`` to record the steps of every call."""
     real = solver_mod.newton_refine
@@ -789,8 +804,7 @@ def _record_newton_steps(monkeypatch):
 
 def test_leveled_cor1b_starts_are_fixed_points():
     # constant coefficients: the one-mode level of the constant annulus seed
-    # on the N-point tables is their fixed point, so Newton takes only its
-    # forced step
+    # on the N-point tables is their fixed point, so Newton takes no step
     for n_grid in (64, 256):
         prob = parse_config(PRESETS["cor1b"].config(0.05, n_grid)).problem
         disc = discretize(prob, n_grid)
@@ -801,7 +815,7 @@ def test_leveled_cor1b_starts_are_fixed_points():
             start = solver_mod._level_start(prob, disc, seed, (ann.r_in, ann.r_out))
             assert fixed_point_residual(prob, disc, seed) > 1e-3 * seed.norm
             assert fixed_point_residual(prob, disc, start) <= 1e-13 * start.norm
-            assert newton_refine(prob, disc, start).iterations == 1
+            assert newton_refine(prob, disc, start).iterations == 0
 
 
 def test_every_preset_annulus_levels_inside_it():
@@ -835,17 +849,51 @@ def test_level_without_a_root_keeps_the_start():
     assert np.array_equal(seed.values, values)
 
 
-def test_bench_sweep_takes_one_newton_step_per_solve(monkeypatch):
+def test_bench_sweep_takes_no_newton_step(monkeypatch):
     # every annulus seed and every warm start of the bench sweep is leveled
-    # onto its fixed point, so each solve takes one Newton step, its inner
-    # system on the base grid
+    # onto its fixed point to round-off, so no solve takes a Newton step or
+    # builds a base matrix
     steps = _record_newton_steps(monkeypatch)
+    built = _record_base_matrices(monkeypatch)
     prob = make_problem(1.0, 2.0, 0.01)
     disc = discretize(prob, 256)
     sweep = continue_lambda(prob, disc, 0.01, 0.3, 6,
                             constants=compute_constants(disc, prob))
     assert [(row.branch_id, row.annulus_id) for row in sweep.rows] == [("b1", "A1"), ("b2", "A2")] * 6
-    assert steps == [1] * 12
+    assert steps == [0] * 12
+    assert built == []
+
+
+def test_cor1_presets_build_no_base_matrix(monkeypatch):
+    # constant a, g and e: every leveled start of the cor1 presets is the
+    # fixed point to round-off, so no solve forms or factors a base matrix
+    steps = _record_newton_steps(monkeypatch)
+    built = _record_base_matrices(monkeypatch)
+    for name in ("cor1a", "cor1b"):
+        preset = PRESETS[name]
+        for lam in preset.lambdas:
+            parsed = parse_config(preset.config(lam))
+            disc = discretize(parsed.problem, parsed.n_grid)
+            report = find_solutions(parsed.problem, disc,
+                                    compute_constants(disc, parsed.problem), preset.ode_tol)
+            assert [s.annulus_id for s in report.solutions] == PRESET_ANNULUS_IDS[name, lam]
+    assert steps == [0] * 7
+    assert built == []
+
+
+def test_large_solution_stops_at_newton_tol(monkeypatch):
+    # cor1a at lambda=1000 on the radius window [1e-8, 1e8]: the solution
+    # has norm 2.8e6, where round-off in the residual exceeds NEWTON_TOL,
+    # and Newton still reaches it
+    parsed = parse_config(PRESETS["cor1a"].config(1000.0))
+    disc = discretize(parsed.problem, parsed.n_grid)
+    cc = compute_constants(disc, parsed.problem)
+    monkeypatch.setattr(solver_mod, "default_r_grid", lambda: default_r_grid(1e-8, 1e8))
+    report = find_solutions(parsed.problem, disc, cc)
+    assert [s.annulus_id for s in report.solutions] == ["A1"]
+    (sol,) = report.solutions
+    assert abs(sol.norm - 2828429.953169366) <= 1e-12 * sol.norm
+    assert sol.fp_residual <= solver_mod.NEWTON_TOL
 
 
 @pytest.mark.parametrize("alpha, beta, lam, count", [
