@@ -9,6 +9,10 @@ entries:
   N = 64 (the base grid every solve builds for its inner systems), 256,
   1024 and 4096; the N = 4096 entries also record the peak of the memory
   Python allocates during one build (tracemalloc), in MiB
+* operator: the Newton step's base matrices of a two-component system at
+  N = 1024, a = 1 and a = 1 + 0.3 cos, read from a fresh discretization of
+  the prebuilt 1024-point table each run: the 64-point table build and its
+  operator applied to the identity
 * problem: thresholds_delta on each preset's first lambda, with the caches
   of the critical point and the per-component roots emptied before each
   call, so all of them are computed every time
@@ -82,6 +86,7 @@ import pericone.solver  # noqa: E402
 from pericone import (  # noqa: E402
     PRESETS,
     Constant,
+    Discretization,
     FourierSeries,
     build_green_table,
     compute_constants,
@@ -306,6 +311,10 @@ def measure(repeats):
             entry = timings[f"greens.{name}[N{n_grid}]"] = _time(build, repeats)
             if n_grid == 4096:
                 entry["peak_mib"] = _peak_mib(build)
+    for name, coef in (("closed_form", Constant(1.0)), ("rk4", FourierSeries(1.0, (0.3,)))):
+        table = build_green_table(coef, 1024)
+        timings[f"operator.base_matrices[{name}/N1024]"] = _time(
+            lambda: Discretization((table,), (0, 0), (coef,)).base_matrices, repeats)
     for name in sorted(PRESETS):
         lam = PRESETS[name].lambdas[0]
         problem, _, constants = _setup(name, lam)

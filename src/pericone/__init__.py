@@ -47,13 +47,11 @@ from .errors import (
 )
 from .greens import (
     GreensTable,
-    PositivityReport,
     build_green_table,
     green_bounds_constant,
     green_constant,
     kernel_quadrature,
     kernel_values,
-    quadrature_matrix,
     solve_linear_periodic,
     torres_positive,
 )

@@ -127,7 +127,6 @@ def cmd_green(args) -> int:
     reports = []
     for i, (k, coef) in enumerate(zip(disc.index, problem.a)):
         table = disc.tables[k]
-        pos = table.positivity
         path = out / f"green_{i}.csv"
         if (first := disc.index.index(k)) == i:
             _write_chunks(path, _green_rows(table))
@@ -139,10 +138,10 @@ def cmd_green(args) -> int:
             "m": table.m,
             "M": table.M,
             "positive": table.positive,
-            "min_value": pos.min_value,
-            "argmin_t": pos.argmin[0],
-            "argmin_s": pos.argmin[1],
-            "holds": pos.holds,
+            "min_value": table.m,
+            "argmin_t": table.argmin[0],
+            "argmin_s": table.argmin[1],
+            "holds": table.positive,
             "torres_criterion": torres_positive(coef),
         })
         print(f"component {i}: m={_fmt(table.m)} M={_fmt(table.M)} "

@@ -30,10 +30,9 @@ holds G or Q as an N x N array: Q is applied from the generators, the
 circulant by real FFTs in O(N log N) and the semiseparable kernel by a
 rank-2 product and two prefix sums in O(N) (Greengard and Rokhlin, CPAM 44,
 1991).  ``kernel_values`` samples G at node indices from the generators;
-m and M are raw kernel samples, never corrected.  ``quadrature_matrix``
-samples Q of a table from its generators: the base-grid matrix whose LU
-the two-grid Newton step factors.  Generators and matrices are read-only,
-because every operator application and every Newton step shares them.
+m and M are raw kernel samples, never corrected.  The generators are
+read-only, because every operator application and every Newton step
+shares them.
 
 ``torres_positive`` is an analytic cross-check of the positivity scan, from
 the coefficient alone.
@@ -56,13 +55,11 @@ from .errors import DomainError, ResonanceError
 
 __all__ = [
     "GreensTable",
-    "PositivityReport",
     "CirculantKernel",
     "SemiseparableKernel",
     "green_constant",
     "green_bounds_constant",
     "build_green_table",
-    "quadrature_matrix",
     "kernel_values",
     "kernel_quadrature",
     "torres_positive",
@@ -174,22 +171,14 @@ def green_bounds_constant(k: float, period: float):
 
 
 @dataclass
-class PositivityReport:
-    """Strict positivity of a kernel: the closed-form minimum, or for RK4 the
-    grid scan plus the refined patch.  ``min_value`` is the table's m."""
-
-    holds: bool
-    min_value: float
-    argmin: tuple
-
-
-@dataclass
 class GreensTable:
     """The kernel G(t_p, t_q) on the uniform grid t_p = p*T/N, held by its generators.
 
     ``kernel`` is a CirculantKernel (closed form) or a SemiseparableKernel
     (RK4): O(N) numbers, sampled by ``kernel_values`` and applied as the
-    Nystrom operator ``kernel_quadrature`` returns.
+    Nystrom operator ``kernel_quadrature`` returns.  ``positive`` is strict
+    positivity of the kernel, m above the tolerance of its build, and
+    ``argmin`` the (t, s) where m was found.
     """
 
     n_grid: int
@@ -197,13 +186,10 @@ class GreensTable:
     kernel: CirculantKernel | SemiseparableKernel = field(repr=False)
     m: float
     M: float
-    positivity: PositivityReport
+    positive: bool
+    argmin: tuple
     # closed-form k when the constant-coefficient branch was used, else None
     k: float | None = field(default=None, repr=False)
-
-    @property
-    def positive(self) -> bool:
-        return self.positivity.holds
 
     @property
     def grid_t(self) -> np.ndarray:
@@ -401,7 +387,8 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         kernel=kernel,
         m=m,
         M=big,
-        positivity=PositivityReport(holds=bool(m > tol), min_value=m, argmin=argmin),
+        positive=bool(m > tol),
+        argmin=argmin,
         k=k_used,
     )
 
@@ -416,21 +403,6 @@ def kernel_values(table: GreensTable, rows, cols) -> np.ndarray:
     path, which rounds differently.
     """
     return table.kernel.sample(np.asarray(rows), np.asarray(cols))
-
-
-def quadrature_matrix(table: GreensTable) -> np.ndarray:
-    """The quadrature of the table as the read-only matrix h (G + h/12 I).
-
-    Sampled from the generators with ``kernel_values``: no new kernel
-    evaluation.
-    """
-    n_grid = table.n_grid
-    h = table.period / n_grid
-    nodes = np.arange(n_grid)
-    matrix = kernel_values(table, nodes, nodes)
-    matrix.flat[::n_grid + 1] += h / 12.0
-    matrix *= h
-    return _frozen(matrix)
 
 
 def kernel_quadrature(table: GreensTable):
@@ -465,20 +437,12 @@ def torres_positive(coef: PeriodicCoefficient) -> bool:
     return hi + slack < (math.pi / period) ** 2 or mean * period < 4.0 / period
 
 
-def solve_linear_periodic(table: GreensTable, e):
-    """Periodic solution of x'' + a(t) x = e(t) as a one-component grid function.
-
-    e may be a periodic coefficient or an array of per-node values.
-    """
+def solve_linear_periodic(table: GreensTable, e: PeriodicCoefficient):
+    """Periodic solution of x'' + a(t) x = e(t), e a periodic coefficient, as
+    a one-component grid function."""
     from .operator import GridFunction
 
-    if hasattr(e, "eval"):
-        e_vals = e.eval(table.grid_t)
-    else:
-        e_vals = np.asarray(e, dtype=float)
-    if e_vals.shape != (table.n_grid,):
-        raise DomainError("e must provide one value per grid node")
-    x = kernel_quadrature(table) @ e_vals
+    x = kernel_quadrature(table) @ e.eval(table.grid_t)
     return GridFunction(n=1, n_grid=table.n_grid, period=table.period,
                         values=x[None, :])
 

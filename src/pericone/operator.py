@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .greens import build_green_table, kernel_quadrature, quadrature_matrix
+from .greens import build_green_table, kernel_quadrature
 from .problem import SINGULARITY_GUARD, SPLIT_FACTOR, Problem
 
 __all__ = [
@@ -105,11 +105,16 @@ class Discretization:
 
     @cached_property
     def base_matrices(self) -> list:
-        """The Newton step's base-grid quadrature matrices, one per component:
-        one per distinct table, sampled from a table of its coefficient at
-        min(N, COARSE_GRID) points, built on first use."""
-        base = [quadrature_matrix(build_green_table(coef, min(self.n_grid, COARSE_GRID)))
+        """The Newton step's base-grid quadrature matrices, one per component,
+        built on first use: one read-only matrix per distinct table, the
+        operator ``kernel_quadrature`` of a table of its coefficient at
+        M = min(N, COARSE_GRID) points applied to the identity.  At N <= M
+        that table is the discretization's own, bit for bit."""
+        size = min(self.n_grid, COARSE_GRID)
+        base = [(kernel_quadrature(build_green_table(coef, size)) @ np.eye(size)).T
                 for coef in self.coefficients]
+        for matrix in base:
+            matrix.flags.writeable = False
         return [base[k] for k in self.index]
 
     def quadrature(self, w: np.ndarray) -> np.ndarray:

@@ -27,9 +27,10 @@ wraps it.
 Two grids: each start runs one Newton loop on the fine grid of N points,
 and a base grid of M = min(N, COARSE_GRID) points serves only as the inner
 system of each step.  It is one quadrature matrix per distinct
-coefficient a_i, sampled from a table built at M points
-(``Discretization.base_matrices``): the only matrix a solve forms and
-the only LU it factors, so at every N >= COARSE_GRID that LU is 64 x 64.
+coefficient a_i, the M-point table's own operator applied to the
+identity (``Discretization.base_matrices``): the only matrix a solve
+forms and the only LU it factors, so at every N >= COARSE_GRID that LU
+is 64 x 64.
 The grids need not nest: functions move between them only by Fourier
 resampling (``resample``), truncation going down and zero-padding going
 up.  The fine grid never forms an N x N matrix: each step is an Atkinson-Brakhage
@@ -300,7 +301,7 @@ def newton_refine(problem: Problem, disc: Discretization, x0: GridFunction) -> N
         x = GridFunction(n=x.n, n_grid=x.n_grid, period=x.period,
                          values=x.values - step)
     raise NoConvergenceError(
-        f"newton stalled at residual {history[-1]:.3e} after {MAX_NEWTON} steps"
+        f"newton did not converge in {MAX_NEWTON} steps"
     )
 
 

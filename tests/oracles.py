@@ -2,7 +2,10 @@
 
 Everything in here is deliberately written from scratch (math + numpy only,
 no imports from the package under test) so the tests compare two separate
-derivations rather than the code against itself.
+derivations rather than the code against itself.  ``dense_quadrature`` is
+the one reader of a package object: it takes a Green table's kernel
+entries as given (the dense builds below check those bit for bit) and
+forms the quadrature from them densely.
 """
 
 import math
@@ -205,6 +208,16 @@ def dense_circulant_table(k, period, n_grid):
     profile = np.concatenate([half, half[-2:0:-1]])
     doubled = np.concatenate([profile, profile])
     return np.stack([doubled[n_grid - p:2 * n_grid - p] for p in range(n_grid)])
+
+
+def dense_quadrature(table):
+    """h (G + h/12 I) of a Green table as one dense N x N matrix, from the
+    kernel sampled at every pair of nodes: the reference for the
+    quadrature operator applied from the table's generators."""
+    n_grid = table.n_grid
+    h = table.period / n_grid
+    nodes = np.arange(n_grid)
+    return h * (table.kernel.sample(nodes, nodes) + (h / 12.0) * np.eye(n_grid))
 
 
 def kernel_from_basis_products(Y, idx_t, idx_s):

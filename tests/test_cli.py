@@ -323,10 +323,10 @@ def test_green_formats_each_table_once(tmp_path, monkeypatch, a_specs, distinct)
 @pytest.mark.parametrize("command", ["green", "certify"])
 def test_green_and_certify_build_no_base_matrix(tmp_path, monkeypatch, command):
     # only a Newton step needs the base-grid matrices, and it builds them
-    def forbidden(table):
-        raise AssertionError("quadrature_matrix called")
+    def forbidden(disc):
+        raise AssertionError("base_matrices read")
 
-    monkeypatch.setattr(operator_mod, "quadrature_matrix", forbidden)
+    monkeypatch.setattr(operator_mod.Discretization, "base_matrices", property(forbidden))
     cfg = write_cfg(tmp_path, symmetric_config(1.0, 2.0, 0.05, n_grid=32))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_FOUND
 

@@ -9,6 +9,7 @@ import tracemalloc
 
 from pericone import (
     Constant,
+    Discretization,
     DomainError,
     FourierSeries,
     ResonanceError,
@@ -18,7 +19,6 @@ from pericone import (
     green_constant,
     kernel_quadrature,
     kernel_values,
-    quadrature_matrix,
     solve_linear_periodic,
     torres_positive,
 )
@@ -35,6 +35,7 @@ from pericone.greens import (
 )
 
 import oracles
+from oracles import dense_quadrature
 
 # closed-form kernel extrema for k = T = 1, frozen at mpmath precision
 M_SMALL = 0.91524386085622595963
@@ -50,12 +51,6 @@ def full_values(table):
     nodes = np.arange(table.n_grid)
     return np.vstack([kernel_values(table, nodes[s:s + ROW_BLOCK], nodes)
                       for s in range(0, table.n_grid, ROW_BLOCK)])
-
-
-def dense_quadrature(table):
-    """h (G + h/12 I) from the sampled table."""
-    h = table.period / table.n_grid
-    return h * (full_values(table) + (h / 12.0) * np.eye(table.n_grid))
 
 
 def test_table_constants_match_closed_form(unit_table):
@@ -83,8 +78,10 @@ def test_kernel_quadrature_built_once(coef):
     table = build_green_table(coef, 32)
     quad = kernel_quadrature(table)
     assert kernel_quadrature(table) is quad
-    # the matrix is h (G + h/12 I) of the sampled table, bit for bit
-    assert np.array_equal(quadrature_matrix(table), dense_quadrature(table))
+    # applied to the identity, the operator is h (G + h/12 I) of the sampled
+    # table to round-off
+    dense = dense_quadrature(table)
+    assert np.max(np.abs(quad @ np.eye(32) - dense.T)) <= 1e-14 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("n_grid", [256, 1024])
@@ -106,12 +103,15 @@ def test_quadrature_operator_matches_dense(coef, n_grid):
 
 
 def test_table_arrays_read_only(unit_table):
-    # the generators are shared by every operator call; an in-place edit
-    # would silently desynchronise them from m and M
-    rk4 = build_green_table(FourierSeries(1.0, (0.3,)), 32)
+    # the generators are shared by every operator call, the base matrices by
+    # every Newton step; an in-place edit would silently desynchronise them
+    # from m and M, or from the operator
+    rk4_coef = FourierSeries(1.0, (0.3,))
+    rk4 = build_green_table(rk4_coef, 32)
+    base = [Discretization((tbl,), (0,), (coef,)).base_matrices[0]
+            for tbl, coef in ((unit_table, Constant(1.0)), (rk4, rk4_coef))]
     arrays = [unit_table.kernel.profile, unit_table.kernel.eigenvalues,
-              rk4.kernel.basis, rk4.kernel.coef,
-              quadrature_matrix(unit_table)]
+              rk4.kernel.basis, rk4.kernel.coef, rk4.kernel.lower, *base]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -142,8 +142,8 @@ def test_no_table_array_grows_with_n_squared(coef):
                          ids=["a=1", "a=4,T=0.7", "a=1+0.3cos", "four-term"])
 def test_generators_bit_equal_dense_build(coef, n_grid):
     # against the dense N x N build the tables once stored: every sample,
-    # M, the positivity report, m as its refined minimum, and the quadrature
-    # matrix
+    # M, the positivity verdict and argmin, m as its refined minimum, and
+    # the quadrature operator applied to the identity
     table = build_green_table(coef, n_grid)
     period = coef.period
     if table.k is not None:
@@ -165,27 +165,27 @@ def test_generators_bit_equal_dense_build(coef, n_grid):
     _, big, holds, min_value, argmin = oracles.dense_positivity(
         values, patch, period, FINE_FACTOR, rk4=table.k is None)
     assert (table.m, table.M) == (min_value, big)
-    rep = table.positivity
-    assert (rep.holds, rep.min_value, rep.argmin) == (holds, min_value, argmin)
+    assert (table.positive, table.argmin) == (holds, argmin)
     h = period / n_grid
-    assert np.array_equal(quadrature_matrix(table),
-                          h * (values + (h / 12.0) * np.eye(n_grid)))
+    dense = h * (values + (h / 12.0) * np.eye(n_grid))
+    applied = kernel_quadrature(table) @ np.eye(n_grid)
+    assert np.max(np.abs(applied.T - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_m_is_the_refined_kernel_minimum():
     # on this rough coefficient the refined patch finds a lower kernel value
-    # than any grid node; m is that value, the one the positivity report holds
+    # than any grid node; m is that value
     rough = FourierSeries(6.0, (2.5, 0.0, 0.8), (0.0, 1.0))
     table = build_green_table(rough, 64)
     grid_min = float(full_values(table).min())
-    assert table.m == table.positivity.min_value
     assert table.m < grid_min
 
 
 def test_positivity_report(unit_table):
-    rep = unit_table.positivity
-    assert rep.holds
-    assert rep.min_value > 0.9
+    assert unit_table.positive
+    assert unit_table.m > 0.9
+    # the closed-form minimum lies on the diagonal
+    assert unit_table.argmin == (0.0, 0.0)
 
 
 def test_green_constant_pointwise():
@@ -235,7 +235,6 @@ def test_window_boundary_not_positive():
     except ResonanceError:
         return
     assert not table.positive
-    assert not table.positivity.holds
 
 
 def test_resonance_at_full_period():
@@ -246,7 +245,7 @@ def test_resonance_at_full_period():
 def test_kernel_goes_negative_past_window():
     table = build_green_table(Constant((math.pi + 0.1) ** 2), 64)
     assert not table.positive
-    assert table.positivity.min_value < 0.0
+    assert table.m < 0.0
 
 
 def test_samples_path_matches_closed_form():
@@ -519,4 +518,4 @@ def test_torres_near_boundary_fourier_scans_positive():
         table = build_green_table(coef, n_grid)
         assert table.k is None
         assert table.positive
-        assert table.positivity.min_value < 1e-4
+        assert table.m < 1e-4

@@ -27,8 +27,8 @@ from pericone import (
     fixed_point_residual,
     newton_refine,
     parse_config,
+    kernel_quadrature,
     picard_solve,
-    quadrature_matrix,
     resample,
     seed_from_annulus,
     symmetric_config,
@@ -226,10 +226,10 @@ def test_newton_step_matches_dense_solve(case):
         prob = replace(prob, a=(Constant(1.0), Constant(2.0)))
         vals = np.stack([0.3 + 0.1 * wave, 0.1 + 0.02 * np.sin(4.0 * math.pi * t)])
     # the two-grid step with both grids at N points: inner system from the
-    # quadrature matrices, back-substitution through the FFT or semiseparable
-    # operators
+    # base matrices, back-substitution through the FFT or semiseparable
+    # operators, against the dense Jacobian of the sampled tables
     disc = discretize(prob, n_grid)
-    dense = [quadrature_matrix(disc.tables[k]) for k in disc.index]
+    dense = [oracles.dense_quadrature(disc.tables[k]) for k in disc.index]
     x = GridFunction(prob.n, n_grid, 1.0, vals)
     fvals = x.values - apply_T(prob, disc, x).values
     ref = _dense_newton_step(prob, dense, x, fvals)
@@ -433,7 +433,7 @@ def test_two_grid_matches_single_grid(config_of, alpha, beta, lam, n_grid, count
     cc = compute_constants(disc, prob)
     report = find_solutions(prob, disc, cc)
     g, e = prob.g_on_grid(n_grid), prob.e_on_grid(n_grid)
-    dense = quadrature_matrix(disc.tables[0])
+    dense = oracles.dense_quadrature(disc.tables[0])
     expect = []
     for ann in report.annuli:
         seed = seed_from_annulus(ann, prob, n_grid).values
@@ -526,32 +526,66 @@ def test_base_grid_has_64_points(monkeypatch, n_grid):
     assert systems and set(systems) == {64}
 
 
-def test_base_tables_follow_the_coefficients():
-    # one 64-point base matrix per distinct fine table, sampled from a table
-    # built from the coefficient of the components that share it (a_1 = a_3
-    # here)
-    a = (Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0))
-    prob = Problem(n=3, period=1.0, a=a, g=(Constant(1.0),) * 3, e=(Constant(0.0),) * 3,
+def _applied_matrix(table):
+    """The quadrature operator of ``table`` applied to the identity, transposed:
+    the matrix whose column q is Q of the q-th unit vector."""
+    return (kernel_quadrature(table) @ np.eye(table.n_grid)).T
+
+
+def _three_coefficient_problem(a):
+    return Problem(n=3, period=1.0, a=a, g=(Constant(1.0),) * 3, e=(Constant(0.0),) * 3,
                    f=PowerLawRadial((SUPERLINEAR_TERMS,) * 3), lam=0.05)
-    base = discretize(prob, 130).base_matrices
+
+
+def test_base_tables_follow_the_coefficients():
+    # one 64-point base matrix per distinct fine table, the operator of a
+    # table built from the coefficient of the components that share it
+    # (a_1 = a_3 here), applied to the identity
+    a = (Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0))
+    base = discretize(_three_coefficient_problem(a), 130).base_matrices
     assert base[0] is base[2] and base[1] is not base[0]
     for matrix, coef in zip(base, a):
-        assert np.array_equal(matrix, quadrature_matrix(build_green_table(coef, 64)))
+        table = build_green_table(coef, 64)
+        assert np.array_equal(matrix, _applied_matrix(table))
+        dense = oracles.dense_quadrature(table)
+        assert np.max(np.abs(matrix - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n_grid", [32, 64])
+def test_base_matrices_are_the_tables_own_operator(n_grid):
+    # at N <= 64 the base grid is the fine grid, and each base matrix is the
+    # operator of the discretization's own table, bit for bit: the inner
+    # system of the exact Newton step is the operator apply_T applies
+    a = (Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0))
+    disc = discretize(_three_coefficient_problem(a), n_grid)
+    for matrix, k in zip(disc.base_matrices, disc.index):
+        assert np.array_equal(matrix, _applied_matrix(disc.tables[k]))
+
+
+def test_fine_grid_base_matrix_matches_the_dense_quadrature():
+    # a = 1 + 0.3 cos at N = 1024: the base matrix is the 64-point RK4
+    # table's operator, within round-off of its dense quadrature
+    coef = FourierSeries(1.0, (0.3,))
+    disc = Discretization((build_green_table(coef, 1024),), (0, 0), (coef,))
+    dense = oracles.dense_quadrature(build_green_table(coef, 64))
+    for matrix in disc.base_matrices:
+        assert matrix.shape == (64, 64)
+        assert np.max(np.abs(matrix - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_base_matrices_are_built_once_per_discretization(monkeypatch):
-    # compute_constants builds none; the first Newton step builds one per
-    # distinct table, and later solves on the same object reuse it.  With
-    # a = 1 + 0.3 cos the solutions are not constant, so every start takes
-    # steps
-    built = _record_base_matrices(monkeypatch)
+    # compute_constants builds none; the first Newton step builds one 64-point
+    # table per distinct fine table, and later solves on the same object
+    # reuse its matrix.  With a = 1 + 0.3 cos the solutions are not
+    # constant, so every start takes steps
     prob = parse_config(_var_a_config(1.0, 2.0, 0.05, n_grid=256)).problem
     disc = discretize(prob, 256)
+    built = _record_base_tables(monkeypatch)
     cc = compute_constants(disc, prob)
     assert built == []
     for lam in (0.05, 0.04):
         assert len(find_solutions(replace(prob, lam=lam), disc, cc).solutions) == 2
-    assert built == [64]
+    assert built == [prob.a[0]]
 
 
 def test_tables_of_another_coefficient_need_the_explicit_constructor():
@@ -756,35 +790,30 @@ def test_sweep_seeds_the_annulus_of_a_new_branch(monkeypatch):
 
 def test_sweep_builds_its_base_tables_once(monkeypatch):
     # every step of a sweep solves on the same 64-point base tables
-    real = operator_mod.build_green_table
-    built = []
-
-    def count(coef, n_grid):
-        built.append((coef, n_grid))
-        return real(coef, n_grid)
-
     cfg = symmetric_config(1.0, 2.0, 0.01)
     cfg["a"] = [{"fourier": {"c0": 1.0, "cos": [0.3], "sin": []}}] * 2
     prob = parse_config(cfg).problem
     disc = discretize(prob, 256)
     cc = compute_constants(disc, prob)
-    monkeypatch.setattr(operator_mod, "build_green_table", count)
+    built = _record_base_tables(monkeypatch)
     sweep = continue_lambda(prob, disc, 0.01, 0.3, 6, constants=cc)
     assert len({row.lam for row in sweep.rows}) == 6
-    assert built == [(prob.a[0], 64)]
+    assert built == [prob.a[0]]
 
 
-def _record_base_matrices(monkeypatch):
-    """Patch ``quadrature_matrix`` in ``operator`` to record the grid of
-    every matrix it builds: the base matrices, and nothing else there."""
-    real = operator_mod.quadrature_matrix
+def _record_base_tables(monkeypatch):
+    """Patch ``build_green_table`` in ``operator`` to record the coefficient
+    of every table it builds at COARSE_GRID points: on a finer grid, the
+    tables of the base matrices and nothing else."""
+    real = operator_mod.build_green_table
     built = []
 
-    def count(table):
-        built.append(table.n_grid)
-        return real(table)
+    def count(coef, n_grid):
+        if n_grid == operator_mod.COARSE_GRID:
+            built.append(coef)
+        return real(coef, n_grid)
 
-    monkeypatch.setattr(operator_mod, "quadrature_matrix", count)
+    monkeypatch.setattr(operator_mod, "build_green_table", count)
     return built
 
 
@@ -854,7 +883,7 @@ def test_bench_sweep_takes_no_newton_step(monkeypatch):
     # onto its fixed point to round-off, so no solve takes a Newton step or
     # builds a base matrix
     steps = _record_newton_steps(monkeypatch)
-    built = _record_base_matrices(monkeypatch)
+    built = _record_base_tables(monkeypatch)
     prob = make_problem(1.0, 2.0, 0.01)
     disc = discretize(prob, 256)
     sweep = continue_lambda(prob, disc, 0.01, 0.3, 6,
@@ -868,7 +897,7 @@ def test_cor1_presets_build_no_base_matrix(monkeypatch):
     # constant a, g and e: every leveled start of the cor1 presets is the
     # fixed point to round-off, so no solve forms or factors a base matrix
     steps = _record_newton_steps(monkeypatch)
-    built = _record_base_matrices(monkeypatch)
+    built = _record_base_tables(monkeypatch)
     for name in ("cor1a", "cor1b"):
         preset = PRESETS[name]
         for lam in preset.lambdas:
