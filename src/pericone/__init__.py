@@ -5,7 +5,7 @@ they induce, certifies compression/expansion on annuli, and solves for the
 positive periodic solutions the certificates predict.
 """
 
-from .benchmarks import PRESETS, SOUNDNESS_SUITE, ReproducePreset, symmetric_config
+from .benchmarks import PRESETS, ReproducePreset, symmetric_config
 from .coefficients import (
     Constant,
     FourierSeries,
@@ -27,12 +27,7 @@ from .certify import (
     radius_bounds,
     scan_radii,
 )
-from .config import (
-    ParsedConfig,
-    load_config_file,
-    parse_config,
-    serialize_problem,
-)
+from .config import ParsedConfig, load_config_file, parse_config
 from .errors import (
     AssumptionAError,
     ConfigError,
@@ -48,8 +43,6 @@ from .errors import (
 from .greens import (
     GreensTable,
     build_green_table,
-    green_bounds_constant,
-    green_constant,
     kernel_quadrature,
     kernel_values,
     solve_linear_periodic,

@@ -1,4 +1,5 @@
-"""Built-in two-component benchmark scenarios used by `reproduce` and the tests.
+"""Built-in two-component benchmark scenarios: the `reproduce` presets and
+the symmetric config family they are drawn from.
 
 All presets share a_i = 1 (constant, inside the kernel positivity window for
 T = 1), g_i = 1, and the radial nonlinearity u^-alpha + u^beta in both
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ReproducePreset", "PRESETS", "symmetric_config", "SOUNDNESS_SUITE"]
+__all__ = ["ReproducePreset", "PRESETS", "symmetric_config"]
 
 MIXED_E = {"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}}
 
@@ -96,13 +97,3 @@ PRESETS = {
         clause="two solutions for all sufficiently small lambda > 0",
     ),
 }
-
-# fixed suite for the certificate-soundness property: every certified annulus
-# must contain a solver fixed point strictly inside it
-SOUNDNESS_SUITE = (
-    ("superlinear lam=0.05", symmetric_config(1.0, 2.0, 0.05)),
-    ("sublinear lam=0.1", symmetric_config(0.5, 0.5, 0.1)),
-    ("sublinear lam=1", symmetric_config(0.5, 0.5, 1.0)),
-    ("sublinear lam=10", symmetric_config(0.5, 0.5, 10.0)),
-    ("mixed superlinear lam=0.01", symmetric_config(1.0, 2.0, 0.01, MIXED_E)),
-)

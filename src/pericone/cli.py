@@ -138,10 +138,8 @@ def cmd_green(args) -> int:
             "m": table.m,
             "M": table.M,
             "positive": table.positive,
-            "min_value": table.m,
             "argmin_t": table.argmin[0],
             "argmin_s": table.argmin[1],
-            "holds": table.positive,
             "torres_criterion": torres_positive(coef),
         })
         print(f"component {i}: m={_fmt(table.m)} M={_fmt(table.M)} "

@@ -5,7 +5,7 @@ Three concrete forms cover every coefficient in the problem class:
 * ``Constant`` -- a(t) = v for all t,
 * ``FourierSeries`` -- truncated real Fourier series on [0, T],
 * ``Samples`` -- values on a uniform grid, read as their trigonometric
-  interpolant: a ``FourierSeries`` that keeps the values for the config form.
+  interpolant: a ``FourierSeries`` built from the values.
 
 So every non-constant coefficient is a trigonometric polynomial, evaluated,
 bounded and averaged one way.
@@ -13,7 +13,7 @@ bounded and averaged one way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +80,7 @@ class Samples(FourierSeries):
 
     Its coefficients are rfft(values)/M, every bin doubled except the Nyquist
     cosine of an even M; the Nyquist sine vanishes on the nodes and is
-    dropped.  Compares by those coefficients, like any FourierSeries;
-    ``values`` is kept, as a tuple, only for the config form.
+    dropped.  Compares by those coefficients, like any FourierSeries.
     """
 
     def __init__(self, values, period: float = 1.0):
@@ -93,7 +92,6 @@ class Samples(FourierSeries):
         paired = (vals.size + 1) // 2
         spec[1:paired] *= 2.0
         super().__init__(float(spec[0].real), spec.real[1:], -spec.imag[1:paired], period)
-        self.values = tuple(vals.tolist())
 
 
 PeriodicCoefficient = Constant | FourierSeries

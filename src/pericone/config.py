@@ -1,4 +1,4 @@
-"""Problem configs: JSON documents in, Problem objects out, and back.
+"""Problem configs: JSON documents in, validated Problem objects out.
 
 Shape:
     {
@@ -11,11 +11,8 @@ Shape:
 
 Coefficient forms: {"constant": v}, {"fourier": {c0, cos, sin}},
 {"samples": [...]}, the last read as the trigonometric interpolant of values
-on a uniform grid over one period.  Serialization is form-faithful (a
-constant stays a constant, a fourier stays a fourier even with empty
-coefficient lists, samples stay samples), so parse -> serialize is the
-identity on normalized documents.  "e" may be omitted and defaults to zero
-per component; it is always written back.
+on a uniform grid over one period.  "e" may be omitted and defaults to
+zero per component.
 """
 from __future__ import annotations
 
@@ -27,7 +24,7 @@ from .coefficients import Constant, FourierSeries, PeriodicCoefficient, Samples
 from .errors import ConfigError, DomainError
 from .problem import PowerLawRadial, Problem
 
-__all__ = ["ParsedConfig", "parse_config", "serialize_problem", "load_config_file"]
+__all__ = ["ParsedConfig", "parse_config", "load_config_file"]
 
 DEFAULT_N_GRID = 256
 _TOP_KEYS = {"n", "T", "lambda", "N", "a", "g", "e", "f"}
@@ -87,7 +84,7 @@ def _parse_coefficient(spec, period: float, where: str) -> PeriodicCoefficient:
                                  period=period)
         if form == "samples":
             vals = _num_list(body, where + ".samples")
-            return Samples(values=tuple(vals), period=period)
+            return Samples(vals, period)
     except DomainError as exc:
         raise ConfigError(where, str(exc)) from exc
     raise ConfigError(where, f"unknown coefficient form {form!r}")
@@ -160,31 +157,6 @@ def parse_config(doc) -> ParsedConfig:
     except DomainError as exc:
         raise ConfigError("<problem>", str(exc)) from exc
     return ParsedConfig(problem=problem, n_grid=n_grid_raw)
-
-
-def _serialize_coefficient(coef: PeriodicCoefficient):
-    if isinstance(coef, Constant):
-        return {"constant": coef.value}
-    if isinstance(coef, Samples):
-        return {"samples": list(coef.values)}
-    if isinstance(coef, FourierSeries):
-        return {"fourier": {"c0": coef.c0, "cos": list(coef.cos_coeffs),
-                            "sin": list(coef.sin_coeffs)}}
-    raise ConfigError("<serialize>", f"unknown coefficient type {type(coef).__name__}")
-
-
-def serialize_problem(problem: Problem, n_grid: int = DEFAULT_N_GRID) -> dict:
-    """Config document for a Problem; inverse of parse_config on normalized docs."""
-    return {
-        "n": problem.n,
-        "T": problem.period,
-        "lambda": problem.lam,
-        "N": n_grid,
-        "a": [_serialize_coefficient(c) for c in problem.a],
-        "g": [_serialize_coefficient(c) for c in problem.g],
-        "e": [_serialize_coefficient(c) for c in problem.e],
-        "f": [[{"c": c, "p": p} for c, p in comp] for comp in problem.f.terms],
-    }
 
 
 def load_config_file(path: str) -> dict:

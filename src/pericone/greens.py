@@ -8,7 +8,8 @@ closed form
 
 which is strictly positive with extrema m = Ghat(0) and M = Ghat(T/2).  On
 the grid t_p = p h the table is the symmetric circulant of the profile
-Ghat(h j), generated by one N-point evaluation.
+Ghat(h j), generated by one N-point evaluation; the package evaluates the
+closed form nowhere else, and its m and M are that profile's extrema.
 For a general T-periodic coefficient the kernel is assembled from the two
 basis solutions of x'' + a(t) x = 0 via the monodromy matrix and variation of
 parameters; existence requires I - Phi(T) to be invertible (non-resonance).
@@ -57,8 +58,6 @@ __all__ = [
     "GreensTable",
     "CirculantKernel",
     "SemiseparableKernel",
-    "green_constant",
-    "green_bounds_constant",
     "build_green_table",
     "kernel_values",
     "kernel_quadrature",
@@ -73,12 +72,6 @@ FINE_FACTOR = 4
 ROW_BLOCK = 64
 
 
-def _ghat(d, k: float, period: float):
-    """One-variable profile of the constant-coefficient kernel, on [0, T]."""
-    den = 2.0 * k * (1.0 - math.cos(k * period))
-    return (np.sin(k * d) + np.sin(k * (period - d))) / den
-
-
 def _circulant_profile(k: float, period: float, n_grid: int) -> np.ndarray:
     """Ghat(h j) for j = 0..N-1, N even: G(t_p, t_q) = profile[(q - p) mod N].
 
@@ -86,8 +79,9 @@ def _circulant_profile(k: float, period: float, n_grid: int) -> np.ndarray:
     mirrored about N/2; profile[j] = profile[N - j] exactly, which makes the
     circulant exactly symmetric.
     """
-    h = period / n_grid
-    half = _ghat(np.arange(n_grid // 2 + 1) * h, k, period)
+    d = np.arange(n_grid // 2 + 1) * (period / n_grid)
+    den = 2.0 * k * (1.0 - math.cos(k * period))
+    half = (np.sin(k * d) + np.sin(k * (period - d))) / den
     return np.concatenate([half, half[-2:0:-1]])
 
 
@@ -150,24 +144,6 @@ class SemiseparableKernel:
         gw = (proj[..., :1] * p1 + proj[..., 1:] * p2
               + p2 * np.cumsum(p1 * w, axis=-1) - p1 * np.cumsum(p2 * w, axis=-1))
         return self.h * gw + (self.h * self.h / 12.0) * w
-
-
-def green_constant(k: float, period: float, t: float, s: float) -> float:
-    """Closed-form G(t,s) for a = k^2, valid for 0 < k < pi/T and t,s in [0,T]."""
-    if not (0.0 < k * period < math.pi):
-        raise DomainError(f"need 0 < k*T < pi, got k*T = {k * period}")
-    if not (0.0 <= t <= period and 0.0 <= s <= period):
-        raise DomainError("t and s must lie in [0, T]")
-    return float(_ghat(abs(t - s), k, period))
-
-
-def green_bounds_constant(k: float, period: float):
-    """(m, M) = (Ghat(0), Ghat(T/2)) for the constant-coefficient kernel."""
-    if not (0.0 < k * period < math.pi):
-        raise DomainError(f"need 0 < k*T < pi, got k*T = {k * period}")
-    m = math.sin(k * period) / (2.0 * k * (1.0 - math.cos(k * period)))
-    big = 1.0 / (2.0 * k * math.sin(k * period / 2.0))
-    return m, big
 
 
 @dataclass
@@ -443,6 +419,5 @@ def solve_linear_periodic(table: GreensTable, e: PeriodicCoefficient):
     from .operator import GridFunction
 
     x = kernel_quadrature(table) @ e.eval(table.grid_t)
-    return GridFunction(n=1, n_grid=table.n_grid, period=table.period,
-                        values=x[None, :])
+    return GridFunction(x[None, :], table.period)
 

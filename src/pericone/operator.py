@@ -5,9 +5,10 @@ evaluated with the diagonal-corrected trapezoid rule from greens.kernel_quadratu
 The quadrature is an operator applied from the kernel's generators, not a
 matrix; a problem's ``Discretization`` applies each distinct table's
 operator once, to the block of components that share it.
-A grid function is a fixed point of the discrete map iff it solves the
-Nystrom system; the ODE residual below is the independent cross-check that a
-discrete fixed point actually tracks the differential equation.
+A grid function, its (n, N) samples and the period, is a fixed point of
+the discrete map iff it solves the Nystrom system; the ODE residual below
+is the independent cross-check that a discrete fixed point actually tracks
+the differential equation.
 """
 from __future__ import annotations
 
@@ -41,19 +42,27 @@ def prod_norm(values: np.ndarray) -> float:
 
 @dataclass
 class GridFunction:
-    """Componentwise samples values[i, p] = x_i(t_p) on the uniform grid."""
+    """Componentwise samples values[i, p] = x_i(t_p) on the uniform grid of
+    one period; the component count n and the grid size n_grid are the
+    shape of values."""
 
-    n: int
-    n_grid: int
-    period: float
     values: np.ndarray
+    period: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.n, self.n_grid):
-            raise DomainError("values must have shape (n, n_grid)")
+        if self.values.ndim != 2:
+            raise DomainError("values must be an (n, n_grid) array")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("grid function has non-finite entries")
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n_grid(self) -> int:
+        return self.values.shape[1]
 
     @property
     def grid_t(self) -> np.ndarray:
@@ -162,7 +171,7 @@ def apply_T(problem: Problem, disc: Discretization, x: GridFunction) -> GridFunc
             )
 
     out = problem.lam * disc.quadrature(g * fx + e)
-    return GridFunction(n=x.n, n_grid=x.n_grid, period=x.period, values=out)
+    return GridFunction(out, x.period)
 
 
 def fixed_point_residual(problem: Problem, disc: Discretization, x: GridFunction) -> float:

@@ -77,22 +77,14 @@ class PowerLawRadial:
         of components that share it."""
         return tuple(dict.fromkeys(self.terms))
 
-    def phi(self, i: int, u):
-        """Radial profile phi_i(u) = sum_j c_ij u^p_ij, vectorized over u."""
-        return _power_sum(self.terms[i], u)
-
-    def dphi(self, i: int, u):
-        """Derivative phi_i'(u) = sum_j c_ij p_ij u^(p_ij - 1), vectorized over u."""
-        return _power_sum(_derivative(self.terms[i]), u)
-
     def phi_rows(self, u) -> np.ndarray:
-        """phi_i(u) for every component i, shape (n, *u.shape); one
-        evaluation per profile."""
+        """phi_i(u) = sum_j c_ij u^p_ij for every component i, shape
+        (n, *u.shape); one evaluation per profile."""
         return _component_rows(self, lambda comp: _power_sum(comp, u))
 
     def dphi_rows(self, u) -> np.ndarray:
-        """phi_i'(u) for every component i, shape (n, *u.shape); one
-        evaluation per profile."""
+        """phi_i'(u) = sum_j c_ij p_ij u^(p_ij - 1) for every component i,
+        shape (n, *u.shape); one evaluation per profile."""
         return _component_rows(self, lambda comp: _power_sum(_derivative(comp), u))
 
     def singular_at_zero(self, i: int) -> bool:
@@ -309,15 +301,12 @@ class Problem:
         out.lam = lam
         return out
 
-    def grid(self, n_grid: int) -> np.ndarray:
-        return np.arange(n_grid) * (self.period / n_grid)
-
     def _on_grid(self, name: str, n_grid: int) -> np.ndarray:
         """(n, n_grid) read-only samples of the coefficients a, g or e."""
         key = (name, n_grid)
         vals = self._samples.get(key)
         if vals is None:
-            t = self.grid(n_grid)
+            t = np.arange(n_grid) * (self.period / n_grid)
             vals = np.vstack(_per_distinct(getattr(self, name), lambda c: c.eval(t)))
             vals.flags.writeable = False
             self._samples[key] = vals

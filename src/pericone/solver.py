@@ -155,8 +155,7 @@ class BranchTable:
 def seed_from_annulus(annulus, problem: Problem, n_grid: int) -> GridFunction:
     """Constant cone-interior seed with norm at the geometric mean of the annulus."""
     c = math.sqrt(annulus.r_in * annulus.r_out) / problem.n
-    values = np.full((problem.n, n_grid), c)
-    return GridFunction(n=problem.n, n_grid=n_grid, period=problem.period, values=values)
+    return GridFunction(np.full((problem.n, n_grid), c), problem.period)
 
 
 def resample(values: np.ndarray, n_grid: int) -> np.ndarray:
@@ -229,7 +228,7 @@ def picard_solve(problem: Problem, disc: Discretization, x0: GridFunction) -> Pi
             cand_norm = prod_norm(cand)
         if cand_norm > NORM_BLOWUP:
             raise DivergenceError(f"iterate norm exceeded {NORM_BLOWUP:.1e}")
-        x = GridFunction(n=x.n, n_grid=x.n_grid, period=x.period, values=cand)
+        x = GridFunction(cand, x.period)
         x_norm = cand_norm
     return PicardResult(x=x, iterations=MAX_PICARD, residual=res, converged=False)
 
@@ -298,8 +297,7 @@ def newton_refine(problem: Problem, disc: Discretization, x0: GridFunction) -> N
         if len(history) > MAX_NEWTON:
             break
         step = _newton_step(problem, disc, x, fvals)
-        x = GridFunction(n=x.n, n_grid=x.n_grid, period=x.period,
-                         values=x.values - step)
+        x = GridFunction(x.values - step, x.period)
     raise NoConvergenceError(
         f"newton did not converge in {MAX_NEWTON} steps"
     )
@@ -473,8 +471,7 @@ def _level_start(problem: Problem, disc: Discretization, x0: GridFunction,
         s = _level_root(level, a, level(a)[0], b, level(b)[0])
     if s is None:
         return x0
-    return GridFunction(n=x0.n, n_grid=x0.n_grid, period=x0.period,
-                        values=math.exp(s) * x0.values)
+    return GridFunction(math.exp(s) * x0.values, x0.period)
 
 
 def _solve_from_seed(problem: Problem, disc: Discretization, constants: ConeConstants,

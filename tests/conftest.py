@@ -70,10 +70,9 @@ def smooth_cone_points(problem, n_grid, sigma, count, rng, norm=None):
             b + a * 0.5 * (1.0 + np.cos(2.0 * math.pi * (t - ph) / problem.period))
             for b, a, ph in zip(bases, amps, phases)
         ])
-        x = GridFunction(problem.n, n_grid, problem.period, vals)
+        x = GridFunction(vals, problem.period)
         if norm is not None:
-            x = GridFunction(problem.n, n_grid, problem.period,
-                             vals * (norm / x.norm))
+            x = GridFunction(vals * (norm / x.norm), problem.period)
         pts.append(x)
     return pts
 
@@ -87,9 +86,8 @@ def kernel_cone_points(problem, disc, count, rng, norm=None):
     for _ in range(count):
         w = rng.uniform(0.0, 1.0, size=(problem.n, n_grid)) ** 2 + 1e-3
         vals = np.stack([q @ wi for q, wi in zip(quads, w)])
-        x = GridFunction(problem.n, n_grid, problem.period, vals)
+        x = GridFunction(vals, problem.period)
         if norm is not None:
-            x = GridFunction(problem.n, n_grid, problem.period,
-                             vals * (norm / x.norm))
+            x = GridFunction(vals * (norm / x.norm), problem.period)
         pts.append(x)
     return pts

@@ -13,6 +13,11 @@ import math
 import numpy as np
 
 
+def ghat(d, k, period):
+    """Closed-form periodic kernel of x'' + k^2 x at separation d in [0, T]."""
+    return (np.sin(k * d) + np.sin(k * (period - d))) / (2.0 * k * (1.0 - math.cos(k * period)))
+
+
 def kernel_min_max(k, period):
     m = math.sin(k * period) / (2.0 * k * (1.0 - math.cos(k * period)))
     big = 1.0 / (2.0 * k * math.sin(k * period / 2.0))
@@ -202,9 +207,7 @@ def dense_circulant_table(k, period, n_grid):
     """The constant-coefficient table as one dense N x N array, as the package
     once stored it: the profile at N/2 + 1 points, mirrored, and row p the
     window of the doubled profile that starts at N - p."""
-    h = period / n_grid
-    d = np.arange(n_grid // 2 + 1) * h
-    half = (np.sin(k * d) + np.sin(k * (period - d))) / (2.0 * k * (1.0 - math.cos(k * period)))
+    half = ghat(np.arange(n_grid // 2 + 1) * (period / n_grid), k, period)
     profile = np.concatenate([half, half[-2:0:-1]])
     doubled = np.concatenate([profile, profile])
     return np.stack([doubled[n_grid - p:2 * n_grid - p] for p in range(n_grid)])
@@ -267,6 +270,42 @@ def dense_positivity(values, patch, period, fine_factor, rk4):
     if rk4:
         tol = max(tol, 1e3 * (1.0 + abs(big)) * h_fine ** 4)
     return m, big, bool(min_value > tol), min_value, argmin
+
+
+def manufactured_variable_a(samples=4096, rel_trim=1e-15):
+    """A manufactured smooth solution of x_i'' + a x_i = lam g_i phi(|x|_2)
+    with a = 1 + 0.3 cos 2 pi t, T = 1, e = 0, lam = 0.05 and
+    phi(u) = 1/u + u^2 in both components.
+
+    x*_1 = 1 + 0.01 cos 2 pi t + 0.002 sin 4 pi t and x*_2 = 0.8 + 0.01 sin 2 pi t
+    are fixed; g_i = (x*_i'' + a x*_i) / (lam phi(|x*|_2)) is formed on
+    ``samples`` points and read as its real Fourier coefficients, cut after
+    the last mode whose cosine or sine exceeds rel_trim |c0|.  Returns
+    (a, g, lam, terms, x_star): a and each g_i as (c0, cos, sin), the (c, p)
+    terms of phi and x_star(t), an (2, len(t)) array.
+    """
+    w = 2.0 * math.pi
+    lam, terms = 0.05, ((1.0, -1.0), (1.0, 2.0))
+    a = (1.0, (0.3,), ())
+
+    def x_star(t):
+        return np.stack([1.0 + 0.01 * np.cos(w * t) + 0.002 * np.sin(2.0 * w * t),
+                         0.8 + 0.01 * np.sin(w * t)])
+
+    t = np.arange(samples) / samples
+    x = x_star(t)
+    xpp = -w * w * np.stack([0.01 * np.cos(w * t) + 0.008 * np.sin(2.0 * w * t),
+                             0.01 * np.sin(w * t)])
+    u = np.sqrt((x * x).sum(axis=0))
+    g_vals = (xpp + (1.0 + 0.3 * np.cos(w * t)) * x) / (lam * phi_value(terms, u))
+    g = []
+    for spec in np.fft.rfft(g_vals, axis=1) / samples:
+        c0 = float(spec[0].real)
+        cos, sin = 2.0 * spec[1:samples // 2].real, -2.0 * spec[1:samples // 2].imag
+        kept = np.flatnonzero(np.maximum(abs(cos), abs(sin)) > rel_trim * abs(c0))
+        top = int(kept[-1]) + 1 if kept.size else 0
+        g.append((c0, tuple(cos[:top]), tuple(sin[:top])))
+    return a, tuple(g), lam, terms, x_star
 
 
 def single_grid_solve(quads, g, e, terms_by_comp, lam, seed):

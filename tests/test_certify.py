@@ -10,10 +10,8 @@ from pericone import (
     PRESETS,
     Constant,
     DomainError,
-    GridFunction,
     PowerLawRadial,
     Problem,
-    SOUNDNESS_SUITE,
     Scan,
     annuli_from_scan,
     apply_T,
@@ -28,6 +26,7 @@ from pericone import (
     parse_config,
     radius_bounds,
     scan_radii,
+    symmetric_config,
 )
 from pericone.benchmarks import MIXED_E
 from pericone.cli import main
@@ -194,6 +193,16 @@ def test_shell_ratio_route_is_sound(bench_disc):
     for x in smooth_cone_points(prob, 256, cc.sigma, 50, rng, norm=r):
         out = apply_T(prob, bench_disc, x)
         assert out.norm < r
+
+
+# every certified annulus must contain a solver fixed point strictly inside it
+SOUNDNESS_SUITE = (
+    ("superlinear lam=0.05", symmetric_config(1.0, 2.0, 0.05)),
+    ("sublinear lam=0.1", symmetric_config(0.5, 0.5, 0.1)),
+    ("sublinear lam=1", symmetric_config(0.5, 0.5, 1.0)),
+    ("sublinear lam=10", symmetric_config(0.5, 0.5, 10.0)),
+    ("mixed superlinear lam=0.01", symmetric_config(1.0, 2.0, 0.01, MIXED_E)),
+)
 
 
 def test_certified_annuli_contain_solver_fixed_points(bench_disc):

@@ -15,13 +15,12 @@ from pericone import (
     Solution,
     SolveReport,
     build_green_table,
-    green_constant,
     symmetric_config,
 )
 from pericone.cli import EXIT_FOUND, EXIT_INPUT, EXIT_NOTHING, EXIT_NUMERIC, main
 
 import oracles
-from conftest import SUBLINEAR_TERMS, SUPERLINEAR_TERMS
+from conftest import SUBLINEAR_TERMS
 
 SWEEP_HEADER = "lambda,branch_id,annulus_id,norm,fp_residual,ode_residual"
 MIXED_E_SPEC = {"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}}
@@ -47,8 +46,13 @@ def test_green_outputs(tmp_path, capsys):
     hit = [r for r in rows
            if abs(float(r["t"]) - 0.3) < 1e-9 and abs(float(r["s"]) - 0.3) < 1e-9]
     assert len(hit) == 1
-    assert abs(float(hit[0]["G"]) - green_constant(1.0, 1.0, 0.3, 0.3)) <= 1e-12
+    # the diagonal of the a = 1 kernel: the oracle profile at separation 0
+    assert abs(float(hit[0]["G"]) - oracles.ghat(0.0, 1.0, 1.0)) <= 1e-12
     pos = json.loads((tmp_path / "g" / "positivity.json").read_text())
+    # one record per component, each key once: m is the minimum and
+    # positive the verdict, with no second copy of either
+    keys = {"component", "m", "M", "positive", "argmin_t", "argmin_s", "torres_criterion"}
+    assert [set(entry) for entry in pos["components"]] == [keys, keys]
     assert all(entry["positive"] for entry in pos["components"])
     # a = 1 < pi^2: the analytic criterion agrees with the scan
     assert all(entry["torres_criterion"] is True for entry in pos["components"])
@@ -364,7 +368,7 @@ def test_solution_csv_matches_per_value_formatting(tmp_path, monkeypatch):
                      0.0, 1.0 / 3.0]
     values[1, :4] = [1.0, -0.0, 2.0 ** 60, -7.0]
     # a second solution: the t column, formatted once, goes into every file
-    sols = [Solution(x=GridFunction(2, n_grid, 1.0, vals), lam=1.0, norm=1.0,
+    sols = [Solution(x=GridFunction(vals, 1.0), lam=1.0, norm=1.0,
                      fp_residual=0.0, ode_residual=0.0, cone_margin=0.0,
                      positive_min=0.0, annulus_id=f"A{k}")
             for k, vals in enumerate((values, values[::-1] / 3.0), start=1)]

@@ -79,7 +79,7 @@ def test_rejects_non_positive_table():
 
 
 def test_membership_constant_vector():
-    x = GridFunction(2, 64, 1.0, np.full((2, 64), 1.5))
+    x = GridFunction(np.full((2, 64), 1.5), 1.0)
     rep = cone_membership(x, 0.8)
     assert rep.member
     # min sum = 3.0, norm = 3.0, margin = 3.0 - 0.8 * 3.0
@@ -89,7 +89,7 @@ def test_membership_constant_vector():
 def test_membership_rejects_negative_component():
     vals = np.full((2, 64), 1.0)
     vals[1, 10] = -0.5
-    x = GridFunction(2, 64, 1.0, vals)
+    x = GridFunction(vals, 1.0)
     assert not cone_membership(x, 0.5).member
 
 
@@ -97,7 +97,7 @@ def test_membership_rejects_too_concentrated():
     # a spike fails the min-sum condition even though it is nonnegative
     vals = np.zeros((2, 64))
     vals[0, 5] = 1.0
-    x = GridFunction(2, 64, 1.0, vals)
+    x = GridFunction(vals, 1.0)
     assert not cone_membership(x, 0.5).member
 
 

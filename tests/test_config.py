@@ -10,7 +10,6 @@ from pericone import (
     Samples,
     load_config_file,
     parse_config,
-    serialize_problem,
     symmetric_config,
 )
 
@@ -24,22 +23,6 @@ def test_parse_benchmark_config():
     assert prob.lam == 0.05
     assert parsed.n_grid == 256
     assert isinstance(prob.a[0], Constant)
-
-
-def test_roundtrip_is_field_identical():
-    cfg = {
-        "n": 2, "T": 1.0, "lambda": 0.25, "N": 128,
-        "a": [{"constant": 1.0}, {"fourier": {"c0": 1.0, "cos": [0.5], "sin": []}}],
-        "g": [{"constant": 1.0}, {"samples": [1.0, 2.0, 1.0, 0.5]}],
-        "e": [{"constant": 0.0}, {"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}}],
-        "f": [[{"c": 1.0, "p": -1.0}, {"c": 1.0, "p": 2.0}],
-              [{"c": 2.0, "p": 0.5}]],
-    }
-    parsed = parse_config(cfg)
-    again = serialize_problem(parsed.problem, parsed.n_grid)
-    assert again == cfg
-    # and a second trip through is a fixed point
-    assert serialize_problem(parse_config(again).problem, 128) == cfg
 
 
 def test_coefficient_forms():

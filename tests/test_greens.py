@@ -15,8 +15,6 @@ from pericone import (
     ResonanceError,
     Samples,
     build_green_table,
-    green_bounds_constant,
-    green_constant,
     kernel_quadrature,
     kernel_values,
     solve_linear_periodic,
@@ -28,7 +26,6 @@ from pericone.greens import (
     FINE_FACTOR,
     ROW_BLOCK,
     SemiseparableKernel,
-    _ghat,
     _kernel_coefficients,
     _refine_min,
     _rk4_basis,
@@ -151,8 +148,8 @@ def test_generators_bit_equal_dense_build(coef, n_grid):
         h_fine = period / (FINE_FACTOR * n_grid)
 
         def patch(idx_t, idx_s):
-            return _ghat(np.abs(idx_t[:, None] * h_fine - idx_s[None, :] * h_fine),
-                         table.k, period)
+            return oracles.ghat(np.abs(idx_t[:, None] * h_fine - idx_s[None, :] * h_fine),
+                                table.k, period)
     else:
         basis = _rk4_basis(coef, n_grid)
         nodes = np.arange(0, FINE_FACTOR * n_grid, FINE_FACTOR)
@@ -189,39 +186,39 @@ def test_positivity_report(unit_table):
 
 
 def test_green_constant_pointwise():
-    # diagonal value is the kernel minimum
-    assert abs(green_constant(1.0, 1.0, 0.3, 0.3) - M_SMALL) <= 1e-12
-    # symmetry in (t, s)
-    a = green_constant(1.0, 1.0, 0.2, 0.7)
-    b = green_constant(1.0, 1.0, 0.7, 0.2)
-    assert abs(a - b) <= 1e-15
-    # antipodal separation gives the maximum
-    assert abs(green_constant(1.0, 1.0, 0.0, 0.5) - M_BIG) <= 1e-12
+    # the a = 1 table at single node pairs (t_p = p/20) against the oracle's
+    # dense closed form: the diagonal is the minimum, the antipode the
+    # maximum, and G is symmetric in (t, s)
+    table = build_green_table(Constant(1.0), 20)
+    dense = oracles.dense_circulant_table(1.0, 1.0, 20)
+
+    def at(p, q):
+        return float(kernel_values(table, [p], [q])[0, 0])
+
+    for p, q in ((6, 6), (4, 14), (14, 4), (0, 10)):
+        assert abs(at(p, q) - dense[p, q]) <= 1e-15
+    assert abs(at(6, 6) - M_SMALL) <= 1e-12
+    assert at(4, 14) == at(14, 4)
+    assert abs(at(0, 10) - M_BIG) <= 1e-12
 
 
-def test_green_constant_domain_errors():
-    with pytest.raises(DomainError):
-        green_constant(math.pi, 1.0, 0.1, 0.1)  # k at the window edge
-    with pytest.raises(DomainError):
-        green_constant(0.0, 1.0, 0.1, 0.1)
-    with pytest.raises(DomainError):
-        green_constant(1.0, 1.0, 1.5, 0.1)  # t outside [0, T]
+def _sigma(k, period):
+    """m / M of the closed-form table of a = k^2."""
+    table = build_green_table(Constant(k * k, period=period), 64)
+    return table.m / table.M
 
 
 def test_sigma_closed_form():
     for k, period in [(1.0, 1.0), (0.5, 2.0), (2.0, 1.2)]:
-        m, big = green_bounds_constant(k, period)
-        assert abs(m / big - math.cos(k * period / 2.0)) <= 1e-12
+        assert abs(_sigma(k, period) - math.cos(k * period / 2.0)) <= 1e-12
 
 
 def test_sigma_collapses_near_window_edge():
-    m, big = green_bounds_constant(math.pi - 1e-6, 1.0)
-    assert m / big < 0.01
+    assert _sigma(math.pi - 1e-6, 1.0) < 0.01
 
 
 def test_sigma_monotone_to_one():
-    ratios = [green_bounds_constant(k, 1.0)[0] / green_bounds_constant(k, 1.0)[1]
-              for k in [2.0, 1.0, 0.5, 0.25, 0.1]]
+    ratios = [_sigma(k, 1.0) for k in [2.0, 1.0, 0.5, 0.25, 0.1]]
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] > 0.998
 
@@ -383,7 +380,7 @@ def test_closed_form_table_non_dyadic_period():
     k, period, n_grid = 2.0, 0.7, 64
     table = build_green_table(Constant(k * k, period=period), n_grid)
     t = np.arange(n_grid) * (period / n_grid)
-    direct = _ghat(np.abs(t[:, None] - t[None, :]), k, period)
+    direct = oracles.ghat(np.abs(t[:, None] - t[None, :]), k, period)
     values = full_values(table)
     assert np.max(np.abs(values - direct) / direct) <= 1e-14
     assert np.array_equal(values, values.T)
@@ -441,7 +438,8 @@ def test_grid_validation():
 def test_bounds_formulas_property(k, period):
     if k * period >= math.pi - 1e-3:
         return
-    m, big = green_bounds_constant(k, period)
+    table = build_green_table(Constant(k * k, period=period), 32)
+    m, big = table.m, table.M
     em, ebig = oracles.kernel_min_max(k, period)
     assert abs(m - em) <= 1e-10 * (1.0 + abs(em))
     assert abs(big - ebig) <= 1e-10 * (1.0 + abs(ebig))
@@ -502,7 +500,7 @@ def test_torres_criterion_mean_branch():
     fejer = 1.0 + 2.0 * sum((1.0 - k / 16.0) * np.cos(2.0 * math.pi * k * t)
                             for k in range(1, 16))
     spike = Samples(fejer + 0.01)
-    assert max(spike.values) > math.pi ** 2
+    assert max(fejer + 0.01) > math.pi ** 2
     assert abs(spike.c0 - 1.01) <= 1e-12
     assert torres_positive(spike)
     assert build_green_table(spike, 256).positive

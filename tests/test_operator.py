@@ -46,14 +46,14 @@ def test_constant_nonlinearity_inverts_kernel(bench_disc):
     # f identically 4: T x = lam * 4 * integral of G = lam * 4 / k^2
     prob = make_problem(1.0, 2.0, 0.3)
     prob = replace(prob, f=PowerLawRadial((((4.0, 0.0),), ((4.0, 0.0),))))
-    x = GridFunction(2, 256, 1.0, np.full((2, 256), 0.7))
+    x = GridFunction(np.full((2, 256), 0.7), 1.0)
     out = apply_T(prob, bench_disc, x)
     assert np.max(np.abs(out.values - 0.3 * 4.0)) <= 1e-8
 
 
 def test_lambda_zero_annihilates(bench_disc):
     prob = make_problem(1.0, 2.0, 0.0)
-    x = GridFunction(2, 256, 1.0, np.full((2, 256), 0.7))
+    x = GridFunction(np.full((2, 256), 0.7), 1.0)
     out = apply_T(prob, bench_disc, x)
     assert np.max(np.abs(out.values)) == 0.0
 
@@ -61,7 +61,7 @@ def test_lambda_zero_annihilates(bench_disc):
 def test_linearity_in_lambda(bench_disc):
     prob1 = make_problem(1.0, 2.0, 0.2)
     prob2 = make_problem(1.0, 2.0, 0.4)
-    x = GridFunction(2, 256, 1.0, np.full((2, 256), 1.3))
+    x = GridFunction(np.full((2, 256), 1.3), 1.0)
     y1 = apply_T(prob1, bench_disc, x)
     y2 = apply_T(prob2, bench_disc, x)
     assert np.max(np.abs(y2.values - 2.0 * y1.values)) <= 1e-12
@@ -104,7 +104,7 @@ def test_fixed_point_residual_at_oracle_root(bench_disc):
     prob = make_problem(1.0, 2.0, lam)
     for norm in norms:
         c = norm / 2.0
-        x = GridFunction(2, 256, 1.0, np.full((2, 256), c))
+        x = GridFunction(np.full((2, 256), c), 1.0)
         assert fixed_point_residual(prob, bench_disc, x) <= 1e-8
 
 
@@ -113,13 +113,13 @@ def test_ode_residual_constant_solution(bench_disc):
     norms = oracles.constant_solution_norms(SUPERLINEAR_TERMS, lam)
     prob = make_problem(1.0, 2.0, lam)
     c = norms[0] / 2.0
-    x = GridFunction(2, 256, 1.0, np.full((2, 256), c))
+    x = GridFunction(np.full((2, 256), c), 1.0)
     assert ode_residual(prob, x) <= 1e-8
 
 
 def test_ode_residual_flags_non_solution(bench_disc):
     prob = make_problem(1.0, 2.0, 0.05)
-    x = GridFunction(2, 256, 1.0, np.full((2, 256), 5.0))
+    x = GridFunction(np.full((2, 256), 5.0), 1.0)
     assert ode_residual(prob, x) > 0.1
 
 
@@ -133,8 +133,8 @@ def test_ode_residual_is_fourth_order():
     res = []
     for n_grid in (32, 64, 128, 256):
         t = np.arange(n_grid) / n_grid
-        x = GridFunction(2, n_grid, 1.0, np.stack([np.cos(2.0 * math.pi * t),
-                                                   np.sin(2.0 * math.pi * t)]))
+        x = GridFunction(np.stack([np.cos(2.0 * math.pi * t),
+                                   np.sin(2.0 * math.pi * t)]), 1.0)
         res.append(ode_residual(prob, x))
     for coarse, fine in zip(res, res[1:]):
         assert 15.5 <= coarse / fine <= 16.5
@@ -156,7 +156,7 @@ def test_second_difference_matches_the_rolled_stencil(n_grid):
 
 def test_singularity_guard(bench_disc):
     prob = make_problem(1.0, 2.0, 0.05)
-    x = GridFunction(2, 256, 1.0, np.zeros((2, 256)))
+    x = GridFunction(np.zeros((2, 256)), 1.0)
     with pytest.raises(SingularityError):
         apply_T(prob, bench_disc, x)
 
@@ -169,11 +169,20 @@ def _ones_with(bad):
 
 @pytest.mark.parametrize("values", [
     _ones_with(math.nan), _ones_with(math.inf), _ones_with(-math.inf),
-    np.ones((2, 7)), np.ones(16),
-], ids=["nan", "inf", "-inf", "short", "flat"])
+    np.ones(16), np.ones((2, 8, 1)),
+], ids=["nan", "inf", "-inf", "flat", "deep"])
 def test_grid_function_rejects_bad_values(values):
     with pytest.raises(DomainError):
-        GridFunction(2, 8, 1.0, values)
+        GridFunction(values, 1.0)
+
+
+def test_grid_function_shape_is_its_samples():
+    # n and n_grid are read from the samples, so they cannot disagree with them
+    x = GridFunction(np.ones((3, 16)), 2.0)
+    assert (x.n, x.n_grid) == (3, 16)
+    assert x.grid_t[1] == 2.0 / 16
+    with pytest.raises(AttributeError):
+        x.n_grid = 32
 
 
 def test_mixed_split_violation_raises(bench_disc):
@@ -184,18 +193,18 @@ def test_mixed_split_violation_raises(bench_disc):
         a=(Constant(1.0),), g=(Constant(1.0),),
         e=(FourierSeries(-0.1, (0.2,)),),
         f=PowerLawRadial((((1.0, 2.0),),)), lam=1.0)
-    x = GridFunction(1, 256, 1.0, np.full((1, 256), 0.1))
+    x = GridFunction(np.full((1, 256), 0.1), 1.0)
     with pytest.raises(DomainError):
         apply_T(prob, discretize(prob, 256), x)
     # at large amplitude the same profile is admissible
-    x_big = GridFunction(1, 256, 1.0, np.full((1, 256), 3.0))
+    x_big = GridFunction(np.full((1, 256), 3.0), 1.0)
     out = apply_T(prob, discretize(prob, 256), x_big)
     assert out.values.min() > 0.0
 
 
 def test_table_grid_mismatch_rejected(bench_disc):
     prob = make_problem(1.0, 2.0, 0.05)
-    x = GridFunction(2, 128, 1.0, np.full((2, 128), 1.0))
+    x = GridFunction(np.full((2, 128), 1.0), 1.0)
     with pytest.raises(DomainError):
         apply_T(prob, bench_disc, x)
 
@@ -255,8 +264,8 @@ def test_apply_T_applies_each_shared_table_once(monkeypatch):
     disc = discretize(prob, 64)
     shared, other = disc.tables
     assert disc.index == (0, 1, 0)
-    x = GridFunction(3, 64, 1.0, 0.4 + 0.1 * np.cos(2.0 * math.pi * np.arange(64) / 64)
-                     * np.array([[1.0], [0.5], [-1.0]]))
+    x = GridFunction(0.4 + 0.1 * np.cos(2.0 * math.pi * np.arange(64) / 64)
+                     * np.array([[1.0], [0.5], [-1.0]]), 1.0)
     calls = []
 
     def counting(tbl):
@@ -267,30 +276,32 @@ def test_apply_T_applies_each_shared_table_once(monkeypatch):
     out = apply_T(prob, disc, x).values
     assert len(calls) == 2 and calls[0] is shared and calls[1] is other
     w = out / prob.lam
-    rows = [kernel_quadrature(tbl) @ (prob.f.phi(i, np.sqrt((x.values ** 2).sum(axis=0))))
-            for i, tbl in enumerate((shared, other, shared))]
+    fx = prob.f.phi_rows(np.sqrt((x.values ** 2).sum(axis=0)))
+    rows = [kernel_quadrature(tbl) @ fx[i] for i, tbl in enumerate((shared, other, shared))]
     for i in range(3):
         assert np.max(np.abs(w[i] - rows[i])) <= 1e-14 * np.max(np.abs(rows[i]))
 
 
 def test_radial_values_evaluate_every_profile():
     # components 0 and 2 share a profile, component 1 has its own: both
-    # profiles are evaluated, and each row is its component's phi
+    # profiles are evaluated, and each row is its component's phi, bit for
+    # bit as its terms alone evaluate it
     terms = (SUPERLINEAR_TERMS, ((1.0, -0.5), (1.0, 0.5)), SUPERLINEAR_TERMS)
     f = PowerLawRadial(terms)
     assert f.profiles == terms[:2]
     prob = Problem(n=3, period=1.0, a=(Constant(1.0),) * 3, g=(Constant(1.0),) * 3,
                    e=(Constant(0.0),) * 3, f=f, lam=0.05)
     t = np.arange(64) / 64
-    x = GridFunction(3, 64, 1.0, 0.4 + 0.1 * np.cos(2.0 * math.pi * t)
-                     * np.array([[1.0], [0.5], [-1.0]]))
+    x = GridFunction(0.4 + 0.1 * np.cos(2.0 * math.pi * t)
+                     * np.array([[1.0], [0.5], [-1.0]]), 1.0)
     u = np.sqrt((x.values ** 2).sum(axis=0))
     fx = operator_mod._radial_values(prob, x)
     dfx = f.dphi_rows(u)
     assert fx.shape == dfx.shape == (3, 64)
     for i in range(3):
-        assert np.array_equal(fx[i], f.phi(i, u))
-        assert np.array_equal(dfx[i], f.dphi(i, u))
+        alone = PowerLawRadial((terms[i],))
+        assert np.array_equal(fx[i], alone.phi_rows(u)[0])
+        assert np.array_equal(dfx[i], alone.dphi_rows(u)[0])
     assert not np.array_equal(fx[0], fx[1])
 
 
@@ -322,7 +333,7 @@ def test_discretization_checks_components_and_grid(bench_disc):
     one = Problem(n=1, period=1.0, a=(Constant(1.0),), g=(Constant(1.0),), e=(Constant(0.0),),
                   f=PowerLawRadial((SUPERLINEAR_TERMS,)), lam=0.05)
     with pytest.raises(DomainError, match="one Green table per component"):
-        apply_T(one, bench_disc, GridFunction(1, 256, 1.0, np.ones((1, 256))))
+        apply_T(one, bench_disc, GridFunction(np.ones((1, 256)), 1.0))
     with pytest.raises(DomainError, match="one Green table per component"):
         compute_constants(bench_disc, one)
     two_grids = Discretization(bench_disc.tables + discretize(one, 128).tables, (0, 1),

@@ -47,7 +47,7 @@ SUB_F = PowerLawRadial((SUBLINEAR_TERMS, SUBLINEAR_TERMS))
 
 def test_phi_point():
     # f(1, 1) = phi(|(1,1)|_2) = phi(sqrt(2)); component value 1/sqrt(2) + 2
-    out = np.array([BENCH_F.phi(i, math.sqrt(2.0)) for i in range(2)])
+    out = BENCH_F.phi_rows(math.sqrt(2.0))
     expect = 1.0 / math.sqrt(2.0) + 2.0
     assert np.allclose(out, expect, rtol=0, atol=1e-14)
 
@@ -55,8 +55,8 @@ def test_phi_point():
 def test_phi_scaling_single_term():
     f = PowerLawRadial((((2.0, 1.5),),))
     u = 0.7
-    big = f.phi(0, 4.0 * u)
-    assert abs(big - 4.0 ** 1.5 * f.phi(0, u)) <= 1e-12 * big
+    big = f.phi_rows(4.0 * u)[0]
+    assert abs(big - 4.0 ** 1.5 * f.phi_rows(u)[0]) <= 1e-12 * big
 
 
 @pytest.mark.parametrize("terms", [
@@ -71,10 +71,10 @@ def test_dphi_matches_central_difference(terms):
     f = PowerLawRadial((terms,))
     u = np.geomspace(1e-2, 1e2, 41)
     h = 1e-5 * u
-    fd = (f.phi(0, u + h) - f.phi(0, u - h)) / (2.0 * h)
+    fd = (f.phi_rows(u + h)[0] - f.phi_rows(u - h)[0]) / (2.0 * h)
     # scale of phi' without cancellation, so a zero of phi' is no special case
     scale = sum(abs(c * p) * u ** (p - 1.0) for c, p in terms)
-    assert np.max(np.abs(f.dphi(0, u) - fd) / scale) <= 1e-7
+    assert np.max(np.abs(f.dphi_rows(u)[0] - fd) / scale) <= 1e-7
 
 
 def test_powerlaw_validation():
@@ -430,7 +430,7 @@ def _sampled_problem():
 @pytest.mark.parametrize("n_grid", [64, 256])
 def test_grid_samples_equal_eval(n_grid):
     prob = _sampled_problem()
-    t = prob.grid(n_grid)
+    t = np.arange(n_grid) * (prob.period / n_grid)
     for name in ("a", "g", "e"):
         vals = getattr(prob, f"{name}_on_grid")(n_grid)
         assert vals.shape == (2, n_grid)
@@ -456,9 +456,10 @@ def test_equal_components_are_audited_and_sampled_once(monkeypatch):
 
     monkeypatch.setattr(problem_mod, "coefficient_extrema", count_extrema)
     monkeypatch.setattr(FourierSeries, "eval", count_eval)
-    g = Samples(1.0 + 0.5 * np.cos(2.0 * math.pi * np.arange(64) / 64.0))
+    g_values = 1.0 + 0.5 * np.cos(2.0 * math.pi * np.arange(64) / 64.0)
+    g = Samples(g_values)
     e = FourierSeries(-0.1, (0.2,))
-    prob = Problem(n=2, period=1.0, a=(Constant(1.0),) * 2, g=(g, Samples(g.values)),
+    prob = Problem(n=2, period=1.0, a=(Constant(1.0),) * 2, g=(g, Samples(g_values)),
                    e=(e, FourierSeries(-0.1, (0.2,))), f=BENCH_F, lam=0.05)
     assert audits == [g, e]
     assert prob.sign_profile == "MixedE"
@@ -466,7 +467,7 @@ def test_equal_components_are_audited_and_sampled_once(monkeypatch):
     evals.clear()
     vals = prob.g_on_grid(256)
     assert evals == [g]
-    assert vals[0].tobytes() == vals[1].tobytes() == real_eval(g, prob.grid(256)).tobytes()
+    assert vals[0].tobytes() == vals[1].tobytes() == real_eval(g, np.arange(256) * (prob.period / 256)).tobytes()
 
 
 @pytest.mark.parametrize("g, bad", [
@@ -659,4 +660,4 @@ def test_eta_is_a_lower_bound(terms, r):
 )
 def test_phi_matches_direct_sum(u, c, p):
     f = PowerLawRadial((((c, p), (1.0, 0.0)),))
-    assert abs(f.phi(0, u) - (c * u ** p + 1.0)) <= 1e-12 * (1.0 + c * u ** p)
+    assert abs(f.phi_rows(u)[0] - (c * u ** p + 1.0)) <= 1e-12 * (1.0 + c * u ** p)

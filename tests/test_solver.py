@@ -110,7 +110,7 @@ def test_picard_matches_reference_loop(monkeypatch):
             seed = seed_from_annulus(ann, prob, coarse.n_grid)
 
             def apply(values):
-                x = GridFunction(prob.n, seed.n_grid, prob.period, values)
+                x = GridFunction(values, prob.period)
                 return real_apply(prob, coarse, x).values
 
             applied.clear()
@@ -173,7 +173,7 @@ def test_newton_reconverges_after_perturbation(exact_newton_disc, sublinear_unit
     rng = np.random.default_rng(5)
     c = norm / 2.0
     vals = c * (1.0 + 1e-3 * rng.standard_normal((2, 256)))
-    x0 = GridFunction(2, 256, 1.0, vals)
+    x0 = GridFunction(vals, 1.0)
     ref = newton_refine(prob, exact_newton_disc, x0)
     assert ref.iterations <= 5
     assert abs(ref.x.norm - norm) <= 1e-9
@@ -230,7 +230,7 @@ def test_newton_step_matches_dense_solve(case):
     # operators, against the dense Jacobian of the sampled tables
     disc = discretize(prob, n_grid)
     dense = [oracles.dense_quadrature(disc.tables[k]) for k in disc.index]
-    x = GridFunction(prob.n, n_grid, 1.0, vals)
+    x = GridFunction(vals, 1.0)
     fvals = x.values - apply_T(prob, disc, x).values
     ref = _dense_newton_step(prob, dense, x, fvals)
     step = _newton_step(prob, disc, x, fvals)
@@ -1057,7 +1057,7 @@ def test_shared_table_levels_like_a_table_per_component(config_of, n_grid):
     assert disc.index == (0, 0)
     own = Discretization((copy.copy(disc.tables[0]), copy.copy(disc.tables[0])), (0, 1),
                          disc.coefficients * 2)
-    t = prob.grid(n_grid)
+    t = np.arange(n_grid) * (prob.period / n_grid)
     starts = [(seed_from_annulus(ann, prob, n_grid), (ann.r_in, ann.r_out))
               for ann in existence_report(prob, compute_constants(disc, prob),
                                           default_r_grid())]
@@ -1068,7 +1068,7 @@ def test_shared_table_levels_like_a_table_per_component(config_of, n_grid):
         base = rng.uniform(0.1, 3.0, (2, 1))
         wave = np.cos(2.0 * math.pi * (t - rng.uniform(0.0, 1.0, (2, 1))))
         values = base * (1.0 + rng.uniform(0.05, 0.5, (2, 1)) * wave)
-        starts.append((GridFunction(2, n_grid, prob.period, values), None))
+        starts.append((GridFunction(values, prob.period), None))
     for start, radii in starts:
         shared = solver_mod._level_start(prob, disc, start, radii)
         alone = solver_mod._level_start(prob, own, start, radii)
@@ -1114,3 +1114,23 @@ def test_constant_systems_solve_to_their_constant_solutions():
         annuli += len(report.annuli)
         solutions += len(report.solutions)
     assert annuli >= 40 and solutions >= 40 and shared >= 10
+
+
+def test_manufactured_variable_a_converges_at_fourth_order():
+    # a known smooth solution of a system with a = 1 + 0.3 cos (RK4 tables):
+    # Newton from 1.001 x* lands within the discretization error of x*,
+    # which falls at fourth order on every doubling up to N=512 (about
+    # 4e-8 at N=64); beyond it round-off in the RK4 kernel flattens it
+    a, g, lam, terms, x_star = oracles.manufactured_variable_a()
+    prob = Problem(n=2, period=1.0, a=(FourierSeries(*a),) * 2,
+                   g=tuple(FourierSeries(*coef) for coef in g), e=(Constant(0.0),) * 2,
+                   f=PowerLawRadial((terms, terms)), lam=lam)
+    errors = []
+    for n_grid in (64, 128, 256, 512):
+        exact = x_star(np.arange(n_grid) / n_grid)
+        res = newton_refine(prob, discretize(prob, n_grid), GridFunction(1.001 * exact, 1.0))
+        assert res.residual <= 1e-13
+        errors.append(np.abs(res.x.values - exact).max() / np.abs(exact).max())
+    assert errors[0] <= 1e-7
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(orders >= 3.9), orders
