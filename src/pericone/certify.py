@@ -5,34 +5,30 @@ so a positive margin proves the corresponding operator estimate on the
 boundary sphere of radius r.  Failure to certify is NOT evidence of
 non-existence; the conditions are conservative.
 
-Routes, named by what they measure:
+One route per kind, named by what it measures:
   - "radial-ratio" (expansion): f_j(x) >= eta_r |x|_1 on the annulus forces
     ||T x|| >= lam * Gamma * eta_r * ||x||; holds iff lam*Gamma*eta_r > 1.
   - "annulus-max" (compression): ||T x|| <= lam*(C_hat*M_hat_r + sum M_i
     int|e_i|); holds iff that bound is below r.
-  - "shell-ratio" (compression): for r > max(1/sigma, 2*lam*sum M_i int|e_i|),
-    ||T x|| <= lam*C_hat*eps_r*||x|| + ||x||/2 with eps_r = max_i fhat_i(r)/r;
-    holds iff lam*C_hat*eps_r < 1/2.
+
+There is no shell route, ||T x|| <= lam*C_hat*eps_r*||x|| + ||x||/2 with
+eps_r = max_i fhat_i(r)/r on r > max(1/sigma, 2*lam*sum M_i int|e_i|):
+annulus-max dominates it.  The annulus sigma*r <= |x|_1 <= r lies inside
+the shell 1 <= |x|_1 <= r, so M_hat_r <= r*eps_r, and the domain gives
+lam*sum M_i int|e_i| < r/2; so lam*C_hat*eps_r < 1/2 forces a positive
+annulus-max margin; its forcing gate, r > Delta, lies inside annulus-max's.
 
 The scan is array work over the whole radius grid, in two parts.  The
-lambda-free part (``radius_bounds``) holds the grid, eta_r, M_hat_r, and
-eps_r on r > 1/sigma: radius vectors from problem.py, each an exact
-extremum over the interval ends and the profile's one critical point
-(clipped onto a radius's interval when outside it), evaluated once per
-distinct component profile.  The per-lambda part (``scan_radii``) makes
-every route's margin and domain gate one vector over r; the shell-ratio
-domain r > max(1/sigma, 2*lam*sum M_i int|e_i|) is the part of r > 1/sigma
-beyond the lambda term.  A lambda sweep builds the first part once and
-evaluates only the second at each step; ``large_lambda_threshold`` reads
-eta_r from the first part.  At each radius a kind (expansion, compression)
-uses its best usable route, otherwise its best margin; ties go to the
-route listed first.
+lambda-free part (``radius_bounds``) holds the grid, eta_r and M_hat_r:
+exact extrema from problem.py, evaluated once per distinct component
+profile.  The per-lambda part (``scan_radii``) is the two margins, each
+affine in lambda, and the one domain gate they share.  A lambda sweep
+builds the first part once; ``large_lambda_threshold`` reads eta_r from it.
 
 With a sign-changing e the estimates are only valid on radial ranges where
-the forcing split stays nonnegative: below delta or above Delta for
-"radial-ratio" and "annulus-max", strictly above Delta for "shell-ratio".
-Certified annuli additionally require the whole closed annulus inside one
-allowed region.
+the forcing split stays nonnegative: below delta or above Delta.  Certified
+annuli additionally require the whole closed annulus inside one allowed
+region.
 """
 from __future__ import annotations
 
@@ -43,7 +39,8 @@ import numpy as np
 
 from .cone import ConeConstants
 from .errors import DomainError
-from .problem import Problem, annulus_extrema, eta_lower, fhat
+from .problem import Problem, annulus_extrema, eta_lower
+from .problem import fhat  # noqa: F401  the benchmark's tracer wraps it here
 
 __all__ = [
     "CertifiedAnnulus",
@@ -60,8 +57,8 @@ __all__ = [
     "default_r_grid",
 ]
 
-# routes per kind, in tie-breaking order
-ROUTES = {"expansion": ("radial-ratio",), "compression": ("annulus-max", "shell-ratio")}
+# the one route of each kind
+ROUTES = {"expansion": "radial-ratio", "compression": "annulus-max"}
 
 
 def default_r_grid(rmin: float = 1e-3, rmax: float = 1e3, per_decade: int = 61) -> np.ndarray:
@@ -73,34 +70,25 @@ def default_r_grid(rmin: float = 1e-3, rmax: float = 1e3, per_decade: int = 61) 
 
 @dataclass(frozen=True)
 class Scan:
-    """Every route's margin and domain gate at every radius of ``r`` (ascending)."""
+    """Each route's margin at every radius of ``r`` (ascending), and the one
+    domain gate both routes share."""
 
     r: np.ndarray
     margins: dict  # route -> margin over r
-    domain_ok: dict  # route -> bool over r
+    domain_ok: np.ndarray  # bool over r: inside the allowed forcing regions
 
     def holds(self, route: str) -> np.ndarray:
-        """Where the route certifies: a positive margin inside its domain."""
-        return (self.margins[route] > 0.0) & self.domain_ok[route]
+        """Where the route certifies: a positive margin inside the domain."""
+        return (self.margins[route] > 0.0) & self.domain_ok
 
     def chosen(self, kind: str):
-        """(route, margin, holds) over r of the route a kind uses at each radius:
-        the best usable route, otherwise the best margin; ties go to the route
-        listed first in ROUTES."""
-        first, *rest = ROUTES[kind]
-        route = np.full(self.r.shape, first)
-        margin, ok = self.margins[first], self.holds(first)
-        for name in rest:
-            m, h = self.margins[name], self.holds(name)
-            better = np.where(ok == h, m > margin, h)
-            route = np.where(better, name, route)
-            margin = np.where(better, m, margin)
-            ok = ok | h
-        return route, margin, ok
+        """(route name, margin over r, holds over r) of a kind's one route."""
+        route = ROUTES[kind]
+        return route, self.margins[route], self.holds(route)
 
 
 def _e_term(constants: ConeConstants) -> float:
-    """sum_i M_i int|e_i|, the forcing share of every compression bound."""
+    """sum_i M_i int|e_i|, the forcing share of the compression bound."""
     return float((constants.M * constants.int_abs_e).sum())
 
 
@@ -114,14 +102,11 @@ def _forcing_window(constants: ConeConstants) -> tuple:
 @dataclass(frozen=True)
 class RadiusBounds:
     """The lambda-free part of a scan over the ascending radius grid ``r``:
-    eta_r, M_hat_r, and eps_r = max_i fhat_i(r)/r on the radii beyond 1/sigma
-    (NaN elsewhere).  len() is the number of radii."""
+    eta_r and M_hat_r.  len() is the number of radii."""
 
     r: np.ndarray
     eta: np.ndarray
     big_hat: np.ndarray
-    beyond: np.ndarray  # r > 1/sigma
-    eps: np.ndarray
 
     def __len__(self) -> int:
         return self.r.size
@@ -139,38 +124,22 @@ def radius_bounds(problem: Problem, constants: ConeConstants, r_grid) -> RadiusB
     if not np.all(np.diff(r) > 0.0):
         raise DomainError("r_grid must be sorted ascending without repeats")
     sigma, n, f = constants.sigma, problem.n, problem.f
-    beyond = r > 1.0 / sigma
-    eps = np.full(r.shape, math.nan)
-    eps[beyond] = (fhat(f, r[beyond], n) / r[beyond]).max(axis=0)
     return RadiusBounds(r=r, eta=eta_lower(f, r, sigma, n),
-                        big_hat=annulus_extrema(f, r, sigma, n)[1], beyond=beyond, eps=eps)
+                        big_hat=annulus_extrema(f, r, sigma, n)[1])
 
 
 def scan_radii(problem: Problem, constants: ConeConstants, radii) -> Scan:
-    """Every route's margin and domain gate over ``radii``: an ascending grid
-    of positive radii, or the ``RadiusBounds`` already built from one."""
+    """Both routes' margins and their domain gate over ``radii``: an ascending
+    grid of positive radii, or the ``RadiusBounds`` already built from one."""
     bounds = radii if isinstance(radii, RadiusBounds) else radius_bounds(problem, constants, radii)
     r, lam = bounds.r, problem.lam
-    e_term = _e_term(constants)
-    shell = bounds.beyond & (r > 2.0 * lam * e_term)
-    margin_sr = np.full(r.shape, -math.inf)
-    margin_sr[shell] = 0.5 - lam * constants.C_hat * bounds.eps[shell]
-
+    domain_ok = np.ones(r.shape, dtype=bool)
     if problem.sign_profile == "MixedE":
         delta, delta_big = _forcing_window(constants)
-        above = r > delta_big
-        near, far = (r < delta) | above, above
-    else:
-        near = far = np.ones(r.shape, dtype=bool)
-    return Scan(
-        r=r,
-        margins={
-            "radial-ratio": lam * constants.Gamma * bounds.eta - 1.0,
-            "annulus-max": (r - lam * (constants.C_hat * bounds.big_hat + e_term)) / r,
-            "shell-ratio": margin_sr,
-        },
-        domain_ok={"radial-ratio": near, "annulus-max": near, "shell-ratio": far},
-    )
+        domain_ok = (r < delta) | (r > delta_big)
+    compression = lam * (constants.C_hat * bounds.big_hat + _e_term(constants))
+    return Scan(r=r, margins={"radial-ratio": lam * constants.Gamma * bounds.eta - 1.0,
+                              "annulus-max": (r - compression) / r}, domain_ok=domain_ok)
 
 
 def lambda0_bound(problem: Problem, constants: ConeConstants, r):
@@ -196,8 +165,8 @@ class CertifiedAnnulus:
 def annuli_from_scan(problem: Problem, constants: ConeConstants, scan: Scan):
     """Certified annuli from adjacent expansion/compression radii in a scan.
 
-    Each radius gets a label E, C, or EC (both margins positive with their
-    domain gates).  Every adjacent pair of labeled radii that can be read as
+    Each radius gets a label E, C, or EC (both margins positive inside the
+    domain gate).  Every adjacent pair of labeled radii that can be read as
     expansion-then-compression or compression-then-expansion yields one
     annulus; a both-certified radius takes whichever role its neighbor does
     not, and an EC/EC pair defaults to expansion at the inner radius.  With
@@ -205,8 +174,7 @@ def annuli_from_scan(problem: Problem, constants: ConeConstants, scan: Scan):
     region.  The pairing is array work over all adjacent pairs; only the
     emitted annuli are visited one by one.
     """
-    exp = scan.chosen("expansion")
-    comp = scan.chosen("compression")
+    exp, comp = scan.chosen("expansion"), scan.chosen("compression")
     e_ok, c_ok = exp[2], comp[2]
     labeled = np.flatnonzero(e_ok | c_ok)
     inner, outer = labeled[:-1], labeled[1:]
@@ -227,9 +195,9 @@ def annuli_from_scan(problem: Problem, constants: ConeConstants, scan: Scan):
             r_out=r2,
             orientation="expansion_inner" if exp_inner[k] else "compression_inner",
             predicted=f"solution norm in ({r1:.6g}, {r2:.6g})",
-            inner_route=str(first[0][i]),
+            inner_route=first[0],
             inner_margin=float(first[1][i]),
-            outer_route=str(second[0][j]),
+            outer_route=second[0],
             outer_margin=float(second[1][j]),
         ))
     return annuli

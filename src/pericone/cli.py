@@ -166,7 +166,7 @@ def cmd_certify(args) -> int:
     _, comp_margin, _ = scan.chosen("compression")
     lines = ["r,expansion_margin,compression_margin,domain_ok"]
     lines.extend(f"{_fmt(r)},{_fmt(em)},{_fmt(cm)},{_bool(ok)}" for r, em, cm, ok in
-                 zip(scan.r, exp_margin, comp_margin, scan.domain_ok["radial-ratio"]))
+                 zip(scan.r, exp_margin, comp_margin, scan.domain_ok))
     _write_text(out / "certificates.csv", "\n".join(lines) + "\n")
 
     report = {

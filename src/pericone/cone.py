@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import extrema_slack
 from .errors import AssumptionAError
 from .operator import Discretization, GridFunction
 from .problem import Problem, thresholds_delta
@@ -45,7 +46,9 @@ def compute_constants(disc: Discretization, problem: Problem) -> ConeConstants:
 
     Integrals use the periodic trapezoid rule on the table grid, the same
     quadrature scale the operator uses, so the certificate arithmetic and the
-    discrete operator see identical constants.
+    discrete operator see identical constants.  int|e_i| is an upper bound:
+    on each cell |e_i| is at most the chord's modulus, which the trapezoid
+    bounds, plus the chord error K h^2/8 of ``extrema_slack``.
     """
     disc.check(problem, disc.n_grid)
     tables = [disc.tables[k] for k in disc.index]
@@ -61,7 +64,8 @@ def compute_constants(disc: Discretization, problem: Problem) -> ConeConstants:
     n_grid = disc.n_grid
     h = problem.period / n_grid
     int_g = problem.g_on_grid(n_grid).sum(axis=1) * h
-    int_abs_e = np.abs(problem.e_on_grid(n_grid)).sum(axis=1) * h
+    int_abs_e = (np.abs(problem.e_on_grid(n_grid)).sum(axis=1) * h
+                 + problem.period * np.array([extrema_slack(c, n_grid) for c in problem.e]))
 
     gamma = float((0.5 * m * sigma * int_g).min())
     c_hat = float((big * int_g).sum())

@@ -202,7 +202,9 @@ def eta_lower(f: PowerLawRadial, r, sigma: float, n: int):
 
 def fhat(f: PowerLawRadial, theta, n: int) -> np.ndarray:
     """Per-component max of f_i over the orthant shell 1 <= |x|_1 <= theta;
-    shape (n_components, *theta.shape)."""
+    shape (n_components, *theta.shape).  No certificate reads it (annulus-max
+    dominates the shell bound, see certify.py); acceptance criterion 11 and
+    the benchmark's tracer do."""
     theta = np.asarray(theta, dtype=float)
     if not np.all(theta >= 1.0):
         raise DomainError("theta must be at least 1")

@@ -544,7 +544,7 @@ def continue_lambda(problem: Problem, disc: Discretization, lam_lo: float, lam_h
     new ids.  A disappearing branch is recorded, with a fold indicator when
     the vanished pair had come within 5% in norm.  Every step shares the base
     matrices of ``disc`` and one set of radius bounds (``radius_bounds``:
-    eta_r, M_hat_r and fhat do not depend on lambda), so a step's
+    eta_r and M_hat_r do not depend on lambda), so a step's
     certification is only its margins and the pairing.
     """
     # written so that NaN fails them

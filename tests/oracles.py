@@ -5,7 +5,9 @@ no imports from the package under test) so the tests compare two separate
 derivations rather than the code against itself.  ``dense_quadrature`` is
 the one reader of a package object: it takes a Green table's kernel
 entries as given (the dense builds below check those bit for bit) and
-forms the quadrature from them densely.
+forms the quadrature from them densely.  ``shell_ratio_reference`` is the
+one caller of a package function: it keeps the compression route the
+package dropped, on the package's own fhat, so a test can show why.
 """
 
 import math
@@ -272,21 +274,32 @@ def dense_positivity(values, patch, period, fine_factor, rk4):
     return m, big, bool(min_value > tol), min_value, argmin
 
 
-def manufactured_variable_a(samples=4096, rel_trim=1e-15):
-    """A manufactured smooth solution of x_i'' + a x_i = lam g_i phi(|x|_2)
-    with a = 1 + 0.3 cos 2 pi t, T = 1, e = 0, lam = 0.05 and
+def _trig_eval(coef, t):
+    """c0 + sum_m cos_m cos(2 pi m t) + sin_m sin(2 pi m t) for coef =
+    (c0, cos, sin) on period 1."""
+    c0, cos, sin = coef
+    out = np.full_like(t, c0)
+    for m, c in enumerate(cos, start=1):
+        out += c * np.cos(2.0 * math.pi * m * t)
+    for m, c in enumerate(sin, start=1):
+        out += c * np.sin(2.0 * math.pi * m * t)
+    return out
+
+
+def manufactured_variable_a(a, samples=4096, rel_trim=1e-15):
+    """A manufactured smooth solution of x_i'' + a_i x_i = lam g_i phi(|x|_2)
+    with one a_i = (c0, cos, sin) per component, T = 1, e = 0, lam = 0.05 and
     phi(u) = 1/u + u^2 in both components.
 
     x*_1 = 1 + 0.01 cos 2 pi t + 0.002 sin 4 pi t and x*_2 = 0.8 + 0.01 sin 2 pi t
-    are fixed; g_i = (x*_i'' + a x*_i) / (lam phi(|x*|_2)) is formed on
+    are fixed; g_i = (x*_i'' + a_i x*_i) / (lam phi(|x*|_2)) is formed on
     ``samples`` points and read as its real Fourier coefficients, cut after
     the last mode whose cosine or sine exceeds rel_trim |c0|.  Returns
-    (a, g, lam, terms, x_star): a and each g_i as (c0, cos, sin), the (c, p)
-    terms of phi and x_star(t), an (2, len(t)) array.
+    (g, lam, terms, x_star): each g_i as (c0, cos, sin), the (c, p) terms of
+    phi and x_star(t), an (2, len(t)) array.
     """
     w = 2.0 * math.pi
     lam, terms = 0.05, ((1.0, -1.0), (1.0, 2.0))
-    a = (1.0, (0.3,), ())
 
     def x_star(t):
         return np.stack([1.0 + 0.01 * np.cos(w * t) + 0.002 * np.sin(2.0 * w * t),
@@ -297,7 +310,8 @@ def manufactured_variable_a(samples=4096, rel_trim=1e-15):
     xpp = -w * w * np.stack([0.01 * np.cos(w * t) + 0.008 * np.sin(2.0 * w * t),
                              0.01 * np.sin(w * t)])
     u = np.sqrt((x * x).sum(axis=0))
-    g_vals = (xpp + (1.0 + 0.3 * np.cos(w * t)) * x) / (lam * phi_value(terms, u))
+    a_vals = np.stack([_trig_eval(coef, t) for coef in a])
+    g_vals = (xpp + a_vals * x) / (lam * phi_value(terms, u))
     g = []
     for spec in np.fft.rfft(g_vals, axis=1) / samples:
         c0 = float(spec[0].real)
@@ -305,7 +319,7 @@ def manufactured_variable_a(samples=4096, rel_trim=1e-15):
         kept = np.flatnonzero(np.maximum(abs(cos), abs(sin)) > rel_trim * abs(c0))
         top = int(kept[-1]) + 1 if kept.size else 0
         g.append((c0, tuple(cos[:top]), tuple(sin[:top])))
-    return a, tuple(g), lam, terms, x_star
+    return tuple(g), lam, terms, x_star
 
 
 def single_grid_solve(quads, g, e, terms_by_comp, lam, seed):
@@ -570,9 +584,32 @@ def annuli_from_scan_loop(problem, constants, scan):
             r_out=r2,
             orientation="expansion_inner" if exp_inner else "compression_inner",
             predicted=f"solution norm in ({r1:.6g}, {r2:.6g})",
-            inner_route=str(inner[0][i]),
+            inner_route=inner[0],
             inner_margin=float(inner[1][i]),
-            outer_route=str(outer[0][j]),
+            outer_route=outer[0],
             outer_margin=float(outer[1][j]),
         ))
     return annuli
+
+
+def shell_ratio_reference(problem, constants, r):
+    """(margin, gate) over the radii r of the shell-ratio compression route,
+    which the package dropped because annulus-max dominates it.
+
+    On the shell 1 <= |x|_1 <= r, ||T x|| <= lam C_hat eps_r ||x|| + ||x||/2
+    with eps_r = max_i fhat_i(r)/r, valid for r > max(1/sigma, 2 lam sum
+    M_i int|e_i|) and, with a sign-changing e, for r > Delta only.  The
+    margin is 1/2 - lam C_hat eps_r inside that gate and -inf outside it.
+    """
+    from pericone.problem import fhat
+
+    r = np.asarray(r, dtype=float)
+    lam = problem.lam
+    e_term = float((constants.M * constants.int_abs_e).sum())
+    gate = (r > 1.0 / constants.sigma) & (r > 2.0 * lam * e_term)
+    if problem.sign_profile == "MixedE":
+        gate &= r > (math.inf if constants.Delta is None else constants.Delta)
+    margin = np.full(r.shape, -math.inf)
+    eps = (fhat(problem.f, r[gate], problem.n) / r[gate]).max(axis=0)
+    margin[gate] = 0.5 - lam * constants.C_hat * eps
+    return margin, gate

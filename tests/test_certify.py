@@ -14,7 +14,6 @@ from pericone import (
     Problem,
     Scan,
     annuli_from_scan,
-    apply_T,
     classify_regime,
     compute_constants,
     default_r_grid,
@@ -36,7 +35,6 @@ from conftest import (
     SUBLINEAR_TERMS,
     SUPERLINEAR_TERMS,
     make_problem,
-    smooth_cone_points,
 )
 
 
@@ -46,9 +44,9 @@ def one_component_problem(terms, lam):
 
 
 def at(prob, cc, r, kind):
-    """(route, margin, holds) of the route a kind uses at the single radius r."""
+    """(route, margin, holds) of a kind's route at the single radius r."""
     route, margin, holds = scan_radii(prob, cc, [r]).chosen(kind)
-    return str(route[0]), float(margin[0]), bool(holds[0])
+    return route, float(margin[0]), bool(holds[0])
 
 
 def test_expansion_small_radius_superlinear(superlinear_small):
@@ -89,8 +87,7 @@ def test_compression_fails_everywhere_at_huge_lambda(superlinear_small):
     for r in (1e-3, 1.0, 1e3):
         scan = scan_radii(big, cc, [r])
         assert not scan.chosen("compression")[2][0]
-        assert all(scan.margins[k][0] <= 0.0 or not scan.domain_ok[k][0]
-                   for k in ("annulus-max", "shell-ratio"))
+        assert scan.margins["annulus-max"][0] <= 0.0
     assert existence_report(big, cc, default_r_grid()) == []
 
 
@@ -181,18 +178,29 @@ def test_classify_partial_singularity_notes():
     assert rep.note != ""
 
 
-def test_shell_ratio_route_is_sound(bench_disc):
-    # wherever the shell-ratio route certifies, the operator really does
-    # contract the boundary sphere
-    prob = make_problem(0.5, 0.5, 1.0)
-    cc = compute_constants(bench_disc, prob)
-    r = 100.0
-    scan = scan_radii(prob, cc, [r])
-    assert scan.margins["shell-ratio"][0] > 0.0 and scan.domain_ok["shell-ratio"][0]
-    rng = np.random.default_rng(3)
-    for x in smooth_cone_points(prob, 256, cc.sigma, 50, rng, norm=r):
-        out = apply_T(prob, bench_disc, x)
-        assert out.norm < r
+@pytest.mark.parametrize("rmin, rmax", [(1e-3, 1e3), (1e-8, 1e8)])
+def test_annulus_max_holds_wherever_the_shell_ratio_route_did(bench_disc, rmin, rmax):
+    # the reason there is no shell-ratio route: wherever its margin was
+    # positive inside its gate, annulus-max certifies too.  The four presets
+    # and seeded (alpha, beta, e) families, over lambda 1e-4 .. 1e4
+    rng = np.random.default_rng(32)
+    families = [(p.alpha, p.beta, p.e_spec) for p in PRESETS.values()]
+    families += [(float(rng.uniform(0.1, 1.5)), float(rng.uniform(0.1, 3.0)), e_spec)
+                 for e_spec in (None, MIXED_E, {"constant": 0.05}) for _ in range(2)]
+    r = default_r_grid(rmin, rmax)
+    held = 0
+    for alpha, beta, e_spec in families:
+        prob = make_problem(alpha, beta, 1.0, e_spec=e_spec)
+        cc = compute_constants(bench_disc, prob)
+        bounds = radius_bounds(prob, cc, r)
+        for lam in np.geomspace(1e-4, 1e4, 17):
+            step = replace(prob, lam=float(lam))
+            margin, gate = oracles.shell_ratio_reference(step, cc, r)
+            shell = (margin > 0.0) & gate
+            assert np.all(scan_radii(step, cc, bounds).holds("annulus-max")[shell]), \
+                (alpha, beta, e_spec, lam)
+            held += int(shell.sum())
+    assert held > 0
 
 
 # every certified annulus must contain a solver fixed point strictly inside it
@@ -274,11 +282,11 @@ def test_scan_matches_per_radius_scans(bench_disc, alpha, beta, lam, e_spec):
     full = scan_radii(prob, cc, grid)
     singles = [scan_radii(prob, cc, [r]) for r in grid]
     assert np.array_equal(full.r, grid)
+    assert sorted(full.margins) == ["annulus-max", "radial-ratio"]
     for route in full.margins:
         assert np.array_equal(full.margins[route],
                               [s.margins[route][0] for s in singles]), route
-        assert np.array_equal(full.domain_ok[route],
-                              [s.domain_ok[route][0] for s in singles]), route
+    assert np.array_equal(full.domain_ok, [s.domain_ok[0] for s in singles])
 
 
 @pytest.mark.parametrize("grid", [
@@ -296,33 +304,31 @@ def test_scan_rejects_bad_grid(superlinear_small, grid):
 
 def test_scan_from_radius_bounds_matches_the_grid_scan(bench_disc):
     # sign-changing e: the bounds built once serve every lambda, bit for bit,
-    # on both sides of the lambda where 2 lam sum M_i int|e_i| passes 1/sigma
-    # and the shell-ratio gate starts to move
+    # for lambda 0.5 to 10, over which the forcing share lam sum M_i int|e_i|
+    # of the compression margin grows past r at the small radii
     prob = make_problem(0.5, 0.5, 1.0, e_spec=MIXED_E)
     cc = compute_constants(bench_disc, prob)
     grid = default_r_grid()
     bounds = radius_bounds(prob, cc, grid)
     assert len(bounds) == grid.size
-    e_term = float((cc.M * cc.int_abs_e).sum())
-    lams = (0.5, 1.0, 4.0, 10.0)
-    assert [2.0 * lam * e_term > 1.0 / cc.sigma for lam in lams] == [False, False, True, True]
-    for lam in lams:
+    for lam in (0.5, 1.0, 4.0, 10.0):
         step = replace(prob, lam=lam)
         once, fresh = scan_radii(step, cc, bounds), scan_radii(step, cc, grid)
         assert np.array_equal(once.r, fresh.r)
+        assert np.array_equal(once.domain_ok, fresh.domain_ok), lam
         for route in fresh.margins:
             assert np.array_equal(once.margins[route], fresh.margins[route]), (lam, route)
-            assert np.array_equal(once.domain_ok[route], fresh.domain_ok[route]), (lam, route)
 
 
-ROUTE_NAMES = ("radial-ratio", "annulus-max", "shell-ratio")
+ROUTE_NAMES = ("radial-ratio", "annulus-max")
 
 
 def random_scan(rng, r, shift):
-    """Random margins and gates for every route: labels E, C and EC at random."""
+    """Random margins for both routes and a random gate: labels E, C and EC
+    at random."""
     return Scan(r=r,
                 margins={route: rng.normal(shift, 1.0, r.size) for route in ROUTE_NAMES},
-                domain_ok={route: rng.random(r.size) < 0.8 for route in ROUTE_NAMES})
+                domain_ok=rng.random(r.size) < 0.8)
 
 
 def labels(scan):
@@ -353,8 +359,7 @@ def test_pairing_without_a_pair(superlinear_small, labeled):
     margins = {route: np.full(r.size, -1.0) for route in ROUTE_NAMES}
     for k in labeled:
         margins["radial-ratio"][k] = margins["annulus-max"][k] = 1.0
-    scan = Scan(r=r, margins=margins,
-                domain_ok={route: np.ones(r.size, dtype=bool) for route in ROUTE_NAMES})
+    scan = Scan(r=r, margins=margins, domain_ok=np.ones(r.size, dtype=bool))
     assert len(labels(scan)) == len(labeled)
     assert annuli_from_scan(prob, cc, scan) == []
     assert oracles.annuli_from_scan_loop(prob, cc, scan) == []

@@ -13,6 +13,7 @@ from pericone import (
     cone_membership,
     discretize,
 )
+from pericone.benchmarks import MIXED_E
 
 import oracles
 from conftest import make_problem, smooth_cone_points
@@ -69,6 +70,16 @@ def test_mixed_e_integral(bench_disc):
     assert abs(cc.int_abs_e[0] - exact) <= 1e-4
     assert cc.delta is not None
     assert cc.Delta is not None and cc.Delta > cc.delta
+
+
+@pytest.mark.parametrize("n_grid", [16, 64, 96, 256, 1024])
+def test_int_abs_e_is_never_below_the_integral(n_grid):
+    # int|e| enters every compression bound as an upper bound; the bare
+    # trapezoid sum reads 3.9e-5 below the exact value at N=96
+    prob = make_problem(1.0, 2.0, 0.01, e_spec=MIXED_E, n_grid=n_grid)
+    cc = compute_constants(discretize(prob, n_grid), prob)
+    exact = 0.2 * math.sqrt(3.0) / math.pi - 1.0 / 15.0 + 0.1
+    assert np.all(cc.int_abs_e >= exact)
 
 
 def test_rejects_non_positive_table():

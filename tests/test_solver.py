@@ -975,8 +975,8 @@ def test_verified_fp_residual_is_the_fixed_point_residual():
 
 
 def test_sweep_builds_its_radius_bounds_once(monkeypatch):
-    # eta_r, M_hat_r and fhat do not depend on lambda: the bench sweep
-    # evaluates each once, not once per step
+    # eta_r and M_hat_r do not depend on lambda: the bench sweep evaluates
+    # each once, not once per step, and no radius bound reads fhat
     prob = make_problem(1.0, 2.0, 0.01)
     disc = discretize(prob, 256)
     cc = compute_constants(disc, prob)
@@ -988,12 +988,12 @@ def test_sweep_builds_its_radius_bounds_once(monkeypatch):
         monkeypatch.setattr(certify_mod, name, count)
     sweep = continue_lambda(prob, disc, 0.01, 0.3, 6, constants=cc)
     assert len({row.lam for row in sweep.rows}) == 6
-    assert sorted(calls) == ["annulus_extrema", "eta_lower", "fhat"]
+    assert sorted(calls) == ["annulus_extrema", "eta_lower"]
 
 
 @pytest.mark.parametrize("alpha, beta, e_spec, lam_lo, lam_hi, steps", [
     (1.0, 2.0, None, 0.01, 0.3, 6),  # the bench sweep
-    (0.5, 0.5, MIXED_E, 1.0, 10.0, 4),  # sign-changing e, the shell gate moves
+    (0.5, 0.5, MIXED_E, 1.0, 10.0, 4),  # sign-changing e, the forcing share grows
 ])
 def test_sweep_step_annuli_match_fresh_reports(monkeypatch, alpha, beta, e_spec,
                                                lam_lo, lam_hi, steps):
@@ -1018,8 +1018,10 @@ def test_sweep_step_annuli_match_fresh_reports(monkeypatch, alpha, beta, e_spec,
     for lam, annuli in reports:
         assert annuli == existence_report(replace(prob, lam=lam), cc, default_r_grid())
     if e_spec is not None:
-        e_term = float((cc.M * cc.int_abs_e).sum())
-        assert any(2.0 * lam * e_term > 1.0 / cc.sigma for lam in lams)
+        # the forcing-window gate cuts the grid: each step's scan drops the
+        # radii between delta and Delta
+        r = default_r_grid()
+        assert r[0] < cc.delta < cc.Delta < r[-1]
 
 
 @pytest.mark.parametrize("a_specs, applications", [
@@ -1116,21 +1118,28 @@ def test_constant_systems_solve_to_their_constant_solutions():
     assert annuli >= 40 and solutions >= 40 and shared >= 10
 
 
-def test_manufactured_variable_a_converges_at_fourth_order():
-    # a known smooth solution of a system with a = 1 + 0.3 cos (RK4 tables):
+@pytest.mark.parametrize("a, tables", [
+    (((1.0, (0.3,), ()),) * 2, 1),
+    (((1.0, (0.3,), ()), (1.5, (), (0.4,))), 2),
+], ids=["shared-a", "distinct-a"])
+def test_manufactured_variable_a_converges_at_fourth_order(a, tables):
+    # a known smooth solution of a system with a = 1 + 0.3 cos in both
+    # components (one RK4 table) or a_2 = 1.5 + 0.4 sin in the second (two):
     # Newton from 1.001 x* lands within the discretization error of x*,
     # which falls at fourth order on every doubling up to N=512 (about
     # 4e-8 at N=64); beyond it round-off in the RK4 kernel flattens it
-    a, g, lam, terms, x_star = oracles.manufactured_variable_a()
-    prob = Problem(n=2, period=1.0, a=(FourierSeries(*a),) * 2,
+    g, lam, terms, x_star = oracles.manufactured_variable_a(a)
+    prob = Problem(n=2, period=1.0, a=tuple(FourierSeries(*coef) for coef in a),
                    g=tuple(FourierSeries(*coef) for coef in g), e=(Constant(0.0),) * 2,
                    f=PowerLawRadial((terms, terms)), lam=lam)
     errors = []
     for n_grid in (64, 128, 256, 512):
         exact = x_star(np.arange(n_grid) / n_grid)
-        res = newton_refine(prob, discretize(prob, n_grid), GridFunction(1.001 * exact, 1.0))
+        disc = discretize(prob, n_grid)
+        res = newton_refine(prob, disc, GridFunction(1.001 * exact, 1.0))
         assert res.residual <= 1e-13
         errors.append(np.abs(res.x.values - exact).max() / np.abs(exact).max())
+    assert len(disc.tables) == tables
     assert errors[0] <= 1e-7
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
     assert np.all(orders >= 3.9), orders
