@@ -12,7 +12,9 @@ entries:
 * operator: the Newton step's base matrices of a two-component system at
   N = 1024, a = 1 and a = 1 + 0.3 cos, read from a fresh discretization of
   the prebuilt 1024-point table each run: the 64-point table build and its
-  operator applied to the identity
+  operator applied to the identity; and the ODE check (ode_residual) of the
+  one solution of cor2a lambda = 8, two non-constant components, at
+  N = 256, 1024 and 4096
 * problem: thresholds_delta on each preset's first lambda, with the caches
   of the critical point and the per-component roots emptied before each
   call, so all of them are computed every time
@@ -96,6 +98,7 @@ from pericone import (  # noqa: E402
     find_solutions,
     newton_refine,
     continue_lambda,
+    ode_residual,
     parse_config,
     picard_solve,
     radius_bounds,
@@ -315,6 +318,11 @@ def measure(repeats):
         table = build_green_table(coef, 1024)
         timings[f"operator.base_matrices[{name}/N1024]"] = _time(
             lambda: Discretization((table,), (0, 0), (coef,)).base_matrices, repeats)
+    for n_grid in (256, 1024, 4096):
+        problem, disc, constants = _setup("cor2a", 8.0, n_grid)
+        [sol] = find_solutions(problem, disc, constants).solutions
+        timings[f"operator.ode_residual[cor2a@8/N{n_grid}]"] = _time(
+            lambda: ode_residual(problem, sol.x), repeats)
     for name in sorted(PRESETS):
         lam = PRESETS[name].lambdas[0]
         problem, _, constants = _setup(name, lam)

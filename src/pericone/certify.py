@@ -156,9 +156,7 @@ class CertifiedAnnulus:
     r_out: float
     orientation: str  # "expansion_inner" | "compression_inner"
     predicted: str
-    inner_route: str
-    inner_margin: float
-    outer_route: str
+    inner_margin: float  # each end's margin is of ROUTES[kind], its kind set by orientation
     outer_margin: float
 
 
@@ -195,9 +193,7 @@ def annuli_from_scan(problem: Problem, constants: ConeConstants, scan: Scan):
             r_out=r2,
             orientation="expansion_inner" if exp_inner[k] else "compression_inner",
             predicted=f"solution norm in ({r1:.6g}, {r2:.6g})",
-            inner_route=first[0],
             inner_margin=float(first[1][i]),
-            outer_route=second[0],
             outer_margin=float(second[1][j]),
         ))
     return annuli

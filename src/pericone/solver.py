@@ -92,7 +92,7 @@ NEWTON_TOL = 1e-10
 # returns there without a further step
 ROUNDOFF_RTOL = 16.0 * 2.0 ** -52
 MAX_NEWTON = 30
-# gate on the independent fourth-order ODE residual of accepted solutions
+# gate on the independent spectral ODE check of accepted solutions
 ODE_TOL = 1e-6
 NORM_BLOWUP = 1e12
 CLAMP_TOL = 1e-12

@@ -584,9 +584,7 @@ def annuli_from_scan_loop(problem, constants, scan):
             r_out=r2,
             orientation="expansion_inner" if exp_inner else "compression_inner",
             predicted=f"solution norm in ({r1:.6g}, {r2:.6g})",
-            inner_route=inner[0],
             inner_margin=float(inner[1][i]),
-            outer_route=outer[0],
             outer_margin=float(outer[1][j]),
         ))
     return annuli

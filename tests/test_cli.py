@@ -89,6 +89,9 @@ def test_certify_two_annuli(tmp_path):
     assert rc == EXIT_FOUND
     report = json.loads((tmp_path / "c" / "report.json").read_text())
     assert [a["id"] for a in report["annuli"]] == ["A1", "A2"]
+    # the orientation fixes each end's route, so no route key is written
+    assert set(report["annuli"][0]) == {"id", "r_in", "r_out", "orientation", "predicted",
+                                        "inner_margin", "outer_margin"}
     assert report["regime"]["regime"] == "Superlinear"
     # e = 0: g f / 2 + e >= 0 at every radius, so no thresholds are computed
     assert report["constants"]["delta"] is None

@@ -25,6 +25,7 @@ from pericone import (
     discretize,
     find_solutions,
     fixed_point_residual,
+    ode_residual,
     newton_refine,
     parse_config,
     kernel_quadrature,
@@ -607,6 +608,19 @@ def test_tables_of_another_coefficient_need_the_explicit_constructor():
         assert 0.0 < abs(a.norm - b.norm) <= 2e-7 * a.norm
 
 
+@pytest.mark.parametrize("name, lam", [("cor1b", 0.05), ("cor2b", 0.01)])
+def test_tables_of_a_wrong_coefficient_fail_the_ode_check(name, lam):
+    # tables built for a = 1 + 1e-6 solve a nearby problem; the ODE check
+    # reads problem.a, so A2, the larger solution, is dropped with its note
+    prob = parse_config(PRESETS[name].config(lam)).problem
+    near = Constant(1.0 + 1e-6)
+    wrong = Discretization((build_green_table(near, 256),), (0, 0), (near,))
+    report = find_solutions(prob, wrong, compute_constants(wrong, prob))
+    assert [s.annulus_id for s in report.solutions] == ["A1"]
+    assert len(report.notes) == 1
+    assert report.notes[0].startswith("A2: ode residual ") and report.notes[0].endswith(" dropped")
+
+
 @pytest.mark.parametrize("n_grid", [64, 256, 512, 1024])
 def test_two_grid_correction_failure_drops(monkeypatch, n_grid):
     # a failed Newton loop drops the annulus with one note at every N: each
@@ -950,7 +964,7 @@ _NODES64 = np.arange(64) / 64.0
 ], ids=["a-256-cos", "g-64-cos", "a-64-triangle"])
 def test_sampled_coefficients_keep_their_solutions(key, values):
     # samples are read as their trigonometric interpolant, a smooth
-    # coefficient: the 5-point ODE check keeps both superlinear solutions at
+    # coefficient: the ODE check keeps both superlinear solutions at
     # N = 1024, where the kinks of a linear interpolant dropped one or both
     cfg = symmetric_config(1.0, 2.0, 0.05, n_grid=1024)
     cfg[key] = [{"samples": values.tolist()}] * 2
@@ -1143,3 +1157,42 @@ def test_manufactured_variable_a_converges_at_fourth_order(a, tables):
     assert errors[0] <= 1e-7
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
     assert np.all(orders >= 3.9), orders
+
+
+@pytest.mark.parametrize("config, n_grid, annulus_id", [
+    (PRESETS["cor2a"].config(8.0, 4096), 4096, "A1"),
+    (PRESETS["cor2a"].config(8.0, 8192), 8192, "A1"),
+    (PRESETS["cor2b"].config(0.01, 8192), 8192, "A2"),
+    (_var_a_config(0.5, 0.5, 10.0, 1024), 1024, "A1"),
+], ids=["cor2a-4096", "cor2a-8192", "cor2b-8192", "sublinear-var-a-1024"])
+def test_fine_grid_solutions_pass_the_ode_check(config, n_grid, annulus_id):
+    # correct solutions on grids where round-off amplified by 1/h^2 would
+    # pass the 1e-6 gate; the spectral check reads them at round-off
+    prob = parse_config(config).problem
+    disc = discretize(prob, n_grid)
+    report = find_solutions(prob, disc, compute_constants(disc, prob))
+    assert report.notes == []
+    [sol] = [s for s in report.solutions if s.annulus_id == annulus_id]
+    assert sol.ode_residual <= 1e-11
+
+
+def test_ode_check_tracks_the_manufactured_error():
+    # the distinct-a manufactured problem: on the Newton output the check
+    # reads a fixed share (about 1/3) of the true error while that falls at
+    # fourth order, and never rises past 1e-12 once the error flattens at
+    # round-off; on the sampled x* itself it reads round-off at every N
+    a = ((1.0, (0.3,), ()), (1.5, (), (0.4,)))
+    g, lam, terms, x_star = oracles.manufactured_variable_a(a)
+    prob = Problem(n=2, period=1.0, a=tuple(FourierSeries(*coef) for coef in a),
+                   g=tuple(FourierSeries(*coef) for coef in g), e=(Constant(0.0),) * 2,
+                   f=PowerLawRadial((terms, terms)), lam=lam)
+    for n_grid in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
+        exact = x_star(np.arange(n_grid) / n_grid)
+        res = newton_refine(prob, discretize(prob, n_grid), GridFunction(1.001 * exact, 1.0))
+        check = ode_residual(prob, res.x)
+        if n_grid <= 512:
+            err = np.abs(res.x.values - exact).max()
+            assert err / 10.0 <= check <= err, (n_grid, check, err)
+        else:
+            assert check <= 1e-12, n_grid
+        assert ode_residual(prob, GridFunction(exact, 1.0)) <= 1e-14
