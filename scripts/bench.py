@@ -6,14 +6,13 @@ median and the minimum, because a small shared machine is noisy.  The
 entries:
 
 * greens: Green tables, closed form (a = 1) and RK4 (a = 1 + 0.3 cos), at
-  N = 64 (the base grid every solve builds for its inner systems), 256,
-  1024 and 4096; the N = 4096 entries also record the peak of the memory
-  Python allocates during one build (tracemalloc), in MiB
-* operator: the Newton step's base matrices of a two-component system at
-  N = 1024, a = 1 and a = 1 + 0.3 cos, read from a fresh discretization of
-  the prebuilt 1024-point table each run: the 64-point table build and its
-  operator applied to the identity; and the ODE check (ode_residual) of the
-  one solution of cor2a lambda = 8, two non-constant components, at
+  N = 256, 1024 and 4096; the N = 4096 entries also record the peak of the
+  memory Python allocates during one build (tracemalloc), in MiB
+* operator: Newton's collocation matrix (D2 + a)^-1 (collocation_matrix)
+  for a = 1 (the rfft multiplier applied to the identity) and
+  a = 1 + 0.3 cos (the second-kind solve as well) at M = 32, the grid every
+  solve starts on, and M = 256, the cap; and the ODE check (ode_residual)
+  of the one solution of cor2a lambda = 8, two non-constant components, at
   N = 256, 1024 and 4096
 * problem: thresholds_delta on each preset's first lambda, with the caches
   of the critical point and the per-component roots emptied before each
@@ -25,13 +24,14 @@ entries:
   alone (existence_report from the prebuilt bounds: margins, gates and the
   pairing), the two parts a sweep separates
 * solver: per certified annulus of cor1b lambda = 0.05 at N = 256, the
-  Newton solve from the leveled annulus seed on the 256-point tables, as
+  Newton solve from the leveled annulus seed on Newton's 32-point grid, as
   ``find_solutions`` runs it, with its Newton step count (0: the leveled
   start is the fixed point to round-off); the same for the first annulus
-  of cor2b lambda = 0.01, whose start takes steps, their inner systems on
-  the 64-point base matrices; and the Picard solve from the cor1b annulus
-  seed itself on the 64-point tables, a standalone function that no solve
-  path calls, timed for as long as it exists
+  of cor2b lambda = 0.01 and of the superlinear problem with
+  a = 1 + 0.3 cos at lambda = 0.05, N = 1024, whose starts take steps; and
+  the Picard solve from the cor1b annulus seed itself on the 64-point
+  tables, a standalone function that no solve path calls, timed for as
+  long as it exists
 * run: every (preset, lambda) problem at N = 256 (discretize, constants,
   find_solutions), cor1b lambda = 0.05 at N = 1024, 4096 and 2062 (twice
   a prime: no coarser even grid nests in it), and the CLI per subcommand,
@@ -42,7 +42,9 @@ entries:
   discretization and constants, no files); the superlinear family at
   lambda = 0.05 with sampled coefficients, config parsed (the coefficient
   audit), discretized and solved: g = 64 samples of 1 + 0.5 cos at
-  N = 256 and a = 256 samples of 1 + 0.3 cos at N = 1024; the presets and
+  N = 256, a = 256 samples of 1 + 0.3 cos at N = 1024, and a = 64 samples
+  of the triangle wave 1 + 0.3 (1 - 4 min(t, 1 - t)) at N = 1024, whose
+  Newton grid doubles to 256 points; the presets and
   the sweeps also record the Newton steps of one run, so a change to the
   Newton start shows up as step counts as well as time; and the tier-1
   test suite
@@ -88,7 +90,6 @@ import pericone.solver  # noqa: E402
 from pericone import (  # noqa: E402
     PRESETS,
     Constant,
-    Discretization,
     FourierSeries,
     build_green_table,
     compute_constants,
@@ -108,7 +109,8 @@ from pericone import (  # noqa: E402
     thresholds_delta,
 )
 from pericone.cli import main as cli_main  # noqa: E402
-from pericone.solver import _level_start  # noqa: E402
+from pericone.operator import collocation_matrix  # noqa: E402
+from pericone.solver import START_POINTS, _level_start  # noqa: E402
 
 
 def _time(fn, repeats):
@@ -189,26 +191,30 @@ def _test_suite():
         raise RuntimeError(f"the tier-1 test suite exited with {code}")
 
 
-def _leveled_starts(preset, lam):
-    """A preset at N = 256, its discretization and (annulus, leveled seed)
-    per certified annulus: the starts of ``find_solutions``'s Newton loops."""
-    problem, disc, constants = _setup(preset, lam)
+def _leveled_starts(problem, n_grid):
+    """Newton's first operator for ``problem`` at n_grid points and (annulus,
+    leveled seed) per certified annulus: the starts of ``find_solutions``'s
+    Newton loops."""
+    disc = discretize(problem, n_grid)
+    op = disc.collocation(START_POINTS)
     starts = []
-    for ann in existence_report(problem, constants, default_r_grid()):
-        seed = seed_from_annulus(ann, problem, disc.n_grid)
-        starts.append((ann, _level_start(problem, disc, seed, (ann.r_in, ann.r_out))))
-    return problem, disc, starts
+    for ann in existence_report(problem, compute_constants(disc, problem), default_r_grid()):
+        seed = seed_from_annulus(ann, problem, START_POINTS)
+        starts.append((ann, _level_start(problem, op, seed, (ann.r_in, ann.r_out))))
+    return op, starts
 
 
-def _newton_entry(problem, disc, start, repeats):
-    return dict(_time(lambda: newton_refine(problem, disc, start), repeats),
-                newton_steps=newton_refine(problem, disc, start).iterations)
+def _newton_entry(problem, op, start, repeats):
+    return dict(_time(lambda: newton_refine(problem, op, start), repeats),
+                newton_steps=newton_refine(problem, op, start).iterations)
 
 
 def _solver_entries(repeats):
     """Newton from the leveled seed and Picard per annulus of cor1b
-    lambda=0.05, and Newton from the leveled seed of cor2b lambda=0.01 A1."""
-    problem, disc, starts = _leveled_starts("cor1b", 0.05)
+    lambda=0.05, and Newton from the leveled seed of the first annulus of
+    cor2b lambda=0.01 and of the superlinear a = 1 + 0.3 cos problem."""
+    problem = parse_config(PRESETS["cor1b"].config(0.05)).problem
+    op, starts = _leveled_starts(problem, 256)
     base_disc = discretize(problem, 64)
     out = {}
     for ann, start in starts:
@@ -226,14 +232,19 @@ def _solver_entries(repeats):
             _time(picard, repeats),
             outcome="diverged" if pic is None else
             ("converged" if pic.converged else "stalled"))
-        out[f"solver.newton[{tag}]"] = _newton_entry(problem, disc, start, repeats)
+        out[f"solver.newton[{tag}]"] = _newton_entry(problem, op, start, repeats)
     # the cor1b starts are fixed points to round-off and take no Newton
-    # step; cor2b's sign-changing e makes its solutions non-constant, so
-    # this start times the two-grid steps themselves
-    problem, disc, starts = _leveled_starts("cor2b", 0.01)
-    ann, start = starts[0]
-    out[f"solver.newton[cor2b@0.01/{ann.annulus_id}]"] = _newton_entry(
-        problem, disc, start, repeats)
+    # step; cor2b's sign-changing e and the variable a make their solutions
+    # non-constant, so these starts time the Newton steps themselves
+    var_a = symmetric_config(1.0, 2.0, 0.05, n_grid=1024)
+    var_a["a"] = [{"fourier": {"c0": 1.0, "cos": [0.3], "sin": []}}] * 2
+    for tag, cfg, n_grid in (("cor2b@0.01", PRESETS["cor2b"].config(0.01), 256),
+                             ("var-a@0.05/N1024", var_a, 1024)):
+        problem = parse_config(cfg).problem
+        op, starts = _leveled_starts(problem, n_grid)
+        ann, start = starts[0]
+        out[f"solver.newton[{tag}/{ann.annulus_id}]"] = _newton_entry(
+            problem, op, start, repeats)
     return out
 
 
@@ -256,10 +267,9 @@ def _run_entries(repeats):
             find_solutions(fine, disc, compute_constants(disc, fine))
         return run
 
-    def sampled(key, amplitude, count, n_grid):
+    def sampled(key, values, n_grid):
         cfg = symmetric_config(1.0, 2.0, 0.05, n_grid=n_grid)
-        cfg[key] = [{"samples": (1.0 + amplitude * np.cos(
-            2.0 * np.pi * np.arange(count) / count)).tolist()}] * 2
+        cfg[key] = [{"samples": values.tolist()}] * 2
 
         def run():
             problem = parse_config(cfg).problem
@@ -298,26 +308,34 @@ def _run_entries(repeats):
     timings["run.fine_grid[cor1b@0.05/N1024]"] = _time(fine_grid(1024), repeats)
     timings["run.fine_grid[cor1b@0.05/N4096]"] = _time(fine_grid(4096), repeats)
     timings["run.fine_grid[cor1b@0.05/N2062]"] = _time(fine_grid(2062), repeats)
-    timings["run.samples[g 64 samples@0.05/N256]"] = _time(sampled("g", 0.5, 64, 256), repeats)
+    def cosine(amplitude, count):
+        return 1.0 + amplitude * np.cos(2.0 * np.pi * np.arange(count) / count)
+
+    nodes = np.arange(64) / 64
+    triangle = 1.0 + 0.3 * (1.0 - 4.0 * np.minimum(nodes, 1.0 - nodes))
+    timings["run.samples[g 64 samples@0.05/N256]"] = _time(
+        sampled("g", cosine(0.5, 64), 256), repeats)
     timings["run.samples[a 256 samples@0.05/N1024]"] = _time(
-        sampled("a", 0.3, 256, 1024), repeats)
+        sampled("a", cosine(0.3, 256), 1024), repeats)
+    timings["run.samples[a 64-sample triangle@0.05/N1024]"] = _time(
+        sampled("a", triangle, 1024), repeats)
     timings["run.test_suite[tier-1]"] = _time(_test_suite, repeats)
     return timings
 
 
 def measure(repeats):
     timings = {}
-    for n_grid in (64, 256, 1024, 4096):
+    for n_grid in (256, 1024, 4096):
         for name, coef in (("closed_form", Constant(1.0)), ("rk4", FourierSeries(1.0, (0.3,)))):
             def build():
                 return build_green_table(coef, n_grid)
             entry = timings[f"greens.{name}[N{n_grid}]"] = _time(build, repeats)
             if n_grid == 4096:
                 entry["peak_mib"] = _peak_mib(build)
-    for name, coef in (("closed_form", Constant(1.0)), ("rk4", FourierSeries(1.0, (0.3,)))):
-        table = build_green_table(coef, 1024)
-        timings[f"operator.base_matrices[{name}/N1024]"] = _time(
-            lambda: Discretization((table,), (0, 0), (coef,)).base_matrices, repeats)
+    for name, coef in (("a=1", Constant(1.0)), ("a=1+0.3cos", FourierSeries(1.0, (0.3,)))):
+        for m in (START_POINTS, 256):
+            timings[f"operator.collocation_matrix[{name}/M{m}]"] = _time(
+                lambda: collocation_matrix(coef, m), repeats)
     for n_grid in (256, 1024, 4096):
         problem, disc, constants = _setup("cor2a", 8.0, n_grid)
         [sol] = find_solutions(problem, disc, constants).solutions

@@ -7,8 +7,9 @@ Three concrete forms cover every coefficient in the problem class:
 * ``Samples`` -- values on a uniform grid, read as their trigonometric
   interpolant: a ``FourierSeries`` built from the values.
 
-So every non-constant coefficient is a trigonometric polynomial, evaluated,
-bounded and averaged one way.
+So every non-constant coefficient is a trigonometric polynomial, sampled,
+bounded and averaged one way: every sample the package takes is on a
+uniform grid of one period, one inverse real FFT (``on_grid``).
 """
 from __future__ import annotations
 
@@ -45,9 +46,9 @@ class Constant:
     def __post_init__(self):
         _check(self.period, self.value)
 
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, self.value)
+    def on_grid(self, n_grid: int) -> np.ndarray:
+        """The values at t_j = j*T/n_grid, j < n_grid."""
+        return np.full(n_grid, float(self.value))
 
 
 @dataclass
@@ -64,15 +65,23 @@ class FourierSeries:
         self.sin_coeffs = tuple(float(c) for c in self.sin_coeffs)
         _check(self.period, (self.c0, *self.cos_coeffs, *self.sin_coeffs))
 
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        w = 2.0 * np.pi / self.period
-        out = np.full_like(t, self.c0)
-        for m, c in enumerate(self.cos_coeffs, start=1):
-            out += c * np.cos(m * w * t)
-        for m, c in enumerate(self.sin_coeffs, start=1):
-            out += c * np.sin(m * w * t)
-        return out
+    def on_grid(self, n_grid: int) -> np.ndarray:
+        """The values at t_j = j*T/n_grid, j < n_grid: one zero-padded inverse
+        real FFT.  Mode m lands in bin k = m mod n_grid, or in n_grid - k,
+        its sine negated, when that is the bin it aliases to on these nodes;
+        bins 0 and n_grid/2 take the whole cosine, a sine vanishing there."""
+        m = np.arange(1, max(len(self.cos_coeffs), len(self.sin_coeffs)) + 1)
+        cos, sin = np.zeros(m.size), np.zeros(m.size)
+        cos[:len(self.cos_coeffs)] = self.cos_coeffs
+        sin[:len(self.sin_coeffs)] = self.sin_coeffs
+        k = m % n_grid
+        mirrored = 2 * k > n_grid
+        k = np.where(mirrored, n_grid - k, k)
+        half = 0.5 * (cos - 1j * np.where(mirrored, -sin, sin))
+        spec = np.zeros(n_grid // 2 + 1, dtype=complex)
+        spec[0] = self.c0
+        np.add.at(spec, k, np.where((k == 0) | (2 * k == n_grid), cos, half))
+        return np.fft.irfft(spec, n_grid, norm="forward")
 
 
 class Samples(FourierSeries):
@@ -105,8 +114,7 @@ def coefficient_mean(coef: PeriodicCoefficient) -> float:
 def coefficient_extrema(coef: PeriodicCoefficient, n_audit: int = 4096):
     """(min, max) of a coefficient over one period, sampled on a fine audit grid;
     ``extrema_slack`` bounds how far inside the true extrema they may sit."""
-    t = np.linspace(0.0, coef.period, n_audit, endpoint=False)
-    vals = coef.eval(t)
+    vals = coef.on_grid(n_audit)
     return float(vals.min()), float(vals.max())
 
 

@@ -32,8 +32,7 @@ circulant by real FFTs in O(N log N) and the semiseparable kernel by a
 rank-2 product and two prefix sums in O(N) (Greengard and Rokhlin, CPAM 44,
 1991).  ``kernel_values`` samples G at node indices from the generators;
 m and M are raw kernel samples, never corrected.  The generators are
-read-only, because every operator application and every Newton step
-shares them.
+read-only, because every operator application shares them.
 
 ``torres_positive`` is an analytic cross-check of the positivity scan, from
 the coefficient alone.
@@ -61,6 +60,7 @@ __all__ = [
     "build_green_table",
     "kernel_values",
     "kernel_quadrature",
+    "scan_rows",
     "torres_positive",
     "solve_linear_periodic",
 ]
@@ -68,8 +68,8 @@ __all__ = [
 RESONANCE_RTOL = 1e-10
 POSITIVITY_RTOL = 1e-12
 FINE_FACTOR = 4
-# rows per block of the RK4 extrema scan: O(ROW_BLOCK * N) memory, never N^2
-ROW_BLOCK = 64
+# entries per block of the RK4 extrema scan: O(SCAN_ENTRIES) memory, never N^2
+SCAN_ENTRIES = 2 ** 16
 
 
 def _circulant_profile(k: float, period: float, n_grid: int) -> np.ndarray:
@@ -193,8 +193,9 @@ def _rk4_basis(coef: PeriodicCoefficient, n_grid: int):
     period = coef.period
     nf = FINE_FACTOR * n_grid
     h = period / nf
-    t_half = np.arange(2 * nf + 1) * (h / 2.0)
-    a_half = coef.eval(t_half)
+    # the half-step grid t_j = j h/2, j <= 2 nf; a(T) = a(0)
+    a_half = coef.on_grid(2 * nf)
+    a_half = np.append(a_half, a_half[0])
 
     def times_a(a_vals, x):
         """A X from the entries (00, 01, 10, 11) of X."""
@@ -262,21 +263,29 @@ def _assemble(basis_t: np.ndarray, coef: np.ndarray, lower: np.ndarray,
     return G
 
 
-def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
-    """(min, max, first argmin) of the N x N table, ROW_BLOCK rows at a time.
+def scan_rows(n_grid: int) -> int:
+    """Rows per block of a table scan: about SCAN_ENTRIES entries, an even
+    count of at least 2, so no block takes numpy's one-row gemv path."""
+    return min(2 * max(1, SCAN_ENTRIES // (2 * n_grid)), n_grid)
 
-    Rows [start, stop) take D on columns [0, start), C on [stop, N) and
-    either on the diagonal tile, each a (k, 2) x (2, m) product with
-    k, m >= 2 (N is even); the block is written into one buffer allocated
+
+def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
+    """(min, max, first argmin) of the N x N table, a block of rows at a time.
+
+    A block has ``scan_rows(N)`` rows: rows [start, stop) take D on columns
+    [0, start), C on [stop, N) and either on the diagonal tile, each a
+    (k, 2) x (2, m) product with k, m >= 2 (N is even); the block is
+    written into one buffer allocated
     once, and its entries are bit-equal to ``kernel.sample`` of it.
     """
     rows = np.stack(kernel.basis, 1)
     coef, lower = kernel.coef, kernel.lower
-    buf = np.empty(min(ROW_BLOCK, n_grid) * n_grid)
-    causal = np.tri(ROW_BLOCK, dtype=bool)
+    block_rows = scan_rows(n_grid)
+    buf = np.empty(block_rows * n_grid)
+    causal = np.tri(block_rows, dtype=bool)
     m, big, arg = math.inf, -math.inf, (0, 0)
-    for start in range(0, n_grid, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, n_grid)
+    for start in range(0, n_grid, block_rows):
+        stop = min(start + block_rows, n_grid)
         k = stop - start
         block = buf[:k * n_grid].reshape(k, n_grid)
         row_block = rows[start:stop]
@@ -418,6 +427,6 @@ def solve_linear_periodic(table: GreensTable, e: PeriodicCoefficient):
     a one-component grid function."""
     from .operator import GridFunction
 
-    x = kernel_quadrature(table) @ e.eval(table.grid_t)
+    x = kernel_quadrature(table) @ e.on_grid(table.n_grid)
     return GridFunction(x[None, :], table.period)
 

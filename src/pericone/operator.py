@@ -1,23 +1,22 @@
-"""Discretized fixed-point operator and residual diagnostics.
+"""Discretized fixed-point operators and residual diagnostics.
 
-(T x)_i(t_p) = lam * integral of G_i(t_p, s) (g_i(s) f_i(x(s)) + e_i(s)) ds,
-evaluated with the diagonal-corrected trapezoid rule from greens.kernel_quadrature.
-The quadrature is an operator applied from the kernel's generators, not a
-matrix; a problem's ``Discretization`` applies each distinct table's
-operator once, to the block of components that share it.
-A grid function, its (n, N) samples and the period, is a fixed point of
-the discrete map iff it solves the Nystrom system; the ODE residual below,
-one FFT multiplier that differentiates nothing, is the independent
-cross-check that a discrete fixed point actually tracks the differential
-equation.
+(T x)_i(t_p) = lam * integral of G_i(t_p, s) (g_i(s) f_i(x(s)) + e_i(s)) ds.
+A problem's ``Discretization`` evaluates it on the N points of its Green
+tables by the diagonal-corrected trapezoid rule (greens.kernel_quadrature,
+applied from the kernel's generators); its ``Collocation`` on M points,
+where Newton solves, is lam (D2 + a_i)^-1, exact on that Fourier grid.
+Either applies each distinct operator once, to the block of components
+that share it.  The ODE residual below, one FFT multiplier that
+differentiates nothing, is the independent cross-check that a solution
+tracks the differential equation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coefficients import coefficient_mean
 from .errors import DomainError, SingularityError
 from .greens import build_green_table, kernel_quadrature
 from .problem import SINGULARITY_GUARD, SPLIT_FACTOR, Problem
@@ -25,15 +24,14 @@ from .problem import SINGULARITY_GUARD, SPLIT_FACTOR, Problem
 __all__ = [
     "GridFunction",
     "Discretization",
+    "Collocation",
+    "collocation_matrix",
     "discretize",
     "prod_norm",
     "apply_T",
     "fixed_point_residual",
     "ode_residual",
 ]
-
-# the base grid has min(N, COARSE_GRID) points at every N
-COARSE_GRID = 64
 
 
 def prod_norm(values: np.ndarray) -> float:
@@ -91,54 +89,103 @@ def _radial_values(problem: Problem, x: GridFunction) -> np.ndarray:
     return problem.f.phi_rows(u)
 
 
+def _check_shape(index: tuple, problem: Problem, grids, n_grid: int):
+    """Reject a problem without one operator per component, or another grid."""
+    if len(index) != problem.n:
+        raise DomainError("need one Green table per component")
+    if any(size != n_grid for size in grids):
+        raise DomainError("table grid does not match the grid function")
+
+
+def _per_operator(index: tuple, count: int, apply, w: np.ndarray) -> np.ndarray:
+    """apply(k, block) for each of ``count`` distinct operators, once, to the
+    block of rows of w whose component uses operator k."""
+    if count == 1:
+        return apply(0, w)
+    out = np.empty_like(w)
+    for k in range(count):
+        rows = [i for i, j in enumerate(index) if j == k]
+        out[rows] = apply(k, w[rows])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """A problem's Green tables on one grid: each distinct table once, in the
     order the components first use them; component i uses tables[index[i]],
-    and table k was built from coefficients[k].  ``discretize`` derives all
-    three from the problem; this constructor takes them as given."""
+    and table k was built from coefficients[k], as are the operators of
+    ``collocation``.  ``discretize`` derives all three from the problem;
+    this constructor takes them as given."""
 
     tables: tuple
     index: tuple
     coefficients: tuple
+    _collocations: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_grid(self) -> int:
         return self.tables[0].n_grid
 
     def check(self, problem: Problem, n_grid: int):
-        """Reject a problem without one table per component, or another grid."""
-        if len(self.index) != problem.n:
-            raise DomainError("need one Green table per component")
-        if any(tbl.n_grid != n_grid for tbl in self.tables):
-            raise DomainError("table grid does not match the grid function")
-
-    @cached_property
-    def base_matrices(self) -> list:
-        """The Newton step's base-grid quadrature matrices, one per component,
-        built on first use: one read-only matrix per distinct table, the
-        operator ``kernel_quadrature`` of a table of its coefficient at
-        M = min(N, COARSE_GRID) points applied to the identity.  At N <= M
-        that table is the discretization's own, bit for bit."""
-        size = min(self.n_grid, COARSE_GRID)
-        base = [(kernel_quadrature(build_green_table(coef, size)) @ np.eye(size)).T
-                for coef in self.coefficients]
-        for matrix in base:
-            matrix.flags.writeable = False
-        return [base[k] for k in self.index]
+        _check_shape(self.index, problem, [tbl.n_grid for tbl in self.tables], n_grid)
 
     def quadrature(self, w: np.ndarray) -> np.ndarray:
         """Q_i along the last axis of w[i] for every component i: each distinct
         table once, to the stack of the components that share it.  Both
         kernels treat each row on its own, so its bits do not depend on the
         stack."""
-        if len(self.tables) == 1:
-            return kernel_quadrature(self.tables[0]) @ w
-        out = np.empty_like(w)
-        for k, tbl in enumerate(self.tables):
-            rows = [i for i, j in enumerate(self.index) if j == k]
-            out[rows] = kernel_quadrature(tbl) @ w[rows]
-        return out
+        return _per_operator(self.index, len(self.tables),
+                             lambda k, v: kernel_quadrature(self.tables[k]) @ v, w)
+
+    def collocation(self, m: int) -> "Collocation":
+        """Newton's operator on m points, built once per m."""
+        op = self._collocations.get(m)
+        if op is None:
+            op = Collocation(tuple(collocation_matrix(coef, m) for coef in self.coefficients),
+                             self.index)
+            self._collocations[m] = op
+        return op
+
+
+@dataclass(frozen=True, eq=False)
+class Collocation:
+    """(D2 + a_i)^-1 on the M-point grid of one period, one read-only M x M
+    matrix per distinct coefficient, component i using matrices[index[i]]:
+    Newton's operator, standing where a ``Discretization`` stands in
+    ``apply_T``."""
+
+    matrices: tuple
+    index: tuple
+
+    @property
+    def n_grid(self) -> int:
+        return self.matrices[0].shape[0]
+
+    def check(self, problem: Problem, n_grid: int):
+        _check_shape(self.index, problem, [q.shape[0] for q in self.matrices], n_grid)
+
+    def quadrature(self, w: np.ndarray) -> np.ndarray:
+        """(D2 + a_i)^-1 along the last axis of w[i], each distinct matrix once."""
+        return _per_operator(self.index, len(self.matrices),
+                             lambda k, v: v @ self.matrices[k].T, w)
+
+
+def collocation_matrix(coef, m: int) -> np.ndarray:
+    """(D2 + a)^-1 on m Fourier points, read-only, as (I + Q0 diag(a - abar))^-1 Q0
+    with abar the mean of a and Q0 = (D2 + abar)^-1 the rfft multiplier
+    1/(abar - w^2), w = 2 pi k / T: a second-kind system that loses about
+    eps, where a plain inverse of D2 + diag(a) loses about m^2 eps.  For a
+    constant a it is Q0."""
+    abar = coefficient_mean(coef)
+    w = 2.0 * np.pi * np.fft.rfftfreq(m, coef.period / m)
+    # Q0 is the circulant of Q0 e_0: Q0[p, q] = col[(p - q) mod m]
+    col = np.fft.irfft(1.0 / (abar - w * w), m)
+    nodes = np.arange(m)
+    q0 = col[(nodes[:, None] - nodes) % m]
+    da = coef.on_grid(m) - abar
+    q = np.linalg.solve(np.eye(m) + q0 * da, q0) if np.any(da) else q0
+    q.flags.writeable = False
+    return q
 
 
 def discretize(problem: Problem, n_grid: int) -> Discretization:

@@ -308,8 +308,7 @@ class Problem:
         key = (name, n_grid)
         vals = self._samples.get(key)
         if vals is None:
-            t = np.arange(n_grid) * (self.period / n_grid)
-            vals = np.vstack(_per_distinct(getattr(self, name), lambda c: c.eval(t)))
+            vals = np.vstack(_per_distinct(getattr(self, name), lambda c: c.on_grid(n_grid)))
             vals.flags.writeable = False
             self._samples[key] = vals
         return vals

@@ -15,8 +15,8 @@ fixed point to round-off, and Newton returns it without a step.
 Every f_i is radial, f_i(x) = phi_i(|x|_2), so its gradient
 phi_i'(u) x / u has rank one at each grid point and the exact Jacobian is
 I - U V with U_i = lam Q_i diag(g_i phi_i') and V = [diag(x_j / u)].  The
-Newton step therefore needs only the N x N system (I - V U) w = V F
-(Woodbury), not the dense (nN) x (nN) one; by Sylvester's identity
+Newton step therefore needs only the M x M system (I - V U) w = V F
+(Woodbury), not the dense (nM) x (nM) one; by Sylvester's identity
 det(I - U V) = det(I - V U), so the small system is singular exactly when
 the full one is.
 
@@ -24,23 +24,13 @@ the full one is.
 path; it stays a standalone function until the benchmark's tracer no longer
 wraps it.
 
-Two grids: each start runs one Newton loop on the fine grid of N points,
-and a base grid of M = min(N, COARSE_GRID) points serves only as the inner
-system of each step.  It is one quadrature matrix per distinct
-coefficient a_i, the M-point table's own operator applied to the
-identity (``Discretization.base_matrices``): the only matrix a solve
-forms and the only LU it factors, so at every N >= COARSE_GRID that LU
-is 64 x 64.
-The grids need not nest: functions move between them only by Fourier
-resampling (``resample``), truncation going down and zero-padding going
-up.  The fine grid never forms an N x N matrix: each step is an Atkinson-Brakhage
-two-grid correction, the Newton step whose inner system is solved on the
-base grid from the restricted iterate and residual, resampled up, and
-back-substituted through the fine quadrature operator (an FFT or a
-semiseparable product, applied from the generators); at N = M it is the
-exact Newton step.  Its error contracts by the base-grid discretization
-error, so a leveled start, already near the fixed point, reaches
-round-off in a few steps (``newton_refine``).
+Newton runs on M collocation points, where T = lam (D2 + a)^-1 is exact
+(``Discretization.collocation``), so every step is the exact Newton step.
+M starts at START_POINTS and doubles, warm-started by interpolation, up to
+min(N, MAX_POINTS), until the upper half of x's spectrum is below
+TAIL_RTOL |x|; a start unresolved at the cap is dropped with a note.  The
+solution is interpolated to the N points, where the ODE check, the cone
+test and positivity run; its fixed-point residual is Newton's, on M points.
 """
 from __future__ import annotations
 
@@ -60,6 +50,7 @@ from .errors import (
 )
 from .greens import kernel_quadrature  # noqa: F401  the benchmark's tracer wraps it here
 from .operator import (
+    Collocation,
     Discretization,
     GridFunction,
     apply_T,
@@ -104,6 +95,9 @@ LEVEL_STEP = 0.125
 LEVEL_REACH = 16.0
 NEWTON_FAILURES = (SingularJacobianError, NoConvergenceError, DomainError,
                    SingularityError)
+START_POINTS = 32
+MAX_POINTS = 256
+TAIL_RTOL = 1e-15
 
 
 @dataclass
@@ -172,15 +166,17 @@ def resample(values: np.ndarray, n_grid: int) -> np.ndarray:
     size = values.shape[-1]
     if n_grid == size:
         return values
-    spec = np.fft.rfft(values, norm="forward")
+    return _interpolant(np.fft.rfft(values, norm="forward"), size, n_grid)
+
+
+def _interpolant(spec: np.ndarray, size: int, n_grid: int) -> np.ndarray:
+    """``resample`` of the samples on ``size`` points whose real FFT
+    (norm="forward") is spec, which it overwrites, to n_grid != size points."""
     if n_grid < size:
-        spec = spec[..., :n_grid // 2 + 1]
-        spec[..., -1] = 2.0 * spec[..., -1].real
+        spec[..., n_grid // 2] = 2.0 * spec[..., n_grid // 2].real
     else:
         spec[..., -1] *= 0.5
-        padded = np.zeros(spec.shape[:-1] + (n_grid // 2 + 1,), dtype=complex)
-        padded[..., :spec.shape[-1]] = spec
-        spec = padded
+    # irfft crops the bins above n_grid/2, or pads with zeros up to it
     return np.fft.irfft(spec, n=n_grid, norm="forward")
 
 
@@ -234,59 +230,52 @@ def picard_solve(problem: Problem, disc: Discretization, x0: GridFunction) -> Pi
 
 
 def _coupling_solve(quad, rows: np.ndarray, cols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - sum_i diag(rows_i) Q_i diag(cols_i)) w = rhs, the N x N Newton system."""
+    """Solve (I - sum_i diag(rows_i) Q_i diag(cols_i)) w = rhs, the M x M Newton system."""
     small = np.eye(rhs.size)
     for q, r, c in zip(quad, rows, cols):
         small -= q * r[:, None] * c
     return np.linalg.solve(small, rhs)
 
 
-def _newton_step(problem: Problem, disc: Discretization, x: GridFunction,
+def _newton_step(problem: Problem, op: Collocation, x: GridFunction,
                  fvals: np.ndarray) -> np.ndarray:
-    """Two-grid Newton step s with J s = F for J = I - U V, as an (n, N) array.
+    """The exact Newton step s with J s = F for J = I - U V, as an (n, M) array.
 
     The system (I - sum_i diag(x_i/u) lam Q_i diag(g_i phi_i'(u))) w
-    = sum_i (x_i/u) F_i is built from the base-grid quadrature matrices of
-    ``disc`` and solved on their grid, with its rows, columns and
-    right-hand side restricted there by ``resample``.  w is resampled back
-    to N points, and s_i = F_i + lam Q_i (g_i phi_i'(u) w), with one fine
-    operator application per distinct table.  When both grids have N points
-    the resampling is the identity, and s is the exact Newton step.
+    = sum_i (x_i/u) F_i is formed from the matrices of ``op`` and solved,
+    and s_i = F_i + lam Q_i (g_i phi_i'(u) w), one application per
+    distinct matrix.
     """
     u = np.sqrt(np.sum(x.values * x.values, axis=0))
     g = problem.g_on_grid(x.n_grid)
     cols = problem.lam * g * problem.f.dphi_rows(u)
     rows = x.values / u
     rhs = np.sum(rows * fvals, axis=0)
-    coarse = disc.base_matrices
-    base = resample(np.vstack([rows, cols, rhs]), len(coarse[0]))
     try:
-        w = _coupling_solve(coarse, base[:x.n], base[x.n:-1], base[-1])
+        w = _coupling_solve([op.matrices[k] for k in op.index], rows, cols, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobianError(
             f"linear solve failed at residual {prod_norm(fvals):.3e}"
         ) from exc
-    return fvals + disc.quadrature(cols * resample(w, x.n_grid))
+    return fvals + op.quadrature(cols * w)
 
 
-def newton_refine(problem: Problem, disc: Discretization, x0: GridFunction) -> NewtonResult:
-    """Two-grid Newton iteration on F(x) = x - T x down to round-off.
+def newton_refine(problem: Problem, op: Collocation, x0: GridFunction) -> NewtonResult:
+    """Newton iteration on F(x) = x - T x on the grid of ``op``, down to round-off.
 
-    Every step is ``_newton_step``, exact when ``disc`` has at most
-    COARSE_GRID points, so that its base grid is its own.  The iteration
-    returns at the first iterate whose residual r is at most NEWTON_TOL and
-    either is round-off, r <= ROUNDOFF_RTOL * |x|, or follows a step that
-    started at or below NEWTON_TOL.  So a start already at round-off takes
-    no step (and builds no base matrix), and otherwise, once the residual
-    first falls to NEWTON_TOL, at most one more step takes it to round-off.
-    Where ROUNDOFF_RTOL * |x| exceeds NEWTON_TOL (norms above about 3e4),
-    the absolute NEWTON_TOL decides: the loop stops at the first residual
-    at or below it.
+    Every step is the exact ``_newton_step``.  The iteration returns at the
+    first iterate whose residual r is at most NEWTON_TOL and either is
+    round-off, r <= ROUNDOFF_RTOL * |x|, or follows a step that started at
+    or below NEWTON_TOL.  So a start already at round-off takes no step,
+    and otherwise, once the residual first falls to NEWTON_TOL, at most one
+    more step takes it to round-off.  Where ROUNDOFF_RTOL * |x| exceeds
+    NEWTON_TOL (norms above about 3e4), the absolute NEWTON_TOL decides:
+    the loop stops at the first residual at or below it.
     """
     x = x0
     history = []
     for _ in range(MAX_NEWTON + 1):
-        tx = apply_T(problem, disc, x)
+        tx = apply_T(problem, op, x)
         fvals = x.values - tx.values
         res = prod_norm(fvals)
         history.append(res)
@@ -296,18 +285,18 @@ def newton_refine(problem: Problem, disc: Discretization, x0: GridFunction) -> N
                                 history=tuple(history))
         if len(history) > MAX_NEWTON:
             break
-        step = _newton_step(problem, disc, x, fvals)
+        step = _newton_step(problem, op, x, fvals)
         x = GridFunction(x.values - step, x.period)
     raise NoConvergenceError(
         f"newton did not converge in {MAX_NEWTON} steps"
     )
 
 
-def _verify_candidate(problem: Problem, constants: ConeConstants, refined: NewtonResult,
-                      annulus_id: str, ode_tol: float, notes: list):
-    """Gate a fine-grid Newton output through the solution invariants; None if
-    any fails.  Its fixed-point residual is where Newton stopped, at most NEWTON_TOL."""
-    x, fp = refined.x, refined.residual
+def _verify_candidate(problem: Problem, constants: ConeConstants, x: GridFunction,
+                      fp: float, annulus_id: str, ode_tol: float, notes: list):
+    """Gate a Newton output, interpolated to the N-point grid, through the
+    solution invariants; None if any fails.  Its fixed-point residual fp is
+    where Newton stopped on its own grid, at most NEWTON_TOL."""
     ode = ode_residual(problem, x)
     if ode > ode_tol:
         notes.append(f"{annulus_id}: ode residual {ode:.3e} above {ode_tol:.1e}, dropped")
@@ -416,7 +405,7 @@ def _nearest_root(level):
     return None
 
 
-def _level_start(problem: Problem, disc: Discretization, x0: GridFunction,
+def _level_start(problem: Problem, op: Collocation | Discretization, x0: GridFunction,
                  radii=None) -> GridFunction:
     """The start kappa * x0 whose level solves the one-mode form of x = lam T x.
 
@@ -427,10 +416,10 @@ def _level_start(problem: Problem, disc: Discretization, x0: GridFunction,
         kappa sum_i mean(x0_i)
             = lam sum_i [sum_j kappa^p_ij mean(Q_i(g_i c_ij u0^p_ij)) + mean(Q_i e_i)]
 
-    with Q_i the quadrature of ``disc``, on whose grid x0 lies.  Each
-    component makes one (terms + 1) x N block, zero rows padding the
-    shorter ones, and ``Discretization.quadrature`` applies each distinct
-    table once, to the 3-D stack of the blocks that share it.  For an annulus seed,
+    with Q_i the operator of ``op``, on whose grid x0 lies.  Each
+    component makes one (terms + 1) x M block, zero rows padding the
+    shorter ones, and ``op.quadrature`` applies each distinct operator
+    once, to the 3-D stack of the blocks that share it.  For an annulus seed,
     ``radii`` = (r_in, r_out) and the root is the one with kappa |x0| in
     [r_in, r_out]; for a warm start (None) it is the root nearest kappa = 1.
     Without such a root, or with a non-finite value of the equation, x0 is
@@ -448,7 +437,7 @@ def _level_start(problem: Problem, disc: Discretization, x0: GridFunction,
         for i, comp in enumerate(comps):
             block[i, 0] = e[i]
             block[i, 1:1 + len(comp)] = [c * g[i] * np.power(u0, p) for c, p in comp]
-        means = disc.quadrature(block).mean(axis=-1)
+        means = op.quadrature(block).mean(axis=-1)
     for comp, m in zip(comps, means):
         terms.extend((p, -problem.lam * float(v)) for (_, p), v in zip(comp, m[1:]))
         terms.append((0.0, -problem.lam * float(m[0])))
@@ -477,17 +466,42 @@ def _level_start(problem: Problem, disc: Discretization, x0: GridFunction,
 def _solve_from_seed(problem: Problem, disc: Discretization, constants: ConeConstants,
                      start: GridFunction, annulus_id: str, ode_tol: float, notes: list,
                      radii=None):
-    """Level the start (an annulus seed or a previous solution, on the fine
-    grid; ``_level_start``, with ``radii`` the annulus of a seed and None for
-    a warm start), run Newton from it on ``disc`` and verify the result.
-    None, with a note, if Newton fails."""
-    seed = _level_start(problem, disc, start, radii)
-    try:
-        refined = newton_refine(problem, disc, seed)
-    except NEWTON_FAILURES as exc:
-        notes.append(f"{annulus_id}: newton failed ({exc})")
-        return None
-    return _verify_candidate(problem, constants, refined, annulus_id, ode_tol, notes)
+    """Level a start (an annulus seed, ``radii`` its annulus, or a warm
+    start, None) on M = min(N, START_POINTS) points, run Newton there,
+    doubling M while the output is unresolved (see the module docstring),
+    and verify the result interpolated to the N points of ``disc``.  None,
+    with a note, if Newton fails or the solution is unresolved at the cap.
+
+    A start on N points that M divides is sampled at every (N/M)-th point
+    rather than truncated by two FFTs: a start need only lie near the
+    solution, and for a warm start resolved on M points the two agree to
+    round-off.
+    """
+    n, period = disc.n_grid, start.period
+    m = min(n, START_POINTS)
+    cap = min(n, MAX_POINTS)
+    size = start.n_grid
+    values = start.values[:, ::size // m] if size % m == 0 else resample(start.values, m)
+    x = _level_start(problem, disc.collocation(m), GridFunction(values, period), radii)
+    while True:
+        try:
+            refined = newton_refine(problem, disc.collocation(m), x)
+        except NEWTON_FAILURES as exc:
+            notes.append(f"{annulus_id}: newton failed ({exc})")
+            return None
+        spec = np.fft.rfft(refined.x.values, norm="forward")
+        tail = float(np.abs(spec[:, m // 4:]).max()) / refined.x.norm
+        if tail <= TAIL_RTOL:
+            break
+        if m == cap:
+            notes.append(f"{annulus_id}: spectral tail {tail:.3e} of |x| at M={m} "
+                         f"above {TAIL_RTOL:.0e}, dropped")
+            return None
+        size, m = m, min(2 * m, cap)
+        x = GridFunction(_interpolant(spec, size, m), period)
+    x = refined.x if m == n else GridFunction(_interpolant(spec, m, n), period)
+    return _verify_candidate(problem, constants, x, refined.residual, annulus_id,
+                             ode_tol, notes)
 
 
 def _solve_annuli(problem: Problem, disc: Discretization, constants: ConeConstants,
@@ -498,7 +512,7 @@ def _solve_annuli(problem: Problem, disc: Discretization, constants: ConeConstan
     """
     found = []
     for ann in annuli:
-        seed = seed_from_annulus(ann, problem, disc.n_grid)
+        seed = seed_from_annulus(ann, problem, min(disc.n_grid, START_POINTS))
         sol = _solve_from_seed(problem, disc, constants, seed, ann.annulus_id,
                                ode_tol, notes, (ann.r_in, ann.r_out))
         if sol is None:
@@ -542,8 +556,8 @@ def continue_lambda(problem: Problem, disc: Discretization, lam_lo: float, lam_h
     warm-start lineage: whatever the previous branch's solution converges to
     at the next lambda keeps the id, fresh solutions that nobody claims open
     new ids.  A disappearing branch is recorded, with a fold indicator when
-    the vanished pair had come within 5% in norm.  Every step shares the base
-    matrices of ``disc`` and one set of radius bounds (``radius_bounds``:
+    the vanished pair had come within 5% in norm.  Every step shares the
+    collocation operators of ``disc`` and one set of radius bounds (``radius_bounds``:
     eta_r and M_hat_r do not depend on lambda), so a step's
     certification is only its margins and the pairing.
     """
@@ -555,7 +569,8 @@ def continue_lambda(problem: Problem, disc: Discretization, lam_lo: float, lam_h
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     table = BranchTable()
-    lams = np.geomspace(lam_lo, lam_hi, steps)
+    # geomspace rounds between equal ends; they ask for one lambda
+    lams = np.full(steps, lam_lo) if lam_lo == lam_hi else np.geomspace(lam_lo, lam_hi, steps)
     bounds = radius_bounds(problem, constants, default_r_grid())
     prev: list = []
     next_branch = 1

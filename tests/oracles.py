@@ -5,7 +5,8 @@ no imports from the package under test) so the tests compare two separate
 derivations rather than the code against itself.  ``dense_quadrature`` is
 the one reader of a package object: it takes a Green table's kernel
 entries as given (the dense builds below check those bit for bit) and
-forms the quadrature from them densely.  ``shell_ratio_reference`` is the
+forms the quadrature from them densely; ``coefficient_value`` reads a
+coefficient's modes and sums them.  ``shell_ratio_reference`` is the
 one caller of a package function: it keeps the compression route the
 package dropped, on the package's own fhat, so a test can show why.
 """
@@ -322,6 +323,39 @@ def manufactured_variable_a(a, samples=4096, rel_trim=1e-15):
     return tuple(g), lam, terms, x_star
 
 
+def fourier_d2(m, period):
+    """The m-point Fourier second-derivative matrix, m even, from its closed
+    form (L. N. Trefethen, Spectral Methods in MATLAB, 2000, ch. 3): the
+    second derivative of the trigonometric interpolant at the nodes, with
+    the Nyquist mode a cosine."""
+    h = 2.0 * math.pi / m
+    d = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
+    with np.errstate(divide="ignore"):
+        off = -0.5 * (-1.0) ** d / np.sin(0.5 * h * d) ** 2
+    d2 = np.where(d == 0, -math.pi ** 2 / (3.0 * h * h) - 1.0 / 6.0, off)
+    return d2 * (2.0 * math.pi / period) ** 2
+
+
+def collocation_inverse(a_values, period):
+    """(D2 + diag(a))^-1 on the nodes of ``a_values`` as a plain dense
+    inverse, which loses about m^2 eps to round-off."""
+    return np.linalg.inv(fourier_d2(len(a_values), period) + np.diag(a_values))
+
+
+def coefficient_value(coef, t):
+    """c0 + sum_m cos_m cos(2 pi m t / T) + sin_m sin(2 pi m t / T) of a
+    package coefficient, summed mode by mode."""
+    if hasattr(coef, "value"):
+        return np.full_like(np.asarray(t, dtype=float), coef.value)
+    w = 2.0 * math.pi / coef.period
+    out = np.full_like(np.asarray(t, dtype=float), coef.c0)
+    for m, c in enumerate(coef.cos_coeffs, start=1):
+        out += c * np.cos(m * w * t)
+    for m, c in enumerate(coef.sin_coeffs, start=1):
+        out += c * np.sin(m * w * t)
+    return out
+
+
 def single_grid_solve(quads, g, e, terms_by_comp, lam, seed):
     """Damped Picard, then Newton with the dense Jacobian, all on one grid.
 
@@ -444,14 +478,13 @@ def _power_sum_numpy(terms, u):
 def apply_T_resampled(quads, g_coefs, e_coefs, terms_by_comp, lam, period, values):
     """lam * Q_i (g_i phi_i(|x|_2) + e_i) with g and e sampled afresh on every call.
 
-    ``g_coefs``/``e_coefs`` are coefficient objects with an ``eval(t)`` method,
-    sampled at t_p = p * period / N; the sums run in the operator's order, so
-    the result is bitwise comparable.
+    ``g_coefs``/``e_coefs`` are coefficient objects with an ``on_grid(N)``
+    method, sampled at t_p = p * period / N; the sums run in the operator's
+    order, so the result is bitwise comparable.
     """
     n, n_grid = values.shape
-    t = np.arange(n_grid) * (period / n_grid)
-    g = np.vstack([coef.eval(t) for coef in g_coefs])
-    e = np.vstack([coef.eval(t) for coef in e_coefs])
+    g = np.vstack([coef.on_grid(n_grid) for coef in g_coefs])
+    e = np.vstack([coef.on_grid(n_grid) for coef in e_coefs])
     u = np.sqrt(np.sum(values * values, axis=0))
     fx = np.vstack([_power_sum_numpy(terms, u) for terms in terms_by_comp])
     w = g * fx + e

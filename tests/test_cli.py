@@ -329,11 +329,11 @@ def test_green_formats_each_table_once(tmp_path, monkeypatch, a_specs, distinct)
 
 @pytest.mark.parametrize("command", ["green", "certify"])
 def test_green_and_certify_build_no_base_matrix(tmp_path, monkeypatch, command):
-    # only a Newton step needs the base-grid matrices, and it builds them
-    def forbidden(disc):
-        raise AssertionError("base_matrices read")
+    # only a solve needs Newton's collocation matrices, and it builds them
+    def forbidden(*args):
+        raise AssertionError("collocation matrix built")
 
-    monkeypatch.setattr(operator_mod.Discretization, "base_matrices", property(forbidden))
+    monkeypatch.setattr(operator_mod, "collocation_matrix", forbidden)
     cfg = write_cfg(tmp_path, symmetric_config(1.0, 2.0, 0.05, n_grid=32))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_FOUND
 

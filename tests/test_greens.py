@@ -24,11 +24,11 @@ from pericone import (
 from pericone import greens
 from pericone.greens import (
     FINE_FACTOR,
-    ROW_BLOCK,
     SemiseparableKernel,
     _kernel_coefficients,
     _refine_min,
     _rk4_basis,
+    scan_rows,
 )
 
 import oracles
@@ -44,10 +44,11 @@ FOUR_TERM_A = FourierSeries(2.0, (0.5, 0.3), (0.0, 0.4))
 
 
 def full_values(table):
-    """The whole N x N table, sampled ROW_BLOCK rows at a time as the CLI does."""
+    """The whole N x N table, sampled a scan block of rows at a time as the CLI does."""
     nodes = np.arange(table.n_grid)
-    return np.vstack([kernel_values(table, nodes[s:s + ROW_BLOCK], nodes)
-                      for s in range(0, table.n_grid, ROW_BLOCK)])
+    block = scan_rows(table.n_grid)
+    return np.vstack([kernel_values(table, nodes[s:s + block], nodes)
+                      for s in range(0, table.n_grid, block)])
 
 
 def test_table_constants_match_closed_form(unit_table):
@@ -100,12 +101,12 @@ def test_quadrature_operator_matches_dense(coef, n_grid):
 
 
 def test_table_arrays_read_only(unit_table):
-    # the generators are shared by every operator call, the base matrices by
-    # every Newton step; an in-place edit would silently desynchronise them
-    # from m and M, or from the operator
+    # the generators are shared by every operator call, the collocation
+    # matrices by every Newton step; an in-place edit would silently
+    # desynchronise them from m and M, or from the operator
     rk4_coef = FourierSeries(1.0, (0.3,))
     rk4 = build_green_table(rk4_coef, 32)
-    base = [Discretization((tbl,), (0,), (coef,)).base_matrices[0]
+    base = [Discretization((tbl,), (0,), (coef,)).collocation(32).matrices[0]
             for tbl, coef in ((unit_table, Constant(1.0)), (rk4, rk4_coef))]
     arrays = [unit_table.kernel.profile, unit_table.kernel.eigenvalues,
               rk4.kernel.basis, rk4.kernel.coef, rk4.kernel.lower, *base]
@@ -167,6 +168,26 @@ def test_generators_bit_equal_dense_build(coef, n_grid):
     dense = h * (values + (h / 12.0) * np.eye(n_grid))
     applied = kernel_quadrature(table) @ np.eye(n_grid)
     assert np.max(np.abs(applied.T - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n_grid", [256, 1024, 4096])
+def test_scan_blocks_are_sized_by_entries(monkeypatch, n_grid):
+    # about 2^16 entries per block, an even row count (64 at N = 1024); m, M
+    # and the argmin are bit-equal to a scan of 64-row blocks
+    coef = FourierSeries(1.0, (0.3,), (0.1,))
+    table = build_green_table(coef, n_grid)
+    assert scan_rows(n_grid) == {256: 256, 1024: 64, 4096: 16}[n_grid]
+    monkeypatch.setattr(greens, "SCAN_ENTRIES", 64 * n_grid)
+    assert scan_rows(n_grid) == 64
+    ref = build_green_table(coef, n_grid)
+    assert (table.m, table.M, table.argmin) == (ref.m, ref.M, ref.argmin)
+
+
+def test_scan_rows_are_even_and_at_least_two():
+    for n_grid in (16, 18, 96, 130, 2062, 4094, 2 ** 15 + 2, 2 ** 16, 2 ** 18):
+        rows = scan_rows(n_grid)
+        assert rows % 2 == 0 and 2 <= rows <= n_grid
+        assert rows * n_grid <= max(2 ** 16, 2 * n_grid)
 
 
 def test_m_is_the_refined_kernel_minimum():
@@ -311,7 +332,7 @@ def test_fourier_coefficient_table():
 def test_rk4_basis_matches_stepwise_loop(coef, n_grid):
     # the prefix product of the step matrices is the loop of RK4 steps,
     # reassociated: equal up to round-off at every fine node
-    ref = oracles.rk4_basis_stepwise(lambda t: float(coef.eval(t)), coef.period,
+    ref = oracles.rk4_basis_stepwise(lambda t: float(oracles.coefficient_value(coef, t)), coef.period,
                                      FINE_FACTOR * n_grid)
     basis = _rk4_basis(coef, n_grid)
     assert basis.shape == ref.shape

@@ -429,13 +429,16 @@ def _sampled_problem():
 
 @pytest.mark.parametrize("n_grid", [64, 256])
 def test_grid_samples_equal_eval(n_grid):
+    # the samples are each coefficient's on_grid, bit for bit, and within
+    # round-off of its modes summed at the nodes
     prob = _sampled_problem()
     t = np.arange(n_grid) * (prob.period / n_grid)
     for name in ("a", "g", "e"):
         vals = getattr(prob, f"{name}_on_grid")(n_grid)
         assert vals.shape == (2, n_grid)
         for i, coef in enumerate(getattr(prob, name)):
-            assert vals[i].tobytes() == coef.eval(t).tobytes(), (name, i)
+            assert vals[i].tobytes() == coef.on_grid(n_grid).tobytes(), (name, i)
+            assert np.max(np.abs(vals[i] - oracles.coefficient_value(coef, t))) <= 1e-15 * np.max(np.abs(vals[i]))
         # derived once per grid size, then handed out as it is
         assert getattr(prob, f"{name}_on_grid")(n_grid) is vals
 
@@ -444,18 +447,18 @@ def test_equal_components_are_audited_and_sampled_once(monkeypatch):
     # [spec] * 2: one audit of g and one of e, not one per component, and
     # one evaluation per coefficient on a grid, shared by both rows
     audits, evals = [], []
-    real_extrema, real_eval = problem_mod.coefficient_extrema, FourierSeries.eval
+    real_extrema, real_eval = problem_mod.coefficient_extrema, FourierSeries.on_grid
 
     def count_extrema(coef, n_audit):
         audits.append(coef)
         return real_extrema(coef, n_audit)
 
-    def count_eval(coef, t):
+    def count_eval(coef, n_grid):
         evals.append(coef)
-        return real_eval(coef, t)
+        return real_eval(coef, n_grid)
 
     monkeypatch.setattr(problem_mod, "coefficient_extrema", count_extrema)
-    monkeypatch.setattr(FourierSeries, "eval", count_eval)
+    monkeypatch.setattr(FourierSeries, "on_grid", count_eval)
     g_values = 1.0 + 0.5 * np.cos(2.0 * math.pi * np.arange(64) / 64.0)
     g = Samples(g_values)
     e = FourierSeries(-0.1, (0.2,))
@@ -467,7 +470,7 @@ def test_equal_components_are_audited_and_sampled_once(monkeypatch):
     evals.clear()
     vals = prob.g_on_grid(256)
     assert evals == [g]
-    assert vals[0].tobytes() == vals[1].tobytes() == real_eval(g, np.arange(256) * (prob.period / 256)).tobytes()
+    assert vals[0].tobytes() == vals[1].tobytes() == real_eval(g, 256).tobytes()
 
 
 @pytest.mark.parametrize("g, bad", [
@@ -582,6 +585,26 @@ def test_extrema_slack_zero_for_exact_forms():
     assert abs(slack - (2.0 * math.pi) ** 2 / 64 ** 2 / 8.0) <= 1e-15 * slack
 
 
+@pytest.mark.parametrize("n_grid", [16, 64, 65])
+@pytest.mark.parametrize("degree", ["below", "at", "above", "twice"])
+def test_on_grid_matches_eval(n_grid, degree):
+    # a degree below n/2, at it (the Nyquist mode, whose sine vanishes on the
+    # nodes), above it (folded onto the aliases) and past n: one inverse FFT
+    # gives the values of the modes summed one by one at the nodes, to
+    # round-off
+    top = {"below": n_grid // 2 - 3, "at": n_grid // 2, "above": n_grid // 2 + 5,
+           "twice": 2 * n_grid + 3}[degree]
+    rng = np.random.default_rng(top)
+    coef = FourierSeries(float(rng.standard_normal()), tuple(rng.standard_normal(top)),
+                         tuple(rng.standard_normal(top)), period=0.8)
+    got = coef.on_grid(n_grid)
+    want = oracles.coefficient_value(coef, np.arange(n_grid) * (0.8 / n_grid))
+    assert got.shape == (n_grid,)
+    scale = abs(coef.c0) + np.abs(coef.cos_coeffs).sum() + np.abs(coef.sin_coeffs).sum()
+    assert np.max(np.abs(got - want)) <= 1e-15 * top * scale
+    assert Constant(2.5).on_grid(n_grid).tolist() == [2.5] * n_grid
+
+
 @pytest.mark.parametrize("m", [7, 8])
 def test_samples_are_their_trigonometric_interpolant(m):
     # odd and even counts: every rfft bin doubled except the Nyquist cosine of
@@ -589,7 +612,7 @@ def test_samples_are_their_trigonometric_interpolant(m):
     vals = np.random.default_rng(m).standard_normal(m)
     coef = Samples(vals, period=0.8)
     nodes = np.arange(m) * (0.8 / m)
-    assert np.max(np.abs(coef.eval(nodes) - vals)) <= 1e-14
+    assert np.max(np.abs(oracles.coefficient_value(coef, nodes) - vals)) <= 1e-14
     j = np.arange(m)
     modes = range(1, m // 2 + 1)
     cos = [2.0 / m * float(vals @ np.cos(2.0 * math.pi * k * j / m)) for k in modes]
@@ -603,7 +626,7 @@ def test_samples_are_their_trigonometric_interpolant(m):
     assert np.max(np.abs(np.subtract(coef.cos_coeffs, cos))) <= 1e-14
     assert np.max(np.abs(np.subtract(coef.sin_coeffs, sin))) <= 1e-14
     t = np.linspace(0.0, 0.8, 101)
-    assert np.max(np.abs(coef.eval(t) - ref.eval(t))) <= 1e-14
+    assert np.max(np.abs(oracles.coefficient_value(coef, t) - oracles.coefficient_value(ref, t))) <= 1e-14
     # it compares by its coefficients, so equal values compare equal
     assert coef == Samples(vals.copy(), period=0.8)
 

@@ -105,14 +105,15 @@ def test_picard_matches_reference_loop(monkeypatch):
     outcomes = {"converged": 0, "stalled": 0, "raised": 0}
     for prob in _picard_problems():
         disc = discretize(prob, 256)
-        coarse = discretize(prob, 64)
+        # Picard iterates on the Nystrom tables of a 64-point discretization
+        tables64 = discretize(prob, 64)
         cc = compute_constants(disc, prob)
         for ann in existence_report(prob, cc, default_r_grid()):
-            seed = seed_from_annulus(ann, prob, coarse.n_grid)
+            seed = seed_from_annulus(ann, prob, tables64.n_grid)
 
             def apply(values):
                 x = GridFunction(values, prob.period)
-                return real_apply(prob, coarse, x).values
+                return real_apply(prob, tables64, x).values
 
             applied.clear()
             try:
@@ -120,7 +121,7 @@ def test_picard_matches_reference_loop(monkeypatch):
             except Exception as exc:  # noqa: BLE001 - compared below
                 ref, ref_exc = None, exc
             try:
-                got = picard_solve(prob, coarse, seed)
+                got = picard_solve(prob, tables64, seed)
             except Exception as exc:  # noqa: BLE001 - compared below
                 assert ref is None, f"{ann.annulus_id}: solver raised, reference did not"
                 if isinstance(ref_exc, oracles.PicardAbort):
@@ -146,21 +147,18 @@ def test_picard_matches_reference_loop(monkeypatch):
 
 
 @pytest.fixture
-def exact_newton_disc(monkeypatch):
-    """The bench discretization with a base grid of all N = 256 points, so
-    that each two-grid Newton step is the exact one, its inner system
-    factored from the dense quadrature of the tables."""
-    monkeypatch.setattr(operator_mod, "COARSE_GRID", 256)
-    return discretize(make_problem(1.0, 2.0, 0.05), 256)
+def collocation32():
+    """Newton's operator of the bench discretization on 32 points."""
+    return discretize(make_problem(1.0, 2.0, 0.05), 256).collocation(32)
 
 
-def test_newton_polishes_to_tolerance(exact_newton_disc, sublinear_unit):
-    # two-grid Newton with both grids at N points, on the generator tables:
-    # the exact step, its inner system factored from the dense tables
+def test_newton_polishes_to_tolerance(bench_disc, collocation32, sublinear_unit):
+    # Picard on the 256-point tables hands over to Newton on 32 points,
+    # each step the exact one
     prob, cc = sublinear_unit
     seed = seed_from_annulus(FakeAnnulus(1.0, 10.0), prob, 256)
-    pic = picard_solve(prob, exact_newton_disc, seed)
-    ref = newton_refine(prob, exact_newton_disc, pic.x)
+    pic = picard_solve(prob, bench_disc, seed)
+    ref = newton_refine(prob, collocation32, GridFunction(resample(pic.x.values, 32), 1.0))
     assert ref.residual <= 1e-10
     assert ref.iterations <= 6
     # once close, each step is at least superlinear
@@ -168,16 +166,18 @@ def test_newton_polishes_to_tolerance(exact_newton_disc, sublinear_unit):
     assert all(b <= max(a ** 1.5, 1e-14) for a, b in zip(small, small[1:]))
 
 
-def test_newton_reconverges_after_perturbation(exact_newton_disc, sublinear_unit):
+def test_newton_reconverges_after_perturbation(collocation32, sublinear_unit):
+    # the constant solution is exact on the collocation grid: Newton returns
+    # to the oracle root to round-off
     prob, cc = sublinear_unit
     (norm,) = oracles.constant_solution_norms(SUBLINEAR_TERMS, prob.lam)
     rng = np.random.default_rng(5)
     c = norm / 2.0
-    vals = c * (1.0 + 1e-3 * rng.standard_normal((2, 256)))
+    vals = c * (1.0 + 1e-3 * rng.standard_normal((2, 32)))
     x0 = GridFunction(vals, 1.0)
-    ref = newton_refine(prob, exact_newton_disc, x0)
+    ref = newton_refine(prob, collocation32, x0)
     assert ref.iterations <= 5
-    assert abs(ref.x.norm - norm) <= 1e-9
+    assert abs(ref.x.norm - norm) <= 1e-13 * norm
 
 
 def _dense_newton_step(problem, quads, x, fvals):
@@ -214,7 +214,11 @@ def _three_component_problem():
 
 @pytest.mark.parametrize("case", ["n2-unequal", "n3", "mixed-e"])
 def test_newton_step_matches_dense_solve(case):
-    n_grid = 64
+    # the step on Newton's 32-point grid of a 64-point discretization
+    # against the dense (nM) x (nM) Jacobian of the same collocation system,
+    # its operators the oracle's plain inverse of D2 + diag(a), which loses
+    # about M^2 eps
+    n_grid = 32
     t = np.arange(n_grid) / n_grid
     wave = np.cos(2.0 * math.pi * t)
     if case == "n3":
@@ -226,15 +230,13 @@ def test_newton_step_matches_dense_solve(case):
         prob = make_problem(1.0, 2.0, 0.05, e_spec=e_spec, n_grid=n_grid)
         prob = replace(prob, a=(Constant(1.0), Constant(2.0)))
         vals = np.stack([0.3 + 0.1 * wave, 0.1 + 0.02 * np.sin(4.0 * math.pi * t)])
-    # the two-grid step with both grids at N points: inner system from the
-    # base matrices, back-substitution through the FFT or semiseparable
-    # operators, against the dense Jacobian of the sampled tables
-    disc = discretize(prob, n_grid)
-    dense = [oracles.dense_quadrature(disc.tables[k]) for k in disc.index]
+    op = discretize(prob, 64).collocation(n_grid)
+    dense = [oracles.collocation_inverse(oracles.coefficient_value(coef, t), 1.0)
+             for coef in prob.a]
     x = GridFunction(vals, 1.0)
-    fvals = x.values - apply_T(prob, disc, x).values
+    fvals = x.values - apply_T(prob, op, x).values
     ref = _dense_newton_step(prob, dense, x, fvals)
-    step = _newton_step(prob, disc, x, fvals)
+    step = _newton_step(prob, op, x, fvals)
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -399,8 +401,8 @@ def test_resample_down_inverts_up(n_grid):
 def test_resample_truncation_is_exact_below_half_the_base_grid(n_grid):
     # restriction keeps every frequency below 32 (the 64-point Nyquist) and
     # drops the ones above it; at 32 it keeps the cosine the pair aliases to
-    # on the base grid.  On the base-grid nodes the kept part is the
-    # function itself
+    # on the 64-point grid.  On its nodes the kept part is the function
+    # itself
     def low(t):
         return 1.0 + 0.3 * np.cos(2 * np.pi * t) + 0.2 * np.sin(14 * np.pi * t + 0.3) \
             + 0.1 * np.cos(62 * np.pi * t + 0.4) + 0.25 * np.cos(64 * np.pi * t + 0.6)
@@ -429,29 +431,37 @@ def _var_a_config(alpha, beta, lam, n_grid):
 ], ids=["cor1b", "var-a", "cor1b-256", "var-a-256", "cor1b-1024", "var-a-1024",
         "sublinear-var-a-1024", "cor1b-130", "var-a-130"])
 def test_two_grid_matches_single_grid(config_of, alpha, beta, lam, n_grid, count):
+    # every solution of these problems is resolved on Newton's first grid of
+    # 32 points: restricted back there it is the oracle's dense solve of the
+    # same collocation system (Picard, then Newton with the full Jacobian;
+    # operators the plain inverse of D2 + diag(a), which loses about M^2
+    # eps), and for constant a the constant solutions are the cubic roots
     prob = parse_config(config_of(alpha, beta, lam, n_grid=n_grid)).problem
     disc = discretize(prob, n_grid)
     cc = compute_constants(disc, prob)
     report = find_solutions(prob, disc, cc)
-    g, e = prob.g_on_grid(n_grid), prob.e_on_grid(n_grid)
-    dense = oracles.dense_quadrature(disc.tables[0])
-    expect = []
+    t = np.arange(32) / 32
+    g, e = prob.g_on_grid(32), prob.e_on_grid(32)
+    dense = oracles.collocation_inverse(oracles.coefficient_value(prob.a[0], t), 1.0)
+    expect = {}
     for ann in report.annuli:
-        seed = seed_from_annulus(ann, prob, n_grid).values
-        x = oracles.single_grid_solve([dense] * 2, g, e, prob.f.terms,
-                                      prob.lam, seed)
+        seed = seed_from_annulus(ann, prob, 32).values
+        x = oracles.single_grid_solve([dense] * 2, g, e, prob.f.terms, prob.lam, seed)
         if x is not None:
-            expect.append((ann.annulus_id, float(np.abs(x).max(axis=1).sum())))
-    got = [(s.annulus_id, s.norm) for s in report.solutions]
-    assert len(got) == len(expect) == count
-    for (gid, gnorm), (eid, enorm) in zip(sorted(got), sorted(expect)):
-        assert gid == eid
-        assert abs(gnorm - enorm) <= 1e-12 * enorm
+            expect[ann.annulus_id] = x
+    assert len(report.solutions) == len(expect) == count
+    for sol in report.solutions:
+        ref = expect[sol.annulus_id]
+        assert np.max(np.abs(resample(sol.x.values, 32) - ref)) <= 1e-10 * np.max(np.abs(ref))
+    if config_of is symmetric_config:
+        roots = oracles.constant_solution_norms(prob.f.terms[0], lam)
+        for sol, root in zip(report.solutions, roots):
+            assert abs(sol.norm - root) <= 1e-13 * root
 
 
 def test_two_grid_sweep_warm_starts():
-    # warm starts enter the base grid by Fourier truncation; each step must
-    # land on the fine solutions a fresh solve at that lambda finds
+    # warm starts enter Newton's 32-point grid by Fourier truncation; each
+    # step must land on the solutions a fresh solve at that lambda finds
     prob = make_problem(1.0, 2.0, 0.04, n_grid=512)
     disc = discretize(prob, 512)
     cc = compute_constants(disc, prob)
@@ -468,7 +478,7 @@ def test_two_grid_sweep_warm_starts():
 
 @pytest.mark.parametrize("n_grid", [64, 256, 512, 1024])
 def test_coarse_newton_failure(monkeypatch, n_grid):
-    # a failed linear solve on the 64-point base grid fails that start's one
+    # a failed linear solve on Newton's 32-point grid fails that start's
     # Newton loop and drops the annulus at every N: there is no second solve
     # path to retry on.  cor2b has a sign-changing e, so its leveled starts
     # are not fixed points and each takes Newton steps
@@ -491,8 +501,8 @@ def test_coarse_newton_failure(monkeypatch, n_grid):
     report = find_solutions(prob, disc, cc)
     assert len(report.annuli) == 2
     assert report.solutions == []
-    assert calls == [n_grid] * 2
-    assert systems == [64] * 2
+    assert calls == [32] * 2
+    assert systems == [32] * 2
     failed = [n for n in report.notes if "newton failed" in n]
     assert [n.split(":")[0] for n in failed] == ["A1", "A2"]
     assert all("(linear solve failed at residual" in n for n in failed)
@@ -500,14 +510,15 @@ def test_coarse_newton_failure(monkeypatch, n_grid):
 
 @pytest.mark.parametrize("n_grid", [66, 96, 130, 1030, 2062, 4094])
 def test_base_grid_has_64_points(monkeypatch, n_grid):
-    # at every N, whatever its factors, each start runs one Newton loop on
-    # the N-point grid, and every LU a solve factors is 64 x 64.  The starts
-    # are the constant annulus seeds, not leveled: leveled, they are the
-    # fixed points and Newton takes no step
-    prob = make_problem(1.0, 2.0, 0.05, n_grid=n_grid)
+    # a = 1 + 0.3 cos 10 pi t: at M = 32 the upper half of the spectrum of
+    # each solution reads about 3e-9 of its norm, so at every N, whatever
+    # its factors, each start doubles Newton's grid once, to 64 points, where
+    # it is resolved; the N-point grid never enters a solve, and every LU is
+    # 32 x 32 or 64 x 64
+    prob = replace(make_problem(1.0, 2.0, 0.05, n_grid=n_grid),
+                   a=(FourierSeries(1.0, (0.0, 0.0, 0.0, 0.0, 0.3)),) * 2)
     disc = discretize(prob, n_grid)
     cc = compute_constants(disc, prob)
-    monkeypatch.setattr(solver_mod, "_level_start", lambda problem, disc, x0, radii=None: x0)
     real_newton, real_solve = solver_mod.newton_refine, solver_mod._coupling_solve
     grids, systems = [], []
 
@@ -523,14 +534,8 @@ def test_base_grid_has_64_points(monkeypatch, n_grid):
     monkeypatch.setattr(solver_mod, "_coupling_solve", record_solve)
     report = find_solutions(prob, disc, cc)
     assert [s.annulus_id for s in report.solutions] == ["A1", "A2"]
-    assert grids == [n_grid] * 2
-    assert systems and set(systems) == {64}
-
-
-def _applied_matrix(table):
-    """The quadrature operator of ``table`` applied to the identity, transposed:
-    the matrix whose column q is Q of the q-th unit vector."""
-    return (kernel_quadrature(table) @ np.eye(table.n_grid)).T
+    assert grids == [32, 64] * 2
+    assert systems and set(systems) <= {32, 64}
 
 
 def _three_coefficient_problem(a):
@@ -538,55 +543,67 @@ def _three_coefficient_problem(a):
                    f=PowerLawRadial((SUPERLINEAR_TERMS,) * 3), lam=0.05)
 
 
+def _exp_sine(a, m):
+    """x* = exp(0.3 sin 2 pi t) and R = x*'' + a x* on m points, T = 1."""
+    w = 2.0 * math.pi
+    t = np.arange(m) / m
+    x = np.exp(0.3 * np.sin(w * t))
+    xpp = (0.09 * w * w * np.cos(w * t) ** 2 - 0.3 * w * w * np.sin(w * t)) * x
+    return x, xpp + oracles.coefficient_value(a, t) * x
+
+
 def test_base_tables_follow_the_coefficients():
-    # one 64-point base matrix per distinct fine table, the operator of a
-    # table built from the coefficient of the components that share it
-    # (a_1 = a_3 here), applied to the identity
+    # one collocation matrix per distinct coefficient, shared by the
+    # components with that coefficient (a_1 = a_3 here), built from it: the
+    # oracle's plain inverse of D2 + diag(a) to its M^2 eps round-off
     a = (Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0))
-    base = discretize(_three_coefficient_problem(a), 130).base_matrices
-    assert base[0] is base[2] and base[1] is not base[0]
-    for matrix, coef in zip(base, a):
-        table = build_green_table(coef, 64)
-        assert np.array_equal(matrix, _applied_matrix(table))
-        dense = oracles.dense_quadrature(table)
-        assert np.max(np.abs(matrix - dense)) <= 1e-13 * np.max(np.abs(dense))
+    op = discretize(_three_coefficient_problem(a), 130).collocation(32)
+    per = [op.matrices[k] for k in op.index]
+    assert len(op.matrices) == 2 and per[0] is per[2] and per[1] is not per[0]
+    for matrix, coef in zip(per, a):
+        dense = oracles.collocation_inverse(oracles.coefficient_value(coef, np.arange(32) / 32), 1.0)
+        assert np.max(np.abs(matrix - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("n_grid", [32, 64])
 def test_base_matrices_are_the_tables_own_operator(n_grid):
-    # at N <= 64 the base grid is the fine grid, and each base matrix is the
-    # operator of the discretization's own table, bit for bit: the inner
-    # system of the exact Newton step is the operator apply_T applies
+    # on M = N points each collocation matrix is (D2 + a)^-1 exactly: applied
+    # to R = x*'' + a x* it returns x* = exp(0.3 sin 2 pi t) to round-off.
+    # The table's own Nystrom operator returns it only to its O(h^4) error
     a = (Constant(1.0), FourierSeries(1.0, (0.3,)), Constant(1.0))
     disc = discretize(_three_coefficient_problem(a), n_grid)
-    for matrix, k in zip(disc.base_matrices, disc.index):
-        assert np.array_equal(matrix, _applied_matrix(disc.tables[k]))
+    op = disc.collocation(n_grid)
+    for matrix, k, coef in zip([op.matrices[j] for j in op.index], disc.index, a):
+        x, rhs = _exp_sine(coef, n_grid)
+        assert np.max(np.abs(matrix @ rhs - x)) <= 5e-15 * np.max(x)
+        nystrom = kernel_quadrature(disc.tables[k]) @ rhs
+        assert 1e-12 <= np.max(np.abs(nystrom - x)) / np.max(x) <= 1e-5
 
 
 def test_fine_grid_base_matrix_matches_the_dense_quadrature():
-    # a = 1 + 0.3 cos at N = 1024: the base matrix is the 64-point RK4
-    # table's operator, within round-off of its dense quadrature
+    # a = 1 + 0.3 cos at N = 1024: Newton's operator is the 32 x 32
+    # collocation matrix, exact on 32 points, not an N-point quadrature
     coef = FourierSeries(1.0, (0.3,))
-    disc = Discretization((build_green_table(coef, 1024),), (0, 0), (coef,))
-    dense = oracles.dense_quadrature(build_green_table(coef, 64))
-    for matrix in disc.base_matrices:
-        assert matrix.shape == (64, 64)
-        assert np.max(np.abs(matrix - dense)) <= 1e-13 * np.max(np.abs(dense))
+    op = Discretization((build_green_table(coef, 1024),), (0, 0), (coef,)).collocation(32)
+    x, rhs = _exp_sine(coef, 32)
+    for matrix in op.matrices:
+        assert matrix.shape == (32, 32)
+        assert np.max(np.abs(matrix @ rhs - x)) <= 5e-15 * np.max(x)
 
 
 def test_base_matrices_are_built_once_per_discretization(monkeypatch):
-    # compute_constants builds none; the first Newton step builds one 64-point
-    # table per distinct fine table, and later solves on the same object
-    # reuse its matrix.  With a = 1 + 0.3 cos the solutions are not
+    # compute_constants builds none; the first solve builds one 32-point
+    # collocation matrix per distinct coefficient, and later solves on the
+    # same object reuse it.  With a = 1 + 0.3 cos the solutions are not
     # constant, so every start takes steps
     prob = parse_config(_var_a_config(1.0, 2.0, 0.05, n_grid=256)).problem
     disc = discretize(prob, 256)
-    built = _record_base_tables(monkeypatch)
+    built = _record_collocations(monkeypatch)
     cc = compute_constants(disc, prob)
     assert built == []
     for lam in (0.05, 0.04):
         assert len(find_solutions(replace(prob, lam=lam), disc, cc).solutions) == 2
-    assert built == [prob.a[0]]
+    assert built == [(prob.a[0], 32)]
 
 
 def test_tables_of_another_coefficient_need_the_explicit_constructor():
@@ -642,12 +659,11 @@ def test_two_grid_correction_failure_drops(monkeypatch, n_grid):
 
 
 def test_one_two_grid_correction_reaches_round_off(monkeypatch):
-    # the one Newton loop per start takes every solve of the preset problems
-    # at N=96 and N=256 to a residual of 1e-13, or to round-off (1e-15
-    # relative) for the solutions with norm above 100: it stops at or below
-    # NEWTON_TOL, at round-off relative to the iterate or after a step that
-    # started at or below NEWTON_TOL.  At N=96 the base grid has 64 points,
-    # and the grids do not nest
+    # the Newton loops take every solve of the preset problems at N=96 and
+    # N=256 to a residual of 1e-13, or to round-off (1e-15 relative) for the
+    # solutions with norm above 100: each stops at or below NEWTON_TOL, at
+    # round-off relative to the iterate or after a step that started at or
+    # below NEWTON_TOL.  Newton's 32-point grid does not nest in N=96
     real = solver_mod.newton_refine
     solves = []
 
@@ -803,32 +819,38 @@ def test_sweep_seeds_the_annulus_of_a_new_branch(monkeypatch):
 
 
 def test_sweep_builds_its_base_tables_once(monkeypatch):
-    # every step of a sweep solves on the same 64-point base tables
+    # every step of a sweep solves with the same 32-point collocation matrix
     cfg = symmetric_config(1.0, 2.0, 0.01)
     cfg["a"] = [{"fourier": {"c0": 1.0, "cos": [0.3], "sin": []}}] * 2
     prob = parse_config(cfg).problem
     disc = discretize(prob, 256)
     cc = compute_constants(disc, prob)
-    built = _record_base_tables(monkeypatch)
+    built = _record_collocations(monkeypatch)
     sweep = continue_lambda(prob, disc, 0.01, 0.3, 6, constants=cc)
     assert len({row.lam for row in sweep.rows}) == 6
-    assert built == [prob.a[0]]
+    assert built == [(prob.a[0], 32)]
 
 
-def _record_base_tables(monkeypatch):
-    """Patch ``build_green_table`` in ``operator`` to record the coefficient
-    of every table it builds at COARSE_GRID points: on a finer grid, the
-    tables of the base matrices and nothing else."""
-    real = operator_mod.build_green_table
+def _record_collocations(monkeypatch):
+    """Patch ``collocation_matrix`` in ``operator`` to record the
+    (coefficient, M) of every collocation matrix it builds."""
+    real = operator_mod.collocation_matrix
     built = []
 
-    def count(coef, n_grid):
-        if n_grid == operator_mod.COARSE_GRID:
-            built.append(coef)
-        return real(coef, n_grid)
+    def count(coef, m):
+        built.append((coef, m))
+        return real(coef, m)
 
-    monkeypatch.setattr(operator_mod, "build_green_table", count)
+    monkeypatch.setattr(operator_mod, "collocation_matrix", count)
     return built
+
+
+def _forbid_newton_systems(monkeypatch):
+    """Patch ``_coupling_solve`` to fail the test if a Newton system is solved."""
+    def forbidden(*args):
+        raise AssertionError("a Newton system was solved")
+
+    monkeypatch.setattr(solver_mod, "_coupling_solve", forbidden)
 
 
 def _record_newton_steps(monkeypatch):
@@ -847,18 +869,21 @@ def _record_newton_steps(monkeypatch):
 
 def test_leveled_cor1b_starts_are_fixed_points():
     # constant coefficients: the one-mode level of the constant annulus seed
-    # on the N-point tables is their fixed point, so Newton takes no step
-    for n_grid in (64, 256):
+    # is the fixed point of Newton's collocation operator on M = min(N, 32)
+    # points, so Newton takes no step, and of the N-point tables as well
+    for n_grid in (16, 64, 256):
         prob = parse_config(PRESETS["cor1b"].config(0.05, n_grid)).problem
         disc = discretize(prob, n_grid)
         annuli = existence_report(prob, compute_constants(disc, prob), default_r_grid())
         assert [ann.annulus_id for ann in annuli] == ["A1", "A2"]
-        for ann in annuli:
-            seed = seed_from_annulus(ann, prob, n_grid)
-            start = solver_mod._level_start(prob, disc, seed, (ann.r_in, ann.r_out))
-            assert fixed_point_residual(prob, disc, seed) > 1e-3 * seed.norm
-            assert fixed_point_residual(prob, disc, start) <= 1e-13 * start.norm
-            assert newton_refine(prob, disc, start).iterations == 0
+        for op in (disc.collocation(min(n_grid, 32)), disc):
+            for ann in annuli:
+                seed = seed_from_annulus(ann, prob, op.n_grid)
+                start = solver_mod._level_start(prob, op, seed, (ann.r_in, ann.r_out))
+                assert fixed_point_residual(prob, op, seed) > 1e-3 * seed.norm
+                assert fixed_point_residual(prob, op, start) <= 1e-13 * start.norm
+                if op is not disc:
+                    assert newton_refine(prob, op, start).iterations == 0
 
 
 def test_every_preset_annulus_levels_inside_it():
@@ -895,23 +920,28 @@ def test_level_without_a_root_keeps_the_start():
 def test_bench_sweep_takes_no_newton_step(monkeypatch):
     # every annulus seed and every warm start of the bench sweep is leveled
     # onto its fixed point to round-off, so no solve takes a Newton step or
-    # builds a base matrix
+    # solves a Newton system; the one collocation matrix, a = 1 on 32
+    # points, is built once, for the level
     steps = _record_newton_steps(monkeypatch)
-    built = _record_base_tables(monkeypatch)
+    built = _record_collocations(monkeypatch)
+    _forbid_newton_systems(monkeypatch)
     prob = make_problem(1.0, 2.0, 0.01)
     disc = discretize(prob, 256)
     sweep = continue_lambda(prob, disc, 0.01, 0.3, 6,
                             constants=compute_constants(disc, prob))
     assert [(row.branch_id, row.annulus_id) for row in sweep.rows] == [("b1", "A1"), ("b2", "A2")] * 6
     assert steps == [0] * 12
-    assert built == []
+    assert built == [(Constant(1.0), 32)]
 
 
 def test_cor1_presets_build_no_base_matrix(monkeypatch):
     # constant a, g and e: every leveled start of the cor1 presets is the
-    # fixed point to round-off, so no solve forms or factors a base matrix
+    # fixed point to round-off, so no solve forms or factors a Newton
+    # system; each discretization builds its one collocation matrix, the
+    # multiplier of a = 1 on 32 points, for the level
     steps = _record_newton_steps(monkeypatch)
-    built = _record_base_tables(monkeypatch)
+    built = _record_collocations(monkeypatch)
+    _forbid_newton_systems(monkeypatch)
     for name in ("cor1a", "cor1b"):
         preset = PRESETS[name]
         for lam in preset.lambdas:
@@ -921,7 +951,7 @@ def test_cor1_presets_build_no_base_matrix(monkeypatch):
                                     compute_constants(disc, parsed.problem), preset.ode_tol)
             assert [s.annulus_id for s in report.solutions] == PRESET_ANNULUS_IDS[name, lam]
     assert steps == [0] * 7
-    assert built == []
+    assert built == [(Constant(1.0), 32)] * 5
 
 
 def test_large_solution_stops_at_newton_tol(monkeypatch):
@@ -974,18 +1004,32 @@ def test_sampled_coefficients_keep_their_solutions(key, values):
     assert len(report.solutions) == 2, report.notes
 
 
-def test_verified_fp_residual_is_the_fixed_point_residual():
-    # the gate takes the residual the fine Newton stopped at: bit for bit the
-    # one T applied afresh at the accepted x gives
+def test_verified_fp_residual_is_the_fixed_point_residual(monkeypatch):
+    # the gate takes the residual Newton stopped at on its collocation grid:
+    # bit for bit the one T applied afresh there gives, at the Newton output
+    # whose interpolant to the N points is the accepted x
+    real = solver_mod.newton_refine
+    outputs = []
+
+    def record(problem, op, x0):
+        res = real(problem, op, x0)
+        outputs.append((op, res))
+        return res
+
+    monkeypatch.setattr(solver_mod, "newton_refine", record)
     for name in sorted(PRESETS):
         preset = PRESETS[name]
         for lam in preset.lambdas:
             prob = parse_config(preset.config(lam, 256)).problem
             disc = discretize(prob, 256)
+            outputs.clear()
             report = find_solutions(prob, disc, compute_constants(disc, prob),
                                     preset.ode_tol)
             for sol in report.solutions:
-                assert sol.fp_residual == fixed_point_residual(prob, disc, sol.x)
+                [(op, res)] = [(op, res) for op, res in outputs
+                               if resample(res.x.values, 256).tobytes() == sol.x.values.tobytes()]
+                assert op.n_grid == 32
+                assert sol.fp_residual == res.residual == fixed_point_residual(prob, op, res.x)
 
 
 def test_sweep_builds_its_radius_bounds_once(monkeypatch):
@@ -1132,31 +1176,34 @@ def test_constant_systems_solve_to_their_constant_solutions():
     assert annuli >= 40 and solutions >= 40 and shared >= 10
 
 
-@pytest.mark.parametrize("a, tables", [
-    (((1.0, (0.3,), ()),) * 2, 1),
-    (((1.0, (0.3,), ()), (1.5, (), (0.4,))), 2),
-], ids=["shared-a", "distinct-a"])
-def test_manufactured_variable_a_converges_at_fourth_order(a, tables):
-    # a known smooth solution of a system with a = 1 + 0.3 cos in both
-    # components (one RK4 table) or a_2 = 1.5 + 0.4 sin in the second (two):
-    # Newton from 1.001 x* lands within the discretization error of x*,
-    # which falls at fourth order on every doubling up to N=512 (about
-    # 4e-8 at N=64); beyond it round-off in the RK4 kernel flattens it
+def _manufactured_problem(a):
+    """The ROADMAP 13(b) problem with a_i = FourierSeries(*a[i]), and its x*."""
     g, lam, terms, x_star = oracles.manufactured_variable_a(a)
     prob = Problem(n=2, period=1.0, a=tuple(FourierSeries(*coef) for coef in a),
                    g=tuple(FourierSeries(*coef) for coef in g), e=(Constant(0.0),) * 2,
                    f=PowerLawRadial((terms, terms)), lam=lam)
-    errors = []
-    for n_grid in (64, 128, 256, 512):
-        exact = x_star(np.arange(n_grid) / n_grid)
-        disc = discretize(prob, n_grid)
-        res = newton_refine(prob, disc, GridFunction(1.001 * exact, 1.0))
+    return prob, x_star
+
+
+@pytest.mark.parametrize("a, tables", [
+    (((1.0, (0.3,), ()),) * 2, 1),
+    (((1.0, (0.3,), ()), (1.5, (), (0.4,))), 2),
+    (((6.0, (2.5, 0.0, 0.8), (0.0, 1.0)),) * 2, 1),
+], ids=["shared-a", "distinct-a", "wide-a"])
+def test_manufactured_variable_a_converges_at_fourth_order(a, tables):
+    # a known smooth solution of a system with a = 1 + 0.3 cos in both
+    # components (one operator), a_2 = 1.5 + 0.4 sin in the second (two), or
+    # a = 6 + 2.5 cos 2 pi t + 0.8 cos 6 pi t + sin 4 pi t: Newton on the
+    # collocation grid, from 1.001 x*, lands on it to round-off at M = 32
+    # and M = 64
+    prob, x_star = _manufactured_problem(a)
+    disc = discretize(prob, 256)
+    assert len(disc.coefficients) == tables
+    for m in (32, 64):
+        exact = x_star(np.arange(m) / m)
+        res = newton_refine(prob, disc.collocation(m), GridFunction(1.001 * exact, 1.0))
         assert res.residual <= 1e-13
-        errors.append(np.abs(res.x.values - exact).max() / np.abs(exact).max())
-    assert len(disc.tables) == tables
-    assert errors[0] <= 1e-7
-    orders = np.log2(np.array(errors[:-1]) / errors[1:])
-    assert np.all(orders >= 3.9), orders
+        assert np.abs(res.x.values - exact).max() <= 5e-14 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("config, n_grid, annulus_id", [
@@ -1177,22 +1224,127 @@ def test_fine_grid_solutions_pass_the_ode_check(config, n_grid, annulus_id):
 
 
 def test_ode_check_tracks_the_manufactured_error():
-    # the distinct-a manufactured problem: on the Newton output the check
-    # reads a fixed share (about 1/3) of the true error while that falls at
-    # fourth order, and never rises past 1e-12 once the error flattens at
-    # round-off; on the sampled x* itself it reads round-off at every N
-    a = ((1.0, (0.3,), ()), (1.5, (), (0.4,)))
-    g, lam, terms, x_star = oracles.manufactured_variable_a(a)
-    prob = Problem(n=2, period=1.0, a=tuple(FourierSeries(*coef) for coef in a),
-                   g=tuple(FourierSeries(*coef) for coef in g), e=(Constant(0.0),) * 2,
-                   f=PowerLawRadial((terms, terms)), lam=lam)
+    # the distinct-a manufactured problem: Newton's 32-point output,
+    # interpolated to N points, is x* to round-off and the check reads
+    # round-off at every N; with an error of known size added, at low or
+    # high frequency, the check reads a fixed share of it
+    prob, x_star = _manufactured_problem(((1.0, (0.3,), ()), (1.5, (), (0.4,))))
+    exact32 = x_star(np.arange(32) / 32)
+    res = newton_refine(prob, discretize(prob, 32).collocation(32),
+                        GridFunction(1.001 * exact32, 1.0))
     for n_grid in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
-        exact = x_star(np.arange(n_grid) / n_grid)
-        res = newton_refine(prob, discretize(prob, n_grid), GridFunction(1.001 * exact, 1.0))
-        check = ode_residual(prob, res.x)
-        if n_grid <= 512:
-            err = np.abs(res.x.values - exact).max()
-            assert err / 10.0 <= check <= err, (n_grid, check, err)
-        else:
-            assert check <= 1e-12, n_grid
+        t = np.arange(n_grid) / n_grid
+        exact = x_star(t)
+        x = resample(res.x.values, n_grid)
+        assert np.abs(x - exact).max() <= 5e-14 * np.abs(exact).max()
+        assert ode_residual(prob, GridFunction(x, 1.0)) <= 1e-13, n_grid
         assert ode_residual(prob, GridFunction(exact, 1.0)) <= 1e-14
+        for size, k in ((1e-6, 1), (1e-9, 5), (1e-12, 3)):
+            wrong = x + size * np.stack([np.cos(2.0 * math.pi * k * t), np.zeros(n_grid)])
+            err = np.abs(wrong - exact).max()
+            check = ode_residual(prob, GridFunction(wrong, 1.0))
+            assert err / 10.0 <= check <= 2.0 * err, (n_grid, size, check, err)
+
+
+def _samples_a_config():
+    """The superlinear problem at lambda=0.05, N=1024, with a = the 64-sample
+    triangle wave 1 + 0.3 (1 - 4 min(t, 1 - t))."""
+    cfg = symmetric_config(1.0, 2.0, 0.05, n_grid=1024)
+    cfg["a"] = [{"samples": (1.0 + 0.3 * (1.0 - 4.0 * np.minimum(_NODES64, 1.0 - _NODES64))).tolist()}] * 2
+    return cfg
+
+
+def _record_newton_grids(monkeypatch):
+    """Patch ``newton_refine`` to record the grid size of every call."""
+    real = solver_mod.newton_refine
+    grids = []
+
+    def record(problem, op, x0):
+        grids.append(x0.n_grid)
+        return real(problem, op, x0)
+
+    monkeypatch.setattr(solver_mod, "newton_refine", record)
+    return grids
+
+
+def test_samples_a_doubles_newton_grid_to_256(monkeypatch):
+    # the triangle wave's spectrum falls as 1/k^2 up to mode 32, so the
+    # solutions' upper spectral half reads about 1e-11 of |x| at M = 128 and
+    # is resolved at M = 256; both solutions are kept
+    grids = _record_newton_grids(monkeypatch)
+    prob = parse_config(_samples_a_config()).problem
+    disc = discretize(prob, 1024)
+    report = find_solutions(prob, disc, compute_constants(disc, prob))
+    assert [s.annulus_id for s in report.solutions] == ["A1", "A2"] and report.notes == []
+    assert grids == [32, 64, 128, 256] * 2
+
+
+def test_unresolved_solution_at_the_cap_is_dropped(monkeypatch):
+    # with the cap at 128 points the samples_a solutions are unresolved
+    # there: each is dropped with a note, never sampled on a coarse grid
+    monkeypatch.setattr(solver_mod, "MAX_POINTS", 128)
+    grids = _record_newton_grids(monkeypatch)
+    prob = parse_config(_samples_a_config()).problem
+    disc = discretize(prob, 1024)
+    report = find_solutions(prob, disc, compute_constants(disc, prob))
+    assert report.solutions == [] and len(report.annuli) == 2
+    assert grids == [32, 64, 128] * 2
+    assert [n.split(":")[0] for n in report.notes] == ["A1", "A2"]
+    for note in report.notes:
+        assert " at M=128 above 1e-15, dropped" in note and "spectral tail" in note
+
+
+@pytest.mark.parametrize("config_of, n_grid", [
+    (symmetric_config, 16),
+    (symmetric_config, 24),
+    (_var_a_config, 24),
+])
+def test_grids_below_32_points_solve_on_all_of_them(monkeypatch, config_of, n_grid):
+    # N < 32: Newton's grid is the whole N-point grid, M = N, and the
+    # solution is its output as it is
+    grids = _record_newton_grids(monkeypatch)
+    prob = parse_config(config_of(1.0, 2.0, 0.05, n_grid=n_grid)).problem
+    disc = discretize(prob, n_grid)
+    report = find_solutions(prob, disc, compute_constants(disc, prob))
+    assert [s.annulus_id for s in report.solutions] == ["A1", "A2"]
+    assert grids == [n_grid] * 2
+    assert all(s.x.n_grid == n_grid for s in report.solutions)
+    if config_of is symmetric_config:
+        roots = oracles.constant_solution_norms(SUPERLINEAR_TERMS, 0.05)
+        for sol, root in zip(report.solutions, roots):
+            assert abs(sol.norm - root) <= 1e-13 * root
+
+
+def test_sixteen_points_do_not_resolve_a_variable_a_solution():
+    # a = 1 + 0.3 cos at N = 16: the upper half of each solution's spectrum
+    # reads about 1e-13 of its norm on all 16 points, so both are dropped
+    # with a note rather than kept on a grid that does not resolve them
+    prob = parse_config(_var_a_config(1.0, 2.0, 0.05, n_grid=16)).problem
+    disc = discretize(prob, 16)
+    report = find_solutions(prob, disc, compute_constants(disc, prob))
+    assert report.solutions == [] and len(report.annuli) == 2
+    assert [n.split(":")[0] for n in report.notes] == ["A1", "A2"]
+    assert all(n.endswith(" at M=16 above 1e-15, dropped") for n in report.notes)
+
+
+@pytest.mark.parametrize("n_grid", [16, 1024])
+def test_constant_a_leveled_starts_take_no_newton_step(monkeypatch, n_grid):
+    # cor1a and cor1b: a, g, e constant, so every leveled annulus seed is
+    # the fixed point of Newton's operator, at N = 16 (M = N) and above
+    steps = _record_newton_steps(monkeypatch)
+    _forbid_newton_systems(monkeypatch)
+    for name, lam in (("cor1b", 0.05), ("cor1b", 0.02), ("cor1a", 1.0)):
+        prob = parse_config(PRESETS[name].config(lam, n_grid)).problem
+        disc = discretize(prob, n_grid)
+        report = find_solutions(prob, disc, compute_constants(disc, prob))
+        assert [s.annulus_id for s in report.solutions] == PRESET_ANNULUS_IDS[name, lam]
+    assert steps == [0] * 5
+
+
+def test_sweep_with_equal_ends_asks_for_one_lambda(bench_disc, superlinear_small):
+    # np.geomspace(0.05, 0.05, 3) puts 0.049999999999999996 in the middle;
+    # every step of a sweep with equal ends is at lambda = lam_lo
+    prob, cc = superlinear_small
+    table = continue_lambda(prob, bench_disc, 0.05, 0.05, 3, constants=cc)
+    assert [row.lam for row in table.rows] == [0.05] * 6
+    assert [row.branch_id for row in table.rows] == ["b1", "b2"] * 3
