@@ -143,8 +143,7 @@ def _setup(preset, lam, n_grid=256):
 def _uncached_thresholds(problem, sigma):
     def run():
         pericone.problem._critical_point.cache_clear()
-        pericone.problem._head_root.cache_clear()
-        pericone.problem._tail_root.cache_clear()
+        pericone.problem._branch_root.cache_clear()
         return thresholds_delta(problem, sigma)
     return run
 

@@ -22,8 +22,7 @@ from .certify import (
     classify_regime,
     default_r_grid,
     existence_report,
-    lambda0_bound,
-    large_lambda_threshold,
+    lambda_rays,
     radius_bounds,
     scan_radii,
 )

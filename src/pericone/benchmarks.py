@@ -48,7 +48,6 @@ class ReproducePreset:
     e_spec: dict | None
     lambdas: tuple
     expected_count: int
-    clause: str
     ode_tol: float = 1e-6
 
     def config(self, lam: float, n_grid: int = 256) -> dict:
@@ -64,7 +63,6 @@ PRESETS = {
         e_spec=None,
         lambdas=(0.1, 1.0, 10.0),
         expected_count=1,
-        clause="one solution for every lambda > 0",
     ),
     "cor1b": ReproducePreset(
         name="cor1b",
@@ -74,7 +72,6 @@ PRESETS = {
         e_spec=None,
         lambdas=(0.05, 0.02),
         expected_count=2,
-        clause="two solutions for all sufficiently small lambda > 0",
     ),
     "cor2a": ReproducePreset(
         name="cor2a",
@@ -84,7 +81,6 @@ PRESETS = {
         e_spec=MIXED_E,
         lambdas=(8.0, 10.0),
         expected_count=1,
-        clause="one solution for every lambda above an implementation-derived threshold",
     ),
     "cor2b": ReproducePreset(
         name="cor2b",
@@ -94,6 +90,5 @@ PRESETS = {
         e_spec=MIXED_E,
         lambdas=(0.01,),
         expected_count=2,
-        clause="two solutions for all sufficiently small lambda > 0",
     ),
 }

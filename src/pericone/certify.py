@@ -5,10 +5,10 @@ so a positive margin proves the corresponding operator estimate on the
 boundary sphere of radius r.  Failure to certify is NOT evidence of
 non-existence; the conditions are conservative.
 
-One route per kind, named by what it measures:
-  - "radial-ratio" (expansion): f_j(x) >= eta_r |x|_1 on the annulus forces
+One certificate per kind, each named in the docs by what it measures:
+  - expansion ("radial-ratio"): f_j(x) >= eta_r |x|_1 on the annulus forces
     ||T x|| >= lam * Gamma * eta_r * ||x||; holds iff lam*Gamma*eta_r > 1.
-  - "annulus-max" (compression): ||T x|| <= lam*(C_hat*M_hat_r + sum M_i
+  - compression ("annulus-max"): ||T x|| <= lam*(C_hat*M_hat_r + sum M_i
     int|e_i|); holds iff that bound is below r.
 
 There is no shell route, ||T x|| <= lam*C_hat*eps_r*||x|| + ||x||/2 with
@@ -23,7 +23,10 @@ lambda-free part (``radius_bounds``) holds the grid, eta_r and M_hat_r:
 exact extrema from problem.py, evaluated once per distinct component
 profile.  The per-lambda part (``scan_radii``) is the two margins, each
 affine in lambda, and the one domain gate they share.  A lambda sweep
-builds the first part once; ``large_lambda_threshold`` reads eta_r from it.
+builds the first part once.  Being affine, each margin is positive on a
+lambda-ray at each radius; ``lambda_rays`` reads both ray ends from the
+lambda-free part, and the large-lambda threshold of ``certify`` is the
+least expansion end above Delta.
 
 With a sign-changing e the estimates are only valid on radial ranges where
 the forcing split stays nonnegative: below delta or above Delta.  Certified
@@ -47,18 +50,14 @@ __all__ = [
     "RadiusBounds",
     "RegimeReport",
     "Scan",
-    "lambda0_bound",
+    "lambda_rays",
     "radius_bounds",
     "scan_radii",
     "annuli_from_scan",
     "existence_report",
     "classify_regime",
-    "large_lambda_threshold",
     "default_r_grid",
 ]
-
-# the one route of each kind
-ROUTES = {"expansion": "radial-ratio", "compression": "annulus-max"}
 
 
 def default_r_grid(rmin: float = 1e-3, rmax: float = 1e3, per_decade: int = 61) -> np.ndarray:
@@ -70,21 +69,14 @@ def default_r_grid(rmin: float = 1e-3, rmax: float = 1e3, per_decade: int = 61) 
 
 @dataclass(frozen=True)
 class Scan:
-    """Each route's margin at every radius of ``r`` (ascending), and the one
-    domain gate both routes share."""
+    """Both margins at every radius of ``r`` (ascending), and the one domain
+    gate they share: a kind certifies where its margin is positive inside
+    the gate."""
 
     r: np.ndarray
-    margins: dict  # route -> margin over r
+    expansion: np.ndarray  # lam * Gamma * eta_r - 1
+    compression: np.ndarray  # (r - lam * (C_hat * M_hat_r + sum M_i int|e_i|)) / r
     domain_ok: np.ndarray  # bool over r: inside the allowed forcing regions
-
-    def holds(self, route: str) -> np.ndarray:
-        """Where the route certifies: a positive margin inside the domain."""
-        return (self.margins[route] > 0.0) & self.domain_ok
-
-    def chosen(self, kind: str):
-        """(route name, margin over r, holds over r) of a kind's one route."""
-        route = ROUTES[kind]
-        return route, self.margins[route], self.holds(route)
 
 
 def _e_term(constants: ConeConstants) -> float:
@@ -129,24 +121,27 @@ def radius_bounds(problem: Problem, constants: ConeConstants, r_grid) -> RadiusB
 
 
 def scan_radii(problem: Problem, constants: ConeConstants, radii) -> Scan:
-    """Both routes' margins and their domain gate over ``radii``: an ascending
-    grid of positive radii, or the ``RadiusBounds`` already built from one."""
+    """Both margins and their domain gate over ``radii``: an ascending grid
+    of positive radii, or the ``RadiusBounds`` already built from one."""
     bounds = radii if isinstance(radii, RadiusBounds) else radius_bounds(problem, constants, radii)
     r, lam = bounds.r, problem.lam
     domain_ok = np.ones(r.shape, dtype=bool)
     if problem.sign_profile == "MixedE":
         delta, delta_big = _forcing_window(constants)
         domain_ok = (r < delta) | (r > delta_big)
-    compression = lam * (constants.C_hat * bounds.big_hat + _e_term(constants))
-    return Scan(r=r, margins={"radial-ratio": lam * constants.Gamma * bounds.eta - 1.0,
-                              "annulus-max": (r - compression) / r}, domain_ok=domain_ok)
+    bound = lam * (constants.C_hat * bounds.big_hat + _e_term(constants))
+    return Scan(r=r, expansion=lam * constants.Gamma * bounds.eta - 1.0,
+                compression=(r - bound) / r, domain_ok=domain_ok)
 
 
-def lambda0_bound(problem: Problem, constants: ConeConstants, r):
-    """Largest lambda below which annulus-max compression holds at radius r
-    (elementwise over r)."""
-    _, big_hat = annulus_extrema(problem.f, r, constants.sigma, problem.n)
-    return r / (constants.C_hat * big_hat + _e_term(constants))
+def lambda_rays(constants: ConeConstants, bounds: RadiusBounds):
+    """(expand_above, compress_below) over the radii of ``bounds``: at r the
+    expansion margin is positive for lam > 1/(Gamma eta_r), +inf where
+    eta_r = 0, and the compression margin for lam < r/(C_hat M_hat_r +
+    sum M_i int|e_i|).  The domain gate does not depend on lam."""
+    with np.errstate(divide="ignore"):
+        expand_above = 1.0 / (constants.Gamma * bounds.eta)
+    return expand_above, bounds.r / (constants.C_hat * bounds.big_hat + _e_term(constants))
 
 
 @dataclass
@@ -156,7 +151,7 @@ class CertifiedAnnulus:
     r_out: float
     orientation: str  # "expansion_inner" | "compression_inner"
     predicted: str
-    inner_margin: float  # each end's margin is of ROUTES[kind], its kind set by orientation
+    inner_margin: float  # the margin of the kind that orientation puts at each end
     outer_margin: float
 
 
@@ -172,8 +167,8 @@ def annuli_from_scan(problem: Problem, constants: ConeConstants, scan: Scan):
     region.  The pairing is array work over all adjacent pairs; only the
     emitted annuli are visited one by one.
     """
-    exp, comp = scan.chosen("expansion"), scan.chosen("compression")
-    e_ok, c_ok = exp[2], comp[2]
+    e_ok = (scan.expansion > 0.0) & scan.domain_ok
+    c_ok = (scan.compression > 0.0) & scan.domain_ok
     labeled = np.flatnonzero(e_ok | c_ok)
     inner, outer = labeled[:-1], labeled[1:]
     exp_inner = e_ok[inner] & c_ok[outer]
@@ -186,15 +181,16 @@ def annuli_from_scan(problem: Problem, constants: ConeConstants, scan: Scan):
     for k in np.flatnonzero(keep):
         i, j = inner[k], outer[k]
         r1, r2 = float(scan.r[i]), float(scan.r[j])
-        first, second = (exp, comp) if exp_inner[k] else (comp, exp)
+        first, second = ((scan.expansion, scan.compression) if exp_inner[k]
+                         else (scan.compression, scan.expansion))
         annuli.append(CertifiedAnnulus(
             annulus_id=f"A{len(annuli) + 1}",
             r_in=r1,
             r_out=r2,
             orientation="expansion_inner" if exp_inner[k] else "compression_inner",
             predicted=f"solution norm in ({r1:.6g}, {r2:.6g})",
-            inner_margin=float(first[1][i]),
-            outer_margin=float(second[1][j]),
+            inner_margin=float(first[i]),
+            outer_margin=float(second[j]),
         ))
     return annuli
 
@@ -260,18 +256,3 @@ def classify_regime(problem: Problem) -> RegimeReport:
         note=note,
     )
 
-
-def large_lambda_threshold(constants: ConeConstants, bounds: RadiusBounds):
-    """Implementation-derived lambda threshold for expansion beyond Delta.
-
-    Smallest lambda making the radial-ratio margin positive at some radius
-    of ``bounds`` above Delta: 1 / (Gamma * max eta_r over those radii).  None
-    when Delta is None (always so for e >= 0) or no radius lies above Delta.
-    This is a computed quantity, not a closed-form constant.
-    """
-    if constants.Delta is None or not math.isfinite(constants.Delta):
-        return None
-    best_eta = float(bounds.eta[bounds.r > constants.Delta].max(initial=0.0))
-    if best_eta <= 0.0:
-        return None
-    return 1.0 / (constants.Gamma * best_eta)

@@ -28,7 +28,7 @@ from .certify import (
     annuli_from_scan,
     classify_regime,
     default_r_grid,
-    large_lambda_threshold,
+    lambda_rays,
     radius_bounds,
     scan_radii,
 )
@@ -163,11 +163,9 @@ def cmd_certify(args) -> int:
     annuli = annuli_from_scan(problem, constants, scan)
     regime = classify_regime(problem)
 
-    _, exp_margin, _ = scan.chosen("expansion")
-    _, comp_margin, _ = scan.chosen("compression")
     lines = ["r,expansion_margin,compression_margin,domain_ok"]
     lines.extend(f"{_fmt(r)},{_fmt(em)},{_fmt(cm)},{_bool(ok)}" for r, em, cm, ok in
-                 zip(scan.r, exp_margin, comp_margin, scan.domain_ok))
+                 zip(scan.r, scan.expansion, scan.compression, scan.domain_ok))
     _write_text(out / "certificates.csv", "\n".join(lines) + "\n")
 
     report = {
@@ -178,9 +176,13 @@ def cmd_certify(args) -> int:
         "note": DISCLAIMER,
     }
     if problem.sign_profile == "MixedE" and regime.regime == "Sublinear":
-        thr = large_lambda_threshold(constants, bounds)
+        # the least lambda above which expansion holds at a radius beyond
+        # Delta; None for no finite Delta, no radius beyond it, or eta_r = 0
+        # at every such radius
+        beyond = bounds.r > (math.inf if constants.Delta is None else constants.Delta)
+        thr = float(lambda_rays(constants, bounds)[0][beyond].min(initial=math.inf))
         report["large_lambda_threshold"] = {
-            "value": thr,
+            "value": thr if thr < math.inf else None,
             "label": "implementation-derived, not a closed-form constant",
         }
     _write_json(out / "report.json", report)
@@ -263,7 +265,8 @@ def cmd_reproduce(args) -> int:
     all_pass = True
     for preset in (PRESETS[name] for name in args.names or sorted(PRESETS)):
         print(f"{preset.name}: {preset.description}")
-        print(f"clause: {preset.clause}")
+        clause = classify_regime(parse_config(preset.config(preset.lambdas[0])).problem).clause
+        print(f"clause: {clause}")
         results = []
         for lam in preset.lambdas:
             problem, disc = _setup(parse_config(preset.config(lam)))
@@ -289,7 +292,7 @@ def cmd_reproduce(args) -> int:
         if out is not None:
             _write_json(out / f"reproduce_{preset.name}.json", {
                 "preset": preset.name,
-                "clause": preset.clause,
+                "clause": clause,
                 "results": results,
             })
     print("\n".join(verdicts))

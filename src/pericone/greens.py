@@ -70,6 +70,9 @@ POSITIVITY_RTOL = 1e-12
 FINE_FACTOR = 4
 # entries per block of the RK4 extrema scan: O(SCAN_ENTRIES) memory, never N^2
 SCAN_ENTRIES = 2 ** 16
+# rows per scan block at most: a block's diagonal tile is built with both
+# generators and then masked, so a block of all N rows builds the table twice
+SCAN_MAX_ROWS = 64
 
 
 def _circulant_profile(k: float, period: float, n_grid: int) -> np.ndarray:
@@ -264,9 +267,10 @@ def _assemble(basis_t: np.ndarray, coef: np.ndarray, lower: np.ndarray,
 
 
 def scan_rows(n_grid: int) -> int:
-    """Rows per block of a table scan: about SCAN_ENTRIES entries, an even
-    count of at least 2, so no block takes numpy's one-row gemv path."""
-    return min(2 * max(1, SCAN_ENTRIES // (2 * n_grid)), n_grid)
+    """Rows per block of a table scan: about SCAN_ENTRIES entries and at most
+    SCAN_MAX_ROWS, an even count of at least 2, so no block takes numpy's
+    one-row gemv path."""
+    return min(2 * max(1, SCAN_ENTRIES // (2 * n_grid)), n_grid, SCAN_MAX_ROWS)
 
 
 def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):

@@ -365,55 +365,37 @@ def _geometric_bisect(below) -> tuple:
     return lo, hi
 
 
-@lru_cache(maxsize=256)
-def _head_root(comp_terms: tuple, bound: float) -> float | None:
-    """Largest d in [U_LO, U_HI] with phi >= bound on all of (0, d], for a
-    component singular at zero; inf if U_HI qualifies, None if U_LO does not.
+@lru_cache(maxsize=512)
+def _branch_root(comp_terms: tuple, bound: float, scale: float, rising: bool) -> float | None:
+    """The root of phi(x/scale) = bound on one monotone branch of phi, found
+    by a geometric bisection on x in [U_LO, U_HI].
 
     phi falls down to its minimum u* and rises after it.  If phi(u*) >= bound
-    the condition holds everywhere; otherwise it fails from u* on, and the
-    root is a scalar bisection on phi below u* (the whole window if there is
-    no u* in it).
+    the condition holds everywhere.  Otherwise, on the falling branch
+    (rising False, a component singular at zero) the root is the largest x
+    with phi >= bound on all of (0, x/scale]: inf if U_HI qualifies, None if
+    U_LO does not.  On the rising branch (a component unbounded at infinity)
+    it is the smallest x with phi >= bound on all of [x/scale, inf): U_LO if
+    U_LO qualifies, None if U_HI does not.  Without a u* in the window the
+    branch is the whole window.
     """
     crit = _critical_point(comp_terms)
+    everywhere = U_LO if rising else math.inf
     if crit is not None and _power_sum(comp_terms, crit) >= bound:
-        return math.inf
-    right = math.inf if crit is None else crit
+        return everywhere
 
-    def holds(d):
-        return d < right and bool(_power_sum(comp_terms, d) >= bound)
+    def qualifies(x):
+        u = x / scale
+        on_branch = crit is None or (u > crit if rising else u < crit)
+        return on_branch and bool(_power_sum(comp_terms, u) >= bound)
 
-    if not holds(U_LO):
+    near, far = (U_HI, U_LO) if rising else (U_LO, U_HI)
+    if not qualifies(near):
         return None
-    if holds(U_HI):
-        return math.inf
-    return _geometric_bisect(holds)[0]
-
-
-@lru_cache(maxsize=256)
-def _tail_root(comp_terms: tuple, bound: float, root_n: float) -> float | None:
-    """Smallest rr in [U_LO, U_HI] with phi >= bound on all of [rr/root_n, inf),
-    for a component unbounded at infinity; U_LO if U_LO qualifies, None if
-    U_HI does not.
-
-    The mirror of ``_head_root``: if phi(u*) >= bound the condition holds
-    everywhere; otherwise it fails up to u*, and the root is a scalar
-    bisection on phi above u*.
-    """
-    crit = _critical_point(comp_terms)
-    if crit is not None and _power_sum(comp_terms, crit) >= bound:
-        return U_LO
-    left = 0.0 if crit is None else crit
-
-    def fails(rr):
-        u = rr / root_n
-        return u <= left or not _power_sum(comp_terms, u) >= bound
-
-    if fails(U_HI):
-        return None
-    if not fails(U_LO):
-        return U_LO
-    return _geometric_bisect(fails)[1]
+    if qualifies(far):
+        return everywhere
+    lo, hi = _geometric_bisect(lambda x: qualifies(x) != rising)
+    return hi if rising else lo
 
 
 def thresholds_delta(problem: Problem, sigma: float):
@@ -441,13 +423,13 @@ def thresholds_delta(problem: Problem, sigma: float):
 
     delta = None
     if all(f.singular_at_zero(i) for i in range(n)):
-        roots = [_head_root(f.terms[i], bounds[i]) for i in range(n)]
+        roots = [_branch_root(f.terms[i], bounds[i], 1.0, False) for i in range(n)]
         if None not in roots:
             delta = min(roots)
 
     delta_big = None
     if all(f.unbounded_at_infinity(i) for i in range(n)):
-        roots = [_tail_root(f.terms[i], bounds[i], math.sqrt(n)) for i in range(n)]
+        roots = [_branch_root(f.terms[i], bounds[i], math.sqrt(n), True) for i in range(n)]
         if None not in roots:
             delta_big = max(roots) / sigma
 

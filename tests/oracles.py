@@ -589,13 +589,18 @@ def _annulus_in_one_region(problem, constants, r_in, r_out):
     return below or above
 
 
+def certified(scan):
+    """(expansion, compression) flags over the radii of a scan: where each
+    kind's margin is positive inside the domain gate."""
+    return ((scan.expansion > 0.0) & scan.domain_ok,
+            (scan.compression > 0.0) & scan.domain_ok)
+
+
 def annuli_from_scan_loop(problem, constants, scan):
     """The certified annuli of a scan, one adjacent pair of labeled radii at
     a time: the pairing loop the package ran before it became array work.
     Each annulus is a dict of the ``CertifiedAnnulus`` fields."""
-    exp = scan.chosen("expansion")
-    comp = scan.chosen("compression")
-    e_ok, c_ok = exp[2], comp[2]
+    e_ok, c_ok = certified(scan)
     labeled = np.flatnonzero(e_ok | c_ok)
 
     annuli = []
@@ -610,15 +615,16 @@ def annuli_from_scan_loop(problem, constants, scan):
         r1, r2 = float(scan.r[i]), float(scan.r[j])
         if not _annulus_in_one_region(problem, constants, r1, r2):
             continue
-        inner, outer = (exp, comp) if exp_inner else (comp, exp)
+        inner, outer = ((scan.expansion, scan.compression) if exp_inner
+                        else (scan.compression, scan.expansion))
         annuli.append(dict(
             annulus_id=f"A{len(annuli) + 1}",
             r_in=r1,
             r_out=r2,
             orientation="expansion_inner" if exp_inner else "compression_inner",
             predicted=f"solution norm in ({r1:.6g}, {r2:.6g})",
-            inner_margin=float(inner[1][i]),
-            outer_margin=float(outer[1][j]),
+            inner_margin=float(inner[i]),
+            outer_margin=float(outer[j]),
         ))
     return annuli
 

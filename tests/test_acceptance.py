@@ -29,8 +29,9 @@ from pericone import (
     fhat,
     find_solutions,
     kernel_values,
-    lambda0_bound,
+    lambda_rays,
     parse_config,
+    radius_bounds,
     scan_radii,
     solve_linear_periodic,
     symmetric_config,
@@ -205,12 +206,12 @@ def test_criterion_09_lambda0_pivot():
     prob = _problem(1.0, 2.0, 0.05)
     cc = compute_constants(_disc(), prob)
     r = 1.0
-    bound = lambda0_bound(prob, cc, r)
+    bound = float(lambda_rays(cc, radius_bounds(prob, cc, [r]))[1][0])
     below = scan_radii(replace(prob, lam=0.99 * bound), cc, [r])
     above = scan_radii(replace(prob, lam=1.01 * bound), cc, [r])
-    ok = bool(below.chosen("compression")[2][0]) and above.margins["annulus-max"][0] < 0.0
-    _report(9, ok, f"lambda0_bound(r=1)={bound:.6f}: compression holds at "
-                   "0.99x, annulus-max margin negative at 1.01x")
+    ok = bool(oracles.certified(below)[1][0]) and above.compression[0] < 0.0
+    _report(9, ok, f"compression ray end lambda0(r=1)={bound:.6f}: compression "
+                   "holds at 0.99x, annulus-max margin negative at 1.01x")
 
 
 def test_criterion_10_mixed_sign_run():

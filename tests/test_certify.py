@@ -14,14 +14,15 @@ from pericone import (
     Problem,
     Scan,
     annuli_from_scan,
+    annulus_extrema,
     classify_regime,
     compute_constants,
     default_r_grid,
     discretize,
     existence_report,
+    eta_lower,
     find_solutions,
-    lambda0_bound,
-    large_lambda_threshold,
+    lambda_rays,
     parse_config,
     radius_bounds,
     scan_radii,
@@ -44,22 +45,27 @@ def one_component_problem(terms, lam):
 
 
 def at(prob, cc, r, kind):
-    """(route, margin, holds) of a kind's route at the single radius r."""
-    route, margin, holds = scan_radii(prob, cc, [r]).chosen(kind)
-    return route, float(margin[0]), bool(holds[0])
+    """(margin, holds) of a kind ("expansion" or "compression") at the single
+    radius r."""
+    scan = scan_radii(prob, cc, [r])
+    e_ok, c_ok = oracles.certified(scan)
+    holds = e_ok if kind == "expansion" else c_ok
+    return float(getattr(scan, kind)[0]), bool(holds[0])
 
 
 def test_expansion_small_radius_superlinear(superlinear_small):
     prob, cc = superlinear_small
     prob = replace(prob, lam=1.0)
-    route, _, holds = at(prob, cc, 0.05, "expansion")
-    assert route == "radial-ratio"
+    margin, holds = at(prob, cc, 0.05, "expansion")
+    # the radial-ratio margin
+    eta = eta_lower(prob.f, np.array([0.05]), cc.sigma, prob.n)[0]
+    assert margin == prob.lam * cc.Gamma * eta - 1.0
     assert holds
 
 
 def test_expansion_margin_tends_to_minus_one(superlinear_small):
     prob, cc = superlinear_small
-    _, margin, holds = at(replace(prob, lam=1e-12), cc, 0.5, "expansion")
+    margin, holds = at(replace(prob, lam=1e-12), cc, 0.5, "expansion")
     assert not holds
     assert abs(margin + 1.0) <= 1e-6
 
@@ -70,15 +76,19 @@ def test_expansion_linear_threshold():
     prob = one_component_problem(((1.0, 1.0),), 1.0)
     cc = compute_constants(discretize(prob, 256), prob)
     lam_star = 1.0 / cc.Gamma
-    assert at(replace(prob, lam=1.05 * lam_star), cc, 1.0, "expansion")[2]
-    assert not at(replace(prob, lam=0.95 * lam_star), cc, 1.0, "expansion")[2]
+    assert at(replace(prob, lam=1.05 * lam_star), cc, 1.0, "expansion")[1]
+    assert not at(replace(prob, lam=0.95 * lam_star), cc, 1.0, "expansion")[1]
 
 
 def test_compression_small_lambda(superlinear_small):
     prob, cc = superlinear_small
-    route, _, holds = at(replace(prob, lam=0.01), cc, 1.0, "compression")
+    small = replace(prob, lam=0.01)
+    margin, holds = at(small, cc, 1.0, "compression")
     assert holds
-    assert route == "annulus-max"
+    # the annulus-max margin
+    big_hat = annulus_extrema(prob.f, np.array([1.0]), cc.sigma, prob.n)[1][0]
+    e_term = float((cc.M * cc.int_abs_e).sum())
+    assert margin == (1.0 - small.lam * (cc.C_hat * big_hat + e_term)) / 1.0
 
 
 def test_compression_fails_everywhere_at_huge_lambda(superlinear_small):
@@ -86,30 +96,53 @@ def test_compression_fails_everywhere_at_huge_lambda(superlinear_small):
     big = replace(prob, lam=1e9)
     for r in (1e-3, 1.0, 1e3):
         scan = scan_radii(big, cc, [r])
-        assert not scan.chosen("compression")[2][0]
-        assert scan.margins["annulus-max"][0] <= 0.0
+        assert not oracles.certified(scan)[1][0]
+        assert scan.compression[0] <= 0.0
     assert existence_report(big, cc, default_r_grid()) == []
 
 
 def test_margin_monotonicity_in_lambda(superlinear_small):
     prob, cc = superlinear_small
     lams = [0.01, 0.1, 1.0]
-    exp = [at(replace(prob, lam=l), cc, 0.2, "expansion")[1] for l in lams]
-    comp = [at(replace(prob, lam=l), cc, 0.2, "compression")[1] for l in lams]
+    exp = [at(replace(prob, lam=l), cc, 0.2, "expansion")[0] for l in lams]
+    comp = [at(replace(prob, lam=l), cc, 0.2, "compression")[0] for l in lams]
     assert exp[0] < exp[1] < exp[2]
     assert comp[0] > comp[1] > comp[2]
 
 
-def test_lambda0_bound_pivot(superlinear_small):
-    # criterion 9's pivot: just below the bound the annulus-max route
-    # certifies, just above it that route's margin goes negative
+def test_compression_ray_end_pivot(superlinear_small):
+    # criterion 9's pivot: just below the compression ray's end the
+    # compression certifies, just above it the margin goes negative
     prob, cc = superlinear_small
     for r in (0.5, 1.0, 4.0):
-        bound = lambda0_bound(prob, cc, r)
+        bound = lambda_rays(cc, radius_bounds(prob, cc, [r]))[1][0]
         below = scan_radii(replace(prob, lam=0.99 * bound), cc, [r])
         above = scan_radii(replace(prob, lam=1.01 * bound), cc, [r])
-        assert below.chosen("compression")[2][0] and below.margins["annulus-max"][0] > 0.0
-        assert above.margins["annulus-max"][0] < 0.0
+        assert oracles.certified(below)[1][0] and below.compression[0] > 0.0
+        assert above.compression[0] < 0.0
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_lambda_rays_agree_with_the_scan(bench_disc, name):
+    # every preset problem on the default grid: a margin is on the side its
+    # ray says just inside and just outside each finite positive ray end
+    preset = PRESETS[name]
+    checked = 0
+    for lam in preset.lambdas:
+        prob = parse_config(preset.config(lam)).problem
+        cc = compute_constants(bench_disc, prob)
+        bounds = radius_bounds(prob, cc, default_r_grid())
+        for kind, ends, sign in zip(("expansion", "compression"),
+                                    lambda_rays(cc, bounds), (1.0, -1.0)):
+            for k in np.flatnonzero(np.isfinite(ends) & (ends > 0.0)):
+                one = replace(bounds, r=bounds.r[k:k + 1], eta=bounds.eta[k:k + 1],
+                              big_hat=bounds.big_hat[k:k + 1])
+                for step in (1.0 - 1e-9, 1.0 + 1e-9):
+                    margin = getattr(scan_radii(replace(prob, lam=ends[k] * step), cc, one),
+                                     kind)[0]
+                    assert np.sign(margin) == sign * np.sign(step - 1.0), (lam, kind, k)
+                    checked += 1
+    assert checked > 0
 
 
 def test_two_annuli_superlinear(superlinear_small):
@@ -197,7 +230,7 @@ def test_annulus_max_holds_wherever_the_shell_ratio_route_did(bench_disc, rmin, 
             step = replace(prob, lam=float(lam))
             margin, gate = oracles.shell_ratio_reference(step, cc, r)
             shell = (margin > 0.0) & gate
-            assert np.all(scan_radii(step, cc, bounds).holds("annulus-max")[shell]), \
+            assert np.all(oracles.certified(scan_radii(step, cc, bounds))[1][shell]), \
                 (alpha, beta, e_spec, lam)
             held += int(shell.sum())
     assert held > 0
@@ -226,18 +259,19 @@ def test_certified_annuli_contain_solver_fixed_points(bench_disc):
             assert any(ann.r_in < nm < ann.r_out for nm in norms), (name, ann)
 
 
-def test_large_lambda_threshold_pivots_expansion(bench_disc):
+def test_expansion_ray_threshold_pivots_expansion(bench_disc):
+    # the large-lambda threshold: the least expansion ray end beyond Delta
     prob = make_problem(0.5, 0.5, 1.0,
                         e_spec={"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}})
     cc = compute_constants(bench_disc, prob)
     grid = default_r_grid()
-    thr = large_lambda_threshold(cc, radius_bounds(prob, cc, grid))
-    assert thr is not None and thr > 0.0
+    thr = lambda_rays(cc, radius_bounds(prob, cc, grid))[0][grid > cc.Delta].min()
+    assert math.isfinite(thr) and thr > 0.0
     outer = [r for r in grid if r > cc.Delta]
     holds_above = any(
-        at(replace(prob, lam=1.2 * thr), cc, r, "expansion")[2] for r in outer)
+        at(replace(prob, lam=1.2 * thr), cc, r, "expansion")[1] for r in outer)
     holds_below = any(
-        at(replace(prob, lam=0.8 * thr), cc, r, "expansion")[2] for r in outer)
+        at(replace(prob, lam=0.8 * thr), cc, r, "expansion")[1] for r in outer)
     assert holds_above
     assert not holds_below
 
@@ -282,10 +316,9 @@ def test_scan_matches_per_radius_scans(bench_disc, alpha, beta, lam, e_spec):
     full = scan_radii(prob, cc, grid)
     singles = [scan_radii(prob, cc, [r]) for r in grid]
     assert np.array_equal(full.r, grid)
-    assert sorted(full.margins) == ["annulus-max", "radial-ratio"]
-    for route in full.margins:
-        assert np.array_equal(full.margins[route],
-                              [s.margins[route][0] for s in singles]), route
+    for kind in ("expansion", "compression"):
+        assert np.array_equal(getattr(full, kind),
+                              [getattr(s, kind)[0] for s in singles]), kind
     assert np.array_equal(full.domain_ok, [s.domain_ok[0] for s in singles])
 
 
@@ -316,24 +349,21 @@ def test_scan_from_radius_bounds_matches_the_grid_scan(bench_disc):
         once, fresh = scan_radii(step, cc, bounds), scan_radii(step, cc, grid)
         assert np.array_equal(once.r, fresh.r)
         assert np.array_equal(once.domain_ok, fresh.domain_ok), lam
-        for route in fresh.margins:
-            assert np.array_equal(once.margins[route], fresh.margins[route]), (lam, route)
-
-
-ROUTE_NAMES = ("radial-ratio", "annulus-max")
+        for kind in ("expansion", "compression"):
+            assert np.array_equal(getattr(once, kind), getattr(fresh, kind)), (lam, kind)
 
 
 def random_scan(rng, r, shift):
-    """Random margins for both routes and a random gate: labels E, C and EC
+    """Random margins for both kinds and a random gate: labels E, C and EC
     at random."""
-    return Scan(r=r,
-                margins={route: rng.normal(shift, 1.0, r.size) for route in ROUTE_NAMES},
+    return Scan(r=r, expansion=rng.normal(shift, 1.0, r.size),
+                compression=rng.normal(shift, 1.0, r.size),
                 domain_ok=rng.random(r.size) < 0.8)
 
 
 def labels(scan):
     """The labeled radii's (E, C) flags, in radius order."""
-    e_ok, c_ok = scan.chosen("expansion")[2], scan.chosen("compression")[2]
+    e_ok, c_ok = oracles.certified(scan)
     return [(bool(e), bool(c)) for e, c in zip(e_ok, c_ok) if e or c]
 
 
@@ -356,10 +386,11 @@ def test_pairing_without_a_pair(superlinear_small, labeled):
     # no labeled radius, or a single one: no annulus either way
     prob, cc = superlinear_small
     r = default_r_grid(1e-2, 1e2, 11)
-    margins = {route: np.full(r.size, -1.0) for route in ROUTE_NAMES}
+    expansion, compression = np.full(r.size, -1.0), np.full(r.size, -1.0)
     for k in labeled:
-        margins["radial-ratio"][k] = margins["annulus-max"][k] = 1.0
-    scan = Scan(r=r, margins=margins, domain_ok=np.ones(r.size, dtype=bool))
+        expansion[k] = compression[k] = 1.0
+    scan = Scan(r=r, expansion=expansion, compression=compression,
+                domain_ok=np.ones(r.size, dtype=bool))
     assert len(labels(scan)) == len(labeled)
     assert annuli_from_scan(prob, cc, scan) == []
     assert oracles.annuli_from_scan_loop(prob, cc, scan) == []

@@ -172,15 +172,22 @@ def test_generators_bit_equal_dense_build(coef, n_grid):
 
 @pytest.mark.parametrize("n_grid", [256, 1024, 4096])
 def test_scan_blocks_are_sized_by_entries(monkeypatch, n_grid):
-    # about 2^16 entries per block, an even row count (64 at N = 1024); m, M
-    # and the argmin are bit-equal to a scan of 64-row blocks
+    # about 2^16 entries per block and at most 64 rows, an even row count
+    # (64 at N = 256 and 1024); m, M and the argmin are bit-equal to a scan
+    # of 64-row blocks, and to one block of all N rows
     coef = FourierSeries(1.0, (0.3,), (0.1,))
     table = build_green_table(coef, n_grid)
-    assert scan_rows(n_grid) == {256: 256, 1024: 64, 4096: 16}[n_grid]
+    assert scan_rows(n_grid) == {256: 64, 1024: 64, 4096: 16}[n_grid]
     monkeypatch.setattr(greens, "SCAN_ENTRIES", 64 * n_grid)
     assert scan_rows(n_grid) == 64
     ref = build_green_table(coef, n_grid)
     assert (table.m, table.M, table.argmin) == (ref.m, ref.M, ref.argmin)
+    if n_grid <= 1024:
+        monkeypatch.setattr(greens, "SCAN_ENTRIES", n_grid * n_grid)
+        monkeypatch.setattr(greens, "SCAN_MAX_ROWS", n_grid)
+        assert scan_rows(n_grid) == n_grid
+        one = build_green_table(coef, n_grid)
+        assert (table.m, table.M, table.argmin) == (one.m, one.M, one.argmin)
 
 
 def test_scan_rows_are_even_and_at_least_two():
