@@ -36,7 +36,7 @@ from .cone import compute_constants
 from .config import load_config_file, parse_config
 from .errors import ConfigError, HypothesisError, PericoneError
 from .greens import build_green_table  # noqa: F401  the benchmark's tracer wraps it here
-from .greens import kernel_values, scan_rows, torres_positive
+from .greens import SCAN_ROWS, kernel_values, torres_positive
 from .operator import discretize
 from .solver import ODE_TOL, continue_lambda, find_solutions
 
@@ -113,10 +113,9 @@ def _green_rows(table):
     """green_i.csv as one chunk per kernel row, sampled a scan block of rows at a time."""
     t = [_fmt(v) for v in table.grid_t]
     nodes = np.arange(table.n_grid)
-    block = scan_rows(table.n_grid)
     yield "t,s,G\n"
-    for start in range(0, table.n_grid, block):
-        rows = nodes[start:start + block]
+    for start in range(0, table.n_grid, SCAN_ROWS):
+        rows = nodes[start:start + SCAN_ROWS]
         for p, row in zip(rows, kernel_values(table, rows, nodes).tolist()):
             yield "".join(f"{t[p]},{tq},{_fmt(g)}\n" for tq, g in zip(t, row))
 

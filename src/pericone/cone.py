@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import extrema_slack
+from .coefficients import coefficient_mean, extrema_slack
 from .errors import AssumptionAError
 from .operator import Discretization, GridFunction
 from .problem import Problem, thresholds_delta
@@ -44,11 +44,11 @@ class ConeMembership:
 def compute_constants(disc: Discretization, problem: Problem) -> ConeConstants:
     """Aggregate the kernel extrema and coefficient integrals for one problem.
 
-    Integrals use the periodic trapezoid rule on the table grid, the same
-    quadrature scale the operator uses, so the certificate arithmetic and the
-    discrete operator see identical constants.  int|e_i| is an upper bound:
-    on each cell |e_i| is at most the chord's modulus, which the trapezoid
-    bounds, plus the chord error K h^2/8 of ``extrema_slack``.
+    int g_i is exact, T times the coefficient's mean, so it does not depend
+    on the grid.  int|e_i| is an upper bound from the periodic trapezoid
+    rule on the table grid: on each cell |e_i| is at most the chord's
+    modulus, which the trapezoid bounds, plus the chord error K h^2/8 of
+    ``extrema_slack``.
     """
     disc.check(problem, disc.n_grid)
     tables = [disc.tables[k] for k in disc.index]
@@ -63,7 +63,7 @@ def compute_constants(disc: Discretization, problem: Problem) -> ConeConstants:
 
     n_grid = disc.n_grid
     h = problem.period / n_grid
-    int_g = problem.g_on_grid(n_grid).sum(axis=1) * h
+    int_g = np.array([problem.period * coefficient_mean(c) for c in problem.g])
     int_abs_e = (np.abs(problem.e_on_grid(n_grid)).sum(axis=1) * h
                  + problem.period * np.array([extrema_slack(c, n_grid) for c in problem.e]))
 

@@ -19,8 +19,9 @@ entries, and their prefix product is taken by log-depth doubling, with no
 Python loop over steps.  On the grid that kernel is one rank-2 product per
 entry, [phi1 phi2](t) times the upper generator C(s) for t < s and the lower
 generator D(s) = C(s) + (-phi2(s), phi1(s)) for t >= s, so the table is
-semiseparable: the basis and C at the N nodes generate it, and C is solved
-for on those N columns only.
+semiseparable: the basis and C at the N nodes generate it.  C is linear in
+the basis, C(s) = K phi(s) with one 2x2 matrix K, so one 2x2 solve gives C
+at any node.
 
 Quadrature note: G is continuous but its s-derivative jumps by exactly 1
 across the diagonal (the defining delta normalization), so the plain periodic
@@ -30,9 +31,15 @@ diagonal bump, which restores O(N^-4) accuracy on smooth data.  No table
 holds G or Q as an N x N array: Q is applied from the generators, the
 circulant by real FFTs in O(N log N) and the semiseparable kernel by a
 rank-2 product and two prefix sums in O(N) (Greengard and Rokhlin, CPAM 44,
-1991).  ``kernel_values`` samples G at node indices from the generators;
-m and M are raw kernel samples, never corrected.  The generators are
-read-only, because every operator application shares them.
+1991).  ``kernel_values`` samples G at node indices from the generators,
+each entry with the same bits whatever the shape of the request.  The
+generators are read-only, because every operator application shares them.
+
+Extrema of an RK4 kernel: m is the least of the N x N grid scan and of the
+diagonal G(s, s) on all 4N basis nodes (for a >= 0 every column is least on
+the diagonal).  M is an upper bound: a sampled maximum plus the chord bound
+of a function whose second derivative is at most max|a| M.  The grid scan
+stays, because it decides positivity where a dips below zero.
 
 ``torres_positive`` is an analytic cross-check of the positivity scan, from
 the coefficient alone.
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -60,7 +68,6 @@ __all__ = [
     "build_green_table",
     "kernel_values",
     "kernel_quadrature",
-    "scan_rows",
     "torres_positive",
     "solve_linear_periodic",
 ]
@@ -68,11 +75,11 @@ __all__ = [
 RESONANCE_RTOL = 1e-10
 POSITIVITY_RTOL = 1e-12
 FINE_FACTOR = 4
-# entries per block of the RK4 extrema scan: O(SCAN_ENTRIES) memory, never N^2
-SCAN_ENTRIES = 2 ** 16
-# rows per scan block at most: a block's diagonal tile is built with both
-# generators and then masked, so a block of all N rows builds the table twice
-SCAN_MAX_ROWS = 64
+# rows per block of the RK4 extrema scan and of ``green``: 64 N entries, never
+# N^2.  A block's diagonal tile is built with both generators and masked, so
+# one block of all N rows would build the table twice; an even count leaves
+# the last block of an even N two rows or more, never numpy's one-row gemv.
+SCAN_ROWS = 64
 
 
 def _circulant_profile(k: float, period: float, n_grid: int) -> np.ndarray:
@@ -136,8 +143,14 @@ class SemiseparableKernel:
         self.h = h
 
     def sample(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return _assemble(self.basis[:, rows], self.coef[:, cols], self.lower[:, cols],
-                         rows[:, None] >= cols[None, :])
+        # numpy takes a one-row or one-column product through gemv, which
+        # rounds differently from gemm: such a request is padded to two and
+        # sliced, so an entry's bits do not depend on the request's shape
+        r, c = (np.repeat(idx, 2) if idx.size == 1 else idx for idx in (rows, cols))
+        basis_t = np.stack(self.basis[:, r], 1)
+        G = basis_t @ self.coef[:, c]
+        np.copyto(G, basis_t @ self.lower[:, c], where=r[:, None] >= c[None, :])
+        return G[:rows.size, :cols.size]
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         """Q w along the last axis of w; each row of w is projected on its
@@ -232,21 +245,28 @@ def _rk4_basis(coef: PeriodicCoefficient, n_grid: int):
     return Y.transpose(2, 0, 1)
 
 
-def _kernel_coefficients(Y: np.ndarray, idx_s) -> np.ndarray:
-    """C (2 x len(idx_s)): G(t, s) = [phi1 phi2](t) C[:, s] for t < s."""
+def _impulse_response(Y: np.ndarray) -> np.ndarray:
+    """K = (I - Phi(T))^-1 P, so that C(s) = K phi(s), phi = (phi1, phi2).
+
+    P phi(s), P = [[phi2(T), -phi1(T)], [phi2'(T), -phi1'(T)]], is the state
+    at T of the particular solution started by a unit impulse at s, so one
+    2x2 solve serves every column.  Raises ResonanceError when I - Phi(T)
+    is singular.
+    """
     Phi = Y[-1]
     A = np.eye(2) - Phi
     det = np.linalg.det(A)
     if abs(det) < RESONANCE_RTOL * (1.0 + np.linalg.norm(Phi)):
         raise ResonanceError(f"|det(I - Phi(T))| = {abs(det):.3e} too small")
+    P = np.array([[Phi[0, 1], -Phi[0, 0]], [Phi[1, 1], -Phi[1, 0]]])
+    return np.linalg.solve(A, P)
 
-    p1s, p2s = Y[idx_s, 0, 0], Y[idx_s, 0, 1]
-    phi1T, phi2T = Phi[0, 0], Phi[0, 1]
-    dphi1T, dphi2T = Phi[1, 0], Phi[1, 1]
 
-    # particular solution response at T for a unit impulse at s
-    B = np.vstack([p1s * phi2T - phi1T * p2s, p1s * dphi2T - dphi1T * p2s])
-    return np.linalg.solve(A, B)
+def _kernel_coefficients(K: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """C = K phi (2 x m) at the columns of basis (phi1, phi2): G(t, s) =
+    [phi1 phi2](t) C[:, s] for t < s."""
+    p1, p2 = basis
+    return np.stack([K[0, 0] * p1 + K[0, 1] * p2, K[1, 0] * p1 + K[1, 1] * p2])
 
 
 def _lower_generator(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -256,40 +276,22 @@ def _lower_generator(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return coef + np.stack([-p2, p1])
 
 
-def _assemble(basis_t: np.ndarray, coef: np.ndarray, lower: np.ndarray,
-              causal: np.ndarray) -> np.ndarray:
-    """G from the basis at the rows (t, 2 x k), the generators C and D at the
-    columns (s, 2 x m), and the mask of the entries with t >= s."""
-    rows = np.stack(basis_t, 1)
-    G = rows @ coef
-    np.copyto(G, rows @ lower, where=causal)
-    return G
-
-
-def scan_rows(n_grid: int) -> int:
-    """Rows per block of a table scan: about SCAN_ENTRIES entries and at most
-    SCAN_MAX_ROWS, an even count of at least 2, so no block takes numpy's
-    one-row gemv path."""
-    return min(2 * max(1, SCAN_ENTRIES // (2 * n_grid)), n_grid, SCAN_MAX_ROWS)
-
-
 def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
-    """(min, max, first argmin) of the N x N table, a block of rows at a time.
+    """(min, block maxima, first argmin) of the N x N table, SCAN_ROWS rows
+    at a time.
 
-    A block has ``scan_rows(N)`` rows: rows [start, stop) take D on columns
-    [0, start), C on [stop, N) and either on the diagonal tile, each a
-    (k, 2) x (2, m) product with k, m >= 2 (N is even); the block is
-    written into one buffer allocated
+    Rows [start, stop) take D on columns [0, start), C on [stop, N) and
+    either on the diagonal tile, each a (k, 2) x (2, m) product with
+    k, m >= 2 (N is even); the block is written into one buffer allocated
     once, and its entries are bit-equal to ``kernel.sample`` of it.
     """
     rows = np.stack(kernel.basis, 1)
     coef, lower = kernel.coef, kernel.lower
-    block_rows = scan_rows(n_grid)
-    buf = np.empty(block_rows * n_grid)
-    causal = np.tri(block_rows, dtype=bool)
-    m, big, arg = math.inf, -math.inf, (0, 0)
-    for start in range(0, n_grid, block_rows):
-        stop = min(start + block_rows, n_grid)
+    buf = np.empty(SCAN_ROWS * n_grid)
+    causal = np.tri(SCAN_ROWS, dtype=bool)
+    m, arg, block_max = math.inf, (0, 0), []
+    for start in range(0, n_grid, SCAN_ROWS):
+        stop = min(start + SCAN_ROWS, n_grid)
         k = stop - start
         block = buf[:k * n_grid].reshape(k, n_grid)
         row_block = rows[start:stop]
@@ -304,40 +306,81 @@ def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
             m = float(low)
             row, col = divmod(int(np.argmin(block)), n_grid)
             arg = (start + row, col)
-        big = max(big, float(block.max()))
-    return m, big, arg
+        block_max.append(block.max())
+    return m, np.array(block_max), arg
 
 
-def _refine_min(Y: np.ndarray, p_star: int, q_star: int, n_grid: int):
-    """Spot-check the kernel on a 4x finer patch around the coarse argmin,
-    from the basis Y on the FINE_FACTOR * n_grid fine nodes and C solved for
-    on the patch columns alone."""
-    lo_t = FINE_FACTOR * (p_star - 2)
-    lo_s = FINE_FACTOR * (q_star - 2)
-    span = 4 * FINE_FACTOR + 1
-    # the kernel is periodic in both variables: wrap, so a patch at the grid
-    # edge also sees t, s just below T
-    idx_t = np.mod(np.arange(lo_t, lo_t + span), FINE_FACTOR * n_grid)
-    idx_s = np.mod(np.arange(lo_s, lo_s + span), FINE_FACTOR * n_grid)
-    basis_s = Y[idx_s, 0].T
-    coef = _kernel_coefficients(Y, idx_s)
-    patch = _assemble(Y[idx_t, 0].T, coef, _lower_generator(basis_s, coef),
-                      idx_t[:, None] >= idx_s[None, :])
-    flat = int(np.argmin(patch))
-    it, js = divmod(flat, patch.shape[1])
-    return float(patch[it, js]), (int(idx_t[it]), int(idx_s[js]))
+def _diagonal(rows: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """G(s, s) = phi(s) . D(s) from the basis as rows (n x 2) and D, n a
+    multiple of 8: each run of 8 nodes is one (8, 2) x (2, 8) product whose
+    diagonal is kept, so every value has the gemm bits of the same entry of
+    a sampled table (a one-node product would take gemv's)."""
+    tiles = rows.reshape(-1, 8, 2) @ lower.reshape(2, -1, 8).transpose(1, 0, 2)
+    return np.diagonal(tiles, axis1=1, axis2=2).ravel()
+
+
+def _sup_bound(coef: PeriodicCoefficient) -> float:
+    """max |a| at most: |c0| + sum_m |(cos_m, sin_m)|, from the modes alone."""
+    if isinstance(coef, Constant):
+        return abs(float(coef.value))
+    modes = zip_longest(coef.cos_coeffs, coef.sin_coeffs, fillvalue=0.0)
+    return abs(coef.c0) + sum(math.hypot(c, s) for c, s in modes)
+
+
+def _max_bound(kernel: SemiseparableKernel, fine_rows: np.ndarray, fine_coef: np.ndarray,
+               fine_lower: np.ndarray, block_max: np.ndarray, sup_a: float) -> float:
+    """An upper bound of G over the whole period square, for G >= 0, from
+    the scan's block maxima and the basis (as rows), C and D on the fine nodes.
+
+    Off its kink a column has |G_tt| = |a| G <= max|a| M, and at the kink
+    G_t jumps by +1, a convex kink, so between samples h apart it lies below
+    their chord plus max|a| M h^2/8.  Applied in s along grid rows (G is
+    symmetric) and then in t, no point of a grid cell exceeds the cell's
+    largest corner by more than slack = max|a| M h^2/4, with M here the
+    crude bound M_grid / (1 - max|a| h^2/4).  So only the cells around the
+    hot nodes, those within slack of M_grid, can exceed M_grid; they are
+    sampled on the fine nodes, where the slack is FINE_FACTOR^2 times less.
+    """
+    big = float(block_max.max())
+    shrink = 1.0 - sup_a * (kernel.h / 2.0) ** 2
+    if shrink <= 0.0:
+        return math.inf
+    slack = sup_a * abs(big) / shrink * (kernel.h / 2.0) ** 2
+    # a hot node (p, q) lies in row p and, G being symmetric, in column q of
+    # a row block within slack of M_grid: the RK4 table's asymmetry is far
+    # below the slack, and twice the slack covers it
+    hot_block = np.repeat(block_max >= big - 2.0 * slack, SCAN_ROWS)
+    hot = np.flatnonzero(hot_block[:kernel.basis.shape[1]])
+    p, q = [], []
+    for start in range(0, hot.size, SCAN_ROWS):
+        rows = hot[start:start + SCAN_ROWS]
+        r, c = np.divmod(np.flatnonzero(kernel.sample(rows, hot) >= big - slack), hot.size)
+        p.append(rows[r])
+        q.append(hot[c])
+    # the fine nodes of the four cells around each hot node
+    around = np.arange(-FINE_FACTOR, FINE_FACTOR + 1)
+    t, s = ((FINE_FACTOR * np.concatenate(idx)[:, None] + around) % fine_rows.shape[0]
+            for idx in (p, q))
+    basis_t = fine_rows[t]
+    upper = basis_t @ fine_coef[:, s].transpose(1, 0, 2)
+    lower = basis_t @ fine_lower[:, s].transpose(1, 0, 2)
+    fine = np.where(t[:, :, None] >= s[:, None, :], lower, upper)
+    return max(big, float(fine.max()) + slack / FINE_FACTOR ** 2)
 
 
 def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
     """The periodic kernel of x'' + a(t) x on the N-point grid, from its generators.
 
-    M is the max of the full N x N table: the profile's for the circulant,
-    whose every row is a rotation of row 0, a scan over row blocks for RK4.
-    m is the exact diagonal minimum of the circulant; for RK4, the lower of
-    the grid scan and a refined patch around its argmin.  The basis lives on
-    the fine grid, the table being its every FINE_FACTOR-th node; C is
-    solved for on the N table columns and, for the patch, on its own
-    columns, never on all the fine nodes.
+    The circulant's m and M are its profile's exact extrema: every row is a
+    rotation of row 0, and m = Ghat(0) is the exact minimum.
+
+    RK4: the basis and C = K phi live on the fine grid of 4N nodes, the
+    table being their every FINE_FACTOR-th node.  A scan over row blocks
+    gives the grid extrema, which decide positivity.  m is the lower of the
+    grid minimum and the diagonal minimum over all 4N nodes, with argmin
+    (s, s) when the diagonal wins: for a >= 0 and G > 0, G_tt = -a G <= 0
+    between kinks, so each column is least at t = s; where a dips below 0
+    the grid minimum still counts.  M is an upper bound (``_max_bound``).
     """
     _check_grid(n_grid)
     period = coef.period
@@ -354,14 +397,19 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         k_used = k
     else:
         Y = _rk4_basis(coef, n_grid)
-        nodes = np.arange(0, FINE_FACTOR * n_grid, FINE_FACTOR)
-        kernel = SemiseparableKernel(Y[nodes, 0].T.copy(), _kernel_coefficients(Y, nodes), h)
-        m, big, (p_star, q_star) = _scan_extrema(kernel, n_grid)
-        fine_min, fine_arg = _refine_min(Y, p_star, q_star, n_grid)
-        if fine_min < m:
-            m, argmin = fine_min, (fine_arg[0] * h_fine, fine_arg[1] * h_fine)
-        else:
-            argmin = (p_star * h, q_star * h)
+        fine_basis = Y[:-1, 0].T
+        fine_coef = _kernel_coefficients(_impulse_response(Y), fine_basis)
+        kernel = SemiseparableKernel(fine_basis[:, ::FINE_FACTOR].copy(),
+                                     fine_coef[:, ::FINE_FACTOR].copy(), h)
+        m, block_max, (p_star, q_star) = _scan_extrema(kernel, n_grid)
+        big = float(block_max.max())
+        argmin = (p_star * h, q_star * h)
+        fine_rows = np.stack(fine_basis, 1)
+        fine_lower = _lower_generator(fine_basis, fine_coef)
+        diag = _diagonal(fine_rows, fine_lower)
+        j = int(np.argmin(diag))
+        if diag[j] < m:
+            m, argmin = float(diag[j]), (j * h_fine, j * h_fine)
         k_used = None
 
     tol = POSITIVITY_RTOL * (1.0 + abs(big))
@@ -369,6 +417,7 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         # tabulated values carry the RK4 global error, O(h_fine^4); a minimum
         # inside that noise floor cannot be certified positive
         tol = max(tol, 1e3 * (1.0 + abs(big)) * h_fine ** 4)
+        big = _max_bound(kernel, fine_rows, fine_coef, fine_lower, block_max, _sup_bound(coef))
 
     return GreensTable(
         n_grid=n_grid,
@@ -386,10 +435,8 @@ def kernel_values(table: GreensTable, rows, cols) -> np.ndarray:
     """G(t_p, t_q) for node indices p in rows, q in cols, from the generators.
 
     An RK4 entry is one rank-2 product, with C above the diagonal and D on
-    and below it, as in the extrema scan, so the samples are bit-equal to
-    the scanned table when rows and cols each hold at least two indices:
-    numpy takes a one-row or one-column product through its matrix-vector
-    path, which rounds differently.
+    and below it, as in the extrema scan, so every sample is bit-equal to
+    the scanned table, whatever the shape of the request.
     """
     return table.kernel.sample(np.asarray(rows), np.asarray(cols))
 

@@ -229,15 +229,16 @@ def dense_quadrature(table):
 def kernel_from_basis_products(Y, idx_t, idx_s):
     """The kernel on fine indices idx_t x idx_s as one rank-2 matrix product
     per entry, [p1 p2](t) times c(s) for t < s and times
-    d(s) = c(s) + (-p2(s), p1(s)) for t >= s: the arithmetic of the
-    package's dense build (unlike ``kernel_from_basis_outer``, so the
-    results compare bit for bit)."""
+    d(s) = c(s) + (-p2(s), p1(s)) for t >= s, with c(s) = K (p1, p2)(s) and
+    K = (I - Y(T))^-1 P from one 2x2 solve: the arithmetic of the package's
+    dense build (unlike ``kernel_from_basis_outer``, so the results compare
+    bit for bit)."""
     phi = Y[-1]
     p1t, p2t = Y[idx_t, 0, 0], Y[idx_t, 0, 1]
     p1s, p2s = Y[idx_s, 0, 0], Y[idx_s, 0, 1]
-    b = np.vstack([p1s * phi[0, 1] - phi[0, 0] * p2s,
-                   p1s * phi[1, 1] - phi[1, 0] * p2s])
-    c = np.linalg.solve(np.eye(2) - phi, b)
+    K = np.linalg.solve(np.eye(2) - phi, np.array([[phi[0, 1], -phi[0, 0]],
+                                                   [phi[1, 1], -phi[1, 0]]]))
+    c = np.stack([K[0, 0] * p1s + K[0, 1] * p2s, K[1, 0] * p1s + K[1, 1] * p2s])
     d = c + np.stack([-p2s, p1s])
     rows = np.stack([p1t, p2t], 1)
     g = rows @ c
@@ -245,34 +246,41 @@ def kernel_from_basis_products(Y, idx_t, idx_s):
     return g
 
 
-def dense_positivity(values, patch, period, fine_factor, rk4):
-    """(m, M, holds, min_value, argmin) of the dense build from its N x N table.
+def dense_fine_extrema(Y, block=64):
+    """(diagonal, min, max) of the dense kernel table on all fine nodes of
+    the basis Y (its last node, T, is node 0 again), built a block of
+    ``block`` rows at a time with ``kernel_from_basis_products``."""
+    nodes = np.arange(Y.shape[0] - 1)
+    diag, lo, hi = np.empty(nodes.size), math.inf, -math.inf
+    for start in range(0, nodes.size, block):
+        rows = nodes[start:start + block]
+        vals = kernel_from_basis_products(Y, rows, nodes)
+        diag[rows] = vals[np.arange(rows.size), rows]
+        lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
+    return diag, lo, hi
 
-    m and M are the table's extrema.  ``patch(idx_t, idx_s)`` evaluates the
-    kernel on fine indices (fine_factor per node); it is read on the
-    (4 fine_factor + 1)^2 patch around the first grid argmin, wrapped around
-    the period, and a lower patch value replaces the grid minimum.  The
-    kernel holds positive above 1e-12 (1 + M), raised for RK4 tables to
-    1e3 (1 + M) h_fine^4.
+
+def dense_positivity(values, period, fine_factor, diagonal=None):
+    """(max, holds, m, argmin) of the dense build from its N x N table.
+
+    max is the table's.  Without ``diagonal`` (the closed form) m is the
+    table's min; with the kernel's diagonal on the fine_factor N fine nodes
+    (RK4), a lower diagonal value replaces the first grid argmin.  The
+    kernel holds positive above 1e-12 (1 + max), raised for RK4 tables to
+    1e3 (1 + max) h_fine^4.
     """
     n_grid = values.shape[0]
-    m, big = float(values.min()), float(values.max())
+    big = float(values.max())
     p_star, q_star = np.unravel_index(int(np.argmin(values)), values.shape)
-    span = 4 * fine_factor + 1
-    n_fine = fine_factor * n_grid
-    idx_t = np.mod(np.arange(fine_factor * (p_star - 2), fine_factor * (p_star - 2) + span), n_fine)
-    idx_s = np.mod(np.arange(fine_factor * (q_star - 2), fine_factor * (q_star - 2) + span), n_fine)
-    vals = patch(idx_t, idx_s)
-    it, js = divmod(int(np.argmin(vals)), vals.shape[1])
-    h, h_fine = period / n_grid, period / n_fine
-    if vals[it, js] < m:
-        min_value, argmin = float(vals[it, js]), (idx_t[it] * h_fine, idx_s[js] * h_fine)
-    else:
-        min_value, argmin = m, (p_star * h, q_star * h)
+    h, h_fine = period / n_grid, period / (fine_factor * n_grid)
+    min_value, argmin = float(values.min()), (p_star * h, q_star * h)
     tol = 1e-12 * (1.0 + abs(big))
-    if rk4:
+    if diagonal is not None:
+        j = int(np.argmin(diagonal))
+        if diagonal[j] < min_value:
+            min_value, argmin = float(diagonal[j]), (j * h_fine, j * h_fine)
         tol = max(tol, 1e3 * (1.0 + abs(big)) * h_fine ** 4)
-    return m, big, bool(min_value > tol), min_value, argmin
+    return big, bool(min_value > tol), min_value, argmin
 
 
 def _trig_eval(coef, t):

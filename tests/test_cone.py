@@ -12,6 +12,8 @@ from pericone import (
     compute_constants,
     cone_membership,
     discretize,
+    parse_config,
+    symmetric_config,
 )
 from pericone.benchmarks import MIXED_E
 
@@ -49,6 +51,21 @@ def test_g_zero_on_a_set_is_fine(bench_disc):
     cc = compute_constants(bench_disc, prob)
     assert cc.Gamma > 0.0
     assert np.all(cc.int_g > 0.05)
+
+
+@pytest.mark.parametrize("g", [
+    {"fourier": {"c0": 1.0, "cos": [0.5], "sin": []}},
+    # 64 samples: modes 16 and 32 alias onto the mean of a 16-point grid
+    {"samples": np.random.default_rng(64).uniform(0.5, 1.5, 64).tolist()},
+], ids=["1+0.5cos", "64-samples"])
+def test_int_g_does_not_depend_on_the_grid(g):
+    # int g_i = T c0, exact: the same bits at every N
+    cfg = symmetric_config(1.0, 2.0, 0.05)
+    cfg["g"] = [g, g]
+    prob = parse_config(cfg).problem
+    ints = [compute_constants(discretize(prob, n), prob).int_g for n in (16, 256, 1024)]
+    assert all(np.array_equal(ints[0], other) for other in ints[1:])
+    assert np.array_equal(ints[0], np.full(2, prob.period * prob.g[0].c0))
 
 
 def test_scaling_g_scales_gamma(bench_disc):

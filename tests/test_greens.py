@@ -24,11 +24,12 @@ from pericone import (
 from pericone import greens
 from pericone.greens import (
     FINE_FACTOR,
+    SCAN_ROWS,
     SemiseparableKernel,
+    _impulse_response,
     _kernel_coefficients,
-    _refine_min,
     _rk4_basis,
-    scan_rows,
+    _sup_bound,
 )
 
 import oracles
@@ -37,18 +38,20 @@ from oracles import dense_quadrature
 # closed-form kernel extrema for k = T = 1, frozen at mpmath precision
 M_SMALL = 0.91524386085622595963
 M_BIG = 1.0429148214667440929
-# the RK4 coefficient with the largest sup norm in the suite, and the
-# four-term coefficient the refined positivity patch was measured on
+# the RK4 coefficient with the largest sup norm in the suite, a four-term
+# coefficient, a rough one whose minimum lies off the grid, and two that
+# dip below zero on part of the period, yet have positive kernels
 WIDE_A = FourierSeries(2.0, (0.5, 0.2), (0.1,), period=0.8)
 FOUR_TERM_A = FourierSeries(2.0, (0.5, 0.3), (0.0, 0.4))
+ROUGH_A = FourierSeries(6.0, (2.5, 0.0, 0.8), (0.0, 1.0))
+DIPPING_A = [FourierSeries(0.5, (0.6,)), FourierSeries(0.1, (0.2,))]
 
 
 def full_values(table):
     """The whole N x N table, sampled a scan block of rows at a time as the CLI does."""
     nodes = np.arange(table.n_grid)
-    block = scan_rows(table.n_grid)
-    return np.vstack([kernel_values(table, nodes[s:s + block], nodes)
-                      for s in range(0, table.n_grid, block)])
+    return np.vstack([kernel_values(table, nodes[s:s + SCAN_ROWS], nodes)
+                      for s in range(0, table.n_grid, SCAN_ROWS)])
 
 
 def test_table_constants_match_closed_form(unit_table):
@@ -140,70 +143,109 @@ def test_no_table_array_grows_with_n_squared(coef):
                          ids=["a=1", "a=4,T=0.7", "a=1+0.3cos", "four-term"])
 def test_generators_bit_equal_dense_build(coef, n_grid):
     # against the dense N x N build the tables once stored: every sample,
-    # M, the positivity verdict and argmin, m as its refined minimum, and
-    # the quadrature operator applied to the identity
+    # the widened M, the positivity verdict and argmin, m as the lower of
+    # the grid and the dense fine diagonal minima, and the quadrature
+    # operator applied to the identity
     table = build_green_table(coef, n_grid)
     period = coef.period
+    h = period / n_grid
     if table.k is not None:
         values = oracles.dense_circulant_table(table.k, period, n_grid)
-        h_fine = period / (FINE_FACTOR * n_grid)
-
-        def patch(idx_t, idx_s):
-            return oracles.ghat(np.abs(idx_t[:, None] * h_fine - idx_s[None, :] * h_fine),
-                                table.k, period)
+        diagonal = None
     else:
         basis = _rk4_basis(coef, n_grid)
         nodes = np.arange(0, FINE_FACTOR * n_grid, FINE_FACTOR)
         values = oracles.kernel_from_basis_products(basis, nodes, nodes)
-
-        def patch(idx_t, idx_s):
-            return oracles.kernel_from_basis_products(basis, idx_t, idx_s)
+        diagonal = oracles.dense_fine_extrema(basis)[0]
 
     assert np.array_equal(full_values(table), values)
-    _, big, holds, min_value, argmin = oracles.dense_positivity(
-        values, patch, period, FINE_FACTOR, rk4=table.k is None)
-    assert (table.m, table.M) == (min_value, big)
+    big, holds, min_value, argmin = oracles.dense_positivity(values, period, FINE_FACTOR, diagonal)
+    assert table.m == min_value
     assert (table.positive, table.argmin) == (holds, argmin)
-    h = period / n_grid
+    if table.k is not None:
+        assert table.M == big
+    else:
+        # between the grid max and the crude bound M_grid / (1 - max|a| h^2/4)
+        assert big <= table.M <= big / (1.0 - _sup_bound(coef) * h * h / 4.0)
     dense = h * (values + (h / 12.0) * np.eye(n_grid))
     applied = kernel_quadrature(table) @ np.eye(n_grid)
     assert np.max(np.abs(applied.T - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("n_grid", [256, 1024, 4096])
-def test_scan_blocks_are_sized_by_entries(monkeypatch, n_grid):
-    # about 2^16 entries per block and at most 64 rows, an even row count
-    # (64 at N = 256 and 1024); m, M and the argmin are bit-equal to a scan
-    # of 64-row blocks, and to one block of all N rows
+# one block of all N rows; at N = 4096 that would take 128 MiB, so 16 rows
+@pytest.mark.parametrize("n_grid, rows", [(256, 256), (1024, 1024), (4096, 16)])
+def test_scan_is_bit_equal_to_one_block(monkeypatch, n_grid, rows):
+    # m, M and the argmin of the SCAN_ROWS-row scan do not depend on the
+    # block size
     coef = FourierSeries(1.0, (0.3,), (0.1,))
     table = build_green_table(coef, n_grid)
-    assert scan_rows(n_grid) == {256: 64, 1024: 64, 4096: 16}[n_grid]
-    monkeypatch.setattr(greens, "SCAN_ENTRIES", 64 * n_grid)
-    assert scan_rows(n_grid) == 64
-    ref = build_green_table(coef, n_grid)
-    assert (table.m, table.M, table.argmin) == (ref.m, ref.M, ref.argmin)
-    if n_grid <= 1024:
-        monkeypatch.setattr(greens, "SCAN_ENTRIES", n_grid * n_grid)
-        monkeypatch.setattr(greens, "SCAN_MAX_ROWS", n_grid)
-        assert scan_rows(n_grid) == n_grid
-        one = build_green_table(coef, n_grid)
-        assert (table.m, table.M, table.argmin) == (one.m, one.M, one.argmin)
+    monkeypatch.setattr(greens, "SCAN_ROWS", rows)
+    other = build_green_table(coef, n_grid)
+    assert (table.m, table.M, table.argmin) == (other.m, other.M, other.argmin)
 
 
 def test_scan_rows_are_even_and_at_least_two():
-    for n_grid in (16, 18, 96, 130, 2062, 4094, 2 ** 15 + 2, 2 ** 16, 2 ** 18):
-        rows = scan_rows(n_grid)
-        assert rows % 2 == 0 and 2 <= rows <= n_grid
-        assert rows * n_grid <= max(2 ** 16, 2 * n_grid)
+    # so the last block of an even N has two rows or more, never gemv's one
+    assert SCAN_ROWS % 2 == 0 and SCAN_ROWS >= 2
 
 
-def test_m_is_the_refined_kernel_minimum():
-    # on this rough coefficient the refined patch finds a lower kernel value
-    # than any grid node; m is that value
-    rough = FourierSeries(6.0, (2.5, 0.0, 0.8), (0.0, 1.0))
-    table = build_green_table(rough, 64)
+def test_m_is_the_diagonal_kernel_minimum():
+    # on this rough coefficient the diagonal on the 4N basis nodes holds a
+    # lower kernel value than any grid node; m is that value, on the diagonal
+    table = build_green_table(ROUGH_A, 64)
     grid_min = float(full_values(table).min())
     assert table.m < grid_min
+    assert table.argmin[0] == table.argmin[1]
+
+
+@pytest.mark.parametrize("n_grid", [16, 64, 256, 1024])
+@pytest.mark.parametrize("coef", [FourierSeries(1.0, (0.3,)), WIDE_A, FOUR_TERM_A, ROUGH_A,
+                                  *DIPPING_A, Samples(np.full(64, 1.0))],
+                         ids=["a=1+0.3cos", "wide", "four-term", "rough", "a=0.5+0.6cos",
+                              "a=0.1+0.2cos", "a=1-sampled"])
+def test_rk4_extrema_bound_the_dense_fine_table(coef, n_grid):
+    # the dense table on all 4N basis nodes: m is never above its min, and M
+    # never below its max (a sampled max lies below the true one), yet
+    # within twice the fine slack max|a| M h_fine^2/4 of it
+    table = build_green_table(coef, n_grid)
+    _, lo, hi = oracles.dense_fine_extrema(_rk4_basis(coef, n_grid))
+    assert table.positive
+    assert table.m <= lo
+    h_fine = coef.period / (FINE_FACTOR * n_grid)
+    assert hi <= table.M <= hi + 2.0 * _sup_bound(coef) * table.M * h_fine ** 2 / 4.0
+
+
+def test_max_bound_is_infinite_on_a_grid_too_coarse_for_it():
+    # max|a| h^2/4 >= 1 leaves the chord bound nothing to divide by
+    table = build_green_table(Constant(1100.0), 16)
+    assert table.k is None
+    assert table.M == math.inf
+    assert not table.positive
+
+
+def test_sup_bound_is_at_least_the_sampled_max():
+    for coef in (FourierSeries(1.0, (0.3,)), WIDE_A, FOUR_TERM_A, ROUGH_A, *DIPPING_A,
+                 Samples(np.array([1.0, 2.0, 0.5, 1.5, 1.0]))):
+        assert _sup_bound(coef) >= np.max(np.abs(coef.on_grid(4096)))
+    # one mode: |c0| + its amplitude, the max of |a| itself
+    assert _sup_bound(FourierSeries(-1.0, (0.3,), (0.4,))) == 1.5
+    assert _sup_bound(Constant(-2.0)) == 2.0
+
+
+@pytest.mark.parametrize("coef", [FourierSeries(1.0, (0.3,)), FOUR_TERM_A])
+def test_samples_are_bit_equal_whatever_the_request_shape(coef):
+    # one row, one column or one entry has the bits of the same entries of
+    # a 64-row block; numpy's gemv path would round them differently
+    n_grid = 256
+    table = build_green_table(coef, n_grid)
+    nodes = np.arange(n_grid)
+    block = kernel_values(table, nodes[:64], nodes)
+    for p in range(64):
+        assert np.array_equal(kernel_values(table, [p], nodes), block[p:p + 1])
+        assert kernel_values(table, [p], [p]).shape == (1, 1)
+        assert kernel_values(table, [p], [p])[0, 0] == block[p, p]
+    for q in range(n_grid):
+        assert np.array_equal(kernel_values(table, nodes[:64], [q]), block[:, q:q + 1])
 
 
 def test_positivity_report(unit_table):
@@ -352,12 +394,13 @@ def test_rk4_basis_matches_stepwise_loop(coef, n_grid):
 ])
 def test_kernel_from_basis_matches_outer_products(coef):
     # rank-2 products and a masked add against the outer-product formula,
-    # on the coarse grid and on a refine patch that wraps around the period
+    # on the coarse grid and on a patch that wraps around the period
     n_grid = 64
     n_fine = FINE_FACTOR * n_grid
     basis = _rk4_basis(coef, n_grid)
-    fine = SemiseparableKernel(basis[:-1, 0].T,
-                               _kernel_coefficients(basis, np.arange(n_fine)),
+    fine_basis = basis[:-1, 0].T
+    fine = SemiseparableKernel(fine_basis,
+                               _kernel_coefficients(_impulse_response(basis), fine_basis),
                                coef.period / n_fine)
     coarse = np.arange(0, n_fine, FINE_FACTOR)
     patch = np.mod(np.arange(-9, 8), n_fine)
@@ -375,20 +418,28 @@ def test_rk4_basis_wronskian_at_every_node():
         assert np.max(np.abs(np.linalg.det(basis) - 1.0)) <= 1e-10
 
 
-def test_rk4_build_solves_for_c_on_the_table_and_patch_columns(monkeypatch):
-    # C is read on the N table columns and on the refine patch, so those
-    # are all the columns it is solved for, not the 4N fine nodes
+def test_rk4_build_solves_one_2x2_system_for_c(monkeypatch):
+    # C(s) = K phi(s): the build solves for K once, not for C per column,
+    # and forms C on the 4N fine nodes, where the diagonal and the bound on
+    # M read it; the table keeps every FINE_FACTOR-th column
     n_grid = 1024
-    real = greens._kernel_coefficients
-    widths = []
+    real_k, real_c = greens._impulse_response, greens._kernel_coefficients
+    solves, widths = [], []
 
-    def record(Y, idx_s):
-        widths.append(len(idx_s))
-        return real(Y, idx_s)
+    def record_k(Y):
+        solves.append(Y.shape)
+        return real_k(Y)
 
-    monkeypatch.setattr(greens, "_kernel_coefficients", record)
-    build_green_table(FourierSeries(1.0, (0.3,)), n_grid)
-    assert sum(widths) == n_grid + 4 * FINE_FACTOR + 1
+    def record_c(K, basis):
+        widths.append(basis.shape[1])
+        return real_c(K, basis)
+
+    monkeypatch.setattr(greens, "_impulse_response", record_k)
+    monkeypatch.setattr(greens, "_kernel_coefficients", record_c)
+    table = build_green_table(FourierSeries(1.0, (0.3,)), n_grid)
+    assert solves == [(FINE_FACTOR * n_grid + 1, 2, 2)]
+    assert widths == [FINE_FACTOR * n_grid]
+    assert table.kernel.coef.shape == (2, n_grid)
 
 
 @pytest.mark.parametrize("n_grid", [128, 256, 1024])
@@ -412,29 +463,6 @@ def test_closed_form_table_non_dyadic_period():
     values = full_values(table)
     assert np.max(np.abs(values - direct) / direct) <= 1e-14
     assert np.array_equal(values, values.T)
-
-
-def test_refined_patch_wraps_around_the_period():
-    # a patch centred on (0, 0) must look at t, s just below T as well
-    n_grid = 32
-    n_fine = FINE_FACTOR * n_grid
-    basis = _rk4_basis(FourierSeries(1.0, (0.3,)), n_grid)
-    seen = []
-
-    class Recorder:
-        """The basis, recording the arrays of fine nodes it is read at."""
-
-        def __getitem__(self, key):
-            if isinstance(key, tuple) and isinstance(key[0], np.ndarray):
-                seen.append(key[0].copy())
-            return basis[key]
-
-    _refine_min(Recorder(), 0, 0, n_grid)
-    assert seen
-    for idx in seen:
-        assert {n_fine - 1, 0, 1} <= set(idx.tolist())
-        assert idx.min() >= 0 and idx.max() < n_fine
-        assert len(set(idx.tolist())) == idx.size
 
 
 def test_second_difference_recovers_forcing():
@@ -501,11 +529,14 @@ SUITE_A = [
 @pytest.mark.parametrize("coef", SUITE_A)
 def test_torres_criterion_implies_positive_scan(coef):
     # the criterion is sufficient only: a coefficient that meets it must scan
-    # positive; one that does not may still be positive
+    # positive, with its minimum on the diagonal (a >= 0); one that does not
+    # may still be positive
     if not torres_positive(coef):
         return
     for n_grid in (64, 256):
-        assert build_green_table(coef, n_grid).positive
+        table = build_green_table(coef, n_grid)
+        assert table.positive
+        assert table.argmin[0] == table.argmin[1]
 
 
 def test_torres_criterion_is_strict_at_the_window_edge():
