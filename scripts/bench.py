@@ -91,6 +91,7 @@ from pericone import (  # noqa: E402
     PRESETS,
     Constant,
     FourierSeries,
+    Samples,
     build_green_table,
     compute_constants,
     default_r_grid,
@@ -331,6 +332,10 @@ def measure(repeats):
             entry = timings[f"greens.{name}[N{n_grid}]"] = _time(build, repeats)
             if n_grid == 4096:
                 entry["peak_mib"] = _peak_mib(build)
+    # a constant given as samples is the constant: the closed form, not RK4
+    ones = Samples(np.full(64, 1.0))
+    timings["greens.build_green_table[a=1 as 64 samples/N4096]"] = _time(
+        lambda: build_green_table(ones, 4096), repeats)
     for name, coef in (("a=1", Constant(1.0)), ("a=1+0.3cos", FourierSeries(1.0, (0.3,)))):
         for m in (START_POINTS, 256):
             timings[f"operator.collocation_matrix[{name}/M{m}]"] = _time(

@@ -1,31 +1,28 @@
 """T-periodic scalar coefficients.
 
-Three concrete forms cover every coefficient in the problem class:
+Every coefficient in the problem class is one type, ``FourierSeries``: a
+truncated real Fourier series on [0, T], with no trailing zero modes.  Two
+constructors build one from other data:
 
-* ``Constant`` -- a(t) = v for all t,
-* ``FourierSeries`` -- truncated real Fourier series on [0, T],
-* ``Samples`` -- values on a uniform grid, read as their trigonometric
-  interpolant: a ``FourierSeries`` built from the values.
+* ``Constant(v)`` -- a(t) = v for all t, a series without modes,
+* ``Samples(values)`` -- values on a uniform grid, read as their
+  trigonometric interpolant.
 
-So every non-constant coefficient is a trigonometric polynomial, sampled,
-bounded and averaged one way: every sample the package takes is on a
+So a coefficient is read by its value, whatever form it was given in: the
+same function compares equal, and every sample the package takes is on a
 uniform grid of one period, one inverse real FFT (``on_grid``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "Constant",
-    "FourierSeries",
-    "Samples",
-    "PeriodicCoefficient",
-]
+__all__ = ["Constant", "FourierSeries", "Samples"]
 
 
 def _check(period, values) -> None:
@@ -36,19 +33,12 @@ def _check(period, values) -> None:
         raise DomainError("coefficient values must be finite")
 
 
-@dataclass
-class Constant:
-    """Coefficient identically equal to ``value``."""
-
-    value: float
-    period: float = 1.0
-
-    def __post_init__(self):
-        _check(self.period, self.value)
-
-    def on_grid(self, n_grid: int) -> np.ndarray:
-        """The values at t_j = j*T/n_grid, j < n_grid."""
-        return np.full(n_grid, float(self.value))
+def _trimmed(coeffs) -> tuple:
+    """The coefficients as floats, trailing zeros dropped."""
+    out = [float(c) for c in coeffs]
+    while out and out[-1] == 0.0:
+        out.pop()
+    return tuple(out)
 
 
 @dataclass
@@ -61,15 +51,23 @@ class FourierSeries:
     period: float = 1.0
 
     def __post_init__(self):
-        self.cos_coeffs = tuple(float(c) for c in self.cos_coeffs)
-        self.sin_coeffs = tuple(float(c) for c in self.sin_coeffs)
+        self.c0 = float(self.c0)
+        self.cos_coeffs = _trimmed(self.cos_coeffs)
+        self.sin_coeffs = _trimmed(self.sin_coeffs)
         _check(self.period, (self.c0, *self.cos_coeffs, *self.sin_coeffs))
+
+    @property
+    def is_constant(self) -> bool:
+        """True for a series without modes: a(t) = c0."""
+        return not (self.cos_coeffs or self.sin_coeffs)
 
     def on_grid(self, n_grid: int) -> np.ndarray:
         """The values at t_j = j*T/n_grid, j < n_grid: one zero-padded inverse
         real FFT.  Mode m lands in bin k = m mod n_grid, or in n_grid - k,
         its sine negated, when that is the bin it aliases to on these nodes;
         bins 0 and n_grid/2 take the whole cosine, a sine vanishing there."""
+        if self.is_constant:
+            return np.full(n_grid, self.c0)
         m = np.arange(1, max(len(self.cos_coeffs), len(self.sin_coeffs)) + 1)
         cos, sin = np.zeros(m.size), np.zeros(m.size)
         cos[:len(self.cos_coeffs)] = self.cos_coeffs
@@ -84,52 +82,52 @@ class FourierSeries:
         return np.fft.irfft(spec, n_grid, norm="forward")
 
 
-class Samples(FourierSeries):
+def Constant(value: float, period: float = 1.0) -> FourierSeries:
+    """The coefficient identically equal to ``value``: a series without modes."""
+    return FourierSeries(value, period=period)
+
+
+def Samples(values, period: float = 1.0) -> FourierSeries:
     """The trigonometric interpolant of values at t_j = j*T/M, M = len(values).
 
     Its coefficients are rfft(values)/M, every bin doubled except the Nyquist
     cosine of an even M; the Nyquist sine vanishes on the nodes and is
-    dropped.  Compares by those coefficients, like any FourierSeries.
+    dropped.  Like any FourierSeries it compares by those coefficients, so
+    M equal values give Constant(value).
     """
-
-    def __init__(self, values, period: float = 1.0):
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1 or vals.size < 4:
-            raise DomainError("samples need at least 4 values")
-        _check(period, vals)
-        spec = np.fft.rfft(vals) / vals.size
-        paired = (vals.size + 1) // 2
-        spec[1:paired] *= 2.0
-        super().__init__(float(spec[0].real), spec.real[1:], -spec.imag[1:paired], period)
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or vals.size < 4:
+        raise DomainError("samples need at least 4 values")
+    _check(period, vals)
+    spec = np.fft.rfft(vals) / vals.size
+    paired = (vals.size + 1) // 2
+    spec[1:paired] *= 2.0
+    return FourierSeries(spec[0].real, spec.real[1:], -spec.imag[1:paired], period)
 
 
-PeriodicCoefficient = Constant | FourierSeries
-
-
-def coefficient_mean(coef: PeriodicCoefficient) -> float:
-    """Exact mean of a coefficient over one period."""
-    return float(coef.value) if isinstance(coef, Constant) else coef.c0
-
-
-def coefficient_extrema(coef: PeriodicCoefficient, n_audit: int = 4096):
+def coefficient_extrema(coef: FourierSeries, n_audit: int = 4096):
     """(min, max) of a coefficient over one period, sampled on a fine audit grid;
     ``extrema_slack`` bounds how far inside the true extrema they may sit."""
     vals = coef.on_grid(n_audit)
     return float(vals.min()), float(vals.max())
 
 
-def extrema_slack(coef: PeriodicCoefficient, n_audit: int = 4096) -> float:
+def extrema_slack(coef: FourierSeries, n_audit: int = 4096) -> float:
     """How far the extrema of ``coefficient_extrema`` may sit inside the true ones.
 
     A true extremum is a critical point within h/2 of an audit node, h = T/n_audit,
     so it differs from the sampled one by at most K h^2/8 with K >= max |a''|.
-    For a Fourier series K = sum_m (m w)^2 (|cos_m| + |sin_m|); a Constant is
-    exact on the audit grid and gets 0.
+    K = sum_m (m w)^2 (|cos_m| + |sin_m|), so a series without modes is exact
+    on the audit grid and gets 0.
     """
-    if not isinstance(coef, FourierSeries):
-        return 0.0
     w = 2.0 * math.pi / coef.period
     curvature = sum((m * w) ** 2 * abs(c) for m, c in enumerate(coef.cos_coeffs, start=1))
     curvature += sum((m * w) ** 2 * abs(c) for m, c in enumerate(coef.sin_coeffs, start=1))
     h = coef.period / n_audit
     return curvature * h * h / 8.0
+
+
+def sup_bound(coef: FourierSeries) -> float:
+    """max |a| at most: |c0| + sum_m |(cos_m, sin_m)|, from the modes alone."""
+    modes = zip_longest(coef.cos_coeffs, coef.sin_coeffs, fillvalue=0.0)
+    return abs(coef.c0) + sum(math.hypot(c, s) for c, s in modes)

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import coefficient_mean, extrema_slack
+from .coefficients import extrema_slack
 from .errors import AssumptionAError
 from .operator import Discretization, GridFunction
-from .problem import Problem, thresholds_delta
+from .problem import AUDIT_GRID, Problem, thresholds_delta
 
 __all__ = ["ConeConstants", "ConeMembership", "compute_constants", "cone_membership"]
 
@@ -44,11 +44,12 @@ class ConeMembership:
 def compute_constants(disc: Discretization, problem: Problem) -> ConeConstants:
     """Aggregate the kernel extrema and coefficient integrals for one problem.
 
-    int g_i is exact, T times the coefficient's mean, so it does not depend
-    on the grid.  int|e_i| is an upper bound from the periodic trapezoid
-    rule on the table grid: on each cell |e_i| is at most the chord's
-    modulus, which the trapezoid bounds, plus the chord error K h^2/8 of
-    ``extrema_slack``.
+    int g_i is exact, T times the coefficient's mean c0.  int|e_i| is an
+    upper bound from the periodic trapezoid rule on the AUDIT_GRID samples,
+    where g_min and e_abs_max are read: on each cell |e_i| is at most the
+    chord's modulus, which the trapezoid bounds, plus the chord error
+    K h^2/8 of ``extrema_slack``.  Neither depends on the table grid, so for
+    a constant a, whose table extrema are exact, no constant does.
     """
     disc.check(problem, disc.n_grid)
     tables = [disc.tables[k] for k in disc.index]
@@ -61,11 +62,10 @@ def compute_constants(disc: Discretization, problem: Problem) -> ConeConstants:
     sigma_i = m / big
     sigma = float(sigma_i.min())
 
-    n_grid = disc.n_grid
-    h = problem.period / n_grid
-    int_g = np.array([problem.period * coefficient_mean(c) for c in problem.g])
-    int_abs_e = (np.abs(problem.e_on_grid(n_grid)).sum(axis=1) * h
-                 + problem.period * np.array([extrema_slack(c, n_grid) for c in problem.e]))
+    period = problem.period
+    int_g = np.array([period * c.c0 for c in problem.g])
+    int_abs_e = (np.abs(problem.e_on_grid(AUDIT_GRID)).sum(axis=1) * (period / AUDIT_GRID)
+                 + period * np.array([extrema_slack(c, AUDIT_GRID) for c in problem.e]))
 
     gamma = float((0.5 * m * sigma * int_g).min())
     c_hat = float((big * int_g).sum())

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .coefficients import Constant, FourierSeries, PeriodicCoefficient, Samples
+from .coefficients import Constant, FourierSeries, Samples
 from .errors import ConfigError, DomainError
 from .problem import PowerLawRadial, Problem
 
@@ -62,7 +62,7 @@ def _num_list(raw, where):
     return [_finite(val, f"{where}[{idx}]") for idx, val in enumerate(raw)]
 
 
-def _parse_coefficient(spec, period: float, where: str) -> PeriodicCoefficient:
+def _parse_coefficient(spec, period: float, where: str) -> FourierSeries:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError(
             where, "expected exactly one of {'constant': v}, {'fourier': {...}}, {'samples': [...]}"

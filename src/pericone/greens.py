@@ -1,7 +1,7 @@
 """Periodic Green's functions for x'' + a(t) x = h(t), x(0)=x(T), x'(0)=x'(T).
 
-For a constant coefficient a = k^2 with 0 < k < pi/T the kernel has the
-closed form
+For a coefficient without Fourier modes, a = c0 = k^2 with 0 < k < pi/T,
+in whatever form it was given, the kernel has the closed form
 
     G(t,s) = Ghat(|t-s|),
     Ghat(d) = (sin(k d) + sin(k (T-d))) / (2 k (1 - cos(k T))),
@@ -48,17 +48,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 import numpy as np
 
-from .coefficients import (
-    Constant,
-    PeriodicCoefficient,
-    coefficient_extrema,
-    coefficient_mean,
-    extrema_slack,
-)
+from .coefficients import FourierSeries, coefficient_extrema, extrema_slack, sup_bound
 from .errors import DomainError, ResonanceError
 
 __all__ = [
@@ -193,7 +186,7 @@ def _check_grid(n_grid: int):
         raise DomainError("n_grid must be even and at least 16")
 
 
-def _rk4_basis(coef: PeriodicCoefficient, n_grid: int):
+def _rk4_basis(coef: FourierSeries, n_grid: int):
     """Fundamental matrix Y(t_j) of x'' + a(t)x = 0 on the fine grid T/(4N).
 
     Y columns are the basis solutions (phi1, phi2) with Y(0) = I; the state
@@ -319,14 +312,6 @@ def _diagonal(rows: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return np.diagonal(tiles, axis1=1, axis2=2).ravel()
 
 
-def _sup_bound(coef: PeriodicCoefficient) -> float:
-    """max |a| at most: |c0| + sum_m |(cos_m, sin_m)|, from the modes alone."""
-    if isinstance(coef, Constant):
-        return abs(float(coef.value))
-    modes = zip_longest(coef.cos_coeffs, coef.sin_coeffs, fillvalue=0.0)
-    return abs(coef.c0) + sum(math.hypot(c, s) for c, s in modes)
-
-
 def _max_bound(kernel: SemiseparableKernel, fine_rows: np.ndarray, fine_coef: np.ndarray,
                fine_lower: np.ndarray, block_max: np.ndarray, sup_a: float) -> float:
     """An upper bound of G over the whole period square, for G >= 0, from
@@ -368,9 +353,11 @@ def _max_bound(kernel: SemiseparableKernel, fine_rows: np.ndarray, fine_coef: np
     return max(big, float(fine.max()) + slack / FINE_FACTOR ** 2)
 
 
-def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
+def build_green_table(coef: FourierSeries, n_grid: int) -> GreensTable:
     """The periodic kernel of x'' + a(t) x on the N-point grid, from its generators.
 
+    The closed form is chosen from the modes: a series without them, with
+    0 < c0 < (pi/T)^2, is a circulant, and any other coefficient goes to RK4.
     The circulant's m and M are its profile's exact extrema: every row is a
     rotation of row 0, and m = Ghat(0) is the exact minimum.
 
@@ -387,8 +374,8 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
     h = period / n_grid
     h_fine = period / (FINE_FACTOR * n_grid)
 
-    if isinstance(coef, Constant) and 0.0 < coef.value < (math.pi / period) ** 2:
-        k = math.sqrt(coef.value)
+    if coef.is_constant and 0.0 < coef.c0 < (math.pi / period) ** 2:
+        k = math.sqrt(coef.c0)
         kernel = CirculantKernel(_circulant_profile(k, period, n_grid), h)
         m, big = float(kernel.profile.min()), float(kernel.profile.max())
         # Ghat'' = -k^2 Ghat < 0, so Ghat is concave on [0, T] and least at
@@ -417,7 +404,7 @@ def build_green_table(coef: PeriodicCoefficient, n_grid: int) -> GreensTable:
         # tabulated values carry the RK4 global error, O(h_fine^4); a minimum
         # inside that noise floor cannot be certified positive
         tol = max(tol, 1e3 * (1.0 + abs(big)) * h_fine ** 4)
-        big = _max_bound(kernel, fine_rows, fine_coef, fine_lower, block_max, _sup_bound(coef))
+        big = _max_bound(kernel, fine_rows, fine_coef, fine_lower, block_max, sup_bound(coef))
 
     return GreensTable(
         n_grid=n_grid,
@@ -454,7 +441,7 @@ def kernel_quadrature(table: GreensTable):
     return table.kernel
 
 
-def torres_positive(coef: PeriodicCoefficient) -> bool:
+def torres_positive(coef: FourierSeries) -> bool:
     """Torres' L^p criterion for G > 0 (J. Differential Equations 190, 2003).
 
     At p = inf and p = 1: true when a >= 0 with a positive mean, and either
@@ -466,14 +453,14 @@ def torres_positive(coef: PeriodicCoefficient) -> bool:
     """
     lo, hi = coefficient_extrema(coef)
     slack = extrema_slack(coef)
-    mean = coefficient_mean(coef)
+    mean = coef.c0
     if not (lo - slack >= 0.0 and mean > 0.0):
         return False
     period = coef.period
     return hi + slack < (math.pi / period) ** 2 or mean * period < 4.0 / period
 
 
-def solve_linear_periodic(table: GreensTable, e: PeriodicCoefficient):
+def solve_linear_periodic(table: GreensTable, e: FourierSeries):
     """Periodic solution of x'' + a(t) x = e(t), e a periodic coefficient, as
     a one-component grid function."""
     from .operator import GridFunction

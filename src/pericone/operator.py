@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import coefficient_mean
 from .errors import DomainError, SingularityError
 from .greens import build_green_table, kernel_quadrature
 from .problem import SINGULARITY_GUARD, SPLIT_FACTOR, Problem
@@ -176,7 +175,7 @@ def collocation_matrix(coef, m: int) -> np.ndarray:
     1/(abar - w^2), w = 2 pi k / T: a second-kind system that loses about
     eps, where a plain inverse of D2 + diag(a) loses about m^2 eps.  For a
     constant a it is Q0."""
-    abar = coefficient_mean(coef)
+    abar = coef.c0
     w = 2.0 * np.pi * np.fft.rfftfreq(m, coef.period / m)
     # Q0 is the circulant of Q0 e_0: Q0[p, q] = col[(p - q) mod m]
     col = np.fft.irfft(1.0 / (abar - w * w), m)

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .coefficients import coefficient_extrema, coefficient_mean, extrema_slack
+from .coefficients import coefficient_extrema, extrema_slack
 from .errors import DomainError, HypothesisError
 
 __all__ = [
@@ -273,7 +273,7 @@ class Problem:
             g_lo, _ = g_extrema[i]
             if g_lo < -1e-12:
                 raise HypothesisError(f"g[{i}] takes negative values")
-            if coefficient_mean(self.g[i]) * self.period <= 0.0:
+            if self.g[i].c0 * self.period <= 0.0:
                 raise HypothesisError(f"g[{i}] must have positive integral")
             e_lo, e_hi = e_extrema[i]
             mixed = mixed or e_lo < 0.0

@@ -353,8 +353,6 @@ def collocation_inverse(a_values, period):
 def coefficient_value(coef, t):
     """c0 + sum_m cos_m cos(2 pi m t / T) + sin_m sin(2 pi m t / T) of a
     package coefficient, summed mode by mode."""
-    if hasattr(coef, "value"):
-        return np.full_like(np.asarray(t, dtype=float), coef.value)
     w = 2.0 * math.pi / coef.period
     out = np.full_like(np.asarray(t, dtype=float), coef.c0)
     for m, c in enumerate(coef.cos_coeffs, start=1):

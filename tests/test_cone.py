@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pericone import (
+    PRESETS,
     AssumptionAError,
     Constant,
     GridFunction,
@@ -89,10 +90,26 @@ def test_mixed_e_integral(bench_disc):
     assert cc.Delta is not None and cc.Delta > cc.delta
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_constants_do_not_depend_on_the_grid(name):
+    # a = 1 takes the closed form, whose m and M are exact at every even N,
+    # int g is T c0 and int|e| is read on the audit grid: no constant sees N
+    preset = PRESETS[name]
+    lam = preset.lambdas[0]
+    runs = []
+    for n_grid in (16, 256, 1024, 4096):
+        prob = parse_config(preset.config(lam, n_grid)).problem
+        runs.append(vars(compute_constants(discretize(prob, n_grid), prob)))
+    for other in runs[1:]:
+        assert other.keys() == runs[0].keys()
+        for key, value in runs[0].items():
+            assert np.array_equal(other[key], value), key
+
+
 @pytest.mark.parametrize("n_grid", [16, 64, 96, 256, 1024])
 def test_int_abs_e_is_never_below_the_integral(n_grid):
     # int|e| enters every compression bound as an upper bound; the bare
-    # trapezoid sum reads 3.9e-5 below the exact value at N=96
+    # trapezoid sum on a 96-point grid reads 3.9e-5 below the exact value
     prob = make_problem(1.0, 2.0, 0.01, e_spec=MIXED_E, n_grid=n_grid)
     cc = compute_constants(discretize(prob, n_grid), prob)
     exact = 0.2 * math.sqrt(3.0) / math.pi - 1.0 / 15.0 + 0.1

@@ -22,15 +22,15 @@ def test_parse_benchmark_config():
     assert prob.period == 1.0
     assert prob.lam == 0.05
     assert parsed.n_grid == 256
-    assert isinstance(prob.a[0], Constant)
+    assert prob.a[0] == Constant(1.0)
 
 
 def test_coefficient_forms():
     cfg = symmetric_config(1.0, 2.0, 0.05)
     cfg["a"] = [{"samples": [1.0, 1.0, 1.0, 1.0]}, {"constant": 1.0}]
     prob = parse_config(cfg).problem
-    assert isinstance(prob.a[0], Samples)
-    assert isinstance(prob.a[1], Constant)
+    # four equal samples and the constant are one coefficient
+    assert prob.a[0] == prob.a[1] == Samples([1.0, 1.0, 1.0, 1.0]) == Constant(1.0)
 
 
 def test_missing_field_names_the_path():
@@ -81,7 +81,7 @@ def test_e_defaults_to_zero():
     cfg = symmetric_config(1.0, 2.0, 0.05)
     del cfg["e"]
     prob = parse_config(cfg).problem
-    assert all(isinstance(c, Constant) and c.value == 0.0 for c in prob.e)
+    assert all(c == Constant(0.0) for c in prob.e)
 
 
 def test_load_config_file(tmp_path):

@@ -317,6 +317,16 @@ def test_discretize_builds_one_table_per_coefficient():
     assert [tbl.k for tbl in disc.tables] == [1.0, None]
 
 
+def test_one_constant_in_two_forms_builds_one_table_and_one_matrix():
+    # Constant(1.0) and FourierSeries(1.0) are one coefficient, so they
+    # share a table and a collocation matrix
+    a = (Constant(1.0), FourierSeries(1.0), Constant(1.0))
+    disc = discretize(_three_component(a), 64)
+    assert len(disc.tables) == 1 and disc.index == (0, 0, 0)
+    assert disc.tables[0].k == 1.0
+    assert len(disc.collocation(32).matrices) == 1
+
+
 def test_equal_samples_share_one_table():
     # two Samples holding equal arrays have equal coefficients, so one
     # table; a third with other values gets its own
