@@ -336,6 +336,11 @@ def measure(repeats):
     ones = Samples(np.full(64, 1.0))
     timings["greens.build_green_table[a=1 as 64 samples/N4096]"] = _time(
         lambda: build_green_table(ones, 4096), repeats)
+    # a constant outside (0, (pi/T)^2) goes to RK4: a translation-invariant
+    # kernel, whose grid maximum lies on a whole line of nodes
+    ridge = Constant(12.0)
+    timings["greens.build_green_table[a=12 RK4 ridge/N4096]"] = _time(
+        lambda: build_green_table(ridge, 4096), repeats)
     for name, coef in (("a=1", Constant(1.0)), ("a=1+0.3cos", FourierSeries(1.0, (0.3,)))):
         for m in (START_POINTS, 256):
             timings[f"operator.collocation_matrix[{name}/M{m}]"] = _time(

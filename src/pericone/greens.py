@@ -37,9 +37,10 @@ generators are read-only, because every operator application shares them.
 
 Extrema of an RK4 kernel: m is the least of the N x N grid scan and of the
 diagonal G(s, s) on all 4N basis nodes (for a >= 0 every column is least on
-the diagonal).  M is an upper bound: a sampled maximum plus the chord bound
-of a function whose second derivative is at most max|a| M.  The grid scan
-stays, because it decides positivity where a dips below zero.
+the diagonal).  M is an upper bound for G >= 0, the grid maximum divided by
+1 - max|a| h^2/4: the chord bound of a function whose second derivative is
+at most max|a| M, solved for M.  The grid scan stays, because it decides
+positivity where a dips below zero.
 
 ``torres_positive`` is an analytic cross-check of the positivity scan, from
 the coefficient alone.
@@ -270,8 +271,7 @@ def _lower_generator(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 
 def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
-    """(min, block maxima, first argmin) of the N x N table, SCAN_ROWS rows
-    at a time.
+    """(min, max, first argmin) of the N x N table, SCAN_ROWS rows at a time.
 
     Rows [start, stop) take D on columns [0, start), C on [stop, N) and
     either on the diagonal tile, each a (k, 2) x (2, m) product with
@@ -282,7 +282,7 @@ def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
     coef, lower = kernel.coef, kernel.lower
     buf = np.empty(SCAN_ROWS * n_grid)
     causal = np.tri(SCAN_ROWS, dtype=bool)
-    m, arg, block_max = math.inf, (0, 0), []
+    m, big, arg = math.inf, -math.inf, (0, 0)
     for start in range(0, n_grid, SCAN_ROWS):
         stop = min(start + SCAN_ROWS, n_grid)
         k = stop - start
@@ -299,8 +299,8 @@ def _scan_extrema(kernel: SemiseparableKernel, n_grid: int):
             m = float(low)
             row, col = divmod(int(np.argmin(block)), n_grid)
             arg = (start + row, col)
-        block_max.append(block.max())
-    return m, np.array(block_max), arg
+        big = max(big, float(block.max()))
+    return m, big, arg
 
 
 def _diagonal(rows: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -310,47 +310,6 @@ def _diagonal(rows: np.ndarray, lower: np.ndarray) -> np.ndarray:
     a sampled table (a one-node product would take gemv's)."""
     tiles = rows.reshape(-1, 8, 2) @ lower.reshape(2, -1, 8).transpose(1, 0, 2)
     return np.diagonal(tiles, axis1=1, axis2=2).ravel()
-
-
-def _max_bound(kernel: SemiseparableKernel, fine_rows: np.ndarray, fine_coef: np.ndarray,
-               fine_lower: np.ndarray, block_max: np.ndarray, sup_a: float) -> float:
-    """An upper bound of G over the whole period square, for G >= 0, from
-    the scan's block maxima and the basis (as rows), C and D on the fine nodes.
-
-    Off its kink a column has |G_tt| = |a| G <= max|a| M, and at the kink
-    G_t jumps by +1, a convex kink, so between samples h apart it lies below
-    their chord plus max|a| M h^2/8.  Applied in s along grid rows (G is
-    symmetric) and then in t, no point of a grid cell exceeds the cell's
-    largest corner by more than slack = max|a| M h^2/4, with M here the
-    crude bound M_grid / (1 - max|a| h^2/4).  So only the cells around the
-    hot nodes, those within slack of M_grid, can exceed M_grid; they are
-    sampled on the fine nodes, where the slack is FINE_FACTOR^2 times less.
-    """
-    big = float(block_max.max())
-    shrink = 1.0 - sup_a * (kernel.h / 2.0) ** 2
-    if shrink <= 0.0:
-        return math.inf
-    slack = sup_a * abs(big) / shrink * (kernel.h / 2.0) ** 2
-    # a hot node (p, q) lies in row p and, G being symmetric, in column q of
-    # a row block within slack of M_grid: the RK4 table's asymmetry is far
-    # below the slack, and twice the slack covers it
-    hot_block = np.repeat(block_max >= big - 2.0 * slack, SCAN_ROWS)
-    hot = np.flatnonzero(hot_block[:kernel.basis.shape[1]])
-    p, q = [], []
-    for start in range(0, hot.size, SCAN_ROWS):
-        rows = hot[start:start + SCAN_ROWS]
-        r, c = np.divmod(np.flatnonzero(kernel.sample(rows, hot) >= big - slack), hot.size)
-        p.append(rows[r])
-        q.append(hot[c])
-    # the fine nodes of the four cells around each hot node
-    around = np.arange(-FINE_FACTOR, FINE_FACTOR + 1)
-    t, s = ((FINE_FACTOR * np.concatenate(idx)[:, None] + around) % fine_rows.shape[0]
-            for idx in (p, q))
-    basis_t = fine_rows[t]
-    upper = basis_t @ fine_coef[:, s].transpose(1, 0, 2)
-    lower = basis_t @ fine_lower[:, s].transpose(1, 0, 2)
-    fine = np.where(t[:, :, None] >= s[:, None, :], lower, upper)
-    return max(big, float(fine.max()) + slack / FINE_FACTOR ** 2)
 
 
 def build_green_table(coef: FourierSeries, n_grid: int) -> GreensTable:
@@ -367,7 +326,15 @@ def build_green_table(coef: FourierSeries, n_grid: int) -> GreensTable:
     grid minimum and the diagonal minimum over all 4N nodes, with argmin
     (s, s) when the diagonal wins: for a >= 0 and G > 0, G_tt = -a G <= 0
     between kinks, so each column is least at t = s; where a dips below 0
-    the grid minimum still counts.  M is an upper bound (``_max_bound``).
+    the grid minimum still counts.
+
+    M is an upper bound of G >= 0, where the grid maximum M_grid lies below
+    the true one.  Off its kink a column has |G_tt| = |a| G <= max|a| M, and
+    at the kink G_t jumps by +1, a convex kink, so between samples h apart it
+    lies below their chord plus max|a| M h^2/8.  Applied in s along grid rows
+    (G is symmetric) and then in t, no point exceeds M_grid by more than
+    max|a| M h^2/4, so M = M_grid / (1 - max|a| h^2/4), with max|a| read off
+    the modes (``sup_bound``), or +inf where the divisor is not positive.
     """
     _check_grid(n_grid)
     period = coef.period
@@ -388,12 +355,9 @@ def build_green_table(coef: FourierSeries, n_grid: int) -> GreensTable:
         fine_coef = _kernel_coefficients(_impulse_response(Y), fine_basis)
         kernel = SemiseparableKernel(fine_basis[:, ::FINE_FACTOR].copy(),
                                      fine_coef[:, ::FINE_FACTOR].copy(), h)
-        m, block_max, (p_star, q_star) = _scan_extrema(kernel, n_grid)
-        big = float(block_max.max())
+        m, big, (p_star, q_star) = _scan_extrema(kernel, n_grid)
         argmin = (p_star * h, q_star * h)
-        fine_rows = np.stack(fine_basis, 1)
-        fine_lower = _lower_generator(fine_basis, fine_coef)
-        diag = _diagonal(fine_rows, fine_lower)
+        diag = _diagonal(np.stack(fine_basis, 1), _lower_generator(fine_basis, fine_coef))
         j = int(np.argmin(diag))
         if diag[j] < m:
             m, argmin = float(diag[j]), (j * h_fine, j * h_fine)
@@ -404,7 +368,8 @@ def build_green_table(coef: FourierSeries, n_grid: int) -> GreensTable:
         # tabulated values carry the RK4 global error, O(h_fine^4); a minimum
         # inside that noise floor cannot be certified positive
         tol = max(tol, 1e3 * (1.0 + abs(big)) * h_fine ** 4)
-        big = _max_bound(kernel, fine_rows, fine_coef, fine_lower, block_max, sup_bound(coef))
+        shrink = 1.0 - sup_bound(coef) * h * h / 4.0
+        big = big / shrink if shrink > 0.0 else math.inf
 
     return GreensTable(
         n_grid=n_grid,

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .coefficients import coefficient_extrema, extrema_slack
+from .coefficients import extrema_slack
 from .errors import DomainError, HypothesisError
 
 __all__ = [
@@ -266,16 +266,17 @@ class Problem:
             if abs(coef.period - self.period) > 1e-12 * self.period:
                 raise DomainError("coefficient period differs from problem period")
 
+        # the audit reads the cached samples, so compute_constants' int|e|
+        # samples each distinct e on the audit grid no second time
         g_sampled, g_min, e_abs_max, mixed = [], [], [], False
-        g_extrema = _per_distinct(self.g, lambda c: coefficient_extrema(c, AUDIT_GRID))
-        e_extrema = _per_distinct(self.e, lambda c: coefficient_extrema(c, AUDIT_GRID))
+        g_audit, e_audit = self.g_on_grid(AUDIT_GRID), self.e_on_grid(AUDIT_GRID)
         for i in range(self.n):
-            g_lo, _ = g_extrema[i]
+            g_lo = float(g_audit[i].min())
             if g_lo < -1e-12:
                 raise HypothesisError(f"g[{i}] takes negative values")
             if self.g[i].c0 * self.period <= 0.0:
                 raise HypothesisError(f"g[{i}] must have positive integral")
-            e_lo, e_hi = e_extrema[i]
+            e_lo, e_hi = float(e_audit[i].min()), float(e_audit[i].max())
             mixed = mixed or e_lo < 0.0
             g_sampled.append(g_lo)
             # bounds err on the safe side: the true min g may dip below the

@@ -16,7 +16,6 @@ import numpy as np
 from pericone import (
     Constant,
     FourierSeries,
-    Samples,
     annulus_extrema,
     apply_T,
     build_green_table,
@@ -104,11 +103,13 @@ def test_criterion_02_linear_oracle():
 
 
 def test_criterion_03_two_path_agreement():
+    # a = 1 + 1e-9 cos has a mode, so it takes the RK4 path, against the
+    # closed form of a = 1
     ref = _disc().tables[0]
-    smp = build_green_table(Samples(np.full(64, 1.0)), 256)
-    dev = float(np.max(np.abs(_full_values(ref) - _full_values(smp))))
-    ok = dev <= 1e-6
-    _report(3, ok, f"sampled constant coefficient vs closed form {dev:.2e} (<=1e-6)")
+    rk4 = build_green_table(FourierSeries(1.0, (1e-9,)), 256)
+    dev = float(np.max(np.abs(_full_values(ref) - _full_values(rk4))))
+    ok = ref.k is not None and rk4.k is None and dev <= 1e-6
+    _report(3, ok, f"RK4 kernel of a = 1 + 1e-9 cos vs closed form of a = 1 {dev:.2e} (<=1e-6)")
 
 
 def test_criterion_04_cone_invariance():

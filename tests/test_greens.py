@@ -143,9 +143,9 @@ def test_no_table_array_grows_with_n_squared(coef):
                          ids=["a=1", "a=4,T=0.7", "a=1+0.3cos", "four-term"])
 def test_generators_bit_equal_dense_build(coef, n_grid):
     # against the dense N x N build the tables once stored: every sample,
-    # the widened M, the positivity verdict and argmin, m as the lower of
-    # the grid and the dense fine diagonal minima, and the quadrature
-    # operator applied to the identity
+    # M widened by the chord formula, the positivity verdict and argmin, m
+    # as the lower of the grid and the dense fine diagonal minima, and the
+    # quadrature operator applied to the identity
     table = build_green_table(coef, n_grid)
     period = coef.period
     h = period / n_grid
@@ -165,8 +165,8 @@ def test_generators_bit_equal_dense_build(coef, n_grid):
     if table.k is not None:
         assert table.M == big
     else:
-        # between the grid max and the crude bound M_grid / (1 - max|a| h^2/4)
-        assert big <= table.M <= big / (1.0 - sup_bound(coef) * h * h / 4.0)
+        # the chord bound M_grid / (1 - max|a| h^2/4), bit for bit
+        assert table.M == big / (1.0 - sup_bound(coef) * h * h / 4.0)
     dense = h * (values + (h / 12.0) * np.eye(n_grid))
     applied = kernel_quadrature(table) @ np.eye(n_grid)
     assert np.max(np.abs(applied.T - dense)) <= 1e-13 * np.max(np.abs(dense))
@@ -206,16 +206,38 @@ def test_m_is_the_diagonal_kernel_minimum():
 def test_rk4_extrema_bound_the_dense_fine_table(coef, n_grid):
     # the dense table on all 4N basis nodes: m is never above its min, and M
     # never below its max (a sampled max lies below the true one), yet
-    # within twice the fine slack max|a| M h_fine^2/4 of it
+    # within the chord formula's widening of it
     table = build_green_table(coef, n_grid)
     _, lo, hi = oracles.dense_fine_extrema(_rk4_basis(coef, n_grid))
     assert table.positive
     assert table.m <= lo
-    h_fine = coef.period / (FINE_FACTOR * n_grid)
-    assert hi <= table.M <= hi + 2.0 * sup_bound(coef) * table.M * h_fine ** 2 / 4.0
+    h = coef.period / n_grid
+    assert hi <= table.M <= hi / (1.0 - sup_bound(coef) * h ** 2 / 4.0)
 
 
-def test_max_bound_is_infinite_on_a_grid_too_coarse_for_it():
+def test_ridge_constant_takes_the_chord_formula_without_sampling(monkeypatch):
+    # a constant outside (0, (pi/T)^2) goes to RK4, and its kernel is
+    # translation invariant: a ridge of grid maxima.  M is the formula, and
+    # the build samples the kernel nowhere
+    coef, n_grid = Constant(12.0), 256
+    samples = []
+    real_sample = SemiseparableKernel.sample
+
+    def count(kernel, rows, cols):
+        samples.append(rows.size * cols.size)
+        return real_sample(kernel, rows, cols)
+
+    monkeypatch.setattr(SemiseparableKernel, "sample", count)
+    table = build_green_table(coef, n_grid)
+    assert samples == []
+    monkeypatch.undo()
+    assert table.k is None and not table.positive
+    h = coef.period / n_grid
+    big = float(full_values(table).max())
+    assert table.M == big / (1.0 - sup_bound(coef) * h * h / 4.0)
+
+
+def test_chord_bound_is_infinite_on_a_grid_too_coarse_for_it():
     # max|a| h^2/4 >= 1 leaves the chord bound nothing to divide by
     table = build_green_table(Constant(1100.0), 16)
     assert table.k is None
@@ -317,7 +339,7 @@ def test_kernel_goes_negative_past_window():
 
 def test_samples_path_matches_closed_form():
     # 64 equal samples are the constant itself, so they take the closed form
-    # at every grid, N=4096 included, and not the RK4 ridge case
+    # at every grid, N=4096 included, and not RK4
     for n_grid in (256, 4096):
         ref = build_green_table(Constant(1.0), n_grid)
         smp = build_green_table(Samples(np.full(64, 1.0)), n_grid)

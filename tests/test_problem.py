@@ -25,7 +25,6 @@ from pericone import (
     thresholds_delta,
 )
 
-import pericone.problem as problem_mod
 from pericone.coefficients import coefficient_extrema, extrema_slack
 from pericone.problem import (
     AUDIT_GRID,
@@ -444,32 +443,30 @@ def test_grid_samples_equal_eval(n_grid):
 
 
 def test_equal_components_are_audited_and_sampled_once(monkeypatch):
-    # [spec] * 2: one audit of g and one of e, not one per component, and
-    # one evaluation per coefficient on a grid, shared by both rows
-    audits, evals = [], []
-    real_extrema, real_eval = problem_mod.coefficient_extrema, FourierSeries.on_grid
-
-    def count_extrema(coef, n_audit):
-        audits.append(coef)
-        return real_extrema(coef, n_audit)
+    # [spec] * 2: one audit sample of g and one of e, not one per component,
+    # and one evaluation per coefficient on a grid, shared by both rows;
+    # compute_constants' int|e| reads the audit's samples of e
+    evals = []
+    real_eval = FourierSeries.on_grid
 
     def count_eval(coef, n_grid):
-        evals.append(coef)
+        evals.append((coef, n_grid))
         return real_eval(coef, n_grid)
 
-    monkeypatch.setattr(problem_mod, "coefficient_extrema", count_extrema)
     monkeypatch.setattr(FourierSeries, "on_grid", count_eval)
     g_values = 1.0 + 0.5 * np.cos(2.0 * math.pi * np.arange(64) / 64.0)
     g = Samples(g_values)
     e = FourierSeries(-0.1, (0.2,))
     prob = Problem(n=2, period=1.0, a=(Constant(1.0),) * 2, g=(g, Samples(g_values)),
                    e=(e, FourierSeries(-0.1, (0.2,))), f=BENCH_F, lam=0.05)
-    assert audits == [g, e]
+    assert evals == [(g, AUDIT_GRID), (e, AUDIT_GRID)]
     assert prob.sign_profile == "MixedE"
     assert prob.g_min[0] == prob.g_min[1] and prob.e_abs_max[0] == prob.e_abs_max[1]
+    compute_constants(discretize(prob, 256), prob)
+    assert [coef for coef, n_grid in evals if n_grid == AUDIT_GRID] == [g, e]
     evals.clear()
     vals = prob.g_on_grid(256)
-    assert evals == [g]
+    assert evals == [(g, 256)]
     assert vals[0].tobytes() == vals[1].tobytes() == real_eval(g, 256).tobytes()
 
 
@@ -564,11 +561,12 @@ def test_forcing_bounds_err_on_the_safe_side(m):
     e_lo, e_hi = coefficient_extrema(e, AUDIT_GRID)
     # the sampled extrema sit on the unsafe side ...
     assert g_lo > 1.0 and max(-e_lo, e_hi) < 3.0
-    # ... the stored bounds on the safe side, by no more than the slack
+    # ... the stored bounds on the safe side: the sampled extrema, bit for
+    # bit, widened by the slack
     assert prob.g_min[0] <= 1.0
-    assert prob.g_min[0] >= g_lo - extrema_slack(g, AUDIT_GRID)
+    assert prob.g_min[0] == g_lo - extrema_slack(g, AUDIT_GRID)
     assert prob.e_abs_max[0] >= 3.0
-    assert prob.e_abs_max[0] <= max(-e_lo, e_hi) + extrema_slack(e, AUDIT_GRID)
+    assert prob.e_abs_max[0] == max(-e_lo, e_hi) + extrema_slack(e, AUDIT_GRID)
     (bound,) = _forcing_bounds(prob)
     assert bound >= (3.0 + 1.0) / (SPLIT_FACTOR * 1.0)
 

@@ -752,24 +752,25 @@ def test_sweep_steps_skip_the_coefficient_audit(monkeypatch):
     prob = make_problem(1.0, 2.0, 0.01, e_spec={"fourier": {"c0": -0.1, "cos": [0.2], "sin": []}})
     disc = discretize(prob, 256)
     cc = compute_constants(disc, prob)
-    real_extrema = problem_mod.coefficient_extrema
+    real_eval = FourierSeries.on_grid
     real_report = solver_mod.existence_report
     audits, steps = [], []
 
-    def count(*args):
-        audits.append(args)
-        return real_extrema(*args)
+    def count(coef, n_grid):
+        if n_grid == problem_mod.AUDIT_GRID:
+            audits.append(coef)
+        return real_eval(coef, n_grid)
 
     def record(problem, *args):
         steps.append(problem)
         return real_report(problem, *args)
 
-    monkeypatch.setattr(problem_mod, "coefficient_extrema", count)
+    monkeypatch.setattr(FourierSeries, "on_grid", count)
     monkeypatch.setattr(solver_mod, "existence_report", record)
     table = continue_lambda(prob, disc, 0.01, 0.3, 6, constants=cc)
     assert audits == []
     assert table.rows
-    monkeypatch.setattr(problem_mod, "coefficient_extrema", real_extrema)
+    monkeypatch.setattr(FourierSeries, "on_grid", real_eval)
     assert [step.lam for step in steps] == [float(v) for v in np.geomspace(0.01, 0.3, 6)]
     for step in steps:
         assert step == replace(prob, lam=step.lam)
